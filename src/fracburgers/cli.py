@@ -224,6 +224,12 @@ def parse_config(argv: list[str]) -> RunConfig:
     tail_limit = _as_float("tail_limit", merged["tail_limit"])
     if not 0.0 < tail_limit < 1.0:
         raise UsageError(f"invalid value for tail_limit: must lie in (0, 1), got {tail_limit:g}")
+    ic = _parse_ic(merged["ic"])
+    if ic.kind == "random_band" and ic.params[0] >= n // 2:
+        # Mode n/2 and above alias onto lower modes on an n-node grid.
+        raise UsageError(
+            f"invalid value for ic: random kmax must be < n/2 = {n // 2}, got {ic.params[0]}"
+        )
 
     params = SimParams(
         gamma=gamma,
@@ -236,7 +242,7 @@ def parse_config(argv: list[str]) -> RunConfig:
     return RunConfig(
         n=n,
         params=params,
-        ic=_parse_ic(merged["ic"]),
+        ic=ic,
         snapshot_every=snapshot_every,
         output_dir=Path(merged["output"]),
         thresholds=DetectionThresholds(slope_limit=slope_limit, tail_limit=tail_limit),

@@ -9,8 +9,11 @@ a discrete H^3 norm (recorded qualitatively; the a-priori bound's constant
 is not available), and the spectral tail fraction used as a resolution
 monitor.
 
-Norm conventions: l2 = sqrt(2*pi * sum |c_k|^2) (Parseval on the interpolant)
-and sobolev s uses (1 + k^2)^s weights under the same 2*pi factor.
+Norm conventions: l2 = sqrt(2*pi * sum_{k=-N/2}^{N/2-1} |c_k|^2) (Parseval on
+the interpolant) and sobolev s uses (1 + k^2)^s weights under the same 2*pi
+factor. The spectrum is stored as the half c_0 .. c_{N/2}, so each row
+0 < k < N/2 counts twice, for itself and its conjugate c_{-k}, while c_0 and
+c_{N/2} count once.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ def mass(u: NodalField, g: GridSpec) -> float:
     On a uniform periodic grid this is identical to the trapezoid rule.
     """
     c = forward_dft(u, g).coeffs
-    return 2.0 * np.pi * float(c[g.n // 2].real)
+    return 2.0 * np.pi * float(c[0].real)
 
 
 def l2_norm(u: NodalField, g: GridSpec) -> float:
@@ -162,10 +165,9 @@ def tail_fraction(s: SpectralField) -> float:
     Approaching 1 means the top third of the resolved band carries the
     field: the grid has stopped resolving the solution.
     """
-    power = np.abs(s.coeffs) ** 2
-    k = s.wavenumbers
-    tail = float(np.sum(power[np.abs(k) >= s.n / 3.0]))
-    total = float(np.sum(power[k != 0]))
+    power = _paired_power(s)
+    tail = float(np.sum(power[s.wavenumbers >= s.n / 3.0]))
+    total = float(np.sum(power[1:]))
     return tail / (total + TAIL_GUARD)
 
 
@@ -209,7 +211,7 @@ def observe(u: NodalField, g: GridSpec, *, prev_bkm: float = 0.0,
             bkm = bkm_accumulate(prev_bkm, prev_slope_norm, slope_norm, dt)
         rec = DiagnosticsRecord(
             t=u.time,
-            mass=2.0 * np.pi * float(s.coeffs[g.n // 2].real),
+            mass=2.0 * np.pi * float(s.coeffs[0].real),
             l2=_l2_of(s),
             max_u=float(np.max(u.values)),
             min_u=float(np.min(u.values)),
@@ -221,10 +223,18 @@ def observe(u: NodalField, g: GridSpec, *, prev_bkm: float = 0.0,
     return rec, slope_norm
 
 
+def _paired_power(s: SpectralField) -> np.ndarray:
+    """|c_k|^2 + |c_{-k}|^2 per stored row; c_0 and c_{N/2} have no partner."""
+    power = 2.0 * np.abs(s.coeffs) ** 2
+    power[0] *= 0.5
+    power[-1] *= 0.5
+    return power
+
+
 def _l2_of(s: SpectralField) -> float:
-    return math.sqrt(2.0 * np.pi * float(np.sum(np.abs(s.coeffs) ** 2)))
+    return math.sqrt(2.0 * np.pi * float(np.sum(_paired_power(s))))
 
 
 def _sobolev_of(s: SpectralField, order: float) -> float:
     w = (1.0 + s.wavenumbers.astype(float) ** 2) ** order
-    return math.sqrt(2.0 * np.pi * float(np.sum(w * np.abs(s.coeffs) ** 2)))
+    return math.sqrt(2.0 * np.pi * float(np.sum(w * _paired_power(s))))

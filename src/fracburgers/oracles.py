@@ -121,10 +121,8 @@ class InitialCondition:
 @lru_cache(maxsize=None)
 def _band_coeffs(max_mode: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.Generator(np.random.PCG64(seed))
-    a = np.empty(max_mode)
-    b = np.empty(max_mode)
-    for i in range(max_mode):
-        a[i], b[i] = rng.standard_normal(2) / (i + 1)
+    scale = np.arange(1, max_mode + 1)[:, None]
+    a, b = (rng.standard_normal((max_mode, 2)) / scale).T.copy()
     return a, b
 
 
@@ -215,5 +213,5 @@ def linear_decay_solution(s0: SpectralField, t: float, gamma: float,
         raise ValueError(f"t must be >= 0, got {t!r}")
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma!r}")
-    decay = np.exp(-gamma * np.abs(s0.wavenumbers) ** a * t)
+    decay = np.exp(-gamma * s0.wavenumbers ** a * t)
     return SpectralField(s0.coeffs * decay)

@@ -12,7 +12,13 @@ and the derivative and fractional laplacian act on the c_k as the diagonal
 multipliers i*k and |k|**alpha. The fractional laplacian is defined
 spectrally; no convolution kernel is used anywhere.
 
-Transforms go through numpy's FFT. The grid is offset by -pi from the
+Nodal data are real, so c_{-k} = conj(c_k) and only the half-spectrum is
+stored: row k of a SpectralField holds c_k for k = 0 .. N/2 (numpy's rfft
+layout). The negative wavenumbers are implied by conjugation, and the
+Nyquist row c_{N/2}, which equals c_{-N/2} on the grid, is stored once.
+c_0 and c_{N/2} are real; they are the only rows without a partner.
+
+Transforms go through numpy's real FFT. The grid is offset by -pi from the
 FFT-native grid, which contributes the exact phase (-1)^k to every
 coefficient; the phase is applied explicitly and costs no precision.
 """
@@ -25,12 +31,9 @@ import numpy as np
 
 DEALIAS_RULES = ("off", "two_thirds")
 
-# Relative tolerance on the imaginary residue a real-data inverse may carry.
-IMAG_RESIDUE_RTOL = 1e-12
-
 
 class SymmetryError(ValueError):
-    """Spectral coefficients lack the conjugate symmetry of real data."""
+    """Spectral coefficients do not describe real data."""
 
 
 def validate_alpha(alpha: float) -> float:
@@ -51,41 +54,36 @@ class GridSpec:
 
     n: int
     nodes: np.ndarray        # x_j = pi*(2j - n)/n, strictly increasing
-    wavenumbers: np.ndarray  # integers -n/2 .. n/2 - 1
+    wavenumbers: np.ndarray  # integers 0 .. n/2
     mode_phase: np.ndarray   # (-1)^k in wavenumber order
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * np.pi / self.n
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """Interpolant coefficients c_k indexed by wavenumber k = -N/2 .. N/2-1.
+    """Half-spectrum c_k of a real field, indexed by wavenumber k = 0 .. N/2.
 
-    Conjugate symmetry c_{-k} = conj(c_k) holds whenever the field came from
-    real nodal data; it is checked where it matters (inverse transform), not
-    at construction, so intermediate edits stay representable.
+    The rows k = 0 and k = N/2 must be real; that is checked where it
+    matters (inverse transform), not at construction, so intermediate edits
+    stay representable.
     """
 
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 1 or len(c) < 4 or len(c) % 2:
+        if c.ndim != 1 or len(c) < 3:
             raise ValueError(
-                f"coefficient array must be 1-D with even length >= 4, got shape {c.shape}"
+                f"coefficient array must be 1-D with length >= 3, got shape {c.shape}"
             )
         object.__setattr__(self, "coeffs", c)
 
     @property
     def n(self) -> int:
-        return len(self.coeffs)
+        return 2 * (len(self.coeffs) - 1)
 
     @property
     def wavenumbers(self) -> np.ndarray:
-        half = self.n // 2
-        return np.arange(-half, half)
+        return np.arange(len(self.coeffs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +114,7 @@ def make_grid(n: int) -> GridSpec:
         raise ValueError(f"node count n must be even and >= 4, got {n}")
     j = np.arange(n)
     nodes = np.pi * (2.0 * j - n) / n
-    wavenumbers = np.arange(-(n // 2), n // 2)
+    wavenumbers = np.arange(n // 2 + 1)
     phase = np.where(wavenumbers % 2 == 0, 1.0, -1.0)
     return GridSpec(n=n, nodes=nodes, wavenumbers=wavenumbers, mode_phase=phase)
 
@@ -124,58 +122,48 @@ def make_grid(n: int) -> GridSpec:
 def forward_dft(u: NodalField, g: GridSpec) -> SpectralField:
     """Interpolant coefficients of nodal data, 1/N normalization.
 
-    c_k = (1/N) sum_j u(x_j) exp(-i k x_j). Computed as an FFT reordered to
-    wavenumber order, times the grid-offset phase (-1)^k.
+    c_k = (1/N) sum_j u(x_j) exp(-i k x_j) for k = 0 .. N/2, computed as a
+    real FFT times the grid-offset phase (-1)^k.
     """
     if len(u.values) != g.n:
         raise ValueError(f"field length {len(u.values)} does not match grid n={g.n}")
-    coeffs = np.fft.fftshift(np.fft.fft(u.values)) * (g.mode_phase / g.n)
-    # Real samples have conjugate-symmetric coefficients, but the FFT breaks
-    # that by ~1e-16 per entry, and multipliers like |k|^2 amplify the
-    # asymmetric dust past any fixed inverse-transform tolerance on long runs.
-    # Symmetrize so downstream operators preserve the invariant exactly.
-    paired = coeffs[1:]
-    coeffs[1:] = 0.5 * (paired + paired[::-1].conj())
-    coeffs[0] = coeffs[0].real
-    return SpectralField(coeffs)
+    return SpectralField(np.fft.rfft(u.values, norm="forward") * g.mode_phase)
 
 
 def inverse_dft(s: SpectralField, g: GridSpec, time: float = 0.0) -> NodalField:
     """Evaluate the interpolant at the nodes: u(x_l) = sum_k c_k exp(i k x_l).
 
-    The result of a conjugate-symmetric field is real up to round-off; the
-    imaginary residue is checked against IMAG_RESIDUE_RTOL * ||c|| and
-    discarded. A residue beyond that tolerance means the coefficients do not
-    describe real data.
+    The negative wavenumbers enter as the conjugates of the stored rows, so
+    the result is real by construction. A non-zero imaginary part in c_0 or
+    c_{N/2} has no real nodal representative and raises SymmetryError; NaN
+    passes, so a diverged state still reaches the non-finite checks.
     """
     if s.n != g.n:
         raise ValueError(f"spectral length {s.n} does not match grid n={g.n}")
-    w = np.fft.ifft(np.fft.ifftshift(s.coeffs * g.mode_phase)) * g.n
-    residue = float(np.max(np.abs(w.imag)))
-    scale = float(np.linalg.norm(s.coeffs))
-    if residue > IMAG_RESIDUE_RTOL * scale:
+    c = s.coeffs
+    if abs(c[0].imag) > 0.0 or abs(c[-1].imag) > 0.0:
         raise SymmetryError(
-            f"imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_RTOL:.0e} * ||c|| = "
-            f"{IMAG_RESIDUE_RTOL * scale:.3e}; coefficients are not conjugate-symmetric"
+            f"c_0 = {c[0]} and c_N/2 = {c[-1]} must be real; "
+            "coefficients do not describe real data"
         )
-    return NodalField(w.real, time)
+    return NodalField(np.fft.irfft(c * g.mode_phase, g.n, norm="forward"), time)
 
 
 def spectral_derivative(s: SpectralField) -> SpectralField:
     """Differentiate the interpolant: c_k -> i*k*c_k, Nyquist mode dropped.
 
-    The mode k = -N/2 has no conjugate partner, so its derivative has no
-    real nodal representative; its coefficient is set to 0.
+    The mode k = N/2 is its own conjugate partner, so i*(N/2)*c_{N/2} is
+    imaginary and has no real nodal representative; it is set to 0.
     """
     out = 1j * s.wavenumbers * s.coeffs
-    out[0] = 0.0
+    out[-1] = 0.0
     return SpectralField(out)
 
 
 def fractional_laplacian(s: SpectralField, alpha: float) -> SpectralField:
     """Apply the multiplier |k|**alpha, alpha in (0, 2]. Zero mode maps to 0."""
     a = validate_alpha(alpha)
-    mult = np.abs(s.wavenumbers).astype(float) ** a
+    mult = s.wavenumbers.astype(float) ** a
     return SpectralField(mult * s.coeffs)
 
 
@@ -189,5 +177,5 @@ def dealias(s: SpectralField, rule: str) -> SpectralField:
         raise ValueError(f"unknown dealias rule {rule!r}, expected one of {DEALIAS_RULES}")
     if rule == "off":
         return SpectralField(s.coeffs.copy())
-    keep = np.abs(s.wavenumbers) <= s.n / 3.0
+    keep = s.wavenumbers <= s.n / 3.0
     return SpectralField(np.where(keep, s.coeffs, 0.0))

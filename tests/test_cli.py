@@ -86,6 +86,13 @@ class TestParseConfig:
         with pytest.raises(UsageError, match=key):
             parse_config([flag, value])
 
+    def test_aliased_random_profile_rejected(self):
+        """Modes at or above n/2 alias onto lower ones on an n-node grid."""
+        for kmax in ("8", "9"):
+            with pytest.raises(UsageError, match="invalid value for ic"):
+                parse_config(["--n", "16", "--ic", f"random:{kmax}:1"])
+        assert parse_config(["--n", "16", "--ic", "random:7:1"]).ic.params == (7, 1)
+
     def test_snapshot_interval_cannot_exceed_t_final(self):
         with pytest.raises(UsageError, match="snapshot_every"):
             parse_config(["--t-final", "0.5", "--snapshot-every", "1"])

@@ -1,0 +1,83 @@
+"""Differential test of the tendency and the spectral norms against a dense DFT.
+
+The reference builds the full spectrum c_k, k = -N/2 .. N/2-1, from the
+explicit sum (1/N) sum_j u(x_j) exp(-i k x_j) and evaluates the interpolant
+by the explicit sum back, with no FFT and no half-spectrum. The phase k*x_j
+= pi*k*(2j - N)/N is reduced modulo 2*pi in integers first, so the dense
+matrices are exact to rounding.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from fracburgers.diagnostics import l2_norm, sobolev_norm, tail_fraction
+from fracburgers.dynamics import SimParams, rhs
+from fracburgers.spectral import NodalField, forward_dft, make_grid
+
+RTOL = 1e-12
+
+
+def dense_basis(n):
+    """Wavenumbers -n/2 .. n/2-1 and the matrix exp(i k x_j), rows j."""
+    k = np.arange(-(n // 2), n // 2)
+    turns = np.outer(2 * np.arange(n) - n, k) % (2 * n)  # k*x_j = pi*turns/n
+    return k, np.exp(1j * np.pi * turns / n)
+
+
+def dense_forward(u, n):
+    k, e = dense_basis(n)
+    return k, e.conj().T @ u / n
+
+
+def dense_inverse(c, n):
+    return (dense_basis(n)[1] @ c).real
+
+
+def dense_rhs(u, n, gamma, alpha, rule):
+    k, c = dense_forward(u, n)
+    dc = 1j * k * c
+    dc[k == -(n // 2)] = 0.0  # the unpaired mode has no real derivative
+    prod = dense_forward(u * dense_inverse(dc, n), n)[1]
+    if rule == "two_thirds":
+        prod[np.abs(k) > n / 3.0] = 0.0
+    prod[k == 0] = 0.0
+    out = -dense_inverse(prod, n)
+    if gamma > 0.0:
+        out -= gamma * dense_inverse(np.abs(k) ** alpha * c, n)
+    return out
+
+
+def relative(got, want):
+    return float(np.max(np.abs(np.subtract(got, want)))) / float(np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("rule", ["off", "two_thirds"])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_rhs_matches_dense_reference(n, rule):
+    rng = np.random.default_rng(1000 + n)
+    g = make_grid(n)
+    for gamma in (0.0, *rng.uniform(0.0, 1.0, 3)):
+        alpha = 2.0 - rng.uniform(0.0, 2.0)  # (0, 2]
+        u = rng.standard_normal(n)
+        p = SimParams(gamma=gamma, alpha=alpha, dealias_rule=rule)
+        err = relative(rhs(NodalField(u), g, p).values, dense_rhs(u, n, gamma, alpha, rule))
+        assert err <= RTOL, f"gamma={gamma:.3f} alpha={alpha:.3f}: {err:.2e}"
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_norms_match_dense_reference(n):
+    rng = np.random.default_rng(2000 + n)
+    g = make_grid(n)
+    for _ in range(4):
+        u = rng.standard_normal(n)
+        k, c = dense_forward(u, n)
+        power = np.abs(c) ** 2
+        l2 = math.sqrt(2.0 * np.pi * np.sum(power))
+        h3 = math.sqrt(2.0 * np.pi * np.sum((1.0 + k**2.0) ** 3 * power))
+        tail = np.sum(power[np.abs(k) >= n / 3.0]) / np.sum(power[k != 0])
+        assert l2_norm(NodalField(u), g) == pytest.approx(l2, rel=RTOL, abs=0)
+        assert sobolev_norm(NodalField(u), g, 3) == pytest.approx(h3, rel=RTOL, abs=0)
+        assert tail_fraction(forward_dft(NodalField(u), g)) == pytest.approx(
+            tail, rel=RTOL, abs=0)

@@ -25,7 +25,7 @@ class TestSimParams:
         p = SimParams()
         assert p.gamma == 0.0 and p.alpha == 1.0 and p.dt == "auto"
         assert p.t_final == 1.0 and p.dealias_rule == "off"
-        assert not p.linear_only and not p.nonlinear_only
+        assert not p.linear_only
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
@@ -49,14 +49,6 @@ class TestSimParams:
     def test_unknown_dealias_rule_rejected(self):
         with pytest.raises(ValueError, match="dealias"):
             SimParams(dealias_rule="half")
-
-    def test_exclusive_term_switches(self):
-        with pytest.raises(ValueError, match="linear_only and nonlinear_only"):
-            SimParams(linear_only=True, nonlinear_only=True)
-
-    def test_nonlinear_only_zeroes_effective_gamma(self):
-        assert SimParams(gamma=3.0, nonlinear_only=True).effective_gamma == 0.0
-        assert SimParams(gamma=3.0).effective_gamma == 3.0
 
 
 class TestRhs:
@@ -84,13 +76,6 @@ class TestRhs:
         expect = -0.5 * np.sin(2.0 * g.nodes) + 0.5 * np.sin(g.nodes)
         assert np.allclose(out.values, expect, rtol=0, atol=1e-13)
 
-    def test_nonlinear_only_matches_inviscid(self):
-        g = make_grid(32)
-        u = NodalField(-np.sin(g.nodes))
-        with_gamma = rhs(u, g, SimParams(gamma=5.0, nonlinear_only=True))
-        inviscid = rhs(u, g, SimParams(gamma=0.0))
-        assert np.array_equal(with_gamma.values, inviscid.values)
-
     def test_tendency_mean_is_round_off(self):
         """The zero mode of the product transform is removed, so the tendency
         integrates to zero regardless of aliasing."""
@@ -98,7 +83,7 @@ class TestRhs:
         rng = np.random.default_rng(13)
         u = NodalField(rng.standard_normal(g.n))
         out = rhs(u, g, SimParams(gamma=0.3, alpha=1.5))
-        mean_coeff = forward_dft(out, g).coeffs[g.n // 2]
+        mean_coeff = forward_dft(out, g).coeffs[0]
         assert abs(mean_coeff) <= 1e-15 * max(1.0, np.max(np.abs(out.values)))
 
     def test_two_thirds_rule_silences_product_tail(self):
@@ -233,7 +218,7 @@ class TestConvergenceOrder:
             u = NodalField(np.cos(2.0 * g.nodes))
             for _ in range(round(1.0 / dt)):
                 u = rk4_step(u, g, p, dt)
-            amp = 2.0 * abs(forward_dft(u, g).coeffs[g.n // 2 + 2])
+            amp = 2.0 * abs(forward_dft(u, g).coeffs[2])
             errors.append(abs(amp - target))
         ratios = [errors[i] / errors[i + 1] for i in range(3)]
         assert all(12.0 <= r <= 20.0 for r in ratios), ratios

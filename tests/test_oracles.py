@@ -10,6 +10,7 @@ from fracburgers.oracles import (
     linear_decay_solution,
     shock_time,
 )
+from fracburgers.oracles import _band_coeffs
 from fracburgers.diagnostics import slope_closed_form
 from fracburgers.spectral import NodalField, forward_dft, inverse_dft, make_grid
 
@@ -44,6 +45,21 @@ class TestInitialCondition:
         c = InitialCondition.random_band(8, 8)(x)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_random_band_coefficients_pinned(self):
+        """The seeded draw is part of the profile's definition: these values
+        must not change between releases or platforms."""
+        a, b = _band_coeffs(8, 42)
+        assert a.tolist() == [
+            0.30471707975443135, 0.3752255979032286, -0.6503450628846121,
+            0.03196010079182134, -0.003360231500857759, 0.14656632914380477,
+            0.009432956794459435, 0.0584386677815057,
+        ]
+        assert b.tolist() == [
+            -1.0399841062404955, 0.47028235819560693, -0.4340598356207727,
+            -0.07906064808589555, -0.170608785514716, 0.12963198923815805,
+            0.1610344581382904, -0.10741155786040478,
+        ]
 
     def test_random_band_zero_modes_is_zero(self):
         f = InitialCondition.random_band(0, 1)

@@ -17,11 +17,6 @@ from fracburgers.spectral import (
 )
 
 
-def mode(g, k):
-    """Row of wavenumber k in the shifted coefficient layout."""
-    return g.n // 2 + k
-
-
 def trig_polynomial(g, rng, degree):
     """Random real trig polynomial of the given degree and its derivative."""
     u = np.zeros(g.n)
@@ -40,7 +35,8 @@ class TestMakeGrid:
 
     def test_wavenumber_layout(self):
         g = make_grid(8)
-        assert np.array_equal(g.wavenumbers, np.arange(-4, 4))
+        assert np.array_equal(g.wavenumbers, np.arange(5))
+        assert np.array_equal(g.mode_phase, [1.0, -1.0, 1.0, -1.0, 1.0])
 
     def test_uniform_spacing_from_minus_pi(self):
         g = make_grid(10)
@@ -61,9 +57,10 @@ class TestMakeGrid:
 
 
 class TestFieldTypes:
-    def test_spectral_field_needs_even_length(self):
-        with pytest.raises(ValueError, match="even"):
-            SpectralField(np.zeros(5, complex))
+    def test_spectral_field_needs_length_three(self):
+        with pytest.raises(ValueError, match="length >= 3"):
+            SpectralField(np.zeros(2, complex))
+        assert SpectralField(np.zeros(3, complex)).n == 4
 
     def test_spectral_field_needs_one_dimension(self):
         with pytest.raises(ValueError, match="1-D"):
@@ -82,33 +79,31 @@ class TestForwardDFT:
     def test_constant_concentrates_in_mean_mode(self):
         g = make_grid(16)
         s = forward_dft(NodalField(np.full(g.n, 3.0)), g)
-        assert abs(s.coeffs[mode(g, 0)] - 3.0) <= 1e-15
-        rest = np.delete(s.coeffs, mode(g, 0))
-        assert np.max(np.abs(rest)) <= 1e-15
+        assert abs(s.coeffs[0] - 3.0) <= 1e-15
+        assert np.max(np.abs(s.coeffs[1:])) <= 1e-15
 
     def test_neg_sine_example(self):
-        """-sin x transforms to +i/2 and -i/2 in the k = 1 and k = -1 rows."""
+        """-sin x transforms to +i/2 in the k = 1 row (and -i/2 at k = -1)."""
         g = make_grid(8)
         s = forward_dft(NodalField(-np.sin(g.nodes)), g)
-        assert abs(s.coeffs[mode(g, 1)] - 0.5j) <= 1e-15
-        assert abs(s.coeffs[mode(g, -1)] + 0.5j) <= 1e-15
-        rest = np.delete(s.coeffs, [mode(g, 1), mode(g, -1)])
+        assert abs(s.coeffs[1] - 0.5j) <= 1e-15
+        rest = np.delete(s.coeffs, 1)
         assert np.max(np.abs(rest)) <= 1e-15
 
     def test_cos_two_example(self):
         g = make_grid(16)
         s = forward_dft(NodalField(np.cos(2.0 * g.nodes)), g)
-        assert abs(s.coeffs[mode(g, 2)] - 0.5) <= 1e-15
-        assert abs(s.coeffs[mode(g, -2)] - 0.5) <= 1e-15
+        assert abs(s.coeffs[2] - 0.5) <= 1e-15
+        assert len(s.coeffs) == g.n // 2 + 1
 
-    def test_coefficients_exactly_conjugate_symmetric(self):
-        """Real data must produce an exactly Hermitian spectrum."""
+    def test_unpaired_rows_exactly_real(self):
+        """c_0 and c_{N/2} stay exactly real through every operator."""
         g = make_grid(64)
         rng = np.random.default_rng(7)
         s = forward_dft(NodalField(rng.standard_normal(g.n)), g)
-        paired = s.coeffs[1:]
-        assert np.array_equal(paired, paired[::-1].conj())
-        assert s.coeffs[0].imag == 0.0
+        for out in (s, spectral_derivative(s), fractional_laplacian(s, 1.3)):
+            assert out.coeffs[0].imag == 0.0 and out.coeffs[-1].imag == 0.0
+        assert s.coeffs[-1] != 0.0
 
     def test_length_mismatch_rejected(self):
         g = make_grid(8)
@@ -119,16 +114,15 @@ class TestForwardDFT:
 class TestInverseDFT:
     def test_mean_mode_reconstructs_constant(self):
         g = make_grid(8)
-        c = np.zeros(g.n, complex)
-        c[mode(g, 0)] = 5.0
+        c = np.zeros(g.n // 2 + 1, complex)
+        c[0] = 5.0
         u = inverse_dft(SpectralField(c), g)
         assert np.allclose(u.values, 5.0, rtol=0, atol=1e-14)
 
     def test_conjugate_pair_reconstructs_neg_sine(self):
         g = make_grid(32)
-        c = np.zeros(g.n, complex)
-        c[mode(g, 1)] = 0.5j
-        c[mode(g, -1)] = -0.5j
+        c = np.zeros(g.n // 2 + 1, complex)
+        c[1] = 0.5j
         u = inverse_dft(SpectralField(c), g)
         assert np.allclose(u.values, -np.sin(g.nodes), rtol=0, atol=1e-14)
 
@@ -148,24 +142,24 @@ class TestInverseDFT:
         back = inverse_dft(forward_dft(u, g), g, time=u.time)
         assert back.time == 0.7
 
-    def test_unpaired_mode_rejected(self):
-        g = make_grid(8)
-        c = np.zeros(g.n, complex)
-        c[mode(g, 1)] = 1.0
-        with pytest.raises(SymmetryError, match="conjugate-symmetric"):
-            inverse_dft(SpectralField(c), g)
-
     def test_imaginary_nyquist_rejected(self):
         g = make_grid(8)
-        c = np.zeros(g.n, complex)
-        c[mode(g, -4)] = 1.0j
+        c = np.zeros(g.n // 2 + 1, complex)
+        c[-1] = 1.0j
+        with pytest.raises(SymmetryError):
+            inverse_dft(SpectralField(c), g)
+
+    def test_imaginary_mean_rejected(self):
+        g = make_grid(8)
+        c = np.zeros(g.n // 2 + 1, complex)
+        c[0] = 1.0 + 1e-300j
         with pytest.raises(SymmetryError):
             inverse_dft(SpectralField(c), g)
 
     def test_length_mismatch_rejected(self):
         g = make_grid(8)
         with pytest.raises(ValueError, match="does not match"):
-            inverse_dft(SpectralField(np.zeros(16, complex)), g)
+            inverse_dft(SpectralField(np.zeros(9, complex)), g)
 
 
 class TestSpectralDerivative:
@@ -182,18 +176,18 @@ class TestSpectralDerivative:
         assert np.max(np.abs(d.coeffs)) <= 1e-15
 
     def test_nyquist_row_dropped(self):
-        """The unpaired k = -N/2 mode has no real derivative representative."""
+        """The unpaired k = N/2 mode has no real derivative representative."""
         g = make_grid(8)
-        c = np.zeros(g.n, complex)
-        c[0] = 1.0
+        c = np.zeros(g.n // 2 + 1, complex)
+        c[-1] = 1.0
         d = spectral_derivative(SpectralField(c))
-        assert np.array_equal(d.coeffs, np.zeros(g.n, complex))
+        assert np.array_equal(d.coeffs, np.zeros(g.n // 2 + 1, complex))
 
     def test_mean_coefficient_exactly_zero(self):
         g = make_grid(32)
         rng = np.random.default_rng(3)
         s = forward_dft(NodalField(rng.standard_normal(g.n)), g)
-        assert spectral_derivative(s).coeffs[mode(g, 0)] == 0.0
+        assert spectral_derivative(s).coeffs[0] == 0.0
 
     def test_exact_on_trig_polynomials(self):
         """Derivatives of resolvable trig polynomials are exact to 1e-11."""
@@ -203,13 +197,6 @@ class TestSpectralDerivative:
             u, du = trig_polynomial(g, rng, degree=n // 2 - 1)
             got = inverse_dft(spectral_derivative(forward_dft(NodalField(u), g)), g)
             assert np.max(np.abs(got.values - du)) <= 1e-11
-
-    def test_preserves_conjugate_symmetry(self):
-        g = make_grid(32)
-        rng = np.random.default_rng(5)
-        d = spectral_derivative(forward_dft(NodalField(rng.standard_normal(g.n)), g))
-        paired = d.coeffs[1:]
-        assert np.array_equal(paired, paired[::-1].conj())
 
 
 class TestFractionalLaplacian:
@@ -239,12 +226,12 @@ class TestFractionalLaplacian:
         s = forward_dft(NodalField(rng.standard_normal(g.n)), g)
         lap = fractional_laplacian(s, 2.0).coeffs
         dd = -spectral_derivative(spectral_derivative(s)).coeffs
-        assert np.allclose(lap[1:], dd[1:], rtol=0, atol=1e-13)
+        assert np.allclose(lap[:-1], dd[:-1], rtol=0, atol=1e-13)
         # the multiplier keeps the Nyquist row, the derivative zeroes it
-        c = np.zeros(g.n, complex)
-        c[0] = 1.0
-        assert fractional_laplacian(SpectralField(c), 2.0).coeffs[0] == (g.n / 2) ** 2
-        assert spectral_derivative(SpectralField(c)).coeffs[0] == 0.0
+        c = np.zeros(g.n // 2 + 1, complex)
+        c[-1] = 1.0
+        assert fractional_laplacian(SpectralField(c), 2.0).coeffs[-1] == (g.n / 2) ** 2
+        assert spectral_derivative(SpectralField(c)).coeffs[-1] == 0.0
 
     def test_alpha_validation(self):
         g = make_grid(8)
@@ -252,13 +239,6 @@ class TestFractionalLaplacian:
         for alpha in (0.0, -1.0, 2.5, float("nan")):
             with pytest.raises(ValueError, match="alpha"):
                 fractional_laplacian(s, alpha)
-
-    def test_preserves_conjugate_symmetry(self):
-        g = make_grid(32)
-        rng = np.random.default_rng(29)
-        out = fractional_laplacian(forward_dft(NodalField(rng.standard_normal(g.n)), g), 1.3)
-        paired = out.coeffs[1:]
-        assert np.array_equal(paired, paired[::-1].conj())
 
 
 class TestValidateAlpha:
@@ -280,15 +260,14 @@ class TestDealias:
         assert s.coeffs[0] != 9.0
 
     def test_two_thirds_cut_is_exclusive(self):
-        """|k| > N/3 is zeroed; |k| = N/3 survives."""
+        """k > N/3 is zeroed; k = N/3 survives."""
         g = make_grid(12)
         u = np.cos(3.0 * g.nodes) + np.cos(4.0 * g.nodes) + np.cos(5.0 * g.nodes)
         out = dealias(forward_dft(NodalField(u), g), "two_thirds")
-        assert abs(out.coeffs[mode(g, 5)]) == 0.0
-        assert abs(out.coeffs[mode(g, -5)]) == 0.0
-        assert abs(out.coeffs[mode(g, -6)]) == 0.0
-        assert abs(out.coeffs[mode(g, 4)] - 0.5) <= 1e-15
-        assert abs(out.coeffs[mode(g, 3)] - 0.5) <= 1e-15
+        assert abs(out.coeffs[5]) == 0.0
+        assert abs(out.coeffs[6]) == 0.0
+        assert abs(out.coeffs[4] - 0.5) <= 1e-15
+        assert abs(out.coeffs[3] - 0.5) <= 1e-15
 
     def test_unknown_rule_rejected(self):
         g = make_grid(8)
