@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .diagnostics import (
@@ -31,10 +31,10 @@ from .dynamics import InstabilityError, InvalidStateError, SimParams, rk4_step, 
 from .oracles import InitialCondition
 from .spectral import GridSpec, NodalField, make_grid
 
-STATUSES = ("completed", "blowup_detected", "resolution_lost", "numeric_failure")
-
 EXIT_CODES = {"completed": 0, "blowup_detected": 2, "resolution_lost": 3,
               "numeric_failure": 4}
+
+STATUSES = tuple(EXIT_CODES)
 
 _CAUSE_TO_STATUS = {"slope_threshold": "blowup_detected",
                     "resolution_loss": "resolution_lost",
@@ -63,7 +63,7 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    n: int
+    grid: GridSpec
     params: SimParams
     ic: InitialCondition
     snapshot_every: float
@@ -191,61 +191,53 @@ def parse_config(argv: list[str]) -> RunConfig:
             merged[key] = given
 
     n = _as_int("n", merged["n"])
-    if n % 2 or n < 4:
-        raise UsageError(f"invalid value for n: must be even and >= 4, got {n}")
     gamma = _as_float("gamma", merged["gamma"])
-    if gamma < 0.0:
-        raise UsageError(f"invalid value for gamma: must be >= 0, got {gamma:g}")
     alpha = _as_float("alpha", merged["alpha"])
-    if not 0.0 < alpha <= 2.0:
-        raise UsageError(f"invalid value for alpha: must lie in (0, 2], got {alpha:g}")
-    if merged["dt"] == "auto":
-        dt: float | str = "auto"
-    else:
-        dt = _as_float("dt", merged["dt"])
-        if dt <= 0.0:
-            raise UsageError(f"invalid value for dt: must be > 0, got {dt:g}")
+    dt = "auto" if merged["dt"] == "auto" else _as_float("dt", merged["dt"])
     t_final = _as_float("t_final", merged["t_final"])
-    if t_final <= 0.0:
-        raise UsageError(f"invalid value for t_final: must be > 0, got {t_final:g}")
     dealias = merged["dealias"]
     if dealias not in ("off", "two-thirds"):
         raise UsageError(f"invalid value for dealias: expected off or two-thirds, got {dealias!r}")
     snapshot_every = _as_float("snapshot_every", merged["snapshot_every"])
+    slope_limit = _as_float("slope_limit", merged["slope_limit"])
+    tail_limit = _as_float("tail_limit", merged["tail_limit"])
+    linear_only = _as_bool("linear_only", merged["linear_only"])
+    ic = _parse_ic(merged["ic"])
+
+    # The grid, SimParams and DetectionThresholds own their range rules and
+    # word a violation as "<key>: <reason>".
+    try:
+        grid = make_grid(n)
+        params = SimParams(
+            gamma=gamma,
+            alpha=alpha,
+            dt=dt,
+            t_final=t_final,
+            dealias_rule="two_thirds" if dealias == "two-thirds" else "off",
+            linear_only=linear_only,
+        )
+        thresholds = DetectionThresholds(slope_limit=slope_limit, tail_limit=tail_limit)
+    except ValueError as err:
+        raise UsageError(f"invalid value for {err}") from None
+
     if snapshot_every <= 0.0:
         raise UsageError(f"invalid value for snapshot_every: must be > 0, got {snapshot_every:g}")
     if snapshot_every > t_final:
         raise UsageError(
             f"invalid value for snapshot_every: {snapshot_every:g} exceeds t_final {t_final:g}"
         )
-    slope_limit = _as_float("slope_limit", merged["slope_limit"])
-    if slope_limit <= 0.0:
-        raise UsageError(f"invalid value for slope_limit: must be > 0, got {slope_limit:g}")
-    tail_limit = _as_float("tail_limit", merged["tail_limit"])
-    if not 0.0 < tail_limit < 1.0:
-        raise UsageError(f"invalid value for tail_limit: must lie in (0, 1), got {tail_limit:g}")
-    ic = _parse_ic(merged["ic"])
     if ic.kind == "random_band" and ic.params[0] >= n // 2:
         # Mode n/2 and above alias onto lower modes on an n-node grid.
         raise UsageError(
             f"invalid value for ic: random kmax must be < n/2 = {n // 2}, got {ic.params[0]}"
         )
-
-    params = SimParams(
-        gamma=gamma,
-        alpha=alpha,
-        dt=dt,
-        t_final=t_final,
-        dealias_rule="two_thirds" if dealias == "two-thirds" else "off",
-        linear_only=_as_bool("linear_only", merged["linear_only"]),
-    )
     return RunConfig(
-        n=n,
+        grid=grid,
         params=params,
         ic=ic,
         snapshot_every=snapshot_every,
         output_dir=Path(merged["output"]),
-        thresholds=DetectionThresholds(slope_limit=slope_limit, tail_limit=tail_limit),
+        thresholds=thresholds,
         detect_blowup=_as_bool("detect_blowup", merged["detect_blowup"]),
     )
 
@@ -259,7 +251,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     micro-steps occur. One DiagnosticsRecord is appended per step, plus the
     initial record at t=0.
     """
-    g = make_grid(cfg.n)
+    g = cfg.grid
     p = cfg.params
     u = NodalField(cfg.ic(g.nodes), 0.0)
 
@@ -317,14 +309,9 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                 fragment = hit
                 break
 
-    report = BlowupReport(
-        predicted_t_star=predicted,
-        detected=fragment.detected,
-        detected_t=fragment.detected_t,
-        detection_cause=fragment.detection_cause,
-    )
     return RunResult(records=tuple(records), snapshots=tuple(snapshots),
-                     report=report, status=status, warnings=tuple(warnings))
+                     report=replace(fragment, predicted_t_star=predicted),
+                     status=status, warnings=tuple(warnings))
 
 
 def _fmt(v: float) -> str:
@@ -346,7 +333,7 @@ def write_outputs(result: RunResult, cfg: RunConfig) -> list[Path]:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     written.append(path)
 
-    nodes = make_grid(cfg.n).nodes
+    nodes = cfg.grid.nodes
     for t, field in result.snapshots:
         rows = ["x,u"]
         rows += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(nodes, field.values)]

@@ -70,9 +70,9 @@ class DetectionThresholds:
 
     def __post_init__(self) -> None:
         if not self.slope_limit > 0.0:
-            raise ValueError(f"slope_limit must be > 0, got {self.slope_limit!r}")
+            raise ValueError(f"slope_limit: must be > 0, got {self.slope_limit!r}")
         if not 0.0 < self.tail_limit < 1.0:
-            raise ValueError(f"tail_limit must lie in (0, 1), got {self.tail_limit!r}")
+            raise ValueError(f"tail_limit: must lie in (0, 1), got {self.tail_limit!r}")
 
 
 @dataclass(frozen=True)

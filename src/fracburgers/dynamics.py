@@ -23,6 +23,7 @@ from .spectral import (
     DEALIAS_RULES,
     GridSpec,
     NodalField,
+    SpectralField,
     dealias,
     forward_dft,
     fractional_laplacian,
@@ -71,17 +72,17 @@ class SimParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "alpha", validate_alpha(self.alpha))
-        object.__setattr__(self, "t_final", float(self.t_final))
         if self.gamma < 0.0 or not np.isfinite(self.gamma):
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
-        if self.t_final <= 0.0 or not np.isfinite(self.t_final):
-            raise ValueError(f"t_final must be finite and > 0, got {self.t_final!r}")
+            raise ValueError(f"gamma: must be finite and >= 0, got {self.gamma!r}")
+        object.__setattr__(self, "alpha", validate_alpha(self.alpha))
         if self.dt != "auto":
             dt = float(self.dt)
             if dt <= 0.0 or not np.isfinite(dt):
-                raise ValueError(f'dt must be > 0 or "auto", got {self.dt!r}')
+                raise ValueError(f'dt: must be finite and > 0 or "auto", got {self.dt!r}')
             object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "t_final", float(self.t_final))
+        if self.t_final <= 0.0 or not np.isfinite(self.t_final):
+            raise ValueError(f"t_final: must be finite and > 0, got {self.t_final!r}")
         if self.dealias_rule not in DEALIAS_RULES:
             raise ValueError(
                 f"unknown dealias rule {self.dealias_rule!r}, expected one of {DEALIAS_RULES}"
@@ -91,9 +92,11 @@ class SimParams:
 def rhs(u: NodalField, g: GridSpec, p: SimParams) -> NodalField:
     """Tendency F(u) = -u*(D_N u) - gamma*Lambda^alpha u, pseudo-spectrally.
 
-    The product is optionally dealiased per p.dealias_rule and its zero mode
-    is removed before returning to nodal space, so the transform of the
-    tendency carries an exactly zero mean coefficient.
+    The whole tendency is assembled in coefficient space and transformed back
+    once: minus the product's transform, optionally dealiased per
+    p.dealias_rule and with its zero mode removed, minus gamma times the
+    fractional laplacian of u's coefficients. The tendency's mean
+    coefficient is exactly zero.
     """
     if len(u.values) != g.n:
         raise ValueError(f"field length {len(u.values)} does not match grid n={g.n}")
@@ -104,17 +107,15 @@ def rhs(u: NodalField, g: GridSpec, p: SimParams) -> NodalField:
     # hardware overflow/invalid flags raised while a field diverges are noise.
     with np.errstate(over="ignore", invalid="ignore"):
         s = forward_dft(u, g)
-        tendency = np.zeros(g.n)
+        hat = np.zeros_like(s.coeffs)
         if not p.linear_only:
             ux = inverse_dft(spectral_derivative(s), g, u.time).values
             prod = forward_dft(NodalField(u.values * ux, u.time), g)
-            prod = dealias(prod, p.dealias_rule)
-            prod.coeffs[0] = 0.0  # mass-neutral by construction
-            tendency -= inverse_dft(prod, g, u.time).values
+            hat = -dealias(prod, p.dealias_rule).coeffs
+            hat[0] = 0.0  # mass-neutral by construction
         if p.gamma > 0.0:
-            diss = inverse_dft(fractional_laplacian(s, p.alpha), g, u.time).values
-            tendency -= p.gamma * diss
-    return NodalField(tendency, u.time)
+            hat -= p.gamma * fractional_laplacian(s, p.alpha).coeffs
+        return inverse_dft(SpectralField(hat), g, u.time)
 
 
 def rk4_step(u: NodalField, g: GridSpec, p: SimParams, dt: float) -> NodalField:

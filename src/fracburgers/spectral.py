@@ -40,7 +40,7 @@ def validate_alpha(alpha: float) -> float:
     """Return alpha as float after checking 0 < alpha <= 2."""
     a = float(alpha)
     if not 0.0 < a <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha!r}")
+        raise ValueError(f"alpha: must lie in (0, 2], got {alpha!r}")
     return a
 
 
@@ -108,10 +108,10 @@ class NodalField:
 def make_grid(n: int) -> GridSpec:
     """Build the uniform grid with n nodes (n even, n >= 4)."""
     if n != int(n):
-        raise ValueError(f"node count n must be an integer, got {n!r}")
+        raise ValueError(f"n: must be an integer, got {n!r}")
     n = int(n)
     if n % 2 or n < 4:
-        raise ValueError(f"node count n must be even and >= 4, got {n}")
+        raise ValueError(f"n: must be even and >= 4, got {n}")
     j = np.arange(n)
     nodes = np.pi * (2.0 * j - n) / n
     wavenumbers = np.arange(n // 2 + 1)

@@ -33,7 +33,7 @@ def config(*extra, out="unused"):
 class TestParseConfig:
     def test_defaults(self):
         cfg = parse_config([])
-        assert cfg.n == 256
+        assert cfg.grid.n == 256
         assert cfg.params.gamma == 0.0 and cfg.params.alpha == 1.0
         assert cfg.params.dt == "auto" and cfg.params.t_final == 1.0
         assert cfg.params.dealias_rule == "off" and not cfg.params.linear_only
@@ -50,7 +50,7 @@ class TestParseConfig:
                             "--snapshot-every", "0.5", "--detect-blowup", "false",
                             "--slope-limit", "50", "--tail-limit", "0.2",
                             "--linear-only", "--output", "results"])
-        assert cfg.n == 128 and cfg.params.gamma == 0.5 and cfg.params.alpha == 1.5
+        assert cfg.grid.n == 128 and cfg.params.gamma == 0.5 and cfg.params.alpha == 1.5
         assert cfg.params.dt == 0.001 and cfg.params.t_final == 2.0
         assert cfg.params.dealias_rule == "two_thirds" and cfg.params.linear_only
         assert cfg.snapshot_every == 0.5 and cfg.detect_blowup is False
@@ -68,22 +68,27 @@ class TestParseConfig:
         ("--n", "2", "n"),
         ("--n", "many", "n"),
         ("--gamma", "-1", "gamma"),
+        ("--gamma", "nan", "gamma"),
         ("--alpha", "0", "alpha"),
         ("--alpha", "2.5", "alpha"),
         ("--dt", "-0.1", "dt"),
         ("--dt", "fast", "dt"),
+        ("--dt", "0", "dt"),
         ("--t-final", "0", "t_final"),
+        ("--t-final", "-1", "t_final"),  # reported before the default snapshot_every 0.1
         ("--dealias", "half", "dealias"),
         ("--snapshot-every", "0", "snapshot_every"),
         ("--detect-blowup", "maybe", "detect_blowup"),
         ("--slope-limit", "0", "slope_limit"),
+        ("--slope-limit", "-5", "slope_limit"),
         ("--tail-limit", "1.5", "tail_limit"),
+        ("--tail-limit", "0", "tail_limit"),
         ("--ic", "unknown:1", "ic"),
         ("--ic", "random:8", "ic"),
         ("--ic", "gaussian:wide", "ic"),
     ])
     def test_invalid_values_name_their_key(self, flag, value, key):
-        with pytest.raises(UsageError, match=key):
+        with pytest.raises(UsageError, match=rf"^invalid value for {key}: "):
             parse_config([flag, value])
 
     def test_aliased_random_profile_rejected(self):
@@ -111,7 +116,7 @@ class TestParseConfig:
             encoding="utf-8",
         )
         cfg = parse_config(["--config", str(cfgfile)])
-        assert cfg.n == 64 and cfg.params.gamma == 0.5 and cfg.params.t_final == 2.0
+        assert cfg.grid.n == 64 and cfg.params.gamma == 0.5 and cfg.params.t_final == 2.0
 
     def test_flags_override_config_file(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

@@ -35,8 +35,10 @@ def dense_inverse(c, n):
     return (dense_basis(n)[1] @ c).real
 
 
-def dense_rhs(u, n, gamma, alpha, rule):
+def dense_rhs(u, n, gamma, alpha, rule, linear_only):
     k, c = dense_forward(u, n)
+    if linear_only:
+        return -gamma * dense_inverse(np.abs(k) ** alpha * c, n)
     dc = 1j * k * c
     dc[k == -(n // 2)] = 0.0  # the unpaired mode has no real derivative
     prod = dense_forward(u * dense_inverse(dc, n), n)[1]
@@ -50,20 +52,33 @@ def dense_rhs(u, n, gamma, alpha, rule):
 
 
 def relative(got, want):
-    return float(np.max(np.abs(np.subtract(got, want)))) / float(np.max(np.abs(want)))
+    # A zero reference (linear_only with gamma = 0) leaves no scale: demand exact zeros.
+    scale = max(float(np.max(np.abs(want))), np.finfo(float).tiny)
+    return float(np.max(np.abs(np.subtract(got, want)))) / scale
 
 
-@pytest.mark.parametrize("rule", ["off", "two_thirds"])
-@pytest.mark.parametrize("n", [16, 64, 256])
-def test_rhs_matches_dense_reference(n, rule):
+def check_rhs(n, rule, linear_only):
     rng = np.random.default_rng(1000 + n)
     g = make_grid(n)
     for gamma in (0.0, *rng.uniform(0.0, 1.0, 3)):
         alpha = 2.0 - rng.uniform(0.0, 2.0)  # (0, 2]
         u = rng.standard_normal(n)
-        p = SimParams(gamma=gamma, alpha=alpha, dealias_rule=rule)
-        err = relative(rhs(NodalField(u), g, p).values, dense_rhs(u, n, gamma, alpha, rule))
+        p = SimParams(gamma=gamma, alpha=alpha, dealias_rule=rule, linear_only=linear_only)
+        want = dense_rhs(u, n, gamma, alpha, rule, linear_only)
+        err = relative(rhs(NodalField(u), g, p).values, want)
         assert err <= RTOL, f"gamma={gamma:.3f} alpha={alpha:.3f}: {err:.2e}"
+
+
+@pytest.mark.parametrize("rule", ["off", "two_thirds"])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_rhs_matches_dense_reference(n, rule):
+    check_rhs(n, rule, linear_only=False)
+
+
+@pytest.mark.parametrize("rule", ["off", "two_thirds"])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_linear_rhs_matches_dense_reference(n, rule):
+    check_rhs(n, rule, linear_only=True)
 
 
 @pytest.mark.parametrize("n", [16, 64, 256])
