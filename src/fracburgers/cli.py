@@ -333,10 +333,10 @@ def write_outputs(result: RunResult, cfg: RunConfig) -> list[Path]:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     written.append(path)
 
-    nodes = cfg.grid.nodes
+    xs = [_fmt(x) for x in cfg.grid.nodes]
     for t, field in result.snapshots:
         rows = ["x,u"]
-        rows += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(nodes, field.values)]
+        rows += [f"{x},{_fmt(v)}" for x, v in zip(xs, field.values)]
         path = out / f"snapshot_{format(t, '.10g')}.csv"
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         written.append(path)

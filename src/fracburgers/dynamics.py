@@ -10,7 +10,9 @@ term is the plain nodal (collocation) product u * (D_N u). The conservative
 form -0.5*(u^2)_x is deliberately not used; instead the zero mode of the
 product's transform is zeroed outright, which keeps the tendency mass-neutral
 by construction (analytically that coefficient is the integral of a perfect
-derivative and vanishes anyway).
+derivative and vanishes anyway). The product's unpaired Nyquist mode is
+dropped too, as the derivative drops it, so the state's c_{N/2} only decays
+under gamma. RK4 stages advance the rfft half-spectrum.
 """
 
 from __future__ import annotations
@@ -89,33 +91,32 @@ class SimParams:
             )
 
 
-def rhs(u: NodalField, g: GridSpec, p: SimParams) -> NodalField:
-    """Tendency F(u) = -u*(D_N u) - gamma*Lambda^alpha u, pseudo-spectrally.
+def _tendency(s: SpectralField, g: GridSpec, p: SimParams) -> np.ndarray:
+    """Coefficients of F for the state s: 3 transforms, none with linear_only."""
+    hat = np.zeros_like(s.coeffs)
+    if not p.linear_only:
+        u = inverse_dft(s, g).values
+        ux = inverse_dft(spectral_derivative(s), g).values
+        hat = -dealias(forward_dft(NodalField(u * ux), g), p.dealias_rule).coeffs
+        hat[0] = hat[-1] = 0.0
+    if p.gamma > 0.0:
+        hat -= p.gamma * fractional_laplacian(s, p.alpha).coeffs
+    return hat
 
-    The whole tendency is assembled in coefficient space and transformed back
-    once: minus the product's transform, optionally dealiased per
-    p.dealias_rule and with its zero mode removed, minus gamma times the
-    fractional laplacian of u's coefficients. The tendency's mean
-    coefficient is exactly zero.
+
+def rhs(u: NodalField, g: GridSpec, p: SimParams) -> NodalField:
+    """Tendency F(u) = -u*(D_N u) - gamma*Lambda^alpha u at the nodes.
+
+    The nodal front end of the coefficient kernel that rk4_step advances.
+    The tendency's mean coefficient is exactly zero.
     """
     if len(u.values) != g.n:
         raise ValueError(f"field length {len(u.values)} does not match grid n={g.n}")
     if not np.all(np.isfinite(u.values)):
         raise InvalidStateError(f"non-finite field handed to rhs at t={u.time:.6g}")
-
-    # Finiteness is checked explicitly before and after each stage, so the
-    # hardware overflow/invalid flags raised while a field diverges are noise.
+    # Finiteness is checked explicitly; overflow flags while diverging are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        s = forward_dft(u, g)
-        hat = np.zeros_like(s.coeffs)
-        if not p.linear_only:
-            ux = inverse_dft(spectral_derivative(s), g, u.time).values
-            prod = forward_dft(NodalField(u.values * ux, u.time), g)
-            hat = -dealias(prod, p.dealias_rule).coeffs
-            hat[0] = 0.0  # mass-neutral by construction
-        if p.gamma > 0.0:
-            hat -= p.gamma * fractional_laplacian(s, p.alpha).coeffs
-        return inverse_dft(SpectralField(hat), g, u.time)
+        return inverse_dft(SpectralField(_tendency(forward_dft(u, g), g, p)), g, u.time)
 
 
 def rk4_step(u: NodalField, g: GridSpec, p: SimParams, dt: float) -> NodalField:
@@ -126,30 +127,30 @@ def rk4_step(u: NodalField, g: GridSpec, p: SimParams, dt: float) -> NodalField:
         K4 = F(U_s + dt K3),
         U_{s+1} = U_s + dt/6 (K1 + 2 K2 + 2 K3 + K4).
 
-    The system is autonomous, so the stage times carried on the stage fields
-    are inert. A non-finite stage raises InstabilityError with its index.
+    The stages advance the half-spectrum: one transform in, one out, and 3
+    per stage. As in rhs, the product's unpaired Nyquist mode is dropped. A
+    non-finite stage raises InstabilityError with its index and stage time.
     """
     dt = float(dt)
     if dt <= 0.0 or not np.isfinite(dt):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
 
-    def stage(index: int, values: np.ndarray, time: float) -> np.ndarray:
-        try:
-            k = rhs(NodalField(values, time), g, p).values
-        except InvalidStateError as err:
-            raise InstabilityError(index, time) from err
-        if not np.all(np.isfinite(k)):
-            raise InstabilityError(index, time)
-        return k
+    def stage(index: int, state: np.ndarray, time: float) -> np.ndarray:
+        if np.all(np.isfinite(state)):
+            k = _tendency(SpectralField(state), g, p)
+            if np.all(np.isfinite(k)):
+                return k
+        raise InstabilityError(index, time)
 
     t = u.time
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = stage(1, u.values, t)
-        k2 = stage(2, u.values + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = stage(3, u.values + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = stage(4, u.values + dt * k3, t + dt)
-        new = u.values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return NodalField(new, t + dt)
+        c = forward_dft(u, g).coeffs
+        k1 = stage(1, c, t)
+        k2 = stage(2, c + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = stage(3, c + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = stage(4, c + dt * k3, t + dt)
+        new = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return inverse_dft(SpectralField(new), g, t + dt)
 
 
 def stable_dt(u: NodalField, g: GridSpec, p: SimParams) -> float:

@@ -33,8 +33,6 @@ _MAX_FIXED_POINT = 500
 _MAX_BISECTION = 200
 _DENSE_SAMPLES = 8192  # for the shock-time guard and the bisection bracket
 
-KINDS = ("neg_sine", "scaled_neg_sine", "gaussian_bump", "random_band")
-
 
 class ConvergenceError(RuntimeError):
     """The implicit characteristics equation did not reach the residual tolerance."""

@@ -1,4 +1,5 @@
-"""Differential test of the tendency and the spectral norms against a dense DFT.
+"""Differential test of the tendency, one RK4 step and the spectral norms
+against a dense DFT.
 
 The reference builds the full spectrum c_k, k = -N/2 .. N/2-1, from the
 explicit sum (1/N) sum_j u(x_j) exp(-i k x_j) and evaluates the interpolant
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from fracburgers.diagnostics import l2_norm, sobolev_norm, tail_fraction
-from fracburgers.dynamics import SimParams, rhs
+from fracburgers.dynamics import SimParams, rhs, rk4_step
 from fracburgers.spectral import NodalField, forward_dft, make_grid
 
 RTOL = 1e-12
@@ -45,6 +46,7 @@ def dense_rhs(u, n, gamma, alpha, rule, linear_only):
     if rule == "two_thirds":
         prod[np.abs(k) > n / 3.0] = 0.0
     prod[k == 0] = 0.0
+    prod[k == -(n // 2)] = 0.0  # dropped from the product too, so c_{N/2} only decays
     out = -dense_inverse(prod, n)
     if gamma > 0.0:
         out -= gamma * dense_inverse(np.abs(k) ** alpha * c, n)
@@ -79,6 +81,30 @@ def test_rhs_matches_dense_reference(n, rule):
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_linear_rhs_matches_dense_reference(n, rule):
     check_rhs(n, rule, linear_only=True)
+
+
+@pytest.mark.parametrize("rule", ["off", "two_thirds"])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_rk4_step_matches_dense_reference(n, rule):
+    """One step against classic RK4 built from the nodal dense tendency."""
+    rng = np.random.default_rng(3000 + n)
+    g = make_grid(n)
+    dt = 1e-3
+    for gamma in (0.0, *rng.uniform(0.0, 1.0, 3)):
+        alpha = 2.0 - rng.uniform(0.0, 2.0)  # (0, 2]
+        u = rng.standard_normal(n)
+
+        def f(v):
+            return dense_rhs(v, n, gamma, alpha, rule, linear_only=False)
+
+        k1 = f(u)
+        k2 = f(u + 0.5 * dt * k1)
+        k3 = f(u + 0.5 * dt * k2)
+        k4 = f(u + dt * k3)
+        want = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        p = SimParams(gamma=gamma, alpha=alpha, dealias_rule=rule)
+        err = relative(rk4_step(NodalField(u), g, p, dt).values, want)
+        assert err <= RTOL, f"gamma={gamma:.3f} alpha={alpha:.3f}: {err:.2e}"
 
 
 @pytest.mark.parametrize("n", [16, 64, 256])

@@ -1,8 +1,11 @@
 """Tendency assembly, RK4 stepping, and the step-size bound."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from fracburgers.cli import parse_config, run_simulation
 from fracburgers.dynamics import (
     InstabilityError,
     InvalidStateError,
@@ -173,6 +176,39 @@ class TestRk4Step:
         u = NodalField(np.cos(g.nodes), time=0.3)
         out = rk4_step(u, g, SimParams(gamma=0.0), 0.05)
         assert out.time == pytest.approx(0.35, abs=1e-15)
+
+    @pytest.mark.parametrize("gamma, linear_only, calls", [
+        (0.3, False, 14), (0.0, False, 14), (0.3, True, 2)])
+    def test_transform_count(self, monkeypatch, gamma, linear_only, calls):
+        """One transform in, three per stage, one out; none per stage when linear."""
+        count = []
+        for name in ("rfft", "irfft"):
+            real = getattr(np.fft, name)
+
+            def counted(*args, _real=real, **kwargs):
+                count.append(1)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        g = make_grid(32)
+        p = SimParams(gamma=gamma, alpha=1.5, linear_only=linear_only)
+        rk4_step(NodalField(-np.sin(g.nodes)), g, p, 1e-3)
+        assert len(count) == calls
+
+
+class TestGridScaleStability:
+    def test_damped_l2_survives_rounding_noise(self):
+        """The criterion 1 run (gamma = 0.1, alpha = 1, N = 256, no dealiasing)
+        keeps L2 nonincreasing when its profile carries 1e-13 noise: the
+        product's unpaired Nyquist mode, which only gamma could damp, is not
+        fed back into the state."""
+        cfg = parse_config(["--gamma", "0.1", "--alpha", "1", "--n", "256",
+                            "--dt", "auto", "--t-final", "2", "--output", "unused"])
+        for seed in range(4):
+            noise = 1e-13 * np.random.Generator(np.random.PCG64(seed)).standard_normal(256)
+            res = run_simulation(dataclasses.replace(cfg, ic=lambda x, e=noise: -np.sin(x) + e))
+            worst_rise = float(np.max(np.diff([r.l2 for r in res.records])))
+            assert res.status == "completed" and worst_rise <= 1e-10, (seed, worst_rise)
 
 
 class TestStableDt:
