@@ -29,7 +29,7 @@ from .diagnostics import (
 )
 from .dynamics import InstabilityError, InvalidStateError, SimParams, rk4_step, stable_dt
 from .oracles import InitialCondition
-from .spectral import GridSpec, NodalField, make_grid
+from .spectral import GridSpec, NodalField, forward_dft, inverse_dft, make_grid
 
 EXIT_CODES = {"completed": 0, "blowup_detected": 2, "resolution_lost": 3,
               "numeric_failure": 4}
@@ -40,20 +40,21 @@ _CAUSE_TO_STATUS = {"slope_threshold": "blowup_detected",
                     "resolution_loss": "resolution_lost",
                     "non_finite": "numeric_failure"}
 
-_DEFAULTS = {
-    "n": "256",
-    "gamma": "0",
-    "alpha": "1",
-    "dt": "auto",
-    "t_final": "1",
-    "ic": "neg-sine",
-    "dealias": "off",
-    "snapshot_every": "0.1",
-    "output": "out",
-    "detect_blowup": "true",
-    "slope_limit": "100",
-    "tail_limit": "0.1",
-    "linear_only": "false",
+# Config key -> (default, help). The flag is the key with "-" for "_".
+_OPTIONS = {
+    "n": ("256", "grid size (even, >= 4)"),
+    "gamma": ("0", "dissipation strength, >= 0"),
+    "alpha": ("1", "fractional order in (0, 2]"),
+    "dt": ("auto", 'time step, a number or "auto"'),
+    "t_final": ("1", "end time, > 0"),
+    "ic": ("neg-sine", "neg-sine | scaled-neg-sine:a | gaussian:w | random:kmax:seed"),
+    "dealias": ("off", "off | two-thirds"),
+    "snapshot_every": ("0.1", "time between stored snapshots"),
+    "output": ("out", "output directory"),
+    "detect_blowup": ("true", "true | false"),
+    "slope_limit": ("100", "detection threshold on |min slope|"),
+    "tail_limit": ("0.1", "detection threshold on tail fraction"),
+    "linear_only": ("false", "drop the nonlinear term (test mode)"),
 }
 
 
@@ -95,20 +96,12 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="fracburgers",
                 description="Pseudo-spectral fractional-Burgers simulator")
-    p.add_argument("--n", help="grid size (even, >= 4)")
-    p.add_argument("--gamma", help="dissipation strength, >= 0")
-    p.add_argument("--alpha", help="fractional order in (0, 2]")
-    p.add_argument("--dt", help='time step, a number or "auto"')
-    p.add_argument("--t-final", help="end time, > 0")
-    p.add_argument("--ic", help="neg-sine | scaled-neg-sine:a | gaussian:w | random:kmax:seed")
-    p.add_argument("--dealias", help="off | two-thirds")
-    p.add_argument("--snapshot-every", help="time between stored snapshots")
-    p.add_argument("--output", help="output directory")
-    p.add_argument("--detect-blowup", help="true | false")
-    p.add_argument("--slope-limit", help="detection threshold on |min slope|")
-    p.add_argument("--tail-limit", help="detection threshold on tail fraction")
-    p.add_argument("--linear-only", action="store_const", const="true",
-                   help="drop the nonlinear term (test mode)")
+    for key, (_, text) in _OPTIONS.items():
+        flag = "--" + key.replace("_", "-")
+        if key == "linear_only":
+            p.add_argument(flag, action="store_const", const="true", help=text)
+        else:
+            p.add_argument(flag, help=text)
     p.add_argument("--config", help="key=value file; flags override it")
     return p
 
@@ -173,7 +166,7 @@ def _read_config_file(path: str) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not sep or not key:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        if key not in _DEFAULTS:
+        if key not in _OPTIONS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value
     return values
@@ -182,10 +175,10 @@ def _read_config_file(path: str) -> dict[str, str]:
 def parse_config(argv: list[str]) -> RunConfig:
     """Resolve defaults, config file, and flags (in rising precedence)."""
     ns = _build_parser().parse_args(argv)
-    merged = dict(_DEFAULTS)
+    merged = {key: default for key, (default, _) in _OPTIONS.items()}
     if ns.config is not None:
         merged.update(_read_config_file(ns.config))
-    for key in _DEFAULTS:
+    for key in _OPTIONS:
         given = getattr(ns, key)
         if given is not None:
             merged[key] = given
@@ -245,62 +238,61 @@ def parse_config(argv: list[str]) -> RunConfig:
 def run_simulation(cfg: RunConfig) -> RunResult:
     """Advance the configured run to t_final or to the first halting signal.
 
-    Steps are clipped to land exactly on snapshot multiples and on t_final;
-    on landing, the time stamp is assigned the target value, so snapshot
-    times are exact float multiples of snapshot_every and no drift-induced
-    micro-steps occur. One DiagnosticsRecord is appended per step, plus the
-    initial record at t=0.
+    The state is the half-spectrum s and the loop owns the clock t. Steps
+    are clipped to land exactly on snapshot multiples and on t_final; on
+    landing, t is assigned the target value, so snapshot times are exact
+    float multiples of snapshot_every and no drift-induced micro-steps
+    occur. One DiagnosticsRecord is appended per step, plus the initial
+    record at t=0. The nodes are formed for snapshots only; the t=0
+    snapshot is the sampled profile itself.
     """
     g = cfg.grid
     p = cfg.params
-    u = NodalField(cfg.ic(g.nodes), 0.0)
+    u0 = NodalField(cfg.ic(g.nodes))
 
     warnings: list[str] = []
-    max0, min0 = extrema(u)
+    max0, min0 = extrema(u0)
     if not (max0 >= 0.0 and min0 <= 0.0):
         warnings.append(
             "maximum-principle hypotheses do not hold at t=0 "
             f"(need max u >= 0 >= min u, got max={max0:.6g}, min={min0:.6g}); "
             "the extrema bounds are monitored but not guaranteed"
         )
-    predicted = predicted_blowup_time(u, g)
+    predicted = predicted_blowup_time(u0, g)
 
-    rec, slope_norm = observe(u, g)
+    s = forward_dft(u0, g)
+    t = 0.0
+    rec, slope_norm = observe(s, g, t)
     records = [rec]
-    snapshots = [(0.0, u)]
+    snapshots = [(t, u0)]
     status = "completed"
     fragment = BlowupReport()
 
     eps = 1e-12 * max(1.0, p.t_final)
-    t = 0.0
     snap_idx = 1
     while t < p.t_final - eps:
         snap_t = snap_idx * cfg.snapshot_every
         target = min(snap_t, p.t_final)
         try:
-            cap = p.dt if p.dt != "auto" else stable_dt(u, g, p)
+            cap = p.dt if p.dt != "auto" else stable_dt(max(rec.max_u, -rec.min_u), g, p)
             remaining = target - t
             if cap >= remaining - eps:
                 dt_step, landed = remaining, True
             else:
                 dt_step, landed = cap, False
-            u = rk4_step(u, g, p, dt_step)
+            s = rk4_step(s, g, p, dt_step)
         except (InstabilityError, InvalidStateError):
             # Step blew up; the last appended record is the last valid state.
             status = "numeric_failure"
             fragment = BlowupReport(detected=True, detected_t=t,
                                     detection_cause="non_finite")
             break
-        if landed:
-            t = target
-            u = NodalField(u.values, t)
-        else:
-            t = u.time
-        rec, slope_norm = observe(u, g, prev_bkm=records[-1].bkm_integral,
+        t = target if landed else t + dt_step
+        rec, slope_norm = observe(s, g, t, prev_bkm=rec.bkm_integral,
                                   prev_slope_norm=slope_norm, dt=dt_step)
         records.append(rec)
         if landed and abs(snap_t - t) <= eps:
-            snapshots.append((t, u))
+            snapshots.append((t, inverse_dft(s, g)))
             snap_idx += 1
         if cfg.detect_blowup:
             hit = check_blowup(rec, cfg.thresholds)
@@ -315,10 +307,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
 
 
 def _fmt(v: float) -> str:
-    v = float(v)
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    return format(v, ".17g")
+    return format(float(v) + 0.0, ".17g")  # -0.0 + 0.0 is +0.0
 
 
 def write_outputs(result: RunResult, cfg: RunConfig) -> list[Path]:

@@ -14,6 +14,11 @@ the interpolant) and sobolev s uses (1 + k^2)^s weights under the same 2*pi
 factor. The spectrum is stored as the half c_0 .. c_{N/2}, so each row
 0 < k < N/2 counts twice, for itself and its conjugate c_{-k}, while c_0 and
 c_{N/2} count once.
+
+The run loop observes its half-spectrum state directly: observe makes the
+two inverse transforms the nodal observables need (u and u_x) and reads
+mass, norms and tail from the coefficients. The standalone functions take a
+NodalField and transform it themselves.
 """
 
 from __future__ import annotations
@@ -126,7 +131,7 @@ def extrema(u: NodalField) -> tuple[float, float]:
 
 def min_slope(u: NodalField, g: GridSpec) -> float:
     """Minimum over nodes of the interpolant derivative."""
-    slope = inverse_dft(spectral_derivative(forward_dft(u, g)), g, u.time)
+    slope = inverse_dft(spectral_derivative(forward_dft(u, g)), g)
     return float(np.min(slope.values))
 
 
@@ -192,29 +197,30 @@ def check_blowup(rec: DiagnosticsRecord,
     return BlowupReport(detected=True, detected_t=rec.t, detection_cause=cause)
 
 
-def observe(u: NodalField, g: GridSpec, *, prev_bkm: float = 0.0,
+def observe(s: SpectralField, g: GridSpec, t: float, *, prev_bkm: float = 0.0,
             prev_slope_norm: float | None = None,
             dt: float = 0.0) -> tuple[DiagnosticsRecord, float]:
-    """Assemble the full record for one state, sharing a single transform.
+    """Assemble the full record for the state s at time t.
 
-    Returns (record, slope_inf_norm); the caller threads the norm into the
-    next call so the trapezoid accumulation sees both endpoints of each step.
+    Two inverse transforms (u and u_x), no forward one. Returns
+    (record, slope_inf_norm); the caller threads the norm into the next call
+    so the trapezoid accumulation sees both endpoints of each step.
     prev_slope_norm None marks the initial record (bkm starts at prev_bkm).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        s = forward_dft(u, g)
-        slope = inverse_dft(spectral_derivative(s), g, u.time).values
+        u = inverse_dft(s, g).values
+        slope = inverse_dft(spectral_derivative(s), g).values
         slope_norm = float(np.max(np.abs(slope)))
         if prev_slope_norm is None:
             bkm = prev_bkm
         else:
             bkm = bkm_accumulate(prev_bkm, prev_slope_norm, slope_norm, dt)
         rec = DiagnosticsRecord(
-            t=u.time,
+            t=float(t),
             mass=2.0 * np.pi * float(s.coeffs[0].real),
             l2=_l2_of(s),
-            max_u=float(np.max(u.values)),
-            min_u=float(np.min(u.values)),
+            max_u=float(np.max(u)),
+            min_u=float(np.min(u)),
             min_slope=float(np.min(slope)),
             bkm_integral=bkm,
             h3=_sobolev_of(s, 3.0),

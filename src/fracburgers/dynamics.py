@@ -12,7 +12,9 @@ product's transform is zeroed outright, which keeps the tendency mass-neutral
 by construction (analytically that coefficient is the integral of a perfect
 derivative and vanishes anyway). The product's unpaired Nyquist mode is
 dropped too, as the derivative drops it, so the state's c_{N/2} only decays
-under gamma. RK4 stages advance the rfft half-spectrum.
+under gamma, and its zero mode is never changed, so the mass is constant to
+the bit. RK4 advances the rfft half-spectrum: a step takes and returns a
+SpectralField, and only the product needs the nodes.
 """
 
 from __future__ import annotations
@@ -47,11 +49,10 @@ class InvalidStateError(ValueError):
 class InstabilityError(RuntimeError):
     """A Runge-Kutta stage went non-finite; carries the stage index (1..4)."""
 
-    def __init__(self, stage: int, time: float):
+    def __init__(self, stage: int):
         self.stage = stage
-        self.time = time
         super().__init__(
-            f"non-finite values in Runge-Kutta stage {stage} near t={time:.6g}; "
+            f"non-finite values in Runge-Kutta stage {stage}; "
             "the step is unstable or the solution is blowing up"
         )
 
@@ -113,56 +114,55 @@ def rhs(u: NodalField, g: GridSpec, p: SimParams) -> NodalField:
     if len(u.values) != g.n:
         raise ValueError(f"field length {len(u.values)} does not match grid n={g.n}")
     if not np.all(np.isfinite(u.values)):
-        raise InvalidStateError(f"non-finite field handed to rhs at t={u.time:.6g}")
+        raise InvalidStateError("non-finite field handed to rhs")
     # Finiteness is checked explicitly; overflow flags while diverging are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        return inverse_dft(SpectralField(_tendency(forward_dft(u, g), g, p)), g, u.time)
+        return inverse_dft(SpectralField(_tendency(forward_dft(u, g), g, p)), g)
 
 
-def rk4_step(u: NodalField, g: GridSpec, p: SimParams, dt: float) -> NodalField:
-    """Advance one step with the classic explicit RK4 scheme.
+def rk4_step(s: SpectralField, g: GridSpec, p: SimParams, dt: float) -> SpectralField:
+    """Advance the half-spectrum one step with the classic explicit RK4 scheme.
 
     Stages:
         K1 = F(U_s),  K2 = F(U_s + dt/2 K1),  K3 = F(U_s + dt/2 K2),
         K4 = F(U_s + dt K3),
         U_{s+1} = U_s + dt/6 (K1 + 2 K2 + 2 K3 + K4).
 
-    The stages advance the half-spectrum: one transform in, one out, and 3
-    per stage. As in rhs, the product's unpaired Nyquist mode is dropped. A
-    non-finite stage raises InstabilityError with its index and stage time.
+    Each stage costs 3 transforms, 12 per step, none with linear_only. As
+    in rhs, the product's unpaired Nyquist mode is dropped. A non-finite
+    stage raises InstabilityError with its index.
     """
     dt = float(dt)
     if dt <= 0.0 or not np.isfinite(dt):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
 
-    def stage(index: int, state: np.ndarray, time: float) -> np.ndarray:
+    def stage(index: int, state: np.ndarray) -> np.ndarray:
         if np.all(np.isfinite(state)):
             k = _tendency(SpectralField(state), g, p)
             if np.all(np.isfinite(k)):
                 return k
-        raise InstabilityError(index, time)
+        raise InstabilityError(index)
 
-    t = u.time
+    c = s.coeffs
     with np.errstate(over="ignore", invalid="ignore"):
-        c = forward_dft(u, g).coeffs
-        k1 = stage(1, c, t)
-        k2 = stage(2, c + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = stage(3, c + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = stage(4, c + dt * k3, t + dt)
-        new = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return inverse_dft(SpectralField(new), g, t + dt)
+        k1 = stage(1, c)
+        k2 = stage(2, c + 0.5 * dt * k1)
+        k3 = stage(3, c + 0.5 * dt * k2)
+        k4 = stage(4, c + dt * k3)
+        return SpectralField(c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
-def stable_dt(u: NodalField, g: GridSpec, p: SimParams) -> float:
-    """CFL-style step bound, recomputed every step when dt is "auto".
+def stable_dt(u_max: float, g: GridSpec, p: SimParams) -> float:
+    """CFL-style step bound from u_max = max|u|, recomputed each "auto" step.
 
     min( C_adv/(max|u|*k_max + eps), C_diff/(gamma*k_max^alpha + eps) ) with
     k_max = N/2. Degenerate inputs (zero field, gamma 0) give a huge value
     that the run loop caps at the distance to the next stop time.
     """
-    if not np.all(np.isfinite(u.values)):
-        raise InvalidStateError(f"non-finite field handed to stable_dt at t={u.time:.6g}")
+    u_max = float(u_max)
+    if not np.isfinite(u_max):
+        raise InvalidStateError(f"non-finite max|u| handed to stable_dt: {u_max!r}")
     k_max = g.n / 2.0
-    advective = CFL_ADVECTION / (float(np.max(np.abs(u.values))) * k_max + DT_GUARD)
+    advective = CFL_ADVECTION / (u_max * k_max + DT_GUARD)
     dissipative = CFL_DISSIPATION / (p.gamma * k_max**p.alpha + DT_GUARD)
     return min(advective, dissipative)

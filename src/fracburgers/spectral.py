@@ -18,6 +18,10 @@ layout). The negative wavenumbers are implied by conjugation, and the
 Nyquist row c_{N/2}, which equals c_{-N/2} on the grid, is stored once.
 c_0 and c_{N/2} are real; they are the only rows without a partner.
 
+A run's state is a SpectralField and carries no time; the run loop keeps
+the clock. NodalField holds bare nodal values, formed where the nodes are
+needed: the product in the tendency, the observables, and snapshots.
+
 Transforms go through numpy's real FFT. The grid is offset by -pi from the
 FFT-native grid, which contributes the exact phase (-1)^k to every
 coefficient; the phase is applied explicitly and costs no precision.
@@ -46,16 +50,15 @@ def validate_alpha(alpha: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class GridSpec:
-    """Uniform periodic grid: node count, node coordinates, wavenumbers.
+    """Uniform periodic grid: node count, node coordinates, grid-offset phase.
 
     Construct through :func:`make_grid`; the arrays are derived from ``n``
     and treated as read-only.
     """
 
     n: int
-    nodes: np.ndarray        # x_j = pi*(2j - n)/n, strictly increasing
-    wavenumbers: np.ndarray  # integers 0 .. n/2
-    mode_phase: np.ndarray   # (-1)^k in wavenumber order
+    nodes: np.ndarray       # x_j = pi*(2j - n)/n, strictly increasing
+    mode_phase: np.ndarray  # (-1)^k for k = 0 .. n/2
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,21 +91,19 @@ class SpectralField:
 
 @dataclass(frozen=True, eq=False)
 class NodalField:
-    """Real nodal values u(x_j) plus the simulation time they belong to.
+    """Real nodal values u(x_j).
 
     Finiteness is not enforced here: a field that went non-finite must still
     be representable long enough for the failure paths to report it.
     """
 
     values: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1:
             raise ValueError(f"nodal values must be 1-D, got shape {v.shape}")
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "time", float(self.time))
 
 
 def make_grid(n: int) -> GridSpec:
@@ -114,9 +115,8 @@ def make_grid(n: int) -> GridSpec:
         raise ValueError(f"n: must be even and >= 4, got {n}")
     j = np.arange(n)
     nodes = np.pi * (2.0 * j - n) / n
-    wavenumbers = np.arange(n // 2 + 1)
-    phase = np.where(wavenumbers % 2 == 0, 1.0, -1.0)
-    return GridSpec(n=n, nodes=nodes, wavenumbers=wavenumbers, mode_phase=phase)
+    phase = np.where(np.arange(n // 2 + 1) % 2 == 0, 1.0, -1.0)
+    return GridSpec(n=n, nodes=nodes, mode_phase=phase)
 
 
 def forward_dft(u: NodalField, g: GridSpec) -> SpectralField:
@@ -130,7 +130,7 @@ def forward_dft(u: NodalField, g: GridSpec) -> SpectralField:
     return SpectralField(np.fft.rfft(u.values, norm="forward") * g.mode_phase)
 
 
-def inverse_dft(s: SpectralField, g: GridSpec, time: float = 0.0) -> NodalField:
+def inverse_dft(s: SpectralField, g: GridSpec) -> NodalField:
     """Evaluate the interpolant at the nodes: u(x_l) = sum_k c_k exp(i k x_l).
 
     The negative wavenumbers enter as the conjugates of the stored rows, so
@@ -146,7 +146,7 @@ def inverse_dft(s: SpectralField, g: GridSpec, time: float = 0.0) -> NodalField:
             f"c_0 = {c[0]} and c_N/2 = {c[-1]} must be real; "
             "coefficients do not describe real data"
         )
-    return NodalField(np.fft.irfft(c * g.mode_phase, g.n, norm="forward"), time)
+    return NodalField(np.fft.irfft(c * g.mode_phase, g.n, norm="forward"))
 
 
 def spectral_derivative(s: SpectralField) -> SpectralField:

@@ -21,7 +21,7 @@ from fracburgers.diagnostics import (
     tail_fraction,
 )
 from fracburgers.dynamics import SimParams, rk4_step
-from fracburgers.spectral import NodalField, SpectralField, make_grid
+from fracburgers.spectral import NodalField, SpectralField, forward_dft, inverse_dft, make_grid
 
 
 def record(**overrides):
@@ -268,12 +268,13 @@ class TestBlowupReport:
 class TestObserve:
     def test_matches_standalone_diagnostics(self):
         g = make_grid(64)
-        u = NodalField(-np.sin(g.nodes), time=0.25)
-        rec, norm = observe(u, g)
+        u = NodalField(-np.sin(g.nodes))
+        s = forward_dft(u, g)
+        rec, norm = observe(s, g, 0.25)
         assert rec.t == 0.25
         assert rec.mass == pytest.approx(mass(u, g), abs=1e-18)
         assert rec.l2 == pytest.approx(l2_norm(u, g), rel=1e-15)
-        assert (rec.max_u, rec.min_u) == extrema(u)
+        assert (rec.max_u, rec.min_u) == extrema(inverse_dft(s, g))
         assert rec.min_slope == pytest.approx(min_slope(u, g), rel=1e-15)
         assert rec.h3 == pytest.approx(sobolev_norm(u, g, 3.0), rel=1e-15)
         assert rec.bkm_integral == 0.0
@@ -281,17 +282,17 @@ class TestObserve:
 
     def test_threads_bkm_trapezoid(self):
         g = make_grid(64)
-        u = NodalField(-np.sin(g.nodes))
-        rec0, n0 = observe(u, g)
-        rec1, _ = observe(u, g, prev_bkm=rec0.bkm_integral, prev_slope_norm=n0, dt=0.1)
+        s = forward_dft(NodalField(-np.sin(g.nodes)), g)
+        rec0, n0 = observe(s, g, 0.0)
+        rec1, _ = observe(s, g, 0.1, prev_bkm=rec0.bkm_integral, prev_slope_norm=n0, dt=0.1)
         assert rec1.bkm_integral == pytest.approx(0.1, rel=1e-12)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_field_is_flagged_not_raised(self, bad):
         g = make_grid(16)
-        values = -np.sin(g.nodes)
-        values[5] = bad
-        rec, _ = observe(NodalField(values, time=0.5), g)
+        s = forward_dft(NodalField(-np.sin(g.nodes)), g)
+        s.coeffs[3] = bad
+        rec, _ = observe(s, g, 0.5)
         rep = check_blowup(rec, DetectionThresholds())
         assert rep.detection_cause == "non_finite" and rep.detected_t == 0.5
 
@@ -308,21 +309,21 @@ class TestSobolevTrends:
         """Shock formation pumps energy into high modes monotonically."""
         g = make_grid(128)
         p = SimParams(gamma=0.0, dt=2e-3)
-        u = NodalField(-np.sin(g.nodes))
+        s = forward_dft(NodalField(-np.sin(g.nodes)), g)
         h3 = []
         for step in range(400):
-            u = rk4_step(u, g, p, 2e-3)
+            s = rk4_step(s, g, p, 2e-3)
             if step % 50 == 49:
-                h3.append(observe(u, g)[0].h3)
+                h3.append(observe(s, g, (step + 1) * 2e-3)[0].h3)
         assert all(b > a for a, b in zip(h3, h3[1:])), h3
 
     def test_h3_decays_under_strong_dissipation(self):
         g = make_grid(64)
         p = SimParams(gamma=1.0, alpha=2.0, dt=4e-4)
-        u = NodalField(-np.sin(g.nodes))
+        s = forward_dft(NodalField(-np.sin(g.nodes)), g)
         h3 = []
         for step in range(500):
-            u = rk4_step(u, g, p, 4e-4)
+            s = rk4_step(s, g, p, 4e-4)
             if step % 50 == 49:
-                h3.append(observe(u, g)[0].h3)
+                h3.append(observe(s, g, (step + 1) * 4e-4)[0].h3)
         assert all(b < a for a, b in zip(h3, h3[1:])), h3

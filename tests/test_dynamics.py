@@ -15,7 +15,21 @@ from fracburgers.dynamics import (
     stable_dt,
 )
 from fracburgers.oracles import InitialCondition, characteristics_solution
-from fracburgers.spectral import NodalField, forward_dft, make_grid
+from fracburgers.spectral import NodalField, SpectralField, forward_dft, inverse_dft, make_grid
+
+
+def count_transforms(monkeypatch):
+    """Route np.fft.rfft and irfft through a counter; returns its call list."""
+    count = []
+    for name in ("rfft", "irfft"):
+        real = getattr(np.fft, name)
+
+        def counted(*args, _real=real, **kwargs):
+            count.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return count
 
 
 def stability_polynomial(z):
@@ -115,18 +129,17 @@ class TestRhs:
 class TestRk4Step:
     def test_zero_field_is_exact_fixed_point(self):
         g = make_grid(16)
-        u = NodalField(np.zeros(g.n))
-        out = rk4_step(u, g, SimParams(gamma=1.0), 0.1)
-        assert np.array_equal(out.values, np.zeros(g.n))
-        assert out.time == 0.1
+        zero = np.zeros(g.n // 2 + 1, complex)
+        out = rk4_step(SpectralField(zero), g, SimParams(gamma=1.0), 0.1)
+        assert np.array_equal(out.coeffs, zero)
 
     def test_linear_mode_amplified_by_stability_polynomial(self):
         """One linear step multiplies mode k by R(gamma |k|^alpha dt) exactly."""
         g = make_grid(16)
         for alpha, k, dt in ((1.0, 1, 0.01), (2.0, 2, 0.005)):
             p = SimParams(gamma=1.0, alpha=alpha, dt=dt, linear_only=True)
-            u = NodalField(np.cos(k * g.nodes))
-            out = rk4_step(u, g, p, dt)
+            s = forward_dft(NodalField(np.cos(k * g.nodes)), g)
+            out = inverse_dft(rk4_step(s, g, p, dt), g)
             z = 1.0 * float(k) ** alpha * dt
             expect = stability_polynomial(z) * np.cos(k * g.nodes)
             assert np.allclose(out.values, expect, rtol=1e-14, atol=1e-15)
@@ -135,7 +148,8 @@ class TestRk4Step:
         """gamma = 0, dt = 1e-3: one step agrees with the implicit solution."""
         g = make_grid(64)
         f = InitialCondition.neg_sine()
-        out = rk4_step(NodalField(f(g.nodes)), g, SimParams(gamma=0.0), 1e-3)
+        s = forward_dft(NodalField(f(g.nodes)), g)
+        out = inverse_dft(rk4_step(s, g, SimParams(gamma=0.0), 1e-3), g)
         exact = np.array([characteristics_solution(f, x, 1e-3) for x in g.nodes])
         assert np.max(np.abs(out.values - exact)) <= 1e-10
 
@@ -143,56 +157,43 @@ class TestRk4Step:
         # Finite but huge data overflows in the second stage: k1 is finite,
         # the half-step state squares to inf inside stage 2.
         g = make_grid(64)
-        u = NodalField(1e150 * -np.sin(g.nodes))
+        s = forward_dft(NodalField(1e150 * -np.sin(g.nodes)), g)
         with pytest.raises(InstabilityError) as info:
-            rk4_step(u, g, SimParams(gamma=0.0), 1000.0)
+            rk4_step(s, g, SimParams(gamma=0.0), 1000.0)
         assert info.value.stage == 2
 
     def test_non_finite_input_fails_at_stage_one(self):
         g = make_grid(16)
-        bad = np.full(g.n, np.inf)
+        bad = np.full(g.n // 2 + 1, np.inf, complex)
         with pytest.raises(InstabilityError) as info:
-            rk4_step(NodalField(bad), g, SimParams(), 0.01)
+            rk4_step(SpectralField(bad), g, SimParams(), 0.01)
         assert info.value.stage == 1
 
     def test_bad_dt_rejected(self):
         g = make_grid(8)
-        u = NodalField(np.zeros(g.n))
+        s = SpectralField(np.zeros(g.n // 2 + 1, complex))
         for dt in (0.0, -0.1, float("nan")):
             with pytest.raises(ValueError, match="dt"):
-                rk4_step(u, g, SimParams(), dt)
+                rk4_step(s, g, SimParams(), dt)
 
     def test_repeat_step_is_bitwise_identical(self):
         g = make_grid(128)
         rng = np.random.default_rng(17)
-        u = NodalField(rng.standard_normal(g.n))
+        s = forward_dft(NodalField(rng.standard_normal(g.n)), g)
         p = SimParams(gamma=0.2, alpha=1.5)
-        a = rk4_step(u, g, p, 1e-3)
-        b = rk4_step(u, g, p, 1e-3)
-        assert a.values.tobytes() == b.values.tobytes()
-
-    def test_time_advances_from_current_stamp(self):
-        g = make_grid(8)
-        u = NodalField(np.cos(g.nodes), time=0.3)
-        out = rk4_step(u, g, SimParams(gamma=0.0), 0.05)
-        assert out.time == pytest.approx(0.35, abs=1e-15)
+        a = rk4_step(s, g, p, 1e-3)
+        b = rk4_step(s, g, p, 1e-3)
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()
 
     @pytest.mark.parametrize("gamma, linear_only, calls", [
-        (0.3, False, 14), (0.0, False, 14), (0.3, True, 2)])
+        (0.3, False, 12), (0.0, False, 12), (0.3, True, 0)])
     def test_transform_count(self, monkeypatch, gamma, linear_only, calls):
-        """One transform in, three per stage, one out; none per stage when linear."""
-        count = []
-        for name in ("rfft", "irfft"):
-            real = getattr(np.fft, name)
-
-            def counted(*args, _real=real, **kwargs):
-                count.append(1)
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
+        """Three transforms per stage, none when linear; none in or out."""
         g = make_grid(32)
+        s = forward_dft(NodalField(-np.sin(g.nodes)), g)
+        count = count_transforms(monkeypatch)
         p = SimParams(gamma=gamma, alpha=1.5, linear_only=linear_only)
-        rk4_step(NodalField(-np.sin(g.nodes)), g, p, 1e-3)
+        rk4_step(s, g, p, 1e-3)
         assert len(count) == calls
 
 
@@ -211,36 +212,58 @@ class TestGridScaleStability:
             assert res.status == "completed" and worst_rise <= 1e-10, (seed, worst_rise)
 
 
+class TestSpectralRunLoop:
+    def test_transforms_per_step_and_snapshot(self, monkeypatch):
+        """A step costs rk4_step's 12 transforms and observe's 2, and a
+        snapshot after t = 0 costs 1. Set-up costs 5: the profile's forward
+        transform, the predicted blow-up time (2) and the first observe (2)."""
+        cfg = parse_config(["--n", "32", "--gamma", "0.1", "--dt", "0.01", "--t-final", "0.2",
+                            "--snapshot-every", "0.05", "--output", "unused"])
+        count = count_transforms(monkeypatch)
+        res = run_simulation(cfg)
+        steps, snapshots = len(res.records) - 1, len(res.snapshots) - 1
+        assert res.status == "completed" and (steps, snapshots) == (20, 4)
+        assert len(count) == 5 + 14 * steps + snapshots
+
+    @pytest.mark.parametrize("args", [
+        ["--gamma", "0.1", "--alpha", "1", "--n", "256", "--dt", "auto", "--t-final", "2"],
+        ["--ic", "random:20:3", "--dealias", "two-thirds"],
+    ])
+    def test_mass_is_bit_constant(self, args):
+        """The tendency never touches c_0, so the state's mass never moves."""
+        res = run_simulation(parse_config([*args, "--output", "unused"]))
+        assert len(res.records) > 100
+        assert all(r.mass == res.records[0].mass for r in res.records)
+
+
 class TestStableDt:
     def test_advective_bound_example(self):
         """max|u| = 1 on N = 64 with gamma = 0 gives dt of 1/64."""
         g = make_grid(64)
-        dt = stable_dt(NodalField(-np.sin(g.nodes)), g, SimParams(gamma=0.0))
+        dt = stable_dt(1.0, g, SimParams(gamma=0.0))
         assert abs(dt - 0.015625) <= 1e-12
 
     def test_dissipative_bound_example(self):
         g = make_grid(64)
-        u = NodalField(1e-3 * np.sin(g.nodes))
-        dt = stable_dt(u, g, SimParams(gamma=1.0, alpha=2.0))
+        dt = stable_dt(1e-3, g, SimParams(gamma=1.0, alpha=2.0))
         assert abs(dt - 0.5 / 1024.0) <= 1e-12
 
     def test_degenerate_input_gives_huge_bound(self):
         g = make_grid(64)
-        dt = stable_dt(NodalField(np.zeros(g.n)), g, SimParams(gamma=0.0))
+        dt = stable_dt(0.0, g, SimParams(gamma=0.0))
         assert dt > 1e10
 
     def test_stronger_dissipation_shrinks_the_bound(self):
         g = make_grid(64)
-        u = NodalField(0.1 * np.sin(g.nodes))
-        mild = stable_dt(u, g, SimParams(gamma=1.0, alpha=1.0))
-        harsh = stable_dt(u, g, SimParams(gamma=1.0, alpha=2.0))
+        mild = stable_dt(0.1, g, SimParams(gamma=1.0, alpha=1.0))
+        harsh = stable_dt(0.1, g, SimParams(gamma=1.0, alpha=2.0))
         assert harsh < mild
 
     def test_non_finite_field_rejected(self):
         g = make_grid(8)
-        bad = np.full(g.n, np.nan)
-        with pytest.raises(InvalidStateError, match="non-finite"):
-            stable_dt(NodalField(bad), g, SimParams())
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidStateError, match="non-finite"):
+                stable_dt(bad, g, SimParams())
 
 
 class TestConvergenceOrder:
@@ -251,10 +274,10 @@ class TestConvergenceOrder:
         errors = []
         for dt in (0.05, 0.025, 0.0125, 0.00625):
             p = SimParams(gamma=1.0, alpha=1.0, dt=dt, linear_only=True)
-            u = NodalField(np.cos(2.0 * g.nodes))
+            s = forward_dft(NodalField(np.cos(2.0 * g.nodes)), g)
             for _ in range(round(1.0 / dt)):
-                u = rk4_step(u, g, p, dt)
-            amp = 2.0 * abs(forward_dft(u, g).coeffs[2])
+                s = rk4_step(s, g, p, dt)
+            amp = 2.0 * abs(s.coeffs[2])
             errors.append(abs(amp - target))
         ratios = [errors[i] / errors[i + 1] for i in range(3)]
         assert all(12.0 <= r <= 20.0 for r in ratios), ratios
