@@ -18,7 +18,6 @@ from .diagnostics import (
     extrema,
     l2_norm,
     mass,
-    min_slope,
     observe,
     predicted_blowup_time,
     slope_closed_form,
@@ -51,7 +50,6 @@ from .cli import (
 )
 from .spectral import (
     GridSpec,
-    NodalField,
     SpectralField,
     SymmetryError,
     dealias,
@@ -67,12 +65,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BlowupReport", "ConvergenceError", "DetectionThresholds",
     "DiagnosticsRecord", "GridSpec", "InitialCondition", "InstabilityError",
-    "InvalidStateError", "NodalField", "RunConfig", "RunResult", "SimParams",
+    "InvalidStateError", "RunConfig", "RunResult", "SimParams",
     "SpectralField", "SingularTimeError", "SymmetryError", "UsageError",
     "bkm_accumulate", "characteristics_solution", "check_blowup", "dealias",
     "extrema", "forward_dft", "fractional_laplacian", "inverse_dft",
     "l2_norm", "linear_decay_solution", "main", "make_grid", "mass",
-    "min_slope", "observe", "parse_config", "predicted_blowup_time", "rhs",
+    "observe", "parse_config", "predicted_blowup_time", "rhs",
     "rk4_step", "run_simulation", "shock_time", "slope_closed_form",
     "sobolev_norm", "spectral_derivative", "stable_dt", "tail_fraction",
     "write_outputs",

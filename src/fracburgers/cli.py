@@ -18,6 +18,8 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .diagnostics import (
     BlowupReport,
     DetectionThresholds,
@@ -29,7 +31,7 @@ from .diagnostics import (
 )
 from .dynamics import InstabilityError, InvalidStateError, SimParams, rk4_step, stable_dt
 from .oracles import InitialCondition
-from .spectral import GridSpec, NodalField, forward_dft, inverse_dft, make_grid
+from .spectral import GridSpec, forward_dft, inverse_dft, make_grid
 
 EXIT_CODES = {"completed": 0, "blowup_detected": 2, "resolution_lost": 3,
               "numeric_failure": 4}
@@ -76,7 +78,7 @@ class RunConfig:
 @dataclass(frozen=True)
 class RunResult:
     records: tuple[DiagnosticsRecord, ...]
-    snapshots: tuple[tuple[float, NodalField], ...]
+    snapshots: tuple[tuple[float, np.ndarray], ...]
     report: BlowupReport
     status: str
     warnings: tuple[str, ...] = ()
@@ -248,7 +250,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     """
     g = cfg.grid
     p = cfg.params
-    u0 = NodalField(cfg.ic(g.nodes))
+    u0 = cfg.ic(g.nodes)
 
     warnings: list[str] = []
     max0, min0 = extrema(u0)
@@ -258,11 +260,11 @@ def run_simulation(cfg: RunConfig) -> RunResult:
             f"(need max u >= 0 >= min u, got max={max0:.6g}, min={min0:.6g}); "
             "the extrema bounds are monitored but not guaranteed"
         )
-    predicted = predicted_blowup_time(u0, g)
 
     s = forward_dft(u0, g)
     t = 0.0
     rec, slope_norm = observe(s, g, t)
+    predicted = predicted_blowup_time(rec.min_slope)
     records = [rec]
     snapshots = [(t, u0)]
     status = "completed"
@@ -325,7 +327,7 @@ def write_outputs(result: RunResult, cfg: RunConfig) -> list[Path]:
     xs = [_fmt(x) for x in cfg.grid.nodes]
     for t, field in result.snapshots:
         rows = ["x,u"]
-        rows += [f"{x},{_fmt(v)}" for x, v in zip(xs, field.values)]
+        rows += [f"{x},{_fmt(v)}" for x, v in zip(xs, field)]
         path = out / f"snapshot_{format(t, '.10g')}.csv"
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         written.append(path)

@@ -15,27 +15,22 @@ factor. The spectrum is stored as the half c_0 .. c_{N/2}, so each row
 0 < k < N/2 counts twice, for itself and its conjugate c_{-k}, while c_0 and
 c_{N/2} count once.
 
-The run loop observes its half-spectrum state directly: observe makes the
-two inverse transforms the nodal observables need (u and u_x) and reads
-mass, norms and tail from the coefficients. The standalone functions take a
-NodalField and transform it themselves.
+Mass, the norms and the tail are read from a SpectralField and cost no
+transform; extrema takes nodal values. observe assembles a run's record
+from the half-spectrum state: two inverse transforms (u and u_x) for the
+extrema and the slope, and the spectral observables for the rest.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import ClassVar
 
 import numpy as np
 
-from .spectral import (
-    GridSpec,
-    NodalField,
-    SpectralField,
-    forward_dft,
-    inverse_dft,
-    spectral_derivative,
-)
+from .spectral import GridSpec, SpectralField, inverse_dft, spectral_derivative
 
 TAIL_GUARD = 1e-300  # keeps the tail ratio defined for the zero field
 
@@ -60,12 +55,14 @@ class DiagnosticsRecord:
     h3: float
     tail_fraction: float
 
-    FIELDS = ("t", "mass", "l2", "max_u", "min_u", "min_slope",
-              "bkm_integral", "h3", "tail_fraction")
+    FIELDS: ClassVar[tuple[str, ...]]  # the field names in order: the CSV header
 
     def astuple(self) -> tuple[float, ...]:
-        return (self.t, self.mass, self.l2, self.max_u, self.min_u,
-                self.min_slope, self.bkm_integral, self.h3, self.tail_fraction)
+        return _record_values(self)
+
+
+DiagnosticsRecord.FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
+_record_values = attrgetter(*DiagnosticsRecord.FIELDS)  # no deep copy, unlike dataclasses.astuple
 
 
 @dataclass(frozen=True)
@@ -103,46 +100,39 @@ class BlowupReport:
             )
 
 
-def mass(u: NodalField, g: GridSpec) -> float:
+def mass(s: SpectralField) -> float:
     """Integral of u over the interval: 2*pi times the zero coefficient.
 
     On a uniform periodic grid this is identical to the trapezoid rule.
     """
-    c = forward_dft(u, g).coeffs
-    return 2.0 * np.pi * float(c[0].real)
+    return 2.0 * np.pi * float(s.coeffs[0].real)
 
 
-def l2_norm(u: NodalField, g: GridSpec) -> float:
-    return _l2_of(forward_dft(u, g))
+def l2_norm(s: SpectralField) -> float:
+    return math.sqrt(2.0 * np.pi * float(np.sum(_paired_power(s))))
 
 
-def sobolev_norm(u: NodalField, g: GridSpec, s: float) -> float:
-    """sqrt(2*pi * sum (1 + k^2)^s |c_k|^2); s = 0 reduces to l2_norm."""
-    s = float(s)
-    if s < 0.0:
-        raise ValueError(f"sobolev order must be >= 0, got {s!r}")
-    return _sobolev_of(forward_dft(u, g), s)
+def sobolev_norm(s: SpectralField, order: float) -> float:
+    """sqrt(2*pi * sum (1 + k^2)^order |c_k|^2); order 0 reduces to l2_norm."""
+    order = float(order)
+    if not order >= 0.0:
+        raise ValueError(f"sobolev order must be >= 0, got {order!r}")
+    w = (1.0 + s.wavenumbers.astype(float) ** 2) ** order
+    return math.sqrt(2.0 * np.pi * float(np.sum(w * _paired_power(s))))
 
 
-def extrema(u: NodalField) -> tuple[float, float]:
+def extrema(u: np.ndarray) -> tuple[float, float]:
     """Nodal (max, min)."""
-    return float(np.max(u.values)), float(np.min(u.values))
+    return float(np.max(u)), float(np.min(u))
 
 
-def min_slope(u: NodalField, g: GridSpec) -> float:
-    """Minimum over nodes of the interpolant derivative."""
-    slope = inverse_dft(spectral_derivative(forward_dft(u, g)), g)
-    return float(np.min(slope.values))
-
-
-def predicted_blowup_time(f: NodalField, g: GridSpec) -> float | None:
-    """Closed-form shock time -1/m0 from the initial minimum slope.
+def predicted_blowup_time(m0: float) -> float | None:
+    """Closed-form shock time -1/m0 from the initial minimum slope m0.
 
     Meaningful as a prediction only without dissipation; callers running
     gamma > 0 label it an inviscid prediction. None when no slope is
     negative (such data never steepens into a shock).
     """
-    m0 = min_slope(f, g)
     if m0 < 0.0:
         return -1.0 / m0
     return None
@@ -208,22 +198,23 @@ def observe(s: SpectralField, g: GridSpec, t: float, *, prev_bkm: float = 0.0,
     prev_slope_norm None marks the initial record (bkm starts at prev_bkm).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        u = inverse_dft(s, g).values
-        slope = inverse_dft(spectral_derivative(s), g).values
+        u = inverse_dft(s, g)
+        slope = inverse_dft(spectral_derivative(s), g)
         slope_norm = float(np.max(np.abs(slope)))
         if prev_slope_norm is None:
             bkm = prev_bkm
         else:
             bkm = bkm_accumulate(prev_bkm, prev_slope_norm, slope_norm, dt)
+        max_u, min_u = extrema(u)
         rec = DiagnosticsRecord(
             t=float(t),
-            mass=2.0 * np.pi * float(s.coeffs[0].real),
-            l2=_l2_of(s),
-            max_u=float(np.max(u)),
-            min_u=float(np.min(u)),
+            mass=mass(s),
+            l2=l2_norm(s),
+            max_u=max_u,
+            min_u=min_u,
             min_slope=float(np.min(slope)),
             bkm_integral=bkm,
-            h3=_sobolev_of(s, 3.0),
+            h3=sobolev_norm(s, 3.0),
             tail_fraction=tail_fraction(s),
         )
     return rec, slope_norm
@@ -235,12 +226,3 @@ def _paired_power(s: SpectralField) -> np.ndarray:
     power[0] *= 0.5
     power[-1] *= 0.5
     return power
-
-
-def _l2_of(s: SpectralField) -> float:
-    return math.sqrt(2.0 * np.pi * float(np.sum(_paired_power(s))))
-
-
-def _sobolev_of(s: SpectralField, order: float) -> float:
-    w = (1.0 + s.wavenumbers.astype(float) ** 2) ** order
-    return math.sqrt(2.0 * np.pi * float(np.sum(w * _paired_power(s))))

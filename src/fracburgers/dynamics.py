@@ -26,7 +26,6 @@ import numpy as np
 from .spectral import (
     DEALIAS_RULES,
     GridSpec,
-    NodalField,
     SpectralField,
     dealias,
     forward_dft,
@@ -96,28 +95,27 @@ def _tendency(s: SpectralField, g: GridSpec, p: SimParams) -> np.ndarray:
     """Coefficients of F for the state s: 3 transforms, none with linear_only."""
     hat = np.zeros_like(s.coeffs)
     if not p.linear_only:
-        u = inverse_dft(s, g).values
-        ux = inverse_dft(spectral_derivative(s), g).values
-        hat = -dealias(forward_dft(NodalField(u * ux), g), p.dealias_rule).coeffs
+        u = inverse_dft(s, g)
+        ux = inverse_dft(spectral_derivative(s), g)
+        hat = -dealias(forward_dft(u * ux, g), p.dealias_rule).coeffs
         hat[0] = hat[-1] = 0.0
     if p.gamma > 0.0:
         hat -= p.gamma * fractional_laplacian(s, p.alpha).coeffs
     return hat
 
 
-def rhs(u: NodalField, g: GridSpec, p: SimParams) -> NodalField:
+def rhs(u: np.ndarray, g: GridSpec, p: SimParams) -> np.ndarray:
     """Tendency F(u) = -u*(D_N u) - gamma*Lambda^alpha u at the nodes.
 
     The nodal front end of the coefficient kernel that rk4_step advances.
     The tendency's mean coefficient is exactly zero.
     """
-    if len(u.values) != g.n:
-        raise ValueError(f"field length {len(u.values)} does not match grid n={g.n}")
-    if not np.all(np.isfinite(u.values)):
+    s = forward_dft(u, g)  # checks the shape
+    if not np.all(np.isfinite(u)):
         raise InvalidStateError("non-finite field handed to rhs")
     # Finiteness is checked explicitly; overflow flags while diverging are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        return inverse_dft(SpectralField(_tendency(forward_dft(u, g), g, p)), g)
+        return inverse_dft(SpectralField(_tendency(s, g, p)), g)
 
 
 def rk4_step(s: SpectralField, g: GridSpec, p: SimParams, dt: float) -> SpectralField:

@@ -207,9 +207,9 @@ def linear_decay_solution(s0: SpectralField, t: float, gamma: float,
     t = float(t)
     gamma = float(gamma)
     a = validate_alpha(alpha)
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma!r}")
+    if t < 0.0 or not np.isfinite(t):
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    if gamma < 0.0 or not np.isfinite(gamma):
+        raise ValueError(f"gamma: must be finite and >= 0, got {gamma!r}")
     decay = np.exp(-gamma * s0.wavenumbers ** a * t)
     return SpectralField(s0.coeffs * decay)

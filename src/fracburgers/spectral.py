@@ -19,8 +19,9 @@ Nyquist row c_{N/2}, which equals c_{-N/2} on the grid, is stored once.
 c_0 and c_{N/2} are real; they are the only rows without a partner.
 
 A run's state is a SpectralField and carries no time; the run loop keeps
-the clock. NodalField holds bare nodal values, formed where the nodes are
-needed: the product in the tendency, the observables, and snapshots.
+the clock. Nodal values are plain 1-D float arrays of length N, formed where
+the nodes are needed: the product in the tendency, the extrema and slope of
+a record, and snapshots.
 
 Transforms go through numpy's real FFT. The grid is offset by -pi from the
 FFT-native grid, which contributes the exact phase (-1)^k to every
@@ -89,23 +90,6 @@ class SpectralField:
         return np.arange(len(self.coeffs))
 
 
-@dataclass(frozen=True, eq=False)
-class NodalField:
-    """Real nodal values u(x_j).
-
-    Finiteness is not enforced here: a field that went non-finite must still
-    be representable long enough for the failure paths to report it.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"nodal values must be 1-D, got shape {v.shape}")
-        object.__setattr__(self, "values", v)
-
-
 def make_grid(n: int) -> GridSpec:
     """Build the uniform grid with n nodes (n even, n >= 4)."""
     if n != int(n):
@@ -119,18 +103,21 @@ def make_grid(n: int) -> GridSpec:
     return GridSpec(n=n, nodes=nodes, mode_phase=phase)
 
 
-def forward_dft(u: NodalField, g: GridSpec) -> SpectralField:
+def forward_dft(u: np.ndarray, g: GridSpec) -> SpectralField:
     """Interpolant coefficients of nodal data, 1/N normalization.
 
     c_k = (1/N) sum_j u(x_j) exp(-i k x_j) for k = 0 .. N/2, computed as a
-    real FFT times the grid-offset phase (-1)^k.
+    real FFT times the grid-offset phase (-1)^k. u must be 1-D of length N;
+    it is not checked for finiteness, so a diverged field can still be
+    transformed and reported.
     """
-    if len(u.values) != g.n:
-        raise ValueError(f"field length {len(u.values)} does not match grid n={g.n}")
-    return SpectralField(np.fft.rfft(u.values, norm="forward") * g.mode_phase)
+    u = np.asarray(u, dtype=float)
+    if u.shape != (g.n,):
+        raise ValueError(f"field of shape {u.shape} does not match grid n={g.n}")
+    return SpectralField(np.fft.rfft(u, norm="forward") * g.mode_phase)
 
 
-def inverse_dft(s: SpectralField, g: GridSpec) -> NodalField:
+def inverse_dft(s: SpectralField, g: GridSpec) -> np.ndarray:
     """Evaluate the interpolant at the nodes: u(x_l) = sum_k c_k exp(i k x_l).
 
     The negative wavenumbers enter as the conjugates of the stored rows, so
@@ -146,7 +133,7 @@ def inverse_dft(s: SpectralField, g: GridSpec) -> NodalField:
             f"c_0 = {c[0]} and c_N/2 = {c[-1]} must be real; "
             "coefficients do not describe real data"
         )
-    return NodalField(np.fft.irfft(c * g.mode_phase, g.n, norm="forward"))
+    return np.fft.irfft(c * g.mode_phase, g.n, norm="forward")
 
 
 def spectral_derivative(s: SpectralField) -> SpectralField:

@@ -14,7 +14,6 @@ from fracburgers.diagnostics import slope_closed_form
 from fracburgers.dynamics import SimParams, rk4_step
 from fracburgers.oracles import InitialCondition, characteristics_solution
 from fracburgers.spectral import (
-    NodalField,
     SpectralField,
     forward_dft,
     fractional_laplacian,
@@ -111,7 +110,7 @@ def test_criterion_05_characteristics_equivalence(announce):
     g = make_grid(512)
     f = InitialCondition.neg_sine()
     exact = np.array([characteristics_solution(f, x, t_end) for x in g.nodes])
-    err = float(np.max(np.abs(final.values - exact)))
+    err = float(np.max(np.abs(final - exact)))
     ok = t_end == 0.5 and err <= 1e-6
     announce(5, "simulated field matches the implicit characteristics solution",
              ok, f"max nodal error = {err:.2e}")
@@ -122,7 +121,7 @@ def test_criterion_06_linear_exactness_and_order(announce):
 
     def terminal_amplitude(alpha, dt):
         p = SimParams(gamma=1.0, alpha=alpha, dt=dt, linear_only=True)
-        s = forward_dft(NodalField(np.cos(2.0 * g.nodes)), g)
+        s = forward_dft(np.cos(2.0 * g.nodes), g)
         for _ in range(round(1.0 / dt)):
             s = rk4_step(s, g, p, dt)
         return 2.0 * abs(s.coeffs[2])
@@ -170,7 +169,7 @@ def test_criterion_08_vanishing_viscosity(announce):
     finals = []
     for gamma in ("0.2", "0.1", "0.05"):
         res, _ = timed_run(["--gamma", gamma, "--alpha", "2", "--t-final", "1.2"])
-        finals.append(res.snapshots[-1][1].values)
+        finals.append(res.snapshots[-1][1])
     d1 = float(np.max(np.abs(finals[0] - finals[1])))
     d2 = float(np.max(np.abs(finals[1] - finals[2])))
     ok = d1 > d2
@@ -189,21 +188,21 @@ def test_criterion_09_operator_exactness(announce):
             a, b = rng.standard_normal(2) / (1 + k) ** 2
             u += a * np.cos(k * g.nodes) + b * np.sin(k * g.nodes)
             du += k * (b * np.cos(k * g.nodes) - a * np.sin(k * g.nodes))
-        got = inverse_dft(spectral_derivative(forward_dft(NodalField(u), g)), g)
-        worst = max(worst, float(np.max(np.abs(got.values - du))))
+        got = inverse_dft(spectral_derivative(forward_dft(u, g)), g)
+        worst = max(worst, float(np.max(np.abs(got - du))))
     derivative_ok = worst <= 1e-11
 
     g = make_grid(64)
-    s2 = forward_dft(NodalField(np.cos(2.0 * g.nodes)), g)
+    s2 = forward_dft(np.cos(2.0 * g.nodes), g)
     doubled = inverse_dft(fractional_laplacian(s2, 1.0), g)
-    identity_ok = bool(np.allclose(doubled.values, 2.0 * np.cos(2.0 * g.nodes),
+    identity_ok = bool(np.allclose(doubled, 2.0 * np.cos(2.0 * g.nodes),
                                    rtol=0, atol=1e-13))
-    s1 = forward_dft(NodalField(-np.sin(g.nodes)), g)
+    s1 = forward_dft(-np.sin(g.nodes), g)
     for alpha in (0.5, 1.0, 2.0):
         fixed = inverse_dft(fractional_laplacian(s1, alpha), g)
-        identity_ok &= bool(np.allclose(fixed.values, -np.sin(g.nodes),
+        identity_ok &= bool(np.allclose(fixed, -np.sin(g.nodes),
                                         rtol=0, atol=1e-13))
-    rnd = forward_dft(NodalField(rng.standard_normal(g.n)), g)
+    rnd = forward_dft(rng.standard_normal(g.n), g)
     lap = fractional_laplacian(rnd, 2.0).coeffs[:-1]
     dd = -spectral_derivative(spectral_derivative(rnd)).coeffs[:-1]
     identity_ok &= bool(np.allclose(lap, dd, rtol=0, atol=1e-13))

@@ -15,7 +15,7 @@ from fracburgers.cli import (
     write_outputs,
 )
 from fracburgers.oracles import InitialCondition, linear_decay_solution
-from fracburgers.spectral import NodalField, forward_dft, inverse_dft, make_grid
+from fracburgers.spectral import forward_dft, inverse_dft, make_grid
 
 NUMERIC_FAILURE_ARGS = [
     "--gamma", "1", "--alpha", "2", "--n", "64", "--dt", "1", "--t-final", "40",
@@ -157,7 +157,7 @@ class TestRunSimulation:
         times = [t for t, _ in res.snapshots]
         assert times == [0.0, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5]
         assert all(t == i * 0.1 for i, t in enumerate(times))
-        assert np.array_equal(res.snapshots[0][1].values, -np.sin(make_grid(64).nodes))
+        assert np.array_equal(res.snapshots[0][1], -np.sin(make_grid(64).nodes))
 
     def test_record_times_are_increasing_and_bounded(self):
         res = run_simulation(config("--n", "64", "--t-final", "0.5"))
@@ -188,7 +188,7 @@ class TestRunSimulation:
         assert res.status == "numeric_failure"
         assert res.report.detection_cause == "non_finite"
         for _, field in res.snapshots:
-            assert np.all(np.isfinite(field.values))
+            assert np.all(np.isfinite(field))
 
     def test_positive_profile_warns_about_extrema_hypotheses(self):
         res = run_simulation(config("--ic", "gaussian:1.0", "--n", "32", "--t-final", "0.2"))
@@ -200,10 +200,10 @@ class TestRunSimulation:
                      "--t-final", "0.5", "--linear-only")
         res = run_simulation(cfg)
         g = make_grid(64)
-        s0 = forward_dft(NodalField(-np.sin(g.nodes)), g)
+        s0 = forward_dft(-np.sin(g.nodes), g)
         exact = inverse_dft(linear_decay_solution(s0, 0.5, 1.0, 2.0), g)
         final = res.snapshots[-1][1]
-        assert np.max(np.abs(final.values - exact.values)) <= 1e-8
+        assert np.max(np.abs(final - exact)) <= 1e-8
 
     def test_detection_can_be_disabled(self):
         args = ["--n", "64", "--t-final", "1.2", "--slope-limit", "10",

@@ -13,7 +13,6 @@ from fracburgers.diagnostics import (
     extrema,
     l2_norm,
     mass,
-    min_slope,
     observe,
     predicted_blowup_time,
     slope_closed_form,
@@ -21,7 +20,7 @@ from fracburgers.diagnostics import (
     tail_fraction,
 )
 from fracburgers.dynamics import SimParams, rk4_step
-from fracburgers.spectral import NodalField, SpectralField, forward_dft, inverse_dft, make_grid
+from fracburgers.spectral import SpectralField, forward_dft, inverse_dft, make_grid
 
 
 def record(**overrides):
@@ -35,98 +34,108 @@ def record(**overrides):
 class TestMass:
     def test_neg_sine_is_massless(self):
         g = make_grid(64)
-        assert abs(mass(NodalField(-np.sin(g.nodes)), g)) <= 1e-15
+        assert abs(mass(forward_dft(-np.sin(g.nodes), g))) <= 1e-15
 
     def test_constant_three(self):
         g = make_grid(16)
-        assert mass(NodalField(np.full(g.n, 3.0)), g) == pytest.approx(6.0 * np.pi, rel=1e-15)
+        assert mass(forward_dft(np.full(g.n, 3.0), g)) == pytest.approx(6.0 * np.pi, rel=1e-15)
 
     def test_shifted_cosine(self):
         g = make_grid(32)
-        got = mass(NodalField(1.0 + np.cos(g.nodes)), g)
+        got = mass(forward_dft(1.0 + np.cos(g.nodes), g))
         assert got == pytest.approx(2.0 * np.pi, rel=1e-14)
 
 
 class TestL2Norm:
     def test_neg_sine_example(self):
         g = make_grid(64)
-        got = l2_norm(NodalField(-np.sin(g.nodes)), g)
+        got = l2_norm(forward_dft(-np.sin(g.nodes), g))
         assert got == pytest.approx(np.sqrt(np.pi), rel=1e-14)
 
     def test_constant(self):
         g = make_grid(16)
-        got = l2_norm(NodalField(np.full(g.n, 2.0)), g)
+        got = l2_norm(forward_dft(np.full(g.n, 2.0), g))
         assert got == pytest.approx(2.0 * np.sqrt(2.0 * np.pi), rel=1e-14)
 
     def test_zero_field(self):
         g = make_grid(8)
-        assert l2_norm(NodalField(np.zeros(g.n)), g) == 0.0
+        assert l2_norm(forward_dft(np.zeros(g.n), g)) == 0.0
 
 
 class TestSobolevNorm:
     def test_order_zero_equals_l2(self):
         g = make_grid(32)
         rng = np.random.default_rng(31)
-        u = NodalField(rng.standard_normal(g.n))
-        assert sobolev_norm(u, g, 0.0) == pytest.approx(l2_norm(u, g), rel=1e-14)
+        s = forward_dft(rng.standard_normal(g.n), g)
+        assert sobolev_norm(s, 0.0) == pytest.approx(l2_norm(s), rel=1e-14)
 
     def test_sine_order_one(self):
         """||sin||_{H^1}^2 = 2 pi (1 + 1) * (1/4 + 1/4)."""
         g = make_grid(64)
-        got = sobolev_norm(NodalField(np.sin(g.nodes)), g, 1.0)
+        got = sobolev_norm(forward_dft(np.sin(g.nodes), g), 1.0)
         assert got == pytest.approx(np.sqrt(2.0 * np.pi), rel=1e-14)
 
     def test_higher_order_weights_high_modes(self):
         g = make_grid(64)
-        low = NodalField(np.sin(g.nodes))
-        high = NodalField(np.sin(8.0 * g.nodes))
-        assert sobolev_norm(high, g, 3.0) > 100.0 * sobolev_norm(low, g, 3.0)
+        low = forward_dft(np.sin(g.nodes), g)
+        high = forward_dft(np.sin(8.0 * g.nodes), g)
+        assert sobolev_norm(high, 3.0) > 100.0 * sobolev_norm(low, 3.0)
 
     def test_negative_order_rejected(self):
         g = make_grid(8)
         with pytest.raises(ValueError, match="order"):
-            sobolev_norm(NodalField(np.zeros(g.n)), g, -1.0)
+            sobolev_norm(forward_dft(np.zeros(g.n), g), -1.0)
+
+    def test_nan_order_rejected(self):
+        g = make_grid(8)
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            sobolev_norm(forward_dft(np.cos(g.nodes), g), np.nan)
 
 
 class TestExtrema:
     def test_neg_sine_hits_unit_bounds(self):
         g = make_grid(64)
-        assert extrema(NodalField(-np.sin(g.nodes))) == (1.0, -1.0)
+        assert extrema(-np.sin(g.nodes)) == (1.0, -1.0)
 
     def test_constant(self):
-        assert extrema(NodalField(np.full(8, 3.5))) == (3.5, 3.5)
+        assert extrema(np.full(8, 3.5)) == (3.5, 3.5)
+
+
+def initial_slope(u, g):
+    """The min_slope column of the record observe makes for nodal values u."""
+    return observe(forward_dft(u, g), g, 0.0)[0].min_slope
 
 
 class TestMinSlope:
     def test_neg_sine_example(self):
         g = make_grid(64)
-        got = min_slope(NodalField(-np.sin(g.nodes)), g)
+        got = initial_slope(-np.sin(g.nodes), g)
         assert abs(got - (-1.0)) <= 1e-12
 
     def test_plain_sine(self):
         g = make_grid(64)
-        got = min_slope(NodalField(np.sin(g.nodes)), g)
+        got = initial_slope(np.sin(g.nodes), g)
         assert abs(got - (-1.0)) <= 1e-12
 
     def test_constant_is_flat(self):
         g = make_grid(32)
-        assert abs(min_slope(NodalField(np.full(g.n, 1.0)), g)) <= 1e-14
+        assert abs(initial_slope(np.full(g.n, 1.0), g)) <= 1e-14
 
 
 class TestPredictedBlowupTime:
     def test_neg_sine_breaks_at_one(self):
         g = make_grid(64)
-        got = predicted_blowup_time(NodalField(-np.sin(g.nodes)), g)
+        got = predicted_blowup_time(initial_slope(-np.sin(g.nodes), g))
         assert got == pytest.approx(1.0, rel=1e-12)
 
     def test_amplitude_scales_inversely(self):
         g = make_grid(64)
-        got = predicted_blowup_time(NodalField(-2.0 * np.sin(g.nodes)), g)
+        got = predicted_blowup_time(initial_slope(-2.0 * np.sin(g.nodes), g))
         assert got == pytest.approx(0.5, rel=1e-12)
 
     def test_constant_never_breaks(self):
         g = make_grid(16)
-        assert predicted_blowup_time(NodalField(np.full(g.n, 2.0)), g) is None
+        assert predicted_blowup_time(initial_slope(np.full(g.n, 2.0), g)) is None
 
 
 class TestSlopeClosedForm:
@@ -268,21 +277,20 @@ class TestBlowupReport:
 class TestObserve:
     def test_matches_standalone_diagnostics(self):
         g = make_grid(64)
-        u = NodalField(-np.sin(g.nodes))
-        s = forward_dft(u, g)
+        s = forward_dft(-np.sin(g.nodes), g)
         rec, norm = observe(s, g, 0.25)
         assert rec.t == 0.25
-        assert rec.mass == pytest.approx(mass(u, g), abs=1e-18)
-        assert rec.l2 == pytest.approx(l2_norm(u, g), rel=1e-15)
+        assert rec.mass == mass(s)
+        assert rec.l2 == l2_norm(s)
         assert (rec.max_u, rec.min_u) == extrema(inverse_dft(s, g))
-        assert rec.min_slope == pytest.approx(min_slope(u, g), rel=1e-15)
-        assert rec.h3 == pytest.approx(sobolev_norm(u, g, 3.0), rel=1e-15)
+        assert rec.min_slope == pytest.approx(-1.0, rel=1e-12)
+        assert rec.h3 == sobolev_norm(s, 3.0)
         assert rec.bkm_integral == 0.0
         assert norm == pytest.approx(1.0, abs=1e-12)
 
     def test_threads_bkm_trapezoid(self):
         g = make_grid(64)
-        s = forward_dft(NodalField(-np.sin(g.nodes)), g)
+        s = forward_dft(-np.sin(g.nodes), g)
         rec0, n0 = observe(s, g, 0.0)
         rec1, _ = observe(s, g, 0.1, prev_bkm=rec0.bkm_integral, prev_slope_norm=n0, dt=0.1)
         assert rec1.bkm_integral == pytest.approx(0.1, rel=1e-12)
@@ -290,7 +298,7 @@ class TestObserve:
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_field_is_flagged_not_raised(self, bad):
         g = make_grid(16)
-        s = forward_dft(NodalField(-np.sin(g.nodes)), g)
+        s = forward_dft(-np.sin(g.nodes), g)
         s.coeffs[3] = bad
         rec, _ = observe(s, g, 0.5)
         rep = check_blowup(rec, DetectionThresholds())
@@ -309,7 +317,7 @@ class TestSobolevTrends:
         """Shock formation pumps energy into high modes monotonically."""
         g = make_grid(128)
         p = SimParams(gamma=0.0, dt=2e-3)
-        s = forward_dft(NodalField(-np.sin(g.nodes)), g)
+        s = forward_dft(-np.sin(g.nodes), g)
         h3 = []
         for step in range(400):
             s = rk4_step(s, g, p, 2e-3)
@@ -320,7 +328,7 @@ class TestSobolevTrends:
     def test_h3_decays_under_strong_dissipation(self):
         g = make_grid(64)
         p = SimParams(gamma=1.0, alpha=2.0, dt=4e-4)
-        s = forward_dft(NodalField(-np.sin(g.nodes)), g)
+        s = forward_dft(-np.sin(g.nodes), g)
         h3 = []
         for step in range(500):
             s = rk4_step(s, g, p, 4e-4)

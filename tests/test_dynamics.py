@@ -15,7 +15,7 @@ from fracburgers.dynamics import (
     stable_dt,
 )
 from fracburgers.oracles import InitialCondition, characteristics_solution
-from fracburgers.spectral import NodalField, SpectralField, forward_dft, inverse_dft, make_grid
+from fracburgers.spectral import SpectralField, forward_dft, inverse_dft, make_grid
 
 
 def count_transforms(monkeypatch):
@@ -71,59 +71,59 @@ class TestSimParams:
 class TestRhs:
     def test_constant_field_is_steady(self):
         g = make_grid(16)
-        out = rhs(NodalField(np.full(g.n, 3.0)), g, SimParams(gamma=0.7, alpha=1.3))
-        assert np.max(np.abs(out.values)) <= 1e-13
+        out = rhs(np.full(g.n, 3.0), g, SimParams(gamma=0.7, alpha=1.3))
+        assert np.max(np.abs(out)) <= 1e-13
 
     def test_neg_sine_inviscid_example(self):
         """-sin x steepens with tendency -(1/2) sin 2x when gamma = 0."""
         g = make_grid(64)
-        out = rhs(NodalField(-np.sin(g.nodes)), g, SimParams(gamma=0.0))
-        assert np.allclose(out.values, -0.5 * np.sin(2.0 * g.nodes), rtol=0, atol=1e-13)
+        out = rhs(-np.sin(g.nodes), g, SimParams(gamma=0.0))
+        assert np.allclose(out, -0.5 * np.sin(2.0 * g.nodes), rtol=0, atol=1e-13)
 
     def test_linear_only_single_mode(self):
         g = make_grid(64)
         p = SimParams(gamma=1.0, alpha=1.0, linear_only=True)
-        out = rhs(NodalField(np.cos(g.nodes)), g, p)
-        assert np.allclose(out.values, -np.cos(g.nodes), rtol=0, atol=1e-13)
+        out = rhs(np.cos(g.nodes), g, p)
+        assert np.allclose(out, -np.cos(g.nodes), rtol=0, atol=1e-13)
 
     def test_viscous_combination(self):
         g = make_grid(64)
         p = SimParams(gamma=0.5, alpha=2.0)
-        out = rhs(NodalField(-np.sin(g.nodes)), g, p)
+        out = rhs(-np.sin(g.nodes), g, p)
         expect = -0.5 * np.sin(2.0 * g.nodes) + 0.5 * np.sin(g.nodes)
-        assert np.allclose(out.values, expect, rtol=0, atol=1e-13)
+        assert np.allclose(out, expect, rtol=0, atol=1e-13)
 
     def test_tendency_mean_is_round_off(self):
         """The zero mode of the product transform is removed, so the tendency
         integrates to zero regardless of aliasing."""
         g = make_grid(64)
         rng = np.random.default_rng(13)
-        u = NodalField(rng.standard_normal(g.n))
+        u = rng.standard_normal(g.n)
         out = rhs(u, g, SimParams(gamma=0.3, alpha=1.5))
         mean_coeff = forward_dft(out, g).coeffs[0]
-        assert abs(mean_coeff) <= 1e-15 * max(1.0, np.max(np.abs(out.values)))
+        assert abs(mean_coeff) <= 1e-15 * max(1.0, np.max(np.abs(out)))
 
     def test_two_thirds_rule_silences_product_tail(self):
         # u = cos 5x on N=24: the product is a pure |k| = 10 pair, which the
         # 2/3 rule removes entirely while "off" keeps it.
         g = make_grid(24)
-        u = NodalField(np.cos(5.0 * g.nodes))
+        u = np.cos(5.0 * g.nodes)
         cut = rhs(u, g, SimParams(dealias_rule="two_thirds"))
         kept = rhs(u, g, SimParams(dealias_rule="off"))
-        assert np.max(np.abs(cut.values)) <= 1e-14
-        assert np.allclose(kept.values, 2.5 * np.sin(10.0 * g.nodes), rtol=0, atol=1e-13)
+        assert np.max(np.abs(cut)) <= 1e-14
+        assert np.allclose(kept, 2.5 * np.sin(10.0 * g.nodes), rtol=0, atol=1e-13)
 
     def test_non_finite_field_rejected(self):
         g = make_grid(8)
         bad = np.zeros(g.n)
         bad[3] = np.nan
         with pytest.raises(InvalidStateError, match="non-finite"):
-            rhs(NodalField(bad), g, SimParams())
+            rhs(bad, g, SimParams())
 
     def test_length_mismatch_rejected(self):
         g = make_grid(8)
         with pytest.raises(ValueError, match="does not match"):
-            rhs(NodalField(np.zeros(16)), g, SimParams())
+            rhs(np.zeros(16), g, SimParams())
 
 
 class TestRk4Step:
@@ -138,26 +138,26 @@ class TestRk4Step:
         g = make_grid(16)
         for alpha, k, dt in ((1.0, 1, 0.01), (2.0, 2, 0.005)):
             p = SimParams(gamma=1.0, alpha=alpha, dt=dt, linear_only=True)
-            s = forward_dft(NodalField(np.cos(k * g.nodes)), g)
+            s = forward_dft(np.cos(k * g.nodes), g)
             out = inverse_dft(rk4_step(s, g, p, dt), g)
             z = 1.0 * float(k) ** alpha * dt
             expect = stability_polynomial(z) * np.cos(k * g.nodes)
-            assert np.allclose(out.values, expect, rtol=1e-14, atol=1e-15)
+            assert np.allclose(out, expect, rtol=1e-14, atol=1e-15)
 
     def test_single_step_matches_characteristics(self):
         """gamma = 0, dt = 1e-3: one step agrees with the implicit solution."""
         g = make_grid(64)
         f = InitialCondition.neg_sine()
-        s = forward_dft(NodalField(f(g.nodes)), g)
+        s = forward_dft(f(g.nodes), g)
         out = inverse_dft(rk4_step(s, g, SimParams(gamma=0.0), 1e-3), g)
         exact = np.array([characteristics_solution(f, x, 1e-3) for x in g.nodes])
-        assert np.max(np.abs(out.values - exact)) <= 1e-10
+        assert np.max(np.abs(out - exact)) <= 1e-10
 
     def test_instability_reports_stage(self):
         # Finite but huge data overflows in the second stage: k1 is finite,
         # the half-step state squares to inf inside stage 2.
         g = make_grid(64)
-        s = forward_dft(NodalField(1e150 * -np.sin(g.nodes)), g)
+        s = forward_dft(1e150 * -np.sin(g.nodes), g)
         with pytest.raises(InstabilityError) as info:
             rk4_step(s, g, SimParams(gamma=0.0), 1000.0)
         assert info.value.stage == 2
@@ -179,7 +179,7 @@ class TestRk4Step:
     def test_repeat_step_is_bitwise_identical(self):
         g = make_grid(128)
         rng = np.random.default_rng(17)
-        s = forward_dft(NodalField(rng.standard_normal(g.n)), g)
+        s = forward_dft(rng.standard_normal(g.n), g)
         p = SimParams(gamma=0.2, alpha=1.5)
         a = rk4_step(s, g, p, 1e-3)
         b = rk4_step(s, g, p, 1e-3)
@@ -190,7 +190,7 @@ class TestRk4Step:
     def test_transform_count(self, monkeypatch, gamma, linear_only, calls):
         """Three transforms per stage, none when linear; none in or out."""
         g = make_grid(32)
-        s = forward_dft(NodalField(-np.sin(g.nodes)), g)
+        s = forward_dft(-np.sin(g.nodes), g)
         count = count_transforms(monkeypatch)
         p = SimParams(gamma=gamma, alpha=1.5, linear_only=linear_only)
         rk4_step(s, g, p, 1e-3)
@@ -215,15 +215,16 @@ class TestGridScaleStability:
 class TestSpectralRunLoop:
     def test_transforms_per_step_and_snapshot(self, monkeypatch):
         """A step costs rk4_step's 12 transforms and observe's 2, and a
-        snapshot after t = 0 costs 1. Set-up costs 5: the profile's forward
-        transform, the predicted blow-up time (2) and the first observe (2)."""
+        snapshot after t = 0 costs 1. Set-up costs 3: the profile's forward
+        transform and the first observe (2), whose min_slope also gives the
+        predicted blow-up time."""
         cfg = parse_config(["--n", "32", "--gamma", "0.1", "--dt", "0.01", "--t-final", "0.2",
                             "--snapshot-every", "0.05", "--output", "unused"])
         count = count_transforms(monkeypatch)
         res = run_simulation(cfg)
         steps, snapshots = len(res.records) - 1, len(res.snapshots) - 1
         assert res.status == "completed" and (steps, snapshots) == (20, 4)
-        assert len(count) == 5 + 14 * steps + snapshots
+        assert len(count) == 3 + 14 * steps + snapshots
 
     @pytest.mark.parametrize("args", [
         ["--gamma", "0.1", "--alpha", "1", "--n", "256", "--dt", "auto", "--t-final", "2"],
@@ -274,7 +275,7 @@ class TestConvergenceOrder:
         errors = []
         for dt in (0.05, 0.025, 0.0125, 0.00625):
             p = SimParams(gamma=1.0, alpha=1.0, dt=dt, linear_only=True)
-            s = forward_dft(NodalField(np.cos(2.0 * g.nodes)), g)
+            s = forward_dft(np.cos(2.0 * g.nodes), g)
             for _ in range(round(1.0 / dt)):
                 s = rk4_step(s, g, p, dt)
             amp = 2.0 * abs(s.coeffs[2])

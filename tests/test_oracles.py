@@ -12,7 +12,7 @@ from fracburgers.oracles import (
 )
 from fracburgers.oracles import _band_coeffs
 from fracburgers.diagnostics import slope_closed_form
-from fracburgers.spectral import NodalField, forward_dft, inverse_dft, make_grid
+from fracburgers.spectral import forward_dft, inverse_dft, make_grid
 
 CATALOGUE = (
     InitialCondition.neg_sine(),
@@ -160,44 +160,53 @@ class TestCharacteristicsSolution:
 class TestLinearDecaySolution:
     def test_time_zero_is_identity(self):
         g = make_grid(32)
-        s0 = forward_dft(NodalField(np.cos(3.0 * g.nodes)), g)
+        s0 = forward_dft(np.cos(3.0 * g.nodes), g)
         out = linear_decay_solution(s0, 0.0, 1.0, 1.0)
         assert np.array_equal(out.coeffs, s0.coeffs)
 
     def test_zero_gamma_is_identity(self):
         g = make_grid(32)
-        s0 = forward_dft(NodalField(np.sin(2.0 * g.nodes)), g)
+        s0 = forward_dft(np.sin(2.0 * g.nodes), g)
         out = linear_decay_solution(s0, 5.0, 0.0, 1.5)
         assert np.array_equal(out.coeffs, s0.coeffs)
 
     def test_single_mode_decay_rate(self):
         g = make_grid(32)
-        s0 = forward_dft(NodalField(np.cos(2.0 * g.nodes)), g)
+        s0 = forward_dft(np.cos(2.0 * g.nodes), g)
         out = inverse_dft(linear_decay_solution(s0, 1.0, 1.0, 1.0), g)
-        assert np.allclose(out.values, np.exp(-2.0) * np.cos(2.0 * g.nodes),
+        assert np.allclose(out, np.exp(-2.0) * np.cos(2.0 * g.nodes),
                            rtol=1e-14, atol=1e-16)
 
     def test_fractional_exponent_enters_the_rate(self):
         g = make_grid(32)
-        s0 = forward_dft(NodalField(np.cos(2.0 * g.nodes)), g)
+        s0 = forward_dft(np.cos(2.0 * g.nodes), g)
         out = inverse_dft(linear_decay_solution(s0, 1.0, 1.0, 0.5), g)
         rate = np.exp(-(2.0**0.5))
-        assert np.allclose(out.values, rate * np.cos(2.0 * g.nodes), rtol=1e-14, atol=1e-16)
+        assert np.allclose(out, rate * np.cos(2.0 * g.nodes), rtol=1e-14, atol=1e-16)
 
     def test_semigroup_property(self):
         g = make_grid(64)
         rng = np.random.default_rng(53)
-        s0 = forward_dft(NodalField(rng.standard_normal(g.n)), g)
+        s0 = forward_dft(rng.standard_normal(g.n), g)
         one_hop = linear_decay_solution(s0, 0.7, 0.3, 1.2)
         two_hops = linear_decay_solution(linear_decay_solution(s0, 0.3, 0.3, 1.2), 0.4, 0.3, 1.2)
         assert np.allclose(one_hop.coeffs, two_hops.coeffs, rtol=1e-13, atol=1e-18)
 
     def test_validation(self):
         g = make_grid(8)
-        s0 = forward_dft(NodalField(np.cos(g.nodes)), g)
+        s0 = forward_dft(np.cos(g.nodes), g)
         with pytest.raises(ValueError, match=">= 0"):
             linear_decay_solution(s0, -1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match=">= 0"):
             linear_decay_solution(s0, 1.0, -1.0, 1.0)
         with pytest.raises(ValueError, match="alpha"):
             linear_decay_solution(s0, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("arg", ["t", "gamma"])
+    def test_non_finite_time_and_gamma_rejected(self, arg, bad):
+        g = make_grid(8)
+        s0 = forward_dft(np.cos(g.nodes), g)
+        args = {"t": 1.0, "gamma": 1.0, arg: bad}
+        with pytest.raises(ValueError, match=f"^{arg}:? must be finite and >= 0"):
+            linear_decay_solution(s0, args["t"], args["gamma"], 1.0)

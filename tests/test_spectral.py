@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fracburgers.spectral import (
-    NodalField,
     SpectralField,
     SymmetryError,
     dealias,
@@ -65,29 +64,25 @@ class TestFieldTypes:
         with pytest.raises(ValueError, match="1-D"):
             SpectralField(np.zeros((4, 4), complex))
 
-    def test_nodal_field_needs_one_dimension(self):
-        with pytest.raises(ValueError, match="1-D"):
-            NodalField(np.zeros((2, 8)))
-
 
 class TestForwardDFT:
     def test_constant_concentrates_in_mean_mode(self):
         g = make_grid(16)
-        s = forward_dft(NodalField(np.full(g.n, 3.0)), g)
+        s = forward_dft(np.full(g.n, 3.0), g)
         assert abs(s.coeffs[0] - 3.0) <= 1e-15
         assert np.max(np.abs(s.coeffs[1:])) <= 1e-15
 
     def test_neg_sine_example(self):
         """-sin x transforms to +i/2 in the k = 1 row (and -i/2 at k = -1)."""
         g = make_grid(8)
-        s = forward_dft(NodalField(-np.sin(g.nodes)), g)
+        s = forward_dft(-np.sin(g.nodes), g)
         assert abs(s.coeffs[1] - 0.5j) <= 1e-15
         rest = np.delete(s.coeffs, 1)
         assert np.max(np.abs(rest)) <= 1e-15
 
     def test_cos_two_example(self):
         g = make_grid(16)
-        s = forward_dft(NodalField(np.cos(2.0 * g.nodes)), g)
+        s = forward_dft(np.cos(2.0 * g.nodes), g)
         assert abs(s.coeffs[2] - 0.5) <= 1e-15
         assert len(s.coeffs) == g.n // 2 + 1
 
@@ -95,15 +90,20 @@ class TestForwardDFT:
         """c_0 and c_{N/2} stay exactly real through every operator."""
         g = make_grid(64)
         rng = np.random.default_rng(7)
-        s = forward_dft(NodalField(rng.standard_normal(g.n)), g)
+        s = forward_dft(rng.standard_normal(g.n), g)
         for out in (s, spectral_derivative(s), fractional_laplacian(s, 1.3)):
             assert out.coeffs[0].imag == 0.0 and out.coeffs[-1].imag == 0.0
         assert s.coeffs[-1] != 0.0
 
     def test_length_mismatch_rejected(self):
         g = make_grid(8)
-        with pytest.raises(ValueError, match="does not match"):
-            forward_dft(NodalField(np.zeros(16)), g)
+        with pytest.raises(ValueError, match=r"shape \(16,\) does not match grid n=8"):
+            forward_dft(np.zeros(16), g)
+
+    def test_two_dimensional_field_rejected(self):
+        g = make_grid(8)
+        with pytest.raises(ValueError, match=r"shape \(2, 8\) does not match grid n=8"):
+            forward_dft(np.zeros((2, 8)), g)
 
 
 class TestInverseDFT:
@@ -112,24 +112,24 @@ class TestInverseDFT:
         c = np.zeros(g.n // 2 + 1, complex)
         c[0] = 5.0
         u = inverse_dft(SpectralField(c), g)
-        assert np.allclose(u.values, 5.0, rtol=0, atol=1e-14)
+        assert np.allclose(u, 5.0, rtol=0, atol=1e-14)
 
     def test_conjugate_pair_reconstructs_neg_sine(self):
         g = make_grid(32)
         c = np.zeros(g.n // 2 + 1, complex)
         c[1] = 0.5j
         u = inverse_dft(SpectralField(c), g)
-        assert np.allclose(u.values, -np.sin(g.nodes), rtol=0, atol=1e-14)
+        assert np.allclose(u, -np.sin(g.nodes), rtol=0, atol=1e-14)
 
     def test_round_trip_many_sizes(self):
         """forward then inverse returns the samples to 1e-12 relative."""
         rng = np.random.default_rng(11)
         for n in (4, 6, 16, 54, 250, 1024, 4096):
             g = make_grid(n)
-            u = NodalField(rng.standard_normal(n))
+            u = rng.standard_normal(n)
             back = inverse_dft(forward_dft(u, g), g)
-            err = np.max(np.abs(back.values - u.values))
-            assert err <= 1e-12 * np.max(np.abs(u.values)), f"n={n}: {err:.3e}"
+            err = np.max(np.abs(back - u))
+            assert err <= 1e-12 * np.max(np.abs(u)), f"n={n}: {err:.3e}"
 
     def test_imaginary_nyquist_rejected(self):
         g = make_grid(8)
@@ -154,13 +154,13 @@ class TestInverseDFT:
 class TestSpectralDerivative:
     def test_neg_sine_to_neg_cosine(self):
         g = make_grid(16)
-        s = forward_dft(NodalField(-np.sin(g.nodes)), g)
+        s = forward_dft(-np.sin(g.nodes), g)
         du = inverse_dft(spectral_derivative(s), g)
-        assert np.allclose(du.values, -np.cos(g.nodes), rtol=0, atol=1e-14)
+        assert np.allclose(du, -np.cos(g.nodes), rtol=0, atol=1e-14)
 
     def test_constant_annihilated(self):
         g = make_grid(8)
-        s = forward_dft(NodalField(np.full(g.n, 4.0)), g)
+        s = forward_dft(np.full(g.n, 4.0), g)
         d = spectral_derivative(s)
         assert np.max(np.abs(d.coeffs)) <= 1e-15
 
@@ -175,7 +175,7 @@ class TestSpectralDerivative:
     def test_mean_coefficient_exactly_zero(self):
         g = make_grid(32)
         rng = np.random.default_rng(3)
-        s = forward_dft(NodalField(rng.standard_normal(g.n)), g)
+        s = forward_dft(rng.standard_normal(g.n), g)
         assert spectral_derivative(s).coeffs[0] == 0.0
 
     def test_exact_on_trig_polynomials(self):
@@ -184,27 +184,27 @@ class TestSpectralDerivative:
         for n in (16, 64, 256):
             g = make_grid(n)
             u, du = trig_polynomial(g, rng, degree=n // 2 - 1)
-            got = inverse_dft(spectral_derivative(forward_dft(NodalField(u), g)), g)
-            assert np.max(np.abs(got.values - du)) <= 1e-11
+            got = inverse_dft(spectral_derivative(forward_dft(u, g)), g)
+            assert np.max(np.abs(got - du)) <= 1e-11
 
 
 class TestFractionalLaplacian:
     def test_cos_two_alpha_one_example(self):
         g = make_grid(16)
-        s = forward_dft(NodalField(np.cos(2.0 * g.nodes)), g)
+        s = forward_dft(np.cos(2.0 * g.nodes), g)
         out = inverse_dft(fractional_laplacian(s, 1.0), g)
-        assert np.allclose(out.values, 2.0 * np.cos(2.0 * g.nodes), rtol=0, atol=1e-14)
+        assert np.allclose(out, 2.0 * np.cos(2.0 * g.nodes), rtol=0, atol=1e-14)
 
     def test_unit_mode_fixed_by_any_alpha(self):
         g = make_grid(16)
-        s = forward_dft(NodalField(-np.sin(g.nodes)), g)
+        s = forward_dft(-np.sin(g.nodes), g)
         for alpha in (0.5, 1.0, 1.7, 2.0):
             out = inverse_dft(fractional_laplacian(s, alpha), g)
-            assert np.allclose(out.values, -np.sin(g.nodes), rtol=0, atol=1e-14)
+            assert np.allclose(out, -np.sin(g.nodes), rtol=0, atol=1e-14)
 
     def test_constant_annihilated(self):
         g = make_grid(8)
-        s = forward_dft(NodalField(np.full(g.n, 2.0)), g)
+        s = forward_dft(np.full(g.n, 2.0), g)
         out = fractional_laplacian(s, 0.5)
         assert np.max(np.abs(out.coeffs)) <= 1e-15
 
@@ -212,7 +212,7 @@ class TestFractionalLaplacian:
         """E^2 and -D_N^2 agree on every row except the unpaired Nyquist one."""
         g = make_grid(64)
         rng = np.random.default_rng(23)
-        s = forward_dft(NodalField(rng.standard_normal(g.n)), g)
+        s = forward_dft(rng.standard_normal(g.n), g)
         lap = fractional_laplacian(s, 2.0).coeffs
         dd = -spectral_derivative(spectral_derivative(s)).coeffs
         assert np.allclose(lap[:-1], dd[:-1], rtol=0, atol=1e-13)
@@ -224,7 +224,7 @@ class TestFractionalLaplacian:
 
     def test_alpha_validation(self):
         g = make_grid(8)
-        s = forward_dft(NodalField(np.cos(g.nodes)), g)
+        s = forward_dft(np.cos(g.nodes), g)
         for alpha in (0.0, -1.0, 2.5, float("nan")):
             with pytest.raises(ValueError, match="alpha"):
                 fractional_laplacian(s, alpha)
@@ -242,7 +242,7 @@ class TestValidateAlpha:
 class TestDealias:
     def test_off_returns_independent_copy(self):
         g = make_grid(8)
-        s = forward_dft(NodalField(np.cos(g.nodes)), g)
+        s = forward_dft(np.cos(g.nodes), g)
         out = dealias(s, "off")
         assert np.array_equal(out.coeffs, s.coeffs)
         out.coeffs[0] = 9.0
@@ -252,7 +252,7 @@ class TestDealias:
         """k > N/3 is zeroed; k = N/3 survives."""
         g = make_grid(12)
         u = np.cos(3.0 * g.nodes) + np.cos(4.0 * g.nodes) + np.cos(5.0 * g.nodes)
-        out = dealias(forward_dft(NodalField(u), g), "two_thirds")
+        out = dealias(forward_dft(u, g), "two_thirds")
         assert abs(out.coeffs[5]) == 0.0
         assert abs(out.coeffs[6]) == 0.0
         assert abs(out.coeffs[4] - 0.5) <= 1e-15
@@ -260,6 +260,6 @@ class TestDealias:
 
     def test_unknown_rule_rejected(self):
         g = make_grid(8)
-        s = forward_dft(NodalField(np.cos(g.nodes)), g)
+        s = forward_dft(np.cos(g.nodes), g)
         with pytest.raises(ValueError, match="dealias"):
             dealias(s, "three_halves")
