@@ -57,6 +57,7 @@ from .spectral import (
     fractional_laplacian,
     inverse_dft,
     make_grid,
+    nodal_pair,
     spectral_derivative,
 )
 
@@ -70,7 +71,7 @@ __all__ = [
     "bkm_accumulate", "characteristics_solution", "check_blowup", "dealias",
     "extrema", "forward_dft", "fractional_laplacian", "inverse_dft",
     "l2_norm", "linear_decay_solution", "main", "make_grid", "mass",
-    "observe", "parse_config", "predicted_blowup_time", "rhs",
+    "nodal_pair", "observe", "parse_config", "predicted_blowup_time", "rhs",
     "rk4_step", "run_simulation", "shock_time", "slope_closed_form",
     "sobolev_norm", "spectral_derivative", "stable_dt", "tail_fraction",
     "write_outputs",

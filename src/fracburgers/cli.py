@@ -31,7 +31,7 @@ from .diagnostics import (
 )
 from .dynamics import InstabilityError, InvalidStateError, SimParams, rk4_step, stable_dt
 from .oracles import InitialCondition
-from .spectral import GridSpec, forward_dft, inverse_dft, make_grid
+from .spectral import GridSpec, forward_dft, make_grid, nodal_pair
 
 EXIT_CODES = {"completed": 0, "blowup_detected": 2, "resolution_lost": 3,
               "numeric_failure": 4}
@@ -245,7 +245,8 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     landing, t is assigned the target value, so snapshot times are exact
     float multiples of snapshot_every and no drift-induced micro-steps
     occur. One DiagnosticsRecord is appended per step, plus the initial
-    record at t=0. The nodes are formed for snapshots only; the t=0
+    record at t=0. Each state's nodal u and u_x are formed once: its record,
+    its snapshot and the first stage of the next step share them. The t=0
     snapshot is the sampled profile itself.
     """
     g = cfg.grid
@@ -263,7 +264,8 @@ def run_simulation(cfg: RunConfig) -> RunResult:
 
     s = forward_dft(u0, g)
     t = 0.0
-    rec, slope_norm = observe(s, g, t)
+    nodal = nodal_pair(s, g)
+    rec, slope_norm = observe(s, g, t, nodal=nodal)
     predicted = predicted_blowup_time(rec.min_slope)
     records = [rec]
     snapshots = [(t, u0)]
@@ -282,7 +284,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                 dt_step, landed = remaining, True
             else:
                 dt_step, landed = cap, False
-            s = rk4_step(s, g, p, dt_step)
+            s = rk4_step(s, g, p, dt_step, nodal=nodal)
         except (InstabilityError, InvalidStateError):
             # Step blew up; the last appended record is the last valid state.
             status = "numeric_failure"
@@ -290,11 +292,12 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                                     detection_cause="non_finite")
             break
         t = target if landed else t + dt_step
+        nodal = nodal_pair(s, g)
         rec, slope_norm = observe(s, g, t, prev_bkm=rec.bkm_integral,
-                                  prev_slope_norm=slope_norm, dt=dt_step)
+                                  prev_slope_norm=slope_norm, dt=dt_step, nodal=nodal)
         records.append(rec)
         if landed and abs(snap_t - t) <= eps:
-            snapshots.append((t, inverse_dft(s, g)))
+            snapshots.append((t, nodal[0]))
             snap_idx += 1
         if cfg.detect_blowup:
             hit = check_blowup(rec, cfg.thresholds)

@@ -17,20 +17,24 @@ c_{N/2} count once.
 
 Mass, the norms and the tail are read from a SpectralField and cost no
 transform; extrema takes nodal values. observe assembles a run's record
-from the half-spectrum state: two inverse transforms (u and u_x) for the
-extrema and the slope, and the spectral observables for the rest.
+from the half-spectrum state: u and u_x (nodal_pair, two inverse transforms,
+or the pair the run loop hands in) for the extrema and the slope, and the
+spectral observables for the rest. The norms and the tail are each defined
+once, on the paired power |c_k|^2 + |c_{-k}|^2, which observe computes once
+per record; the Sobolev weights are built once per (N, order).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from operator import attrgetter
 from typing import ClassVar
 
 import numpy as np
 
-from .spectral import GridSpec, SpectralField, inverse_dft, spectral_derivative
+from .spectral import GridSpec, SpectralField, nodal_pair
 
 TAIL_GUARD = 1e-300  # keeps the tail ratio defined for the zero field
 
@@ -109,16 +113,15 @@ def mass(s: SpectralField) -> float:
 
 
 def l2_norm(s: SpectralField) -> float:
-    return math.sqrt(2.0 * np.pi * float(np.sum(_paired_power(s))))
+    return _l2_of(_paired_power(s))
 
 
 def sobolev_norm(s: SpectralField, order: float) -> float:
     """sqrt(2*pi * sum (1 + k^2)^order |c_k|^2); order 0 reduces to l2_norm."""
     order = float(order)
-    if not order >= 0.0:
-        raise ValueError(f"sobolev order must be >= 0, got {order!r}")
-    w = (1.0 + s.wavenumbers.astype(float) ** 2) ** order
-    return math.sqrt(2.0 * np.pi * float(np.sum(w * _paired_power(s))))
+    if not 0.0 <= order < math.inf:
+        raise ValueError(f"sobolev order must be >= 0 and finite, got {order!r}")
+    return _sobolev_of(_paired_power(s), order)
 
 
 def extrema(u: np.ndarray) -> tuple[float, float]:
@@ -160,10 +163,7 @@ def tail_fraction(s: SpectralField) -> float:
     Approaching 1 means the top third of the resolved band carries the
     field: the grid has stopped resolving the solution.
     """
-    power = _paired_power(s)
-    tail = float(np.sum(power[s.wavenumbers >= s.n / 3.0]))
-    total = float(np.sum(power[1:]))
-    return tail / (total + TAIL_GUARD)
+    return _tail_of(_paired_power(s))
 
 
 def check_blowup(rec: DiagnosticsRecord,
@@ -188,34 +188,36 @@ def check_blowup(rec: DiagnosticsRecord,
 
 
 def observe(s: SpectralField, g: GridSpec, t: float, *, prev_bkm: float = 0.0,
-            prev_slope_norm: float | None = None,
-            dt: float = 0.0) -> tuple[DiagnosticsRecord, float]:
+            prev_slope_norm: float | None = None, dt: float = 0.0,
+            nodal: tuple[np.ndarray, np.ndarray] | None = None,
+            ) -> tuple[DiagnosticsRecord, float]:
     """Assemble the full record for the state s at time t.
 
-    Two inverse transforms (u and u_x), no forward one. Returns
-    (record, slope_inf_norm); the caller threads the norm into the next call
-    so the trapezoid accumulation sees both endpoints of each step.
+    Two inverse transforms (u and u_x), none if nodal, the nodal_pair(s, g)
+    the caller already holds, is handed in. Returns (record,
+    slope_inf_norm); the caller threads the norm into the next call so the
+    trapezoid accumulation sees both endpoints of each step.
     prev_slope_norm None marks the initial record (bkm starts at prev_bkm).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        u = inverse_dft(s, g)
-        slope = inverse_dft(spectral_derivative(s), g)
-        slope_norm = float(np.max(np.abs(slope)))
+        u, slope = nodal_pair(s, g) if nodal is None else nodal
+        slope_norm = float(np.abs(slope).max())
         if prev_slope_norm is None:
             bkm = prev_bkm
         else:
             bkm = bkm_accumulate(prev_bkm, prev_slope_norm, slope_norm, dt)
         max_u, min_u = extrema(u)
+        power = _paired_power(s)
         rec = DiagnosticsRecord(
             t=float(t),
             mass=mass(s),
-            l2=l2_norm(s),
+            l2=_l2_of(power),
             max_u=max_u,
             min_u=min_u,
-            min_slope=float(np.min(slope)),
+            min_slope=float(slope.min()),
             bkm_integral=bkm,
-            h3=sobolev_norm(s, 3.0),
-            tail_fraction=tail_fraction(s),
+            h3=_sobolev_of(power, 3.0),
+            tail_fraction=_tail_of(power),
         )
     return rec, slope_norm
 
@@ -226,3 +228,26 @@ def _paired_power(s: SpectralField) -> np.ndarray:
     power[0] *= 0.5
     power[-1] *= 0.5
     return power
+
+
+def _l2_of(power: np.ndarray) -> float:
+    return math.sqrt(2.0 * np.pi * float(np.sum(power)))
+
+
+def _sobolev_of(power: np.ndarray, order: float) -> float:
+    return math.sqrt(2.0 * np.pi * float(np.sum(_sobolev_weights(len(power), order) * power)))
+
+
+def _tail_of(power: np.ndarray) -> float:
+    n = 2 * (len(power) - 1)
+    tail = float(np.sum(power[-(-n // 3):]))  # the rows k >= N/3
+    total = float(np.sum(power[1:]))
+    return tail / (total + TAIL_GUARD)
+
+
+@lru_cache(maxsize=16)
+def _sobolev_weights(rows: int, order: float) -> np.ndarray:
+    """(1 + k^2)^order for k = 0 .. rows - 1, shared and read-only."""
+    w = (1.0 + np.arange(rows).astype(float) ** 2) ** order
+    w.flags.writeable = False
+    return w

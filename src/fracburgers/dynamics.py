@@ -15,11 +15,20 @@ dropped too, as the derivative drops it, so the state's c_{N/2} only decays
 under gamma, and its zero mode is never changed, so the mass is constant to
 the bit. RK4 advances the rfft half-spectrum: a step takes and returns a
 SpectralField, and only the product needs the nodes.
+
+The stages work on raw coefficient arrays and apply the operators as
+multipliers built once per (N, SimParams): the public operators applied to
+a vector of ones, with the grid phase (-1)^k folded in. The public
+operators stay the only definition of the derivative, the fractional
+laplacian and the 2/3 rule, and the multipliers reproduce them to the bit.
+A step costs 12 transforms, or 10 when the caller hands over u and u_x of
+the state, which its diagnostics record needs anyway.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,12 +36,15 @@ from .spectral import (
     DEALIAS_RULES,
     GridSpec,
     SpectralField,
+    as_float,
     dealias,
     forward_dft,
     fractional_laplacian,
     inverse_dft,
+    make_grid,
     spectral_derivative,
     validate_alpha,
+    validate_spectrum,
 )
 
 # CFL-style safety factors and divide-by-zero guard for stable_dt.
@@ -73,34 +85,77 @@ class SimParams:
     linear_only: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma", float(self.gamma))
-        if self.gamma < 0.0 or not np.isfinite(self.gamma):
+        gamma = as_float(self.gamma)
+        if not 0.0 <= gamma < np.inf:
             raise ValueError(f"gamma: must be finite and >= 0, got {self.gamma!r}")
+        object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "alpha", validate_alpha(self.alpha))
         if self.dt != "auto":
-            dt = float(self.dt)
-            if dt <= 0.0 or not np.isfinite(dt):
+            dt = as_float(self.dt)
+            if not 0.0 < dt < np.inf:
                 raise ValueError(f'dt: must be finite and > 0 or "auto", got {self.dt!r}')
             object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "t_final", float(self.t_final))
-        if self.t_final <= 0.0 or not np.isfinite(self.t_final):
+        t_final = as_float(self.t_final)
+        if not 0.0 < t_final < np.inf:
             raise ValueError(f"t_final: must be finite and > 0, got {self.t_final!r}")
+        object.__setattr__(self, "t_final", t_final)
         if self.dealias_rule not in DEALIAS_RULES:
             raise ValueError(
                 f"unknown dealias rule {self.dealias_rule!r}, expected one of {DEALIAS_RULES}"
             )
 
 
-def _tendency(s: SpectralField, g: GridSpec, p: SimParams) -> np.ndarray:
-    """Coefficients of F for the state s: 3 transforms, none with linear_only."""
-    hat = np.zeros_like(s.coeffs)
-    if not p.linear_only:
-        u = inverse_dft(s, g)
-        ux = inverse_dft(spectral_derivative(s), g)
-        hat = -dealias(forward_dft(u * ux, g), p.dealias_rule).coeffs
-        hat[0] = hat[-1] = 0.0
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """The operators of one (N, SimParams) as multipliers of a coefficient array.
+
+    Each is a public operator applied to a vector of ones; phase and
+    derivative carry the grid phase (-1)^k that inverse_dft applies, and
+    product carries the phase that forward_dft applies. The arrays are
+    read-only, since every step of every run with these parameters shares
+    them.
+    """
+
+    n: int
+    phase: np.ndarray       # (-1)^k: c -> u
+    derivative: np.ndarray  # spectral_derivative, times the phase: c -> u_x
+    product: np.ndarray     # minus the dealias rule, times the phase, mean and Nyquist zeroed
+    laplacian: np.ndarray   # fractional_laplacian with p.alpha
+
+
+@lru_cache(maxsize=16)
+def _plan(n: int, p: SimParams) -> _Plan:
+    phase = make_grid(n).mode_phase
+    ones = SpectralField(np.ones(n // 2 + 1, dtype=complex))
+    product = -(dealias(ones, p.dealias_rule).coeffs * phase)
+    product[0] = product[-1] = 0.0
+    plan = _Plan(
+        n=n,
+        phase=phase,
+        derivative=spectral_derivative(ones).coeffs * phase,
+        product=product,
+        laplacian=fractional_laplacian(ones, p.alpha).coeffs,
+    )
+    for a in (plan.phase, plan.derivative, plan.product, plan.laplacian):
+        a.flags.writeable = False
+    return plan
+
+
+def _tendency(c: np.ndarray, plan: _Plan, p: SimParams,
+              nodal: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Coefficients of F for the state c: 3 transforms, 1 if the nodal u and
+    u_x of c are handed in, none with linear_only."""
+    if p.linear_only:
+        hat = np.zeros_like(c)
+    else:
+        if nodal is None:
+            u = np.fft.irfft(c * plan.phase, plan.n, norm="forward")
+            ux = np.fft.irfft(c * plan.derivative, plan.n, norm="forward")
+        else:
+            u, ux = nodal
+        hat = np.fft.rfft(u * ux, norm="forward") * plan.product
     if p.gamma > 0.0:
-        hat -= p.gamma * fractional_laplacian(s, p.alpha).coeffs
+        hat -= p.gamma * (plan.laplacian * c)
     return hat
 
 
@@ -115,10 +170,11 @@ def rhs(u: np.ndarray, g: GridSpec, p: SimParams) -> np.ndarray:
         raise InvalidStateError("non-finite field handed to rhs")
     # Finiteness is checked explicitly; overflow flags while diverging are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        return inverse_dft(SpectralField(_tendency(s, g, p)), g)
+        return inverse_dft(SpectralField(_tendency(s.coeffs, _plan(g.n, p), p)), g)
 
 
-def rk4_step(s: SpectralField, g: GridSpec, p: SimParams, dt: float) -> SpectralField:
+def rk4_step(s: SpectralField, g: GridSpec, p: SimParams, dt: float, *,
+             nodal: tuple[np.ndarray, np.ndarray] | None = None) -> SpectralField:
     """Advance the half-spectrum one step with the classic explicit RK4 scheme.
 
     Stages:
@@ -126,24 +182,28 @@ def rk4_step(s: SpectralField, g: GridSpec, p: SimParams, dt: float) -> Spectral
         K4 = F(U_s + dt K3),
         U_{s+1} = U_s + dt/6 (K1 + 2 K2 + 2 K3 + K4).
 
-    Each stage costs 3 transforms, 12 per step, none with linear_only. As
-    in rhs, the product's unpaired Nyquist mode is dropped. A non-finite
+    Each stage costs 3 transforms, 12 per step, none with linear_only.
+    nodal, if given, must be nodal_pair(s, g): stage 1 then reuses u and
+    u_x and the step costs 10. As in rhs, the product's unpaired Nyquist
+    mode is dropped. s is checked against g once, on entry; a non-finite
     stage raises InstabilityError with its index.
     """
     dt = float(dt)
     if dt <= 0.0 or not np.isfinite(dt):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    validate_spectrum(s, g)
+    plan = _plan(g.n, p)
 
-    def stage(index: int, state: np.ndarray) -> np.ndarray:
-        if np.all(np.isfinite(state)):
-            k = _tendency(SpectralField(state), g, p)
-            if np.all(np.isfinite(k)):
+    def stage(index: int, state: np.ndarray, nodal=None) -> np.ndarray:
+        if np.isfinite(state).all():
+            k = _tendency(state, plan, p, nodal)
+            if np.isfinite(k).all():
                 return k
         raise InstabilityError(index)
 
     c = s.coeffs
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = stage(1, c)
+        k1 = stage(1, c, nodal)
         k2 = stage(2, c + 0.5 * dt * k1)
         k3 = stage(3, c + 0.5 * dt * k2)
         k4 = stage(4, c + dt * k3)

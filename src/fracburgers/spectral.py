@@ -41,9 +41,21 @@ class SymmetryError(ValueError):
     """Spectral coefficients do not describe real data."""
 
 
+def as_float(value: object) -> float:
+    """float(value), or NaN if value is not a number.
+
+    Every range rule rejects NaN, so a string such as "fast" is reported
+    like any other value outside the range.
+    """
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return float("nan")
+
+
 def validate_alpha(alpha: float) -> float:
     """Return alpha as float after checking 0 < alpha <= 2."""
-    a = float(alpha)
+    a = as_float(alpha)
     if not 0.0 < a <= 2.0:
         raise ValueError(f"alpha: must lie in (0, 2], got {alpha!r}")
     return a
@@ -117,13 +129,12 @@ def forward_dft(u: np.ndarray, g: GridSpec) -> SpectralField:
     return SpectralField(np.fft.rfft(u, norm="forward") * g.mode_phase)
 
 
-def inverse_dft(s: SpectralField, g: GridSpec) -> np.ndarray:
-    """Evaluate the interpolant at the nodes: u(x_l) = sum_k c_k exp(i k x_l).
+def validate_spectrum(s: SpectralField, g: GridSpec) -> None:
+    """Check that s is a half-spectrum of real data on the grid g.
 
-    The negative wavenumbers enter as the conjugates of the stored rows, so
-    the result is real by construction. A non-zero imaginary part in c_0 or
-    c_{N/2} has no real nodal representative and raises SymmetryError; NaN
-    passes, so a diverged state still reaches the non-finite checks.
+    s must hold N/2 + 1 rows. A non-zero imaginary part in c_0 or c_{N/2}
+    has no real nodal representative and raises SymmetryError; NaN passes,
+    so a diverged state still reaches the non-finite checks.
     """
     if s.n != g.n:
         raise ValueError(f"spectral length {s.n} does not match grid n={g.n}")
@@ -133,7 +144,25 @@ def inverse_dft(s: SpectralField, g: GridSpec) -> np.ndarray:
             f"c_0 = {c[0]} and c_N/2 = {c[-1]} must be real; "
             "coefficients do not describe real data"
         )
-    return np.fft.irfft(c * g.mode_phase, g.n, norm="forward")
+
+
+def inverse_dft(s: SpectralField, g: GridSpec) -> np.ndarray:
+    """Evaluate the interpolant at the nodes: u(x_l) = sum_k c_k exp(i k x_l).
+
+    The negative wavenumbers enter as the conjugates of the stored rows, so
+    the result is real by construction; s is checked by validate_spectrum.
+    """
+    validate_spectrum(s, g)
+    return np.fft.irfft(s.coeffs * g.mode_phase, g.n, norm="forward")
+
+
+def nodal_pair(s: SpectralField, g: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """u and u_x at the nodes: two inverse transforms.
+
+    A run forms this pair once per state and shares it between the state's
+    record, its snapshot and the first stage of the step that leaves it.
+    """
+    return inverse_dft(s, g), inverse_dft(spectral_derivative(s), g)
 
 
 def spectral_derivative(s: SpectralField) -> SpectralField:

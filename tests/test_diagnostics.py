@@ -91,6 +91,11 @@ class TestSobolevNorm:
         with pytest.raises(ValueError, match="order must be >= 0"):
             sobolev_norm(forward_dft(np.cos(g.nodes), g), np.nan)
 
+    def test_infinite_order_rejected(self):
+        g = make_grid(8)
+        with pytest.raises(ValueError, match="order must be >= 0 and finite"):
+            sobolev_norm(forward_dft(np.cos(g.nodes), g), np.inf)
+
 
 class TestExtrema:
     def test_neg_sine_hits_unit_bounds(self):

@@ -15,7 +15,7 @@ from fracburgers.dynamics import (
     stable_dt,
 )
 from fracburgers.oracles import InitialCondition, characteristics_solution
-from fracburgers.spectral import SpectralField, forward_dft, inverse_dft, make_grid
+from fracburgers.spectral import SpectralField, forward_dft, inverse_dft, make_grid, nodal_pair
 
 
 def count_transforms(monkeypatch):
@@ -58,6 +58,16 @@ class TestSimParams:
                 SimParams(dt=dt)
         with pytest.raises(ValueError):
             SimParams(dt="fast")
+
+    @pytest.mark.parametrize("key, rule", [
+        ("gamma", "must be finite and >= 0"),
+        ("alpha", r"must lie in \(0, 2\]"),
+        ("dt", 'must be finite and > 0 or "auto"'),
+        ("t_final", "must be finite and > 0"),
+    ])
+    def test_non_number_worded_as_range_rule(self, key, rule):
+        with pytest.raises(ValueError, match=f"^{key}: {rule}, got 'fast'$"):
+            SimParams(**{key: "fast"})
 
     def test_nonpositive_t_final_rejected(self):
         with pytest.raises(ValueError, match="t_final"):
@@ -196,6 +206,15 @@ class TestRk4Step:
         rk4_step(s, g, p, 1e-3)
         assert len(count) == calls
 
+    def test_transform_count_with_nodal_pair(self, monkeypatch):
+        """Stage 1 reuses a handed-over u and u_x: 10 transforms."""
+        g = make_grid(32)
+        s = forward_dft(-np.sin(g.nodes), g)
+        nodal = nodal_pair(s, g)
+        count = count_transforms(monkeypatch)
+        rk4_step(s, g, SimParams(gamma=0.3, alpha=1.5), 1e-3, nodal=nodal)
+        assert len(count) == 10
+
 
 class TestGridScaleStability:
     def test_damped_l2_survives_rounding_noise(self):
@@ -214,17 +233,18 @@ class TestGridScaleStability:
 
 class TestSpectralRunLoop:
     def test_transforms_per_step_and_snapshot(self, monkeypatch):
-        """A step costs rk4_step's 12 transforms and observe's 2, and a
-        snapshot after t = 0 costs 1. Set-up costs 3: the profile's forward
-        transform and the first observe (2), whose min_slope also gives the
-        predicted blow-up time."""
+        """A step costs 12 transforms: the new state's u and u_x (2), which
+        its record and snapshot read, and rk4_step's 10, whose first stage
+        reuses them. Set-up costs 3: the profile's forward transform and the
+        first pair, whose record's min_slope also gives the predicted
+        blow-up time."""
         cfg = parse_config(["--n", "32", "--gamma", "0.1", "--dt", "0.01", "--t-final", "0.2",
                             "--snapshot-every", "0.05", "--output", "unused"])
         count = count_transforms(monkeypatch)
         res = run_simulation(cfg)
         steps, snapshots = len(res.records) - 1, len(res.snapshots) - 1
         assert res.status == "completed" and (steps, snapshots) == (20, 4)
-        assert len(count) == 3 + 14 * steps + snapshots
+        assert len(count) == 3 + 12 * steps
 
     @pytest.mark.parametrize("args", [
         ["--gamma", "0.1", "--alpha", "1", "--n", "256", "--dt", "auto", "--t-final", "2"],

@@ -1,0 +1,101 @@
+"""Bit-for-bit test of the stepper's fast path against the public operators.
+
+rk4_step applies the operators as multipliers built once per (N, SimParams)
+and can reuse a handed-over u and u_x in its first stage. The slow path here
+composes the public operators (inverse_dft, spectral_derivative, forward_dft,
+dealias, fractional_laplacian) call by call, as the stepper did before the
+multipliers were cached. The fast path must reproduce it exactly, not only to
+rounding: the run outputs are byte-identical across that change.
+"""
+
+import numpy as np
+import pytest
+
+from fracburgers.dynamics import SimParams, _plan, _tendency, rk4_step
+from fracburgers.spectral import (
+    SpectralField,
+    dealias,
+    forward_dft,
+    fractional_laplacian,
+    inverse_dft,
+    make_grid,
+    nodal_pair,
+    spectral_derivative,
+)
+
+CASES = {
+    "inviscid": dict(gamma=0.0),
+    "dissipative": dict(gamma=0.37),
+    "linear_only": dict(gamma=0.37, linear_only=True),
+}
+
+
+def slow_tendency(s, g, p):
+    """Coefficients of F for the state s, one public operator at a time."""
+    hat = np.zeros_like(s.coeffs)
+    if not p.linear_only:
+        u = inverse_dft(s, g)
+        ux = inverse_dft(spectral_derivative(s), g)
+        hat = -dealias(forward_dft(u * ux, g), p.dealias_rule).coeffs
+        hat[0] = hat[-1] = 0.0
+    if p.gamma > 0.0:
+        hat -= p.gamma * fractional_laplacian(s, p.alpha).coeffs
+    return hat
+
+
+def slow_rk4_step(s, g, p, dt):
+    c = s.coeffs
+
+    def f(state):
+        return slow_tendency(SpectralField(state), g, p)
+
+    k1 = f(c)
+    k2 = f(c + 0.5 * dt * k1)
+    k3 = f(c + 0.5 * dt * k2)
+    k4 = f(c + dt * k3)
+    return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def random_states(n, seed, count=3):
+    g = make_grid(n)
+    rng = np.random.default_rng(seed)
+    return g, [forward_dft(rng.standard_normal(n), g) for _ in range(count)]
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("rule", ["off", "two_thirds"])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_tendency_and_step_equal_public_operators(n, rule, case):
+    g, states = random_states(n, seed=4000 + n)
+    rng = np.random.default_rng(5000 + n)
+    for s in states:
+        alpha = 2.0 - rng.uniform(0.0, 2.0)  # (0, 2]
+        p = SimParams(alpha=alpha, dealias_rule=rule, **CASES[case])
+        plan = _plan(g.n, p)
+        want = slow_tendency(s, g, p)
+        assert np.array_equal(_tendency(s.coeffs, plan, p), want)
+        assert np.array_equal(_tendency(s.coeffs, plan, p, nodal_pair(s, g)), want)
+
+        want = slow_rk4_step(s, g, p, 1e-3)
+        assert np.array_equal(rk4_step(s, g, p, 1e-3).coeffs, want)
+        assert np.array_equal(rk4_step(s, g, p, 1e-3, nodal=nodal_pair(s, g)).coeffs, want)
+
+
+def test_plan_multipliers_equal_public_operators():
+    """Multiplying by the plan's arrays is applying the public operators."""
+    rng = np.random.default_rng(6000)
+    for _ in range(12):
+        n = 2 * int(rng.integers(2, 300))
+        alpha = 2.0 - rng.uniform(0.0, 2.0)
+        rule = str(rng.choice(["off", "two_thirds"]))
+        g, (s,) = random_states(n, seed=int(rng.integers(1 << 30)), count=1)
+        c = s.coeffs
+        plan = _plan(n, SimParams(alpha=alpha, dealias_rule=rule))
+        phased = c * g.mode_phase
+        assert np.array_equal(c * plan.phase, phased)
+        assert np.array_equal(c * plan.derivative,
+                              spectral_derivative(s).coeffs * g.mode_phase)
+        assert np.array_equal(c * plan.laplacian, fractional_laplacian(s, alpha).coeffs)
+        product = -dealias(SpectralField(phased), rule).coeffs
+        product[0] = product[-1] = 0.0
+        assert np.array_equal(c * plan.product, product)
