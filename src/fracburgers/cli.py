@@ -14,6 +14,7 @@ Exit codes: 0 completed, 2 blow-up detected, 3 resolution lost,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -37,6 +38,14 @@ EXIT_CODES = {"completed": 0, "blowup_detected": 2, "resolution_lost": 3,
               "numeric_failure": 4}
 
 STATUSES = tuple(EXIT_CODES)
+
+# Run budgets checked before a run starts. A fixed dt may take at most 10**6
+# steps (a record is about 380 B). The held snapshots, (floor(t_final /
+# snapshot_every) + 1) * n values, may fill at most 1 GiB; that also keeps
+# consecutive snapshot times at least t_final * 2**-25 apart, far wider than
+# the 10 significant digits of the file names.
+MAX_FIXED_STEPS = 10**6
+MAX_SNAPSHOT_VALUES = 2**27
 
 _CAUSE_TO_STATUS = {"slope_threshold": "blowup_detected",
                     "resolution_loss": "resolution_lost",
@@ -175,7 +184,11 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def parse_config(argv: list[str]) -> RunConfig:
-    """Resolve defaults, config file, and flags (in rising precedence)."""
+    """Resolve defaults, config file, and flags (in rising precedence).
+
+    Besides each value's own range, a run must fit the step and snapshot
+    budgets (MAX_FIXED_STEPS, MAX_SNAPSHOT_VALUES).
+    """
     ns = _build_parser().parse_args(argv)
     merged = {key: default for key, (default, _) in _OPTIONS.items()}
     if ns.config is not None:
@@ -220,6 +233,17 @@ def parse_config(argv: list[str]) -> RunConfig:
     if snapshot_every > t_final:
         raise UsageError(
             f"invalid value for snapshot_every: {snapshot_every:g} exceeds t_final {t_final:g}"
+        )
+    if dt != "auto" and t_final / dt > MAX_FIXED_STEPS:
+        raise UsageError(
+            f"invalid value for dt: {dt:g} needs {t_final / dt:.6g} steps to t_final "
+            f"{t_final:g}, more than 10**6"
+        )
+    ratio = t_final / snapshot_every  # may overflow to inf; the first test catches it
+    if ratio >= MAX_SNAPSHOT_VALUES or (math.floor(ratio) + 1) * n > MAX_SNAPSHOT_VALUES:
+        raise UsageError(
+            f"invalid value for snapshot_every: {snapshot_every:g} holds more than "
+            f"2**27 snapshot values (1 GiB) at n {n} and t_final {t_final:g}"
         )
     if ic.kind == "random_band" and ic.params[0] >= n // 2:
         # Mode n/2 and above alias onto lower modes on an n-node grid.
@@ -311,28 +335,43 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                      status=status, warnings=tuple(warnings))
 
 
+# The one spelling of the output float format: 17 significant digits
+# round-trip every float64. Every value gets + 0.0 first, so -0.0 prints "0".
+_FLOAT = "%.17g"
+
+
 def _fmt(v: float) -> str:
-    return format(float(v) + 0.0, ".17g")  # -0.0 + 0.0 is +0.0
+    return _FLOAT % (float(v) + 0.0)  # -0.0 + 0.0 is +0.0
+
+
+def _snapshot_name(t: float) -> str:
+    return f"snapshot_{format(t, '.10g')}.csv"
 
 
 def write_outputs(result: RunResult, cfg: RunConfig) -> list[Path]:
-    """Write diagnostics.csv, one snapshot_<t>.csv per snapshot, report.txt."""
+    """Write diagnostics.csv, one snapshot_<t>.csv per snapshot, report.txt.
+
+    Every float is written as ``_FLOAT % (v + 0.0)``. The bulk files are
+    formatted through templates built once per call: one row template for
+    the diagnostics records, and one snapshot template holding the node
+    column, so a snapshot file is a single ``%`` over its values.
+    """
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    lines = [",".join(DiagnosticsRecord.FIELDS)]
-    lines += [",".join(_fmt(v) for v in rec.astuple()) for rec in result.records]
+    header = ",".join(DiagnosticsRecord.FIELDS) + "\n"
+    row = ",".join([_FLOAT] * len(DiagnosticsRecord.FIELDS)) + "\n"
+    rows = [row % tuple([v + 0.0 for v in rec.astuple()]) for rec in result.records]
     path = out / "diagnostics.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(header + "".join(rows), encoding="utf-8")
     written.append(path)
 
-    xs = [_fmt(x) for x in cfg.grid.nodes]
+    # A formatted node holds no "%", so it is safe inside the template.
+    snapshot = "x,u\n" + "".join([f"{_fmt(x)},{_FLOAT}\n" for x in cfg.grid.nodes.tolist()])
     for t, field in result.snapshots:
-        rows = ["x,u"]
-        rows += [f"{x},{_fmt(v)}" for x, v in zip(xs, field)]
-        path = out / f"snapshot_{format(t, '.10g')}.csv"
-        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        path = out / _snapshot_name(t)
+        path.write_text(snapshot % tuple((field + 0.0).tolist()), encoding="utf-8")
         written.append(path)
 
     rep = result.report

@@ -175,8 +175,8 @@ def check_blowup(rec: DiagnosticsRecord,
     (tail_fraction > tail_limit). Returns a report fragment whose
     predicted_t_star is left unset; the run loop owns the prediction.
     """
-    fields = rec.astuple()
-    if not all(math.isfinite(v) for v in fields):
+    values = rec.astuple()
+    if not all(math.isfinite(v) for v in values):
         cause = "non_finite"
     elif abs(rec.min_slope) > thresholds.slope_limit:
         cause = "slope_threshold"

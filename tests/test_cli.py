@@ -1,5 +1,7 @@
 """Configuration parsing, the run loop, output files, and exit codes."""
 
+import math
+import struct
 import subprocess
 import sys
 
@@ -8,12 +10,15 @@ import pytest
 
 from fracburgers.cli import (
     EXIT_CODES,
+    RunResult,
     UsageError,
+    _snapshot_name,
     main,
     parse_config,
     run_simulation,
     write_outputs,
 )
+from fracburgers.diagnostics import BlowupReport, DiagnosticsRecord
 from fracburgers.oracles import InitialCondition, linear_decay_solution
 from fracburgers.spectral import forward_dft, inverse_dft, make_grid
 
@@ -139,6 +144,46 @@ class TestParseConfig:
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(UsageError, match="cannot read config file"):
             parse_config(["--config", str(tmp_path / "absent.cfg")])
+
+
+class TestRunBudgets:
+    """Runs that would take too many steps or hold too many snapshots are refused."""
+
+    # dt = 2**-20 makes t_final / dt exact: 10**6 steps pass, 10**6 + 1 do not.
+    def test_fixed_step_budget(self):
+        dt = 2.0**-20
+        cfg = config("--dt", repr(dt), "--t-final", repr(10**6 * dt))
+        assert cfg.params.t_final / cfg.params.dt == 10**6
+        with pytest.raises(UsageError, match=r"^invalid value for dt: .*10\*\*6"):
+            config("--dt", repr(dt), "--t-final", repr((10**6 + 1) * dt))
+
+    def test_auto_step_is_not_bounded_up_front(self):
+        assert config("--t-final", repr((10**6 + 1) * 2.0**-20)).params.dt == "auto"
+
+    @pytest.mark.parametrize("n,log2_every", [(4, 25), (256, 19), (16384, 13)])
+    def test_snapshot_budget(self, n, log2_every):
+        """(floor(t_final / snapshot_every) + 1) * n may reach 2**27, not pass it."""
+        every = 2.0**-log2_every
+        inside = config("--n", str(n), "--snapshot-every", repr(every),
+                        "--t-final", repr(1.0 - every))
+        count = math.floor(inside.params.t_final / inside.snapshot_every) + 1
+        assert count * n == 2**27
+        with pytest.raises(UsageError, match=r"^invalid value for snapshot_every: .*2\*\*27"):
+            config("--n", str(n), "--snapshot-every", repr(every), "--t-final", "1")
+
+    def test_snapshot_count_overflow_rejected(self):
+        with pytest.raises(UsageError, match=r"^invalid value for snapshot_every: "):
+            config("--snapshot-every", "1e-300", "--t-final", "1e300")
+
+    @pytest.mark.parametrize("t_final", [1.0 - 2.0**-25, 7.3, 1e-3])
+    def test_snapshot_names_distinct_at_the_budget(self, t_final):
+        """The last 1000 snapshot times at the n = 4 limit get 1000 file names."""
+        every = t_final / (2**25 - 1)
+        cfg = config("--n", "4", "--snapshot-every", repr(every), "--t-final", repr(t_final))
+        last = math.floor(cfg.params.t_final / cfg.snapshot_every)
+        assert 2**25 - 2 <= last + 1 <= 2**25  # within rounding of the 2**27-value limit
+        names = {_snapshot_name(i * cfg.snapshot_every) for i in range(last - 999, last + 1)}
+        assert len(names) == 1000
 
 
 class TestRunSimulation:
@@ -293,6 +338,77 @@ class TestWriteOutputs:
         cfg = config("--n", "16", "--t-final", "0.2", out=blocker)
         with pytest.raises(OSError):
             write_outputs(run_simulation(cfg), cfg)
+
+
+def _nan_with_payload(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# Values the writer must format exactly as the per-value path did: signed
+# zeros, quiet NaNs with payloads and signs, infinities, the smallest
+# subnormal, the smallest normal, huge values, an inexact sum, and integers.
+SPECIAL_VALUES = [
+    0.0, -0.0, math.nan, -math.nan, _nan_with_payload(0x7FF8000000000001),
+    _nan_with_payload(0xFFFC00000000ABCD), math.inf, -math.inf,
+    5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1e308,
+    -1.7976931348623157e308, 0.1 + 0.2, 1 / 3, 3, -7, 2**53 + 1, np.float64(-0.0),
+]
+
+
+def reference_outputs(result, cfg):
+    """The per-value writer: one format() call per float, one f-string per row."""
+    def fmt(v):
+        return format(float(v) + 0.0, ".17g")
+
+    lines = [",".join(DiagnosticsRecord.FIELDS)]
+    lines += [",".join(fmt(v) for v in rec.astuple()) for rec in result.records]
+    files = {"diagnostics.csv": "\n".join(lines) + "\n"}
+    xs = [fmt(x) for x in cfg.grid.nodes]
+    for t, field in result.snapshots:
+        rows = ["x,u"]
+        rows += [f"{x},{fmt(v)}" for x, v in zip(xs, field)]
+        files[f"snapshot_{format(t, '.10g')}.csv"] = "\n".join(rows) + "\n"
+    return files
+
+
+class TestWriterReference:
+    """write_outputs is byte-identical to the per-value reference writer."""
+
+    def test_matches_per_value_writer(self, tmp_path):
+        n = 16384
+        cfg = config("--n", str(n), "--gamma", "0.5", out=tmp_path)
+        rng = np.random.default_rng(20240917)
+        cells = SPECIAL_VALUES * 2 + rng.standard_normal(25).tolist()
+        records = tuple(DiagnosticsRecord(*cells[i:i + 9]) for i in range(0, len(cells) - 8, 9))
+        scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-330, 308, n)
+        snapshots = (
+            (0.0, np.resize(np.array(SPECIAL_VALUES, dtype=float), n)),
+            (0.1, rng.standard_normal(n)),
+            (0.1 + 0.2, scaled),
+            (0.5, rng.integers(-1000, 1000, n)),
+        )
+        report = BlowupReport(predicted_t_star=0.1 + 0.2, detected=True, detected_t=-0.0,
+                              detection_cause="non_finite")
+        result = RunResult(records=records, snapshots=snapshots, report=report,
+                           status="numeric_failure", warnings=("a warning",))
+
+        written = write_outputs(result, cfg)
+
+        expected = reference_outputs(result, cfg)
+        assert {p.name for p in written} == {*expected, "report.txt"}
+        for name, text in expected.items():
+            assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
+        assert (tmp_path / "report.txt").read_bytes() == (
+            "status: numeric_failure\n"
+            "ic: neg-sine\n"
+            "rng: pcg64\n"
+            "seed: none\n"
+            "predicted_t_star: 0.30000000000000004 (inviscid prediction)\n"
+            "detected: true\n"
+            "detected_t: 0\n"
+            "detection_cause: non_finite\n"
+            "warning: a warning\n"
+        ).encode("utf-8")
 
 
 class TestMain:
