@@ -212,6 +212,16 @@ def parse_config(argv: list[str]) -> RunConfig:
     linear_only = _as_bool("linear_only", merged["linear_only"])
     ic = _parse_ic(merged["ic"])
 
+    if snapshot_every <= 0.0:
+        raise UsageError(f"invalid value for snapshot_every: must be > 0, got {snapshot_every:g}")
+    # Needs only the parsed numbers: an oversized n is refused before make_grid.
+    ratio = t_final / snapshot_every  # may overflow to inf; the first test catches it
+    if ratio >= MAX_SNAPSHOT_VALUES or (math.floor(ratio) + 1) * n > MAX_SNAPSHOT_VALUES:
+        raise UsageError(
+            f"invalid value for snapshot_every: {snapshot_every:g} holds more than "
+            f"2**27 snapshot values (1 GiB) at n {n} and t_final {t_final:g}"
+        )
+
     # The grid, SimParams and DetectionThresholds own their range rules and
     # word a violation as "<key>: <reason>".
     try:
@@ -228,8 +238,6 @@ def parse_config(argv: list[str]) -> RunConfig:
     except ValueError as err:
         raise UsageError(f"invalid value for {err}") from None
 
-    if snapshot_every <= 0.0:
-        raise UsageError(f"invalid value for snapshot_every: must be > 0, got {snapshot_every:g}")
     if snapshot_every > t_final:
         raise UsageError(
             f"invalid value for snapshot_every: {snapshot_every:g} exceeds t_final {t_final:g}"
@@ -238,12 +246,6 @@ def parse_config(argv: list[str]) -> RunConfig:
         raise UsageError(
             f"invalid value for dt: {dt:g} needs {t_final / dt:.6g} steps to t_final "
             f"{t_final:g}, more than 10**6"
-        )
-    ratio = t_final / snapshot_every  # may overflow to inf; the first test catches it
-    if ratio >= MAX_SNAPSHOT_VALUES or (math.floor(ratio) + 1) * n > MAX_SNAPSHOT_VALUES:
-        raise UsageError(
-            f"invalid value for snapshot_every: {snapshot_every:g} holds more than "
-            f"2**27 snapshot values (1 GiB) at n {n} and t_final {t_final:g}"
         )
     if ic.kind == "random_band" and ic.params[0] >= n // 2:
         # Mode n/2 and above alias onto lower modes on an n-node grid.
@@ -286,49 +288,51 @@ def run_simulation(cfg: RunConfig) -> RunResult:
             "the extrema bounds are monitored but not guaranteed"
         )
 
-    s = forward_dft(u0, g)
-    t = 0.0
-    nodal = nodal_pair(s, g)
-    rec, slope_norm = observe(s, g, t, nodal=nodal)
-    predicted = predicted_blowup_time(rec.min_slope)
-    records = [rec]
-    snapshots = [(t, u0)]
-    status = "completed"
-    fragment = BlowupReport()
-
-    eps = 1e-12 * max(1.0, p.t_final)
-    snap_idx = 1
-    while t < p.t_final - eps:
-        snap_t = snap_idx * cfg.snapshot_every
-        target = min(snap_t, p.t_final)
-        try:
-            cap = p.dt if p.dt != "auto" else stable_dt(max(rec.max_u, -rec.min_u), g, p)
-            remaining = target - t
-            if cap >= remaining - eps:
-                dt_step, landed = remaining, True
-            else:
-                dt_step, landed = cap, False
-            s = rk4_step(s, g, p, dt_step, nodal=nodal)
-        except (InstabilityError, InvalidStateError):
-            # Step blew up; the last appended record is the last valid state.
-            status = "numeric_failure"
-            fragment = BlowupReport(detected=True, detected_t=t,
-                                    detection_cause="non_finite")
-            break
-        t = target if landed else t + dt_step
+    # Finiteness is checked explicitly (records, stages), as in observe and rk4_step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = forward_dft(u0, g)
         nodal = nodal_pair(s, g)
-        rec, slope_norm = observe(s, g, t, prev_bkm=rec.bkm_integral,
-                                  prev_slope_norm=slope_norm, dt=dt_step, nodal=nodal)
-        records.append(rec)
-        if landed and abs(snap_t - t) <= eps:
-            snapshots.append((t, nodal[0]))
-            snap_idx += 1
-        if cfg.detect_blowup:
-            hit = check_blowup(rec, cfg.thresholds)
-            if hit.detected:
-                status = _CAUSE_TO_STATUS[hit.detection_cause]
-                fragment = hit
+        t = 0.0
+        rec, slope_norm = observe(s, g, t, nodal=nodal)
+        predicted = predicted_blowup_time(rec.min_slope)
+        records = [rec]
+        snapshots = [(t, u0)]
+        status = "completed"
+        fragment = BlowupReport()
+
+        eps = 1e-12 * max(1.0, p.t_final)
+        snap_idx = 1
+        while t < p.t_final - eps:
+            snap_t = snap_idx * cfg.snapshot_every
+            target = min(snap_t, p.t_final)
+            try:
+                cap = p.dt if p.dt != "auto" else stable_dt(max(rec.max_u, -rec.min_u), g, p)
+                remaining = target - t
+                if cap >= remaining - eps:
+                    dt_step, landed = remaining, True
+                else:
+                    dt_step, landed = cap, False
+                s = rk4_step(s, g, p, dt_step, nodal=nodal)
+            except (InstabilityError, InvalidStateError):
+                # Step blew up; the last appended record is the last valid state.
+                status = "numeric_failure"
+                fragment = BlowupReport(detected=True, detected_t=t,
+                                        detection_cause="non_finite")
                 break
+            t = target if landed else t + dt_step
+            nodal = nodal_pair(s, g)
+            rec, slope_norm = observe(s, g, t, prev_bkm=rec.bkm_integral,
+                                      prev_slope_norm=slope_norm, dt=dt_step, nodal=nodal)
+            records.append(rec)
+            if landed and abs(snap_t - t) <= eps:
+                snapshots.append((t, nodal[0]))
+                snap_idx += 1
+            if cfg.detect_blowup:
+                hit = check_blowup(rec, cfg.thresholds)
+                if hit.detected:
+                    status = _CAUSE_TO_STATUS[hit.detection_cause]
+                    fragment = hit
+                    break
 
     return RunResult(records=tuple(records), snapshots=tuple(snapshots),
                      report=replace(fragment, predicted_t_star=predicted),

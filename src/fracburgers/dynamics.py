@@ -18,9 +18,9 @@ SpectralField, and only the product needs the nodes.
 
 The stages work on raw coefficient arrays and apply the operators as
 multipliers built once per (N, SimParams): the public operators applied to
-a vector of ones, with the grid phase (-1)^k folded in. The public
-operators stay the only definition of the derivative, the fractional
-laplacian and the 2/3 rule, and the multipliers reproduce them to the bit.
+a vector of ones. The public operators stay the only definition of the
+derivative, the fractional laplacian and the 2/3 rule, and the multipliers
+reproduce them to the bit.
 A step costs 12 transforms, or 10 when the caller hands over u and u_x of
 the state, which its diagnostics record needs anyway.
 """
@@ -41,7 +41,6 @@ from .spectral import (
     forward_dft,
     fractional_laplacian,
     inverse_dft,
-    make_grid,
     spectral_derivative,
     validate_alpha,
     validate_spectrum,
@@ -109,34 +108,25 @@ class SimParams:
 class _Plan:
     """The operators of one (N, SimParams) as multipliers of a coefficient array.
 
-    Each is a public operator applied to a vector of ones; phase and
-    derivative carry the grid phase (-1)^k that inverse_dft applies, and
-    product carries the phase that forward_dft applies. The arrays are
+    Each is a public operator applied to a vector of ones. The arrays are
     read-only, since every step of every run with these parameters shares
     them.
     """
 
     n: int
-    phase: np.ndarray       # (-1)^k: c -> u
-    derivative: np.ndarray  # spectral_derivative, times the phase: c -> u_x
-    product: np.ndarray     # minus the dealias rule, times the phase, mean and Nyquist zeroed
+    derivative: np.ndarray  # spectral_derivative: c -> coefficients of u_x
+    product: np.ndarray     # minus the dealias rule, mean and Nyquist zeroed
     laplacian: np.ndarray   # fractional_laplacian with p.alpha
 
 
 @lru_cache(maxsize=16)
 def _plan(n: int, p: SimParams) -> _Plan:
-    phase = make_grid(n).mode_phase
     ones = SpectralField(np.ones(n // 2 + 1, dtype=complex))
-    product = -(dealias(ones, p.dealias_rule).coeffs * phase)
+    product = -dealias(ones, p.dealias_rule).coeffs
     product[0] = product[-1] = 0.0
-    plan = _Plan(
-        n=n,
-        phase=phase,
-        derivative=spectral_derivative(ones).coeffs * phase,
-        product=product,
-        laplacian=fractional_laplacian(ones, p.alpha).coeffs,
-    )
-    for a in (plan.phase, plan.derivative, plan.product, plan.laplacian):
+    plan = _Plan(n, derivative=spectral_derivative(ones).coeffs, product=product,
+                 laplacian=fractional_laplacian(ones, p.alpha).coeffs)
+    for a in (plan.derivative, plan.product, plan.laplacian):
         a.flags.writeable = False
     return plan
 
@@ -149,7 +139,7 @@ def _tendency(c: np.ndarray, plan: _Plan, p: SimParams,
         hat = np.zeros_like(c)
     else:
         if nodal is None:
-            u = np.fft.irfft(c * plan.phase, plan.n, norm="forward")
+            u = np.fft.irfft(c, plan.n, norm="forward")
             ux = np.fft.irfft(c * plan.derivative, plan.n, norm="forward")
         else:
             u, ux = nodal

@@ -32,6 +32,7 @@ RESIDUAL_TOL = 1e-12
 _MAX_FIXED_POINT = 500
 _MAX_BISECTION = 200
 _DENSE_SAMPLES = 8192  # for the shock-time guard and the bisection bracket
+_BAND_BLOCK = 2**20  # entries of one (len(x), max_mode) block of the random_band sums
 
 
 class ConvergenceError(RuntimeError):
@@ -84,35 +85,23 @@ class InitialCondition:
         return f"random:{self.params[0]}:{self.params[1]}"
 
     def __call__(self, x):
+        return self._evaluate(x, derivative=False)
+
+    def derivative(self, x):
+        return self._evaluate(x, derivative=True)
+
+    def _evaluate(self, x, derivative: bool):
         xv = np.asarray(x, dtype=float)
-        if self.kind == "neg_sine":
-            out = -np.sin(xv)
-        elif self.kind == "scaled_neg_sine":
-            out = -self.params[0] * np.sin(xv)
+        if self.kind == "random_band":
+            out = _band_sum(xv, *self.params, derivative)
         elif self.kind == "gaussian_bump":
             w = self.params[0]
             out = np.exp((np.cos(xv) - 1.0) / w**2)
-        else:
-            a, b = _band_coeffs(*self.params)
-            k = np.arange(1, self.params[0] + 1)
-            arg = np.multiply.outer(xv, k)
-            out = np.cos(arg) @ a + np.sin(arg) @ b
-        return out if out.ndim else float(out)
-
-    def derivative(self, x):
-        xv = np.asarray(x, dtype=float)
-        if self.kind == "neg_sine":
-            out = -np.cos(xv)
-        elif self.kind == "scaled_neg_sine":
-            out = -self.params[0] * np.cos(xv)
-        elif self.kind == "gaussian_bump":
-            w = self.params[0]
-            out = np.exp((np.cos(xv) - 1.0) / w**2) * (-np.sin(xv) / w**2)
-        else:
-            a, b = _band_coeffs(*self.params)
-            k = np.arange(1, self.params[0] + 1)
-            arg = np.multiply.outer(xv, k)
-            out = -np.sin(arg) @ (k * a) + np.cos(arg) @ (k * b)
+            if derivative:
+                out = out * (-np.sin(xv) / w**2)
+        else:  # neg_sine and scaled_neg_sine: -a sin(x)
+            a = self.params[0] if self.params else 1.0
+            out = -a * (np.cos(xv) if derivative else np.sin(xv))
         return out if out.ndim else float(out)
 
 
@@ -122,6 +111,26 @@ def _band_coeffs(max_mode: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     scale = np.arange(1, max_mode + 1)[:, None]
     a, b = (rng.standard_normal((max_mode, 2)) / scale).T.copy()
     return a, b
+
+
+def _band_sum(x: np.ndarray, max_mode: int, seed: int, derivative: bool) -> np.ndarray:
+    """random_band or its derivative at x, summed over blocks of at most
+    2**20 (x, k) pairs, so memory stays bounded for any max_mode."""
+    a, b = _band_coeffs(max_mode, seed)
+    k = np.arange(1, max_mode + 1)
+
+    def block(xb: np.ndarray) -> np.ndarray:
+        arg = np.multiply.outer(xb, k)
+        if derivative:
+            return -np.sin(arg) @ (k * a) + np.cos(arg) @ (k * b)
+        return np.cos(arg) @ a + np.sin(arg) @ b
+
+    rows = max(1, _BAND_BLOCK // max(1, max_mode))
+    if x.size <= rows:  # one block, evaluated whole: the unblocked bits
+        return block(x)
+    flat = x.ravel()
+    return np.concatenate([block(flat[i:i + rows]) for i in range(0, flat.size, rows)]
+                          ).reshape(x.shape)
 
 
 @lru_cache(maxsize=None)

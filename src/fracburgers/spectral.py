@@ -3,29 +3,26 @@
 The domain is the 2*pi-periodic interval sampled at N uniform nodes
 x_j = pi*(2j - N)/N for j = 0..N-1 (N even), i.e. the grid starts at -pi
 and excludes +pi. A nodal field is represented spectrally by the
-coefficients of its trigonometric interpolant
+coefficients of its trigonometric interpolant, measured from the first node:
 
-    u(x_j) = sum_{k=-N/2}^{N/2-1} c_k exp(i k x_j),
-    c_k    = (1/N) sum_j u(x_j) exp(-i k x_j),
+    u(x) = sum_{k=-N/2}^{N/2-1} c_k exp(i k (x + pi)),
+    c_k  = (1/N) sum_j u(x_j) exp(-2 pi i j k / N),
 
-and the derivative and fractional laplacian act on the c_k as the diagonal
-multipliers i*k and |k|**alpha. The fractional laplacian is defined
-spectrally; no convolution kernel is used anywhere.
+so c is numpy's rfft(u, norm="forward") bit for bit, and the Fourier
+coefficients in x are (-1)^k c_k. Nothing needs those: the derivative and
+the fractional laplacian are the diagonal multipliers i*k and |k|**alpha
+(defined spectrally, with no convolution kernel), and every observable
+reads c_0 or |c_k|.
 
 Nodal data are real, so c_{-k} = conj(c_k) and only the half-spectrum is
-stored: row k of a SpectralField holds c_k for k = 0 .. N/2 (numpy's rfft
-layout). The negative wavenumbers are implied by conjugation, and the
-Nyquist row c_{N/2}, which equals c_{-N/2} on the grid, is stored once.
-c_0 and c_{N/2} are real; they are the only rows without a partner.
+stored: row k of a SpectralField holds c_k for k = 0 .. N/2. The Nyquist
+row c_{N/2}, which equals c_{-N/2} on the grid, is stored once. c_0 and
+c_{N/2} are real; they are the only rows without a partner.
 
 A run's state is a SpectralField and carries no time; the run loop keeps
 the clock. Nodal values are plain 1-D float arrays of length N, formed where
 the nodes are needed: the product in the tendency, the extrema and slope of
 a record, and snapshots.
-
-Transforms go through numpy's real FFT. The grid is offset by -pi from the
-FFT-native grid, which contributes the exact phase (-1)^k to every
-coefficient; the phase is applied explicitly and costs no precision.
 """
 
 from __future__ import annotations
@@ -63,24 +60,24 @@ def validate_alpha(alpha: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class GridSpec:
-    """Uniform periodic grid: node count, node coordinates, grid-offset phase.
+    """Uniform periodic grid: node count and node coordinates.
 
-    Construct through :func:`make_grid`; the arrays are derived from ``n``
-    and treated as read-only.
+    Construct through :func:`make_grid`; nodes is derived from ``n`` and
+    treated as read-only.
     """
 
     n: int
-    nodes: np.ndarray       # x_j = pi*(2j - n)/n, strictly increasing
-    mode_phase: np.ndarray  # (-1)^k for k = 0 .. n/2
+    nodes: np.ndarray  # x_j = pi*(2j - n)/n, strictly increasing
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
     """Half-spectrum c_k of a real field, indexed by wavenumber k = 0 .. N/2.
 
-    The rows k = 0 and k = N/2 must be real; that is checked where it
-    matters (inverse transform), not at construction, so intermediate edits
-    stay representable.
+    c_k multiplies exp(i k (x + pi)), as in forward_dft. The rows k = 0 and
+    k = N/2 must be real; that is checked where it matters (inverse
+    transform), not at construction, so intermediate edits stay
+    representable.
     """
 
     coeffs: np.ndarray
@@ -111,22 +108,21 @@ def make_grid(n: int) -> GridSpec:
         raise ValueError(f"n: must be even and >= 4, got {n}")
     j = np.arange(n)
     nodes = np.pi * (2.0 * j - n) / n
-    phase = np.where(np.arange(n // 2 + 1) % 2 == 0, 1.0, -1.0)
-    return GridSpec(n=n, nodes=nodes, mode_phase=phase)
+    return GridSpec(n=n, nodes=nodes)
 
 
 def forward_dft(u: np.ndarray, g: GridSpec) -> SpectralField:
     """Interpolant coefficients of nodal data, 1/N normalization.
 
-    c_k = (1/N) sum_j u(x_j) exp(-i k x_j) for k = 0 .. N/2, computed as a
-    real FFT times the grid-offset phase (-1)^k. u must be 1-D of length N;
-    it is not checked for finiteness, so a diverged field can still be
-    transformed and reported.
+    c_k = (1/N) sum_j u(x_j) exp(-2 pi i j k / N) for k = 0 .. N/2: numpy's
+    rfft(u, norm="forward"). u must be 1-D of length N; it is not checked
+    for finiteness, so a diverged field can still be transformed and
+    reported.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (g.n,):
         raise ValueError(f"field of shape {u.shape} does not match grid n={g.n}")
-    return SpectralField(np.fft.rfft(u, norm="forward") * g.mode_phase)
+    return SpectralField(np.fft.rfft(u, norm="forward"))
 
 
 def validate_spectrum(s: SpectralField, g: GridSpec) -> None:
@@ -147,13 +143,13 @@ def validate_spectrum(s: SpectralField, g: GridSpec) -> None:
 
 
 def inverse_dft(s: SpectralField, g: GridSpec) -> np.ndarray:
-    """Evaluate the interpolant at the nodes: u(x_l) = sum_k c_k exp(i k x_l).
+    """Evaluate the interpolant at the nodes: u(x_l) = sum_k c_k exp(i k (x_l + pi)).
 
     The negative wavenumbers enter as the conjugates of the stored rows, so
     the result is real by construction; s is checked by validate_spectrum.
     """
     validate_spectrum(s, g)
-    return np.fft.irfft(s.coeffs * g.mode_phase, g.n, norm="forward")
+    return np.fft.irfft(s.coeffs, g.n, norm="forward")
 
 
 def nodal_pair(s: SpectralField, g: GridSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -171,6 +171,11 @@ class TestRunBudgets:
         with pytest.raises(UsageError, match=r"^invalid value for snapshot_every: .*2\*\*27"):
             config("--n", str(n), "--snapshot-every", repr(every), "--t-final", "1")
 
+    def test_oversized_grid_refused_before_allocation(self):
+        """The snapshot budget is checked before make_grid builds 2**62 nodes."""
+        with pytest.raises(UsageError, match="invalid value for snapshot_every"):
+            config("--n", str(2**62))
+
     def test_snapshot_count_overflow_rejected(self):
         with pytest.raises(UsageError, match=r"^invalid value for snapshot_every: "):
             config("--snapshot-every", "1e-300", "--t-final", "1e300")
@@ -450,6 +455,18 @@ class TestMain:
                      "--output", str(tmp_path / "o")])
         assert code == 0
         assert "warning:" in capsys.readouterr().err
+
+    def test_overflowing_profile_is_a_quiet_numeric_failure(self, tmp_path):
+        """Overflow in the set-up transforms raises no warning, even under -W error."""
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "fracburgers",
+             "--ic", "scaled-neg-sine:1e307", "--output", str(tmp_path / "o")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_CODES["numeric_failure"]
+        assert proc.stderr == ""
+        report = (tmp_path / "o" / "report.txt").read_text(encoding="utf-8")
+        assert report.startswith("status: numeric_failure\n")
 
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(

@@ -5,7 +5,10 @@ The reference builds the full spectrum c_k, k = -N/2 .. N/2-1, from the
 explicit sum (1/N) sum_j u(x_j) exp(-i k x_j) and evaluates the interpolant
 by the explicit sum back, with no FFT and no half-spectrum. The phase k*x_j
 = pi*k*(2j - N)/N is reduced modulo 2*pi in integers first, so the dense
-matrices are exact to rounding.
+matrices are exact to rounding. These are the Fourier coefficients in x,
+(-1)^k times the stored ones (the rfft of the node values); they are
+compared only through nodal values and |c_k|^2, so the test does not depend
+on that convention.
 """
 
 import math

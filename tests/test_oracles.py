@@ -1,5 +1,7 @@
 """Initial-condition catalogue and the analytic reference solutions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,28 @@ class TestInitialCondition:
     def test_random_band_zero_modes_is_zero(self):
         f = InitialCondition.random_band(0, 1)
         assert np.array_equal(f(np.linspace(-3, 3, 9)), np.zeros(9))
+
+    def test_random_band_memory_is_bounded(self):
+        """A wide band is summed over blocks of x: one (4096, 2047) matrix
+        would be 64 MiB, the peak stays below 32 MiB, and the values agree
+        with the one-matrix sum to 1e-13."""
+        f = InitialCondition.random_band(2047, 1)
+        x = make_grid(4096).nodes
+        a, b = _band_coeffs(2047, 1)
+        k = np.arange(1, 2048)
+        arg = np.multiply.outer(x, k)
+        want = np.cos(arg) @ a + np.sin(arg) @ b
+        want_dx = -np.sin(arg) @ (k * a) + np.cos(arg) @ (k * b)
+        del arg
+        for evaluate, ref in ((f, want), (f.derivative, want_dx)):
+            tracemalloc.start()
+            try:
+                got = evaluate(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+            assert np.allclose(got, ref, rtol=0, atol=1e-13)
 
     def test_all_profiles_periodic(self):
         rng = np.random.default_rng(41)

