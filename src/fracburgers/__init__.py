@@ -50,7 +50,6 @@ from .cli import (
 )
 from .spectral import (
     GridSpec,
-    SpectralField,
     SymmetryError,
     dealias,
     forward_dft,
@@ -67,7 +66,7 @@ __all__ = [
     "BlowupReport", "ConvergenceError", "DetectionThresholds",
     "DiagnosticsRecord", "GridSpec", "InitialCondition", "InstabilityError",
     "InvalidStateError", "RunConfig", "RunResult", "SimParams",
-    "SpectralField", "SingularTimeError", "SymmetryError", "UsageError",
+    "SingularTimeError", "SymmetryError", "UsageError",
     "bkm_accumulate", "characteristics_solution", "check_blowup", "dealias",
     "extrema", "forward_dft", "fractional_laplacian", "inverse_dft",
     "l2_norm", "linear_decay_solution", "main", "make_grid", "mass",

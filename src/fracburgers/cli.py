@@ -43,7 +43,9 @@ STATUSES = tuple(EXIT_CODES)
 # steps (a record is about 380 B). The held snapshots, (floor(t_final /
 # snapshot_every) + 1) * n values, may fill at most 1 GiB; that also keeps
 # consecutive snapshot times at least t_final * 2**-25 apart, far wider than
-# the 10 significant digits of the file names.
+# the 10 significant digits of the file names. A step holds about 16 arrays of
+# n float64 values (state, stages, temporaries, nodal u, u_x and product),
+# which get the same 1 GiB: n is at most 2**23.
 MAX_FIXED_STEPS = 10**6
 MAX_SNAPSHOT_VALUES = 2**27
 
@@ -186,8 +188,8 @@ def _read_config_file(path: str) -> dict[str, str]:
 def parse_config(argv: list[str]) -> RunConfig:
     """Resolve defaults, config file, and flags (in rising precedence).
 
-    Besides each value's own range, a run must fit the step and snapshot
-    budgets (MAX_FIXED_STEPS, MAX_SNAPSHOT_VALUES).
+    Besides each value's own range, a run must fit the step, snapshot and
+    working-set budgets (MAX_FIXED_STEPS, MAX_SNAPSHOT_VALUES).
     """
     ns = _build_parser().parse_args(argv)
     merged = {key: default for key, (default, _) in _OPTIONS.items()}
@@ -220,6 +222,11 @@ def parse_config(argv: list[str]) -> RunConfig:
         raise UsageError(
             f"invalid value for snapshot_every: {snapshot_every:g} holds more than "
             f"2**27 snapshot values (1 GiB) at n {n} and t_final {t_final:g}"
+        )
+    if 16 * n > MAX_SNAPSHOT_VALUES:
+        raise UsageError(
+            f"invalid value for n: a step at n {n} holds about 16 * n float64 "
+            "values, more than 2**27 (1 GiB); n may be at most 2**23"
         )
 
     # The grid, SimParams and DetectionThresholds own their range rules and
@@ -266,7 +273,7 @@ def parse_config(argv: list[str]) -> RunConfig:
 def run_simulation(cfg: RunConfig) -> RunResult:
     """Advance the configured run to t_final or to the first halting signal.
 
-    The state is the half-spectrum s and the loop owns the clock t. Steps
+    The state is the half-spectrum c and the loop owns the clock t. Steps
     are clipped to land exactly on snapshot multiples and on t_final; on
     landing, t is assigned the target value, so snapshot times are exact
     float multiples of snapshot_every and no drift-induced micro-steps
@@ -290,10 +297,10 @@ def run_simulation(cfg: RunConfig) -> RunResult:
 
     # Finiteness is checked explicitly (records, stages), as in observe and rk4_step.
     with np.errstate(over="ignore", invalid="ignore"):
-        s = forward_dft(u0, g)
-        nodal = nodal_pair(s, g)
+        c = forward_dft(u0, g)
+        nodal = nodal_pair(c, g)
         t = 0.0
-        rec, slope_norm = observe(s, g, t, nodal=nodal)
+        rec, slope_norm = observe(c, g, t, nodal=nodal)
         predicted = predicted_blowup_time(rec.min_slope)
         records = [rec]
         snapshots = [(t, u0)]
@@ -312,7 +319,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                     dt_step, landed = remaining, True
                 else:
                     dt_step, landed = cap, False
-                s = rk4_step(s, g, p, dt_step, nodal=nodal)
+                c = rk4_step(c, g, p, dt_step, nodal=nodal)
             except (InstabilityError, InvalidStateError):
                 # Step blew up; the last appended record is the last valid state.
                 status = "numeric_failure"
@@ -320,8 +327,8 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                                         detection_cause="non_finite")
                 break
             t = target if landed else t + dt_step
-            nodal = nodal_pair(s, g)
-            rec, slope_norm = observe(s, g, t, prev_bkm=rec.bkm_integral,
+            nodal = nodal_pair(c, g)
+            rec, slope_norm = observe(c, g, t, prev_bkm=rec.bkm_integral,
                                       prev_slope_norm=slope_norm, dt=dt_step, nodal=nodal)
             records.append(rec)
             if landed and abs(snap_t - t) <= eps:

@@ -15,13 +15,16 @@ factor. The spectrum is stored as the half c_0 .. c_{N/2}, so each row
 0 < k < N/2 counts twice, for itself and its conjugate c_{-k}, while c_0 and
 c_{N/2} count once.
 
-Mass, the norms and the tail are read from a SpectralField and cost no
-transform; extrema takes nodal values. observe assembles a run's record
-from the half-spectrum state: u and u_x (nodal_pair, two inverse transforms,
-or the pair the run loop hands in) for the extrema and the slope, and the
-spectral observables for the rest. The norms and the tail are each defined
-once, on the paired power |c_k|^2 + |c_{-k}|^2, which observe computes once
-per record; the Sobolev weights are built once per (N, order).
+Mass, the norms and the tail are read from one half-spectrum, a 1-D
+coefficient array of length N/2 + 1, and cost no transform; extrema takes
+nodal values. They refuse a stack of states (any other ndim) with
+ValueError rather than fold its rows into one number. observe assembles a
+run's record from the half-spectrum state: u and u_x (nodal_pair, two
+inverse transforms, or the pair the run loop hands in) for the extrema and
+the slope, and the spectral observables for the rest. The norms and the
+tail are each defined once, on the paired power |c_k|^2 + |c_{-k}|^2, which
+observe computes once per record; the Sobolev weights are built once per
+(N, order).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .spectral import GridSpec, SpectralField, nodal_pair
+from .spectral import GridSpec, nodal_pair
 
 TAIL_GUARD = 1e-300  # keeps the tail ratio defined for the zero field
 
@@ -104,24 +107,24 @@ class BlowupReport:
             )
 
 
-def mass(s: SpectralField) -> float:
+def mass(c: np.ndarray) -> float:
     """Integral of u over the interval: 2*pi times the zero coefficient.
 
     On a uniform periodic grid this is identical to the trapezoid rule.
     """
-    return 2.0 * np.pi * float(s.coeffs[0].real)
+    return 2.0 * np.pi * float(_one_spectrum(c)[0].real)
 
 
-def l2_norm(s: SpectralField) -> float:
-    return _l2_of(_paired_power(s))
+def l2_norm(c: np.ndarray) -> float:
+    return _l2_of(_paired_power(c))
 
 
-def sobolev_norm(s: SpectralField, order: float) -> float:
+def sobolev_norm(c: np.ndarray, order: float) -> float:
     """sqrt(2*pi * sum (1 + k^2)^order |c_k|^2); order 0 reduces to l2_norm."""
     order = float(order)
     if not 0.0 <= order < math.inf:
         raise ValueError(f"sobolev order must be >= 0 and finite, got {order!r}")
-    return _sobolev_of(_paired_power(s), order)
+    return _sobolev_of(_paired_power(c), order)
 
 
 def extrema(u: np.ndarray) -> tuple[float, float]:
@@ -157,13 +160,13 @@ def bkm_accumulate(prev_integral: float, prev_norm: float, new_norm: float,
     return prev_integral + dt * (prev_norm + new_norm) / 2.0
 
 
-def tail_fraction(s: SpectralField) -> float:
+def tail_fraction(c: np.ndarray) -> float:
     """Share of (non-mean) spectral energy at |k| >= N/3.
 
     Approaching 1 means the top third of the resolved band carries the
     field: the grid has stopped resolving the solution.
     """
-    return _tail_of(_paired_power(s))
+    return _tail_of(_paired_power(c))
 
 
 def check_blowup(rec: DiagnosticsRecord,
@@ -187,30 +190,30 @@ def check_blowup(rec: DiagnosticsRecord,
     return BlowupReport(detected=True, detected_t=rec.t, detection_cause=cause)
 
 
-def observe(s: SpectralField, g: GridSpec, t: float, *, prev_bkm: float = 0.0,
+def observe(c: np.ndarray, g: GridSpec, t: float, *, prev_bkm: float = 0.0,
             prev_slope_norm: float | None = None, dt: float = 0.0,
             nodal: tuple[np.ndarray, np.ndarray] | None = None,
             ) -> tuple[DiagnosticsRecord, float]:
-    """Assemble the full record for the state s at time t.
+    """Assemble the full record for the half-spectrum c at time t.
 
-    Two inverse transforms (u and u_x), none if nodal, the nodal_pair(s, g)
+    Two inverse transforms (u and u_x), none if nodal, the nodal_pair(c, g)
     the caller already holds, is handed in. Returns (record,
     slope_inf_norm); the caller threads the norm into the next call so the
     trapezoid accumulation sees both endpoints of each step.
     prev_slope_norm None marks the initial record (bkm starts at prev_bkm).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        u, slope = nodal_pair(s, g) if nodal is None else nodal
+        u, slope = nodal_pair(c, g) if nodal is None else nodal
         slope_norm = float(np.abs(slope).max())
         if prev_slope_norm is None:
             bkm = prev_bkm
         else:
             bkm = bkm_accumulate(prev_bkm, prev_slope_norm, slope_norm, dt)
         max_u, min_u = extrema(u)
-        power = _paired_power(s)
+        power = _paired_power(c)
         rec = DiagnosticsRecord(
             t=float(t),
-            mass=mass(s),
+            mass=mass(c),
             l2=_l2_of(power),
             max_u=max_u,
             min_u=min_u,
@@ -222,9 +225,16 @@ def observe(s: SpectralField, g: GridSpec, t: float, *, prev_bkm: float = 0.0,
     return rec, slope_norm
 
 
-def _paired_power(s: SpectralField) -> np.ndarray:
+def _one_spectrum(c: np.ndarray) -> np.ndarray:
+    """c itself, after checking that it is one half-spectrum, not a stack."""
+    if c.ndim != 1 or len(c) < 3:
+        raise ValueError(f"coefficient array must be 1-D with length >= 3, got shape {c.shape}")
+    return c
+
+
+def _paired_power(c: np.ndarray) -> np.ndarray:
     """|c_k|^2 + |c_{-k}|^2 per stored row; c_0 and c_{N/2} have no partner."""
-    power = 2.0 * np.abs(s.coeffs) ** 2
+    power = 2.0 * np.abs(_one_spectrum(c)) ** 2
     power[0] *= 0.5
     power[-1] *= 0.5
     return power

@@ -14,15 +14,17 @@ derivative and vanishes anyway). The product's unpaired Nyquist mode is
 dropped too, as the derivative drops it, so the state's c_{N/2} only decays
 under gamma, and its zero mode is never changed, so the mass is constant to
 the bit. RK4 advances the rfft half-spectrum: a step takes and returns a
-SpectralField, and only the product needs the nodes.
+coefficient array, and only the product needs the nodes.
 
-The stages work on raw coefficient arrays and apply the operators as
-multipliers built once per (N, SimParams): the public operators applied to
-a vector of ones. The public operators stay the only definition of the
-derivative, the fractional laplacian and the 2/3 rule, and the multipliers
-reproduce them to the bit.
+The stages apply the operators as multipliers built once per
+(N, SimParams): the public operators applied to a vector of ones. The
+public operators stay the only definition of the derivative, the fractional
+laplacian and the 2/3 rule, and the multipliers reproduce them to the bit.
 A step costs 12 transforms, or 10 when the caller hands over u and u_x of
-the state, which its diagnostics record needs anyway.
+the state, which its diagnostics record needs anyway. Every transform and
+multiplier acts on the last axis, so a stack of states of shape
+(B, N/2 + 1) that shares one SimParams and one dt advances in one rk4_step
+call, with the transform calls of one step.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import numpy as np
 from .spectral import (
     DEALIAS_RULES,
     GridSpec,
-    SpectralField,
     as_float,
     dealias,
     forward_dft,
@@ -121,11 +122,11 @@ class _Plan:
 
 @lru_cache(maxsize=16)
 def _plan(n: int, p: SimParams) -> _Plan:
-    ones = SpectralField(np.ones(n // 2 + 1, dtype=complex))
-    product = -dealias(ones, p.dealias_rule).coeffs
+    ones = np.ones(n // 2 + 1, dtype=complex)
+    product = -dealias(ones, p.dealias_rule)
     product[0] = product[-1] = 0.0
-    plan = _Plan(n, derivative=spectral_derivative(ones).coeffs, product=product,
-                 laplacian=fractional_laplacian(ones, p.alpha).coeffs)
+    plan = _Plan(n, derivative=spectral_derivative(ones), product=product,
+                 laplacian=fractional_laplacian(ones, p.alpha))
     for a in (plan.derivative, plan.product, plan.laplacian):
         a.flags.writeable = False
     return plan
@@ -155,17 +156,17 @@ def rhs(u: np.ndarray, g: GridSpec, p: SimParams) -> np.ndarray:
     The nodal front end of the coefficient kernel that rk4_step advances.
     The tendency's mean coefficient is exactly zero.
     """
-    s = forward_dft(u, g)  # checks the shape
+    c = forward_dft(u, g)  # checks the shape
     if not np.all(np.isfinite(u)):
         raise InvalidStateError("non-finite field handed to rhs")
     # Finiteness is checked explicitly; overflow flags while diverging are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        return inverse_dft(SpectralField(_tendency(s.coeffs, _plan(g.n, p), p)), g)
+        return inverse_dft(_tendency(c, _plan(g.n, p), p), g)
 
 
-def rk4_step(s: SpectralField, g: GridSpec, p: SimParams, dt: float, *,
-             nodal: tuple[np.ndarray, np.ndarray] | None = None) -> SpectralField:
-    """Advance the half-spectrum one step with the classic explicit RK4 scheme.
+def rk4_step(c: np.ndarray, g: GridSpec, p: SimParams, dt: float, *,
+             nodal: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Advance the half-spectra c, shape (..., N/2 + 1), one RK4 step.
 
     Stages:
         K1 = F(U_s),  K2 = F(U_s + dt/2 K1),  K3 = F(U_s + dt/2 K2),
@@ -173,15 +174,15 @@ def rk4_step(s: SpectralField, g: GridSpec, p: SimParams, dt: float, *,
         U_{s+1} = U_s + dt/6 (K1 + 2 K2 + 2 K3 + K4).
 
     Each stage costs 3 transforms, 12 per step, none with linear_only.
-    nodal, if given, must be nodal_pair(s, g): stage 1 then reuses u and
+    nodal, if given, must be nodal_pair(c, g): stage 1 then reuses u and
     u_x and the step costs 10. As in rhs, the product's unpaired Nyquist
-    mode is dropped. s is checked against g once, on entry; a non-finite
-    stage raises InstabilityError with its index.
+    mode is dropped. c is checked against g once, on entry; a non-finite
+    stage, in any row of a stack, raises InstabilityError with its index.
     """
     dt = float(dt)
     if dt <= 0.0 or not np.isfinite(dt):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    validate_spectrum(s, g)
+    validate_spectrum(c, g)
     plan = _plan(g.n, p)
 
     def stage(index: int, state: np.ndarray, nodal=None) -> np.ndarray:
@@ -191,13 +192,12 @@ def rk4_step(s: SpectralField, g: GridSpec, p: SimParams, dt: float, *,
                 return k
         raise InstabilityError(index)
 
-    c = s.coeffs
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = stage(1, c, nodal)
         k2 = stage(2, c + 0.5 * dt * k1)
         k3 = stage(3, c + 0.5 * dt * k2)
         k4 = stage(4, c + dt * k3)
-        return SpectralField(c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def stable_dt(u_max: float, g: GridSpec, p: SimParams) -> float:

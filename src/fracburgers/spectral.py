@@ -15,14 +15,19 @@ the fractional laplacian are the diagonal multipliers i*k and |k|**alpha
 reads c_0 or |c_k|.
 
 Nodal data are real, so c_{-k} = conj(c_k) and only the half-spectrum is
-stored: row k of a SpectralField holds c_k for k = 0 .. N/2. The Nyquist
-row c_{N/2}, which equals c_{-N/2} on the grid, is stored once. c_0 and
-c_{N/2} are real; they are the only rows without a partner.
+stored: a coefficient array is a complex ndarray of shape (..., N/2 + 1) whose
+last axis holds c_k for k = 0 .. N/2. The Nyquist row c_{N/2}, which equals
+c_{-N/2} on the grid, is stored once. c_0 and c_{N/2} are real; they are the
+only rows without a partner.
 
-A run's state is a SpectralField and carries no time; the run loop keeps
-the clock. Nodal values are plain 1-D float arrays of length N, formed where
-the nodes are needed: the product in the tendency, the extrema and slope of
-a record, and snapshots.
+The transforms and the operators read only the last axis, so a stack of
+states of shape (B, N/2 + 1) on one grid is transformed and multiplied row
+by row in one call.
+
+A run's state is such an array and carries no time; the run loop keeps the
+clock. Nodal values are float arrays of shape (..., N), formed where the
+nodes are needed: the product in the tendency, the extrema and slope of a
+record, and snapshots.
 """
 
 from __future__ import annotations
@@ -70,35 +75,6 @@ class GridSpec:
     nodes: np.ndarray  # x_j = pi*(2j - n)/n, strictly increasing
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralField:
-    """Half-spectrum c_k of a real field, indexed by wavenumber k = 0 .. N/2.
-
-    c_k multiplies exp(i k (x + pi)), as in forward_dft. The rows k = 0 and
-    k = N/2 must be real; that is checked where it matters (inverse
-    transform), not at construction, so intermediate edits stay
-    representable.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 1 or len(c) < 3:
-            raise ValueError(
-                f"coefficient array must be 1-D with length >= 3, got shape {c.shape}"
-            )
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def n(self) -> int:
-        return 2 * (len(self.coeffs) - 1)
-
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        return np.arange(len(self.coeffs))
-
-
 def make_grid(n: int) -> GridSpec:
     """Build the uniform grid with n nodes (n even, n >= 4)."""
     if n != int(n):
@@ -111,83 +87,85 @@ def make_grid(n: int) -> GridSpec:
     return GridSpec(n=n, nodes=nodes)
 
 
-def forward_dft(u: np.ndarray, g: GridSpec) -> SpectralField:
+def forward_dft(u: np.ndarray, g: GridSpec) -> np.ndarray:
     """Interpolant coefficients of nodal data, 1/N normalization.
 
     c_k = (1/N) sum_j u(x_j) exp(-2 pi i j k / N) for k = 0 .. N/2: numpy's
-    rfft(u, norm="forward"). u must be 1-D of length N; it is not checked
-    for finiteness, so a diverged field can still be transformed and
-    reported.
+    rfft(u, norm="forward") over the last axis, which must have length N.
+    u is not checked for finiteness, so a diverged field can still be
+    transformed and reported.
     """
     u = np.asarray(u, dtype=float)
-    if u.shape != (g.n,):
+    if u.shape[-1:] != (g.n,):
         raise ValueError(f"field of shape {u.shape} does not match grid n={g.n}")
-    return SpectralField(np.fft.rfft(u, norm="forward"))
+    return np.fft.rfft(u, norm="forward")
 
 
-def validate_spectrum(s: SpectralField, g: GridSpec) -> None:
-    """Check that s is a half-spectrum of real data on the grid g.
+def validate_spectrum(c: np.ndarray, g: GridSpec) -> None:
+    """Check that c holds half-spectra of real data on the grid g.
 
-    s must hold N/2 + 1 rows. A non-zero imaginary part in c_0 or c_{N/2}
-    has no real nodal representative and raises SymmetryError; NaN passes,
-    so a diverged state still reaches the non-finite checks.
+    The last axis of c must hold N/2 + 1 rows. A non-zero imaginary part in
+    c_0 or c_{N/2} has no real nodal representative and raises
+    SymmetryError; NaN passes, so a diverged state still reaches the
+    non-finite checks.
     """
-    if s.n != g.n:
-        raise ValueError(f"spectral length {s.n} does not match grid n={g.n}")
-    c = s.coeffs
-    if abs(c[0].imag) > 0.0 or abs(c[-1].imag) > 0.0:
+    if c.shape[-1:] != (g.n // 2 + 1,):
+        raise ValueError(f"coefficient array of shape {c.shape} does not match grid n={g.n}")
+    edges = c[..., ::c.shape[-1] - 1].imag  # c_0 and c_{N/2} of every row
+    # The first count settles the usual all-zero case cheaply; NaN fails the second.
+    if np.count_nonzero(edges) and np.count_nonzero(abs(edges) > 0.0):
         raise SymmetryError(
-            f"c_0 = {c[0]} and c_N/2 = {c[-1]} must be real; "
+            f"c_0 = {c[..., 0]} and c_N/2 = {c[..., -1]} must be real; "
             "coefficients do not describe real data"
         )
 
 
-def inverse_dft(s: SpectralField, g: GridSpec) -> np.ndarray:
+def inverse_dft(c: np.ndarray, g: GridSpec) -> np.ndarray:
     """Evaluate the interpolant at the nodes: u(x_l) = sum_k c_k exp(i k (x_l + pi)).
 
     The negative wavenumbers enter as the conjugates of the stored rows, so
-    the result is real by construction; s is checked by validate_spectrum.
+    the result is real by construction; c is checked by validate_spectrum.
     """
-    validate_spectrum(s, g)
-    return np.fft.irfft(s.coeffs, g.n, norm="forward")
+    validate_spectrum(c, g)
+    return np.fft.irfft(c, g.n, norm="forward")
 
 
-def nodal_pair(s: SpectralField, g: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def nodal_pair(c: np.ndarray, g: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """u and u_x at the nodes: two inverse transforms.
 
     A run forms this pair once per state and shares it between the state's
     record, its snapshot and the first stage of the step that leaves it.
     """
-    return inverse_dft(s, g), inverse_dft(spectral_derivative(s), g)
+    return inverse_dft(c, g), inverse_dft(spectral_derivative(c), g)
 
 
-def spectral_derivative(s: SpectralField) -> SpectralField:
+def spectral_derivative(c: np.ndarray) -> np.ndarray:
     """Differentiate the interpolant: c_k -> i*k*c_k, Nyquist mode dropped.
 
     The mode k = N/2 is its own conjugate partner, so i*(N/2)*c_{N/2} is
     imaginary and has no real nodal representative; it is set to 0.
     """
-    out = 1j * s.wavenumbers * s.coeffs
-    out[-1] = 0.0
-    return SpectralField(out)
+    out = 1j * np.arange(c.shape[-1]) * c
+    out[..., -1] = 0.0
+    return out
 
 
-def fractional_laplacian(s: SpectralField, alpha: float) -> SpectralField:
+def fractional_laplacian(c: np.ndarray, alpha: float) -> np.ndarray:
     """Apply the multiplier |k|**alpha, alpha in (0, 2]. Zero mode maps to 0."""
     a = validate_alpha(alpha)
-    mult = s.wavenumbers.astype(float) ** a
-    return SpectralField(mult * s.coeffs)
+    mult = np.arange(c.shape[-1]).astype(float) ** a
+    return mult * c
 
 
-def dealias(s: SpectralField, rule: str) -> SpectralField:
+def dealias(c: np.ndarray, rule: str) -> np.ndarray:
     """Zero the aliasing-prone tail of a product per the 2/3 rule.
 
-    rule "off" returns the field unchanged; "two_thirds" zeroes every
-    coefficient with |k| > N/3.
+    rule "off" returns a copy of c; "two_thirds" zeroes every coefficient
+    with |k| > N/3.
     """
     if rule not in DEALIAS_RULES:
         raise ValueError(f"unknown dealias rule {rule!r}, expected one of {DEALIAS_RULES}")
     if rule == "off":
-        return SpectralField(s.coeffs.copy())
-    keep = s.wavenumbers <= s.n / 3.0
-    return SpectralField(np.where(keep, s.coeffs, 0.0))
+        return c.copy()
+    n = 2 * (c.shape[-1] - 1)
+    return np.where(np.arange(c.shape[-1]) <= n / 3.0, c, 0.0)

@@ -4,6 +4,7 @@ import math
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,17 @@ class TestRunBudgets:
         """The snapshot budget is checked before make_grid builds 2**62 nodes."""
         with pytest.raises(UsageError, match="invalid value for snapshot_every"):
             config("--n", str(2**62))
+
+    def test_working_set_budget(self, monkeypatch, capsys):
+        """A step holds about 16 n-sized arrays, so n may reach 2**23, not pass it.
+        The refusal comes before make_grid allocates anything."""
+        built = []
+        monkeypatch.setattr("fracburgers.cli.make_grid", built.append)
+        config("--n", str(2**23), "--snapshot-every", "1")
+        assert built == [2**23]
+        assert main(["--n", "8388610", "--snapshot-every", "1", "--output", "unused"]) == 64
+        assert capsys.readouterr().err.startswith("error: invalid value for n: ")
+        assert built == [2**23]
 
     def test_snapshot_count_overflow_rejected(self):
         with pytest.raises(UsageError, match=r"^invalid value for snapshot_every: "):
@@ -467,6 +479,19 @@ class TestMain:
         assert proc.stderr == ""
         report = (tmp_path / "o" / "report.txt").read_text(encoding="utf-8")
         assert report.startswith("status: numeric_failure\n")
+
+    @pytest.mark.parametrize("width, code", [
+        ("1e-200", 64), ("1.49e-154", 64), ("1.5e-154", EXIT_CODES["resolution_lost"])])
+    def test_gaussian_width_floor(self, tmp_path, capsys, width, code):
+        """Below sqrt(float tiny), about 1.4917e-154, w**2 is subnormal and the
+        profile overflows; such widths are refused, wider ones run warning-free."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = main(["--ic", f"gaussian:{width}", "--n", "16",
+                        "--output", str(tmp_path / "o")])
+        assert got == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid value for ic: width") == (code == 64)
 
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(

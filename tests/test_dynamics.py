@@ -15,7 +15,15 @@ from fracburgers.dynamics import (
     stable_dt,
 )
 from fracburgers.oracles import InitialCondition, characteristics_solution
-from fracburgers.spectral import SpectralField, forward_dft, inverse_dft, make_grid, nodal_pair
+from fracburgers.spectral import (
+    dealias,
+    forward_dft,
+    fractional_laplacian,
+    inverse_dft,
+    make_grid,
+    nodal_pair,
+    spectral_derivative,
+)
 
 
 def count_transforms(monkeypatch):
@@ -110,7 +118,7 @@ class TestRhs:
         rng = np.random.default_rng(13)
         u = rng.standard_normal(g.n)
         out = rhs(u, g, SimParams(gamma=0.3, alpha=1.5))
-        mean_coeff = forward_dft(out, g).coeffs[0]
+        mean_coeff = forward_dft(out, g)[0]
         assert abs(mean_coeff) <= 1e-15 * max(1.0, np.max(np.abs(out)))
 
     def test_two_thirds_rule_silences_product_tail(self):
@@ -140,8 +148,8 @@ class TestRk4Step:
     def test_zero_field_is_exact_fixed_point(self):
         g = make_grid(16)
         zero = np.zeros(g.n // 2 + 1, complex)
-        out = rk4_step(SpectralField(zero), g, SimParams(gamma=1.0), 0.1)
-        assert np.array_equal(out.coeffs, zero)
+        out = rk4_step(zero, g, SimParams(gamma=1.0), 0.1)
+        assert np.array_equal(out, zero)
 
     def test_linear_mode_amplified_by_stability_polynomial(self):
         """One linear step multiplies mode k by R(gamma |k|^alpha dt) exactly."""
@@ -176,12 +184,12 @@ class TestRk4Step:
         g = make_grid(16)
         bad = np.full(g.n // 2 + 1, np.inf, complex)
         with pytest.raises(InstabilityError) as info:
-            rk4_step(SpectralField(bad), g, SimParams(), 0.01)
+            rk4_step(bad, g, SimParams(), 0.01)
         assert info.value.stage == 1
 
     def test_bad_dt_rejected(self):
         g = make_grid(8)
-        s = SpectralField(np.zeros(g.n // 2 + 1, complex))
+        s = np.zeros(g.n // 2 + 1, complex)
         for dt in (0.0, -0.1, float("nan")):
             with pytest.raises(ValueError, match="dt"):
                 rk4_step(s, g, SimParams(), dt)
@@ -193,7 +201,7 @@ class TestRk4Step:
         p = SimParams(gamma=0.2, alpha=1.5)
         a = rk4_step(s, g, p, 1e-3)
         b = rk4_step(s, g, p, 1e-3)
-        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("gamma, linear_only, calls", [
         (0.3, False, 12), (0.0, False, 12), (0.3, True, 0)])
@@ -214,6 +222,29 @@ class TestRk4Step:
         count = count_transforms(monkeypatch)
         rk4_step(s, g, SimParams(gamma=0.3, alpha=1.5), 1e-3, nodal=nodal)
         assert len(count) == 10
+
+
+class TestBatchedStep:
+    @pytest.mark.parametrize("rule", ["off", "two_thirds"])
+    @pytest.mark.parametrize("n", [16, 256, 1024])
+    def test_stack_equals_single_rows(self, n, rule):
+        """A (8, N/2 + 1) stack is transformed, operated on and stepped row by
+        row, to the bit."""
+        g = make_grid(n)
+        u = np.random.default_rng(7000 + n).standard_normal((8, n))
+        c = forward_dft(u, g)
+        assert c.shape == (8, n // 2 + 1)
+        assert np.array_equal(c, [forward_dft(row, g) for row in u])
+        assert np.array_equal(inverse_dft(c, g), [inverse_dft(row, g) for row in c])
+        assert np.array_equal(nodal_pair(c, g), np.stack(
+            [nodal_pair(row, g) for row in c], axis=1))
+        for op in (spectral_derivative, lambda x: fractional_laplacian(x, 1.5),
+                   lambda x: dealias(x, rule)):
+            assert np.array_equal(op(c), [op(row) for row in c])
+        p = SimParams(gamma=0.3, alpha=1.5, dealias_rule=rule)
+        stepped = rk4_step(c, g, p, 1e-3)
+        assert stepped.shape == c.shape
+        assert np.array_equal(stepped, [rk4_step(row, g, p, 1e-3) for row in c])
 
 
 class TestGridScaleStability:
@@ -298,7 +329,7 @@ class TestConvergenceOrder:
             s = forward_dft(np.cos(2.0 * g.nodes), g)
             for _ in range(round(1.0 / dt)):
                 s = rk4_step(s, g, p, dt)
-            amp = 2.0 * abs(s.coeffs[2])
+            amp = 2.0 * abs(s[2])
             errors.append(abs(amp - target))
         ratios = [errors[i] / errors[i + 1] for i in range(3)]
         assert all(12.0 <= r <= 20.0 for r in ratios), ratios

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from fracburgers.diagnostics import l2_norm, mass, observe, sobolev_norm, tail_fraction
 from fracburgers.spectral import (
-    SpectralField,
     SymmetryError,
     dealias,
     forward_dft,
@@ -13,7 +13,10 @@ from fracburgers.spectral import (
     make_grid,
     spectral_derivative,
     validate_alpha,
+    validate_spectrum,
 )
+
+OBSERVABLES = (mass, l2_norm, tail_fraction, lambda c: sobolev_norm(c, 3.0))
 
 
 def trig_polynomial(g, rng, degree):
@@ -38,10 +41,10 @@ class TestMakeGrid:
         for n in (4, 6, 16, 250, 4096):
             g = make_grid(n)
             u = rng.standard_normal(n)
-            c = forward_dft(u, g).coeffs
+            c = forward_dft(u, g)
             assert np.array_equal(c, np.fft.rfft(u, norm="forward"))
             assert c.shape == (n // 2 + 1,)
-            back = inverse_dft(SpectralField(c), g)
+            back = inverse_dft(c, g)
             assert np.array_equal(back, np.fft.irfft(c, n, norm="forward"))
 
     def test_uniform_spacing_from_minus_pi(self):
@@ -63,36 +66,62 @@ class TestMakeGrid:
 
 
 class TestFieldTypes:
-    def test_spectral_field_needs_length_three(self):
-        with pytest.raises(ValueError, match="length >= 3"):
-            SpectralField(np.zeros(2, complex))
-        assert SpectralField(np.zeros(3, complex)).n == 4
+    def test_spectrum_rows_must_match_grid(self):
+        """A coefficient array's last axis holds N/2 + 1 rows, stacked or not;
+        the observables also need the 3 rows of the smallest grid."""
+        g = make_grid(8)
+        validate_spectrum(np.zeros(5, complex), g)
+        validate_spectrum(np.zeros((2, 3, 5), complex), g)
+        for shape in ((4,), (6,), (2, 4), ()):
+            with pytest.raises(ValueError, match=r"shape .* does not match grid n=8"):
+                validate_spectrum(np.zeros(shape, complex), g)
+        for f in OBSERVABLES:
+            with pytest.raises(ValueError, match="length >= 3"):
+                f(np.zeros(2, complex))
+            assert f(np.zeros(3, complex)) == 0.0
 
-    def test_spectral_field_needs_one_dimension(self):
+    def test_observables_refuse_a_stack(self):
+        """mass, the norms, the tail and observe read one half-spectrum; a
+        stack of them raises instead of being folded into one number."""
+        g = make_grid(8)
+        stack = forward_dft(np.cos(np.multiply.outer([1.0, 2.0], g.nodes)), g)
+        for f in OBSERVABLES:
+            for bad in (stack, stack[None], stack[0, 0]):
+                with pytest.raises(ValueError, match="1-D"):
+                    f(bad)
         with pytest.raises(ValueError, match="1-D"):
-            SpectralField(np.zeros((4, 4), complex))
+            observe(stack, g, 0.0)
+
+    def test_symmetry_checked_in_every_row(self):
+        g = make_grid(8)
+        stack = np.zeros((3, 5), complex)
+        stack[1, -1] = complex(np.nan, np.nan)  # a diverged row still passes
+        validate_spectrum(stack, g)
+        stack[2, 0] = 1e-300j
+        with pytest.raises(SymmetryError):
+            validate_spectrum(stack, g)
 
 
 class TestForwardDFT:
     def test_constant_concentrates_in_mean_mode(self):
         g = make_grid(16)
         s = forward_dft(np.full(g.n, 3.0), g)
-        assert abs(s.coeffs[0] - 3.0) <= 1e-15
-        assert np.max(np.abs(s.coeffs[1:])) <= 1e-15
+        assert abs(s[0] - 3.0) <= 1e-15
+        assert np.max(np.abs(s[1:])) <= 1e-15
 
     def test_neg_sine_example(self):
         """-sin x = sin(x + pi) transforms to -i/2 in the k = 1 row (+i/2 at k = -1)."""
         g = make_grid(8)
         s = forward_dft(-np.sin(g.nodes), g)
-        assert abs(s.coeffs[1] + 0.5j) <= 1e-15
-        rest = np.delete(s.coeffs, 1)
+        assert abs(s[1] + 0.5j) <= 1e-15
+        rest = np.delete(s, 1)
         assert np.max(np.abs(rest)) <= 1e-15
 
     def test_cos_two_example(self):
         g = make_grid(16)
         s = forward_dft(np.cos(2.0 * g.nodes), g)
-        assert abs(s.coeffs[2] - 0.5) <= 1e-15
-        assert len(s.coeffs) == g.n // 2 + 1
+        assert abs(s[2] - 0.5) <= 1e-15
+        assert len(s) == g.n // 2 + 1
 
     def test_unpaired_rows_exactly_real(self):
         """c_0 and c_{N/2} stay exactly real through every operator."""
@@ -100,18 +129,21 @@ class TestForwardDFT:
         rng = np.random.default_rng(7)
         s = forward_dft(rng.standard_normal(g.n), g)
         for out in (s, spectral_derivative(s), fractional_laplacian(s, 1.3)):
-            assert out.coeffs[0].imag == 0.0 and out.coeffs[-1].imag == 0.0
-        assert s.coeffs[-1] != 0.0
+            assert out[0].imag == 0.0 and out[-1].imag == 0.0
+        assert s[-1] != 0.0
 
     def test_length_mismatch_rejected(self):
         g = make_grid(8)
         with pytest.raises(ValueError, match=r"shape \(16,\) does not match grid n=8"):
             forward_dft(np.zeros(16), g)
 
-    def test_two_dimensional_field_rejected(self):
+    def test_last_axis_must_match_grid(self):
+        """Leading axes are a stack of fields; the last axis is the grid."""
         g = make_grid(8)
-        with pytest.raises(ValueError, match=r"shape \(2, 8\) does not match grid n=8"):
-            forward_dft(np.zeros((2, 8)), g)
+        assert forward_dft(np.zeros((2, 3, 8)), g).shape == (2, 3, 5)
+        for shape in ((2, 16), (8, 2), ()):
+            with pytest.raises(ValueError, match=r"shape \(.*\) does not match grid n=8"):
+                forward_dft(np.zeros(shape), g)
 
 
 class TestInverseDFT:
@@ -119,14 +151,14 @@ class TestInverseDFT:
         g = make_grid(8)
         c = np.zeros(g.n // 2 + 1, complex)
         c[0] = 5.0
-        u = inverse_dft(SpectralField(c), g)
+        u = inverse_dft(c, g)
         assert np.allclose(u, 5.0, rtol=0, atol=1e-14)
 
     def test_conjugate_pair_reconstructs_neg_sine(self):
         g = make_grid(32)
         c = np.zeros(g.n // 2 + 1, complex)
         c[1] = -0.5j
-        u = inverse_dft(SpectralField(c), g)
+        u = inverse_dft(c, g)
         assert np.allclose(u, -np.sin(g.nodes), rtol=0, atol=1e-14)
 
     def test_round_trip_many_sizes(self):
@@ -144,19 +176,19 @@ class TestInverseDFT:
         c = np.zeros(g.n // 2 + 1, complex)
         c[-1] = 1.0j
         with pytest.raises(SymmetryError):
-            inverse_dft(SpectralField(c), g)
+            inverse_dft(c, g)
 
     def test_imaginary_mean_rejected(self):
         g = make_grid(8)
         c = np.zeros(g.n // 2 + 1, complex)
         c[0] = 1.0 + 1e-300j
         with pytest.raises(SymmetryError):
-            inverse_dft(SpectralField(c), g)
+            inverse_dft(c, g)
 
     def test_length_mismatch_rejected(self):
         g = make_grid(8)
         with pytest.raises(ValueError, match="does not match"):
-            inverse_dft(SpectralField(np.zeros(9, complex)), g)
+            inverse_dft(np.zeros(9, complex), g)
 
 
 class TestSpectralDerivative:
@@ -170,21 +202,21 @@ class TestSpectralDerivative:
         g = make_grid(8)
         s = forward_dft(np.full(g.n, 4.0), g)
         d = spectral_derivative(s)
-        assert np.max(np.abs(d.coeffs)) <= 1e-15
+        assert np.max(np.abs(d)) <= 1e-15
 
     def test_nyquist_row_dropped(self):
         """The unpaired k = N/2 mode has no real derivative representative."""
         g = make_grid(8)
         c = np.zeros(g.n // 2 + 1, complex)
         c[-1] = 1.0
-        d = spectral_derivative(SpectralField(c))
-        assert np.array_equal(d.coeffs, np.zeros(g.n // 2 + 1, complex))
+        d = spectral_derivative(c)
+        assert np.array_equal(d, np.zeros(g.n // 2 + 1, complex))
 
     def test_mean_coefficient_exactly_zero(self):
         g = make_grid(32)
         rng = np.random.default_rng(3)
         s = forward_dft(rng.standard_normal(g.n), g)
-        assert spectral_derivative(s).coeffs[0] == 0.0
+        assert spectral_derivative(s)[0] == 0.0
 
     def test_exact_on_trig_polynomials(self):
         """Derivatives of resolvable trig polynomials are exact to 1e-11."""
@@ -214,21 +246,21 @@ class TestFractionalLaplacian:
         g = make_grid(8)
         s = forward_dft(np.full(g.n, 2.0), g)
         out = fractional_laplacian(s, 0.5)
-        assert np.max(np.abs(out.coeffs)) <= 1e-15
+        assert np.max(np.abs(out)) <= 1e-15
 
     def test_alpha_two_equals_negative_second_derivative(self):
         """E^2 and -D_N^2 agree on every row except the unpaired Nyquist one."""
         g = make_grid(64)
         rng = np.random.default_rng(23)
         s = forward_dft(rng.standard_normal(g.n), g)
-        lap = fractional_laplacian(s, 2.0).coeffs
-        dd = -spectral_derivative(spectral_derivative(s)).coeffs
+        lap = fractional_laplacian(s, 2.0)
+        dd = -spectral_derivative(spectral_derivative(s))
         assert np.allclose(lap[:-1], dd[:-1], rtol=0, atol=1e-13)
         # the multiplier keeps the Nyquist row, the derivative zeroes it
         c = np.zeros(g.n // 2 + 1, complex)
         c[-1] = 1.0
-        assert fractional_laplacian(SpectralField(c), 2.0).coeffs[-1] == (g.n / 2) ** 2
-        assert spectral_derivative(SpectralField(c)).coeffs[-1] == 0.0
+        assert fractional_laplacian(c, 2.0)[-1] == (g.n / 2) ** 2
+        assert spectral_derivative(c)[-1] == 0.0
 
     def test_alpha_validation(self):
         g = make_grid(8)
@@ -252,19 +284,19 @@ class TestDealias:
         g = make_grid(8)
         s = forward_dft(np.cos(g.nodes), g)
         out = dealias(s, "off")
-        assert np.array_equal(out.coeffs, s.coeffs)
-        out.coeffs[0] = 9.0
-        assert s.coeffs[0] != 9.0
+        assert np.array_equal(out, s)
+        out[0] = 9.0
+        assert s[0] != 9.0
 
     def test_two_thirds_cut_is_exclusive(self):
         """k > N/3 is zeroed; k = N/3 survives. cos 3x = -cos 3(x + pi)."""
         g = make_grid(12)
         u = np.cos(3.0 * g.nodes) + np.cos(4.0 * g.nodes) + np.cos(5.0 * g.nodes)
         out = dealias(forward_dft(u, g), "two_thirds")
-        assert abs(out.coeffs[5]) == 0.0
-        assert abs(out.coeffs[6]) == 0.0
-        assert abs(out.coeffs[4] - 0.5) <= 1e-15
-        assert abs(out.coeffs[3] + 0.5) <= 1e-15
+        assert abs(out[5]) == 0.0
+        assert abs(out[6]) == 0.0
+        assert abs(out[4] - 0.5) <= 1e-15
+        assert abs(out[3] + 0.5) <= 1e-15
 
     def test_unknown_rule_rejected(self):
         g = make_grid(8)
