@@ -30,6 +30,7 @@ from .diagnostics import (
     observe,
     predicted_blowup_time,
 )
+from . import dynamics
 from .dynamics import InstabilityError, InvalidStateError, SimParams, rk4_step, stable_dt
 from .oracles import InitialCondition
 from .spectral import GridSpec, forward_dft, make_grid, nodal_pair
@@ -39,8 +40,9 @@ EXIT_CODES = {"completed": 0, "blowup_detected": 2, "resolution_lost": 3,
 
 STATUSES = tuple(EXIT_CODES)
 
-# Run budgets checked before a run starts. A fixed dt may take at most 10**6
-# steps (a record is about 380 B). The held snapshots, (floor(t_final /
+# Run budgets checked before a run starts. A run may take at most 10**6 steps
+# (a record is about 380 B): a fixed dt by its count, dt auto by the count its
+# step bound at max|u| = 0 already forces. The held snapshots, (floor(t_final /
 # snapshot_every) + 1) * n values, may fill at most 1 GiB; that also keeps
 # consecutive snapshot times at least t_final * 2**-25 apart, far wider than
 # the 10 significant digits of the file names. A step holds about 16 arrays of
@@ -168,7 +170,7 @@ def _parse_ic(raw: str) -> InitialCondition:
 def _read_config_file(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read config file: {err}") from None
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -254,6 +256,16 @@ def parse_config(argv: list[str]) -> RunConfig:
             f"invalid value for dt: {dt:g} needs {t_final / dt:.6g} steps to t_final "
             f"{t_final:g}, more than 10**6"
         )
+    # stable_dt falls as max|u| grows, so at max|u| = 0 it bounds every auto
+    # step. It is read through the module so that the first call of cli's own
+    # stable_dt stays the run loop's first step.
+    longest = dynamics.stable_dt(0.0, n, params) if dt == "auto" else math.inf
+    if t_final > MAX_FIXED_STEPS * longest:
+        raise UsageError(
+            f"invalid value for dt: auto steps are at most {longest:.6g} at gamma "
+            f"{gamma:g}, alpha {alpha:g} and n {n}, so t_final {t_final:g} takes "
+            "more than 10**6"
+        )
     if ic.kind == "random_band" and ic.params[0] >= n // 2:
         # Mode n/2 and above alias onto lower modes on an n-node grid.
         raise UsageError(
@@ -297,10 +309,10 @@ def run_simulation(cfg: RunConfig) -> RunResult:
 
     # Finiteness is checked explicitly (records, stages), as in observe and rk4_step.
     with np.errstate(over="ignore", invalid="ignore"):
-        c = forward_dft(u0, g)
-        nodal = nodal_pair(c, g)
+        c = forward_dft(u0)
+        nodal = nodal_pair(c)
         t = 0.0
-        rec, slope_norm = observe(c, g, t, nodal=nodal)
+        rec, slope_norm = observe(c, t, nodal=nodal)
         predicted = predicted_blowup_time(rec.min_slope)
         records = [rec]
         snapshots = [(t, u0)]
@@ -313,13 +325,13 @@ def run_simulation(cfg: RunConfig) -> RunResult:
             snap_t = snap_idx * cfg.snapshot_every
             target = min(snap_t, p.t_final)
             try:
-                cap = p.dt if p.dt != "auto" else stable_dt(max(rec.max_u, -rec.min_u), g, p)
+                cap = p.dt if p.dt != "auto" else stable_dt(max(rec.max_u, -rec.min_u), g.n, p)
                 remaining = target - t
                 if cap >= remaining - eps:
                     dt_step, landed = remaining, True
                 else:
                     dt_step, landed = cap, False
-                c = rk4_step(c, g, p, dt_step, nodal=nodal)
+                c = rk4_step(c, p, dt_step, nodal=nodal)
             except (InstabilityError, InvalidStateError):
                 # Step blew up; the last appended record is the last valid state.
                 status = "numeric_failure"
@@ -327,8 +339,8 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                                         detection_cause="non_finite")
                 break
             t = target if landed else t + dt_step
-            nodal = nodal_pair(c, g)
-            rec, slope_norm = observe(c, g, t, prev_bkm=rec.bkm_integral,
+            nodal = nodal_pair(c)
+            rec, slope_norm = observe(c, t, prev_bkm=rec.bkm_integral,
                                       prev_slope_norm=slope_norm, dt=dt_step, nodal=nodal)
             records.append(rec)
             if landed and abs(snap_t - t) <= eps:

@@ -16,15 +16,15 @@ factor. The spectrum is stored as the half c_0 .. c_{N/2}, so each row
 c_{N/2} count once.
 
 Mass, the norms and the tail are read from one half-spectrum, a 1-D
-coefficient array of length N/2 + 1, and cost no transform; extrema takes
-nodal values. They refuse a stack of states (any other ndim) with
-ValueError rather than fold its rows into one number. observe assembles a
-run's record from the half-spectrum state: u and u_x (nodal_pair, two
-inverse transforms, or the pair the run loop hands in) for the extrema and
-the slope, and the spectral observables for the rest. The norms and the
-tail are each defined once, on the paired power |c_k|^2 + |c_{-k}|^2, which
-observe computes once per record; the Sobolev weights are built once per
-(N, order).
+coefficient array of length N/2 + 1 that is its own record of N (nothing
+here takes a grid), and cost no transform; extrema takes nodal values.
+They refuse a stack of states (any other ndim) with ValueError rather than
+fold its rows into one number. observe assembles a run's record from the
+half-spectrum state: u and u_x (nodal_pair, two inverse transforms, or the
+pair the run loop hands in) for the extrema and the slope, and the
+spectral observables for the rest. The norms and the tail are each defined
+once, on the paired power |c_k|^2 + |c_{-k}|^2, which observe computes
+once per record; the Sobolev weights are built once per (rows, order).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .spectral import GridSpec, nodal_pair
+from .spectral import nodal_pair
 
 TAIL_GUARD = 1e-300  # keeps the tail ratio defined for the zero field
 
@@ -190,20 +190,20 @@ def check_blowup(rec: DiagnosticsRecord,
     return BlowupReport(detected=True, detected_t=rec.t, detection_cause=cause)
 
 
-def observe(c: np.ndarray, g: GridSpec, t: float, *, prev_bkm: float = 0.0,
+def observe(c: np.ndarray, t: float, *, prev_bkm: float = 0.0,
             prev_slope_norm: float | None = None, dt: float = 0.0,
             nodal: tuple[np.ndarray, np.ndarray] | None = None,
             ) -> tuple[DiagnosticsRecord, float]:
     """Assemble the full record for the half-spectrum c at time t.
 
-    Two inverse transforms (u and u_x), none if nodal, the nodal_pair(c, g)
+    Two inverse transforms (u and u_x), none if nodal, the nodal_pair(c)
     the caller already holds, is handed in. Returns (record,
     slope_inf_norm); the caller threads the norm into the next call so the
     trapezoid accumulation sees both endpoints of each step.
     prev_slope_norm None marks the initial record (bkm starts at prev_bkm).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        u, slope = nodal_pair(c, g) if nodal is None else nodal
+        u, slope = nodal_pair(c) if nodal is None else nodal
         slope_norm = float(np.abs(slope).max())
         if prev_slope_norm is None:
             bkm = prev_bkm

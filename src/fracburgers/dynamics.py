@@ -17,7 +17,8 @@ the bit. RK4 advances the rfft half-spectrum: a step takes and returns a
 coefficient array, and only the product needs the nodes.
 
 The stages apply the operators as multipliers built once per
-(N, SimParams): the public operators applied to a vector of ones. The
+(rows, SimParams), the row count N/2 + 1 being the array's only record of
+N: the public operators applied to a vector of ones. The
 public operators stay the only definition of the derivative, the fractional
 laplacian and the 2/3 rule, and the multipliers reproduce them to the bit.
 A step costs 12 transforms, or 10 when the caller hands over u and u_x of
@@ -36,7 +37,6 @@ import numpy as np
 
 from .spectral import (
     DEALIAS_RULES,
-    GridSpec,
     as_float,
     dealias,
     forward_dft,
@@ -114,18 +114,17 @@ class _Plan:
     them.
     """
 
-    n: int
     derivative: np.ndarray  # spectral_derivative: c -> coefficients of u_x
     product: np.ndarray     # minus the dealias rule, mean and Nyquist zeroed
     laplacian: np.ndarray   # fractional_laplacian with p.alpha
 
 
 @lru_cache(maxsize=16)
-def _plan(n: int, p: SimParams) -> _Plan:
-    ones = np.ones(n // 2 + 1, dtype=complex)
+def _plan(rows: int, p: SimParams) -> _Plan:
+    ones = np.ones(rows, dtype=complex)
     product = -dealias(ones, p.dealias_rule)
     product[0] = product[-1] = 0.0
-    plan = _Plan(n, derivative=spectral_derivative(ones), product=product,
+    plan = _Plan(derivative=spectral_derivative(ones), product=product,
                  laplacian=fractional_laplacian(ones, p.alpha))
     for a in (plan.derivative, plan.product, plan.laplacian):
         a.flags.writeable = False
@@ -140,8 +139,8 @@ def _tendency(c: np.ndarray, plan: _Plan, p: SimParams,
         hat = np.zeros_like(c)
     else:
         if nodal is None:
-            u = np.fft.irfft(c, plan.n, norm="forward")
-            ux = np.fft.irfft(c * plan.derivative, plan.n, norm="forward")
+            u = np.fft.irfft(c, norm="forward")
+            ux = np.fft.irfft(c * plan.derivative, norm="forward")
         else:
             u, ux = nodal
         hat = np.fft.rfft(u * ux, norm="forward") * plan.product
@@ -150,21 +149,21 @@ def _tendency(c: np.ndarray, plan: _Plan, p: SimParams,
     return hat
 
 
-def rhs(u: np.ndarray, g: GridSpec, p: SimParams) -> np.ndarray:
+def rhs(u: np.ndarray, p: SimParams) -> np.ndarray:
     """Tendency F(u) = -u*(D_N u) - gamma*Lambda^alpha u at the nodes.
 
     The nodal front end of the coefficient kernel that rk4_step advances.
     The tendency's mean coefficient is exactly zero.
     """
-    c = forward_dft(u, g)  # checks the shape
+    c = forward_dft(u)  # checks the shape
     if not np.all(np.isfinite(u)):
         raise InvalidStateError("non-finite field handed to rhs")
     # Finiteness is checked explicitly; overflow flags while diverging are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        return inverse_dft(_tendency(c, _plan(g.n, p), p), g)
+        return inverse_dft(_tendency(c, _plan(c.shape[-1], p), p))
 
 
-def rk4_step(c: np.ndarray, g: GridSpec, p: SimParams, dt: float, *,
+def rk4_step(c: np.ndarray, p: SimParams, dt: float, *,
              nodal: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Advance the half-spectra c, shape (..., N/2 + 1), one RK4 step.
 
@@ -174,16 +173,16 @@ def rk4_step(c: np.ndarray, g: GridSpec, p: SimParams, dt: float, *,
         U_{s+1} = U_s + dt/6 (K1 + 2 K2 + 2 K3 + K4).
 
     Each stage costs 3 transforms, 12 per step, none with linear_only.
-    nodal, if given, must be nodal_pair(c, g): stage 1 then reuses u and
-    u_x and the step costs 10. As in rhs, the product's unpaired Nyquist
-    mode is dropped. c is checked against g once, on entry; a non-finite
-    stage, in any row of a stack, raises InstabilityError with its index.
+    nodal, if given, must be nodal_pair(c): stage 1 then reuses u and u_x
+    and the step costs 10. As in rhs, the product's unpaired Nyquist mode
+    is dropped. c is checked once, on entry; a non-finite stage, in any
+    row of a stack, raises InstabilityError with its index.
     """
     dt = float(dt)
     if dt <= 0.0 or not np.isfinite(dt):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    validate_spectrum(c, g)
-    plan = _plan(g.n, p)
+    validate_spectrum(c)
+    plan = _plan(c.shape[-1], p)
 
     def stage(index: int, state: np.ndarray, nodal=None) -> np.ndarray:
         if np.isfinite(state).all():
@@ -200,17 +199,17 @@ def rk4_step(c: np.ndarray, g: GridSpec, p: SimParams, dt: float, *,
         return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def stable_dt(u_max: float, g: GridSpec, p: SimParams) -> float:
+def stable_dt(u_max: float, n: int, p: SimParams) -> float:
     """CFL-style step bound from u_max = max|u|, recomputed each "auto" step.
 
     min( C_adv/(max|u|*k_max + eps), C_diff/(gamma*k_max^alpha + eps) ) with
-    k_max = N/2. Degenerate inputs (zero field, gamma 0) give a huge value
+    k_max = n/2 on n nodes. Degenerate inputs (zero field, gamma 0) give a huge value
     that the run loop caps at the distance to the next stop time.
     """
     u_max = float(u_max)
     if not np.isfinite(u_max):
         raise InvalidStateError(f"non-finite max|u| handed to stable_dt: {u_max!r}")
-    k_max = g.n / 2.0
+    k_max = n / 2.0
     advective = CFL_ADVECTION / (u_max * k_max + DT_GUARD)
     dissipative = CFL_DISSIPATION / (p.gamma * k_max**p.alpha + DT_GUARD)
     return min(advective, dissipative)

@@ -72,7 +72,10 @@ class InitialCondition:
         m = int(max_mode)
         if m < 0:
             raise ValueError(f"max_mode must be >= 0, got {max_mode!r}")
-        return cls("random_band", (m, int(seed)))
+        s = int(seed)
+        if s < 0:  # numpy's seed sequence takes non-negative integers only
+            raise ValueError(f"seed must be >= 0, got {seed!r}")
+        return cls("random_band", (m, s))
 
     @property
     def seed(self) -> int | None:

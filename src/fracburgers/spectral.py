@@ -22,7 +22,8 @@ only rows without a partner.
 
 The transforms and the operators read only the last axis, so a stack of
 states of shape (B, N/2 + 1) on one grid is transformed and multiplied row
-by row in one call.
+by row in one call. That axis alone carries N = 2 * (rows - 1), so none of
+them takes a GridSpec: the grid only samples profiles and labels snapshots.
 
 A run's state is such an array and carries no time; the run loop keeps the
 clock. Nodal values are float arrays of shape (..., N), formed where the
@@ -87,30 +88,30 @@ def make_grid(n: int) -> GridSpec:
     return GridSpec(n=n, nodes=nodes)
 
 
-def forward_dft(u: np.ndarray, g: GridSpec) -> np.ndarray:
+def forward_dft(u: np.ndarray) -> np.ndarray:
     """Interpolant coefficients of nodal data, 1/N normalization.
 
     c_k = (1/N) sum_j u(x_j) exp(-2 pi i j k / N) for k = 0 .. N/2: numpy's
-    rfft(u, norm="forward") over the last axis, which must have length N.
-    u is not checked for finiteness, so a diverged field can still be
-    transformed and reported.
+    rfft(u, norm="forward") over the last axis, whose length is N (even,
+    >= 4). u is not checked for finiteness, so a diverged field can still
+    be transformed and reported.
     """
     u = np.asarray(u, dtype=float)
-    if u.shape[-1:] != (g.n,):
-        raise ValueError(f"field of shape {u.shape} does not match grid n={g.n}")
+    if u.ndim == 0 or u.shape[-1] % 2 or u.shape[-1] < 4:
+        raise ValueError(f"field needs an even last axis of length >= 4, got shape {u.shape}")
     return np.fft.rfft(u, norm="forward")
 
 
-def validate_spectrum(c: np.ndarray, g: GridSpec) -> None:
-    """Check that c holds half-spectra of real data on the grid g.
+def validate_spectrum(c: np.ndarray) -> None:
+    """Check that c holds half-spectra of real data.
 
-    The last axis of c must hold N/2 + 1 rows. A non-zero imaginary part in
-    c_0 or c_{N/2} has no real nodal representative and raises
+    The last axis of c must hold N/2 + 1 >= 3 rows. A non-zero imaginary
+    part in c_0 or c_{N/2} has no real nodal representative and raises
     SymmetryError; NaN passes, so a diverged state still reaches the
     non-finite checks.
     """
-    if c.shape[-1:] != (g.n // 2 + 1,):
-        raise ValueError(f"coefficient array of shape {c.shape} does not match grid n={g.n}")
+    if c.ndim == 0 or c.shape[-1] < 3:
+        raise ValueError(f"a half-spectrum needs a last axis of >= 3 rows, got shape {c.shape}")
     edges = c[..., ::c.shape[-1] - 1].imag  # c_0 and c_{N/2} of every row
     # The first count settles the usual all-zero case cheaply; NaN fails the second.
     if np.count_nonzero(edges) and np.count_nonzero(abs(edges) > 0.0):
@@ -120,23 +121,23 @@ def validate_spectrum(c: np.ndarray, g: GridSpec) -> None:
         )
 
 
-def inverse_dft(c: np.ndarray, g: GridSpec) -> np.ndarray:
+def inverse_dft(c: np.ndarray) -> np.ndarray:
     """Evaluate the interpolant at the nodes: u(x_l) = sum_k c_k exp(i k (x_l + pi)).
 
     The negative wavenumbers enter as the conjugates of the stored rows, so
     the result is real by construction; c is checked by validate_spectrum.
     """
-    validate_spectrum(c, g)
-    return np.fft.irfft(c, g.n, norm="forward")
+    validate_spectrum(c)
+    return np.fft.irfft(c, norm="forward")
 
 
-def nodal_pair(c: np.ndarray, g: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def nodal_pair(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """u and u_x at the nodes: two inverse transforms.
 
     A run forms this pair once per state and shares it between the state's
     record, its snapshot and the first stage of the step that leaves it.
     """
-    return inverse_dft(c, g), inverse_dft(spectral_derivative(c), g)
+    return inverse_dft(c), inverse_dft(spectral_derivative(c))
 
 
 def spectral_derivative(c: np.ndarray) -> np.ndarray:

@@ -120,9 +120,9 @@ def test_criterion_06_linear_exactness_and_order(announce):
 
     def terminal_amplitude(alpha, dt):
         p = SimParams(gamma=1.0, alpha=alpha, dt=dt, linear_only=True)
-        s = forward_dft(np.cos(2.0 * g.nodes), g)
+        s = forward_dft(np.cos(2.0 * g.nodes))
         for _ in range(round(1.0 / dt)):
-            s = rk4_step(s, g, p, dt)
+            s = rk4_step(s, p, dt)
         return 2.0 * abs(s[2])
 
     worst_err = 0.0
@@ -187,21 +187,21 @@ def test_criterion_09_operator_exactness(announce):
             a, b = rng.standard_normal(2) / (1 + k) ** 2
             u += a * np.cos(k * g.nodes) + b * np.sin(k * g.nodes)
             du += k * (b * np.cos(k * g.nodes) - a * np.sin(k * g.nodes))
-        got = inverse_dft(spectral_derivative(forward_dft(u, g)), g)
+        got = inverse_dft(spectral_derivative(forward_dft(u)))
         worst = max(worst, float(np.max(np.abs(got - du))))
     derivative_ok = worst <= 1e-11
 
     g = make_grid(64)
-    s2 = forward_dft(np.cos(2.0 * g.nodes), g)
-    doubled = inverse_dft(fractional_laplacian(s2, 1.0), g)
+    s2 = forward_dft(np.cos(2.0 * g.nodes))
+    doubled = inverse_dft(fractional_laplacian(s2, 1.0))
     identity_ok = bool(np.allclose(doubled, 2.0 * np.cos(2.0 * g.nodes),
                                    rtol=0, atol=1e-13))
-    s1 = forward_dft(-np.sin(g.nodes), g)
+    s1 = forward_dft(-np.sin(g.nodes))
     for alpha in (0.5, 1.0, 2.0):
-        fixed = inverse_dft(fractional_laplacian(s1, alpha), g)
+        fixed = inverse_dft(fractional_laplacian(s1, alpha))
         identity_ok &= bool(np.allclose(fixed, -np.sin(g.nodes),
                                         rtol=0, atol=1e-13))
-    rnd = forward_dft(rng.standard_normal(g.n), g)
+    rnd = forward_dft(rng.standard_normal(g.n))
     lap = fractional_laplacian(rnd, 2.0)[:-1]
     dd = -spectral_derivative(spectral_derivative(rnd))[:-1]
     identity_ok &= bool(np.allclose(lap, dd, rtol=0, atol=1e-13))

@@ -146,6 +146,15 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="cannot read config file"):
             parse_config(["--config", str(tmp_path / "absent.cfg")])
 
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        """A config file that is not UTF-8 is a usage error, not a traceback."""
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_bytes(b"n = 64\n\xff\n")
+        with pytest.raises(UsageError, match=r"^cannot read config file: .*0xff"):
+            parse_config(["--config", str(cfgfile)])
+        assert main(["--config", str(cfgfile), "--output", str(tmp_path / "o")]) == 64
+        assert capsys.readouterr().err.startswith("error: cannot read config file: ")
+
 
 class TestRunBudgets:
     """Runs that would take too many steps or hold too many snapshots are refused."""
@@ -160,6 +169,36 @@ class TestRunBudgets:
 
     def test_auto_step_is_not_bounded_up_front(self):
         assert config("--t-final", repr((10**6 + 1) * 2.0**-20)).params.dt == "auto"
+
+    def test_auto_dissipative_step_budget(self):
+        """An auto step is at most stable_dt at max|u| = 0. At n = 256 and
+        alpha = 2 that is 0.5 / (16384 gamma + 1e-12), so t_final = 1 takes
+        at least 32768 gamma steps: 999,424 at gamma 30.5, 1,001,062 at 30.55."""
+        assert config("--gamma", "30.5", "--alpha", "2").params.gamma == 30.5
+        with pytest.raises(UsageError, match=r"^invalid value for dt: auto .*10\*\*6"):
+            config("--gamma", "30.55", "--alpha", "2")
+        with pytest.raises(UsageError, match=r"^invalid value for dt: auto "):
+            config("--gamma", "1e6", "--alpha", "2", "--n", "1024")
+        # With gamma = 0 both bounds fall back to 0.5 / 1e-12 = 5e11.
+        assert config("--t-final", "5e17", "--snapshot-every", "5e17").params.dt == "auto"
+        with pytest.raises(UsageError, match=r"^invalid value for dt: auto "):
+            config("--t-final", "5.1e17", "--snapshot-every", "5.1e17")
+
+    def test_auto_dissipative_bound_overflow(self, tmp_path, capsys):
+        """gamma * (n/2)**alpha overflows to inf, so auto steps would be 0."""
+        assert main(["--gamma", "1e308", "--alpha", "2", "--output", str(tmp_path / "o")]) == 64
+        assert capsys.readouterr().err.startswith(
+            "error: invalid value for dt: auto steps are at most 0 ")
+        assert not (tmp_path / "o").exists()
+
+    def test_auto_budget_leaves_the_run_loop_stable_dt_alone(self, monkeypatch):
+        """parse_config reads the bound through fracburgers.dynamics, so the
+        first call of cli's own stable_dt is still the run loop's first step."""
+        def first_step(*args):
+            raise AssertionError("cli.stable_dt called while parsing")
+
+        monkeypatch.setattr("fracburgers.cli.stable_dt", first_step)
+        assert config("--gamma", "0.5", "--alpha", "2").params.dt == "auto"
 
     @pytest.mark.parametrize("n,log2_every", [(4, 25), (256, 19), (16384, 13)])
     def test_snapshot_budget(self, n, log2_every):
@@ -262,8 +301,8 @@ class TestRunSimulation:
                      "--t-final", "0.5", "--linear-only")
         res = run_simulation(cfg)
         g = make_grid(64)
-        s0 = forward_dft(-np.sin(g.nodes), g)
-        exact = inverse_dft(linear_decay_solution(s0, 0.5, 1.0, 2.0), g)
+        s0 = forward_dft(-np.sin(g.nodes))
+        exact = inverse_dft(linear_decay_solution(s0, 0.5, 1.0, 2.0))
         final = res.snapshots[-1][1]
         assert np.max(np.abs(final - exact)) <= 1e-8
 
@@ -492,6 +531,12 @@ class TestMain:
         assert got == code
         err = capsys.readouterr().err
         assert err.startswith("error: invalid value for ic: width") == (code == 64)
+
+    def test_negative_random_seed_exits_64(self, tmp_path, capsys):
+        code = main(["--ic", "random:3:-1", "--output", str(tmp_path / "o")])
+        assert code == 64
+        assert capsys.readouterr().err == (
+            "error: invalid value for ic: seed must be >= 0, got -1\n")
 
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(

@@ -18,7 +18,7 @@ import pytest
 
 from fracburgers.diagnostics import l2_norm, sobolev_norm, tail_fraction
 from fracburgers.dynamics import SimParams, rhs, rk4_step
-from fracburgers.spectral import forward_dft, inverse_dft, make_grid
+from fracburgers.spectral import forward_dft, inverse_dft
 
 RTOL = 1e-12
 
@@ -64,13 +64,12 @@ def relative(got, want):
 
 def check_rhs(n, rule, linear_only):
     rng = np.random.default_rng(1000 + n)
-    g = make_grid(n)
     for gamma in (0.0, *rng.uniform(0.0, 1.0, 3)):
         alpha = 2.0 - rng.uniform(0.0, 2.0)  # (0, 2]
         u = rng.standard_normal(n)
         p = SimParams(gamma=gamma, alpha=alpha, dealias_rule=rule, linear_only=linear_only)
         want = dense_rhs(u, n, gamma, alpha, rule, linear_only)
-        err = relative(rhs(u, g, p), want)
+        err = relative(rhs(u, p), want)
         assert err <= RTOL, f"gamma={gamma:.3f} alpha={alpha:.3f}: {err:.2e}"
 
 
@@ -91,7 +90,6 @@ def test_linear_rhs_matches_dense_reference(n, rule):
 def test_rk4_step_matches_dense_reference(n, rule):
     """One step against classic RK4 built from the nodal dense tendency."""
     rng = np.random.default_rng(3000 + n)
-    g = make_grid(n)
     dt = 1e-3
     for gamma in (0.0, *rng.uniform(0.0, 1.0, 3)):
         alpha = 2.0 - rng.uniform(0.0, 2.0)  # (0, 2]
@@ -106,15 +104,14 @@ def test_rk4_step_matches_dense_reference(n, rule):
         k4 = f(u + dt * k3)
         want = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         p = SimParams(gamma=gamma, alpha=alpha, dealias_rule=rule)
-        s = rk4_step(forward_dft(u, g), g, p, dt)
-        err = relative(inverse_dft(s, g), want)
+        s = rk4_step(forward_dft(u), p, dt)
+        err = relative(inverse_dft(s), want)
         assert err <= RTOL, f"gamma={gamma:.3f} alpha={alpha:.3f}: {err:.2e}"
 
 
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_norms_match_dense_reference(n):
     rng = np.random.default_rng(2000 + n)
-    g = make_grid(n)
     for _ in range(4):
         u = rng.standard_normal(n)
         k, c = dense_forward(u, n)
@@ -122,7 +119,7 @@ def test_norms_match_dense_reference(n):
         l2 = math.sqrt(2.0 * np.pi * np.sum(power))
         h3 = math.sqrt(2.0 * np.pi * np.sum((1.0 + k**2.0) ** 3 * power))
         tail = np.sum(power[np.abs(k) >= n / 3.0]) / np.sum(power[k != 0])
-        s = forward_dft(u, g)
+        s = forward_dft(u)
         assert l2_norm(s) == pytest.approx(l2, rel=RTOL, abs=0)
         assert sobolev_norm(s, 3) == pytest.approx(h3, rel=RTOL, abs=0)
         assert tail_fraction(s) == pytest.approx(tail, rel=RTOL, abs=0)

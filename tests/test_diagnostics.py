@@ -34,67 +34,67 @@ def record(**overrides):
 class TestMass:
     def test_neg_sine_is_massless(self):
         g = make_grid(64)
-        assert abs(mass(forward_dft(-np.sin(g.nodes), g))) <= 1e-15
+        assert abs(mass(forward_dft(-np.sin(g.nodes)))) <= 1e-15
 
     def test_constant_three(self):
         g = make_grid(16)
-        assert mass(forward_dft(np.full(g.n, 3.0), g)) == pytest.approx(6.0 * np.pi, rel=1e-15)
+        assert mass(forward_dft(np.full(g.n, 3.0))) == pytest.approx(6.0 * np.pi, rel=1e-15)
 
     def test_shifted_cosine(self):
         g = make_grid(32)
-        got = mass(forward_dft(1.0 + np.cos(g.nodes), g))
+        got = mass(forward_dft(1.0 + np.cos(g.nodes)))
         assert got == pytest.approx(2.0 * np.pi, rel=1e-14)
 
 
 class TestL2Norm:
     def test_neg_sine_example(self):
         g = make_grid(64)
-        got = l2_norm(forward_dft(-np.sin(g.nodes), g))
+        got = l2_norm(forward_dft(-np.sin(g.nodes)))
         assert got == pytest.approx(np.sqrt(np.pi), rel=1e-14)
 
     def test_constant(self):
         g = make_grid(16)
-        got = l2_norm(forward_dft(np.full(g.n, 2.0), g))
+        got = l2_norm(forward_dft(np.full(g.n, 2.0)))
         assert got == pytest.approx(2.0 * np.sqrt(2.0 * np.pi), rel=1e-14)
 
     def test_zero_field(self):
         g = make_grid(8)
-        assert l2_norm(forward_dft(np.zeros(g.n), g)) == 0.0
+        assert l2_norm(forward_dft(np.zeros(g.n))) == 0.0
 
 
 class TestSobolevNorm:
     def test_order_zero_equals_l2(self):
         g = make_grid(32)
         rng = np.random.default_rng(31)
-        s = forward_dft(rng.standard_normal(g.n), g)
+        s = forward_dft(rng.standard_normal(g.n))
         assert sobolev_norm(s, 0.0) == pytest.approx(l2_norm(s), rel=1e-14)
 
     def test_sine_order_one(self):
         """||sin||_{H^1}^2 = 2 pi (1 + 1) * (1/4 + 1/4)."""
         g = make_grid(64)
-        got = sobolev_norm(forward_dft(np.sin(g.nodes), g), 1.0)
+        got = sobolev_norm(forward_dft(np.sin(g.nodes)), 1.0)
         assert got == pytest.approx(np.sqrt(2.0 * np.pi), rel=1e-14)
 
     def test_higher_order_weights_high_modes(self):
         g = make_grid(64)
-        low = forward_dft(np.sin(g.nodes), g)
-        high = forward_dft(np.sin(8.0 * g.nodes), g)
+        low = forward_dft(np.sin(g.nodes))
+        high = forward_dft(np.sin(8.0 * g.nodes))
         assert sobolev_norm(high, 3.0) > 100.0 * sobolev_norm(low, 3.0)
 
     def test_negative_order_rejected(self):
         g = make_grid(8)
         with pytest.raises(ValueError, match="order"):
-            sobolev_norm(forward_dft(np.zeros(g.n), g), -1.0)
+            sobolev_norm(forward_dft(np.zeros(g.n)), -1.0)
 
     def test_nan_order_rejected(self):
         g = make_grid(8)
         with pytest.raises(ValueError, match="order must be >= 0"):
-            sobolev_norm(forward_dft(np.cos(g.nodes), g), np.nan)
+            sobolev_norm(forward_dft(np.cos(g.nodes)), np.nan)
 
     def test_infinite_order_rejected(self):
         g = make_grid(8)
         with pytest.raises(ValueError, match="order must be >= 0 and finite"):
-            sobolev_norm(forward_dft(np.cos(g.nodes), g), np.inf)
+            sobolev_norm(forward_dft(np.cos(g.nodes)), np.inf)
 
 
 class TestExtrema:
@@ -108,7 +108,7 @@ class TestExtrema:
 
 def initial_slope(u, g):
     """The min_slope column of the record observe makes for nodal values u."""
-    return observe(forward_dft(u, g), g, 0.0)[0].min_slope
+    return observe(forward_dft(u), 0.0)[0].min_slope
 
 
 class TestMinSlope:
@@ -282,12 +282,12 @@ class TestBlowupReport:
 class TestObserve:
     def test_matches_standalone_diagnostics(self):
         g = make_grid(64)
-        s = forward_dft(-np.sin(g.nodes), g)
-        rec, norm = observe(s, g, 0.25)
+        s = forward_dft(-np.sin(g.nodes))
+        rec, norm = observe(s, 0.25)
         assert rec.t == 0.25
         assert rec.mass == mass(s)
         assert rec.l2 == l2_norm(s)
-        assert (rec.max_u, rec.min_u) == extrema(inverse_dft(s, g))
+        assert (rec.max_u, rec.min_u) == extrema(inverse_dft(s))
         assert rec.min_slope == pytest.approx(-1.0, rel=1e-12)
         assert rec.h3 == sobolev_norm(s, 3.0)
         assert rec.bkm_integral == 0.0
@@ -295,17 +295,17 @@ class TestObserve:
 
     def test_threads_bkm_trapezoid(self):
         g = make_grid(64)
-        s = forward_dft(-np.sin(g.nodes), g)
-        rec0, n0 = observe(s, g, 0.0)
-        rec1, _ = observe(s, g, 0.1, prev_bkm=rec0.bkm_integral, prev_slope_norm=n0, dt=0.1)
+        s = forward_dft(-np.sin(g.nodes))
+        rec0, n0 = observe(s, 0.0)
+        rec1, _ = observe(s, 0.1, prev_bkm=rec0.bkm_integral, prev_slope_norm=n0, dt=0.1)
         assert rec1.bkm_integral == pytest.approx(0.1, rel=1e-12)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_field_is_flagged_not_raised(self, bad):
         g = make_grid(16)
-        s = forward_dft(-np.sin(g.nodes), g)
+        s = forward_dft(-np.sin(g.nodes))
         s[3] = bad
-        rec, _ = observe(s, g, 0.5)
+        rec, _ = observe(s, 0.5)
         rep = check_blowup(rec, DetectionThresholds())
         assert rep.detection_cause == "non_finite" and rep.detected_t == 0.5
 
@@ -322,21 +322,21 @@ class TestSobolevTrends:
         """Shock formation pumps energy into high modes monotonically."""
         g = make_grid(128)
         p = SimParams(gamma=0.0, dt=2e-3)
-        s = forward_dft(-np.sin(g.nodes), g)
+        s = forward_dft(-np.sin(g.nodes))
         h3 = []
         for step in range(400):
-            s = rk4_step(s, g, p, 2e-3)
+            s = rk4_step(s, p, 2e-3)
             if step % 50 == 49:
-                h3.append(observe(s, g, (step + 1) * 2e-3)[0].h3)
+                h3.append(observe(s, (step + 1) * 2e-3)[0].h3)
         assert all(b > a for a, b in zip(h3, h3[1:])), h3
 
     def test_h3_decays_under_strong_dissipation(self):
         g = make_grid(64)
         p = SimParams(gamma=1.0, alpha=2.0, dt=4e-4)
-        s = forward_dft(-np.sin(g.nodes), g)
+        s = forward_dft(-np.sin(g.nodes))
         h3 = []
         for step in range(500):
-            s = rk4_step(s, g, p, 4e-4)
+            s = rk4_step(s, p, 4e-4)
             if step % 50 == 49:
-                h3.append(observe(s, g, (step + 1) * 4e-4)[0].h3)
+                h3.append(observe(s, (step + 1) * 4e-4)[0].h3)
         assert all(b < a for a, b in zip(h3, h3[1:])), h3

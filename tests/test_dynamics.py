@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fracburgers.cli import parse_config, run_simulation
+from fracburgers.diagnostics import observe
 from fracburgers.dynamics import (
     InstabilityError,
     InvalidStateError,
@@ -23,6 +24,7 @@ from fracburgers.spectral import (
     make_grid,
     nodal_pair,
     spectral_derivative,
+    validate_spectrum,
 )
 
 
@@ -89,25 +91,25 @@ class TestSimParams:
 class TestRhs:
     def test_constant_field_is_steady(self):
         g = make_grid(16)
-        out = rhs(np.full(g.n, 3.0), g, SimParams(gamma=0.7, alpha=1.3))
+        out = rhs(np.full(g.n, 3.0), SimParams(gamma=0.7, alpha=1.3))
         assert np.max(np.abs(out)) <= 1e-13
 
     def test_neg_sine_inviscid_example(self):
         """-sin x steepens with tendency -(1/2) sin 2x when gamma = 0."""
         g = make_grid(64)
-        out = rhs(-np.sin(g.nodes), g, SimParams(gamma=0.0))
+        out = rhs(-np.sin(g.nodes), SimParams(gamma=0.0))
         assert np.allclose(out, -0.5 * np.sin(2.0 * g.nodes), rtol=0, atol=1e-13)
 
     def test_linear_only_single_mode(self):
         g = make_grid(64)
         p = SimParams(gamma=1.0, alpha=1.0, linear_only=True)
-        out = rhs(np.cos(g.nodes), g, p)
+        out = rhs(np.cos(g.nodes), p)
         assert np.allclose(out, -np.cos(g.nodes), rtol=0, atol=1e-13)
 
     def test_viscous_combination(self):
         g = make_grid(64)
         p = SimParams(gamma=0.5, alpha=2.0)
-        out = rhs(-np.sin(g.nodes), g, p)
+        out = rhs(-np.sin(g.nodes), p)
         expect = -0.5 * np.sin(2.0 * g.nodes) + 0.5 * np.sin(g.nodes)
         assert np.allclose(out, expect, rtol=0, atol=1e-13)
 
@@ -117,8 +119,8 @@ class TestRhs:
         g = make_grid(64)
         rng = np.random.default_rng(13)
         u = rng.standard_normal(g.n)
-        out = rhs(u, g, SimParams(gamma=0.3, alpha=1.5))
-        mean_coeff = forward_dft(out, g)[0]
+        out = rhs(u, SimParams(gamma=0.3, alpha=1.5))
+        mean_coeff = forward_dft(out)[0]
         assert abs(mean_coeff) <= 1e-15 * max(1.0, np.max(np.abs(out)))
 
     def test_two_thirds_rule_silences_product_tail(self):
@@ -126,8 +128,8 @@ class TestRhs:
         # 2/3 rule removes entirely while "off" keeps it.
         g = make_grid(24)
         u = np.cos(5.0 * g.nodes)
-        cut = rhs(u, g, SimParams(dealias_rule="two_thirds"))
-        kept = rhs(u, g, SimParams(dealias_rule="off"))
+        cut = rhs(u, SimParams(dealias_rule="two_thirds"))
+        kept = rhs(u, SimParams(dealias_rule="off"))
         assert np.max(np.abs(cut)) <= 1e-14
         assert np.allclose(kept, 2.5 * np.sin(10.0 * g.nodes), rtol=0, atol=1e-13)
 
@@ -136,19 +138,20 @@ class TestRhs:
         bad = np.zeros(g.n)
         bad[3] = np.nan
         with pytest.raises(InvalidStateError, match="non-finite"):
-            rhs(bad, g, SimParams())
+            rhs(bad, SimParams())
 
     def test_length_mismatch_rejected(self):
-        g = make_grid(8)
-        with pytest.raises(ValueError, match="does not match"):
-            rhs(np.zeros(16), g, SimParams())
+        """The nodal field's length is N, so it must be even and >= 4."""
+        for bad in (np.zeros(7), np.zeros(2)):
+            with pytest.raises(ValueError, match="even last axis of length >= 4"):
+                rhs(bad, SimParams())
 
 
 class TestRk4Step:
     def test_zero_field_is_exact_fixed_point(self):
         g = make_grid(16)
         zero = np.zeros(g.n // 2 + 1, complex)
-        out = rk4_step(zero, g, SimParams(gamma=1.0), 0.1)
+        out = rk4_step(zero, SimParams(gamma=1.0), 0.1)
         assert np.array_equal(out, zero)
 
     def test_linear_mode_amplified_by_stability_polynomial(self):
@@ -156,8 +159,8 @@ class TestRk4Step:
         g = make_grid(16)
         for alpha, k, dt in ((1.0, 1, 0.01), (2.0, 2, 0.005)):
             p = SimParams(gamma=1.0, alpha=alpha, dt=dt, linear_only=True)
-            s = forward_dft(np.cos(k * g.nodes), g)
-            out = inverse_dft(rk4_step(s, g, p, dt), g)
+            s = forward_dft(np.cos(k * g.nodes))
+            out = inverse_dft(rk4_step(s, p, dt))
             z = 1.0 * float(k) ** alpha * dt
             expect = stability_polynomial(z) * np.cos(k * g.nodes)
             assert np.allclose(out, expect, rtol=1e-14, atol=1e-15)
@@ -166,8 +169,8 @@ class TestRk4Step:
         """gamma = 0, dt = 1e-3: one step agrees with the implicit solution."""
         g = make_grid(64)
         f = InitialCondition.neg_sine()
-        s = forward_dft(f(g.nodes), g)
-        out = inverse_dft(rk4_step(s, g, SimParams(gamma=0.0), 1e-3), g)
+        s = forward_dft(f(g.nodes))
+        out = inverse_dft(rk4_step(s, SimParams(gamma=0.0), 1e-3))
         exact = np.array([characteristics_solution(f, x, 1e-3) for x in g.nodes])
         assert np.max(np.abs(out - exact)) <= 1e-10
 
@@ -175,16 +178,16 @@ class TestRk4Step:
         # Finite but huge data overflows in the second stage: k1 is finite,
         # the half-step state squares to inf inside stage 2.
         g = make_grid(64)
-        s = forward_dft(1e150 * -np.sin(g.nodes), g)
+        s = forward_dft(1e150 * -np.sin(g.nodes))
         with pytest.raises(InstabilityError) as info:
-            rk4_step(s, g, SimParams(gamma=0.0), 1000.0)
+            rk4_step(s, SimParams(gamma=0.0), 1000.0)
         assert info.value.stage == 2
 
     def test_non_finite_input_fails_at_stage_one(self):
         g = make_grid(16)
         bad = np.full(g.n // 2 + 1, np.inf, complex)
         with pytest.raises(InstabilityError) as info:
-            rk4_step(bad, g, SimParams(), 0.01)
+            rk4_step(bad, SimParams(), 0.01)
         assert info.value.stage == 1
 
     def test_bad_dt_rejected(self):
@@ -192,15 +195,15 @@ class TestRk4Step:
         s = np.zeros(g.n // 2 + 1, complex)
         for dt in (0.0, -0.1, float("nan")):
             with pytest.raises(ValueError, match="dt"):
-                rk4_step(s, g, SimParams(), dt)
+                rk4_step(s, SimParams(), dt)
 
     def test_repeat_step_is_bitwise_identical(self):
         g = make_grid(128)
         rng = np.random.default_rng(17)
-        s = forward_dft(rng.standard_normal(g.n), g)
+        s = forward_dft(rng.standard_normal(g.n))
         p = SimParams(gamma=0.2, alpha=1.5)
-        a = rk4_step(s, g, p, 1e-3)
-        b = rk4_step(s, g, p, 1e-3)
+        a = rk4_step(s, p, 1e-3)
+        b = rk4_step(s, p, 1e-3)
         assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("gamma, linear_only, calls", [
@@ -208,20 +211,44 @@ class TestRk4Step:
     def test_transform_count(self, monkeypatch, gamma, linear_only, calls):
         """Three transforms per stage, none when linear; none in or out."""
         g = make_grid(32)
-        s = forward_dft(-np.sin(g.nodes), g)
+        s = forward_dft(-np.sin(g.nodes))
         count = count_transforms(monkeypatch)
         p = SimParams(gamma=gamma, alpha=1.5, linear_only=linear_only)
-        rk4_step(s, g, p, 1e-3)
+        rk4_step(s, p, 1e-3)
         assert len(count) == calls
 
     def test_transform_count_with_nodal_pair(self, monkeypatch):
         """Stage 1 reuses a handed-over u and u_x: 10 transforms."""
         g = make_grid(32)
-        s = forward_dft(-np.sin(g.nodes), g)
-        nodal = nodal_pair(s, g)
+        s = forward_dft(-np.sin(g.nodes))
+        nodal = nodal_pair(s)
         count = count_transforms(monkeypatch)
-        rk4_step(s, g, SimParams(gamma=0.3, alpha=1.5), 1e-3, nodal=nodal)
+        rk4_step(s, SimParams(gamma=0.3, alpha=1.5), 1e-3, nodal=nodal)
         assert len(count) == 10
+
+
+class TestGridArgumentGone:
+    def test_old_call_shapes_raise_type_error(self):
+        """The arrays carry N; a call that still passes the grid fails loudly."""
+        g = make_grid(8)
+        u = np.cos(g.nodes)
+        c = forward_dft(u)
+        p = SimParams()
+        old_calls = (
+            lambda: forward_dft(u, g),
+            lambda: inverse_dft(c, g),
+            lambda: validate_spectrum(c, g),
+            lambda: nodal_pair(c, g),
+            lambda: rhs(u, g, p),
+            lambda: rk4_step(c, g, p, 1e-3),
+            lambda: rk4_step(c, g, p, 1e-3, nodal=nodal_pair(c)),
+            lambda: rk4_step(c, p, 1e-3, nodal_pair(c)),  # nodal is keyword-only
+            lambda: observe(c, g, 0.0),
+            lambda: stable_dt(1.0, g, p),
+        )
+        for call in old_calls:
+            with pytest.raises(TypeError):
+                call()
 
 
 class TestBatchedStep:
@@ -230,21 +257,20 @@ class TestBatchedStep:
     def test_stack_equals_single_rows(self, n, rule):
         """A (8, N/2 + 1) stack is transformed, operated on and stepped row by
         row, to the bit."""
-        g = make_grid(n)
         u = np.random.default_rng(7000 + n).standard_normal((8, n))
-        c = forward_dft(u, g)
+        c = forward_dft(u)
         assert c.shape == (8, n // 2 + 1)
-        assert np.array_equal(c, [forward_dft(row, g) for row in u])
-        assert np.array_equal(inverse_dft(c, g), [inverse_dft(row, g) for row in c])
-        assert np.array_equal(nodal_pair(c, g), np.stack(
-            [nodal_pair(row, g) for row in c], axis=1))
+        assert np.array_equal(c, [forward_dft(row) for row in u])
+        assert np.array_equal(inverse_dft(c), [inverse_dft(row) for row in c])
+        assert np.array_equal(nodal_pair(c), np.stack(
+            [nodal_pair(row) for row in c], axis=1))
         for op in (spectral_derivative, lambda x: fractional_laplacian(x, 1.5),
                    lambda x: dealias(x, rule)):
             assert np.array_equal(op(c), [op(row) for row in c])
         p = SimParams(gamma=0.3, alpha=1.5, dealias_rule=rule)
-        stepped = rk4_step(c, g, p, 1e-3)
+        stepped = rk4_step(c, p, 1e-3)
         assert stepped.shape == c.shape
-        assert np.array_equal(stepped, [rk4_step(row, g, p, 1e-3) for row in c])
+        assert np.array_equal(stepped, [rk4_step(row, p, 1e-3) for row in c])
 
 
 class TestGridScaleStability:
@@ -292,30 +318,30 @@ class TestStableDt:
     def test_advective_bound_example(self):
         """max|u| = 1 on N = 64 with gamma = 0 gives dt of 1/64."""
         g = make_grid(64)
-        dt = stable_dt(1.0, g, SimParams(gamma=0.0))
+        dt = stable_dt(1.0, g.n, SimParams(gamma=0.0))
         assert abs(dt - 0.015625) <= 1e-12
 
     def test_dissipative_bound_example(self):
         g = make_grid(64)
-        dt = stable_dt(1e-3, g, SimParams(gamma=1.0, alpha=2.0))
+        dt = stable_dt(1e-3, g.n, SimParams(gamma=1.0, alpha=2.0))
         assert abs(dt - 0.5 / 1024.0) <= 1e-12
 
     def test_degenerate_input_gives_huge_bound(self):
         g = make_grid(64)
-        dt = stable_dt(0.0, g, SimParams(gamma=0.0))
+        dt = stable_dt(0.0, g.n, SimParams(gamma=0.0))
         assert dt > 1e10
 
     def test_stronger_dissipation_shrinks_the_bound(self):
         g = make_grid(64)
-        mild = stable_dt(0.1, g, SimParams(gamma=1.0, alpha=1.0))
-        harsh = stable_dt(0.1, g, SimParams(gamma=1.0, alpha=2.0))
+        mild = stable_dt(0.1, g.n, SimParams(gamma=1.0, alpha=1.0))
+        harsh = stable_dt(0.1, g.n, SimParams(gamma=1.0, alpha=2.0))
         assert harsh < mild
 
     def test_non_finite_field_rejected(self):
         g = make_grid(8)
         for bad in (np.nan, np.inf):
             with pytest.raises(InvalidStateError, match="non-finite"):
-                stable_dt(bad, g, SimParams())
+                stable_dt(bad, g.n, SimParams())
 
 
 class TestConvergenceOrder:
@@ -326,9 +352,9 @@ class TestConvergenceOrder:
         errors = []
         for dt in (0.05, 0.025, 0.0125, 0.00625):
             p = SimParams(gamma=1.0, alpha=1.0, dt=dt, linear_only=True)
-            s = forward_dft(np.cos(2.0 * g.nodes), g)
+            s = forward_dft(np.cos(2.0 * g.nodes))
             for _ in range(round(1.0 / dt)):
-                s = rk4_step(s, g, p, dt)
+                s = rk4_step(s, p, dt)
             amp = 2.0 * abs(s[2])
             errors.append(abs(amp - target))
         ratios = [errors[i] / errors[i + 1] for i in range(3)]

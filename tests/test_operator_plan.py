@@ -1,9 +1,10 @@
 """Bit-for-bit test of the stepper's fast path against the public operators.
 
-rk4_step applies the operators as multipliers built once per (N, SimParams)
-and can reuse a handed-over u and u_x in its first stage. The slow path here
-composes the public operators (inverse_dft, spectral_derivative, forward_dft,
-dealias, fractional_laplacian) call by call, as the stepper did before the
+rk4_step applies the operators as multipliers built once per (N, SimParams),
+keyed by the state's row count N/2 + 1, and can reuse a handed-over u and
+u_x in its first stage. The slow path here composes the public operators
+(inverse_dft, spectral_derivative, forward_dft, dealias,
+fractional_laplacian) call by call, as the stepper did before the
 multipliers were cached. The fast path must reproduce it exactly, not only to
 rounding: the run outputs are byte-identical across that change.
 """
@@ -17,7 +18,6 @@ from fracburgers.spectral import (
     forward_dft,
     fractional_laplacian,
     inverse_dft,
-    make_grid,
     nodal_pair,
     spectral_derivative,
 )
@@ -29,22 +29,22 @@ CASES = {
 }
 
 
-def slow_tendency(c, g, p):
+def slow_tendency(c, p):
     """Coefficients of F for the state c, one public operator at a time."""
     hat = np.zeros_like(c)
     if not p.linear_only:
-        u = inverse_dft(c, g)
-        ux = inverse_dft(spectral_derivative(c), g)
-        hat = -dealias(forward_dft(u * ux, g), p.dealias_rule)
+        u = inverse_dft(c)
+        ux = inverse_dft(spectral_derivative(c))
+        hat = -dealias(forward_dft(u * ux), p.dealias_rule)
         hat[0] = hat[-1] = 0.0
     if p.gamma > 0.0:
         hat -= p.gamma * fractional_laplacian(c, p.alpha)
     return hat
 
 
-def slow_rk4_step(c, g, p, dt):
+def slow_rk4_step(c, p, dt):
     def f(state):
-        return slow_tendency(state, g, p)
+        return slow_tendency(state, p)
 
     k1 = f(c)
     k2 = f(c + 0.5 * dt * k1)
@@ -54,28 +54,27 @@ def slow_rk4_step(c, g, p, dt):
 
 
 def random_states(n, seed, count=3):
-    g = make_grid(n)
     rng = np.random.default_rng(seed)
-    return g, [forward_dft(rng.standard_normal(n), g) for _ in range(count)]
+    return [forward_dft(rng.standard_normal(n)) for _ in range(count)]
 
 
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("rule", ["off", "two_thirds"])
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_tendency_and_step_equal_public_operators(n, rule, case):
-    g, states = random_states(n, seed=4000 + n)
+    states = random_states(n, seed=4000 + n)
     rng = np.random.default_rng(5000 + n)
     for s in states:
         alpha = 2.0 - rng.uniform(0.0, 2.0)  # (0, 2]
         p = SimParams(alpha=alpha, dealias_rule=rule, **CASES[case])
-        plan = _plan(g.n, p)
-        want = slow_tendency(s, g, p)
+        plan = _plan(len(s), p)
+        want = slow_tendency(s, p)
         assert np.array_equal(_tendency(s, plan, p), want)
-        assert np.array_equal(_tendency(s, plan, p, nodal_pair(s, g)), want)
+        assert np.array_equal(_tendency(s, plan, p, nodal_pair(s)), want)
 
-        want = slow_rk4_step(s, g, p, 1e-3)
-        assert np.array_equal(rk4_step(s, g, p, 1e-3), want)
-        assert np.array_equal(rk4_step(s, g, p, 1e-3, nodal=nodal_pair(s, g)), want)
+        want = slow_rk4_step(s, p, 1e-3)
+        assert np.array_equal(rk4_step(s, p, 1e-3), want)
+        assert np.array_equal(rk4_step(s, p, 1e-3, nodal=nodal_pair(s)), want)
 
 
 def test_plan_multipliers_equal_public_operators():
@@ -85,10 +84,21 @@ def test_plan_multipliers_equal_public_operators():
         n = 2 * int(rng.integers(2, 300))
         alpha = 2.0 - rng.uniform(0.0, 2.0)
         rule = str(rng.choice(["off", "two_thirds"]))
-        _, (c,) = random_states(n, seed=int(rng.integers(1 << 30)), count=1)
-        plan = _plan(n, SimParams(alpha=alpha, dealias_rule=rule))
+        (c,) = random_states(n, seed=int(rng.integers(1 << 30)), count=1)
+        plan = _plan(len(c), SimParams(alpha=alpha, dealias_rule=rule))
         assert np.array_equal(c * plan.derivative, spectral_derivative(c))
         assert np.array_equal(c * plan.laplacian, fractional_laplacian(c, alpha))
         product = -dealias(c, rule)
         product[0] = product[-1] = 0.0
         assert np.array_equal(c * plan.product, product)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_two_sizes_alternate_through_one_params(case):
+    """The plan cache is keyed by the row count as well as SimParams: states
+    of two sizes stepped alternately through one SimParams each get the
+    multipliers of their own N."""
+    p = SimParams(alpha=1.3, dealias_rule="two_thirds", **CASES[case])
+    small, large = random_states(16, seed=7016), random_states(24, seed=7024)
+    for s in (small[0], large[0], small[1], large[1], small[2], large[2]):
+        assert np.array_equal(rk4_step(s, p, 1e-3), slow_rk4_step(s, p, 1e-3))

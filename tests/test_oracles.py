@@ -120,6 +120,12 @@ class TestInitialCondition:
         with pytest.raises(ValueError, match="max_mode"):
             InitialCondition.random_band(-1, 5)
 
+    def test_negative_seed_rejected(self):
+        """numpy's seed sequence takes non-negative integers only."""
+        assert InitialCondition.random_band(3, 0).seed == 0
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            InitialCondition.random_band(3, -1)
+
 
 class TestShockTime:
     def test_neg_sine_breaks_at_one(self):
@@ -184,41 +190,41 @@ class TestCharacteristicsSolution:
 class TestLinearDecaySolution:
     def test_time_zero_is_identity(self):
         g = make_grid(32)
-        s0 = forward_dft(np.cos(3.0 * g.nodes), g)
+        s0 = forward_dft(np.cos(3.0 * g.nodes))
         out = linear_decay_solution(s0, 0.0, 1.0, 1.0)
         assert np.array_equal(out, s0)
 
     def test_zero_gamma_is_identity(self):
         g = make_grid(32)
-        s0 = forward_dft(np.sin(2.0 * g.nodes), g)
+        s0 = forward_dft(np.sin(2.0 * g.nodes))
         out = linear_decay_solution(s0, 5.0, 0.0, 1.5)
         assert np.array_equal(out, s0)
 
     def test_single_mode_decay_rate(self):
         g = make_grid(32)
-        s0 = forward_dft(np.cos(2.0 * g.nodes), g)
-        out = inverse_dft(linear_decay_solution(s0, 1.0, 1.0, 1.0), g)
+        s0 = forward_dft(np.cos(2.0 * g.nodes))
+        out = inverse_dft(linear_decay_solution(s0, 1.0, 1.0, 1.0))
         assert np.allclose(out, np.exp(-2.0) * np.cos(2.0 * g.nodes),
                            rtol=1e-14, atol=1e-16)
 
     def test_fractional_exponent_enters_the_rate(self):
         g = make_grid(32)
-        s0 = forward_dft(np.cos(2.0 * g.nodes), g)
-        out = inverse_dft(linear_decay_solution(s0, 1.0, 1.0, 0.5), g)
+        s0 = forward_dft(np.cos(2.0 * g.nodes))
+        out = inverse_dft(linear_decay_solution(s0, 1.0, 1.0, 0.5))
         rate = np.exp(-(2.0**0.5))
         assert np.allclose(out, rate * np.cos(2.0 * g.nodes), rtol=1e-14, atol=1e-16)
 
     def test_semigroup_property(self):
         g = make_grid(64)
         rng = np.random.default_rng(53)
-        s0 = forward_dft(rng.standard_normal(g.n), g)
+        s0 = forward_dft(rng.standard_normal(g.n))
         one_hop = linear_decay_solution(s0, 0.7, 0.3, 1.2)
         two_hops = linear_decay_solution(linear_decay_solution(s0, 0.3, 0.3, 1.2), 0.4, 0.3, 1.2)
         assert np.allclose(one_hop, two_hops, rtol=1e-13, atol=1e-18)
 
     def test_validation(self):
         g = make_grid(8)
-        s0 = forward_dft(np.cos(g.nodes), g)
+        s0 = forward_dft(np.cos(g.nodes))
         with pytest.raises(ValueError, match=">= 0"):
             linear_decay_solution(s0, -1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match=">= 0"):
@@ -230,7 +236,7 @@ class TestLinearDecaySolution:
     @pytest.mark.parametrize("arg", ["t", "gamma"])
     def test_non_finite_time_and_gamma_rejected(self, arg, bad):
         g = make_grid(8)
-        s0 = forward_dft(np.cos(g.nodes), g)
+        s0 = forward_dft(np.cos(g.nodes))
         args = {"t": 1.0, "gamma": 1.0, arg: bad}
         with pytest.raises(ValueError, match=f"^{arg}:? must be finite and >= 0"):
             linear_decay_solution(s0, args["t"], args["gamma"], 1.0)

@@ -39,12 +39,11 @@ class TestMakeGrid:
         """The stored half-spectrum is numpy's rfft of the node values, bit for bit."""
         rng = np.random.default_rng(29)
         for n in (4, 6, 16, 250, 4096):
-            g = make_grid(n)
             u = rng.standard_normal(n)
-            c = forward_dft(u, g)
+            c = forward_dft(u)
             assert np.array_equal(c, np.fft.rfft(u, norm="forward"))
             assert c.shape == (n // 2 + 1,)
-            back = inverse_dft(c, g)
+            back = inverse_dft(c)
             assert np.array_equal(back, np.fft.irfft(c, n, norm="forward"))
 
     def test_uniform_spacing_from_minus_pi(self):
@@ -67,14 +66,15 @@ class TestMakeGrid:
 
 class TestFieldTypes:
     def test_spectrum_rows_must_match_grid(self):
-        """A coefficient array's last axis holds N/2 + 1 rows, stacked or not;
-        the observables also need the 3 rows of the smallest grid."""
-        g = make_grid(8)
-        validate_spectrum(np.zeros(5, complex), g)
-        validate_spectrum(np.zeros((2, 3, 5), complex), g)
-        for shape in ((4,), (6,), (2, 4), ()):
-            with pytest.raises(ValueError, match=r"shape .* does not match grid n=8"):
-                validate_spectrum(np.zeros(shape, complex), g)
+        """A coefficient array's last axis holds N/2 + 1 rows, stacked or not,
+        and is the only record of N: any count from the 3 rows of the
+        smallest grid up is a spectrum. The observables also need 3 rows."""
+        for rows in (3, 4, 5, 6):
+            validate_spectrum(np.zeros(rows, complex))
+            validate_spectrum(np.zeros((2, 3, rows), complex))
+        for shape in ((2,), (0,), (4, 2), ()):
+            with pytest.raises(ValueError, match=r">= 3 rows, got shape"):
+                validate_spectrum(np.zeros(shape, complex))
         for f in OBSERVABLES:
             with pytest.raises(ValueError, match="length >= 3"):
                 f(np.zeros(2, complex))
@@ -84,42 +84,41 @@ class TestFieldTypes:
         """mass, the norms, the tail and observe read one half-spectrum; a
         stack of them raises instead of being folded into one number."""
         g = make_grid(8)
-        stack = forward_dft(np.cos(np.multiply.outer([1.0, 2.0], g.nodes)), g)
+        stack = forward_dft(np.cos(np.multiply.outer([1.0, 2.0], g.nodes)))
         for f in OBSERVABLES:
             for bad in (stack, stack[None], stack[0, 0]):
                 with pytest.raises(ValueError, match="1-D"):
                     f(bad)
         with pytest.raises(ValueError, match="1-D"):
-            observe(stack, g, 0.0)
+            observe(stack, 0.0)
 
     def test_symmetry_checked_in_every_row(self):
-        g = make_grid(8)
         stack = np.zeros((3, 5), complex)
         stack[1, -1] = complex(np.nan, np.nan)  # a diverged row still passes
-        validate_spectrum(stack, g)
+        validate_spectrum(stack)
         stack[2, 0] = 1e-300j
         with pytest.raises(SymmetryError):
-            validate_spectrum(stack, g)
+            validate_spectrum(stack)
 
 
 class TestForwardDFT:
     def test_constant_concentrates_in_mean_mode(self):
         g = make_grid(16)
-        s = forward_dft(np.full(g.n, 3.0), g)
+        s = forward_dft(np.full(g.n, 3.0))
         assert abs(s[0] - 3.0) <= 1e-15
         assert np.max(np.abs(s[1:])) <= 1e-15
 
     def test_neg_sine_example(self):
         """-sin x = sin(x + pi) transforms to -i/2 in the k = 1 row (+i/2 at k = -1)."""
         g = make_grid(8)
-        s = forward_dft(-np.sin(g.nodes), g)
+        s = forward_dft(-np.sin(g.nodes))
         assert abs(s[1] + 0.5j) <= 1e-15
         rest = np.delete(s, 1)
         assert np.max(np.abs(rest)) <= 1e-15
 
     def test_cos_two_example(self):
         g = make_grid(16)
-        s = forward_dft(np.cos(2.0 * g.nodes), g)
+        s = forward_dft(np.cos(2.0 * g.nodes))
         assert abs(s[2] - 0.5) <= 1e-15
         assert len(s) == g.n // 2 + 1
 
@@ -127,23 +126,24 @@ class TestForwardDFT:
         """c_0 and c_{N/2} stay exactly real through every operator."""
         g = make_grid(64)
         rng = np.random.default_rng(7)
-        s = forward_dft(rng.standard_normal(g.n), g)
+        s = forward_dft(rng.standard_normal(g.n))
         for out in (s, spectral_derivative(s), fractional_laplacian(s, 1.3)):
             assert out[0].imag == 0.0 and out[-1].imag == 0.0
         assert s[-1] != 0.0
 
     def test_length_mismatch_rejected(self):
-        g = make_grid(8)
-        with pytest.raises(ValueError, match=r"shape \(16,\) does not match grid n=8"):
-            forward_dft(np.zeros(16), g)
+        """An odd node count has no grid: N is even."""
+        with pytest.raises(ValueError, match=r"even last axis of length >= 4, got shape \(15,\)"):
+            forward_dft(np.zeros(15))
 
     def test_last_axis_must_match_grid(self):
-        """Leading axes are a stack of fields; the last axis is the grid."""
-        g = make_grid(8)
-        assert forward_dft(np.zeros((2, 3, 8)), g).shape == (2, 3, 5)
-        for shape in ((2, 16), (8, 2), ()):
-            with pytest.raises(ValueError, match=r"shape \(.*\) does not match grid n=8"):
-                forward_dft(np.zeros(shape), g)
+        """Leading axes are a stack of fields; the last axis is the grid, so
+        its length N must be even and >= 4, and the spectrum has N/2 + 1 rows."""
+        assert forward_dft(np.zeros((2, 3, 8))).shape == (2, 3, 5)
+        assert forward_dft(np.zeros((8, 4))).shape == (8, 3)
+        for shape in ((2, 7), (8, 2), (3,), (0,), ()):
+            with pytest.raises(ValueError, match=r"even last axis of length >= 4, got shape \("):
+                forward_dft(np.zeros(shape))
 
 
 class TestInverseDFT:
@@ -151,23 +151,22 @@ class TestInverseDFT:
         g = make_grid(8)
         c = np.zeros(g.n // 2 + 1, complex)
         c[0] = 5.0
-        u = inverse_dft(c, g)
+        u = inverse_dft(c)
         assert np.allclose(u, 5.0, rtol=0, atol=1e-14)
 
     def test_conjugate_pair_reconstructs_neg_sine(self):
         g = make_grid(32)
         c = np.zeros(g.n // 2 + 1, complex)
         c[1] = -0.5j
-        u = inverse_dft(c, g)
+        u = inverse_dft(c)
         assert np.allclose(u, -np.sin(g.nodes), rtol=0, atol=1e-14)
 
     def test_round_trip_many_sizes(self):
         """forward then inverse returns the samples to 1e-12 relative."""
         rng = np.random.default_rng(11)
         for n in (4, 6, 16, 54, 250, 1024, 4096):
-            g = make_grid(n)
             u = rng.standard_normal(n)
-            back = inverse_dft(forward_dft(u, g), g)
+            back = inverse_dft(forward_dft(u))
             err = np.max(np.abs(back - u))
             assert err <= 1e-12 * np.max(np.abs(u)), f"n={n}: {err:.3e}"
 
@@ -176,31 +175,33 @@ class TestInverseDFT:
         c = np.zeros(g.n // 2 + 1, complex)
         c[-1] = 1.0j
         with pytest.raises(SymmetryError):
-            inverse_dft(c, g)
+            inverse_dft(c)
 
     def test_imaginary_mean_rejected(self):
         g = make_grid(8)
         c = np.zeros(g.n // 2 + 1, complex)
         c[0] = 1.0 + 1e-300j
         with pytest.raises(SymmetryError):
-            inverse_dft(c, g)
+            inverse_dft(c)
 
     def test_length_mismatch_rejected(self):
-        g = make_grid(8)
-        with pytest.raises(ValueError, match="does not match"):
-            inverse_dft(np.zeros(9, complex), g)
+        """The row count sets N = 2 * (rows - 1); fewer than 3 rows is no grid."""
+        assert inverse_dft(np.zeros(9, complex)).shape == (16,)
+        assert inverse_dft(np.zeros((2, 3), complex)).shape == (2, 4)
+        with pytest.raises(ValueError, match=">= 3 rows"):
+            inverse_dft(np.zeros(2, complex))
 
 
 class TestSpectralDerivative:
     def test_neg_sine_to_neg_cosine(self):
         g = make_grid(16)
-        s = forward_dft(-np.sin(g.nodes), g)
-        du = inverse_dft(spectral_derivative(s), g)
+        s = forward_dft(-np.sin(g.nodes))
+        du = inverse_dft(spectral_derivative(s))
         assert np.allclose(du, -np.cos(g.nodes), rtol=0, atol=1e-14)
 
     def test_constant_annihilated(self):
         g = make_grid(8)
-        s = forward_dft(np.full(g.n, 4.0), g)
+        s = forward_dft(np.full(g.n, 4.0))
         d = spectral_derivative(s)
         assert np.max(np.abs(d)) <= 1e-15
 
@@ -215,7 +216,7 @@ class TestSpectralDerivative:
     def test_mean_coefficient_exactly_zero(self):
         g = make_grid(32)
         rng = np.random.default_rng(3)
-        s = forward_dft(rng.standard_normal(g.n), g)
+        s = forward_dft(rng.standard_normal(g.n))
         assert spectral_derivative(s)[0] == 0.0
 
     def test_exact_on_trig_polynomials(self):
@@ -224,27 +225,27 @@ class TestSpectralDerivative:
         for n in (16, 64, 256):
             g = make_grid(n)
             u, du = trig_polynomial(g, rng, degree=n // 2 - 1)
-            got = inverse_dft(spectral_derivative(forward_dft(u, g)), g)
+            got = inverse_dft(spectral_derivative(forward_dft(u)))
             assert np.max(np.abs(got - du)) <= 1e-11
 
 
 class TestFractionalLaplacian:
     def test_cos_two_alpha_one_example(self):
         g = make_grid(16)
-        s = forward_dft(np.cos(2.0 * g.nodes), g)
-        out = inverse_dft(fractional_laplacian(s, 1.0), g)
+        s = forward_dft(np.cos(2.0 * g.nodes))
+        out = inverse_dft(fractional_laplacian(s, 1.0))
         assert np.allclose(out, 2.0 * np.cos(2.0 * g.nodes), rtol=0, atol=1e-14)
 
     def test_unit_mode_fixed_by_any_alpha(self):
         g = make_grid(16)
-        s = forward_dft(-np.sin(g.nodes), g)
+        s = forward_dft(-np.sin(g.nodes))
         for alpha in (0.5, 1.0, 1.7, 2.0):
-            out = inverse_dft(fractional_laplacian(s, alpha), g)
+            out = inverse_dft(fractional_laplacian(s, alpha))
             assert np.allclose(out, -np.sin(g.nodes), rtol=0, atol=1e-14)
 
     def test_constant_annihilated(self):
         g = make_grid(8)
-        s = forward_dft(np.full(g.n, 2.0), g)
+        s = forward_dft(np.full(g.n, 2.0))
         out = fractional_laplacian(s, 0.5)
         assert np.max(np.abs(out)) <= 1e-15
 
@@ -252,7 +253,7 @@ class TestFractionalLaplacian:
         """E^2 and -D_N^2 agree on every row except the unpaired Nyquist one."""
         g = make_grid(64)
         rng = np.random.default_rng(23)
-        s = forward_dft(rng.standard_normal(g.n), g)
+        s = forward_dft(rng.standard_normal(g.n))
         lap = fractional_laplacian(s, 2.0)
         dd = -spectral_derivative(spectral_derivative(s))
         assert np.allclose(lap[:-1], dd[:-1], rtol=0, atol=1e-13)
@@ -264,7 +265,7 @@ class TestFractionalLaplacian:
 
     def test_alpha_validation(self):
         g = make_grid(8)
-        s = forward_dft(np.cos(g.nodes), g)
+        s = forward_dft(np.cos(g.nodes))
         for alpha in (0.0, -1.0, 2.5, float("nan")):
             with pytest.raises(ValueError, match="alpha"):
                 fractional_laplacian(s, alpha)
@@ -282,7 +283,7 @@ class TestValidateAlpha:
 class TestDealias:
     def test_off_returns_independent_copy(self):
         g = make_grid(8)
-        s = forward_dft(np.cos(g.nodes), g)
+        s = forward_dft(np.cos(g.nodes))
         out = dealias(s, "off")
         assert np.array_equal(out, s)
         out[0] = 9.0
@@ -292,7 +293,7 @@ class TestDealias:
         """k > N/3 is zeroed; k = N/3 survives. cos 3x = -cos 3(x + pi)."""
         g = make_grid(12)
         u = np.cos(3.0 * g.nodes) + np.cos(4.0 * g.nodes) + np.cos(5.0 * g.nodes)
-        out = dealias(forward_dft(u, g), "two_thirds")
+        out = dealias(forward_dft(u), "two_thirds")
         assert abs(out[5]) == 0.0
         assert abs(out[6]) == 0.0
         assert abs(out[4] - 0.5) <= 1e-15
@@ -300,6 +301,6 @@ class TestDealias:
 
     def test_unknown_rule_rejected(self):
         g = make_grid(8)
-        s = forward_dft(np.cos(g.nodes), g)
+        s = forward_dft(np.cos(g.nodes))
         with pytest.raises(ValueError, match="dealias"):
             dealias(s, "three_halves")
