@@ -9,7 +9,6 @@ oracles.
 """
 
 from .diagnostics import (
-    BlowupReport,
     DetectionThresholds,
     DiagnosticsRecord,
     SingularTimeError,
@@ -63,7 +62,7 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlowupReport", "ConvergenceError", "DetectionThresholds",
+    "ConvergenceError", "DetectionThresholds",
     "DiagnosticsRecord", "GridSpec", "InitialCondition", "InstabilityError",
     "InvalidStateError", "RunConfig", "RunResult", "SimParams",
     "SingularTimeError", "SymmetryError", "UsageError",

@@ -7,6 +7,9 @@ the detection policy fires or a step goes non-finite. Outputs are plain CSV
 plus a small report.txt, written so that identical configs produce
 byte-identical files.
 
+A run's outcome is its status and its records; report.txt derives its
+prediction and detection lines from them.
+
 Exit codes: 0 completed, 2 blow-up detected, 3 resolution lost,
 4 numeric failure, 64 usage error.
 """
@@ -16,13 +19,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .diagnostics import (
-    BlowupReport,
     DetectionThresholds,
     DiagnosticsRecord,
     check_blowup,
@@ -38,8 +40,6 @@ from .spectral import GridSpec, forward_dft, make_grid, nodal_pair
 EXIT_CODES = {"completed": 0, "blowup_detected": 2, "resolution_lost": 3,
               "numeric_failure": 4}
 
-STATUSES = tuple(EXIT_CODES)
-
 # Run budgets checked before a run starts. A run may take at most 10**6 steps
 # (a record is about 380 B): a fixed dt by its count, dt auto by the count its
 # step bound at max|u| = 0 already forces. The held snapshots, (floor(t_final /
@@ -51,6 +51,7 @@ STATUSES = tuple(EXIT_CODES)
 MAX_FIXED_STEPS = 10**6
 MAX_SNAPSHOT_VALUES = 2**27
 
+# The status a detection cause ends a run with; "completed" pairs with "none".
 _CAUSE_TO_STATUS = {"slope_threshold": "blowup_detected",
                     "resolution_loss": "resolution_lost",
                     "non_finite": "numeric_failure"}
@@ -92,13 +93,14 @@ class RunConfig:
 class RunResult:
     records: tuple[DiagnosticsRecord, ...]
     snapshots: tuple[tuple[float, np.ndarray], ...]
-    report: BlowupReport
     status: str
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.status not in STATUSES:
+        if self.status not in EXIT_CODES:
             raise ValueError(f"unknown status {self.status!r}")
+        if not self.records:  # report.txt reads the first and the last record
+            raise ValueError("a run has at least its t = 0 record")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -313,13 +315,11 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         nodal = nodal_pair(c)
         t = 0.0
         rec, slope_norm = observe(c, t, nodal=nodal)
-        predicted = predicted_blowup_time(rec.min_slope)
         records = [rec]
         snapshots = [(t, u0)]
         status = "completed"
-        fragment = BlowupReport()
 
-        eps = 1e-12 * max(1.0, p.t_final)
+        eps = 1e-12 * p.t_final
         snap_idx = 1
         while t < p.t_final - eps:
             snap_t = snap_idx * cfg.snapshot_every
@@ -335,8 +335,6 @@ def run_simulation(cfg: RunConfig) -> RunResult:
             except (InstabilityError, InvalidStateError):
                 # Step blew up; the last appended record is the last valid state.
                 status = "numeric_failure"
-                fragment = BlowupReport(detected=True, detected_t=t,
-                                        detection_cause="non_finite")
                 break
             t = target if landed else t + dt_step
             nodal = nodal_pair(c)
@@ -347,14 +345,12 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                 snapshots.append((t, nodal[0]))
                 snap_idx += 1
             if cfg.detect_blowup:
-                hit = check_blowup(rec, cfg.thresholds)
-                if hit.detected:
-                    status = _CAUSE_TO_STATUS[hit.detection_cause]
-                    fragment = hit
+                cause = check_blowup(rec, cfg.thresholds)
+                if cause is not None:
+                    status = _CAUSE_TO_STATUS[cause]
                     break
 
     return RunResult(records=tuple(records), snapshots=tuple(snapshots),
-                     report=replace(fragment, predicted_t_star=predicted),
                      status=status, warnings=tuple(warnings))
 
 
@@ -397,18 +393,20 @@ def write_outputs(result: RunResult, cfg: RunConfig) -> list[Path]:
         path.write_text(snapshot % tuple((field + 0.0).tolist()), encoding="utf-8")
         written.append(path)
 
-    rep = result.report
+    predicted = predicted_blowup_time(result.records[0].min_slope)
     label = " (inviscid prediction)" if cfg.params.gamma > 0.0 else ""
+    detected = result.status != "completed"
+    cause = next((c for c, s in _CAUSE_TO_STATUS.items() if s == result.status), "none")
     report_lines = [
         f"status: {result.status}",
         f"ic: {cfg.ic.label()}",
         "rng: pcg64",
         f"seed: {'none' if cfg.ic.seed is None else cfg.ic.seed}",
-        ("predicted_t_star: none" if rep.predicted_t_star is None
-         else f"predicted_t_star: {_fmt(rep.predicted_t_star)}{label}"),
-        f"detected: {'true' if rep.detected else 'false'}",
-        f"detected_t: {'none' if rep.detected_t is None else _fmt(rep.detected_t)}",
-        f"detection_cause: {rep.detection_cause}",
+        ("predicted_t_star: none" if predicted is None
+         else f"predicted_t_star: {_fmt(predicted)}{label}"),
+        f"detected: {'true' if detected else 'false'}",
+        f"detected_t: {_fmt(result.records[-1].t) if detected else 'none'}",
+        f"detection_cause: {cause}",
     ]
     report_lines += [f"warning: {w}" for w in result.warnings]
     path = out / "report.txt"

@@ -25,6 +25,7 @@ pair the run loop hands in) for the extrema and the slope, and the
 spectral observables for the rest. The norms and the tail are each defined
 once, on the paired power |c_k|^2 + |c_{-k}|^2, which observe computes
 once per record; the Sobolev weights are built once per (rows, order).
+check_blowup returns the detection cause one record fires, or None.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ import numpy as np
 from .spectral import nodal_pair
 
 TAIL_GUARD = 1e-300  # keeps the tail ratio defined for the zero field
-
-CAUSES = ("slope_threshold", "non_finite", "resolution_loss", "none")
 
 
 class SingularTimeError(ValueError):
@@ -82,29 +81,6 @@ class DetectionThresholds:
             raise ValueError(f"slope_limit: must be > 0, got {self.slope_limit!r}")
         if not 0.0 < self.tail_limit < 1.0:
             raise ValueError(f"tail_limit: must lie in (0, 1), got {self.tail_limit!r}")
-
-
-@dataclass(frozen=True)
-class BlowupReport:
-    """Predicted vs detected blow-up for one run.
-
-    Invariant: detected, detected_t being present, and detection_cause being
-    something other than "none" all say the same thing.
-    """
-
-    predicted_t_star: float | None = None
-    detected: bool = False
-    detected_t: float | None = None
-    detection_cause: str = "none"
-
-    def __post_init__(self) -> None:
-        if self.detection_cause not in CAUSES:
-            raise ValueError(f"unknown detection cause {self.detection_cause!r}")
-        if self.detected != (self.detected_t is not None) or \
-                self.detected != (self.detection_cause != "none"):
-            raise ValueError(
-                "inconsistent report: detected, detected_t and detection_cause must agree"
-            )
 
 
 def mass(c: np.ndarray) -> float:
@@ -170,24 +146,20 @@ def tail_fraction(c: np.ndarray) -> float:
 
 
 def check_blowup(rec: DiagnosticsRecord,
-                 thresholds: DetectionThresholds) -> BlowupReport:
-    """Detection policy for one record.
+                 thresholds: DetectionThresholds) -> str | None:
+    """Detection policy for one record: the cause that fires, or None.
 
-    non_finite (any field NaN/Inf) outranks slope_threshold
-    (|min_slope| > slope_limit), which outranks resolution_loss
-    (tail_fraction > tail_limit). Returns a report fragment whose
-    predicted_t_star is left unset; the run loop owns the prediction.
+    "non_finite" (any field NaN/Inf) outranks "slope_threshold"
+    (|min_slope| > slope_limit), which outranks "resolution_loss"
+    (tail_fraction > tail_limit).
     """
-    values = rec.astuple()
-    if not all(math.isfinite(v) for v in values):
-        cause = "non_finite"
-    elif abs(rec.min_slope) > thresholds.slope_limit:
-        cause = "slope_threshold"
-    elif rec.tail_fraction > thresholds.tail_limit:
-        cause = "resolution_loss"
-    else:
-        return BlowupReport()
-    return BlowupReport(detected=True, detected_t=rec.t, detection_cause=cause)
+    if not all(math.isfinite(v) for v in rec.astuple()):
+        return "non_finite"
+    if abs(rec.min_slope) > thresholds.slope_limit:
+        return "slope_threshold"
+    if rec.tail_fraction > thresholds.tail_limit:
+        return "resolution_loss"
+    return None
 
 
 def observe(c: np.ndarray, t: float, *, prev_bkm: float = 0.0,

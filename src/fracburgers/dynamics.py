@@ -204,11 +204,16 @@ def stable_dt(u_max: float, n: int, p: SimParams) -> float:
 
     min( C_adv/(max|u|*k_max + eps), C_diff/(gamma*k_max^alpha + eps) ) with
     k_max = n/2 on n nodes. Degenerate inputs (zero field, gamma 0) give a huge value
-    that the run loop caps at the distance to the next stop time.
+    that the run loop caps at the distance to the next stop time. A negative
+    or non-finite u_max raises InvalidStateError, and an n that is not an
+    even integer >= 4 raises ValueError, so the bound is never negative.
     """
     u_max = float(u_max)
-    if not np.isfinite(u_max):
-        raise InvalidStateError(f"non-finite max|u| handed to stable_dt: {u_max!r}")
+    if not 0.0 <= u_max < np.inf:
+        kind = "negative" if -np.inf < u_max < 0.0 else "non-finite"
+        raise InvalidStateError(f"{kind} max|u| handed to stable_dt: {u_max!r}")
+    if n % 2 or n < 4:
+        raise ValueError(f"n: must be an even integer >= 4, got {n!r}")
     k_max = n / 2.0
     advective = CFL_ADVECTION / (u_max * k_max + DT_GUARD)
     dissipative = CFL_DISSIPATION / (p.gamma * k_max**p.alpha + DT_GUARD)

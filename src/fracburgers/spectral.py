@@ -93,10 +93,14 @@ def forward_dft(u: np.ndarray) -> np.ndarray:
 
     c_k = (1/N) sum_j u(x_j) exp(-2 pi i j k / N) for k = 0 .. N/2: numpy's
     rfft(u, norm="forward") over the last axis, whose length is N (even,
-    >= 4). u is not checked for finiteness, so a diverged field can still
-    be transformed and reported.
+    >= 4). Complex u is refused, since its imaginary part has no place in
+    a half-spectrum. u is not checked for finiteness, so a diverged field
+    can still be transformed and reported.
     """
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(u)
+    if np.iscomplexobj(u):
+        raise ValueError(f"nodal data must be real, got dtype {u.dtype}")
+    u = u.astype(float, copy=False)
     if u.ndim == 0 or u.shape[-1] % 2 or u.shape[-1] < 4:
         raise ValueError(f"field needs an even last axis of length >= 4, got shape {u.shape}")
     return np.fft.rfft(u, norm="forward")

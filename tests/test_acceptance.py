@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fracburgers.cli import parse_config, run_simulation, write_outputs
-from fracburgers.diagnostics import slope_closed_form
+from fracburgers.diagnostics import DetectionThresholds, check_blowup, slope_closed_form
 from fracburgers.dynamics import SimParams, rk4_step
 from fracburgers.oracles import InitialCondition, characteristics_solution
 from fracburgers.spectral import (
@@ -94,12 +94,12 @@ def test_criterion_04_blowup_law(shock_run, announce):
     target = slope_closed_form(-1.0, 0.8)  # -5
     rel_dev = abs(at_08.min_slope - target) / abs(target)
     window = (res.status == "blowup_detected"
-              and res.report.detection_cause == "slope_threshold"
-              and 0.9 <= res.report.detected_t <= 1.05)
+              and check_blowup(res.records[-1], DetectionThresholds()) == "slope_threshold"
+              and 0.9 <= res.records[-1].t <= 1.05)
     ok = abs(at_08.t - 0.8) <= 1e-9 and rel_dev <= 0.02 and window and elapsed < 60.0
     announce(4, "slope follows the breaking law and detection fires near t*",
              ok, f"slope(0.8) = {at_08.min_slope:.4f}, detected_t = "
-                 f"{res.report.detected_t:.4f}, {elapsed:.1f} s")
+                 f"{res.records[-1].t:.4f}, {elapsed:.1f} s")
 
 
 def test_criterion_05_characteristics_equivalence(announce):

@@ -1,5 +1,6 @@
 """Configuration parsing, the run loop, output files, and exit codes."""
 
+import dataclasses
 import math
 import struct
 import subprocess
@@ -19,7 +20,11 @@ from fracburgers.cli import (
     run_simulation,
     write_outputs,
 )
-from fracburgers.diagnostics import BlowupReport, DiagnosticsRecord
+from fracburgers.diagnostics import (
+    DiagnosticsRecord,
+    check_blowup,
+    predicted_blowup_time,
+)
 from fracburgers.oracles import InitialCondition, linear_decay_solution
 from fracburgers.spectral import forward_dft, inverse_dft, make_grid
 
@@ -251,7 +256,7 @@ class TestRunSimulation:
         for r in res.records:
             assert r.mass == 0.0 and r.l2 == 0.0 and r.h3 == 0.0
         assert len(res.snapshots) == 11
-        assert not res.report.detected and res.report.predicted_t_star is None
+        assert predicted_blowup_time(res.records[0].min_slope) is None
 
     def test_snapshots_land_on_exact_multiples(self):
         res = run_simulation(config("--n", "64", "--gamma", "0.1", "--t-final", "0.5"))
@@ -268,28 +273,37 @@ class TestRunSimulation:
 
     def test_neg_sine_prediction_recorded(self):
         res = run_simulation(config("--n", "64", "--t-final", "0.2"))
-        assert res.report.predicted_t_star == pytest.approx(1.0, rel=1e-9)
+        assert predicted_blowup_time(res.records[0].min_slope) == pytest.approx(1.0, rel=1e-9)
 
     def test_blowup_detected_by_slope_threshold(self):
-        res = run_simulation(config("--n", "64", "--t-final", "1.2", "--slope-limit", "10"))
+        cfg = config("--n", "64", "--t-final", "1.2", "--slope-limit", "10")
+        res = run_simulation(cfg)
         assert res.status == "blowup_detected"
-        assert res.report.detection_cause == "slope_threshold"
+        assert check_blowup(res.records[-1], cfg.thresholds) == "slope_threshold"
         # slope law: |m| crosses 10 at t = 1 - 1/10
-        assert 0.85 <= res.report.detected_t <= 1.0
-        assert res.records[-1].t == res.report.detected_t
+        assert 0.85 <= res.records[-1].t <= 1.0
 
     def test_resolution_loss_detected(self):
-        res = run_simulation(config(*RESOLUTION_LOSS_ARGS))
+        cfg = config(*RESOLUTION_LOSS_ARGS)
+        res = run_simulation(cfg)
         assert res.status == "resolution_lost"
-        assert res.report.detection_cause == "resolution_loss"
+        assert check_blowup(res.records[-1], cfg.thresholds) == "resolution_loss"
         assert res.records[-1].tail_fraction > 0.01
 
     def test_numeric_failure_keeps_finite_snapshots(self):
         res = run_simulation(config(*NUMERIC_FAILURE_ARGS))
         assert res.status == "numeric_failure"
-        assert res.report.detection_cause == "non_finite"
         for _, field in res.snapshots:
             assert np.all(np.isfinite(field))
+
+    def test_tiny_t_final_takes_a_step(self):
+        """The landing tolerance scales with t_final, so a run to 1e-13 steps."""
+        res = run_simulation(config("--n", "16", "--t-final", "1e-13",
+                                    "--snapshot-every", "1e-13"))
+        assert res.status == "completed"
+        assert [r.t for r in res.records] == [0.0, 1e-13]
+        assert [_snapshot_name(t) for t, _ in res.snapshots] == [
+            "snapshot_0.csv", "snapshot_1e-13.csv"]
 
     def test_positive_profile_warns_about_extrema_hypotheses(self):
         res = run_simulation(config("--ic", "gaussian:1.0", "--n", "32", "--t-final", "0.2"))
@@ -310,7 +324,7 @@ class TestRunSimulation:
         args = ["--n", "64", "--t-final", "1.2", "--slope-limit", "10",
                 "--detect-blowup", "false"]
         res = run_simulation(config(*args))
-        assert res.status == "completed" and not res.report.detected
+        assert res.status == "completed"
 
 
 class TestWriteOutputs:
@@ -367,6 +381,39 @@ class TestWriteOutputs:
         write_outputs(run_simulation(cfg), cfg)
         text = (tmp_path / "report.txt").read_text(encoding="utf-8")
         assert "(inviscid prediction)" in text
+
+    @pytest.mark.parametrize("args,status,cause", [
+        (["--n", "16", "--t-final", "0.3"], "completed", "none"),
+        (["--n", "64", "--t-final", "1.2", "--slope-limit", "10"],
+         "blowup_detected", "slope_threshold"),
+        (RESOLUTION_LOSS_ARGS, "resolution_lost", "resolution_loss"),
+        (NUMERIC_FAILURE_ARGS, "numeric_failure", "non_finite"),
+    ])
+    def test_report_derived_from_status_and_records(self, tmp_path, args, status, cause):
+        """detected_t is the last row's t, the cause pairs with the status,
+        and predicted_t_star is -1/min_slope of row 0."""
+        cfg = config(*args, out=tmp_path)
+        write_outputs(run_simulation(cfg), cfg)
+        lines = (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines()
+        report = dict(line.split(": ", 1) for line in lines)
+        header, first, *_, last = [
+            line.split(",")
+            for line in (tmp_path / "diagnostics.csv").read_text(encoding="utf-8").splitlines()
+        ]
+        first, last = dict(zip(header, first)), dict(zip(header, last))
+        assert report["status"] == status and report["detection_cause"] == cause
+        detected = status != "completed"
+        assert report["detected"] == ("true" if detected else "false")
+        assert report["detected_t"] == (last["t"] if detected else "none")
+        predicted = float(report["predicted_t_star"].split(" ")[0])
+        assert predicted == -1.0 / float(first["min_slope"])
+
+    def test_result_needs_a_known_status_and_a_record(self):
+        rec = DiagnosticsRecord(0.0, 0.0, 1.0, 1.0, -1.0, -1.0, 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="unknown status"):
+            RunResult(records=(rec,), snapshots=(), status="exploded")
+        with pytest.raises(ValueError, match="t = 0 record"):
+            RunResult(records=(), snapshots=(), status="completed")
 
     def test_warnings_echoed_into_report(self, tmp_path):
         cfg = config("--ic", "gaussian:1.0", "--n", "16", "--t-final", "0.2", out=tmp_path)
@@ -435,7 +482,10 @@ class TestWriterReference:
         cfg = config("--n", str(n), "--gamma", "0.5", out=tmp_path)
         rng = np.random.default_rng(20240917)
         cells = SPECIAL_VALUES * 2 + rng.standard_normal(25).tolist()
-        records = tuple(DiagnosticsRecord(*cells[i:i + 9]) for i in range(0, len(cells) - 8, 9))
+        records = [DiagnosticsRecord(*cells[i:i + 9]) for i in range(0, len(cells) - 8, 9)]
+        # report.txt reads predicted_t_star from row 0 and detected_t from the last row.
+        records[0] = dataclasses.replace(records[0], min_slope=-1 / (0.1 + 0.2))
+        records[-1] = dataclasses.replace(records[-1], t=-0.0)
         scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-330, 308, n)
         snapshots = (
             (0.0, np.resize(np.array(SPECIAL_VALUES, dtype=float), n)),
@@ -443,9 +493,7 @@ class TestWriterReference:
             (0.1 + 0.2, scaled),
             (0.5, rng.integers(-1000, 1000, n)),
         )
-        report = BlowupReport(predicted_t_star=0.1 + 0.2, detected=True, detected_t=-0.0,
-                              detection_cause="non_finite")
-        result = RunResult(records=records, snapshots=snapshots, report=report,
+        result = RunResult(records=tuple(records), snapshots=snapshots,
                            status="numeric_failure", warnings=("a warning",))
 
         written = write_outputs(result, cfg)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fracburgers.diagnostics import (
-    BlowupReport,
     DetectionThresholds,
     DiagnosticsRecord,
     SingularTimeError,
@@ -229,54 +228,31 @@ class TestDetectionThresholds:
 
 class TestCheckBlowup:
     def test_healthy_record_passes(self):
-        rep = check_blowup(record(), DetectionThresholds())
-        assert not rep.detected and rep.detection_cause == "none"
+        assert check_blowup(record(), DetectionThresholds()) is None
 
     def test_steep_slope_detected(self):
-        rep = check_blowup(record(min_slope=-150.0), DetectionThresholds())
-        assert rep.detected and rep.detection_cause == "slope_threshold"
-        assert rep.detected_t == 0.5
+        assert check_blowup(record(min_slope=-150.0), DetectionThresholds()) == "slope_threshold"
 
     def test_threshold_compares_absolute_value(self):
-        rep = check_blowup(record(min_slope=150.0), DetectionThresholds())
-        assert rep.detected and rep.detection_cause == "slope_threshold"
+        assert check_blowup(record(min_slope=150.0), DetectionThresholds()) == "slope_threshold"
 
     def test_slope_at_the_limit_does_not_trigger(self):
-        rep = check_blowup(record(min_slope=-100.0), DetectionThresholds())
-        assert not rep.detected
+        assert check_blowup(record(min_slope=-100.0), DetectionThresholds()) is None
 
     def test_spectral_tail_detected(self):
-        rep = check_blowup(record(tail_fraction=0.2), DetectionThresholds())
-        assert rep.detection_cause == "resolution_loss"
+        assert check_blowup(record(tail_fraction=0.2), DetectionThresholds()) == "resolution_loss"
 
     def test_non_finite_detected(self):
-        rep = check_blowup(record(l2=float("inf")), DetectionThresholds())
-        assert rep.detection_cause == "non_finite"
+        assert check_blowup(record(l2=float("inf")), DetectionThresholds()) == "non_finite"
 
     def test_non_finite_outranks_slope(self):
-        rep = check_blowup(record(mass=float("nan"), min_slope=-150.0, tail_fraction=0.2),
-                           DetectionThresholds())
-        assert rep.detection_cause == "non_finite"
+        cause = check_blowup(record(mass=float("nan"), min_slope=-150.0, tail_fraction=0.2),
+                             DetectionThresholds())
+        assert cause == "non_finite"
 
     def test_slope_outranks_tail(self):
-        rep = check_blowup(record(min_slope=-150.0, tail_fraction=0.2), DetectionThresholds())
-        assert rep.detection_cause == "slope_threshold"
-
-
-class TestBlowupReport:
-    def test_detection_requires_cause_and_time(self):
-        with pytest.raises(ValueError):
-            BlowupReport(detected=True, detection_cause="none", detected_t=0.5)
-        with pytest.raises(ValueError):
-            BlowupReport(detected=True, detection_cause="slope_threshold", detected_t=None)
-
-    def test_quiet_report_rejects_stray_cause(self):
-        with pytest.raises(ValueError):
-            BlowupReport(detected=False, detection_cause="slope_threshold")
-
-    def test_unknown_cause_rejected(self):
-        with pytest.raises(ValueError, match="cause"):
-            BlowupReport(detected=True, detection_cause="mystery", detected_t=0.1)
+        cause = check_blowup(record(min_slope=-150.0, tail_fraction=0.2), DetectionThresholds())
+        assert cause == "slope_threshold"
 
 
 class TestObserve:
@@ -306,8 +282,7 @@ class TestObserve:
         s = forward_dft(-np.sin(g.nodes))
         s[3] = bad
         rec, _ = observe(s, 0.5)
-        rep = check_blowup(rec, DetectionThresholds())
-        assert rep.detection_cause == "non_finite" and rep.detected_t == 0.5
+        assert rec.t == 0.5 and check_blowup(rec, DetectionThresholds()) == "non_finite"
 
     def test_record_field_order_matches_csv_header(self):
         assert DiagnosticsRecord.FIELDS == (

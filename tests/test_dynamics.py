@@ -343,6 +343,16 @@ class TestStableDt:
             with pytest.raises(InvalidStateError, match="non-finite"):
                 stable_dt(bad, g.n, SimParams())
 
+    def test_negative_max_u_rejected(self):
+        """max|u| is never negative; a negative one would give a negative step."""
+        with pytest.raises(InvalidStateError, match="negative max"):
+            stable_dt(-5.0, 256, SimParams())
+
+    @pytest.mark.parametrize("n", [-4, 0, 2, 5, 4.5])
+    def test_bad_node_count_rejected(self, n):
+        with pytest.raises(ValueError, match=r"^n: must be an even integer >= 4"):
+            stable_dt(1.0, n, SimParams())
+
 
 class TestConvergenceOrder:
     def test_fourth_order_on_dissipative_mode(self):

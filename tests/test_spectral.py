@@ -145,6 +145,12 @@ class TestForwardDFT:
             with pytest.raises(ValueError, match=r"even last axis of length >= 4, got shape \("):
                 forward_dft(np.zeros(shape))
 
+    def test_complex_nodal_data_rejected(self):
+        """Nodal data are real; an imaginary part is refused, not dropped."""
+        u = np.cos(make_grid(8).nodes) + 1e-3j
+        with pytest.raises(ValueError, match="must be real, got dtype complex128"):
+            forward_dft(u)
+
 
 class TestInverseDFT:
     def test_mean_mode_reconstructs_constant(self):
