@@ -23,14 +23,7 @@ from .diagnostics import (
     sobolev_norm,
     tail_fraction,
 )
-from .dynamics import (
-    InstabilityError,
-    InvalidStateError,
-    SimParams,
-    rhs,
-    rk4_step,
-    stable_dt,
-)
+from .dynamics import InstabilityError, SimParams, rk4_step, stable_dt
 from .oracles import (
     ConvergenceError,
     InitialCondition,
@@ -62,14 +55,13 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError", "DetectionThresholds",
-    "DiagnosticsRecord", "GridSpec", "InitialCondition", "InstabilityError",
-    "InvalidStateError", "RunConfig", "RunResult", "SimParams",
+    "ConvergenceError", "DetectionThresholds", "DiagnosticsRecord", "GridSpec",
+    "InitialCondition", "InstabilityError", "RunConfig", "RunResult", "SimParams",
     "SingularTimeError", "SymmetryError", "UsageError",
     "bkm_accumulate", "characteristics_solution", "check_blowup", "dealias",
     "extrema", "forward_dft", "fractional_laplacian", "inverse_dft",
     "l2_norm", "linear_decay_solution", "main", "make_grid", "mass",
-    "nodal_pair", "observe", "parse_config", "predicted_blowup_time", "rhs",
+    "nodal_pair", "observe", "parse_config", "predicted_blowup_time",
     "rk4_step", "run_simulation", "shock_time", "slope_closed_form",
     "sobolev_norm", "spectral_derivative", "stable_dt", "tail_fraction",
     "write_outputs",

@@ -33,7 +33,7 @@ from .diagnostics import (
     predicted_blowup_time,
 )
 from . import dynamics
-from .dynamics import InstabilityError, InvalidStateError, SimParams, rk4_step, stable_dt
+from .dynamics import InstabilityError, SimParams, rk4_step, stable_dt
 from .oracles import InitialCondition
 from .spectral import GridSpec, forward_dft, make_grid, nodal_pair
 
@@ -171,7 +171,7 @@ def _parse_ic(raw: str) -> InitialCondition:
 
 def _read_config_file(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not part of a key
     except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read config file: {err}") from None
     values: dict[str, str] = {}
@@ -309,7 +309,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
             "the extrema bounds are monitored but not guaranteed"
         )
 
-    # Finiteness is checked explicitly (records, stages), as in observe and rk4_step.
+    # Finiteness is checked explicitly: observe on each record, rk4_step on its result.
     with np.errstate(over="ignore", invalid="ignore"):
         c = forward_dft(u0)
         nodal = nodal_pair(c)
@@ -332,7 +332,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                 else:
                     dt_step, landed = cap, False
                 c = rk4_step(c, p, dt_step, nodal=nodal)
-            except (InstabilityError, InvalidStateError):
+            except InstabilityError:
                 # Step blew up; the last appended record is the last valid state.
                 status = "numeric_failure"
                 break

@@ -38,7 +38,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .spectral import nodal_pair
+from .spectral import as_float, nodal_pair
 
 TAIL_GUARD = 1e-300  # keeps the tail ratio defined for the zero field
 
@@ -77,10 +77,13 @@ class DetectionThresholds:
     tail_limit: float = 0.1
 
     def __post_init__(self) -> None:
-        if not self.slope_limit > 0.0:
+        slope_limit, tail_limit = as_float(self.slope_limit), as_float(self.tail_limit)
+        if not slope_limit > 0.0:
             raise ValueError(f"slope_limit: must be > 0, got {self.slope_limit!r}")
-        if not 0.0 < self.tail_limit < 1.0:
+        if not 0.0 < tail_limit < 1.0:
             raise ValueError(f"tail_limit: must lie in (0, 1), got {self.tail_limit!r}")
+        object.__setattr__(self, "slope_limit", slope_limit)
+        object.__setattr__(self, "tail_limit", tail_limit)
 
 
 def mass(c: np.ndarray) -> float:

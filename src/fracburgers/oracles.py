@@ -69,10 +69,11 @@ class InitialCondition:
 
     @classmethod
     def random_band(cls, max_mode: int, seed: int) -> "InitialCondition":
-        m = int(max_mode)
+        m, s = int(max_mode), int(seed)
+        if m != max_mode or s != seed:  # int() alone would turn 2.5 into 2
+            raise ValueError(f"max_mode and seed must be integers, got {max_mode!r}, {seed!r}")
         if m < 0:
             raise ValueError(f"max_mode must be >= 0, got {max_mode!r}")
-        s = int(seed)
         if s < 0:  # numpy's seed sequence takes non-negative integers only
             raise ValueError(f"seed must be >= 0, got {seed!r}")
         return cls("random_band", (m, s))
@@ -170,6 +171,8 @@ def characteristics_solution(f: InitialCondition, x: float, t: float) -> float:
     """
     x = float(x)
     t = float(t)
+    if not np.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
     if t < 0.0 or not np.isfinite(t):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     if t == 0.0:

@@ -147,6 +147,14 @@ class TestParseConfig:
         with pytest.raises(UsageError, match=r"run\.cfg:1"):
             parse_config(["--config", str(cfgfile)])
 
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        """Editors that save UTF-8 with a BOM put U+FEFF before the first key."""
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("n = 64\ngamma = 0.5\n", encoding="utf-8-sig")
+        assert cfgfile.read_bytes().startswith(b"\xef\xbb\xbfn")
+        cfg = parse_config(["--config", str(cfgfile)])
+        assert cfg.grid.n == 64 and cfg.params.gamma == 0.5
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(UsageError, match="cannot read config file"):
             parse_config(["--config", str(tmp_path / "absent.cfg")])

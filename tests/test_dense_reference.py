@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from fracburgers.diagnostics import l2_norm, sobolev_norm, tail_fraction
-from fracburgers.dynamics import SimParams, rhs, rk4_step
+from fracburgers.dynamics import SimParams, _plan, _tendency, rk4_step
 from fracburgers.spectral import forward_dft, inverse_dft
 
 RTOL = 1e-12
@@ -60,6 +60,13 @@ def relative(got, want):
     # A zero reference (linear_only with gamma = 0) leaves no scale: demand exact zeros.
     scale = max(float(np.max(np.abs(want))), np.finfo(float).tiny)
     return float(np.max(np.abs(np.subtract(got, want)))) / scale
+
+
+def rhs(u, p):
+    """The tendency F(u) at the nodes: rk4_step's coefficient kernel between
+    a forward and an inverse transform."""
+    c = forward_dft(u)
+    return inverse_dft(_tendency(c, _plan(len(c), p), p))
 
 
 def check_rhs(n, rule, linear_only):

@@ -225,6 +225,18 @@ class TestDetectionThresholds:
             with pytest.raises(ValueError, match="tail_limit"):
                 DetectionThresholds(tail_limit=bad)
 
+    @pytest.mark.parametrize("key, rule", [
+        ("slope_limit", "must be > 0"), ("tail_limit", r"must lie in \(0, 1\)")])
+    def test_non_number_worded_as_range_rule(self, key, rule):
+        with pytest.raises(ValueError, match=f"^{key}: {rule}, got 'fast'$"):
+            DetectionThresholds(**{key: "fast"})
+
+    def test_limits_stored_as_floats(self):
+        """As in SimParams, anything float() takes is stored as a float."""
+        th = DetectionThresholds(slope_limit="5", tail_limit=np.float32(0.25))
+        assert type(th.slope_limit) is float and th.slope_limit == 5.0
+        assert type(th.tail_limit) is float and th.tail_limit == 0.25
+
 
 class TestCheckBlowup:
     def test_healthy_record_passes(self):

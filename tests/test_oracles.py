@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fracburgers import oracles
 from fracburgers.oracles import (
     ConvergenceError,
     InitialCondition,
@@ -126,6 +127,13 @@ class TestInitialCondition:
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             InitialCondition.random_band(3, -1)
 
+    @pytest.mark.parametrize("max_mode, seed", [(2.5, 1), (2, 1.9), (float("nan"), 1)])
+    def test_non_integer_random_parameters_rejected(self, max_mode, seed):
+        """int() would truncate them: random_band(2.5, 1) would be random:2:1."""
+        with pytest.raises(ValueError, match="integer"):
+            InitialCondition.random_band(max_mode, seed)
+        assert InitialCondition.random_band(2.0, 1.0).params == (2, 1)
+
 
 class TestShockTime:
     def test_neg_sine_breaks_at_one(self):
@@ -185,6 +193,30 @@ class TestCharacteristicsSolution:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             characteristics_solution(InitialCondition.neg_sine(), 0.0, -0.1)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position_rejected(self, monkeypatch, x):
+        """Refused up front, before any profile evaluation."""
+        f = InitialCondition.neg_sine()
+        calls = []
+        monkeypatch.setattr(InitialCondition, "__call__", lambda self, x: calls.append(x))
+        with pytest.raises(ValueError, match=r"^x must be finite"):
+            characteristics_solution(f, x, 0.5)
+        assert calls == []
+
+    @pytest.mark.parametrize("f, x, t", [
+        (InitialCondition.random_band(2, 3), 0.6153635094660421, 0.255142107779826),
+        (InitialCondition.random_band(4, 2), 2.817717122291877, 0.24517995922411656),
+    ])
+    def test_bisection_fallback(self, monkeypatch, f, x, t):
+        """Close to the shock time the damped iteration stalls and bisection
+        finds the root; only the fallback reads the value range."""
+        ranged = []
+        real = oracles._value_range
+        monkeypatch.setattr(oracles, "_value_range", lambda g: ranged.append(g) or real(g))
+        u = characteristics_solution(f, x, t)
+        assert ranged == [f]
+        assert abs(u - float(f(x - u * t))) <= 1e-12
 
 
 class TestLinearDecaySolution:
