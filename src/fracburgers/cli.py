@@ -35,7 +35,7 @@ from .diagnostics import (
 from . import dynamics
 from .dynamics import InstabilityError, SimParams, rk4_step, stable_dt
 from .oracles import InitialCondition
-from .spectral import GridSpec, forward_dft, make_grid, nodal_pair
+from .spectral import GridSpec, as_float, forward_dft, make_grid, nodal_pair
 
 EXIT_CODES = {"completed": 0, "blowup_detected": 2, "resolution_lost": 3,
               "numeric_failure": 4}
@@ -80,13 +80,33 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run of the equation params from the profile ic on grid.
+
+    dt is a positive step or "auto", in which case the run loop calls
+    stable_dt before every step. The run ends at t_final, stores snapshots
+    at multiples of snapshot_every, and stops early when check_blowup fires
+    under thresholds; None turns detection off.
+    """
+
     grid: GridSpec
     params: SimParams
     ic: InitialCondition
+    dt: float | str
+    t_final: float
     snapshot_every: float
     output_dir: Path
-    thresholds: DetectionThresholds
-    detect_blowup: bool
+    thresholds: DetectionThresholds | None
+
+    def __post_init__(self) -> None:
+        if self.dt != "auto":
+            dt = as_float(self.dt)
+            if not 0.0 < dt < np.inf:
+                raise ValueError(f'dt: must be finite and > 0 or "auto", got {self.dt!r}')
+            object.__setattr__(self, "dt", dt)
+        t_final = as_float(self.t_final)  # a NaN t_final would never end the run loop
+        if not 0.0 < t_final < np.inf:
+            raise ValueError(f"t_final: must be finite and > 0, got {self.t_final!r}")
+        object.__setattr__(self, "t_final", t_final)
 
 
 @dataclass(frozen=True)
@@ -216,6 +236,7 @@ def parse_config(argv: list[str]) -> RunConfig:
     slope_limit = _as_float("slope_limit", merged["slope_limit"])
     tail_limit = _as_float("tail_limit", merged["tail_limit"])
     linear_only = _as_bool("linear_only", merged["linear_only"])
+    detect_blowup = _as_bool("detect_blowup", merged["detect_blowup"])
     ic = _parse_ic(merged["ic"])
 
     if snapshot_every <= 0.0:
@@ -233,19 +254,26 @@ def parse_config(argv: list[str]) -> RunConfig:
             "values, more than 2**27 (1 GiB); n may be at most 2**23"
         )
 
-    # The grid, SimParams and DetectionThresholds own their range rules and
-    # word a violation as "<key>: <reason>".
+    # The grid, SimParams, DetectionThresholds and RunConfig own their range
+    # rules and word a violation as "<key>: <reason>". Both limits are checked
+    # even when detection is off.
     try:
-        grid = make_grid(n)
-        params = SimParams(
-            gamma=gamma,
-            alpha=alpha,
+        thresholds = DetectionThresholds(slope_limit=slope_limit, tail_limit=tail_limit)
+        cfg = RunConfig(
+            grid=make_grid(n),
+            params=SimParams(
+                gamma=gamma,
+                alpha=alpha,
+                dealias_rule="two_thirds" if dealias == "two-thirds" else "off",
+                linear_only=linear_only,
+            ),
+            ic=ic,
             dt=dt,
             t_final=t_final,
-            dealias_rule="two_thirds" if dealias == "two-thirds" else "off",
-            linear_only=linear_only,
+            snapshot_every=snapshot_every,
+            output_dir=Path(merged["output"]),
+            thresholds=thresholds if detect_blowup else None,
         )
-        thresholds = DetectionThresholds(slope_limit=slope_limit, tail_limit=tail_limit)
     except ValueError as err:
         raise UsageError(f"invalid value for {err}") from None
 
@@ -261,7 +289,7 @@ def parse_config(argv: list[str]) -> RunConfig:
     # stable_dt falls as max|u| grows, so at max|u| = 0 it bounds every auto
     # step. It is read through the module so that the first call of cli's own
     # stable_dt stays the run loop's first step.
-    longest = dynamics.stable_dt(0.0, n, params) if dt == "auto" else math.inf
+    longest = dynamics.stable_dt(0.0, n, cfg.params) if dt == "auto" else math.inf
     if t_final > MAX_FIXED_STEPS * longest:
         raise UsageError(
             f"invalid value for dt: auto steps are at most {longest:.6g} at gamma "
@@ -273,15 +301,7 @@ def parse_config(argv: list[str]) -> RunConfig:
         raise UsageError(
             f"invalid value for ic: random kmax must be < n/2 = {n // 2}, got {ic.params[0]}"
         )
-    return RunConfig(
-        grid=grid,
-        params=params,
-        ic=ic,
-        snapshot_every=snapshot_every,
-        output_dir=Path(merged["output"]),
-        thresholds=thresholds,
-        detect_blowup=_as_bool("detect_blowup", merged["detect_blowup"]),
-    )
+    return cfg
 
 
 def run_simulation(cfg: RunConfig) -> RunResult:
@@ -292,8 +312,9 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     landing, t is assigned the target value, so snapshot times are exact
     float multiples of snapshot_every and no drift-induced micro-steps
     occur. One DiagnosticsRecord is appended per step, plus the initial
-    record at t=0. Each state's nodal u and u_x are formed once: its record,
-    its snapshot and the first stage of the next step share them. The t=0
+    record at t=0, and the detection policy meets each one before the next
+    step. Each state's nodal u and u_x are formed once: its record, its
+    snapshot and the first stage of the next step share them. The t=0
     snapshot is the sampled profile itself.
     """
     g = cfg.grid
@@ -319,13 +340,19 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         snapshots = [(t, u0)]
         status = "completed"
 
-        eps = 1e-12 * p.t_final
+        eps = 1e-12 * cfg.t_final
         snap_idx = 1
-        while t < p.t_final - eps:
+        while True:
+            cause = None if cfg.thresholds is None else check_blowup(rec, cfg.thresholds)
+            if cause is not None:
+                status = _CAUSE_TO_STATUS[cause]
+                break
+            if t >= cfg.t_final - eps:
+                break
             snap_t = snap_idx * cfg.snapshot_every
-            target = min(snap_t, p.t_final)
+            target = min(snap_t, cfg.t_final)
             try:
-                cap = p.dt if p.dt != "auto" else stable_dt(max(rec.max_u, -rec.min_u), g.n, p)
+                cap = cfg.dt if cfg.dt != "auto" else stable_dt(max(rec.max_u, -rec.min_u), g.n, p)
                 remaining = target - t
                 if cap >= remaining - eps:
                     dt_step, landed = remaining, True
@@ -344,11 +371,6 @@ def run_simulation(cfg: RunConfig) -> RunResult:
             if landed and abs(snap_t - t) <= eps:
                 snapshots.append((t, nodal[0]))
                 snap_idx += 1
-            if cfg.detect_blowup:
-                cause = check_blowup(rec, cfg.thresholds)
-                if cause is not None:
-                    status = _CAUSE_TO_STATUS[cause]
-                    break
 
     return RunResult(records=tuple(records), snapshots=tuple(snapshots),
                      status=status, warnings=tuple(warnings))

@@ -17,10 +17,11 @@ the bit. RK4 advances the rfft half-spectrum: a step takes and returns a
 coefficient array, and only the product needs the nodes.
 
 The stages apply the operators as multipliers built once per
-(rows, SimParams), the row count N/2 + 1 being the array's only record of
-N: the public operators applied to a vector of ones. The
-public operators stay the only definition of the derivative, the fractional
-laplacian and the 2/3 rule, and the multipliers reproduce them to the bit.
+(rows, alpha, dealias rule), the values they are built from, the row count
+N/2 + 1 being the array's only record of N: the public operators applied to
+a vector of ones. The public operators stay the only definition of the
+derivative, the fractional laplacian and the 2/3 rule, and the multipliers
+reproduce them to the bit.
 A step costs 12 transforms, or 10 when the caller hands over u and u_x of
 the state, which its diagnostics record needs anyway. Every transform and
 multiplier acts on the last axis, so a stack of states of shape
@@ -57,17 +58,14 @@ class InstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimParams:
-    """Physical and stepping parameters for one run.
+    """The evolved equation u_t + u u_x = -gamma Lambda^alpha u.
 
-    dt is either a positive step size or the string "auto", in which case the
-    run loop calls stable_dt before every step. linear_only drops the
-    quadratic term (test mode).
+    dealias_rule filters its quadratic term; linear_only drops it (test
+    mode). The step and the end time belong to the run (cli.RunConfig).
     """
 
     gamma: float = 0.0
     alpha: float = 1.0
-    dt: float | str = "auto"
-    t_final: float = 1.0
     dealias_rule: str = "off"
     linear_only: bool = False
 
@@ -77,62 +75,46 @@ class SimParams:
             raise ValueError(f"gamma: must be finite and >= 0, got {self.gamma!r}")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "alpha", validate_alpha(self.alpha))
-        if self.dt != "auto":
-            dt = as_float(self.dt)
-            if not 0.0 < dt < np.inf:
-                raise ValueError(f'dt: must be finite and > 0 or "auto", got {self.dt!r}')
-            object.__setattr__(self, "dt", dt)
-        t_final = as_float(self.t_final)
-        if not 0.0 < t_final < np.inf:
-            raise ValueError(f"t_final: must be finite and > 0, got {self.t_final!r}")
-        object.__setattr__(self, "t_final", t_final)
         if self.dealias_rule not in DEALIAS_RULES:
             raise ValueError(
                 f"unknown dealias rule {self.dealias_rule!r}, expected one of {DEALIAS_RULES}"
             )
-
-
-@dataclass(frozen=True, eq=False)
-class _Plan:
-    """The operators of one (N, SimParams) as multipliers of a coefficient array.
-
-    Each is a public operator applied to a vector of ones. The arrays are
-    read-only, since every step of every run with these parameters shares
-    them.
-    """
-
-    derivative: np.ndarray  # spectral_derivative: c -> coefficients of u_x
-    product: np.ndarray     # minus the dealias rule, mean and Nyquist zeroed
-    laplacian: np.ndarray   # fractional_laplacian with p.alpha
+        if not isinstance(self.linear_only, (bool, np.bool_)):  # "no" would be truthy
+            raise ValueError(f"linear_only: must be a bool, got {self.linear_only!r}")
+        object.__setattr__(self, "linear_only", bool(self.linear_only))
 
 
 @lru_cache(maxsize=16)
-def _plan(rows: int, p: SimParams) -> _Plan:
+def _plan(rows: int, alpha: float, rule: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Multipliers (derivative, product, laplacian) on rows = N/2 + 1: the
+    public operators applied to a vector of ones, the product being minus the
+    dealias rule with its mean and Nyquist rows zeroed. They are read-only,
+    since every step on these three values shares them."""
     ones = np.ones(rows, dtype=complex)
-    product = -dealias(ones, p.dealias_rule)
+    product = -dealias(ones, rule)
     product[0] = product[-1] = 0.0
-    plan = _Plan(derivative=spectral_derivative(ones), product=product,
-                 laplacian=fractional_laplacian(ones, p.alpha))
-    for a in (plan.derivative, plan.product, plan.laplacian):
+    plan = (spectral_derivative(ones), product, fractional_laplacian(ones, alpha))
+    for a in plan:
         a.flags.writeable = False
     return plan
 
 
-def _tendency(c: np.ndarray, plan: _Plan, p: SimParams,
+def _tendency(c: np.ndarray, p: SimParams,
               nodal: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Coefficients of F for the state c: 3 transforms, 1 if the nodal u and
     u_x of c are handed in, none with linear_only."""
+    derivative, product, laplacian = _plan(c.shape[-1], p.alpha, p.dealias_rule)
     if p.linear_only:
         hat = np.zeros_like(c)
     else:
         if nodal is None:
             u = np.fft.irfft(c, norm="forward")
-            ux = np.fft.irfft(c * plan.derivative, norm="forward")
+            ux = np.fft.irfft(c * derivative, norm="forward")
         else:
             u, ux = nodal
-        hat = np.fft.rfft(u * ux, norm="forward") * plan.product
+        hat = np.fft.rfft(u * ux, norm="forward") * product
     if p.gamma > 0.0:
-        hat -= p.gamma * (plan.laplacian * c)
+        hat -= p.gamma * (laplacian * c)
     return hat
 
 
@@ -156,13 +138,12 @@ def rk4_step(c: np.ndarray, p: SimParams, dt: float, *,
     if dt <= 0.0 or not np.isfinite(dt):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     validate_spectrum(c)
-    plan = _plan(c.shape[-1], p)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _tendency(c, plan, p, nodal)
-        k2 = _tendency(c + 0.5 * dt * k1, plan, p)
-        k3 = _tendency(c + 0.5 * dt * k2, plan, p)
-        k4 = _tendency(c + dt * k3, plan, p)
+        k1 = _tendency(c, p, nodal)
+        k2 = _tendency(c + 0.5 * dt * k1, p)
+        k3 = _tendency(c + 0.5 * dt * k2, p)
+        k4 = _tendency(c + dt * k3, p)
         out = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     # A non-finite input or stage enters this sum with a positive weight, so the sum is too.
     if not np.isfinite(out).all():
@@ -185,7 +166,7 @@ def stable_dt(u_max: float, n: int, p: SimParams) -> float:
         raise InstabilityError(f"non-finite max|u| handed to stable_dt: {u_max!r}")
     if u_max < 0.0:
         raise ValueError(f"u_max: must be >= 0, got {u_max!r}")
-    if n % 2 or n < 4:
+    if isinstance(n, (str, bytes)) or n % 2 or n < 4:  # "256" % 2 would format a string
         raise ValueError(f"n: must be an even integer >= 4, got {n!r}")
     k_max = n / 2.0
     advective = CFL_ADVECTION / (u_max * k_max + DT_GUARD)

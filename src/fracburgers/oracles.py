@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import validate_alpha
+from .spectral import as_float, validate_alpha
 
 RESIDUAL_TOL = 1e-12
 _MAX_FIXED_POINT = 500
@@ -69,8 +69,10 @@ class InitialCondition:
 
     @classmethod
     def random_band(cls, max_mode: int, seed: int) -> "InitialCondition":
-        m, s = int(max_mode), int(seed)
-        if m != max_mode or s != seed:  # int() alone would turn 2.5 into 2
+        # int() would raise OverflowError on inf, and alone would turn 2.5 into 2.
+        whole = as_float(max_mode).is_integer() and as_float(seed).is_integer()
+        m, s = (int(max_mode), int(seed)) if whole else (None, None)
+        if m != max_mode or s != seed:
             raise ValueError(f"max_mode and seed must be integers, got {max_mode!r}, {seed!r}")
         if m < 0:
             raise ValueError(f"max_mode must be >= 0, got {max_mode!r}")

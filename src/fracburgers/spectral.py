@@ -78,7 +78,7 @@ class GridSpec:
 
 def make_grid(n: int) -> GridSpec:
     """Build the uniform grid with n nodes (n even, n >= 4)."""
-    if n != int(n):
+    if not as_float(n).is_integer() or n != int(n):  # int() raises OverflowError on inf
         raise ValueError(f"n: must be an integer, got {n!r}")
     n = int(n)
     if n % 2 or n < 4:

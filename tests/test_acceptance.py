@@ -119,7 +119,7 @@ def test_criterion_06_linear_exactness_and_order(announce):
     g = make_grid(16)
 
     def terminal_amplitude(alpha, dt):
-        p = SimParams(gamma=1.0, alpha=alpha, dt=dt, linear_only=True)
+        p = SimParams(gamma=1.0, alpha=alpha, linear_only=True)
         s = forward_dft(np.cos(2.0 * g.nodes))
         for _ in range(round(1.0 / dt)):
             s = rk4_step(s, p, dt)

@@ -6,12 +6,14 @@ import struct
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fracburgers.cli import (
     EXIT_CODES,
+    RunConfig,
     RunResult,
     UsageError,
     _snapshot_name,
@@ -25,6 +27,7 @@ from fracburgers.diagnostics import (
     check_blowup,
     predicted_blowup_time,
 )
+from fracburgers.dynamics import SimParams
 from fracburgers.oracles import InitialCondition, linear_decay_solution
 from fracburgers.spectral import forward_dft, inverse_dft, make_grid
 
@@ -46,12 +49,12 @@ class TestParseConfig:
         cfg = parse_config([])
         assert cfg.grid.n == 256
         assert cfg.params.gamma == 0.0 and cfg.params.alpha == 1.0
-        assert cfg.params.dt == "auto" and cfg.params.t_final == 1.0
+        assert cfg.dt == "auto" and cfg.t_final == 1.0
         assert cfg.params.dealias_rule == "off" and not cfg.params.linear_only
         assert cfg.ic.label() == "neg-sine"
         assert cfg.snapshot_every == 0.1
         assert str(cfg.output_dir) == "out"
-        assert cfg.detect_blowup is True
+        assert cfg.thresholds is not None
         assert cfg.thresholds.slope_limit == 100.0
         assert cfg.thresholds.tail_limit == 0.1
 
@@ -62,11 +65,18 @@ class TestParseConfig:
                             "--slope-limit", "50", "--tail-limit", "0.2",
                             "--linear-only", "--output", "results"])
         assert cfg.grid.n == 128 and cfg.params.gamma == 0.5 and cfg.params.alpha == 1.5
-        assert cfg.params.dt == 0.001 and cfg.params.t_final == 2.0
+        assert cfg.dt == 0.001 and cfg.t_final == 2.0
         assert cfg.params.dealias_rule == "two_thirds" and cfg.params.linear_only
-        assert cfg.snapshot_every == 0.5 and cfg.detect_blowup is False
-        assert cfg.thresholds.slope_limit == 50.0 and cfg.thresholds.tail_limit == 0.2
+        assert cfg.snapshot_every == 0.5 and cfg.thresholds is None
         assert str(cfg.output_dir) == "results"
+        on = parse_config(["--slope-limit", "50", "--tail-limit", "0.2"])
+        assert on.thresholds.slope_limit == 50.0 and on.thresholds.tail_limit == 0.2
+
+    @pytest.mark.parametrize("flag, value", [("--slope-limit", "0"), ("--tail-limit", "1.5")])
+    def test_limits_checked_with_detection_off(self, flag, value):
+        key = flag[2:].replace("-", "_")
+        with pytest.raises(UsageError, match=rf"^invalid value for {key}: "):
+            parse_config(["--detect-blowup", "false", flag, value])
 
     def test_ic_selector_grammar(self):
         assert config("--ic", "scaled-neg-sine:2.0").ic.params == (2.0,)
@@ -127,7 +137,7 @@ class TestParseConfig:
             encoding="utf-8",
         )
         cfg = parse_config(["--config", str(cfgfile)])
-        assert cfg.grid.n == 64 and cfg.params.gamma == 0.5 and cfg.params.t_final == 2.0
+        assert cfg.grid.n == 64 and cfg.params.gamma == 0.5 and cfg.t_final == 2.0
 
     def test_flags_override_config_file(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -169,6 +179,42 @@ class TestParseConfig:
         assert capsys.readouterr().err.startswith("error: cannot read config file: ")
 
 
+class TestRunConfig:
+    """RunConfig owns dt and t_final, so a replaced or hand-built config is
+    checked as a parsed one is."""
+
+    def test_bad_dt_rejected(self):
+        cfg = parse_config([])
+        for dt in (0.0, -1e-3, float("inf")):
+            with pytest.raises(ValueError, match="dt"):
+                dataclasses.replace(cfg, dt=dt)
+        with pytest.raises(ValueError):
+            dataclasses.replace(cfg, dt="fast")
+
+    @pytest.mark.parametrize("key, rule", [
+        ("dt", 'must be finite and > 0 or "auto"'),
+        ("t_final", "must be finite and > 0"),
+    ])
+    def test_non_number_worded_as_range_rule(self, key, rule):
+        with pytest.raises(ValueError, match=f"^{key}: {rule}, got 'fast'$"):
+            dataclasses.replace(parse_config([]), **{key: "fast"})
+
+    def test_nonpositive_t_final_rejected(self):
+        with pytest.raises(ValueError, match="t_final"):
+            dataclasses.replace(parse_config([]), t_final=0.0)
+
+    def test_hand_built_config_checked(self):
+        """A NaN t_final would never end the run loop."""
+        fields = dict(grid=make_grid(16), params=SimParams(), ic=InitialCondition.neg_sine(),
+                      dt="auto", t_final=1.0, snapshot_every=0.1, output_dir=Path("out"),
+                      thresholds=None)
+        cfg = RunConfig(**{**fields, "dt": 1, "t_final": "2"})
+        assert cfg.dt == 1.0 and cfg.t_final == 2.0 and type(cfg.dt) is float
+        for key, value in (("dt", 0.0), ("dt", "fast"), ("dt", math.inf), ("t_final", math.nan)):
+            with pytest.raises(ValueError, match=f"^{key}: must be finite and > 0"):
+                RunConfig(**{**fields, key: value})
+
+
 class TestRunBudgets:
     """Runs that would take too many steps or hold too many snapshots are refused."""
 
@@ -176,12 +222,12 @@ class TestRunBudgets:
     def test_fixed_step_budget(self):
         dt = 2.0**-20
         cfg = config("--dt", repr(dt), "--t-final", repr(10**6 * dt))
-        assert cfg.params.t_final / cfg.params.dt == 10**6
+        assert cfg.t_final / cfg.dt == 10**6
         with pytest.raises(UsageError, match=r"^invalid value for dt: .*10\*\*6"):
             config("--dt", repr(dt), "--t-final", repr((10**6 + 1) * dt))
 
     def test_auto_step_is_not_bounded_up_front(self):
-        assert config("--t-final", repr((10**6 + 1) * 2.0**-20)).params.dt == "auto"
+        assert config("--t-final", repr((10**6 + 1) * 2.0**-20)).dt == "auto"
 
     def test_auto_dissipative_step_budget(self):
         """An auto step is at most stable_dt at max|u| = 0. At n = 256 and
@@ -193,7 +239,7 @@ class TestRunBudgets:
         with pytest.raises(UsageError, match=r"^invalid value for dt: auto "):
             config("--gamma", "1e6", "--alpha", "2", "--n", "1024")
         # With gamma = 0 both bounds fall back to 0.5 / 1e-12 = 5e11.
-        assert config("--t-final", "5e17", "--snapshot-every", "5e17").params.dt == "auto"
+        assert config("--t-final", "5e17", "--snapshot-every", "5e17").dt == "auto"
         with pytest.raises(UsageError, match=r"^invalid value for dt: auto "):
             config("--t-final", "5.1e17", "--snapshot-every", "5.1e17")
 
@@ -211,7 +257,7 @@ class TestRunBudgets:
             raise AssertionError("cli.stable_dt called while parsing")
 
         monkeypatch.setattr("fracburgers.cli.stable_dt", first_step)
-        assert config("--gamma", "0.5", "--alpha", "2").params.dt == "auto"
+        assert config("--gamma", "0.5", "--alpha", "2").dt == "auto"
 
     @pytest.mark.parametrize("n,log2_every", [(4, 25), (256, 19), (16384, 13)])
     def test_snapshot_budget(self, n, log2_every):
@@ -219,7 +265,7 @@ class TestRunBudgets:
         every = 2.0**-log2_every
         inside = config("--n", str(n), "--snapshot-every", repr(every),
                         "--t-final", repr(1.0 - every))
-        count = math.floor(inside.params.t_final / inside.snapshot_every) + 1
+        count = math.floor(inside.t_final / inside.snapshot_every) + 1
         assert count * n == 2**27
         with pytest.raises(UsageError, match=r"^invalid value for snapshot_every: .*2\*\*27"):
             config("--n", str(n), "--snapshot-every", repr(every), "--t-final", "1")
@@ -249,7 +295,7 @@ class TestRunBudgets:
         """The last 1000 snapshot times at the n = 4 limit get 1000 file names."""
         every = t_final / (2**25 - 1)
         cfg = config("--n", "4", "--snapshot-every", repr(every), "--t-final", repr(t_final))
-        last = math.floor(cfg.params.t_final / cfg.snapshot_every)
+        last = math.floor(cfg.t_final / cfg.snapshot_every)
         assert 2**25 - 2 <= last + 1 <= 2**25  # within rounding of the 2**27-value limit
         names = {_snapshot_name(i * cfg.snapshot_every) for i in range(last - 999, last + 1)}
         assert len(names) == 1000
@@ -327,6 +373,20 @@ class TestRunSimulation:
         exact = inverse_dft(linear_decay_solution(s0, 0.5, 1.0, 2.0))
         final = res.snapshots[-1][1]
         assert np.max(np.abs(final - exact)) <= 1e-8
+
+    @pytest.mark.parametrize("args, status, cause", [
+        (["--ic", "scaled-neg-sine:200"], "blowup_detected", "slope_threshold"),
+        (["--ic", "random:100:1", "--tail-limit", "0.001"], "resolution_lost", "resolution_loss"),
+        (["--ic", "scaled-neg-sine:1e150", "--dt", "1"], "blowup_detected", "slope_threshold"),
+    ])
+    def test_detection_applies_to_the_t0_record(self, args, status, cause):
+        """A profile that already fires the policy takes no step."""
+        cfg = config(*args)
+        res = run_simulation(cfg)
+        assert res.status == status
+        assert [r.t for r in res.records] == [0.0]
+        assert check_blowup(res.records[0], cfg.thresholds) == cause
+        assert len(res.snapshots) == 1
 
     def test_detection_can_be_disabled(self):
         args = ["--n", "64", "--t-final", "1.2", "--slope-limit", "10",

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from fracburgers.diagnostics import l2_norm, sobolev_norm, tail_fraction
-from fracburgers.dynamics import SimParams, _plan, _tendency, rk4_step
+from fracburgers.dynamics import SimParams, _tendency, rk4_step
 from fracburgers.spectral import forward_dft, inverse_dft
 
 RTOL = 1e-12
@@ -66,7 +66,7 @@ def rhs(u, p):
     """The tendency F(u) at the nodes: rk4_step's coefficient kernel between
     a forward and an inverse transform."""
     c = forward_dft(u)
-    return inverse_dft(_tendency(c, _plan(len(c), p), p))
+    return inverse_dft(_tendency(c, p))
 
 
 def check_rhs(n, rule, linear_only):

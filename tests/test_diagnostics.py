@@ -308,7 +308,7 @@ class TestSobolevTrends:
     def test_h3_grows_while_inviscid_steepening(self):
         """Shock formation pumps energy into high modes monotonically."""
         g = make_grid(128)
-        p = SimParams(gamma=0.0, dt=2e-3)
+        p = SimParams(gamma=0.0)
         s = forward_dft(-np.sin(g.nodes))
         h3 = []
         for step in range(400):
@@ -319,7 +319,7 @@ class TestSobolevTrends:
 
     def test_h3_decays_under_strong_dissipation(self):
         g = make_grid(64)
-        p = SimParams(gamma=1.0, alpha=2.0, dt=4e-4)
+        p = SimParams(gamma=1.0, alpha=2.0)
         s = forward_dft(-np.sin(g.nodes))
         h3 = []
         for step in range(500):

@@ -1,8 +1,8 @@
 """Bit-for-bit test of the stepper's fast path against the public operators.
 
-rk4_step applies the operators as multipliers built once per (N, SimParams),
-keyed by the state's row count N/2 + 1, and can reuse a handed-over u and
-u_x in its first stage. The slow path here composes the public operators
+rk4_step applies the operators as multipliers built once per (rows, alpha,
+rule), the state's row count N/2 + 1, the fractional order and the dealias
+rule, and can reuse a handed-over u and u_x in its first stage. The slow path here composes the public operators
 (inverse_dft, spectral_derivative, forward_dft, dealias,
 fractional_laplacian) call by call, as the stepper did before the
 multipliers were cached. The fast path must reproduce it exactly, not only to
@@ -67,10 +67,9 @@ def test_tendency_and_step_equal_public_operators(n, rule, case):
     for s in states:
         alpha = 2.0 - rng.uniform(0.0, 2.0)  # (0, 2]
         p = SimParams(alpha=alpha, dealias_rule=rule, **CASES[case])
-        plan = _plan(len(s), p)
         want = slow_tendency(s, p)
-        assert np.array_equal(_tendency(s, plan, p), want)
-        assert np.array_equal(_tendency(s, plan, p, nodal_pair(s)), want)
+        assert np.array_equal(_tendency(s, p), want)
+        assert np.array_equal(_tendency(s, p, nodal_pair(s)), want)
 
         want = slow_rk4_step(s, p, 1e-3)
         assert np.array_equal(rk4_step(s, p, 1e-3), want)
@@ -85,20 +84,39 @@ def test_plan_multipliers_equal_public_operators():
         alpha = 2.0 - rng.uniform(0.0, 2.0)
         rule = str(rng.choice(["off", "two_thirds"]))
         (c,) = random_states(n, seed=int(rng.integers(1 << 30)), count=1)
-        plan = _plan(len(c), SimParams(alpha=alpha, dealias_rule=rule))
-        assert np.array_equal(c * plan.derivative, spectral_derivative(c))
-        assert np.array_equal(c * plan.laplacian, fractional_laplacian(c, alpha))
-        product = -dealias(c, rule)
-        product[0] = product[-1] = 0.0
-        assert np.array_equal(c * plan.product, product)
+        derivative, product, laplacian = _plan(len(c), alpha, rule)
+        assert np.array_equal(c * derivative, spectral_derivative(c))
+        assert np.array_equal(c * laplacian, fractional_laplacian(c, alpha))
+        want = -dealias(c, rule)
+        want[0] = want[-1] = 0.0
+        assert np.array_equal(c * product, want)
+        assert not any(a.flags.writeable for a in (derivative, product, laplacian))
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_two_sizes_alternate_through_one_params(case):
-    """The plan cache is keyed by the row count as well as SimParams: states
-    of two sizes stepped alternately through one SimParams each get the
-    multipliers of their own N."""
+    """The plan cache is keyed by the row count as well as alpha and the
+    rule: states of two sizes stepped alternately through one SimParams each
+    get the multipliers of their own N."""
     p = SimParams(alpha=1.3, dealias_rule="two_thirds", **CASES[case])
     small, large = random_states(16, seed=7016), random_states(24, seed=7024)
     for s in (small[0], large[0], small[1], large[1], small[2], large[2]):
         assert np.array_equal(rk4_step(s, p, 1e-3), slow_rk4_step(s, p, 1e-3))
+
+
+def test_params_differing_in_gamma_share_one_plan():
+    """The plan holds only what alpha and the rule decide, so SimParams that
+    differ in gamma or linear_only share it: each step, through either,
+    still equals the slow path bit for bit."""
+    base = dict(alpha=0.7, dealias_rule="two_thirds")
+    pairs = [(SimParams(gamma=0.0, **base), SimParams(gamma=0.9, **base)),
+             (SimParams(gamma=0.3, **base), SimParams(gamma=0.3, linear_only=True, **base))]
+    (start,) = random_states(32, seed=7032, count=1)
+    for first, second in pairs:
+        _plan.cache_clear()
+        s = start
+        for p in (first, second, first, second):
+            want = slow_rk4_step(s, p, 1e-3)
+            s = rk4_step(s, p, 1e-3)
+            assert np.array_equal(s, want)
+        assert _plan.cache_info().currsize == 1

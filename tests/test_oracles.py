@@ -127,7 +127,8 @@ class TestInitialCondition:
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             InitialCondition.random_band(3, -1)
 
-    @pytest.mark.parametrize("max_mode, seed", [(2.5, 1), (2, 1.9), (float("nan"), 1)])
+    @pytest.mark.parametrize("max_mode, seed", [(2.5, 1), (2, 1.9), (float("nan"), 1),
+                                                (float("inf"), 1), (1, float("inf"))])
     def test_non_integer_random_parameters_rejected(self, max_mode, seed):
         """int() would truncate them: random_band(2.5, 1) would be random:2:1."""
         with pytest.raises(ValueError, match="integer"):

@@ -63,6 +63,12 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="integer"):
             make_grid(4.5)
 
+    @pytest.mark.parametrize("n", [float("inf"), float("nan"), "256"])
+    def test_non_finite_or_non_number_count_rejected(self, n):
+        """int(inf) raises OverflowError, which a ValueError handler misses."""
+        with pytest.raises(ValueError, match=r"^n: must be an integer, got "):
+            make_grid(n)
+
 
 class TestFieldTypes:
     def test_spectrum_rows_must_match_grid(self):
