@@ -28,6 +28,7 @@ from .oracles import (
     ConvergenceError,
     InitialCondition,
     characteristics_solution,
+    cole_hopf_solution,
     linear_decay_solution,
     shock_time,
 )
@@ -58,11 +59,11 @@ __all__ = [
     "ConvergenceError", "DetectionThresholds", "DiagnosticsRecord", "GridSpec",
     "InitialCondition", "InstabilityError", "RunConfig", "RunResult", "SimParams",
     "SingularTimeError", "SymmetryError", "UsageError",
-    "bkm_accumulate", "characteristics_solution", "check_blowup", "dealias",
-    "extrema", "forward_dft", "fractional_laplacian", "inverse_dft",
-    "l2_norm", "linear_decay_solution", "main", "make_grid", "mass",
-    "nodal_pair", "observe", "parse_config", "predicted_blowup_time",
-    "rk4_step", "run_simulation", "shock_time", "slope_closed_form",
-    "sobolev_norm", "spectral_derivative", "stable_dt", "tail_fraction",
-    "write_outputs",
+    "bkm_accumulate", "characteristics_solution", "check_blowup",
+    "cole_hopf_solution", "dealias", "extrema", "forward_dft",
+    "fractional_laplacian", "inverse_dft", "l2_norm", "linear_decay_solution",
+    "main", "make_grid", "mass", "nodal_pair", "observe", "parse_config",
+    "predicted_blowup_time", "rk4_step", "run_simulation", "shock_time",
+    "slope_closed_form", "sobolev_norm", "spectral_derivative", "stable_dt",
+    "tail_fraction", "write_outputs",
 ]

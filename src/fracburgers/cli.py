@@ -85,7 +85,8 @@ class RunConfig:
     dt is a positive step or "auto", in which case the run loop calls
     stable_dt before every step. The run ends at t_final, stores snapshots
     at multiples of snapshot_every, and stops early when check_blowup fires
-    under thresholds; None turns detection off.
+    under thresholds; None turns detection off. t_final and snapshot_every
+    must be finite and > 0.
     """
 
     grid: GridSpec
@@ -107,6 +108,11 @@ class RunConfig:
         if not 0.0 < t_final < np.inf:
             raise ValueError(f"t_final: must be finite and > 0, got {self.t_final!r}")
         object.__setattr__(self, "t_final", t_final)
+        # 0 would clip every step to length 0; NaN would store no snapshot after t = 0.
+        every = as_float(self.snapshot_every)
+        if not 0.0 < every < np.inf:
+            raise ValueError(f"snapshot_every: must be finite and > 0, got {self.snapshot_every!r}")
+        object.__setattr__(self, "snapshot_every", every)
 
 
 @dataclass(frozen=True)
@@ -239,10 +245,10 @@ def parse_config(argv: list[str]) -> RunConfig:
     detect_blowup = _as_bool("detect_blowup", merged["detect_blowup"])
     ic = _parse_ic(merged["ic"])
 
-    if snapshot_every <= 0.0:
-        raise UsageError(f"invalid value for snapshot_every: must be > 0, got {snapshot_every:g}")
     # Needs only the parsed numbers: an oversized n is refused before make_grid.
-    ratio = t_final / snapshot_every  # may overflow to inf; the first test catches it
+    # RunConfig refuses snapshot_every <= 0 below; until then it counts as
+    # one snapshot. The ratio may overflow to inf; the first test catches it.
+    ratio = t_final / snapshot_every if snapshot_every > 0.0 else 0.0
     if ratio >= MAX_SNAPSHOT_VALUES or (math.floor(ratio) + 1) * n > MAX_SNAPSHOT_VALUES:
         raise UsageError(
             f"invalid value for snapshot_every: {snapshot_every:g} holds more than "

@@ -27,10 +27,19 @@ the state, which its diagnostics record needs anyway. Every transform and
 multiplier acts on the last axis, so a stack of states of shape
 (B, N/2 + 1) that shares one SimParams and one dt advances in one rk4_step
 call, with the transform calls of one step.
+
+stable_dt bounds an automatic step by an advective CFL limit and a
+dissipative one. RK4 multiplies a mode that decays at rate lam by
+R(-lam dt), R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, and |R| < 1 on the
+negative real axis down to -RK4_REAL_LIMIT = -2.785. The dissipative step
+keeps lam dt for the fastest-decaying mode at CFL_DISSIPATION = 2, that
+limit less DISSIPATIVE_MARGIN = 28% rounded down to a whole number. R(-2)
+is 1/3, so every mode is damped, and none changes sign.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,9 +55,14 @@ from .spectral import (
     validate_spectrum,
 )
 
+# RK4's stable interval on the negative real axis ends at -RK4_REAL_LIMIT,
+# the real root of z^3 - 4 z^2 + 12 z - 24, where R(-z) = 1 again; the
+# dissipative step keeps DISSIPATIVE_MARGIN of it in reserve.
+RK4_REAL_LIMIT = 2.785293563405282
+DISSIPATIVE_MARGIN = 0.28
 # CFL-style safety factors and divide-by-zero guard for stable_dt.
 CFL_ADVECTION = 0.5
-CFL_DISSIPATION = 0.5
+CFL_DISSIPATION = float(math.floor((1.0 - DISSIPATIVE_MARGIN) * RK4_REAL_LIMIT))  # 2.0
 DT_GUARD = 1e-12
 
 
@@ -155,8 +169,12 @@ def stable_dt(u_max: float, n: int, p: SimParams) -> float:
     """CFL-style step bound from u_max = max|u|, recomputed each "auto" step.
 
     min( C_adv/(max|u|*k_max + eps), C_diff/(gamma*k_max^alpha + eps) ) with
-    k_max = n/2 on n nodes. Degenerate inputs (zero field, gamma 0) give a huge value
-    that the run loop caps at the distance to the next stop time. A non-finite
+    k_max = n/2 on n nodes, C_adv = CFL_ADVECTION = 0.5 and C_diff =
+    CFL_DISSIPATION = 2.0. C_diff is RK4's real-axis stability limit 2.785
+    less a 28% margin (DISSIPATIVE_MARGIN), rounded down: the fastest mode
+    then decays by R(-2) = 1/3 per step, without changing sign. Degenerate
+    inputs (zero field, gamma 0) give a huge value that the run loop caps at
+    the distance to the next stop time. A non-finite
     u_max, a diverged state, raises InstabilityError; a negative u_max or an
     n that is not an even integer >= 4 raises ValueError, so the bound is
     never negative.

@@ -1,11 +1,13 @@
 """Analytic reference solutions, independent of the solver.
 
-Two oracles back the test suite and the acceptance criteria. For the
+Three oracles back the test suite and the acceptance criteria. For the
 undissipated equation, smooth data rides its characteristics: u(x, t) is the
 unique pre-shock root of the implicit equation u = f(x - u*t), solved here by
 damped fixed-point iteration with a bisection fallback. For the purely linear
 equation u_t = -gamma*Lambda^alpha u, every coefficient decays exactly by
-exp(-gamma*|k|^alpha * t).
+exp(-gamma*|k|^alpha * t). For alpha = 2 the equation is viscous Burgers,
+which the Cole-Hopf transform solves exactly; cole_hopf_solution evaluates
+that solution for u0 = -a sin x.
 
 Initial-condition catalogue (all exactly 2*pi-periodic and smooth):
 
@@ -36,6 +38,12 @@ _BAND_BLOCK = 2**20  # entries of one (len(x), max_mode) block of the random_ban
 # Narrowest gaussian_bump: below it w**2 is subnormal, and (cos x - 1)/w**2
 # can overflow to -inf (and 0/0 gives NaN at x = 0).
 _MIN_WIDTH = float(np.sqrt(np.finfo(float).tiny))
+# cole_hopf_solution: its weight is cut where its exponent has fallen by
+# _COLE_HOPF_CUT, sampled _COLE_HOPF_PER_WIDTH times per narrowest width, at
+# no more than 2 * _COLE_HOPF_MAX_HALF + 1 points.
+_COLE_HOPF_CUT = 60.0
+_COLE_HOPF_PER_WIDTH = 8
+_COLE_HOPF_MAX_HALF = 2**20
 
 
 class ConvergenceError(RuntimeError):
@@ -234,3 +242,63 @@ def linear_decay_solution(c0: np.ndarray, t: float, gamma: float,
         raise ValueError(f"gamma: must be finite and >= 0, got {gamma!r}")
     decay = np.exp(-gamma * np.arange(c0.shape[-1]) ** a * t)
     return c0 * decay
+
+
+def cole_hopf_solution(a: float, gamma: float, x, t: float, *,
+                       h: float | None = None):
+    """Exact solution of u_t + u u_x = gamma u_xx from u0 = -a sin x.
+
+    The Cole-Hopf transform (Hopf 1950, Cole 1951) gives
+
+        u(x, t) = int ((x - y)/t) W dy / int W dy,   W = exp(-G/(2 gamma)),
+        G(y) = a (cos y - 1) + (x - y)^2 / (2t).
+
+    Since (x - y)/t = u0(y) - dG/dy and W vanishes at both ends, the same
+    ratio is int u0(y) W dy / int W dy, the W-weighted mean of u0: that form
+    keeps its rounding at the size of u0 even as t -> 0, where (x - y)/t
+    does not. Both integrals use the trapezoid rule in s = x - y with step h
+    (default: 1/8 of sqrt(2 gamma / (1/t + |a|)), the narrowest width of W),
+    over |s| <= sqrt(2t (2|a| + 120 gamma)), beyond which W < exp(-60)
+    of its peak, with G - min G in the exponent. No heat-equation series is
+    used: its terms cancel as a/gamma grows. x may have any shape; t = 0
+    returns u0.
+    """
+    a, gamma, t = as_float(a), as_float(gamma), as_float(t)
+    if not np.isfinite(a):
+        raise ValueError(f"a must be finite, got {a!r}")
+    if not 0.0 < gamma < np.inf:
+        raise ValueError(f"gamma: must be finite and > 0, got {gamma!r}")
+    if not 0.0 <= t < np.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    xv = np.asarray(x, dtype=float)
+    if not np.isfinite(xv).all():
+        raise ValueError("x must be finite")
+    if t == 0.0:
+        out = -a * np.sin(xv)
+        return out if out.ndim else float(out)
+    if h is None:
+        h = np.sqrt(2.0 * gamma / (1.0 / t + abs(a))) / _COLE_HOPF_PER_WIDTH
+    elif not 0.0 < as_float(h) < np.inf:
+        raise ValueError(f"h must be finite and > 0, got {h!r}")
+    h = float(h)
+    reach = np.sqrt(2.0 * t * (2.0 * abs(a) + 2.0 * gamma * _COLE_HOPF_CUT))
+    if not reach / h <= _COLE_HOPF_MAX_HALF:  # also catches an overflow to inf
+        raise ValueError(f"h = {h:g} over |s| <= {reach:g} takes more than "
+                         f"2**21 quadrature points")
+    m = int(np.ceil(reach / h))
+    s = h * np.arange(-m, m + 1)
+    trapezoid = np.ones_like(s)
+    trapezoid[[0, -1]] = 0.5
+
+    def block(xb: np.ndarray) -> np.ndarray:
+        y = xb[:, None] - s
+        g = s**2 / (2.0 * t) - 2.0 * a * np.sin(0.5 * y) ** 2  # a (cos y - 1) = -2a sin^2(y/2)
+        w = np.exp((g.min(axis=1, keepdims=True) - g) / (2.0 * gamma)) * trapezoid
+        return -a * (w * np.sin(y)).sum(axis=1) / w.sum(axis=1)
+
+    flat = xv.ravel()
+    out = np.empty_like(flat)
+    rows = max(1, _BAND_BLOCK // s.size)  # at most 2**20 (x, s) pairs at once
+    for i in range(0, flat.size, rows):
+        out[i:i + rows] = block(flat[i:i + rows])
+    return out.reshape(xv.shape) if xv.ndim else float(out[0])

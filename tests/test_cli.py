@@ -13,6 +13,7 @@ import pytest
 
 from fracburgers.cli import (
     EXIT_CODES,
+    MAX_FIXED_STEPS,
     RunConfig,
     RunResult,
     UsageError,
@@ -27,7 +28,7 @@ from fracburgers.diagnostics import (
     check_blowup,
     predicted_blowup_time,
 )
-from fracburgers.dynamics import SimParams
+from fracburgers.dynamics import CFL_DISSIPATION, SimParams
 from fracburgers.oracles import InitialCondition, linear_decay_solution
 from fracburgers.spectral import forward_dft, inverse_dft, make_grid
 
@@ -180,8 +181,8 @@ class TestParseConfig:
 
 
 class TestRunConfig:
-    """RunConfig owns dt and t_final, so a replaced or hand-built config is
-    checked as a parsed one is."""
+    """RunConfig owns dt, t_final and snapshot_every, so a replaced or
+    hand-built config is checked as a parsed one is."""
 
     def test_bad_dt_rejected(self):
         cfg = parse_config([])
@@ -194,6 +195,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("key, rule", [
         ("dt", 'must be finite and > 0 or "auto"'),
         ("t_final", "must be finite and > 0"),
+        ("snapshot_every", "must be finite and > 0"),
     ])
     def test_non_number_worded_as_range_rule(self, key, rule):
         with pytest.raises(ValueError, match=f"^{key}: {rule}, got 'fast'$"):
@@ -202,6 +204,14 @@ class TestRunConfig:
     def test_nonpositive_t_final_rejected(self):
         with pytest.raises(ValueError, match="t_final"):
             dataclasses.replace(parse_config([]), t_final=0.0)
+
+    @pytest.mark.parametrize("every", [0.0, -0.1, math.nan, math.inf])
+    def test_bad_snapshot_every_rejected(self, every):
+        """0 or -0.1 would clip the first step to a non-positive length, and
+        NaN would complete with only the t = 0 snapshot."""
+        cfg = parse_config(["--n", "16", "--t-final", "0.2", "--output", "unused"])
+        with pytest.raises(ValueError, match=r"^snapshot_every: must be finite and > 0"):
+            dataclasses.replace(cfg, snapshot_every=every)
 
     def test_hand_built_config_checked(self):
         """A NaN t_final would never end the run loop."""
@@ -231,14 +241,18 @@ class TestRunBudgets:
 
     def test_auto_dissipative_step_budget(self):
         """An auto step is at most stable_dt at max|u| = 0. At n = 256 and
-        alpha = 2 that is 0.5 / (16384 gamma + 1e-12), so t_final = 1 takes
-        at least 32768 gamma steps: 999,424 at gamma 30.5, 1,001,062 at 30.55."""
-        assert config("--gamma", "30.5", "--alpha", "2").params.gamma == 30.5
+        alpha = 2 that is CFL_DISSIPATION / (16384 gamma + 1e-12), so t_final
+        = 1 takes at least 16384 gamma / CFL_DISSIPATION steps: 10**6 at the
+        edge gamma = 10**6 CFL_DISSIPATION / 16384. A gamma a relative 1e-9
+        below it passes; one 1e-9 above it is refused."""
+        edge = MAX_FIXED_STEPS * CFL_DISSIPATION / 16384
+        below, above = repr(edge * (1 - 1e-9)), repr(edge * (1 + 1e-9))
+        assert config("--gamma", below, "--alpha", "2").params.gamma == float(below)
         with pytest.raises(UsageError, match=r"^invalid value for dt: auto .*10\*\*6"):
-            config("--gamma", "30.55", "--alpha", "2")
+            config("--gamma", above, "--alpha", "2")
         with pytest.raises(UsageError, match=r"^invalid value for dt: auto "):
             config("--gamma", "1e6", "--alpha", "2", "--n", "1024")
-        # With gamma = 0 both bounds fall back to 0.5 / 1e-12 = 5e11.
+        # With gamma = 0 the advective bound 0.5 / 1e-12 = 5e11 is the smaller.
         assert config("--t-final", "5e17", "--snapshot-every", "5e17").dt == "auto"
         with pytest.raises(UsageError, match=r"^invalid value for dt: auto "):
             config("--t-final", "5.1e17", "--snapshot-every", "5.1e17")

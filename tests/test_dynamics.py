@@ -8,6 +8,10 @@ import pytest
 from fracburgers.cli import parse_config, run_simulation
 from fracburgers.diagnostics import observe
 from fracburgers.dynamics import (
+    CFL_DISSIPATION,
+    DISSIPATIVE_MARGIN,
+    DT_GUARD,
+    RK4_REAL_LIMIT,
     InstabilityError,
     SimParams,
     _tendency,
@@ -328,9 +332,10 @@ class TestStableDt:
         assert abs(dt - 0.015625) <= 1e-12
 
     def test_dissipative_bound_example(self):
+        """gamma = 1, alpha = 2 on N = 64: gamma k_max^alpha is 32**2 = 1024."""
         g = make_grid(64)
         dt = stable_dt(1e-3, g.n, SimParams(gamma=1.0, alpha=2.0))
-        assert abs(dt - 0.5 / 1024.0) <= 1e-12
+        assert abs(dt - CFL_DISSIPATION / 1024.0) <= 1e-12
 
     def test_degenerate_input_gives_huge_bound(self):
         g = make_grid(64)
@@ -360,6 +365,44 @@ class TestStableDt:
     def test_bad_node_count_rejected(self, n):
         with pytest.raises(ValueError, match=r"^n: must be an even integer >= 4"):
             stable_dt(1.0, n, SimParams())
+
+
+class TestDissipativeStepInStabilityInterval:
+    """The dissipative step sits inside RK4's real stability interval with
+    the stated margin, where the amplification factor is positive: every
+    decaying mode is damped, and none changes sign."""
+
+    def test_real_limit_is_the_root_of_the_boundary_cubic(self):
+        roots = np.roots([1.0, -4.0, 12.0, -24.0])  # R(-z) = 1, z != 0
+        real = roots[np.abs(roots.imag) < 1e-12].real
+        assert real.shape == (1,) and abs(real[0] - RK4_REAL_LIMIT) <= 1e-14
+        assert abs(stability_polynomial(RK4_REAL_LIMIT) - 1.0) <= 1e-14
+        assert stability_polynomial(RK4_REAL_LIMIT * (1 + 1e-6)) > 1.0
+
+    def test_constant_keeps_the_margin_and_a_positive_factor(self):
+        assert 0.0 < stability_polynomial(CFL_DISSIPATION) < 1.0
+        assert 1.0 - CFL_DISSIPATION / RK4_REAL_LIMIT >= DISSIPATIVE_MARGIN
+        # Every mode slower than the fastest one gets a factor in (0, 1) too.
+        z = np.linspace(1e-6, CFL_DISSIPATION, 10001)
+        assert np.all((stability_polynomial(z) > 0.0) & (stability_polynomial(z) < 1.0))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_highest_mode_decays_monotonically_at_stable_dt(self, alpha):
+        """A linear run holding only the Nyquist mode, stepped at stable_dt
+        with the dissipative bound binding, shrinks by R(-CFL_DISSIPATION)
+        every step and keeps its sign."""
+        n = 32
+        p = SimParams(gamma=100.0, alpha=alpha, linear_only=True)
+        c = forward_dft(np.cos(n / 2 * make_grid(n).nodes))
+        factor = stability_polynomial(CFL_DISSIPATION)
+        for _ in range(30):
+            u_max = float(np.max(np.abs(inverse_dft(c))))
+            dt = stable_dt(u_max, n, p)
+            assert dt == CFL_DISSIPATION / (p.gamma * (n / 2) ** alpha + DT_GUARD)
+            new = rk4_step(c, p, dt)
+            assert 0.0 < new[-1].real < c[-1].real
+            assert new[-1].real / c[-1].real == pytest.approx(factor, rel=1e-12)
+            c = new
 
 
 class TestConvergenceOrder:

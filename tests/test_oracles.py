@@ -10,6 +10,7 @@ from fracburgers.oracles import (
     ConvergenceError,
     InitialCondition,
     characteristics_solution,
+    cole_hopf_solution,
     linear_decay_solution,
     shock_time,
 )
@@ -273,3 +274,88 @@ class TestLinearDecaySolution:
         args = {"t": 1.0, "gamma": 1.0, arg: bad}
         with pytest.raises(ValueError, match=f"^{arg}:? must be finite and >= 0"):
             linear_decay_solution(s0, args["t"], args["gamma"], 1.0)
+
+
+# (a, gamma, t) for u0 = -a sin x: before and after the inviscid shock time
+# 1/|a|, with a/gamma from 2 to 100.
+COLE_HOPF_CASES = [(1.0, 0.5, 2.0), (1.0, 0.5, 0.05), (1.0, 0.2, 1.2), (1.0, 0.1, 1.2),
+                   (1.0, 0.05, 1.2), (1.0, 0.01, 1.2), (3.0, 0.05, 0.5), (-2.0, 0.1, 0.8)]
+
+
+def heat_series_burgers(a, gamma, t, n):
+    """Cole-Hopf through the heat equation on n nodes: phi0 = exp(-a (cos x - 1)
+    / (2 gamma)) is transformed, each mode decays by exp(-gamma k^2 t), and
+    u = -2 gamma phi_x / phi. phi0 spans a factor exp(2a/gamma), so its small
+    values lose their digits as a/gamma grows; used here at a/gamma <= 5 only."""
+    c = forward_dft(np.exp(-a * (np.cos(make_grid(n).nodes) - 1.0) / (2.0 * gamma)))
+    k = np.arange(c.size)
+    c = c * np.exp(-gamma * k**2 * t)
+    c[-1] = 0.0  # the unpaired Nyquist mode has no derivative
+    return -2.0 * gamma * inverse_dft(1j * k * c) / inverse_dft(c)
+
+
+class TestColeHopfSolution:
+    """Tolerances are about three times the worst measured value."""
+
+    @staticmethod
+    def narrowest_width(a, gamma, t):
+        return np.sqrt(2.0 * gamma / (1.0 / t + abs(a)))
+
+    @pytest.mark.parametrize("a, gamma, t", COLE_HOPF_CASES)
+    def test_halving_h_changes_nothing_beyond_rounding(self, a, gamma, t):
+        """Measured: at most 6e-16 |a| over two halvings."""
+        x = make_grid(256).nodes
+        u = cole_hopf_solution(a, gamma, x, t)
+        h = self.narrowest_width(a, gamma, t) / 8  # the default step
+        for finer in (h / 2, h / 4):
+            diff = np.max(np.abs(u - cole_hopf_solution(a, gamma, x, t, h=finer)))
+            assert diff <= 2e-15 * abs(a), (finer, diff)
+        # The step matters: one eight times the default is off by 5e-9 to 2e-5.
+        coarse = cole_hopf_solution(a, gamma, x, t, h=8 * h)
+        assert np.max(np.abs(u - coarse)) > 1e-9
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.05])
+    @pytest.mark.parametrize("t", [1e-8, 1e-10, 1e-12])
+    def test_small_t_returns_u0(self, gamma, t):
+        """u = u0 + t (-u0 u0' + gamma u0'') + O(t^2); measured within
+        3.6e-16 of that line."""
+        x = make_grid(256).nodes
+        u0, du0 = -np.sin(x), -np.cos(x)
+        line = u0 + t * (-u0 * du0 - gamma * u0)
+        assert np.max(np.abs(cole_hopf_solution(1.0, gamma, x, t) - line)) <= 1e-15
+        assert np.array_equal(cole_hopf_solution(1.0, gamma, x, 0.0), u0)
+
+    @pytest.mark.parametrize("a, gamma, t", COLE_HOPF_CASES)
+    def test_mass_stays_zero(self, a, gamma, t):
+        """The nodal mean of an odd profile; measured at most 5.6e-17."""
+        u = cole_hopf_solution(a, gamma, make_grid(256).nodes, t)
+        assert abs(float(np.mean(u))) <= 2e-16
+
+    @pytest.mark.parametrize("gamma, t", [(0.5, 2.0), (0.5, 0.05), (0.2, 1.2)])
+    def test_matches_heat_series_at_moderate_a_over_gamma(self, gamma, t):
+        """An independent evaluation of the same transform; measured at most
+        4.2e-15 apart."""
+        x = make_grid(256).nodes
+        diff = np.max(np.abs(cole_hopf_solution(1.0, gamma, x, t)
+                             - heat_series_burgers(1.0, gamma, t, 256)))
+        assert diff <= 1.5e-14
+
+    def test_shape_follows_x(self):
+        x = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+        u = cole_hopf_solution(1.0, 0.1, x, 0.5)
+        assert u.shape == (2, 3)
+        assert cole_hopf_solution(1.0, 0.1, x[1, 2], 0.5) == u[1, 2]
+        assert isinstance(cole_hopf_solution(1.0, 0.1, 0.3, 0.5), float)
+        assert cole_hopf_solution(1.0, 0.1, np.empty(0), 0.5).shape == (0,)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(gamma=0.0), "gamma"), (dict(gamma=np.nan), "gamma"),
+        (dict(t=-1.0), "t must"), (dict(t=np.inf), "t must"),
+        (dict(a=np.nan), "a must"), (dict(x=np.nan), "x must"),
+        (dict(h=0.0), "h must"), (dict(h=np.nan), "h must"), (dict(h="fine"), "h must"),
+        (dict(h=1e-9), "quadrature points"), (dict(t=1e308), "quadrature points"),
+    ])
+    def test_validation(self, kwargs, match):
+        args = {**dict(a=1.0, gamma=0.1, x=0.0, t=0.5), **kwargs}
+        with pytest.raises(ValueError, match=match):
+            cole_hopf_solution(**args)
