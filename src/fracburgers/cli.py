@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,19 +35,19 @@ from .diagnostics import (
 from . import dynamics
 from .dynamics import InstabilityError, SimParams, rk4_step, stable_dt
 from .oracles import InitialCondition
-from .spectral import GridSpec, as_float, forward_dft, make_grid, nodal_pair
+from .spectral import GridSpec, as_float, forward_dft, make_grid, nodal_pair, validate_n
 
 EXIT_CODES = {"completed": 0, "blowup_detected": 2, "resolution_lost": 3,
               "numeric_failure": 4}
 
-# Run budgets checked before a run starts. A run may take at most 10**6 steps
-# (a record is about 380 B): a fixed dt by its count, dt auto by the count its
-# step bound at max|u| = 0 already forces. The held snapshots, (floor(t_final /
-# snapshot_every) + 1) * n values, may fill at most 1 GiB; that also keeps
-# consecutive snapshot times at least t_final * 2**-25 apart, far wider than
-# the 10 significant digits of the file names. A step holds about 16 arrays of
-# n float64 values (state, stages, temporaries, nodal u, u_x and product),
-# which get the same 1 GiB: n is at most 2**23.
+# Run budgets, which RunConfig checks before a run starts. A run may take at
+# most 10**6 steps (a record is about 380 B): a fixed dt by its count, dt auto
+# by the count its step bound at max|u| = 0 already forces. The held
+# snapshots, (floor(t_final / snapshot_every) + 1) * n values, may fill at
+# most 1 GiB; that also keeps consecutive snapshot times at least t_final *
+# 2**-25 apart, far wider than the 10 significant digits of the file names. A
+# step holds about 16 arrays of n float64 values (state, stages, temporaries,
+# nodal u, u_x and product), which get the same 1 GiB: n is at most 2**23.
 MAX_FIXED_STEPS = 10**6
 MAX_SNAPSHOT_VALUES = 2**27
 
@@ -80,16 +80,20 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run of the equation params from the profile ic on grid.
+    """One run of the equation params from the profile ic on n nodes.
 
     dt is a positive step or "auto", in which case the run loop calls
     stable_dt before every step. The run ends at t_final, stores snapshots
     at multiples of snapshot_every, and stops early when check_blowup fires
-    under thresholds; None turns detection off. t_final and snapshot_every
-    must be finite and > 0.
+    under thresholds; None turns detection off.
+
+    Every run rule is checked here, ranges first, then the budgets and the
+    cross-field rules, worded "<key>: <reason>", so a config built by hand
+    or by dataclasses.replace meets the command line's rules. grid is
+    derived from n once every rule has passed: a refused n allocates nothing.
     """
 
-    grid: GridSpec
+    n: int
     params: SimParams
     ic: InitialCondition
     dt: float | str
@@ -97,22 +101,58 @@ class RunConfig:
     snapshot_every: float
     output_dir: Path
     thresholds: DetectionThresholds | None
+    grid: GridSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.dt != "auto":
+        n = validate_n(self.n)
+        dt = self.dt
+        if dt != "auto":
             dt = as_float(self.dt)
             if not 0.0 < dt < np.inf:
                 raise ValueError(f'dt: must be finite and > 0 or "auto", got {self.dt!r}')
-            object.__setattr__(self, "dt", dt)
         t_final = as_float(self.t_final)  # a NaN t_final would never end the run loop
         if not 0.0 < t_final < np.inf:
             raise ValueError(f"t_final: must be finite and > 0, got {self.t_final!r}")
-        object.__setattr__(self, "t_final", t_final)
         # 0 would clip every step to length 0; NaN would store no snapshot after t = 0.
         every = as_float(self.snapshot_every)
         if not 0.0 < every < np.inf:
             raise ValueError(f"snapshot_every: must be finite and > 0, got {self.snapshot_every!r}")
-        object.__setattr__(self, "snapshot_every", every)
+        ratio = t_final / every  # may overflow to inf, which the first test catches
+        if ratio >= MAX_SNAPSHOT_VALUES or (math.floor(ratio) + 1) * n > MAX_SNAPSHOT_VALUES:
+            raise ValueError(
+                f"snapshot_every: {every:g} holds more than 2**27 snapshot values (1 GiB) "
+                f"at n {n} and t_final {t_final:g}"
+            )
+        if 16 * n > MAX_SNAPSHOT_VALUES:
+            raise ValueError(
+                f"n: a step at n {n} holds about 16 * n float64 values, more than 2**27 "
+                "(1 GiB); n may be at most 2**23"
+            )
+        if every > t_final:
+            raise ValueError(f"snapshot_every: {every:g} exceeds t_final {t_final:g}")
+        if dt != "auto" and t_final / dt > MAX_FIXED_STEPS:
+            raise ValueError(
+                f"dt: {dt:g} needs {t_final / dt:.6g} steps to t_final {t_final:g}, "
+                "more than 10**6"
+            )
+        # stable_dt falls as max|u| grows, so at max|u| = 0 it bounds every auto
+        # step. It is read through the module so that the first call of cli's own
+        # stable_dt stays the run loop's first step.
+        longest = dynamics.stable_dt(0.0, n, self.params) if dt == "auto" else math.inf
+        if t_final > MAX_FIXED_STEPS * longest:
+            raise ValueError(
+                f"dt: auto steps are at most {longest:.6g} at gamma {self.params.gamma:g}, "
+                f"alpha {self.params.alpha:g} and n {n}, so t_final {t_final:g} takes "
+                "more than 10**6"
+            )
+        ic = self.ic  # a hand-built run may sample any callable
+        if isinstance(ic, InitialCondition) and ic.kind == "random_band" and ic.params[0] >= n // 2:
+            # Mode n/2 and above alias onto lower modes on an n-node grid.
+            raise ValueError(f"ic: random kmax must be < n/2 = {n // 2}, got {ic.params[0]}")
+        derived = {"n": n, "dt": dt, "t_final": t_final, "snapshot_every": every,
+                   "output_dir": Path(self.output_dir), "grid": make_grid(n)}
+        for key, value in derived.items():
+            object.__setattr__(self, key, value)
 
 
 @dataclass(frozen=True)
@@ -156,16 +196,6 @@ def _as_int(key: str, raw: str) -> int:
         raise UsageError(f"invalid value for {key}: {raw!r} is not an integer") from None
 
 
-def _as_float(key: str, raw: str) -> float:
-    try:
-        v = float(raw)
-    except ValueError:
-        raise UsageError(f"invalid value for {key}: {raw!r} is not a number") from None
-    if v != v or v in (float("inf"), float("-inf")):
-        raise UsageError(f"invalid value for {key}: {raw!r} is not finite")
-    return v
-
-
 def _as_bool(key: str, raw: str) -> bool:
     if raw == "true":
         return True
@@ -181,9 +211,9 @@ def _parse_ic(raw: str) -> InitialCondition:
         if kind == "neg-sine" and len(parts) == 1:
             return InitialCondition.neg_sine()
         if kind == "scaled-neg-sine" and len(parts) == 2:
-            return InitialCondition.scaled_neg_sine(_as_float("ic", parts[1]))
+            return InitialCondition.scaled_neg_sine(parts[1])
         if kind == "gaussian" and len(parts) == 2:
-            return InitialCondition.gaussian_bump(_as_float("ic", parts[1]))
+            return InitialCondition.gaussian_bump(parts[1])
         if kind == "random" and len(parts) == 3:
             return InitialCondition.random_band(_as_int("ic", parts[1]),
                                                 _as_int("ic", parts[2]))
@@ -218,8 +248,11 @@ def _read_config_file(path: str) -> dict[str, str]:
 def parse_config(argv: list[str]) -> RunConfig:
     """Resolve defaults, config file, and flags (in rising precedence).
 
-    Besides each value's own range, a run must fit the step, snapshot and
-    working-set budgets (MAX_FIXED_STEPS, MAX_SNAPSHOT_VALUES).
+    This only reads text: n as an integer, the two bools, the dealias
+    spelling and the ic grammar. The other numbers reach their owners
+    (SimParams, DetectionThresholds, RunConfig) as text; every range,
+    budget and cross-field rule is theirs, and their "<key>: <reason>" is
+    reported as "invalid value for <key>: <reason>".
     """
     ns = _build_parser().parse_args(argv)
     merged = {key: default for key, (default, _) in _OPTIONS.items()}
@@ -231,83 +264,33 @@ def parse_config(argv: list[str]) -> RunConfig:
             merged[key] = given
 
     n = _as_int("n", merged["n"])
-    gamma = _as_float("gamma", merged["gamma"])
-    alpha = _as_float("alpha", merged["alpha"])
-    dt = "auto" if merged["dt"] == "auto" else _as_float("dt", merged["dt"])
-    t_final = _as_float("t_final", merged["t_final"])
     dealias = merged["dealias"]
     if dealias not in ("off", "two-thirds"):
         raise UsageError(f"invalid value for dealias: expected off or two-thirds, got {dealias!r}")
-    snapshot_every = _as_float("snapshot_every", merged["snapshot_every"])
-    slope_limit = _as_float("slope_limit", merged["slope_limit"])
-    tail_limit = _as_float("tail_limit", merged["tail_limit"])
     linear_only = _as_bool("linear_only", merged["linear_only"])
     detect_blowup = _as_bool("detect_blowup", merged["detect_blowup"])
     ic = _parse_ic(merged["ic"])
-
-    # Needs only the parsed numbers: an oversized n is refused before make_grid.
-    # RunConfig refuses snapshot_every <= 0 below; until then it counts as
-    # one snapshot. The ratio may overflow to inf; the first test catches it.
-    ratio = t_final / snapshot_every if snapshot_every > 0.0 else 0.0
-    if ratio >= MAX_SNAPSHOT_VALUES or (math.floor(ratio) + 1) * n > MAX_SNAPSHOT_VALUES:
-        raise UsageError(
-            f"invalid value for snapshot_every: {snapshot_every:g} holds more than "
-            f"2**27 snapshot values (1 GiB) at n {n} and t_final {t_final:g}"
-        )
-    if 16 * n > MAX_SNAPSHOT_VALUES:
-        raise UsageError(
-            f"invalid value for n: a step at n {n} holds about 16 * n float64 "
-            "values, more than 2**27 (1 GiB); n may be at most 2**23"
-        )
-
-    # The grid, SimParams, DetectionThresholds and RunConfig own their range
-    # rules and word a violation as "<key>: <reason>". Both limits are checked
-    # even when detection is off.
     try:
-        thresholds = DetectionThresholds(slope_limit=slope_limit, tail_limit=tail_limit)
-        cfg = RunConfig(
-            grid=make_grid(n),
+        # Both limits are checked even when detection is off.
+        thresholds = DetectionThresholds(slope_limit=merged["slope_limit"],
+                                         tail_limit=merged["tail_limit"])
+        return RunConfig(
+            n=n,
             params=SimParams(
-                gamma=gamma,
-                alpha=alpha,
+                gamma=merged["gamma"],
+                alpha=merged["alpha"],
                 dealias_rule="two_thirds" if dealias == "two-thirds" else "off",
                 linear_only=linear_only,
             ),
             ic=ic,
-            dt=dt,
-            t_final=t_final,
-            snapshot_every=snapshot_every,
-            output_dir=Path(merged["output"]),
+            dt=merged["dt"],
+            t_final=merged["t_final"],
+            snapshot_every=merged["snapshot_every"],
+            output_dir=merged["output"],
             thresholds=thresholds if detect_blowup else None,
         )
     except ValueError as err:
         raise UsageError(f"invalid value for {err}") from None
-
-    if snapshot_every > t_final:
-        raise UsageError(
-            f"invalid value for snapshot_every: {snapshot_every:g} exceeds t_final {t_final:g}"
-        )
-    if dt != "auto" and t_final / dt > MAX_FIXED_STEPS:
-        raise UsageError(
-            f"invalid value for dt: {dt:g} needs {t_final / dt:.6g} steps to t_final "
-            f"{t_final:g}, more than 10**6"
-        )
-    # stable_dt falls as max|u| grows, so at max|u| = 0 it bounds every auto
-    # step. It is read through the module so that the first call of cli's own
-    # stable_dt stays the run loop's first step.
-    longest = dynamics.stable_dt(0.0, n, cfg.params) if dt == "auto" else math.inf
-    if t_final > MAX_FIXED_STEPS * longest:
-        raise UsageError(
-            f"invalid value for dt: auto steps are at most {longest:.6g} at gamma "
-            f"{gamma:g}, alpha {alpha:g} and n {n}, so t_final {t_final:g} takes "
-            "more than 10**6"
-        )
-    if ic.kind == "random_band" and ic.params[0] >= n // 2:
-        # Mode n/2 and above alias onto lower modes on an n-node grid.
-        raise UsageError(
-            f"invalid value for ic: random kmax must be < n/2 = {n // 2}, got {ic.params[0]}"
-        )
-    return cfg
 
 
 def run_simulation(cfg: RunConfig) -> RunResult:

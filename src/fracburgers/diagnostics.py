@@ -78,8 +78,8 @@ class DetectionThresholds:
 
     def __post_init__(self) -> None:
         slope_limit, tail_limit = as_float(self.slope_limit), as_float(self.tail_limit)
-        if not slope_limit > 0.0:
-            raise ValueError(f"slope_limit: must be > 0, got {self.slope_limit!r}")
+        if not 0.0 < slope_limit < np.inf:
+            raise ValueError(f"slope_limit: must be finite and > 0, got {self.slope_limit!r}")
         if not 0.0 < tail_limit < 1.0:
             raise ValueError(f"tail_limit: must lie in (0, 1), got {self.tail_limit!r}")
         object.__setattr__(self, "slope_limit", slope_limit)

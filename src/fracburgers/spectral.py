@@ -76,13 +76,20 @@ class GridSpec:
     nodes: np.ndarray  # x_j = pi*(2j - n)/n, strictly increasing
 
 
-def make_grid(n: int) -> GridSpec:
-    """Build the uniform grid with n nodes (n even, n >= 4)."""
-    if not as_float(n).is_integer() or n != int(n):  # int() raises OverflowError on inf
+def validate_n(n: int) -> int:
+    """Return n as int after checking it is an even integer >= 4."""
+    # float() of a huge int, like int() of inf, raises OverflowError.
+    if not (isinstance(n, int) or as_float(n).is_integer()) or n != int(n):
         raise ValueError(f"n: must be an integer, got {n!r}")
     n = int(n)
     if n % 2 or n < 4:
         raise ValueError(f"n: must be even and >= 4, got {n}")
+    return n
+
+
+def make_grid(n: int) -> GridSpec:
+    """Build the uniform grid with n nodes (n even, n >= 4)."""
+    n = validate_n(n)
     j = np.arange(n)
     nodes = np.pi * (2.0 * j - n) / n
     return GridSpec(n=n, nodes=nodes)

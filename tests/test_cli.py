@@ -181,8 +181,8 @@ class TestParseConfig:
 
 
 class TestRunConfig:
-    """RunConfig owns dt, t_final and snapshot_every, so a replaced or
-    hand-built config is checked as a parsed one is."""
+    """RunConfig owns every run rule, so a replaced or hand-built config is
+    checked as a parsed one is."""
 
     def test_bad_dt_rejected(self):
         cfg = parse_config([])
@@ -215,7 +215,7 @@ class TestRunConfig:
 
     def test_hand_built_config_checked(self):
         """A NaN t_final would never end the run loop."""
-        fields = dict(grid=make_grid(16), params=SimParams(), ic=InitialCondition.neg_sine(),
+        fields = dict(n=16, params=SimParams(), ic=InitialCondition.neg_sine(),
                       dt="auto", t_final=1.0, snapshot_every=0.1, output_dir=Path("out"),
                       thresholds=None)
         cfg = RunConfig(**{**fields, "dt": 1, "t_final": "2"})
@@ -223,6 +223,42 @@ class TestRunConfig:
         for key, value in (("dt", 0.0), ("dt", "fast"), ("dt", math.inf), ("t_final", math.nan)):
             with pytest.raises(ValueError, match=f"^{key}: must be finite and > 0"):
                 RunConfig(**{**fields, key: value})
+
+    def test_str_output_dir_written(self, tmp_path):
+        """A str directory is stored as a Path, so write_outputs can make it."""
+        cfg = dataclasses.replace(config("--n", "16", "--t-final", "0.2"),
+                                  output_dir=str(tmp_path / "out"))
+        assert isinstance(cfg.output_dir, Path)
+        written = write_outputs(run_simulation(cfg), cfg)
+        assert (tmp_path / "out" / "report.txt") in written
+        assert all(path.is_file() for path in written)
+
+    def test_grid_derived_from_n(self):
+        cfg = dataclasses.replace(parse_config([]), n=32.0)
+        assert cfg.n == 32 and type(cfg.n) is int and cfg.grid.n == 32
+        with pytest.raises(ValueError, match="grid"):
+            dataclasses.replace(cfg, grid=make_grid(64))
+
+    @pytest.mark.parametrize("argv, changes", [
+        (["--n", "16", "--ic", "random:8:1"], dict(n=16, ic=InitialCondition.random_band(8, 1))),
+        (["--t-final", "0.2", "--snapshot-every", "0.5"], dict(t_final=0.2, snapshot_every=0.5)),
+        (["--dt", "1e-12"], dict(dt=1e-12)),
+        (["--gamma", "1e6", "--alpha", "2"], dict(params=SimParams(gamma=1e6, alpha=2.0))),
+        (["--snapshot-every", "1e-9", "--t-final", "1e3"],
+         dict(snapshot_every=1e-9, t_final=1e3)),
+        (["--n", str(2**23 + 2), "--snapshot-every", "1"], dict(n=2**23 + 2, snapshot_every=1.0)),
+    ], ids=["random-kmax", "snapshot-after-t-final", "fixed-steps", "auto-steps",
+            "snapshot-values", "working-set"])
+    def test_replaced_config_follows_the_command_line(self, argv, changes):
+        """Each run rule the command line refuses, a replaced config refuses
+        with the same "<key>: <reason>"."""
+        with pytest.raises(UsageError) as refused:
+            parse_config(argv)
+        message = str(refused.value).removeprefix("invalid value for ")
+        assert message != str(refused.value)
+        with pytest.raises(ValueError) as replaced:
+            dataclasses.replace(parse_config([]), **changes)
+        assert str(replaced.value) == message
 
 
 class TestRunBudgets:

@@ -1,5 +1,7 @@
 """Scalar diagnostics, the blow-up monitors, and detection policy."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -220,13 +222,18 @@ class TestDetectionThresholds:
         with pytest.raises(ValueError, match="slope_limit"):
             DetectionThresholds(slope_limit=0.0)
 
+    def test_infinite_slope_limit_rejected(self):
+        """An infinite limit would never fire."""
+        with pytest.raises(ValueError, match=r"^slope_limit: must be finite and > 0, got inf$"):
+            DetectionThresholds(slope_limit=math.inf)
+
     def test_tail_limit_must_be_a_fraction(self):
         for bad in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError, match="tail_limit"):
                 DetectionThresholds(tail_limit=bad)
 
     @pytest.mark.parametrize("key, rule", [
-        ("slope_limit", "must be > 0"), ("tail_limit", r"must lie in \(0, 1\)")])
+        ("slope_limit", "must be finite and > 0"), ("tail_limit", r"must lie in \(0, 1\)")])
     def test_non_number_worded_as_range_rule(self, key, rule):
         with pytest.raises(ValueError, match=f"^{key}: {rule}, got 'fast'$"):
             DetectionThresholds(**{key: "fast"})

@@ -65,6 +65,15 @@ class TestInitialCondition:
             0.1610344581382904, -0.10741155786040478,
         ]
 
+    def test_random_band_cache_is_bounded(self):
+        """Each cached draw holds 2 * max_mode floats; many seeds keep no more
+        than the cache's bound."""
+        x = np.linspace(-np.pi, np.pi, 9)
+        for seed in range(20):
+            InitialCondition.random_band(64, seed)(x)
+        info = _band_coeffs.cache_info()
+        assert info.maxsize == 1 and info.currsize == info.maxsize
+
     def test_random_band_zero_modes_is_zero(self):
         f = InitialCondition.random_band(0, 1)
         assert np.array_equal(f(np.linspace(-3, 3, 9)), np.zeros(9))
