@@ -44,6 +44,7 @@ from .cli import (
 from .spectral import (
     GridSpec,
     SymmetryError,
+    band_limit,
     dealias,
     forward_dft,
     fractional_laplacian,
@@ -59,7 +60,7 @@ __all__ = [
     "ConvergenceError", "DetectionThresholds", "DiagnosticsRecord", "GridSpec",
     "InitialCondition", "InstabilityError", "RunConfig", "RunResult", "SimParams",
     "SingularTimeError", "SymmetryError", "UsageError",
-    "bkm_accumulate", "characteristics_solution", "check_blowup",
+    "band_limit", "bkm_accumulate", "characteristics_solution", "check_blowup",
     "cole_hopf_solution", "dealias", "extrema", "forward_dft",
     "fractional_laplacian", "inverse_dft", "l2_norm", "linear_decay_solution",
     "main", "make_grid", "mass", "nodal_pair", "observe", "parse_config",

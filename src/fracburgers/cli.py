@@ -324,7 +324,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         c = forward_dft(u0)
         nodal = nodal_pair(c)
         t = 0.0
-        rec, slope_norm = observe(c, t, nodal=nodal)
+        rec, slope_norm = observe(c, t, nodal=nodal, rule=p.dealias_rule)
         records = [rec]
         snapshots = [(t, u0)]
         status = "completed"
@@ -354,8 +354,8 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                 break
             t = target if landed else t + dt_step
             nodal = nodal_pair(c)
-            rec, slope_norm = observe(c, t, prev_bkm=rec.bkm_integral,
-                                      prev_slope_norm=slope_norm, dt=dt_step, nodal=nodal)
+            rec, slope_norm = observe(c, t, prev_bkm=rec.bkm_integral, prev_slope_norm=slope_norm,
+                                      dt=dt_step, nodal=nodal, rule=p.dealias_rule)
             records.append(rec)
             if landed and abs(snap_t - t) <= eps:
                 snapshots.append((t, nodal[0]))
@@ -432,6 +432,11 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 64
+    try:  # an unusable output directory fails before the run, not after it
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     result = run_simulation(cfg)
     try:
         written = write_outputs(result, cfg)

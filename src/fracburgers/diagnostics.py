@@ -7,7 +7,10 @@ evolution m(t) = m0/(1 + t*m0), the accumulated integral of ||u_x||_inf
 (the continuation monitor: the solution persists while it stays finite),
 a discrete H^3 norm (recorded qualitatively; the a-priori bound's constant
 is not available), and the spectral tail fraction used as a resolution
-monitor.
+monitor. The tail is the top third of the band the run's dealias rule keeps,
+rows ceil(2K/3) .. K with K = spectral.band_limit(N, rule): with the rule
+off, |k| >= N/3; under the 2/3 rule, 2N/9 <= |k| <= N/3, the rows the
+filter leaves the solution.
 
 Norm conventions: l2 = sqrt(2*pi * sum_{k=-N/2}^{N/2-1} |c_k|^2) (Parseval on
 the interpolant) and sobolev s uses (1 + k^2)^s weights under the same 2*pi
@@ -38,7 +41,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .spectral import as_float, nodal_pair
+from .spectral import as_float, band_limit, nodal_pair
 
 TAIL_GUARD = 1e-300  # keeps the tail ratio defined for the zero field
 
@@ -139,13 +142,15 @@ def bkm_accumulate(prev_integral: float, prev_norm: float, new_norm: float,
     return prev_integral + dt * (prev_norm + new_norm) / 2.0
 
 
-def tail_fraction(c: np.ndarray) -> float:
-    """Share of (non-mean) spectral energy at |k| >= N/3.
+def tail_fraction(c: np.ndarray, *, rule: str = "off") -> float:
+    """Share of (non-mean) spectral energy in the top third of the kept band.
 
-    Approaching 1 means the top third of the resolved band carries the
-    field: the grid has stopped resolving the solution.
+    The band rule keeps is 0 .. K, K = band_limit(N, rule), and its top
+    third the rows ceil(2K/3) .. K: |k| >= N/3 with rule "off",
+    2N/9 <= |k| <= N/3 with "two_thirds". Approaching 1 means that top
+    third carries the field: the grid has stopped resolving the solution.
     """
-    return _tail_of(_paired_power(c))
+    return _tail_of(_paired_power(c), rule)
 
 
 def check_blowup(rec: DiagnosticsRecord,
@@ -168,8 +173,11 @@ def check_blowup(rec: DiagnosticsRecord,
 def observe(c: np.ndarray, t: float, *, prev_bkm: float = 0.0,
             prev_slope_norm: float | None = None, dt: float = 0.0,
             nodal: tuple[np.ndarray, np.ndarray] | None = None,
-            ) -> tuple[DiagnosticsRecord, float]:
+            rule: str = "off") -> tuple[DiagnosticsRecord, float]:
     """Assemble the full record for the half-spectrum c at time t.
+
+    rule is the run's dealias rule: tail_fraction reads the top third of the
+    band it keeps.
 
     Two inverse transforms (u and u_x), none if nodal, the nodal_pair(c)
     the caller already holds, is handed in. Returns (record,
@@ -195,7 +203,7 @@ def observe(c: np.ndarray, t: float, *, prev_bkm: float = 0.0,
             min_slope=float(slope.min()),
             bkm_integral=bkm,
             h3=_sobolev_of(power, 3.0),
-            tail_fraction=_tail_of(power),
+            tail_fraction=_tail_of(power, rule),
         )
     return rec, slope_norm
 
@@ -223,9 +231,9 @@ def _sobolev_of(power: np.ndarray, order: float) -> float:
     return math.sqrt(2.0 * np.pi * float(np.sum(_sobolev_weights(len(power), order) * power)))
 
 
-def _tail_of(power: np.ndarray) -> float:
-    n = 2 * (len(power) - 1)
-    tail = float(np.sum(power[-(-n // 3):]))  # the rows k >= N/3
+def _tail_of(power: np.ndarray, rule: str) -> float:
+    k = band_limit(2 * (len(power) - 1), rule)
+    tail = float(np.sum(power[k - k // 3:k + 1]))  # rows ceil(2K/3) .. K
     total = float(np.sum(power[1:]))
     return tail / (total + TAIL_GUARD)
 

@@ -77,8 +77,9 @@ class InitialCondition:
 
     @classmethod
     def random_band(cls, max_mode: int, seed: int) -> "InitialCondition":
-        # int() would raise OverflowError on inf, and alone would turn 2.5 into 2.
-        whole = as_float(max_mode).is_integer() and as_float(seed).is_integer()
+        # int() would raise OverflowError on inf, and alone would turn 2.5 into 2;
+        # an int beyond float range is whole although as_float gives NaN.
+        whole = all(isinstance(v, int) or as_float(v).is_integer() for v in (max_mode, seed))
         m, s = (int(max_mode), int(seed)) if whole else (None, None)
         if m != max_mode or s != seed:
             raise ValueError(f"max_mode and seed must be integers, got {max_mode!r}, {seed!r}")
@@ -96,9 +97,9 @@ class InitialCondition:
         if self.kind == "neg_sine":
             return "neg-sine"
         if self.kind == "scaled_neg_sine":
-            return f"scaled-neg-sine:{self.params[0]:g}"
+            return f"scaled-neg-sine:{_round_trip(self.params[0])}"
         if self.kind == "gaussian_bump":
-            return f"gaussian:{self.params[0]:g}"
+            return f"gaussian:{_round_trip(self.params[0])}"
         return f"random:{self.params[0]}:{self.params[1]}"
 
     def __call__(self, x):
@@ -120,6 +121,18 @@ class InitialCondition:
             a = self.params[0] if self.params else 1.0
             out = -a * (np.cos(xv) if derivative else np.sin(xv))
         return out if out.ndim else float(out)
+
+
+def _round_trip(v: float) -> str:
+    """v in the fewest significant digits, at least 6, that read back as v.
+
+    17 digits read back as every finite float64.
+    """
+    for digits in range(6, 17):
+        text = f"{v:.{digits}g}"
+        if float(text) == v:
+            return text
+    return f"{v:.17g}"
 
 
 # A run samples one profile, and a characteristics grading evaluates one

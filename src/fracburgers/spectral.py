@@ -25,6 +25,11 @@ states of shape (B, N/2 + 1) on one grid is transformed and multiplied row
 by row in one call. That axis alone carries N = 2 * (rows - 1), so none of
 them takes a GridSpec: the grid only samples profiles and labels snapshots.
 
+Which rows a run keeps is decided once, by band_limit: K, the highest
+wavenumber a dealias rule keeps on N nodes. dealias zeroes the rows above K,
+and the resolution monitor (diagnostics.tail_fraction) reads the top third of
+the rows 0 .. K.
+
 A run's state is such an array and carries no time; the run loop keeps the
 clock. Nodal values are float arrays of shape (..., N), formed where the
 nodes are needed: the product in the tendency, the extrema and slope of a
@@ -52,7 +57,7 @@ def as_float(value: object) -> float:
     """
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an int beyond float range overflows
         return float("nan")
 
 
@@ -78,7 +83,7 @@ class GridSpec:
 
 def validate_n(n: int) -> int:
     """Return n as int after checking it is an even integer >= 4."""
-    # float() of a huge int, like int() of inf, raises OverflowError.
+    # A huge int has no float (as_float gives NaN), so an int is taken as it is.
     if not (isinstance(n, int) or as_float(n).is_integer()) or n != int(n):
         raise ValueError(f"n: must be an integer, got {n!r}")
     n = int(n)
@@ -169,15 +174,26 @@ def fractional_laplacian(c: np.ndarray, alpha: float) -> np.ndarray:
     return mult * c
 
 
-def dealias(c: np.ndarray, rule: str) -> np.ndarray:
-    """Zero the aliasing-prone tail of a product per the 2/3 rule.
+def band_limit(n: int, rule: str) -> int:
+    """K, the highest wavenumber that rule keeps on n nodes.
 
-    rule "off" returns a copy of c; "two_thirds" zeroes every coefficient
-    with |k| > N/3.
+    "off" keeps the whole grid band, K = n/2. "two_thirds" keeps |k| <= n/3,
+    K = floor(n/3): Orszag's 2/3 rule for the quadratic term. dealias zeroes
+    the rows above K; the resolution monitor reads the top third of the rows
+    0 .. K.
     """
     if rule not in DEALIAS_RULES:
         raise ValueError(f"unknown dealias rule {rule!r}, expected one of {DEALIAS_RULES}")
-    if rule == "off":
-        return c.copy()
-    n = 2 * (c.shape[-1] - 1)
-    return np.where(np.arange(c.shape[-1]) <= n / 3.0, c, 0.0)
+    return n // 2 if rule == "off" else n // 3
+
+
+def dealias(c: np.ndarray, rule: str) -> np.ndarray:
+    """A copy of c with every row above band_limit(N, rule) zeroed.
+
+    rule "off" keeps every row; "two_thirds" zeroes |k| > N/3, the
+    aliasing-prone tail of a product.
+    """
+    k = band_limit(2 * (c.shape[-1] - 1), rule)
+    out = c.copy()
+    out[..., k + 1:] = 0.0
+    return out

@@ -24,6 +24,7 @@ from fracburgers.cli import (
     write_outputs,
 )
 from fracburgers.diagnostics import (
+    DetectionThresholds,
     DiagnosticsRecord,
     check_blowup,
     predicted_blowup_time,
@@ -78,6 +79,21 @@ class TestParseConfig:
         key = flag[2:].replace("-", "_")
         with pytest.raises(UsageError, match=rf"^invalid value for {key}: "):
             parse_config(["--detect-blowup", "false", flag, value])
+
+    @pytest.mark.parametrize("raw, label", [
+        ("scaled-neg-sine:1.23456789", "scaled-neg-sine:1.23456789"),
+        ("gaussian:0.123456789", "gaussian:0.123456789"),
+        ("scaled-neg-sine:2.0", "scaled-neg-sine:2"),
+        ("gaussian:0.5", "gaussian:0.5"),
+        ("scaled-neg-sine:1e150", "scaled-neg-sine:1e+150"),
+        ("random:8:42", "random:8:42"),
+    ])
+    def test_ic_label_reads_back_as_the_same_profile(self, raw, label):
+        """report.txt's ic line reruns the profile: at least 6 digits, more
+        where 6 would round the parameter."""
+        cfg = config("--ic", raw)
+        assert cfg.ic.label() == label
+        assert parse_config(["--ic", cfg.ic.label()]).ic == cfg.ic
 
     def test_ic_selector_grammar(self):
         assert config("--ic", "scaled-neg-sine:2.0").ic.params == (2.0,)
@@ -200,6 +216,17 @@ class TestRunConfig:
     def test_non_number_worded_as_range_rule(self, key, rule):
         with pytest.raises(ValueError, match=f"^{key}: {rule}, got 'fast'$"):
             dataclasses.replace(parse_config([]), **{key: "fast"})
+
+    @pytest.mark.parametrize("key, build", [
+        ("gamma", lambda big: SimParams(gamma=big)),
+        ("slope_limit", lambda big: DetectionThresholds(slope_limit=big)),
+        ("t_final", lambda big: dataclasses.replace(parse_config([]), t_final=big)),
+        ("amplitude", lambda big: InitialCondition.scaled_neg_sine(big)),
+    ])
+    def test_int_beyond_float_range_refused_by_its_owner(self, key, build):
+        """float(10**400) overflows; the owner still names the value."""
+        with pytest.raises(ValueError, match=f"^{key}:? must be finite"):
+            build(10**400)
 
     def test_nonpositive_t_final_rejected(self):
         with pytest.raises(ValueError, match="t_final"):
@@ -394,6 +421,16 @@ class TestRunSimulation:
         assert check_blowup(res.records[-1], cfg.thresholds) == "resolution_loss"
         assert res.records[-1].tail_fraction > 0.01
 
+    def test_resolution_loss_detected_under_the_two_thirds_rule(self, tmp_path):
+        """The tail reads rows the 2/3 rule keeps, so it can fire on a
+        dealiased run; at alpha = 0.5 this one overshoots its initial maximum."""
+        args = ["--n", "256", "--alpha", "0.5", "--gamma", "0.05", "--ic", "random:8:0",
+                "--t-final", "1", "--dealias", "two-thirds"]
+        assert main([*args, "--output", str(tmp_path)]) == EXIT_CODES["resolution_lost"] == 3
+        res = run_simulation(config(*args))
+        assert res.status == "resolution_lost"
+        assert res.records[-1].tail_fraction > 0.1 >= res.records[-2].tail_fraction
+
     def test_numeric_failure_keeps_finite_snapshots(self):
         res = run_simulation(config(*NUMERIC_FAILURE_ARGS))
         assert res.status == "numeric_failure"
@@ -428,6 +465,9 @@ class TestRunSimulation:
         (["--ic", "scaled-neg-sine:200"], "blowup_detected", "slope_threshold"),
         (["--ic", "random:100:1", "--tail-limit", "0.001"], "resolution_lost", "resolution_loss"),
         (["--ic", "scaled-neg-sine:1e150", "--dt", "1"], "blowup_detected", "slope_threshold"),
+        # K = 1 on 4 nodes: row 1 is the top third of the kept band.
+        (["--n", "4", "--dealias", "two-thirds", "--t-final", "0.1"],
+         "resolution_lost", "resolution_loss"),
     ])
     def test_detection_applies_to_the_t0_record(self, args, status, cause):
         """A profile that already fires the policy takes no step."""
@@ -664,6 +704,24 @@ class TestMain:
         blocker = tmp_path / "taken"
         blocker.write_text("in the way", encoding="utf-8")
         code = main(["--n", "16", "--t-final", "0.2", "--output", str(blocker)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_unusable_output_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def run_simulation(cfg):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("fracburgers.cli.run_simulation", run_simulation)
+        blocker = tmp_path / "taken"
+        blocker.write_text("in the way", encoding="utf-8")
+        code = main(["--n", "16", "--t-final", "0.2", "--output", str(blocker / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unwritable_output_file_exits_one(self, tmp_path, capsys):
+        """The directory exists, but one output path is taken by a directory."""
+        (tmp_path / "report.txt").mkdir()
+        code = main(["--n", "16", "--t-final", "0.2", "--output", str(tmp_path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
 

@@ -116,8 +116,11 @@ def test_rk4_step_matches_dense_reference(n, rule):
         assert err <= RTOL, f"gamma={gamma:.3f} alpha={alpha:.3f}: {err:.2e}"
 
 
+@pytest.mark.parametrize("rule", ["off", "two_thirds"])
 @pytest.mark.parametrize("n", [16, 64, 256])
-def test_norms_match_dense_reference(n):
+def test_norms_match_dense_reference(n, rule):
+    """The tail against the top third of the band the rule keeps: with K the
+    largest kept |k|, the kept rows with 3|k| >= 2K."""
     rng = np.random.default_rng(2000 + n)
     for _ in range(4):
         u = rng.standard_normal(n)
@@ -125,8 +128,10 @@ def test_norms_match_dense_reference(n):
         power = np.abs(c) ** 2
         l2 = math.sqrt(2.0 * np.pi * np.sum(power))
         h3 = math.sqrt(2.0 * np.pi * np.sum((1.0 + k**2.0) ** 3 * power))
-        tail = np.sum(power[np.abs(k) >= n / 3.0]) / np.sum(power[k != 0])
+        kept = np.abs(k) <= (n / 3.0 if rule == "two_thirds" else n / 2.0)
+        top = kept & (3 * np.abs(k) >= 2 * np.abs(k[kept]).max())
+        tail = np.sum(power[top]) / np.sum(power[k != 0])
         s = forward_dft(u)
         assert l2_norm(s) == pytest.approx(l2, rel=RTOL, abs=0)
         assert sobolev_norm(s, 3) == pytest.approx(h3, rel=RTOL, abs=0)
-        assert tail_fraction(s) == pytest.approx(tail, rel=RTOL, abs=0)
+        assert tail_fraction(s, rule=rule) == pytest.approx(tail, rel=RTOL, abs=0)

@@ -21,7 +21,7 @@ from fracburgers.diagnostics import (
     tail_fraction,
 )
 from fracburgers.dynamics import SimParams, rk4_step
-from fracburgers.spectral import forward_dft, inverse_dft, make_grid
+from fracburgers.spectral import DEALIAS_RULES, dealias, forward_dft, inverse_dft, make_grid
 
 
 def record(**overrides):
@@ -190,7 +190,8 @@ class TestTailFraction:
         assert tail_fraction(c) == pytest.approx(1.0, rel=1e-14)
 
     def test_cut_is_inclusive_at_a_third(self):
-        """|k| = N/3 itself counts as tail, unlike the dealias cut."""
+        """|k| = N/3 itself counts as tail with the rule off: the top third
+        of the band 0 .. N/2 starts at ceil(N/3)."""
         c = np.zeros(7, complex)
         c[4] = 0.5
         assert tail_fraction(c) == pytest.approx(1.0, rel=1e-14)
@@ -211,6 +212,36 @@ class TestTailFraction:
         c[0] = 100.0
         c[30] = 0.5
         assert tail_fraction(c) == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("rule", DEALIAS_RULES)
+    def test_reads_only_rows_the_rule_keeps(self, rule):
+        """On random even N, the rows the tail reads are among the rows
+        dealias keeps; with the rule off, they are every k >= N/3."""
+        rng = np.random.default_rng(18)
+        for n in 2 * rng.integers(2, 400, size=25):
+            rows = n // 2 + 1
+            kept = set(np.flatnonzero(dealias(np.ones(rows, complex), rule)).tolist())
+            read = set()
+            for k in range(1, rows):
+                c = np.zeros(rows, complex)
+                c[k] = 1.0
+                if tail_fraction(c, rule=rule) == 1.0:
+                    read.add(k)
+                else:
+                    assert tail_fraction(c, rule=rule) == 0.0
+            assert read and read <= kept, n
+            if rule == "off":
+                assert read == {k for k in range(rows) if 3 * k >= n}, n
+            assert observe(c, 0.0, rule=rule)[0].tail_fraction == tail_fraction(c, rule=rule)
+        with pytest.raises(TypeError):
+            tail_fraction(c, rule)  # rule is keyword-only
+
+    def test_four_nodes_under_the_two_thirds_rule(self):
+        """N = 4 keeps K = 1, so row 1 is the whole top third: any field with
+        its non-mean power in row 1 is all tail."""
+        c = np.array([0.0, -0.5j, 0.0])  # -sin x on 4 nodes
+        assert tail_fraction(c) == 0.0  # with the rule off, only row 2 is tail
+        assert tail_fraction(c, rule="two_thirds") == pytest.approx(1.0, rel=1e-14)
 
 
 class TestDetectionThresholds:

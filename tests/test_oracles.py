@@ -145,6 +145,12 @@ class TestInitialCondition:
             InitialCondition.random_band(max_mode, seed)
         assert InitialCondition.random_band(2.0, 1.0).params == (2, 1)
 
+    def test_random_parameters_beyond_float_range_are_integers(self):
+        """float() of 10**400 overflows, yet it is a whole number: numpy's seed
+        sequence takes it, and RunConfig refuses such a kmax on any grid."""
+        assert InitialCondition.random_band(3, 10**400).seed == 10**400
+        assert InitialCondition.random_band(10**400, 1).params == (10**400, 1)
+
 
 class TestShockTime:
     def test_neg_sine_breaks_at_one(self):
