@@ -42,28 +42,27 @@ from .cli import (
     write_outputs,
 )
 from .spectral import (
-    GridSpec,
     SymmetryError,
     band_limit,
     dealias,
     forward_dft,
     fractional_laplacian,
     inverse_dft,
-    make_grid,
     nodal_pair,
+    nodes,
     spectral_derivative,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError", "DetectionThresholds", "DiagnosticsRecord", "GridSpec",
+    "ConvergenceError", "DetectionThresholds", "DiagnosticsRecord",
     "InitialCondition", "InstabilityError", "RunConfig", "RunResult", "SimParams",
     "SingularTimeError", "SymmetryError", "UsageError",
     "band_limit", "bkm_accumulate", "characteristics_solution", "check_blowup",
     "cole_hopf_solution", "dealias", "extrema", "forward_dft",
     "fractional_laplacian", "inverse_dft", "l2_norm", "linear_decay_solution",
-    "main", "make_grid", "mass", "nodal_pair", "observe", "parse_config",
+    "main", "mass", "nodal_pair", "nodes", "observe", "parse_config",
     "predicted_blowup_time", "rk4_step", "run_simulation", "shock_time",
     "slope_closed_form", "sobolev_norm", "spectral_derivative", "stable_dt",
     "tail_fraction", "write_outputs",

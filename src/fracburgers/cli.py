@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ import numpy as np
 from .diagnostics import (
     DetectionThresholds,
     DiagnosticsRecord,
+    bkm_accumulate,
     check_blowup,
     extrema,
     observe,
@@ -35,7 +36,7 @@ from .diagnostics import (
 from . import dynamics
 from .dynamics import InstabilityError, SimParams, rk4_step, stable_dt
 from .oracles import InitialCondition
-from .spectral import GridSpec, as_float, forward_dft, make_grid, nodal_pair, validate_n
+from .spectral import as_float, forward_dft, nodal_pair, nodes, validate_n
 
 EXIT_CODES = {"completed": 0, "blowup_detected": 2, "resolution_lost": 3,
               "numeric_failure": 4}
@@ -89,8 +90,8 @@ class RunConfig:
 
     Every run rule is checked here, ranges first, then the budgets and the
     cross-field rules, worded "<key>: <reason>", so a config built by hand
-    or by dataclasses.replace meets the command line's rules. grid is
-    derived from n once every rule has passed: a refused n allocates nothing.
+    or by dataclasses.replace meets the command line's rules. A config
+    allocates nothing: the run forms the nodes from n (spectral.nodes).
     """
 
     n: int
@@ -101,7 +102,6 @@ class RunConfig:
     snapshot_every: float
     output_dir: Path
     thresholds: DetectionThresholds | None
-    grid: GridSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = validate_n(self.n)
@@ -150,7 +150,7 @@ class RunConfig:
             # Mode n/2 and above alias onto lower modes on an n-node grid.
             raise ValueError(f"ic: random kmax must be < n/2 = {n // 2}, got {ic.params[0]}")
         derived = {"n": n, "dt": dt, "t_final": t_final, "snapshot_every": every,
-                   "output_dir": Path(self.output_dir), "grid": make_grid(n)}
+                   "output_dir": Path(self.output_dir)}
         for key, value in derived.items():
             object.__setattr__(self, key, value)
 
@@ -303,12 +303,13 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     occur. One DiagnosticsRecord is appended per step, plus the initial
     record at t=0, and the detection policy meets each one before the next
     step. Each state's nodal u and u_x are formed once: its record, its
-    snapshot and the first stage of the next step share them. The t=0
+    snapshot, its slope norm ||u_x||_inf and the first stage of the next
+    step share them. The loop sums the BKM integral from the slope norms
+    of consecutive states (trapezoid rule) and hands it to observe. The t=0
     snapshot is the sampled profile itself.
     """
-    g = cfg.grid
     p = cfg.params
-    u0 = cfg.ic(g.nodes)
+    u0 = cfg.ic(nodes(cfg.n))
 
     warnings: list[str] = []
     max0, min0 = extrema(u0)
@@ -323,8 +324,9 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     with np.errstate(over="ignore", invalid="ignore"):
         c = forward_dft(u0)
         nodal = nodal_pair(c)
+        norm = float(np.abs(nodal[1]).max())
         t = 0.0
-        rec, slope_norm = observe(c, t, nodal=nodal, rule=p.dealias_rule)
+        rec = observe(c, t, nodal=nodal, rule=p.dealias_rule)
         records = [rec]
         snapshots = [(t, u0)]
         status = "completed"
@@ -341,7 +343,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
             snap_t = snap_idx * cfg.snapshot_every
             target = min(snap_t, cfg.t_final)
             try:
-                cap = cfg.dt if cfg.dt != "auto" else stable_dt(max(rec.max_u, -rec.min_u), g.n, p)
+                cap = cfg.dt if cfg.dt != "auto" else stable_dt(max(rec.max_u, -rec.min_u), cfg.n, p)
                 remaining = target - t
                 if cap >= remaining - eps:
                     dt_step, landed = remaining, True
@@ -354,8 +356,9 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                 break
             t = target if landed else t + dt_step
             nodal = nodal_pair(c)
-            rec, slope_norm = observe(c, t, prev_bkm=rec.bkm_integral, prev_slope_norm=slope_norm,
-                                      dt=dt_step, nodal=nodal, rule=p.dealias_rule)
+            prev_norm, norm = norm, float(np.abs(nodal[1]).max())
+            bkm = bkm_accumulate(rec.bkm_integral, prev_norm, norm, dt_step)
+            rec = observe(c, t, bkm=bkm, nodal=nodal, rule=p.dealias_rule)
             records.append(rec)
             if landed and abs(snap_t - t) <= eps:
                 snapshots.append((t, nodal[0]))
@@ -398,7 +401,7 @@ def write_outputs(result: RunResult, cfg: RunConfig) -> list[Path]:
     written.append(path)
 
     # A formatted node holds no "%", so it is safe inside the template.
-    snapshot = "x,u\n" + "".join([f"{_fmt(x)},{_FLOAT}\n" for x in cfg.grid.nodes.tolist()])
+    snapshot = "x,u\n" + "".join([f"{_fmt(x)},{_FLOAT}\n" for x in nodes(cfg.n).tolist()])
     for t, field in result.snapshots:
         path = out / _snapshot_name(t)
         path.write_text(snapshot % tuple((field + 0.0).tolist()), encoding="utf-8")

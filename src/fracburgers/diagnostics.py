@@ -24,10 +24,12 @@ here takes a grid), and cost no transform; extrema takes nodal values.
 They refuse a stack of states (any other ndim) with ValueError rather than
 fold its rows into one number. observe assembles a run's record from the
 half-spectrum state: u and u_x (nodal_pair, two inverse transforms, or the
-pair the run loop hands in) for the extrema and the slope, and the
-spectral observables for the rest. The norms and the tail are each defined
-once, on the paired power |c_k|^2 + |c_{-k}|^2, which observe computes
-once per record; the Sobolev weights are built once per (rows, order).
+pair the run loop hands in) for the extrema and the slope, the spectral
+observables for the rest, and the BKM integral as the run loop hands it
+in: the loop sums it with bkm_accumulate from the slope norms of
+consecutive states. The norms and the tail are each defined once, on the
+paired power |c_k|^2 + |c_{-k}|^2, which observe computes once per record;
+the Sobolev weights are built once per (rows, order).
 check_blowup returns the detection cause one record fires, or None.
 """
 
@@ -170,31 +172,23 @@ def check_blowup(rec: DiagnosticsRecord,
     return None
 
 
-def observe(c: np.ndarray, t: float, *, prev_bkm: float = 0.0,
-            prev_slope_norm: float | None = None, dt: float = 0.0,
+def observe(c: np.ndarray, t: float, *, bkm: float = 0.0,
             nodal: tuple[np.ndarray, np.ndarray] | None = None,
-            rule: str = "off") -> tuple[DiagnosticsRecord, float]:
+            rule: str = "off") -> DiagnosticsRecord:
     """Assemble the full record for the half-spectrum c at time t.
 
-    rule is the run's dealias rule: tail_fraction reads the top third of the
-    band it keeps.
+    bkm is the integral of ||u_x||_inf up to t, which the caller sums
+    (bkm_accumulate) and the record carries as it is. rule is the run's
+    dealias rule: tail_fraction reads the top third of the band it keeps.
 
     Two inverse transforms (u and u_x), none if nodal, the nodal_pair(c)
-    the caller already holds, is handed in. Returns (record,
-    slope_inf_norm); the caller threads the norm into the next call so the
-    trapezoid accumulation sees both endpoints of each step.
-    prev_slope_norm None marks the initial record (bkm starts at prev_bkm).
+    the caller already holds, is handed in.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         u, slope = nodal_pair(c) if nodal is None else nodal
-        slope_norm = float(np.abs(slope).max())
-        if prev_slope_norm is None:
-            bkm = prev_bkm
-        else:
-            bkm = bkm_accumulate(prev_bkm, prev_slope_norm, slope_norm, dt)
         max_u, min_u = extrema(u)
         power = _paired_power(c)
-        rec = DiagnosticsRecord(
+        return DiagnosticsRecord(
             t=float(t),
             mass=mass(c),
             l2=_l2_of(power),
@@ -205,7 +199,6 @@ def observe(c: np.ndarray, t: float, *, prev_bkm: float = 0.0,
             h3=_sobolev_of(power, 3.0),
             tail_fraction=_tail_of(power, rule),
         )
-    return rec, slope_norm
 
 
 def _one_spectrum(c: np.ndarray) -> np.ndarray:

@@ -52,6 +52,7 @@ from .spectral import (
     fractional_laplacian,
     spectral_derivative,
     validate_alpha,
+    validate_n,
     validate_spectrum,
 )
 
@@ -175,18 +176,16 @@ def stable_dt(u_max: float, n: int, p: SimParams) -> float:
     then decays by R(-2) = 1/3 per step, without changing sign. Degenerate
     inputs (zero field, gamma 0) give a huge value that the run loop caps at
     the distance to the next stop time. A non-finite
-    u_max, a diverged state, raises InstabilityError; a negative u_max or an
-    n that is not an even integer >= 4 raises ValueError, so the bound is
-    never negative.
+    u_max, a diverged state, raises InstabilityError; a negative u_max, or
+    an n that spectral.validate_n refuses, raises ValueError, so the bound
+    is never negative.
     """
     u_max = float(u_max)
     if not abs(u_max) < np.inf:
         raise InstabilityError(f"non-finite max|u| handed to stable_dt: {u_max!r}")
     if u_max < 0.0:
         raise ValueError(f"u_max: must be >= 0, got {u_max!r}")
-    if isinstance(n, (str, bytes)) or n % 2 or n < 4:  # "256" % 2 would format a string
-        raise ValueError(f"n: must be an even integer >= 4, got {n!r}")
-    k_max = n / 2.0
+    k_max = validate_n(n) / 2.0
     advective = CFL_ADVECTION / (u_max * k_max + DT_GUARD)
     dissipative = CFL_DISSIPATION / (p.gamma * k_max**p.alpha + DT_GUARD)
     return min(advective, dissipative)

@@ -23,7 +23,8 @@ only rows without a partner.
 The transforms and the operators read only the last axis, so a stack of
 states of shape (B, N/2 + 1) on one grid is transformed and multiplied row
 by row in one call. That axis alone carries N = 2 * (rows - 1), so none of
-them takes a GridSpec: the grid only samples profiles and labels snapshots.
+them takes the grid: nodes(n) is called only to sample a profile and to
+label snapshots.
 
 Which rows a run keeps is decided once, by band_limit: K, the highest
 wavenumber a dealias rule keeps on N nodes. dealias zeroes the rows above K,
@@ -38,7 +39,7 @@ record, and snapshots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -69,18 +70,6 @@ def validate_alpha(alpha: float) -> float:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class GridSpec:
-    """Uniform periodic grid: node count and node coordinates.
-
-    Construct through :func:`make_grid`; nodes is derived from ``n`` and
-    treated as read-only.
-    """
-
-    n: int
-    nodes: np.ndarray  # x_j = pi*(2j - n)/n, strictly increasing
-
-
 def validate_n(n: int) -> int:
     """Return n as int after checking it is an even integer >= 4."""
     # A huge int has no float (as_float gives NaN), so an int is taken as it is.
@@ -92,12 +81,17 @@ def validate_n(n: int) -> int:
     return n
 
 
-def make_grid(n: int) -> GridSpec:
-    """Build the uniform grid with n nodes (n even, n >= 4)."""
+def nodes(n: int) -> np.ndarray:
+    """The n grid nodes x_j = pi*(2j - n)/n, j = 0 .. n-1 (n even, >= 4):
+    strictly increasing from -pi, +pi excluded."""
     n = validate_n(n)
-    j = np.arange(n)
-    nodes = np.pi * (2.0 * j - n) / n
-    return GridSpec(n=n, nodes=nodes)
+    return np.pi * (2.0 * np.arange(n) - n) / n
+
+
+def make_grid(n: int) -> SimpleNamespace:
+    """Deprecated: use nodes(n). Kept only because perfbench/workloads.py,
+    which the benchmark runs as committed, reads make_grid(n).nodes."""
+    return SimpleNamespace(n=validate_n(n), nodes=nodes(n))
 
 
 def forward_dft(u: np.ndarray) -> np.ndarray:

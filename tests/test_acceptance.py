@@ -17,7 +17,7 @@ from fracburgers.spectral import (
     forward_dft,
     fractional_laplacian,
     inverse_dft,
-    make_grid,
+    nodes,
     spectral_derivative,
 )
 
@@ -106,9 +106,9 @@ def test_criterion_05_characteristics_equivalence(announce):
     res, _ = timed_run(["--gamma", "0", "--n", "512", "--dt", "0.0001",
                         "--t-final", "0.5"])
     t_end, final = res.snapshots[-1]
-    g = make_grid(512)
+    xs = nodes(512)
     f = InitialCondition.neg_sine()
-    exact = np.array([characteristics_solution(f, x, t_end) for x in g.nodes])
+    exact = np.array([characteristics_solution(f, x, t_end) for x in xs])
     err = float(np.max(np.abs(final - exact)))
     ok = t_end == 0.5 and err <= 1e-6
     announce(5, "simulated field matches the implicit characteristics solution",
@@ -116,11 +116,11 @@ def test_criterion_05_characteristics_equivalence(announce):
 
 
 def test_criterion_06_linear_exactness_and_order(announce):
-    g = make_grid(16)
+    x = nodes(16)
 
     def terminal_amplitude(alpha, dt):
         p = SimParams(gamma=1.0, alpha=alpha, linear_only=True)
-        s = forward_dft(np.cos(2.0 * g.nodes))
+        s = forward_dft(np.cos(2.0 * x))
         for _ in range(round(1.0 / dt)):
             s = rk4_step(s, p, dt)
         return 2.0 * abs(s[2])
@@ -180,32 +180,32 @@ def test_criterion_09_operator_exactness(announce):
     rng = np.random.default_rng(61)
     worst = 0.0
     for n in (16, 64, 256):
-        g = make_grid(n)
+        x = nodes(n)
         u = np.zeros(n)
         du = np.zeros(n)
         for k in range(1, n // 2):
             a, b = rng.standard_normal(2) / (1 + k) ** 2
-            u += a * np.cos(k * g.nodes) + b * np.sin(k * g.nodes)
-            du += k * (b * np.cos(k * g.nodes) - a * np.sin(k * g.nodes))
+            u += a * np.cos(k * x) + b * np.sin(k * x)
+            du += k * (b * np.cos(k * x) - a * np.sin(k * x))
         got = inverse_dft(spectral_derivative(forward_dft(u)))
         worst = max(worst, float(np.max(np.abs(got - du))))
     derivative_ok = worst <= 1e-11
 
-    g = make_grid(64)
-    s2 = forward_dft(np.cos(2.0 * g.nodes))
+    x = nodes(64)
+    s2 = forward_dft(np.cos(2.0 * x))
     doubled = inverse_dft(fractional_laplacian(s2, 1.0))
-    identity_ok = bool(np.allclose(doubled, 2.0 * np.cos(2.0 * g.nodes),
+    identity_ok = bool(np.allclose(doubled, 2.0 * np.cos(2.0 * x),
                                    rtol=0, atol=1e-13))
-    s1 = forward_dft(-np.sin(g.nodes))
+    s1 = forward_dft(-np.sin(x))
     for alpha in (0.5, 1.0, 2.0):
         fixed = inverse_dft(fractional_laplacian(s1, alpha))
-        identity_ok &= bool(np.allclose(fixed, -np.sin(g.nodes),
+        identity_ok &= bool(np.allclose(fixed, -np.sin(x),
                                         rtol=0, atol=1e-13))
-    rnd = forward_dft(rng.standard_normal(g.n))
+    rnd = forward_dft(rng.standard_normal(64))
     lap = fractional_laplacian(rnd, 2.0)[:-1]
     dd = -spectral_derivative(spectral_derivative(rnd))[:-1]
     identity_ok &= bool(np.allclose(lap, dd, rtol=0, atol=1e-13))
-    nyq = np.zeros(g.n // 2 + 1, complex)
+    nyq = np.zeros(64 // 2 + 1, complex)
     nyq[-1] = 1.0
     identity_ok &= fractional_laplacian(nyq, 2.0)[-1] == 1024.0
     identity_ok &= spectral_derivative(nyq)[-1] == 0.0

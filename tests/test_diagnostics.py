@@ -21,7 +21,14 @@ from fracburgers.diagnostics import (
     tail_fraction,
 )
 from fracburgers.dynamics import SimParams, rk4_step
-from fracburgers.spectral import DEALIAS_RULES, dealias, forward_dft, inverse_dft, make_grid
+from fracburgers.spectral import (
+    DEALIAS_RULES,
+    dealias,
+    forward_dft,
+    inverse_dft,
+    nodal_pair,
+    nodes,
+)
 
 
 def record(**overrides):
@@ -34,114 +41,103 @@ def record(**overrides):
 
 class TestMass:
     def test_neg_sine_is_massless(self):
-        g = make_grid(64)
-        assert abs(mass(forward_dft(-np.sin(g.nodes)))) <= 1e-15
+        x = nodes(64)
+        assert abs(mass(forward_dft(-np.sin(x)))) <= 1e-15
 
     def test_constant_three(self):
-        g = make_grid(16)
-        assert mass(forward_dft(np.full(g.n, 3.0))) == pytest.approx(6.0 * np.pi, rel=1e-15)
+        assert mass(forward_dft(np.full(16, 3.0))) == pytest.approx(6.0 * np.pi, rel=1e-15)
 
     def test_shifted_cosine(self):
-        g = make_grid(32)
-        got = mass(forward_dft(1.0 + np.cos(g.nodes)))
+        x = nodes(32)
+        got = mass(forward_dft(1.0 + np.cos(x)))
         assert got == pytest.approx(2.0 * np.pi, rel=1e-14)
 
 
 class TestL2Norm:
     def test_neg_sine_example(self):
-        g = make_grid(64)
-        got = l2_norm(forward_dft(-np.sin(g.nodes)))
+        x = nodes(64)
+        got = l2_norm(forward_dft(-np.sin(x)))
         assert got == pytest.approx(np.sqrt(np.pi), rel=1e-14)
 
     def test_constant(self):
-        g = make_grid(16)
-        got = l2_norm(forward_dft(np.full(g.n, 2.0)))
+        got = l2_norm(forward_dft(np.full(16, 2.0)))
         assert got == pytest.approx(2.0 * np.sqrt(2.0 * np.pi), rel=1e-14)
 
     def test_zero_field(self):
-        g = make_grid(8)
-        assert l2_norm(forward_dft(np.zeros(g.n))) == 0.0
+        assert l2_norm(forward_dft(np.zeros(8))) == 0.0
 
 
 class TestSobolevNorm:
     def test_order_zero_equals_l2(self):
-        g = make_grid(32)
         rng = np.random.default_rng(31)
-        s = forward_dft(rng.standard_normal(g.n))
+        s = forward_dft(rng.standard_normal(32))
         assert sobolev_norm(s, 0.0) == pytest.approx(l2_norm(s), rel=1e-14)
 
     def test_sine_order_one(self):
         """||sin||_{H^1}^2 = 2 pi (1 + 1) * (1/4 + 1/4)."""
-        g = make_grid(64)
-        got = sobolev_norm(forward_dft(np.sin(g.nodes)), 1.0)
+        x = nodes(64)
+        got = sobolev_norm(forward_dft(np.sin(x)), 1.0)
         assert got == pytest.approx(np.sqrt(2.0 * np.pi), rel=1e-14)
 
     def test_higher_order_weights_high_modes(self):
-        g = make_grid(64)
-        low = forward_dft(np.sin(g.nodes))
-        high = forward_dft(np.sin(8.0 * g.nodes))
+        x = nodes(64)
+        low = forward_dft(np.sin(x))
+        high = forward_dft(np.sin(8.0 * x))
         assert sobolev_norm(high, 3.0) > 100.0 * sobolev_norm(low, 3.0)
 
     def test_negative_order_rejected(self):
-        g = make_grid(8)
         with pytest.raises(ValueError, match="order"):
-            sobolev_norm(forward_dft(np.zeros(g.n)), -1.0)
+            sobolev_norm(forward_dft(np.zeros(8)), -1.0)
 
     def test_nan_order_rejected(self):
-        g = make_grid(8)
+        x = nodes(8)
         with pytest.raises(ValueError, match="order must be >= 0"):
-            sobolev_norm(forward_dft(np.cos(g.nodes)), np.nan)
+            sobolev_norm(forward_dft(np.cos(x)), np.nan)
 
     def test_infinite_order_rejected(self):
-        g = make_grid(8)
+        x = nodes(8)
         with pytest.raises(ValueError, match="order must be >= 0 and finite"):
-            sobolev_norm(forward_dft(np.cos(g.nodes)), np.inf)
+            sobolev_norm(forward_dft(np.cos(x)), np.inf)
 
 
 class TestExtrema:
     def test_neg_sine_hits_unit_bounds(self):
-        g = make_grid(64)
-        assert extrema(-np.sin(g.nodes)) == (1.0, -1.0)
+        x = nodes(64)
+        assert extrema(-np.sin(x)) == (1.0, -1.0)
 
     def test_constant(self):
         assert extrema(np.full(8, 3.5)) == (3.5, 3.5)
 
 
-def initial_slope(u, g):
+def initial_slope(u):
     """The min_slope column of the record observe makes for nodal values u."""
-    return observe(forward_dft(u), 0.0)[0].min_slope
+    return observe(forward_dft(u), 0.0).min_slope
 
 
 class TestMinSlope:
     def test_neg_sine_example(self):
-        g = make_grid(64)
-        got = initial_slope(-np.sin(g.nodes), g)
+        got = initial_slope(-np.sin(nodes(64)))
         assert abs(got - (-1.0)) <= 1e-12
 
     def test_plain_sine(self):
-        g = make_grid(64)
-        got = initial_slope(np.sin(g.nodes), g)
+        got = initial_slope(np.sin(nodes(64)))
         assert abs(got - (-1.0)) <= 1e-12
 
     def test_constant_is_flat(self):
-        g = make_grid(32)
-        assert abs(initial_slope(np.full(g.n, 1.0), g)) <= 1e-14
+        assert abs(initial_slope(np.full(32, 1.0))) <= 1e-14
 
 
 class TestPredictedBlowupTime:
     def test_neg_sine_breaks_at_one(self):
-        g = make_grid(64)
-        got = predicted_blowup_time(initial_slope(-np.sin(g.nodes), g))
+        got = predicted_blowup_time(initial_slope(-np.sin(nodes(64))))
         assert got == pytest.approx(1.0, rel=1e-12)
 
     def test_amplitude_scales_inversely(self):
-        g = make_grid(64)
-        got = predicted_blowup_time(initial_slope(-2.0 * np.sin(g.nodes), g))
+        got = predicted_blowup_time(initial_slope(-2.0 * np.sin(nodes(64))))
         assert got == pytest.approx(0.5, rel=1e-12)
 
     def test_constant_never_breaks(self):
-        g = make_grid(16)
-        assert predicted_blowup_time(initial_slope(np.full(g.n, 2.0), g)) is None
+        assert predicted_blowup_time(initial_slope(np.full(16, 2.0))) is None
 
 
 class TestSlopeClosedForm:
@@ -178,14 +174,12 @@ class TestBkmAccumulate:
 
 class TestTailFraction:
     def test_resolved_field_has_empty_tail(self):
-        g = make_grid(64)
-        c = np.zeros(g.n // 2 + 1, complex)
+        c = np.zeros(64 // 2 + 1, complex)
         c[1] = 0.5
         assert tail_fraction(c) == 0.0
 
     def test_unresolved_field_is_all_tail(self):
-        g = make_grid(64)
-        c = np.zeros(g.n // 2 + 1, complex)
+        c = np.zeros(64 // 2 + 1, complex)
         c[30] = 0.5
         assert tail_fraction(c) == pytest.approx(1.0, rel=1e-14)
 
@@ -197,8 +191,7 @@ class TestTailFraction:
         assert tail_fraction(c) == pytest.approx(1.0, rel=1e-14)
 
     def test_even_split(self):
-        g = make_grid(64)
-        c = np.zeros(g.n // 2 + 1, complex)
+        c = np.zeros(64 // 2 + 1, complex)
         for k in (1, 30):
             c[k] = 0.5
         assert tail_fraction(c) == pytest.approx(0.5, rel=1e-14)
@@ -207,8 +200,7 @@ class TestTailFraction:
         assert tail_fraction(np.zeros(9, complex)) == 0.0
 
     def test_mean_mode_excluded_from_denominator(self):
-        g = make_grid(64)
-        c = np.zeros(g.n // 2 + 1, complex)
+        c = np.zeros(64 // 2 + 1, complex)
         c[0] = 100.0
         c[30] = 0.5
         assert tail_fraction(c) == pytest.approx(1.0, rel=1e-14)
@@ -232,7 +224,7 @@ class TestTailFraction:
             assert read and read <= kept, n
             if rule == "off":
                 assert read == {k for k in range(rows) if 3 * k >= n}, n
-            assert observe(c, 0.0, rule=rule)[0].tail_fraction == tail_fraction(c, rule=rule)
+            assert observe(c, 0.0, rule=rule).tail_fraction == tail_fraction(c, rule=rule)
         with pytest.raises(TypeError):
             tail_fraction(c, rule)  # rule is keyword-only
 
@@ -307,9 +299,10 @@ class TestCheckBlowup:
 
 class TestObserve:
     def test_matches_standalone_diagnostics(self):
-        g = make_grid(64)
-        s = forward_dft(-np.sin(g.nodes))
-        rec, norm = observe(s, 0.25)
+        x = nodes(64)
+        s = forward_dft(-np.sin(x))
+        rec = observe(s, 0.25)
+        assert isinstance(rec, DiagnosticsRecord)
         assert rec.t == 0.25
         assert rec.mass == mass(s)
         assert rec.l2 == l2_norm(s)
@@ -317,21 +310,20 @@ class TestObserve:
         assert rec.min_slope == pytest.approx(-1.0, rel=1e-12)
         assert rec.h3 == sobolev_norm(s, 3.0)
         assert rec.bkm_integral == 0.0
-        assert norm == pytest.approx(1.0, abs=1e-12)
+        assert observe(s, 0.25, nodal=nodal_pair(s)) == rec
 
-    def test_threads_bkm_trapezoid(self):
-        g = make_grid(64)
-        s = forward_dft(-np.sin(g.nodes))
-        rec0, n0 = observe(s, 0.0)
-        rec1, _ = observe(s, 0.1, prev_bkm=rec0.bkm_integral, prev_slope_norm=n0, dt=0.1)
-        assert rec1.bkm_integral == pytest.approx(0.1, rel=1e-12)
+    def test_bkm_carried_as_given(self):
+        """The run loop sums the integral; observe records it unchanged."""
+        s = forward_dft(-np.sin(nodes(64)))
+        for bkm in (0.0, 0.1 + 0.2, 1e300, math.inf):
+            assert observe(s, 0.1, bkm=bkm).bkm_integral == bkm
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_field_is_flagged_not_raised(self, bad):
-        g = make_grid(16)
-        s = forward_dft(-np.sin(g.nodes))
+        x = nodes(16)
+        s = forward_dft(-np.sin(x))
         s[3] = bad
-        rec, _ = observe(s, 0.5)
+        rec = observe(s, 0.5)
         assert rec.t == 0.5 and check_blowup(rec, DetectionThresholds()) == "non_finite"
 
     def test_record_field_order_matches_csv_header(self):
@@ -345,23 +337,23 @@ class TestObserve:
 class TestSobolevTrends:
     def test_h3_grows_while_inviscid_steepening(self):
         """Shock formation pumps energy into high modes monotonically."""
-        g = make_grid(128)
+        x = nodes(128)
         p = SimParams(gamma=0.0)
-        s = forward_dft(-np.sin(g.nodes))
+        s = forward_dft(-np.sin(x))
         h3 = []
         for step in range(400):
             s = rk4_step(s, p, 2e-3)
             if step % 50 == 49:
-                h3.append(observe(s, (step + 1) * 2e-3)[0].h3)
+                h3.append(observe(s, (step + 1) * 2e-3).h3)
         assert all(b > a for a, b in zip(h3, h3[1:])), h3
 
     def test_h3_decays_under_strong_dissipation(self):
-        g = make_grid(64)
+        x = nodes(64)
         p = SimParams(gamma=1.0, alpha=2.0)
-        s = forward_dft(-np.sin(g.nodes))
+        s = forward_dft(-np.sin(x))
         h3 = []
         for step in range(500):
             s = rk4_step(s, p, 4e-4)
             if step % 50 == 49:
-                h3.append(observe(s, (step + 1) * 4e-4)[0].h3)
+                h3.append(observe(s, (step + 1) * 4e-4).h3)
         assert all(b < a for a, b in zip(h3, h3[1:])), h3

@@ -24,8 +24,8 @@ from fracburgers.spectral import (
     forward_dft,
     fractional_laplacian,
     inverse_dft,
-    make_grid,
     nodal_pair,
+    nodes,
     spectral_derivative,
     validate_spectrum,
 )
@@ -105,35 +105,33 @@ class TestSimParams:
 
 class TestRhs:
     def test_constant_field_is_steady(self):
-        g = make_grid(16)
-        out = rhs(np.full(g.n, 3.0), SimParams(gamma=0.7, alpha=1.3))
+        out = rhs(np.full(16, 3.0), SimParams(gamma=0.7, alpha=1.3))
         assert np.max(np.abs(out)) <= 1e-13
 
     def test_neg_sine_inviscid_example(self):
         """-sin x steepens with tendency -(1/2) sin 2x when gamma = 0."""
-        g = make_grid(64)
-        out = rhs(-np.sin(g.nodes), SimParams(gamma=0.0))
-        assert np.allclose(out, -0.5 * np.sin(2.0 * g.nodes), rtol=0, atol=1e-13)
+        xs = nodes(64)
+        out = rhs(-np.sin(xs), SimParams(gamma=0.0))
+        assert np.allclose(out, -0.5 * np.sin(2.0 * xs), rtol=0, atol=1e-13)
 
     def test_linear_only_single_mode(self):
-        g = make_grid(64)
+        x = nodes(64)
         p = SimParams(gamma=1.0, alpha=1.0, linear_only=True)
-        out = rhs(np.cos(g.nodes), p)
-        assert np.allclose(out, -np.cos(g.nodes), rtol=0, atol=1e-13)
+        out = rhs(np.cos(x), p)
+        assert np.allclose(out, -np.cos(x), rtol=0, atol=1e-13)
 
     def test_viscous_combination(self):
-        g = make_grid(64)
+        x = nodes(64)
         p = SimParams(gamma=0.5, alpha=2.0)
-        out = rhs(-np.sin(g.nodes), p)
-        expect = -0.5 * np.sin(2.0 * g.nodes) + 0.5 * np.sin(g.nodes)
+        out = rhs(-np.sin(x), p)
+        expect = -0.5 * np.sin(2.0 * x) + 0.5 * np.sin(x)
         assert np.allclose(out, expect, rtol=0, atol=1e-13)
 
     def test_tendency_mean_is_round_off(self):
         """The zero mode of the product transform is removed, so the tendency
         integrates to zero regardless of aliasing."""
-        g = make_grid(64)
         rng = np.random.default_rng(13)
-        u = rng.standard_normal(g.n)
+        u = rng.standard_normal(64)
         out = rhs(u, SimParams(gamma=0.3, alpha=1.5))
         mean_coeff = forward_dft(out)[0]
         assert abs(mean_coeff) <= 1e-15 * max(1.0, np.max(np.abs(out)))
@@ -141,52 +139,50 @@ class TestRhs:
     def test_two_thirds_rule_silences_product_tail(self):
         # u = cos 5x on N=24: the product is a pure |k| = 10 pair, which the
         # 2/3 rule removes entirely while "off" keeps it.
-        g = make_grid(24)
-        u = np.cos(5.0 * g.nodes)
+        x = nodes(24)
+        u = np.cos(5.0 * x)
         cut = rhs(u, SimParams(dealias_rule="two_thirds"))
         kept = rhs(u, SimParams(dealias_rule="off"))
         assert np.max(np.abs(cut)) <= 1e-14
-        assert np.allclose(kept, 2.5 * np.sin(10.0 * g.nodes), rtol=0, atol=1e-13)
+        assert np.allclose(kept, 2.5 * np.sin(10.0 * x), rtol=0, atol=1e-13)
 
 
 class TestRk4Step:
     def test_zero_field_is_exact_fixed_point(self):
-        g = make_grid(16)
-        zero = np.zeros(g.n // 2 + 1, complex)
+        zero = np.zeros(16 // 2 + 1, complex)
         out = rk4_step(zero, SimParams(gamma=1.0), 0.1)
         assert np.array_equal(out, zero)
 
     def test_linear_mode_amplified_by_stability_polynomial(self):
         """One linear step multiplies mode k by R(gamma |k|^alpha dt) exactly."""
-        g = make_grid(16)
+        x = nodes(16)
         for alpha, k, dt in ((1.0, 1, 0.01), (2.0, 2, 0.005)):
             p = SimParams(gamma=1.0, alpha=alpha, linear_only=True)
-            s = forward_dft(np.cos(k * g.nodes))
+            s = forward_dft(np.cos(k * x))
             out = inverse_dft(rk4_step(s, p, dt))
             z = 1.0 * float(k) ** alpha * dt
-            expect = stability_polynomial(z) * np.cos(k * g.nodes)
+            expect = stability_polynomial(z) * np.cos(k * x)
             assert np.allclose(out, expect, rtol=1e-14, atol=1e-15)
 
     def test_single_step_matches_characteristics(self):
         """gamma = 0, dt = 1e-3: one step agrees with the implicit solution."""
-        g = make_grid(64)
+        xs = nodes(64)
         f = InitialCondition.neg_sine()
-        s = forward_dft(f(g.nodes))
+        s = forward_dft(f(xs))
         out = inverse_dft(rk4_step(s, SimParams(gamma=0.0), 1e-3))
-        exact = np.array([characteristics_solution(f, x, 1e-3) for x in g.nodes])
+        exact = np.array([characteristics_solution(f, x, 1e-3) for x in xs])
         assert np.max(np.abs(out - exact)) <= 1e-10
 
     def test_overflowing_stage_raises(self):
         # Finite but huge data overflows in the second stage: k1 is finite,
         # the half-step state squares to inf inside stage 2.
-        g = make_grid(64)
-        s = forward_dft(1e150 * -np.sin(g.nodes))
+        x = nodes(64)
+        s = forward_dft(1e150 * -np.sin(x))
         with pytest.raises(InstabilityError, match="non-finite"):
             rk4_step(s, SimParams(gamma=0.0), 1000.0)
 
     def test_non_finite_input_raises(self):
-        g = make_grid(16)
-        bad = np.full(g.n // 2 + 1, np.inf, complex)
+        bad = np.full(16 // 2 + 1, np.inf, complex)
         with pytest.raises(InstabilityError, match="non-finite"):
             rk4_step(bad, SimParams(), 0.01)
 
@@ -202,16 +198,14 @@ class TestRk4Step:
             rk4_step(c, p, 1e-30)
 
     def test_bad_dt_rejected(self):
-        g = make_grid(8)
-        s = np.zeros(g.n // 2 + 1, complex)
+        s = np.zeros(8 // 2 + 1, complex)
         for dt in (0.0, -0.1, float("nan")):
             with pytest.raises(ValueError, match="dt"):
                 rk4_step(s, SimParams(), dt)
 
     def test_repeat_step_is_bitwise_identical(self):
-        g = make_grid(128)
         rng = np.random.default_rng(17)
-        s = forward_dft(rng.standard_normal(g.n))
+        s = forward_dft(rng.standard_normal(128))
         p = SimParams(gamma=0.2, alpha=1.5)
         a = rk4_step(s, p, 1e-3)
         b = rk4_step(s, p, 1e-3)
@@ -221,8 +215,8 @@ class TestRk4Step:
         (0.3, False, 12), (0.0, False, 12), (0.3, True, 0)])
     def test_transform_count(self, monkeypatch, gamma, linear_only, calls):
         """Three transforms per stage, none when linear; none in or out."""
-        g = make_grid(32)
-        s = forward_dft(-np.sin(g.nodes))
+        x = nodes(32)
+        s = forward_dft(-np.sin(x))
         count = count_transforms(monkeypatch)
         p = SimParams(gamma=gamma, alpha=1.5, linear_only=linear_only)
         rk4_step(s, p, 1e-3)
@@ -230,8 +224,8 @@ class TestRk4Step:
 
     def test_transform_count_with_nodal_pair(self, monkeypatch):
         """Stage 1 reuses a handed-over u and u_x: 10 transforms."""
-        g = make_grid(32)
-        s = forward_dft(-np.sin(g.nodes))
+        x = nodes(32)
+        s = forward_dft(-np.sin(x))
         nodal = nodal_pair(s)
         count = count_transforms(monkeypatch)
         rk4_step(s, SimParams(gamma=0.3, alpha=1.5), 1e-3, nodal=nodal)
@@ -240,9 +234,11 @@ class TestRk4Step:
 
 class TestGridArgumentGone:
     def test_old_call_shapes_raise_type_error(self):
-        """The arrays carry N; a call that still passes the grid fails loudly."""
-        g = make_grid(8)
-        u = np.cos(g.nodes)
+        """The arrays carry N; a call that still passes a grid (here its nodes,
+        the grid's only data) fails loudly. stable_dt takes a node count, so
+        validate_n refuses the grid there."""
+        g = nodes(8)
+        u = np.cos(g)
         c = forward_dft(u)
         p = SimParams()
         old_calls = (
@@ -254,11 +250,12 @@ class TestGridArgumentGone:
             lambda: rk4_step(c, g, p, 1e-3, nodal=nodal_pair(c)),
             lambda: rk4_step(c, p, 1e-3, nodal_pair(c)),  # nodal is keyword-only
             lambda: observe(c, g, 0.0),
-            lambda: stable_dt(1.0, g, p),
         )
         for call in old_calls:
             with pytest.raises(TypeError):
                 call()
+        with pytest.raises(ValueError, match=r"^n: must be an integer, got array\("):
+            stable_dt(1.0, g, p)
 
 
 class TestBatchedStep:
@@ -327,33 +324,28 @@ class TestSpectralRunLoop:
 class TestStableDt:
     def test_advective_bound_example(self):
         """max|u| = 1 on N = 64 with gamma = 0 gives dt of 1/64."""
-        g = make_grid(64)
-        dt = stable_dt(1.0, g.n, SimParams(gamma=0.0))
+        dt = stable_dt(1.0, 64, SimParams(gamma=0.0))
         assert abs(dt - 0.015625) <= 1e-12
 
     def test_dissipative_bound_example(self):
         """gamma = 1, alpha = 2 on N = 64: gamma k_max^alpha is 32**2 = 1024."""
-        g = make_grid(64)
-        dt = stable_dt(1e-3, g.n, SimParams(gamma=1.0, alpha=2.0))
+        dt = stable_dt(1e-3, 64, SimParams(gamma=1.0, alpha=2.0))
         assert abs(dt - CFL_DISSIPATION / 1024.0) <= 1e-12
 
     def test_degenerate_input_gives_huge_bound(self):
-        g = make_grid(64)
-        dt = stable_dt(0.0, g.n, SimParams(gamma=0.0))
+        dt = stable_dt(0.0, 64, SimParams(gamma=0.0))
         assert dt > 1e10
 
     def test_stronger_dissipation_shrinks_the_bound(self):
-        g = make_grid(64)
-        mild = stable_dt(0.1, g.n, SimParams(gamma=1.0, alpha=1.0))
-        harsh = stable_dt(0.1, g.n, SimParams(gamma=1.0, alpha=2.0))
+        mild = stable_dt(0.1, 64, SimParams(gamma=1.0, alpha=1.0))
+        harsh = stable_dt(0.1, 64, SimParams(gamma=1.0, alpha=2.0))
         assert harsh < mild
 
     def test_non_finite_field_rejected(self):
         """A non-finite max|u| means the state diverged."""
-        g = make_grid(8)
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(InstabilityError, match="non-finite"):
-                stable_dt(bad, g.n, SimParams())
+                stable_dt(bad, 8, SimParams())
 
     def test_negative_max_u_rejected(self):
         """max|u| is never negative; a negative one is a caller error that
@@ -361,10 +353,20 @@ class TestStableDt:
         with pytest.raises(ValueError, match=r"^u_max: must be >= 0, got -5\.0$"):
             stable_dt(-5.0, 256, SimParams())
 
-    @pytest.mark.parametrize("n", [-4, 0, 2, 5, 4.5, "256", float("inf")])
-    def test_bad_node_count_rejected(self, n):
-        with pytest.raises(ValueError, match=r"^n: must be an even integer >= 4"):
+    @pytest.mark.parametrize("n, message", [
+        (-4, "must be even and >= 4, got -4"),
+        (0, "must be even and >= 4, got 0"),
+        (2, "must be even and >= 4, got 2"),
+        (5, "must be even and >= 4, got 5"),
+        (4.5, "must be an integer, got 4.5"),
+        ("256", "must be an integer, got '256'"),
+        (float("inf"), "must be an integer, got inf"),
+    ], ids=["-4", "0", "2", "5", "4.5", "256", "inf"])
+    def test_bad_node_count_rejected(self, n, message):
+        """stable_dt checks n through spectral.validate_n, with its wording."""
+        with pytest.raises(ValueError) as refused:
             stable_dt(1.0, n, SimParams())
+        assert str(refused.value) == f"n: {message}"
 
 
 class TestDissipativeStepInStabilityInterval:
@@ -393,7 +395,7 @@ class TestDissipativeStepInStabilityInterval:
         every step and keeps its sign."""
         n = 32
         p = SimParams(gamma=100.0, alpha=alpha, linear_only=True)
-        c = forward_dft(np.cos(n / 2 * make_grid(n).nodes))
+        c = forward_dft(np.cos(n / 2 * nodes(n)))
         factor = stability_polynomial(CFL_DISSIPATION)
         for _ in range(30):
             u_max = float(np.max(np.abs(inverse_dft(c))))
@@ -408,12 +410,12 @@ class TestDissipativeStepInStabilityInterval:
 class TestConvergenceOrder:
     def test_fourth_order_on_dissipative_mode(self):
         """Halving dt divides the terminal-amplitude error by about 16."""
-        g = make_grid(8)
+        x = nodes(8)
         target = np.exp(-2.0)  # gamma = 1, k = 2, alpha = 1, t = 1
         errors = []
         for dt in (0.05, 0.025, 0.0125, 0.00625):
             p = SimParams(gamma=1.0, alpha=1.0, linear_only=True)
-            s = forward_dft(np.cos(2.0 * g.nodes))
+            s = forward_dft(np.cos(2.0 * x))
             for _ in range(round(1.0 / dt)):
                 s = rk4_step(s, p, dt)
             amp = 2.0 * abs(s[2])

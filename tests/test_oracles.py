@@ -16,7 +16,7 @@ from fracburgers.oracles import (
 )
 from fracburgers.oracles import _band_coeffs
 from fracburgers.diagnostics import slope_closed_form
-from fracburgers.spectral import forward_dft, inverse_dft, make_grid
+from fracburgers.spectral import forward_dft, inverse_dft, nodes
 
 CATALOGUE = (
     InitialCondition.neg_sine(),
@@ -83,7 +83,7 @@ class TestInitialCondition:
         would be 64 MiB, the peak stays below 32 MiB, and the values agree
         with the one-matrix sum to 1e-13."""
         f = InitialCondition.random_band(2047, 1)
-        x = make_grid(4096).nodes
+        x = nodes(4096)
         a, b = _band_coeffs(2047, 1)
         k = np.arange(1, 2048)
         arg = np.multiply.outer(x, k)
@@ -238,42 +238,41 @@ class TestCharacteristicsSolution:
 
 class TestLinearDecaySolution:
     def test_time_zero_is_identity(self):
-        g = make_grid(32)
-        s0 = forward_dft(np.cos(3.0 * g.nodes))
+        x = nodes(32)
+        s0 = forward_dft(np.cos(3.0 * x))
         out = linear_decay_solution(s0, 0.0, 1.0, 1.0)
         assert np.array_equal(out, s0)
 
     def test_zero_gamma_is_identity(self):
-        g = make_grid(32)
-        s0 = forward_dft(np.sin(2.0 * g.nodes))
+        x = nodes(32)
+        s0 = forward_dft(np.sin(2.0 * x))
         out = linear_decay_solution(s0, 5.0, 0.0, 1.5)
         assert np.array_equal(out, s0)
 
     def test_single_mode_decay_rate(self):
-        g = make_grid(32)
-        s0 = forward_dft(np.cos(2.0 * g.nodes))
+        x = nodes(32)
+        s0 = forward_dft(np.cos(2.0 * x))
         out = inverse_dft(linear_decay_solution(s0, 1.0, 1.0, 1.0))
-        assert np.allclose(out, np.exp(-2.0) * np.cos(2.0 * g.nodes),
+        assert np.allclose(out, np.exp(-2.0) * np.cos(2.0 * x),
                            rtol=1e-14, atol=1e-16)
 
     def test_fractional_exponent_enters_the_rate(self):
-        g = make_grid(32)
-        s0 = forward_dft(np.cos(2.0 * g.nodes))
+        x = nodes(32)
+        s0 = forward_dft(np.cos(2.0 * x))
         out = inverse_dft(linear_decay_solution(s0, 1.0, 1.0, 0.5))
         rate = np.exp(-(2.0**0.5))
-        assert np.allclose(out, rate * np.cos(2.0 * g.nodes), rtol=1e-14, atol=1e-16)
+        assert np.allclose(out, rate * np.cos(2.0 * x), rtol=1e-14, atol=1e-16)
 
     def test_semigroup_property(self):
-        g = make_grid(64)
         rng = np.random.default_rng(53)
-        s0 = forward_dft(rng.standard_normal(g.n))
+        s0 = forward_dft(rng.standard_normal(64))
         one_hop = linear_decay_solution(s0, 0.7, 0.3, 1.2)
         two_hops = linear_decay_solution(linear_decay_solution(s0, 0.3, 0.3, 1.2), 0.4, 0.3, 1.2)
         assert np.allclose(one_hop, two_hops, rtol=1e-13, atol=1e-18)
 
     def test_validation(self):
-        g = make_grid(8)
-        s0 = forward_dft(np.cos(g.nodes))
+        x = nodes(8)
+        s0 = forward_dft(np.cos(x))
         with pytest.raises(ValueError, match=">= 0"):
             linear_decay_solution(s0, -1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match=">= 0"):
@@ -284,8 +283,8 @@ class TestLinearDecaySolution:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("arg", ["t", "gamma"])
     def test_non_finite_time_and_gamma_rejected(self, arg, bad):
-        g = make_grid(8)
-        s0 = forward_dft(np.cos(g.nodes))
+        xs = nodes(8)
+        s0 = forward_dft(np.cos(xs))
         args = {"t": 1.0, "gamma": 1.0, arg: bad}
         with pytest.raises(ValueError, match=f"^{arg}:? must be finite and >= 0"):
             linear_decay_solution(s0, args["t"], args["gamma"], 1.0)
@@ -302,7 +301,7 @@ def heat_series_burgers(a, gamma, t, n):
     / (2 gamma)) is transformed, each mode decays by exp(-gamma k^2 t), and
     u = -2 gamma phi_x / phi. phi0 spans a factor exp(2a/gamma), so its small
     values lose their digits as a/gamma grows; used here at a/gamma <= 5 only."""
-    c = forward_dft(np.exp(-a * (np.cos(make_grid(n).nodes) - 1.0) / (2.0 * gamma)))
+    c = forward_dft(np.exp(-a * (np.cos(nodes(n)) - 1.0) / (2.0 * gamma)))
     k = np.arange(c.size)
     c = c * np.exp(-gamma * k**2 * t)
     c[-1] = 0.0  # the unpaired Nyquist mode has no derivative
@@ -319,7 +318,7 @@ class TestColeHopfSolution:
     @pytest.mark.parametrize("a, gamma, t", COLE_HOPF_CASES)
     def test_halving_h_changes_nothing_beyond_rounding(self, a, gamma, t):
         """Measured: at most 6e-16 |a| over two halvings."""
-        x = make_grid(256).nodes
+        x = nodes(256)
         u = cole_hopf_solution(a, gamma, x, t)
         h = self.narrowest_width(a, gamma, t) / 8  # the default step
         for finer in (h / 2, h / 4):
@@ -334,7 +333,7 @@ class TestColeHopfSolution:
     def test_small_t_returns_u0(self, gamma, t):
         """u = u0 + t (-u0 u0' + gamma u0'') + O(t^2); measured within
         3.6e-16 of that line."""
-        x = make_grid(256).nodes
+        x = nodes(256)
         u0, du0 = -np.sin(x), -np.cos(x)
         line = u0 + t * (-u0 * du0 - gamma * u0)
         assert np.max(np.abs(cole_hopf_solution(1.0, gamma, x, t) - line)) <= 1e-15
@@ -343,14 +342,14 @@ class TestColeHopfSolution:
     @pytest.mark.parametrize("a, gamma, t", COLE_HOPF_CASES)
     def test_mass_stays_zero(self, a, gamma, t):
         """The nodal mean of an odd profile; measured at most 5.6e-17."""
-        u = cole_hopf_solution(a, gamma, make_grid(256).nodes, t)
+        u = cole_hopf_solution(a, gamma, nodes(256), t)
         assert abs(float(np.mean(u))) <= 2e-16
 
     @pytest.mark.parametrize("gamma, t", [(0.5, 2.0), (0.5, 0.05), (0.2, 1.2)])
     def test_matches_heat_series_at_moderate_a_over_gamma(self, gamma, t):
         """An independent evaluation of the same transform; measured at most
         4.2e-15 apart."""
-        x = make_grid(256).nodes
+        x = nodes(256)
         diff = np.max(np.abs(cole_hopf_solution(1.0, gamma, x, t)
                              - heat_series_burgers(1.0, gamma, t, 256)))
         assert diff <= 1.5e-14

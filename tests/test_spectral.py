@@ -1,4 +1,4 @@
-"""Grid construction, the transform pair, and the multiplier operators."""
+"""The grid nodes, the transform pair, and the multiplier operators."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from fracburgers.spectral import (
     forward_dft,
     fractional_laplacian,
     inverse_dft,
-    make_grid,
+    nodes,
     spectral_derivative,
     validate_alpha,
     validate_spectrum,
@@ -19,21 +19,21 @@ from fracburgers.spectral import (
 OBSERVABLES = (mass, l2_norm, tail_fraction, lambda c: sobolev_norm(c, 3.0))
 
 
-def trig_polynomial(g, rng, degree):
-    """Random real trig polynomial of the given degree and its derivative."""
-    u = np.zeros(g.n)
-    du = np.zeros(g.n)
+def trig_polynomial(x, rng, degree):
+    """Random real trig polynomial of the given degree at the nodes x, and its derivative."""
+    u = np.zeros_like(x)
+    du = np.zeros_like(x)
     for k in range(1, degree + 1):
         a, b = rng.standard_normal(2) / (1 + k) ** 2
-        u += a * np.cos(k * g.nodes) + b * np.sin(k * g.nodes)
-        du += k * (b * np.cos(k * g.nodes) - a * np.sin(k * g.nodes))
+        u += a * np.cos(k * x) + b * np.sin(k * x)
+        du += k * (b * np.cos(k * x) - a * np.sin(k * x))
     return u, du
 
 
 class TestMakeGrid:
     def test_four_node_example(self):
-        g = make_grid(4)
-        assert np.array_equal(g.nodes, [-np.pi, -np.pi / 2, 0.0, np.pi / 2])
+        x = nodes(4)
+        assert np.array_equal(x, [-np.pi, -np.pi / 2, 0.0, np.pi / 2])
 
     def test_wavenumber_layout(self):
         """The stored half-spectrum is numpy's rfft of the node values, bit for bit."""
@@ -47,27 +47,27 @@ class TestMakeGrid:
             assert np.array_equal(back, np.fft.irfft(c, n, norm="forward"))
 
     def test_uniform_spacing_from_minus_pi(self):
-        g = make_grid(10)
-        assert g.nodes[0] == -np.pi
-        assert np.allclose(np.diff(g.nodes), np.pi / 5, rtol=0, atol=1e-15)
+        x = nodes(10)
+        assert x[0] == -np.pi
+        assert np.allclose(np.diff(x), np.pi / 5, rtol=0, atol=1e-15)
 
     def test_odd_count_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            make_grid(7)
+            nodes(7)
 
     def test_count_below_four_rejected(self):
         with pytest.raises(ValueError, match="even and >= 4"):
-            make_grid(2)
+            nodes(2)
 
     def test_fractional_count_rejected(self):
         with pytest.raises(ValueError, match="integer"):
-            make_grid(4.5)
+            nodes(4.5)
 
     @pytest.mark.parametrize("n", [float("inf"), float("nan"), "256"])
     def test_non_finite_or_non_number_count_rejected(self, n):
         """int(inf) raises OverflowError, which a ValueError handler misses."""
         with pytest.raises(ValueError, match=r"^n: must be an integer, got "):
-            make_grid(n)
+            nodes(n)
 
 
 class TestFieldTypes:
@@ -89,8 +89,8 @@ class TestFieldTypes:
     def test_observables_refuse_a_stack(self):
         """mass, the norms, the tail and observe read one half-spectrum; a
         stack of them raises instead of being folded into one number."""
-        g = make_grid(8)
-        stack = forward_dft(np.cos(np.multiply.outer([1.0, 2.0], g.nodes)))
+        x = nodes(8)
+        stack = forward_dft(np.cos(np.multiply.outer([1.0, 2.0], x)))
         for f in OBSERVABLES:
             for bad in (stack, stack[None], stack[0, 0]):
                 with pytest.raises(ValueError, match="1-D"):
@@ -109,30 +109,28 @@ class TestFieldTypes:
 
 class TestForwardDFT:
     def test_constant_concentrates_in_mean_mode(self):
-        g = make_grid(16)
-        s = forward_dft(np.full(g.n, 3.0))
+        s = forward_dft(np.full(16, 3.0))
         assert abs(s[0] - 3.0) <= 1e-15
         assert np.max(np.abs(s[1:])) <= 1e-15
 
     def test_neg_sine_example(self):
         """-sin x = sin(x + pi) transforms to -i/2 in the k = 1 row (+i/2 at k = -1)."""
-        g = make_grid(8)
-        s = forward_dft(-np.sin(g.nodes))
+        xs = nodes(8)
+        s = forward_dft(-np.sin(xs))
         assert abs(s[1] + 0.5j) <= 1e-15
         rest = np.delete(s, 1)
         assert np.max(np.abs(rest)) <= 1e-15
 
     def test_cos_two_example(self):
-        g = make_grid(16)
-        s = forward_dft(np.cos(2.0 * g.nodes))
+        x = nodes(16)
+        s = forward_dft(np.cos(2.0 * x))
         assert abs(s[2] - 0.5) <= 1e-15
-        assert len(s) == g.n // 2 + 1
+        assert len(s) == 16 // 2 + 1
 
     def test_unpaired_rows_exactly_real(self):
         """c_0 and c_{N/2} stay exactly real through every operator."""
-        g = make_grid(64)
         rng = np.random.default_rng(7)
-        s = forward_dft(rng.standard_normal(g.n))
+        s = forward_dft(rng.standard_normal(64))
         for out in (s, spectral_derivative(s), fractional_laplacian(s, 1.3)):
             assert out[0].imag == 0.0 and out[-1].imag == 0.0
         assert s[-1] != 0.0
@@ -153,25 +151,24 @@ class TestForwardDFT:
 
     def test_complex_nodal_data_rejected(self):
         """Nodal data are real; an imaginary part is refused, not dropped."""
-        u = np.cos(make_grid(8).nodes) + 1e-3j
+        u = np.cos(nodes(8)) + 1e-3j
         with pytest.raises(ValueError, match="must be real, got dtype complex128"):
             forward_dft(u)
 
 
 class TestInverseDFT:
     def test_mean_mode_reconstructs_constant(self):
-        g = make_grid(8)
-        c = np.zeros(g.n // 2 + 1, complex)
+        c = np.zeros(8 // 2 + 1, complex)
         c[0] = 5.0
         u = inverse_dft(c)
         assert np.allclose(u, 5.0, rtol=0, atol=1e-14)
 
     def test_conjugate_pair_reconstructs_neg_sine(self):
-        g = make_grid(32)
-        c = np.zeros(g.n // 2 + 1, complex)
+        x = nodes(32)
+        c = np.zeros(32 // 2 + 1, complex)
         c[1] = -0.5j
         u = inverse_dft(c)
-        assert np.allclose(u, -np.sin(g.nodes), rtol=0, atol=1e-14)
+        assert np.allclose(u, -np.sin(x), rtol=0, atol=1e-14)
 
     def test_round_trip_many_sizes(self):
         """forward then inverse returns the samples to 1e-12 relative."""
@@ -183,15 +180,13 @@ class TestInverseDFT:
             assert err <= 1e-12 * np.max(np.abs(u)), f"n={n}: {err:.3e}"
 
     def test_imaginary_nyquist_rejected(self):
-        g = make_grid(8)
-        c = np.zeros(g.n // 2 + 1, complex)
+        c = np.zeros(8 // 2 + 1, complex)
         c[-1] = 1.0j
         with pytest.raises(SymmetryError):
             inverse_dft(c)
 
     def test_imaginary_mean_rejected(self):
-        g = make_grid(8)
-        c = np.zeros(g.n // 2 + 1, complex)
+        c = np.zeros(8 // 2 + 1, complex)
         c[0] = 1.0 + 1e-300j
         with pytest.raises(SymmetryError):
             inverse_dft(c)
@@ -206,81 +201,110 @@ class TestInverseDFT:
 
 class TestSpectralDerivative:
     def test_neg_sine_to_neg_cosine(self):
-        g = make_grid(16)
-        s = forward_dft(-np.sin(g.nodes))
+        x = nodes(16)
+        s = forward_dft(-np.sin(x))
         du = inverse_dft(spectral_derivative(s))
-        assert np.allclose(du, -np.cos(g.nodes), rtol=0, atol=1e-14)
+        assert np.allclose(du, -np.cos(x), rtol=0, atol=1e-14)
 
     def test_constant_annihilated(self):
-        g = make_grid(8)
-        s = forward_dft(np.full(g.n, 4.0))
+        s = forward_dft(np.full(8, 4.0))
         d = spectral_derivative(s)
         assert np.max(np.abs(d)) <= 1e-15
 
     def test_nyquist_row_dropped(self):
         """The unpaired k = N/2 mode has no real derivative representative."""
-        g = make_grid(8)
-        c = np.zeros(g.n // 2 + 1, complex)
+        c = np.zeros(8 // 2 + 1, complex)
         c[-1] = 1.0
         d = spectral_derivative(c)
-        assert np.array_equal(d, np.zeros(g.n // 2 + 1, complex))
+        assert np.array_equal(d, np.zeros(8 // 2 + 1, complex))
 
     def test_mean_coefficient_exactly_zero(self):
-        g = make_grid(32)
         rng = np.random.default_rng(3)
-        s = forward_dft(rng.standard_normal(g.n))
+        s = forward_dft(rng.standard_normal(32))
         assert spectral_derivative(s)[0] == 0.0
 
     def test_exact_on_trig_polynomials(self):
         """Derivatives of resolvable trig polynomials are exact to 1e-11."""
         rng = np.random.default_rng(19)
         for n in (16, 64, 256):
-            g = make_grid(n)
-            u, du = trig_polynomial(g, rng, degree=n // 2 - 1)
+            u, du = trig_polynomial(nodes(n), rng, degree=n // 2 - 1)
             got = inverse_dft(spectral_derivative(forward_dft(u)))
             assert np.max(np.abs(got - du)) <= 1e-11
 
 
 class TestFractionalLaplacian:
     def test_cos_two_alpha_one_example(self):
-        g = make_grid(16)
-        s = forward_dft(np.cos(2.0 * g.nodes))
+        x = nodes(16)
+        s = forward_dft(np.cos(2.0 * x))
         out = inverse_dft(fractional_laplacian(s, 1.0))
-        assert np.allclose(out, 2.0 * np.cos(2.0 * g.nodes), rtol=0, atol=1e-14)
+        assert np.allclose(out, 2.0 * np.cos(2.0 * x), rtol=0, atol=1e-14)
 
     def test_unit_mode_fixed_by_any_alpha(self):
-        g = make_grid(16)
-        s = forward_dft(-np.sin(g.nodes))
+        x = nodes(16)
+        s = forward_dft(-np.sin(x))
         for alpha in (0.5, 1.0, 1.7, 2.0):
             out = inverse_dft(fractional_laplacian(s, alpha))
-            assert np.allclose(out, -np.sin(g.nodes), rtol=0, atol=1e-14)
+            assert np.allclose(out, -np.sin(x), rtol=0, atol=1e-14)
 
     def test_constant_annihilated(self):
-        g = make_grid(8)
-        s = forward_dft(np.full(g.n, 2.0))
+        s = forward_dft(np.full(8, 2.0))
         out = fractional_laplacian(s, 0.5)
         assert np.max(np.abs(out)) <= 1e-15
 
     def test_alpha_two_equals_negative_second_derivative(self):
         """E^2 and -D_N^2 agree on every row except the unpaired Nyquist one."""
-        g = make_grid(64)
         rng = np.random.default_rng(23)
-        s = forward_dft(rng.standard_normal(g.n))
+        s = forward_dft(rng.standard_normal(64))
         lap = fractional_laplacian(s, 2.0)
         dd = -spectral_derivative(spectral_derivative(s))
         assert np.allclose(lap[:-1], dd[:-1], rtol=0, atol=1e-13)
         # the multiplier keeps the Nyquist row, the derivative zeroes it
-        c = np.zeros(g.n // 2 + 1, complex)
+        c = np.zeros(64 // 2 + 1, complex)
         c[-1] = 1.0
-        assert fractional_laplacian(c, 2.0)[-1] == (g.n / 2) ** 2
+        assert fractional_laplacian(c, 2.0)[-1] == (64 / 2) ** 2
         assert spectral_derivative(c)[-1] == 0.0
 
     def test_alpha_validation(self):
-        g = make_grid(8)
-        s = forward_dft(np.cos(g.nodes))
+        x = nodes(8)
+        s = forward_dft(np.cos(x))
         for alpha in (0.0, -1.0, 2.5, float("nan")):
             with pytest.raises(ValueError, match="alpha"):
                 fractional_laplacian(s, alpha)
+
+
+class TestMaximumPrincipleStep:
+    """The pointwise inequality 2 theta Lambda^alpha theta >= Lambda^alpha(theta^2)
+    (A. Cordoba & D. Cordoba, Comm. Math. Phys. 249, 2004), the step behind
+    the L-infinity principle for every alpha in (0, 2].
+
+    theta is a random trigonometric polynomial with |k| < N/4, so theta^2
+    does not alias on N nodes and the discrete operators equal the
+    continuous ones at the nodes. Over 200 states per case (PCG64 seed 0,
+    c_k ~ (N(0,1) + i N(0,1))/k) the least gap min(lhs - rhs), in units of
+    max|lhs| + max|rhs|, measured >= 1.2e-3 for alpha <= 1.5. At alpha = 2
+    the gap is 2 theta'^2, which vanishes at critical points: it measured
+    7e-12, and the computed gap differs from 2 theta'^2 by at most 8.6e-15.
+    So only a rounding tolerance, about three times that, is allowed."""
+
+    STATES = 200
+    TOL = 3e-14
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_holds_at_every_node(self, n, alpha):
+        k = np.arange(1, n // 4)
+        rng = np.random.Generator(np.random.PCG64(0))
+        c = np.zeros((self.STATES, n // 2 + 1), complex)
+        c[:, k] = (rng.standard_normal((self.STATES, len(k)))
+                   + 1j * rng.standard_normal((self.STATES, len(k)))) / k
+        theta = inverse_dft(c)
+        lhs = 2.0 * theta * inverse_dft(fractional_laplacian(c, alpha))
+        rhs = inverse_dft(fractional_laplacian(forward_dft(theta**2), alpha))
+        scale = np.abs(lhs).max(axis=-1, keepdims=True) + np.abs(rhs).max(axis=-1, keepdims=True)
+        assert ((lhs - rhs) / scale).min() >= -self.TOL
+        if alpha == 2.0:  # the gap is 2 theta'^2 exactly
+            gap = 2.0 * inverse_dft(spectral_derivative(c)) ** 2
+            assert (np.abs(lhs - rhs - gap) / scale).max() <= self.TOL
 
 
 class TestValidateAlpha:
@@ -294,8 +318,8 @@ class TestValidateAlpha:
 
 class TestDealias:
     def test_off_returns_independent_copy(self):
-        g = make_grid(8)
-        s = forward_dft(np.cos(g.nodes))
+        x = nodes(8)
+        s = forward_dft(np.cos(x))
         out = dealias(s, "off")
         assert np.array_equal(out, s)
         out[0] = 9.0
@@ -303,8 +327,8 @@ class TestDealias:
 
     def test_two_thirds_cut_is_exclusive(self):
         """k > N/3 is zeroed; k = N/3 survives. cos 3x = -cos 3(x + pi)."""
-        g = make_grid(12)
-        u = np.cos(3.0 * g.nodes) + np.cos(4.0 * g.nodes) + np.cos(5.0 * g.nodes)
+        xs = nodes(12)
+        u = np.cos(3.0 * xs) + np.cos(4.0 * xs) + np.cos(5.0 * xs)
         out = dealias(forward_dft(u), "two_thirds")
         assert abs(out[5]) == 0.0
         assert abs(out[6]) == 0.0
@@ -312,7 +336,7 @@ class TestDealias:
         assert abs(out[3] + 0.5) <= 1e-15
 
     def test_unknown_rule_rejected(self):
-        g = make_grid(8)
-        s = forward_dft(np.cos(g.nodes))
+        x = nodes(8)
+        s = forward_dft(np.cos(x))
         with pytest.raises(ValueError, match="dealias"):
             dealias(s, "three_halves")

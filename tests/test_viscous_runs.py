@@ -14,6 +14,7 @@ import pytest
 
 from fracburgers.cli import parse_config, run_simulation
 from fracburgers.oracles import cole_hopf_solution
+from fracburgers.spectral import nodes
 
 
 @pytest.mark.parametrize("args, tol", [
@@ -33,6 +34,6 @@ def test_auto_step_run_matches_cole_hopf(args, tol):
     res = run_simulation(cfg)
     assert res.status == "completed" and res.snapshots[-1][0] == cfg.t_final
     errors = [float(np.max(np.abs(u - cole_hopf_solution(1.0, cfg.params.gamma,
-                                                         cfg.grid.nodes, t))))
+                                                         nodes(cfg.n), t))))
               for t, u in res.snapshots]
     assert max(errors) <= tol, (len(res.records) - 1, errors)
