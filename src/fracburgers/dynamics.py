@@ -5,16 +5,28 @@ The evolved equation is
     u_t + u u_x = -gamma * Lambda^alpha u
 
 on the periodic interval, discretized pseudo-spectrally: derivatives and the
-fractional laplacian are multipliers in coefficient space, the quadratic
-term is the plain nodal (collocation) product u * (D_N u). The conservative
-form -0.5*(u^2)_x is deliberately not used; instead the zero mode of the
-product's transform is zeroed outright, which keeps the tendency mass-neutral
-by construction (analytically that coefficient is the integral of a perfect
-derivative and vanishes anyway). The product's unpaired Nyquist mode is
-dropped too, as the derivative drops it, so the state's c_{N/2} only decays
-under gamma, and its zero mode is never changed, so the mass is constant to
-the bit. RK4 advances the rfft half-spectrum: a step takes and returns a
-coefficient array, and only the product needs the nodes.
+fractional laplacian are multipliers in coefficient space, and the quadratic
+term is formed at the nodes. Its form follows the dealias rule:
+
+- "off": the plain nodal (collocation) product u * (D_N u). The zero mode of
+  the product's transform is zeroed outright, which keeps the tendency
+  mass-neutral by construction (analytically that coefficient is the
+  integral of a perfect derivative and vanishes anyway).
+- "two_thirds": the conservative form 0.5 * (u^2)_x, with u^2 formed at the
+  nodes and differentiated in coefficient space. On a state with no rows
+  above K = floor(N/3), u u_x and u^2 hold no wavenumber above 2K, and the
+  grid folds those above N/2 onto |k| >= N - 2K > K (N not a multiple of 3),
+  where the filter removes them. So the filtered product is the Galerkin
+  projection of u u_x (Orszag's rule), and the two forms give the same
+  tendency to rounding. The conservative one needs u alone. On a state
+  with rows above K (initial data, which the run never filters) the two
+  are different schemes.
+
+The product's unpaired Nyquist mode is dropped, as the derivative drops it,
+so the state's c_{N/2} only decays under gamma, and its zero mode is never
+changed, so the mass is constant to the bit. RK4 advances the rfft
+half-spectrum: a step takes and returns a coefficient array, and only the
+product needs the nodes.
 
 The stages apply the operators as multipliers built once per
 (rows, alpha, dealias rule), the values they are built from, the row count
@@ -22,19 +34,25 @@ N/2 + 1 being the array's only record of N: the public operators applied to
 a vector of ones. The public operators stay the only definition of the
 derivative, the fractional laplacian and the 2/3 rule, and the multipliers
 reproduce them to the bit.
-A step costs 12 transforms, or 10 when the caller hands over u and u_x of
-the state, which its diagnostics record needs anyway. Every transform and
-multiplier acts on the last axis, so a stack of states of shape
-(B, N/2 + 1) that shares one SimParams and one dt advances in one rk4_step
-call, with the transform calls of one step.
+A step costs 12 transforms under "off" and 8 under "two_thirds", or 10 and
+7 when the caller hands over u and u_x of the state, which its diagnostics
+record needs anyway. Every transform and multiplier acts on the last axis,
+so a stack of states of shape (B, N/2 + 1) that shares one SimParams and
+one dt advances in one rk4_step call, with the transform calls of one step.
 
 stable_dt bounds an automatic step by an advective CFL limit and a
-dissipative one. RK4 multiplies a mode that decays at rate lam by
-R(-lam dt), R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, and |R| < 1 on the
+dissipative one. RK4 multiplies a mode whose frozen-coefficient tendency is
+lam by R(lam dt), R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24. Mode k has
+lam = -gamma |k|^alpha - i u k, so at the bounds below every lam dt lies in
+the box [-CFL_DISSIPATION, 0] x [-CFL_ADVECTION, CFL_ADVECTION] i, and the
+whole box has to lie in |R| <= 1, not each axis alone. |R| < 1 on the
 negative real axis down to -RK4_REAL_LIMIT = -2.785. The dissipative step
 keeps lam dt for the fastest-decaying mode at CFL_DISSIPATION = 2, that
-limit less DISSIPATIVE_MARGIN = 28% rounded down to a whole number. R(-2)
-is 1/3, so every mode is damped, and none changes sign.
+limit less DISSIPATIVE_MARGIN = 28% rounded down. R(-2) is 1/3, so every
+mode is damped, and none changes sign. With that real extent the box stays
+in the region up to the half-height RK4_BOX_LIMIT = 1.856, where its corners
+-2 +- 1.856i reach |R| = 1 (|R(-2 + 2i)| = 1.20). The advective step keeps
+the same margin: CFL_ADVECTION = floor(0.72 * 1.856) = 1.
 """
 
 from __future__ import annotations
@@ -62,8 +80,12 @@ from .spectral import (
 RK4_REAL_LIMIT = 2.785293563405282
 DISSIPATIVE_MARGIN = 0.28
 # CFL-style safety factors and divide-by-zero guard for stable_dt.
-CFL_ADVECTION = 0.5
 CFL_DISSIPATION = float(math.floor((1.0 - DISSIPATIVE_MARGIN) * RK4_REAL_LIMIT))  # 2.0
+# The largest C for which the box [-CFL_DISSIPATION, 0] x [-C, C] i lies in
+# |R(z)| <= 1: the positive root of |R(-2 + i C)| = 1, set at the corners.
+# The advective step keeps the same margin in reserve.
+RK4_BOX_LIMIT = 1.855981142056663
+CFL_ADVECTION = float(math.floor((1.0 - DISSIPATIVE_MARGIN) * RK4_BOX_LIMIT))  # 1.0
 DT_GUARD = 1e-12
 
 
@@ -103,12 +125,17 @@ class SimParams:
 def _plan(rows: int, alpha: float, rule: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Multipliers (derivative, product, laplacian) on rows = N/2 + 1: the
     public operators applied to a vector of ones, the product being minus the
-    dealias rule with its mean and Nyquist rows zeroed. They are read-only,
-    since every step on these three values shares them."""
+    dealias rule with its mean and Nyquist rows zeroed. Under "two_thirds"
+    the product also holds half the derivative, since the tendency then
+    transforms u^2, not u u_x. They are read-only, since every step on these
+    three values shares them."""
     ones = np.ones(rows, dtype=complex)
+    derivative = spectral_derivative(ones)
     product = -dealias(ones, rule)
     product[0] = product[-1] = 0.0
-    plan = (spectral_derivative(ones), product, fractional_laplacian(ones, alpha))
+    if rule == "two_thirds":
+        product *= 0.5 * derivative
+    plan = (derivative, product, fractional_laplacian(ones, alpha))
     for a in plan:
         a.flags.writeable = False
     return plan
@@ -116,18 +143,21 @@ def _plan(rows: int, alpha: float, rule: str) -> tuple[np.ndarray, np.ndarray, n
 
 def _tendency(c: np.ndarray, p: SimParams,
               nodal: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Coefficients of F for the state c: 3 transforms, 1 if the nodal u and
-    u_x of c are handed in, none with linear_only."""
+    """Coefficients of F for the state c: 3 transforms under "off" (u, u_x
+    and u u_x), 2 under "two_thirds" (u and u^2), 1 if the nodal u and u_x
+    of c are handed in, none with linear_only."""
     derivative, product, laplacian = _plan(c.shape[-1], p.alpha, p.dealias_rule)
     if p.linear_only:
         hat = np.zeros_like(c)
     else:
-        if nodal is None:
-            u = np.fft.irfft(c, norm="forward")
-            ux = np.fft.irfft(c * derivative, norm="forward")
+        u = np.fft.irfft(c, norm="forward") if nodal is None else nodal[0]
+        if p.dealias_rule == "two_thirds":
+            other = u  # product holds the 0.5 i k of 0.5 (u^2)_x
+        elif nodal is None:
+            other = np.fft.irfft(c * derivative, norm="forward")
         else:
-            u, ux = nodal
-        hat = np.fft.rfft(u * ux, norm="forward") * product
+            other = nodal[1]
+        hat = np.fft.rfft(u * other, norm="forward") * product
     if p.gamma > 0.0:
         hat -= p.gamma * (laplacian * c)
     return hat
@@ -142,9 +172,10 @@ def rk4_step(c: np.ndarray, p: SimParams, dt: float, *,
         K4 = F(U_s + dt K3),
         U_{s+1} = U_s + dt/6 (K1 + 2 K2 + 2 K3 + K4).
 
-    Each stage costs 3 transforms, 12 per step, none with linear_only.
-    nodal, if given, must be nodal_pair(c): stage 1 then reuses u and u_x
-    and the step costs 10. The product's unpaired Nyquist mode is dropped.
+    Each stage costs 3 transforms under "off", 12 per step, and 2 under
+    "two_thirds", 8 per step; none with linear_only. nodal, if given, must
+    be nodal_pair(c): stage 1 then reuses u (and u_x under "off"), and the
+    step costs 10 or 7. The product's unpaired Nyquist mode is dropped.
     Finiteness is checked once, on the result: a non-finite result, in any
     row of a stack, raises InstabilityError, so a returned array is always
     finite.
@@ -170,12 +201,14 @@ def stable_dt(u_max: float, n: int, p: SimParams) -> float:
     """CFL-style step bound from u_max = max|u|, recomputed each "auto" step.
 
     min( C_adv/(max|u|*k_max + eps), C_diff/(gamma*k_max^alpha + eps) ) with
-    k_max = n/2 on n nodes, C_adv = CFL_ADVECTION = 0.5 and C_diff =
+    k_max = n/2 on n nodes, C_adv = CFL_ADVECTION = 1.0 and C_diff =
     CFL_DISSIPATION = 2.0. C_diff is RK4's real-axis stability limit 2.785
     less a 28% margin (DISSIPATIVE_MARGIN), rounded down: the fastest mode
-    then decays by R(-2) = 1/3 per step, without changing sign. Degenerate
-    inputs (zero field, gamma 0) give a huge value that the run loop caps at
-    the distance to the next stop time. A non-finite
+    then decays by R(-2) = 1/3 per step, without changing sign. C_adv is
+    RK4_BOX_LIMIT = 1.856, the half-height of the largest box of real
+    extent C_diff inside RK4's stability region, less the same margin,
+    rounded down. Degenerate inputs (zero field, gamma 0) give a huge value
+    that the run loop caps at the distance to the next stop time. A non-finite
     u_max, a diverged state, raises InstabilityError; a negative u_max, or
     an n that spectral.validate_n refuses, raises ValueError, so the bound
     is never negative.

@@ -29,7 +29,7 @@ from fracburgers.diagnostics import (
     check_blowup,
     predicted_blowup_time,
 )
-from fracburgers.dynamics import CFL_DISSIPATION, SimParams
+from fracburgers.dynamics import CFL_ADVECTION, CFL_DISSIPATION, DT_GUARD, SimParams
 from fracburgers.oracles import InitialCondition, linear_decay_solution
 from fracburgers.spectral import forward_dft, inverse_dft, nodes, spectral_derivative
 
@@ -319,10 +319,12 @@ class TestRunBudgets:
             config("--gamma", above, "--alpha", "2")
         with pytest.raises(UsageError, match=r"^invalid value for dt: auto "):
             config("--gamma", "1e6", "--alpha", "2", "--n", "1024")
-        # With gamma = 0 the advective bound 0.5 / 1e-12 = 5e11 is the smaller.
-        assert config("--t-final", "5e17", "--snapshot-every", "5e17").dt == "auto"
+        # With gamma = 0 the advective bound CFL_ADVECTION / 1e-12 is the
+        # smaller, so t_final may reach 10**6 times it, not 2% beyond.
+        edge = MAX_FIXED_STEPS * (CFL_ADVECTION / DT_GUARD)
+        assert config("--t-final", repr(edge), "--snapshot-every", repr(edge)).dt == "auto"
         with pytest.raises(UsageError, match=r"^invalid value for dt: auto "):
-            config("--t-final", "5.1e17", "--snapshot-every", "5.1e17")
+            config("--t-final", repr(1.02 * edge), "--snapshot-every", repr(1.02 * edge))
 
     def test_auto_dissipative_bound_overflow(self, tmp_path, capsys):
         """gamma * (n/2)**alpha overflows to inf, so auto steps would be 0."""

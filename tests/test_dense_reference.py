@@ -39,15 +39,23 @@ def dense_inverse(c, n):
     return (dense_basis(n)[1] @ c).real
 
 
+def dense_derivative(k, c, n):
+    dc = 1j * k * c
+    dc[k == -(n // 2)] = 0.0  # the unpaired mode has no real derivative
+    return dc
+
+
 def dense_rhs(u, n, gamma, alpha, rule, linear_only):
+    """Under "off" the collocation product u u_x; under "two_thirds" the
+    conservative form 0.5 (u^2)_x, then the rule's filter."""
     k, c = dense_forward(u, n)
     if linear_only:
         return -gamma * dense_inverse(np.abs(k) ** alpha * c, n)
-    dc = 1j * k * c
-    dc[k == -(n // 2)] = 0.0  # the unpaired mode has no real derivative
-    prod = dense_forward(u * dense_inverse(dc, n), n)[1]
     if rule == "two_thirds":
+        prod = 0.5 * dense_derivative(k, dense_forward(u * u, n)[1], n)
         prod[np.abs(k) > n / 3.0] = 0.0
+    else:
+        prod = dense_forward(u * dense_inverse(dense_derivative(k, c, n), n), n)[1]
     prod[k == 0] = 0.0
     prod[k == -(n // 2)] = 0.0  # dropped from the product too, so c_{N/2} only decays
     out = -dense_inverse(prod, n)

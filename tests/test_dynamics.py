@@ -8,9 +8,11 @@ import pytest
 from fracburgers.cli import parse_config, run_simulation
 from fracburgers.diagnostics import observe
 from fracburgers.dynamics import (
+    CFL_ADVECTION,
     CFL_DISSIPATION,
     DISSIPATIVE_MARGIN,
     DT_GUARD,
+    RK4_BOX_LIMIT,
     RK4_REAL_LIMIT,
     InstabilityError,
     SimParams,
@@ -20,6 +22,7 @@ from fracburgers.dynamics import (
 )
 from fracburgers.oracles import InitialCondition, characteristics_solution
 from fracburgers.spectral import (
+    band_limit,
     dealias,
     forward_dft,
     fractional_laplacian,
@@ -211,25 +214,60 @@ class TestRk4Step:
         b = rk4_step(s, p, 1e-3)
         assert a.tobytes() == b.tobytes()
 
+    @staticmethod
+    def step_transforms(monkeypatch, p, with_nodal=False):
+        """The transform calls of one rk4_step from -sin x on 32 nodes."""
+        s = forward_dft(-np.sin(nodes(32)))
+        nodal = nodal_pair(s) if with_nodal else None
+        count = count_transforms(monkeypatch)
+        rk4_step(s, p, 1e-3, nodal=nodal)
+        return len(count)
+
     @pytest.mark.parametrize("gamma, linear_only, calls", [
         (0.3, False, 12), (0.0, False, 12), (0.3, True, 0)])
     def test_transform_count(self, monkeypatch, gamma, linear_only, calls):
-        """Three transforms per stage, none when linear; none in or out."""
-        x = nodes(32)
-        s = forward_dft(-np.sin(x))
-        count = count_transforms(monkeypatch)
+        """Three transforms per stage (u, u_x, u u_x), none when linear;
+        none in or out."""
         p = SimParams(gamma=gamma, alpha=1.5, linear_only=linear_only)
-        rk4_step(s, p, 1e-3)
-        assert len(count) == calls
+        assert self.step_transforms(monkeypatch, p) == calls
 
     def test_transform_count_with_nodal_pair(self, monkeypatch):
         """Stage 1 reuses a handed-over u and u_x: 10 transforms."""
-        x = nodes(32)
-        s = forward_dft(-np.sin(x))
-        nodal = nodal_pair(s)
-        count = count_transforms(monkeypatch)
-        rk4_step(s, SimParams(gamma=0.3, alpha=1.5), 1e-3, nodal=nodal)
-        assert len(count) == 10
+        p = SimParams(gamma=0.3, alpha=1.5)
+        assert self.step_transforms(monkeypatch, p, with_nodal=True) == 10
+
+    @pytest.mark.parametrize("gamma, linear_only, with_nodal, calls", [
+        (0.3, False, False, 8), (0.0, False, False, 8), (0.3, True, False, 0),
+        (0.3, False, True, 7)])
+    def test_transform_count_two_thirds(self, monkeypatch, gamma, linear_only, with_nodal,
+                                        calls):
+        """Under the 2/3 rule a stage makes two transforms (u, u^2), and
+        stage 1 only the forward one when it is handed u."""
+        p = SimParams(gamma=gamma, alpha=1.5, dealias_rule="two_thirds",
+                      linear_only=linear_only)
+        assert self.step_transforms(monkeypatch, p, with_nodal) == calls
+
+
+class TestConservativeProduct:
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_equals_product_form_on_band_limited_states(self, n):
+        """Under the 2/3 rule the tendency transforms u^2 and applies
+        0.5 i k: the conservative form 0.5 (u^2)_x. On a state with no rows
+        above K = floor(N/3) the filtered product is a Galerkin projection,
+        so it equals the filtered collocation product u u_x, the form "off"
+        keeps, to rounding. Measured worst relative difference over these
+        states: about 1e-15 at each N."""
+        rng = np.random.default_rng(8000 + n)
+        k = band_limit(n, "two_thirds")
+        p = SimParams(dealias_rule="two_thirds")
+        for _ in range(8):
+            c = forward_dft(rng.standard_normal(n) * rng.uniform(0.1, 10.0))
+            c[k + 1:] = 0.0
+            u, ux = nodal_pair(c)
+            want = -dealias(forward_dft(u * ux), "two_thirds")
+            want[0] = want[-1] = 0.0
+            err = np.max(np.abs(_tendency(c, p) - want)) / np.max(np.abs(want))
+            assert err <= 1e-14, err
 
 
 class TestGridArgumentGone:
@@ -296,23 +334,36 @@ class TestGridScaleStability:
 
 
 class TestSpectralRunLoop:
+    @staticmethod
+    def run_transforms(monkeypatch, *flags):
+        """Steps and transform calls of a 20-step run with 4 snapshots."""
+        cfg = parse_config(["--n", "32", "--gamma", "0.1", "--dt", "0.01", "--t-final", "0.2",
+                            "--snapshot-every", "0.05", *flags, "--output", "unused"])
+        count = count_transforms(monkeypatch)
+        res = run_simulation(cfg)
+        steps, snapshots = len(res.records) - 1, len(res.snapshots) - 1
+        assert res.status == "completed" and (steps, snapshots) == (20, 4)
+        return steps, len(count)
+
     def test_transforms_per_step_and_snapshot(self, monkeypatch):
         """A step costs 12 transforms: the new state's u and u_x (2), which
         its record and snapshot read, and rk4_step's 10, whose first stage
         reuses them. Set-up costs 3: the profile's forward transform and the
         first pair, whose record's min_slope also gives the predicted
         blow-up time."""
-        cfg = parse_config(["--n", "32", "--gamma", "0.1", "--dt", "0.01", "--t-final", "0.2",
-                            "--snapshot-every", "0.05", "--output", "unused"])
-        count = count_transforms(monkeypatch)
-        res = run_simulation(cfg)
-        steps, snapshots = len(res.records) - 1, len(res.snapshots) - 1
-        assert res.status == "completed" and (steps, snapshots) == (20, 4)
-        assert len(count) == 3 + 12 * steps
+        steps, calls = self.run_transforms(monkeypatch)
+        assert calls == 3 + 12 * steps
+
+    def test_transforms_per_step_dealiased(self, monkeypatch):
+        """Under the 2/3 rule a step costs 9: the pair (2) and rk4_step's 7,
+        whose first stage reuses u."""
+        steps, calls = self.run_transforms(monkeypatch, "--dealias", "two-thirds")
+        assert calls == 3 + 9 * steps
 
     @pytest.mark.parametrize("args", [
         ["--gamma", "0.1", "--alpha", "1", "--n", "256", "--dt", "auto", "--t-final", "2"],
-        ["--ic", "random:20:3", "--dealias", "two-thirds"],
+        # A fixed step: more than 100 records whatever the CFL constants are.
+        ["--ic", "random:20:3", "--dealias", "two-thirds", "--dt", "0.001"],
     ])
     def test_mass_is_bit_constant(self, args):
         """The tendency never touches c_0, so the state's mass never moves."""
@@ -323,9 +374,9 @@ class TestSpectralRunLoop:
 
 class TestStableDt:
     def test_advective_bound_example(self):
-        """max|u| = 1 on N = 64 with gamma = 0 gives dt of 1/64."""
+        """max|u| = 1 on N = 64 with gamma = 0 gives dt of CFL_ADVECTION / 32."""
         dt = stable_dt(1.0, 64, SimParams(gamma=0.0))
-        assert abs(dt - 0.015625) <= 1e-12
+        assert abs(dt - CFL_ADVECTION / 32.0) <= 1e-12
 
     def test_dissipative_bound_example(self):
         """gamma = 1, alpha = 2 on N = 64: gamma k_max^alpha is 32**2 = 1024."""
@@ -405,6 +456,45 @@ class TestDissipativeStepInStabilityInterval:
             assert 0.0 < new[-1].real < c[-1].real
             assert new[-1].real / c[-1].real == pytest.approx(factor, rel=1e-12)
             c = new
+
+
+def box_edges(real_extent, half_height, samples=2001):
+    """Points on the four edges of [-real_extent, 0] x [-half_height, half_height] i,
+    corners included."""
+    y = np.linspace(-half_height, half_height, samples)
+    x = np.linspace(-real_extent, 0.0, samples)
+    return np.concatenate([-real_extent + 1j * y, 1j * y, x + 1j * half_height,
+                           x - 1j * half_height])
+
+
+def box_is_stable(real_extent, half_height):
+    # |R(z)| = 1 exactly at z = 0, a corner of every box, and rounds to 1 + 2.2e-16 near it.
+    return bool(np.max(np.abs(stability_polynomial(-box_edges(real_extent, half_height))))
+                <= 1.0 + 1e-15)
+
+
+class TestStepInStabilityBox:
+    """With frozen coefficients mode k has the tendency -gamma |k|^alpha - i u k,
+    so at stable_dt every mode's lam dt lies in the box
+    [-CFL_DISSIPATION, 0] x [-CFL_ADVECTION, CFL_ADVECTION] i. RK4 needs the
+    whole box in |R| <= 1, not each axis alone. |R| is largest on the box's
+    boundary (maximum modulus), so its edges are sampled."""
+
+    def test_box_at_the_constants_is_stable(self):
+        assert box_is_stable(CFL_DISSIPATION, CFL_ADVECTION)
+
+    def test_constant_is_the_box_limit_less_the_margin(self):
+        """Bisect for the largest half-height whose box is stable; the
+        advective constant is that limit less DISSIPATIVE_MARGIN, rounded down."""
+        lo, hi = 0.0, 2.0 * np.sqrt(2.0)  # RK4's reach on the imaginary axis
+        assert box_is_stable(CFL_DISSIPATION, lo) and not box_is_stable(CFL_DISSIPATION, hi)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if box_is_stable(CFL_DISSIPATION, mid) else (lo, mid)
+        assert abs(lo - RK4_BOX_LIMIT) <= 1e-12
+        assert CFL_ADVECTION == np.floor((1.0 - DISSIPATIVE_MARGIN) * lo)
+        # Each axis alone would admit 2 i, but the corner -2 + 2i leaves the region.
+        assert abs(stability_polynomial(-(-CFL_DISSIPATION + 2j))) > 1.2
 
 
 class TestConvergenceOrder:

@@ -2,11 +2,13 @@
 
 rk4_step applies the operators as multipliers built once per (rows, alpha,
 rule), the state's row count N/2 + 1, the fractional order and the dealias
-rule, and can reuse a handed-over u and u_x in its first stage. The slow path here composes the public operators
-(inverse_dft, spectral_derivative, forward_dft, dealias,
-fractional_laplacian) call by call, as the stepper did before the
-multipliers were cached. The fast path must reproduce it exactly, not only to
-rounding: the run outputs are byte-identical across that change.
+rule, and can reuse a handed-over u and u_x in its first stage. The slow path
+here composes the public operators (inverse_dft, spectral_derivative,
+forward_dft, dealias, fractional_laplacian) call by call, as the stepper did
+before the multipliers were cached: -dealias(u u_x) under "off" and
+-0.5 dealias(D(u^2)) under "two_thirds". The fast path must reproduce it
+exactly, not only to rounding: the run outputs are byte-identical across
+that change.
 """
 
 import numpy as np
@@ -34,8 +36,11 @@ def slow_tendency(c, p):
     hat = np.zeros_like(c)
     if not p.linear_only:
         u = inverse_dft(c)
-        ux = inverse_dft(spectral_derivative(c))
-        hat = -dealias(forward_dft(u * ux), p.dealias_rule)
+        if p.dealias_rule == "two_thirds":
+            hat = -0.5 * dealias(spectral_derivative(forward_dft(u * u)), p.dealias_rule)
+        else:
+            ux = inverse_dft(spectral_derivative(c))
+            hat = -dealias(forward_dft(u * ux), p.dealias_rule)
         hat[0] = hat[-1] = 0.0
     if p.gamma > 0.0:
         hat -= p.gamma * fractional_laplacian(c, p.alpha)
@@ -89,6 +94,8 @@ def test_plan_multipliers_equal_public_operators():
         assert np.array_equal(c * laplacian, fractional_laplacian(c, alpha))
         want = -dealias(c, rule)
         want[0] = want[-1] = 0.0
+        if rule == "two_thirds":  # the tendency transforms u^2: 0.5 (u^2)_x
+            want = 0.5 * spectral_derivative(want)
         assert np.array_equal(c * product, want)
         assert not any(a.flags.writeable for a in (derivative, product, laplacian))
 
