@@ -146,7 +146,7 @@ class RunConfig:
                 "more than 10**6"
             )
         ic = self.ic  # a hand-built run may sample any callable
-        if isinstance(ic, InitialCondition) and ic.kind == "random_band" and ic.params[0] >= n // 2:
+        if isinstance(ic, InitialCondition) and ic.kind == "random" and ic.params[0] >= n // 2:
             # Mode n/2 and above alias onto lower modes on an n-node grid.
             raise ValueError(f"ic: random kmax must be < n/2 = {n // 2}, got {ic.params[0]}")
         derived = {"n": n, "dt": dt, "t_final": t_final, "snapshot_every": every,
@@ -204,27 +204,6 @@ def _as_bool(key: str, raw: str) -> bool:
     raise UsageError(f"invalid value for {key}: expected true or false, got {raw!r}")
 
 
-def _parse_ic(raw: str) -> InitialCondition:
-    parts = raw.split(":")
-    kind = parts[0]
-    try:
-        if kind == "neg-sine" and len(parts) == 1:
-            return InitialCondition.neg_sine()
-        if kind == "scaled-neg-sine" and len(parts) == 2:
-            return InitialCondition.scaled_neg_sine(parts[1])
-        if kind == "gaussian" and len(parts) == 2:
-            return InitialCondition.gaussian_bump(parts[1])
-        if kind == "random" and len(parts) == 3:
-            return InitialCondition.random_band(_as_int("ic", parts[1]),
-                                                _as_int("ic", parts[2]))
-    except ValueError as err:
-        raise UsageError(f"invalid value for ic: {err}") from None
-    raise UsageError(
-        f"invalid value for ic: {raw!r} (expected neg-sine, scaled-neg-sine:a, "
-        "gaussian:w, or random:kmax:seed)"
-    )
-
-
 def _read_config_file(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not part of a key
@@ -248,11 +227,11 @@ def _read_config_file(path: str) -> dict[str, str]:
 def parse_config(argv: list[str]) -> RunConfig:
     """Resolve defaults, config file, and flags (in rising precedence).
 
-    This only reads text: n as an integer, the two bools, the dealias
-    spelling and the ic grammar. The other numbers reach their owners
-    (SimParams, DetectionThresholds, RunConfig) as text; every range,
-    budget and cross-field rule is theirs, and their "<key>: <reason>" is
-    reported as "invalid value for <key>: <reason>".
+    This only reads text: n as an integer, the two bools and the dealias
+    spelling. The --ic text and the other numbers reach their owners
+    (InitialCondition.parse, SimParams, DetectionThresholds, RunConfig);
+    every grammar, range, budget and cross-field rule is theirs, and their
+    "<key>: <reason>" is reported as "invalid value for <key>: <reason>".
     """
     ns = _build_parser().parse_args(argv)
     merged = {key: default for key, (default, _) in _OPTIONS.items()}
@@ -269,8 +248,8 @@ def parse_config(argv: list[str]) -> RunConfig:
         raise UsageError(f"invalid value for dealias: expected off or two-thirds, got {dealias!r}")
     linear_only = _as_bool("linear_only", merged["linear_only"])
     detect_blowup = _as_bool("detect_blowup", merged["detect_blowup"])
-    ic = _parse_ic(merged["ic"])
     try:
+        ic = InitialCondition.parse(merged["ic"])
         # Both limits are checked even when detection is off.
         thresholds = DetectionThresholds(slope_limit=merged["slope_limit"],
                                          tail_limit=merged["tail_limit"])
@@ -387,15 +366,19 @@ def write_outputs(result: RunResult, cfg: RunConfig) -> list[Path]:
     Every float is written as ``_FLOAT % (v + 0.0)``. The bulk files are
     formatted through templates built once per call: one row template for
     the diagnostics records, and one snapshot template holding the node
-    column, so a snapshot file is a single ``%`` over its values.
+    column, so a snapshot file is a single ``%`` over its values. report.txt
+    names the profile by its --ic selector, so a profile that is not an
+    InitialCondition is refused (TypeError) before any file is made.
     """
+    if not isinstance(cfg.ic, InitialCondition):
+        raise TypeError(f"report.txt names the profile by its --ic selector; {cfg.ic!r} has none")
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    header = ",".join(DiagnosticsRecord.FIELDS) + "\n"
-    row = ",".join([_FLOAT] * len(DiagnosticsRecord.FIELDS)) + "\n"
-    rows = [row % tuple([v + 0.0 for v in rec.astuple()]) for rec in result.records]
+    header = ",".join(DiagnosticsRecord._fields) + "\n"
+    row = ",".join([_FLOAT] * len(DiagnosticsRecord._fields)) + "\n"
+    rows = [row % tuple([v + 0.0 for v in rec]) for rec in result.records]
     path = out / "diagnostics.csv"
     path.write_text(header + "".join(rows), encoding="utf-8")
     written.append(path)

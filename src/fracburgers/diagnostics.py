@@ -9,7 +9,7 @@ a discrete H^3 norm (recorded qualitatively; the a-priori bound's constant
 is not available), and the spectral tail fraction used as a resolution
 monitor. The tail is the top third of the band the run's dealias rule keeps,
 rows ceil(2K/3) .. K with K = spectral.band_limit(N, rule): with the rule
-off, |k| >= N/3; under the 2/3 rule, 2N/9 <= |k| <= N/3, the rows the
+off, |k| >= N/3; under the 2/3 rule, about 2N/9 <= |k| < N/3, the rows the
 filter leaves the solution.
 
 Norm conventions: l2 = sqrt(2*pi * sum_{k=-N/2}^{N/2-1} |c_k|^2) (Parseval on
@@ -36,10 +36,9 @@ check_blowup returns the detection cause one record fires, or None.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
-from typing import ClassVar
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,9 +51,9 @@ class SingularTimeError(ValueError):
     """The closed-form slope was evaluated exactly at its blow-up time."""
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """Scalar observables of one time point."""
+class DiagnosticsRecord(NamedTuple):
+    """Scalar observables of one time point, in diagnostics.csv's column
+    order: a record is its CSV row, and _fields is the header."""
 
     t: float
     mass: float
@@ -65,15 +64,6 @@ class DiagnosticsRecord:
     bkm_integral: float
     h3: float
     tail_fraction: float
-
-    FIELDS: ClassVar[tuple[str, ...]]  # the field names in order: the CSV header
-
-    def astuple(self) -> tuple[float, ...]:
-        return _record_values(self)
-
-
-DiagnosticsRecord.FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
-_record_values = attrgetter(*DiagnosticsRecord.FIELDS)  # no deep copy, unlike dataclasses.astuple
 
 
 @dataclass(frozen=True)
@@ -148,8 +138,8 @@ def tail_fraction(c: np.ndarray, *, rule: str = "off") -> float:
     """Share of (non-mean) spectral energy in the top third of the kept band.
 
     The band rule keeps is 0 .. K, K = band_limit(N, rule), and its top
-    third the rows ceil(2K/3) .. K: |k| >= N/3 with rule "off",
-    2N/9 <= |k| <= N/3 with "two_thirds". Approaching 1 means that top
+    third the rows ceil(2K/3) .. K: |k| >= N/3 with rule "off", about
+    2N/9 <= |k| < N/3 with "two_thirds". Approaching 1 means that top
     third carries the field: the grid has stopped resolving the solution.
     """
     return _tail_of(_paired_power(c), rule)
@@ -163,7 +153,7 @@ def check_blowup(rec: DiagnosticsRecord,
     (|min_slope| > slope_limit), which outranks "resolution_loss"
     (tail_fraction > tail_limit).
     """
-    if not all(math.isfinite(v) for v in rec.astuple()):
+    if not all(math.isfinite(v) for v in rec):
         return "non_finite"
     if abs(rec.min_slope) > thresholds.slope_limit:
         return "slope_threshold"

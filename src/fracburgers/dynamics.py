@@ -14,13 +14,13 @@ term is formed at the nodes. Its form follows the dealias rule:
   integral of a perfect derivative and vanishes anyway).
 - "two_thirds": the conservative form 0.5 * (u^2)_x, with u^2 formed at the
   nodes and differentiated in coefficient space. On a state with no rows
-  above K = floor(N/3), u u_x and u^2 hold no wavenumber above 2K, and the
-  grid folds those above N/2 onto |k| >= N - 2K > K (N not a multiple of 3),
-  where the filter removes them. So the filtered product is the Galerkin
-  projection of u u_x (Orszag's rule), and the two forms give the same
-  tendency to rounding. The conservative one needs u alone. On a state
-  with rows above K (initial data, which the run never filters) the two
-  are different schemes.
+  above K = spectral.band_limit(N, "two_thirds"), the largest K with 3K < N,
+  u u_x and u^2 hold no wavenumber above 2K, and the grid folds those above
+  N/2 onto |k| >= N - 2K > K, where the filter removes them. So the
+  filtered product is the Galerkin projection of u u_x (Orszag's rule),
+  and the two forms give the same tendency to rounding. The conservative
+  one needs u alone. On a state with rows above K (initial data, which the
+  run never filters) the two are different schemes.
 
 The product's unpaired Nyquist mode is dropped, as the derivative drops it,
 so the state's c_{N/2} only decays under gamma, and its zero mode is never

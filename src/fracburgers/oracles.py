@@ -9,14 +9,15 @@ exp(-gamma*|k|^alpha * t). For alpha = 2 the equation is viscous Burgers,
 which the Cole-Hopf transform solves exactly; cole_hopf_solution evaluates
 that solution for u0 = -a sin x.
 
-Initial-condition catalogue (all exactly 2*pi-periodic and smooth):
+Initial-condition catalogue by --ic selector and factory (all exactly
+2*pi-periodic and smooth):
 
-    neg_sine              -sin(x)
-    scaled_neg_sine(a)    -a*sin(x)
-    gaussian_bump(w)      exp((cos(x) - 1)/w^2), a periodic bump of width ~w
-    random_band(m, seed)  sum_{k=1..m} (a_k cos(kx) + b_k sin(kx))
+    neg-sine              neg_sine()             -sin(x)
+    scaled-neg-sine:a     scaled_neg_sine(a)     -a*sin(x)
+    gaussian:w            gaussian_bump(w)       exp((cos(x) - 1)/w^2), a bump of width ~w
+    random:m:seed         random_band(m, seed)   sum_{k=1..m} (a_k cos(kx) + b_k sin(kx))
 
-random_band draws a_k, b_k from numpy's PCG64 generator seeded with `seed`:
+random draws a_k, b_k from numpy's PCG64 generator seeded with `seed`:
 standard normal pairs in increasing-k order, each scaled by 1/k. The same
 seed always reproduces the same field; max_mode = 0 gives the zero field.
 """
@@ -34,7 +35,7 @@ RESIDUAL_TOL = 1e-12
 _MAX_FIXED_POINT = 500
 _MAX_BISECTION = 200
 _DENSE_SAMPLES = 8192  # for the shock-time guard and the bisection bracket
-_BAND_BLOCK = 2**20  # entries of one (len(x), max_mode) block of the random_band sums
+_BLOCK = 2**20  # (x, k) or (x, s) pairs that one block of a sum over x holds
 # Narrowest gaussian_bump: below it w**2 is subnormal, and (cos x - 1)/w**2
 # can overflow to -inf (and 0/0 gives NaN at x = 0).
 _MIN_WIDTH = float(np.sqrt(np.finfo(float).tiny))
@@ -52,28 +53,29 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class InitialCondition:
-    """A named 2*pi-periodic initial profile, evaluable at any real x."""
+    """A 2*pi-periodic initial profile, evaluable at any real x. kind is its
+    --ic selector name: label() writes the selector, parse() reads it back."""
 
     kind: str
     params: tuple = ()
 
     @classmethod
     def neg_sine(cls) -> "InitialCondition":
-        return cls("neg_sine")
+        return cls("neg-sine")
 
     @classmethod
     def scaled_neg_sine(cls, amplitude: float) -> "InitialCondition":
         a = as_float(amplitude)
         if not np.isfinite(a):
             raise ValueError(f"amplitude must be finite, got {amplitude!r}")
-        return cls("scaled_neg_sine", (a,))
+        return cls("scaled-neg-sine", (a,))
 
     @classmethod
     def gaussian_bump(cls, width: float) -> "InitialCondition":
         w = as_float(width)
         if not _MIN_WIDTH <= w < np.inf:
             raise ValueError(f"width must be finite and >= {_MIN_WIDTH:.6g}, got {width!r}")
-        return cls("gaussian_bump", (w,))
+        return cls("gaussian", (w,))
 
     @classmethod
     def random_band(cls, max_mode: int, seed: int) -> "InitialCondition":
@@ -87,20 +89,34 @@ class InitialCondition:
             raise ValueError(f"max_mode must be >= 0, got {max_mode!r}")
         if s < 0:  # numpy's seed sequence takes non-negative integers only
             raise ValueError(f"seed must be >= 0, got {seed!r}")
-        return cls("random_band", (m, s))
+        return cls("random", (m, s))
+
+    @classmethod
+    def parse(cls, text: str) -> "InitialCondition":
+        """The profile an --ic selector names, the inverse of label(); each
+        refusal is a ValueError worded "ic: <reason>"."""
+        kind, *args = text.split(":")
+        try:
+            if kind == "neg-sine" and not args:
+                return cls.neg_sine()
+            if kind == "scaled-neg-sine" and len(args) == 1:
+                return cls.scaled_neg_sine(*args)
+            if kind == "gaussian" and len(args) == 1:
+                return cls.gaussian_bump(*args)
+            if kind == "random" and len(args) == 2:
+                return cls.random_band(*map(_as_int, args))
+        except ValueError as err:
+            raise ValueError(f"ic: {err}") from None
+        raise ValueError(f"ic: {text!r} (expected neg-sine, scaled-neg-sine:a, "
+                         "gaussian:w, or random:kmax:seed)")
 
     @property
     def seed(self) -> int | None:
-        return self.params[1] if self.kind == "random_band" else None
+        return self.params[1] if self.kind == "random" else None
 
     def label(self) -> str:
-        if self.kind == "neg_sine":
-            return "neg-sine"
-        if self.kind == "scaled_neg_sine":
-            return f"scaled-neg-sine:{_round_trip(self.params[0])}"
-        if self.kind == "gaussian_bump":
-            return f"gaussian:{_round_trip(self.params[0])}"
-        return f"random:{self.params[0]}:{self.params[1]}"
+        """The --ic selector, each parameter as text that reads back as it."""
+        return ":".join([self.kind, *map(_round_trip, self.params)])
 
     def __call__(self, x):
         return self._evaluate(x, derivative=False)
@@ -110,24 +126,31 @@ class InitialCondition:
 
     def _evaluate(self, x, derivative: bool):
         xv = np.asarray(x, dtype=float)
-        if self.kind == "random_band":
+        if self.kind == "random":
             out = _band_sum(xv, *self.params, derivative)
-        elif self.kind == "gaussian_bump":
+        elif self.kind == "gaussian":
             w = self.params[0]
             out = np.exp((np.cos(xv) - 1.0) / w**2)
             if derivative:
                 out = out * (-np.sin(xv) / w**2)
-        else:  # neg_sine and scaled_neg_sine: -a sin(x)
+        else:  # neg-sine and scaled-neg-sine: -a sin(x)
             a = self.params[0] if self.params else 1.0
             out = -a * (np.cos(xv) if derivative else np.sin(xv))
         return out if out.ndim else float(out)
 
 
-def _round_trip(v: float) -> str:
-    """v in the fewest significant digits, at least 6, that read back as v.
+def _as_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not an integer") from None
 
-    17 digits read back as every finite float64.
-    """
+
+def _round_trip(v: float | int) -> str:
+    """An int in full, a float in the fewest significant digits, at least 6,
+    that read back as v: 17 read back as every finite float64."""
+    if isinstance(v, int):
+        return str(v)
     for digits in range(6, 17):
         text = f"{v:.{digits}g}"
         if float(text) == v:
@@ -147,8 +170,8 @@ def _band_coeffs(max_mode: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _band_sum(x: np.ndarray, max_mode: int, seed: int, derivative: bool) -> np.ndarray:
-    """random_band or its derivative at x, summed over blocks of at most
-    2**20 (x, k) pairs, so memory stays bounded for any max_mode."""
+    """random or its derivative at x, summed in blocks of at most 2**20
+    (x, k) pairs, so memory stays bounded for any max_mode."""
     a, b = _band_coeffs(max_mode, seed)
     k = np.arange(1, max_mode + 1)
 
@@ -158,12 +181,18 @@ def _band_sum(x: np.ndarray, max_mode: int, seed: int, derivative: bool) -> np.n
             return -np.sin(arg) @ (k * a) + np.cos(arg) @ (k * b)
         return np.cos(arg) @ a + np.sin(arg) @ b
 
-    rows = max(1, _BAND_BLOCK // max(1, max_mode))
-    if x.size <= rows:  # one block, evaluated whole: the unblocked bits
-        return block(x)
+    return _blockwise(block, x, max_mode)
+
+
+def _blockwise(block, x: np.ndarray, width: int) -> np.ndarray:
+    """block(xb) over runs xb of at most _BLOCK // width values of x, so a
+    (len(xb), width) array fits in _BLOCK entries, filled into x's shape."""
     flat = x.ravel()
-    return np.concatenate([block(flat[i:i + rows]) for i in range(0, flat.size, rows)]
-                          ).reshape(x.shape)
+    out = np.empty(flat.size)
+    rows = max(1, _BLOCK // max(1, width))
+    for i in range(0, flat.size, rows):
+        out[i:i + rows] = block(flat[i:i + rows])
+    return out.reshape(x.shape)
 
 
 @lru_cache(maxsize=None)
@@ -312,9 +341,5 @@ def cole_hopf_solution(a: float, gamma: float, x, t: float, *,
         w = np.exp((g.min(axis=1, keepdims=True) - g) / (2.0 * gamma)) * trapezoid
         return -a * (w * np.sin(y)).sum(axis=1) / w.sum(axis=1)
 
-    flat = xv.ravel()
-    out = np.empty_like(flat)
-    rows = max(1, _BAND_BLOCK // s.size)  # at most 2**20 (x, s) pairs at once
-    for i in range(0, flat.size, rows):
-        out[i:i + rows] = block(flat[i:i + rows])
-    return out.reshape(xv.shape) if xv.ndim else float(out[0])
+    out = _blockwise(block, xv, s.size)
+    return out if out.ndim else float(out)

@@ -171,20 +171,21 @@ def fractional_laplacian(c: np.ndarray, alpha: float) -> np.ndarray:
 def band_limit(n: int, rule: str) -> int:
     """K, the highest wavenumber that rule keeps on n nodes.
 
-    "off" keeps the whole grid band, K = n/2. "two_thirds" keeps |k| <= n/3,
-    K = floor(n/3): Orszag's 2/3 rule for the quadratic term. dealias zeroes
-    the rows above K; the resolution monitor reads the top third of the rows
-    0 .. K.
+    "off" keeps the whole grid band, K = n/2. "two_thirds" keeps |k| < n/3,
+    K = (n - 1) // 3, the largest K with 3K < n: Orszag's 2/3 rule for the
+    quadratic term, whose wavenumbers up to 2K fold onto |k| >= n - 2K > K
+    (at K = n/3, onto row K itself). dealias zeroes the rows above K; the
+    resolution monitor reads the top third of the rows 0 .. K.
     """
     if rule not in DEALIAS_RULES:
         raise ValueError(f"unknown dealias rule {rule!r}, expected one of {DEALIAS_RULES}")
-    return n // 2 if rule == "off" else n // 3
+    return n // 2 if rule == "off" else (n - 1) // 3
 
 
 def dealias(c: np.ndarray, rule: str) -> np.ndarray:
     """A copy of c with every row above band_limit(N, rule) zeroed.
 
-    rule "off" keeps every row; "two_thirds" zeroes |k| > N/3, the
+    rule "off" keeps every row; "two_thirds" zeroes |k| >= N/3, the
     aliasing-prone tail of a product.
     """
     k = band_limit(2 * (c.shape[-1] - 1), rule)

@@ -417,7 +417,7 @@ class TestRunSimulation:
         res = run_simulation(cfg)
         write_outputs(res, cfg)
         column = np.loadtxt(tmp_path / "diagnostics.csv", delimiter=",", skiprows=1,
-                            usecols=DiagnosticsRecord.FIELDS.index("bkm_integral"))
+                            usecols=DiagnosticsRecord._fields.index("bkm_integral"))
         t = np.array([t for t, _ in res.snapshots])
         assert len(res.snapshots) == len(res.records) > 40
         assert np.array_equal(t, [r.t for r in res.records])
@@ -533,7 +533,7 @@ class TestWriteOutputs:
         lines = (tmp_path / "diagnostics.csv").read_text(encoding="utf-8").splitlines()
         assert len(lines) == len(res.records) + 1
         first = [float(cell) for cell in lines[1].split(",")]
-        assert first == list(res.records[0].astuple())
+        assert first == list(res.records[0])
 
     def test_zero_run_serializes_plain_zeros(self, tmp_path):
         """-0.0 is normalized, so a quiescent run is all literal "0" cells."""
@@ -622,6 +622,18 @@ class TestWriteOutputs:
         write_outputs(run_simulation(cfg), cfg)
         assert (target / "diagnostics.csv").exists()
 
+    def test_plain_callable_profile_refused_before_any_file(self, tmp_path):
+        """A hand-built config may sample any callable, but report.txt names
+        the profile by its --ic selector: write_outputs refuses such a
+        config before it makes the directory or any file."""
+        cfg = dataclasses.replace(config("--n", "16", "--t-final", "0.2", out=tmp_path / "o"),
+                                  ic=lambda x: -np.sin(x))
+        result = run_simulation(cfg)
+        assert result.status == "completed"
+        with pytest.raises(TypeError, match=r"report\.txt names the profile by its --ic selector"):
+            write_outputs(result, cfg)
+        assert list(tmp_path.iterdir()) == []
+
     def test_output_path_collision_raises_oserror(self, tmp_path):
         blocker = tmp_path / "taken"
         blocker.write_text("file, not a directory", encoding="utf-8")
@@ -650,8 +662,8 @@ def reference_outputs(result, cfg):
     def fmt(v):
         return format(float(v) + 0.0, ".17g")
 
-    lines = [",".join(DiagnosticsRecord.FIELDS)]
-    lines += [",".join(fmt(v) for v in rec.astuple()) for rec in result.records]
+    lines = [",".join(DiagnosticsRecord._fields)]
+    lines += [",".join(fmt(v) for v in rec) for rec in result.records]
     files = {"diagnostics.csv": "\n".join(lines) + "\n"}
     xs = [fmt(x) for x in nodes(cfg.n)]
     for t, field in result.snapshots:
@@ -671,8 +683,8 @@ class TestWriterReference:
         cells = SPECIAL_VALUES * 2 + rng.standard_normal(25).tolist()
         records = [DiagnosticsRecord(*cells[i:i + 9]) for i in range(0, len(cells) - 8, 9)]
         # report.txt reads predicted_t_star from row 0 and detected_t from the last row.
-        records[0] = dataclasses.replace(records[0], min_slope=-1 / (0.1 + 0.2))
-        records[-1] = dataclasses.replace(records[-1], t=-0.0)
+        records[0] = records[0]._replace(min_slope=-1 / (0.1 + 0.2))
+        records[-1] = records[-1]._replace(t=-0.0)
         scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-330, 308, n)
         snapshots = (
             (0.0, np.resize(np.array(SPECIAL_VALUES, dtype=float), n)),

@@ -119,6 +119,49 @@ class TestInitialCondition:
         assert InitialCondition.gaussian_bump(0.5).label() == "gaussian:0.5"
         assert InitialCondition.random_band(8, 42).label() == "random:8:42"
 
+    @pytest.mark.parametrize("ic", [
+        InitialCondition.neg_sine(),
+        *(InitialCondition.scaled_neg_sine(a) for a in (1.23456789, 0.1 + 0.2, 1e150, 2.0)),
+        *(InitialCondition.gaussian_bump(w) for w in (1.23456789, 0.1 + 0.2, 1e150, 2.0)),
+        InitialCondition.random_band(0, 0),
+        InitialCondition.random_band(8, 123456789012345678901234567890),
+        InitialCondition.random_band(10**40, 1),
+    ], ids=lambda ic: ic.label())
+    def test_parse_reads_back_every_label(self, ic):
+        """label() writes the --ic selector and parse() reads it back exactly:
+        floats that 6 digits would round (0.1 + 0.2 needs 17), huge ones and
+        whole ones, and integers of any length."""
+        assert InitialCondition.parse(ic.label()) == ic
+        assert ic.label().split(":")[0] == ic.kind
+
+    @pytest.mark.parametrize("text, reason", [
+        ("", "'' (expected neg-sine, scaled-neg-sine:a, gaussian:w, or random:kmax:seed)"),
+        ("neg-sine:1", "'neg-sine:1' (expected neg-sine, scaled-neg-sine:a, gaussian:w, "
+                       "or random:kmax:seed)"),
+        ("unknown:1", "'unknown:1' (expected neg-sine, scaled-neg-sine:a, gaussian:w, "
+                      "or random:kmax:seed)"),
+        ("random:8", "'random:8' (expected neg-sine, scaled-neg-sine:a, gaussian:w, "
+                     "or random:kmax:seed)"),
+        ("random:8:1:2", "'random:8:1:2' (expected neg-sine, scaled-neg-sine:a, gaussian:w, "
+                         "or random:kmax:seed)"),
+        ("random:x:1", "'x' is not an integer"),
+        ("random:1.5:2", "'1.5' is not an integer"),
+        ("random:8:-1", "seed must be >= 0, got -1"),
+        ("gaussian:wide", "width must be finite and >= 1.49167e-154, got 'wide'"),
+        ("scaled-neg-sine:inf", "amplitude must be finite, got 'inf'"),
+        ("scaled-neg-sine:", "amplitude must be finite, got ''"),
+    ])
+    def test_parse_refusals_are_worded_for_the_ic_key(self, text, reason):
+        with pytest.raises(ValueError) as refused:
+            InitialCondition.parse(text)
+        assert str(refused.value) == f"ic: {reason}"
+
+    def test_parse_reads_integers_with_int(self):
+        """kmax and seed are read by int(): underscores and surrounding
+        blanks are accepted, as the command line always accepted them."""
+        assert InitialCondition.parse("random:1_0:1") == InitialCondition.random_band(10, 1)
+        assert InitialCondition.parse("random: 8:1") == InitialCondition.random_band(8, 1)
+
     def test_seed_only_for_random(self):
         assert InitialCondition.random_band(8, 42).seed == 42
         assert InitialCondition.neg_sine().seed is None

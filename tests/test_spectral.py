@@ -326,13 +326,15 @@ class TestDealias:
         assert s[0] != 9.0
 
     def test_two_thirds_cut_is_exclusive(self):
-        """k > N/3 is zeroed; k = N/3 survives. cos 3x = -cos 3(x + pi)."""
+        """k >= N/3 is zeroed, k = N/3 included: a product of two states in
+        |k| <= N/3 folds onto row N/3 itself. k = 3 < 12/3 survives;
+        cos 3x = -cos 3(x + pi)."""
         xs = nodes(12)
         u = np.cos(3.0 * xs) + np.cos(4.0 * xs) + np.cos(5.0 * xs)
         out = dealias(forward_dft(u), "two_thirds")
         assert abs(out[5]) == 0.0
         assert abs(out[6]) == 0.0
-        assert abs(out[4] - 0.5) <= 1e-15
+        assert abs(out[4]) == 0.0
         assert abs(out[3] + 0.5) <= 1e-15
 
     def test_unknown_rule_rejected(self):
