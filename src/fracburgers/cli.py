@@ -35,6 +35,7 @@ from .diagnostics import (
 )
 from . import dynamics
 from .dynamics import InstabilityError, SimParams, rk4_step, stable_dt
+from ._writer import _fmt, format_column, write_csv
 from .oracles import InitialCondition
 from .spectral import as_float, forward_dft, nodal_pair, nodes, validate_n
 
@@ -64,7 +65,7 @@ _OPTIONS = {
     "alpha": ("1", "fractional order in (0, 2]"),
     "dt": ("auto", 'time step, a number or "auto"'),
     "t_final": ("1", "end time, > 0"),
-    "ic": ("neg-sine", "neg-sine | scaled-neg-sine:a | gaussian:w | random:kmax:seed"),
+    "ic": ("neg-sine", " | ".join(InitialCondition.SELECTORS)),
     "dealias": ("off", "off | two-thirds"),
     "snapshot_every": ("0.1", "time between stored snapshots"),
     "output": ("out", "output directory"),
@@ -347,15 +348,6 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                      status=status, warnings=tuple(warnings))
 
 
-# The one spelling of the output float format: 17 significant digits
-# round-trip every float64. Every value gets + 0.0 first, so -0.0 prints "0".
-_FLOAT = "%.17g"
-
-
-def _fmt(v: float) -> str:
-    return _FLOAT % (float(v) + 0.0)  # -0.0 + 0.0 is +0.0
-
-
 def _snapshot_name(t: float) -> str:
     return f"snapshot_{format(t, '.10g')}.csv"
 
@@ -363,10 +355,11 @@ def _snapshot_name(t: float) -> str:
 def write_outputs(result: RunResult, cfg: RunConfig) -> list[Path]:
     """Write diagnostics.csv, one snapshot_<t>.csv per snapshot, report.txt.
 
-    Every float is written as ``_FLOAT % (v + 0.0)``. The bulk files are
-    formatted through templates built once per call: one row template for
-    the diagnostics records, and one snapshot template holding the node
-    column, so a snapshot file is a single ``%`` over its values. report.txt
+    Every float is written as _fmt writes it, ``"%.17g" % (v + 0.0)``, and
+    every line ends with LF on every platform. The CSVs are streamed as bytes
+    by _writer.write_csv, which formats each column with numpy array
+    operations, exactly for 1e-6 < |v| < 1e16 and with the same % for every
+    other value; the node column is formatted once per call. report.txt
     names the profile by its --ic selector, so a profile that is not an
     InitialCondition is refused (TypeError) before any file is made.
     """
@@ -376,18 +369,14 @@ def write_outputs(result: RunResult, cfg: RunConfig) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    header = ",".join(DiagnosticsRecord._fields) + "\n"
-    row = ",".join([_FLOAT] * len(DiagnosticsRecord._fields)) + "\n"
-    rows = [row % tuple([v + 0.0 for v in rec]) for rec in result.records]
     path = out / "diagnostics.csv"
-    path.write_text(header + "".join(rows), encoding="utf-8")
+    write_csv(path, ",".join(DiagnosticsRecord._fields) + "\n", result.records)
     written.append(path)
 
-    # A formatted node holds no "%", so it is safe inside the template.
-    snapshot = "x,u\n" + "".join([f"{_fmt(x)},{_FLOAT}\n" for x in nodes(cfg.n).tolist()])
+    x = format_column(nodes(cfg.n))
     for t, field in result.snapshots:
         path = out / _snapshot_name(t)
-        path.write_text(snapshot % tuple((field + 0.0).tolist()), encoding="utf-8")
+        write_csv(path, "x,u\n", np.asarray(field)[:, None], lead=x)
         written.append(path)
 
     predicted = predicted_blowup_time(result.records[0].min_slope)
@@ -407,7 +396,7 @@ def write_outputs(result: RunResult, cfg: RunConfig) -> list[Path]:
     ]
     report_lines += [f"warning: {w}" for w in result.warnings]
     path = out / "report.txt"
-    path.write_text("\n".join(report_lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(report_lines) + "\n", encoding="utf-8", newline="\n")
     written.append(path)
     return written
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -55,6 +56,11 @@ class ConvergenceError(RuntimeError):
 class InitialCondition:
     """A 2*pi-periodic initial profile, evaluable at any real x. kind is its
     --ic selector name: label() writes the selector, parse() reads it back."""
+
+    # The --ic grammar, one selector per kind with its parameters: the CLI's
+    # help text and parse()'s refusal both name these.
+    SELECTORS: ClassVar[tuple[str, ...]] = (
+        "neg-sine", "scaled-neg-sine:a", "gaussian:w", "random:kmax:seed")
 
     kind: str
     params: tuple = ()
@@ -107,8 +113,8 @@ class InitialCondition:
                 return cls.random_band(*map(_as_int, args))
         except ValueError as err:
             raise ValueError(f"ic: {err}") from None
-        raise ValueError(f"ic: {text!r} (expected neg-sine, scaled-neg-sine:a, "
-                         "gaussian:w, or random:kmax:seed)")
+        *others, last = cls.SELECTORS
+        raise ValueError(f"ic: {text!r} (expected {', '.join(others)}, or {last})")
 
     @property
     def seed(self) -> int | None:

@@ -1,17 +1,23 @@
 """Configuration parsing, the run loop, output files, and exit codes."""
 
+import _pyio
 import dataclasses
 import math
+import os
+import re
 import struct
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fracburgers import _writer
 from fracburgers.cli import (
+    _OPTIONS,
     EXIT_CODES,
     MAX_FIXED_STEPS,
     RunConfig,
@@ -59,6 +65,15 @@ class TestParseConfig:
         assert cfg.thresholds is not None
         assert cfg.thresholds.slope_limit == 100.0
         assert cfg.thresholds.tail_limit == 0.1
+
+    def test_help_and_refusal_name_the_same_ic_selectors(self):
+        """The --ic help text and InitialCondition.parse's refusal are both
+        built from InitialCondition.SELECTORS."""
+        with pytest.raises(UsageError) as err:
+            parse_config(["--ic", "bogus"])
+        listed = re.search(r"\(expected (.*)\)$", str(err.value)).group(1)
+        helped = _OPTIONS["ic"][1].split(" | ")
+        assert re.split(r", (?:or )?", listed) == helped == list(InitialCondition.SELECTORS)
 
     def test_flags_parsed(self):
         cfg = parse_config(["--n", "128", "--gamma", "0.5", "--alpha", "1.5",
@@ -657,6 +672,44 @@ SPECIAL_VALUES = [
 ]
 
 
+def _ulps_around(v, count):
+    """The 2 * count + 1 doubles nearest v (v > 0), v included."""
+    bits = np.array([v]).view(np.int64) + np.arange(-count, count + 1, dtype=np.int64)
+    return bits.view(np.float64)
+
+
+def _ties(rng, per_exponent):
+    """Doubles exactly halfway between two 17-digit decimals, per_exponent of
+    them at every decimal exponent E from -6 to 15: odd multiples of
+    2**-(17 - E), whose 18th significant digit is the last and a 5."""
+    ties = []
+    for e in range(-6, 16):
+        scale = 2 ** (17 - e)
+        low = math.ceil(Fraction(10) ** e * scale)
+        high = min(math.floor(Fraction(10) ** (e + 1) * scale), 2**53)
+        for m in rng.integers(low, high, per_exponent).tolist():
+            m |= 1
+            ties.append(m / scale)  # exact: m < 2**53
+            assert (Fraction(ties[-1]) * Fraction(10) ** (16 - e)).denominator == 2
+    return ties
+
+
+def _random_bits(rng, count, exponents=None):
+    """Doubles with random bit patterns; with exponents (a range of binary
+    exponents), only normal values of either sign within it."""
+    bits = rng.integers(0, 2**64, count, dtype=np.uint64)
+    if exponents is not None:
+        biased = rng.integers(exponents.start + 1023, exponents.stop + 1023, count, dtype=np.uint64)
+        bits = (bits & np.uint64(0x800F_FFFF_FFFF_FFFF)) | (biased << np.uint64(52))
+    return bits.view(np.float64)
+
+
+# Doubles just below a power of ten whose 17-digit rounding carries to it
+# (1e-14, 1e98, ...).
+CARRIES = [v for k in range(-320, 309) for v in [float(f"1e{k}")]
+           if Fraction(v) < Fraction(10) ** k and format(v, ".17g").startswith("1e")]
+
+
 def reference_outputs(result, cfg):
     """The per-value writer: one format() call per float, one f-string per row."""
     def fmt(v):
@@ -712,6 +765,56 @@ class TestWriterReference:
             "detection_cause: non_finite\n"
             "warning: a warning\n"
         ).encode("utf-8")
+
+
+    def test_edge_values_and_partial_chunks(self, tmp_path):
+        """The values the array formatter must get right, written through
+        snapshots of 6146 rows (one full chunk of 4096 and a partial one) and
+        4100 diagnostics rows."""
+        n = 6146
+        cfg = config("--n", str(n), out=tmp_path)
+        rng = np.random.default_rng(20261019)
+        edges = np.concatenate([_ulps_around(v, 3) for v in (1e-6, 1e16)])
+        powers = np.concatenate([_ulps_around(float(f"1e{k}"), 300) for k in range(-8, 18)])
+        values = np.concatenate([
+            edges, -edges, powers, -powers[::7], _ties(rng, 20), -np.array(_ties(rng, 5)),
+            CARRIES, np.negative(CARRIES), _random_bits(rng, 3000),
+            _random_bits(rng, 6000, exponents=range(-21, 55)),
+        ])
+        fields = np.resize(values, (-(-values.size // n), n))
+        cells = rng.permutation(np.resize(values, 4100 * 9))
+        records = [DiagnosticsRecord(*row) for row in cells.reshape(4100, 9).tolist()]
+        records[0] = records[0]._replace(min_slope=-1.0)
+        result = RunResult(records=tuple(records),
+                           snapshots=tuple((0.1 * i, f) for i, f in enumerate(fields)),
+                           status="completed")
+
+        write_outputs(result, cfg)
+
+        for name, text in reference_outputs(result, cfg).items():
+            assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
+
+    def test_carries_lie_outside_the_exact_range(self):
+        """A 17-digit rounding that carries to the next power of ten happens
+        only outside the writer's exact range, where it formats per value."""
+        assert 1e-14 in CARRIES and 1e98 in CARRIES
+        assert [v for v in CARRIES if _writer._LOW < v < _writer._HIGH] == []
+
+    def test_every_file_is_lf_terminated_when_the_platform_writes_crlf(self, tmp_path, monkeypatch):
+        """With os.linesep set to CRLF, the pure-Python io writes each LF of a
+        text-mode file as CRLF, as Windows does; no output may hold a CR.
+        Path.open itself is replaced, since before Python 3.11 it holds the C
+        io.open taken at import."""
+        monkeypatch.setattr(os, "linesep", "\r\n")
+        monkeypatch.setattr(Path, "open", lambda self, *a, **k: _pyio.open(self, *a, **k))
+        probe = tmp_path / "probe.txt"
+        probe.write_text("a\n", encoding="utf-8")
+        assert probe.read_bytes() == b"a\r\n"  # text mode now writes CRLF
+        cfg = config("--n", "16", "--t-final", "0.2", "--ic", "gaussian:1.0", out=tmp_path / "o")
+        written = write_outputs(run_simulation(cfg), cfg)
+        assert {p.name for p in written} >= {"diagnostics.csv", "report.txt", "snapshot_0.2.csv"}
+        for path in written:
+            assert b"\r" not in path.read_bytes(), path.name
 
 
 class TestMain:
