@@ -37,7 +37,7 @@ from . import dynamics
 from .dynamics import InstabilityError, SimParams, rk4_step, stable_dt
 from ._writer import _fmt, format_column, write_csv
 from .oracles import InitialCondition
-from .spectral import as_float, forward_dft, nodal_pair, nodes, validate_n
+from .spectral import DEALIAS_RULES, as_float, forward_dft, nodal_pair, nodes, validate_n
 
 EXIT_CODES = {"completed": 0, "blowup_detected": 2, "resolution_lost": 3,
               "numeric_failure": 4}
@@ -66,7 +66,7 @@ _OPTIONS = {
     "dt": ("auto", 'time step, a number or "auto"'),
     "t_final": ("1", "end time, > 0"),
     "ic": ("neg-sine", " | ".join(InitialCondition.SELECTORS)),
-    "dealias": ("off", "off | two-thirds"),
+    "dealias": ("off", " | ".join(DEALIAS_RULES)),
     "snapshot_every": ("0.1", "time between stored snapshots"),
     "output": ("out", "output directory"),
     "detect_blowup": ("true", "true | false"),
@@ -228,8 +228,8 @@ def _read_config_file(path: str) -> dict[str, str]:
 def parse_config(argv: list[str]) -> RunConfig:
     """Resolve defaults, config file, and flags (in rising precedence).
 
-    This only reads text: n as an integer, the two bools and the dealias
-    spelling. The --ic text and the other numbers reach their owners
+    This only reads text: n as an integer and the two bools. The --ic text,
+    the --dealias rule and the other numbers reach their owners
     (InitialCondition.parse, SimParams, DetectionThresholds, RunConfig);
     every grammar, range, budget and cross-field rule is theirs, and their
     "<key>: <reason>" is reported as "invalid value for <key>: <reason>".
@@ -244,9 +244,6 @@ def parse_config(argv: list[str]) -> RunConfig:
             merged[key] = given
 
     n = _as_int("n", merged["n"])
-    dealias = merged["dealias"]
-    if dealias not in ("off", "two-thirds"):
-        raise UsageError(f"invalid value for dealias: expected off or two-thirds, got {dealias!r}")
     linear_only = _as_bool("linear_only", merged["linear_only"])
     detect_blowup = _as_bool("detect_blowup", merged["detect_blowup"])
     try:
@@ -256,12 +253,8 @@ def parse_config(argv: list[str]) -> RunConfig:
                                          tail_limit=merged["tail_limit"])
         return RunConfig(
             n=n,
-            params=SimParams(
-                gamma=merged["gamma"],
-                alpha=merged["alpha"],
-                dealias_rule="two_thirds" if dealias == "two-thirds" else "off",
-                linear_only=linear_only,
-            ),
+            params=SimParams(gamma=merged["gamma"], alpha=merged["alpha"],
+                             dealias_rule=merged["dealias"], linear_only=linear_only),
             ic=ic,
             dt=merged["dt"],
             t_final=merged["t_final"],

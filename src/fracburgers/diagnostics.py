@@ -139,7 +139,7 @@ def tail_fraction(c: np.ndarray, *, rule: str = "off") -> float:
 
     The band rule keeps is 0 .. K, K = band_limit(N, rule), and its top
     third the rows ceil(2K/3) .. K: |k| >= N/3 with rule "off", about
-    2N/9 <= |k| < N/3 with "two_thirds". Approaching 1 means that top
+    2N/9 <= |k| < N/3 with "two-thirds". Approaching 1 means that top
     third carries the field: the grid has stopped resolving the solution.
     """
     return _tail_of(_paired_power(c), rule)

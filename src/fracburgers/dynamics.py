@@ -12,9 +12,9 @@ term is formed at the nodes. Its form follows the dealias rule:
   the product's transform is zeroed outright, which keeps the tendency
   mass-neutral by construction (analytically that coefficient is the
   integral of a perfect derivative and vanishes anyway).
-- "two_thirds": the conservative form 0.5 * (u^2)_x, with u^2 formed at the
+- "two-thirds": the conservative form 0.5 * (u^2)_x, with u^2 formed at the
   nodes and differentiated in coefficient space. On a state with no rows
-  above K = spectral.band_limit(N, "two_thirds"), the largest K with 3K < N,
+  above K = spectral.band_limit(N, "two-thirds"), the largest K with 3K < N,
   u u_x and u^2 hold no wavenumber above 2K, and the grid folds those above
   N/2 onto |k| >= N - 2K > K, where the filter removes them. So the
   filtered product is the Galerkin projection of u u_x (Orszag's rule),
@@ -34,7 +34,7 @@ N/2 + 1 being the array's only record of N: the public operators applied to
 a vector of ones. The public operators stay the only definition of the
 derivative, the fractional laplacian and the 2/3 rule, and the multipliers
 reproduce them to the bit.
-A step costs 12 transforms under "off" and 8 under "two_thirds", or 10 and
+A step costs 12 transforms under "off" and 8 under "two-thirds", or 10 and
 7 when the caller hands over u and u_x of the state, which its diagnostics
 record needs anyway. Every transform and multiplier acts on the last axis,
 so a stack of states of shape (B, N/2 + 1) that shares one SimParams and
@@ -52,7 +52,12 @@ limit less DISSIPATIVE_MARGIN = 28% rounded down. R(-2) is 1/3, so every
 mode is damped, and none changes sign. With that real extent the box stays
 in the region up to the half-height RK4_BOX_LIMIT = 1.856, where its corners
 -2 +- 1.856i reach |R| = 1 (|R(-2 + 2i)| = 1.20). The advective step keeps
-the same margin: CFL_ADVECTION = floor(0.72 * 1.856) = 1.
+the same margin: CFL_ADVECTION = floor(0.72 * 1.856) = 1. The advective
+bound spans the kept band K = spectral.band_limit(N, rule): under
+"two-thirds" the quadratic term's Jacobian v -> -i k P_K(u v) has norm at
+most K max|u| (P_K has norm 1), and rows above K do not advect. The
+dissipative bound spans N/2 under both rules: initial rows above K are never
+filtered, and -gamma |k|^alpha damps them.
 """
 
 from __future__ import annotations
@@ -64,13 +69,14 @@ from functools import lru_cache
 import numpy as np
 
 from .spectral import (
-    DEALIAS_RULES,
     as_float,
+    band_limit,
     dealias,
     fractional_laplacian,
     spectral_derivative,
     validate_alpha,
     validate_n,
+    validate_rule,
     validate_spectrum,
 )
 
@@ -112,10 +118,7 @@ class SimParams:
             raise ValueError(f"gamma: must be finite and >= 0, got {self.gamma!r}")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "alpha", validate_alpha(self.alpha))
-        if self.dealias_rule not in DEALIAS_RULES:
-            raise ValueError(
-                f"unknown dealias rule {self.dealias_rule!r}, expected one of {DEALIAS_RULES}"
-            )
+        validate_rule(self.dealias_rule)
         if not isinstance(self.linear_only, (bool, np.bool_)):  # "no" would be truthy
             raise ValueError(f"linear_only: must be a bool, got {self.linear_only!r}")
         object.__setattr__(self, "linear_only", bool(self.linear_only))
@@ -125,7 +128,7 @@ class SimParams:
 def _plan(rows: int, alpha: float, rule: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Multipliers (derivative, product, laplacian) on rows = N/2 + 1: the
     public operators applied to a vector of ones, the product being minus the
-    dealias rule with its mean and Nyquist rows zeroed. Under "two_thirds"
+    dealias rule with its mean and Nyquist rows zeroed. Under "two-thirds"
     the product also holds half the derivative, since the tendency then
     transforms u^2, not u u_x. They are read-only, since every step on these
     three values shares them."""
@@ -133,7 +136,7 @@ def _plan(rows: int, alpha: float, rule: str) -> tuple[np.ndarray, np.ndarray, n
     derivative = spectral_derivative(ones)
     product = -dealias(ones, rule)
     product[0] = product[-1] = 0.0
-    if rule == "two_thirds":
+    if rule == "two-thirds":
         product *= 0.5 * derivative
     plan = (derivative, product, fractional_laplacian(ones, alpha))
     for a in plan:
@@ -144,14 +147,14 @@ def _plan(rows: int, alpha: float, rule: str) -> tuple[np.ndarray, np.ndarray, n
 def _tendency(c: np.ndarray, p: SimParams,
               nodal: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Coefficients of F for the state c: 3 transforms under "off" (u, u_x
-    and u u_x), 2 under "two_thirds" (u and u^2), 1 if the nodal u and u_x
+    and u u_x), 2 under "two-thirds" (u and u^2), 1 if the nodal u and u_x
     of c are handed in, none with linear_only."""
     derivative, product, laplacian = _plan(c.shape[-1], p.alpha, p.dealias_rule)
     if p.linear_only:
         hat = np.zeros_like(c)
     else:
         u = np.fft.irfft(c, norm="forward") if nodal is None else nodal[0]
-        if p.dealias_rule == "two_thirds":
+        if p.dealias_rule == "two-thirds":
             other = u  # product holds the 0.5 i k of 0.5 (u^2)_x
         elif nodal is None:
             other = np.fft.irfft(c * derivative, norm="forward")
@@ -173,7 +176,7 @@ def rk4_step(c: np.ndarray, p: SimParams, dt: float, *,
         U_{s+1} = U_s + dt/6 (K1 + 2 K2 + 2 K3 + K4).
 
     Each stage costs 3 transforms under "off", 12 per step, and 2 under
-    "two_thirds", 8 per step; none with linear_only. nodal, if given, must
+    "two-thirds", 8 per step; none with linear_only. nodal, if given, must
     be nodal_pair(c): stage 1 then reuses u (and u_x under "off"), and the
     step costs 10 or 7. The product's unpaired Nyquist mode is dropped.
     Finiteness is checked once, on the result: a non-finite result, in any
@@ -200,25 +203,23 @@ def rk4_step(c: np.ndarray, p: SimParams, dt: float, *,
 def stable_dt(u_max: float, n: int, p: SimParams) -> float:
     """CFL-style step bound from u_max = max|u|, recomputed each "auto" step.
 
-    min( C_adv/(max|u|*k_max + eps), C_diff/(gamma*k_max^alpha + eps) ) with
-    k_max = n/2 on n nodes, C_adv = CFL_ADVECTION = 1.0 and C_diff =
-    CFL_DISSIPATION = 2.0. C_diff is RK4's real-axis stability limit 2.785
-    less a 28% margin (DISSIPATIVE_MARGIN), rounded down: the fastest mode
-    then decays by R(-2) = 1/3 per step, without changing sign. C_adv is
-    RK4_BOX_LIMIT = 1.856, the half-height of the largest box of real
-    extent C_diff inside RK4's stability region, less the same margin,
-    rounded down. Degenerate inputs (zero field, gamma 0) give a huge value
-    that the run loop caps at the distance to the next stop time. A non-finite
-    u_max, a diverged state, raises InstabilityError; a negative u_max, or
-    an n that spectral.validate_n refuses, raises ValueError, so the bound
-    is never negative.
+    min( C_adv/(max|u|*K + eps), C_diff/(gamma*k_max^alpha + eps) ) with
+    C_adv = CFL_ADVECTION = 1.0, C_diff = CFL_DISSIPATION = 2.0, K =
+    band_limit(n, p.dealias_rule), since the quadratic term's Jacobian has
+    spectral radius at most K max|u|, and k_max = n/2, since initial rows
+    above K still decay; the module docstring derives each. Degenerate
+    inputs (zero field, gamma 0) give a huge value that the run loop caps at
+    the distance to the next stop time. A non-finite u_max, a diverged
+    state, raises InstabilityError; a negative u_max, or an n that
+    spectral.validate_n refuses, raises ValueError, so the bound is never
+    negative.
     """
     u_max = float(u_max)
     if not abs(u_max) < np.inf:
         raise InstabilityError(f"non-finite max|u| handed to stable_dt: {u_max!r}")
     if u_max < 0.0:
         raise ValueError(f"u_max: must be >= 0, got {u_max!r}")
-    k_max = validate_n(n) / 2.0
-    advective = CFL_ADVECTION / (u_max * k_max + DT_GUARD)
-    dissipative = CFL_DISSIPATION / (p.gamma * k_max**p.alpha + DT_GUARD)
+    n = validate_n(n)
+    advective = CFL_ADVECTION / (u_max * band_limit(n, p.dealias_rule) + DT_GUARD)
+    dissipative = CFL_DISSIPATION / (p.gamma * (n / 2.0)**p.alpha + DT_GUARD)
     return min(advective, dissipative)

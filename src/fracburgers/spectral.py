@@ -43,7 +43,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-DEALIAS_RULES = ("off", "two_thirds")
+DEALIAS_RULES = ("off", "two-thirds")
 
 
 class SymmetryError(ValueError):
@@ -168,24 +168,29 @@ def fractional_laplacian(c: np.ndarray, alpha: float) -> np.ndarray:
     return mult * c
 
 
+def validate_rule(rule: str) -> str:
+    """Return rule after checking it is one of DEALIAS_RULES."""
+    if rule not in DEALIAS_RULES:
+        raise ValueError(f"dealias: expected {' or '.join(DEALIAS_RULES)}, got {rule!r}")
+    return rule
+
+
 def band_limit(n: int, rule: str) -> int:
     """K, the highest wavenumber that rule keeps on n nodes.
 
-    "off" keeps the whole grid band, K = n/2. "two_thirds" keeps |k| < n/3,
+    "off" keeps the whole grid band, K = n/2. "two-thirds" keeps |k| < n/3,
     K = (n - 1) // 3, the largest K with 3K < n: Orszag's 2/3 rule for the
     quadratic term, whose wavenumbers up to 2K fold onto |k| >= n - 2K > K
     (at K = n/3, onto row K itself). dealias zeroes the rows above K; the
     resolution monitor reads the top third of the rows 0 .. K.
     """
-    if rule not in DEALIAS_RULES:
-        raise ValueError(f"unknown dealias rule {rule!r}, expected one of {DEALIAS_RULES}")
-    return n // 2 if rule == "off" else (n - 1) // 3
+    return n // 2 if validate_rule(rule) == "off" else (n - 1) // 3
 
 
 def dealias(c: np.ndarray, rule: str) -> np.ndarray:
     """A copy of c with every row above band_limit(N, rule) zeroed.
 
-    rule "off" keeps every row; "two_thirds" zeroes |k| >= N/3, the
+    rule "off" keeps every row; "two-thirds" zeroes |k| >= N/3, the
     aliasing-prone tail of a product.
     """
     k = band_limit(2 * (c.shape[-1] - 1), rule)

@@ -1,0 +1,30 @@
+"""Fixtures shared by the test modules."""
+
+import time
+
+import pytest
+
+from fracburgers.cli import parse_config, run_simulation
+
+
+@pytest.fixture(scope="session")
+def timed_run():
+    """run(args) -> (result, seconds): run_simulation of the CLI arguments
+    args and its wall time.
+
+    Each argument list runs once per session, so the acceptance criteria and
+    tests/test_viscous_runs.py share the runs they both grade; seconds is the
+    time of that one run. Callers must not modify a result.
+    """
+    cache = {}
+
+    def run(args):
+        key = tuple(args)
+        if key not in cache:
+            cfg = parse_config([*args, "--output", "unused"])
+            t0 = time.perf_counter()
+            res = run_simulation(cfg)
+            cache[key] = (res, time.perf_counter() - t0)
+        return cache[key]
+
+    return run

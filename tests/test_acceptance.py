@@ -1,10 +1,10 @@
 """Acceptance suite: every shipped guarantee, one pass/fail line per criterion.
 
-The heavyweight runs (the viscous conservation run and the N = 1024 shock run)
-are computed once per module and shared by the criteria that grade them.
+Every run goes through conftest's session-scoped timed_run, so the
+heavyweight ones (the viscous conservation run, the N = 1024 shock run and
+the alpha = 2 runs of criteria 3 and 8, which tests/test_viscous_runs.py also
+grades) are computed once and shared by the tests that grade them.
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -25,21 +25,14 @@ CONSERVATION_ARGS = ["--gamma", "0.1", "--alpha", "1", "--n", "256",
                      "--dt", "auto", "--t-final", "2"]
 
 
-def timed_run(args):
-    cfg = parse_config([*args, "--output", "unused"])
-    t0 = time.perf_counter()
-    res = run_simulation(cfg)
-    return res, time.perf_counter() - t0
-
-
 @pytest.fixture(scope="module")
-def conservation_run():
+def conservation_run(timed_run):
     """Criterion 1 config; criteria 1 and 2 grade it."""
     return timed_run(CONSERVATION_ARGS)
 
 
 @pytest.fixture(scope="module")
-def shock_run():
+def shock_run(timed_run):
     """Inviscid N = 1024 shock run; criteria 4 and 7 grade it."""
     return timed_run(["--gamma", "0", "--n", "1024", "--dt", "0.0001",
                       "--t-final", "1.2"])
@@ -65,7 +58,7 @@ def test_criterion_01_mass_conservation(conservation_run, announce):
              ok, f"max |mass| = {worst:.2e}, {elapsed:.2f} s")
 
 
-def test_criterion_02_l2_principle(conservation_run, announce):
+def test_criterion_02_l2_principle(conservation_run, timed_run, announce):
     res, _ = conservation_run
     l2 = np.array([r.l2 for r in res.records])
     worst_rise = float(np.max(np.diff(l2)))
@@ -79,7 +72,7 @@ def test_criterion_02_l2_principle(conservation_run, announce):
              ok, f"worst step rise = {worst_rise:.2e}, inviscid drift = {drift:.2e}")
 
 
-def test_criterion_03_linf_principle(announce):
+def test_criterion_03_linf_principle(timed_run, announce):
     res, elapsed = timed_run(["--gamma", "0.5", "--alpha", "2", "--t-final", "2"])
     hi = max(r.max_u for r in res.records)
     lo = min(r.min_u for r in res.records)
@@ -102,7 +95,7 @@ def test_criterion_04_blowup_law(shock_run, announce):
                  f"{res.records[-1].t:.4f}, {elapsed:.1f} s")
 
 
-def test_criterion_05_characteristics_equivalence(announce):
+def test_criterion_05_characteristics_equivalence(timed_run, announce):
     res, _ = timed_run(["--gamma", "0", "--n", "512", "--dt", "0.0001",
                         "--t-final", "0.5"])
     t_end, final = res.snapshots[-1]
@@ -164,7 +157,7 @@ def test_criterion_07_bkm_monitor(shock_run, announce):
                  f"at t = {t[upto][worst]:.4f}")
 
 
-def test_criterion_08_vanishing_viscosity(announce):
+def test_criterion_08_vanishing_viscosity(timed_run, announce):
     finals = []
     for gamma in ("0.2", "0.1", "0.05"):
         res, _ = timed_run(["--gamma", gamma, "--alpha", "2", "--t-final", "1.2"])

@@ -37,7 +37,13 @@ from fracburgers.diagnostics import (
 )
 from fracburgers.dynamics import CFL_ADVECTION, CFL_DISSIPATION, DT_GUARD, SimParams
 from fracburgers.oracles import InitialCondition, linear_decay_solution
-from fracburgers.spectral import forward_dft, inverse_dft, nodes, spectral_derivative
+from fracburgers.spectral import (
+    DEALIAS_RULES,
+    forward_dft,
+    inverse_dft,
+    nodes,
+    spectral_derivative,
+)
 
 NUMERIC_FAILURE_ARGS = [
     "--gamma", "1", "--alpha", "2", "--n", "64", "--dt", "1", "--t-final", "40",
@@ -75,6 +81,21 @@ class TestParseConfig:
         helped = _OPTIONS["ic"][1].split(" | ")
         assert re.split(r", (?:or )?", listed) == helped == list(InitialCondition.SELECTORS)
 
+    def test_dealias_text_reaches_simparams_unchanged(self, tmp_path, capsys):
+        """--dealias is the library's spelling: parse_config passes it to
+        SimParams, whose refusal and the help text are both built from
+        spectral.DEALIAS_RULES."""
+        assert _OPTIONS["dealias"][1] == " | ".join(DEALIAS_RULES) == "off | two-thirds"
+        for rule in DEALIAS_RULES:
+            assert parse_config(["--dealias", rule]).params.dealias_rule == rule
+        for bad in ("half", "two_thirds"):
+            with pytest.raises(ValueError) as refused:
+                SimParams(dealias_rule=bad)
+            assert str(refused.value) == f"dealias: expected off or two-thirds, got {bad!r}"
+        assert main(["--dealias", "half", "--output", str(tmp_path / "o")]) == 64
+        assert capsys.readouterr().err == (
+            "error: invalid value for dealias: expected off or two-thirds, got 'half'\n")
+
     def test_flags_parsed(self):
         cfg = parse_config(["--n", "128", "--gamma", "0.5", "--alpha", "1.5",
                             "--dt", "0.001", "--t-final", "2", "--dealias", "two-thirds",
@@ -83,7 +104,7 @@ class TestParseConfig:
                             "--linear-only", "--output", "results"])
         assert cfg.n == 128 and cfg.params.gamma == 0.5 and cfg.params.alpha == 1.5
         assert cfg.dt == 0.001 and cfg.t_final == 2.0
-        assert cfg.params.dealias_rule == "two_thirds" and cfg.params.linear_only
+        assert cfg.params.dealias_rule == "two-thirds" and cfg.params.linear_only
         assert cfg.snapshot_every == 0.5 and cfg.thresholds is None
         assert str(cfg.output_dir) == "results"
         on = parse_config(["--slope-limit", "50", "--tail-limit", "0.2"])

@@ -46,12 +46,12 @@ def dense_derivative(k, c, n):
 
 
 def dense_rhs(u, n, gamma, alpha, rule, linear_only):
-    """Under "off" the collocation product u u_x; under "two_thirds" the
+    """Under "off" the collocation product u u_x; under "two-thirds" the
     conservative form 0.5 (u^2)_x, then the rule's filter."""
     k, c = dense_forward(u, n)
     if linear_only:
         return -gamma * dense_inverse(np.abs(k) ** alpha * c, n)
-    if rule == "two_thirds":
+    if rule == "two-thirds":
         prod = 0.5 * dense_derivative(k, dense_forward(u * u, n)[1], n)
         prod[np.abs(k) > n / 3.0] = 0.0
     else:
@@ -88,19 +88,19 @@ def check_rhs(n, rule, linear_only):
         assert err <= RTOL, f"gamma={gamma:.3f} alpha={alpha:.3f}: {err:.2e}"
 
 
-@pytest.mark.parametrize("rule", ["off", "two_thirds"])
+@pytest.mark.parametrize("rule", ["off", "two-thirds"], ids=["off", "two_thirds"])
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_rhs_matches_dense_reference(n, rule):
     check_rhs(n, rule, linear_only=False)
 
 
-@pytest.mark.parametrize("rule", ["off", "two_thirds"])
+@pytest.mark.parametrize("rule", ["off", "two-thirds"], ids=["off", "two_thirds"])
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_linear_rhs_matches_dense_reference(n, rule):
     check_rhs(n, rule, linear_only=True)
 
 
-@pytest.mark.parametrize("rule", ["off", "two_thirds"])
+@pytest.mark.parametrize("rule", ["off", "two-thirds"], ids=["off", "two_thirds"])
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_rk4_step_matches_dense_reference(n, rule):
     """One step against classic RK4 built from the nodal dense tendency."""
@@ -124,7 +124,7 @@ def test_rk4_step_matches_dense_reference(n, rule):
         assert err <= RTOL, f"gamma={gamma:.3f} alpha={alpha:.3f}: {err:.2e}"
 
 
-@pytest.mark.parametrize("rule", ["off", "two_thirds"])
+@pytest.mark.parametrize("rule", ["off", "two-thirds"], ids=["off", "two_thirds"])
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_norms_match_dense_reference(n, rule):
     """The tail against the top third of the band the rule keeps: with K the
@@ -136,7 +136,7 @@ def test_norms_match_dense_reference(n, rule):
         power = np.abs(c) ** 2
         l2 = math.sqrt(2.0 * np.pi * np.sum(power))
         h3 = math.sqrt(2.0 * np.pi * np.sum((1.0 + k**2.0) ** 3 * power))
-        kept = np.abs(k) <= (n / 3.0 if rule == "two_thirds" else n / 2.0)
+        kept = np.abs(k) <= (n / 3.0 if rule == "two-thirds" else n / 2.0)
         top = kept & (3 * np.abs(k) >= 2 * np.abs(k[kept]).max())
         tail = np.sum(power[top]) / np.sum(power[k != 0])
         s = forward_dft(u)

@@ -205,7 +205,7 @@ class TestTailFraction:
         c[30] = 0.5
         assert tail_fraction(c) == pytest.approx(1.0, rel=1e-14)
 
-    @pytest.mark.parametrize("rule", DEALIAS_RULES)
+    @pytest.mark.parametrize("rule", DEALIAS_RULES, ids=["off", "two_thirds"])
     def test_reads_only_rows_the_rule_keeps(self, rule):
         """On random even N, the rows the tail reads are among the rows
         dealias keeps; with the rule off, they are every k >= N/3."""
@@ -233,7 +233,7 @@ class TestTailFraction:
         its non-mean power in row 1 is all tail."""
         c = np.array([0.0, -0.5j, 0.0])  # -sin x on 4 nodes
         assert tail_fraction(c) == 0.0  # with the rule off, only row 2 is tail
-        assert tail_fraction(c, rule="two_thirds") == pytest.approx(1.0, rel=1e-14)
+        assert tail_fraction(c, rule="two-thirds") == pytest.approx(1.0, rel=1e-14)
 
 
 class TestDetectionThresholds:

@@ -16,6 +16,7 @@ from fracburgers.dynamics import (
     RK4_REAL_LIMIT,
     InstabilityError,
     SimParams,
+    _plan,
     _tendency,
     rk4_step,
     stable_dt,
@@ -144,7 +145,7 @@ class TestRhs:
         # 2/3 rule removes entirely while "off" keeps it.
         x = nodes(24)
         u = np.cos(5.0 * x)
-        cut = rhs(u, SimParams(dealias_rule="two_thirds"))
+        cut = rhs(u, SimParams(dealias_rule="two-thirds"))
         kept = rhs(u, SimParams(dealias_rule="off"))
         assert np.max(np.abs(cut)) <= 1e-14
         assert np.allclose(kept, 2.5 * np.sin(10.0 * x), rtol=0, atol=1e-13)
@@ -243,7 +244,7 @@ class TestRk4Step:
                                         calls):
         """Under the 2/3 rule a stage makes two transforms (u, u^2), and
         stage 1 only the forward one when it is handed u."""
-        p = SimParams(gamma=gamma, alpha=1.5, dealias_rule="two_thirds",
+        p = SimParams(gamma=gamma, alpha=1.5, dealias_rule="two-thirds",
                       linear_only=linear_only)
         assert self.step_transforms(monkeypatch, p, with_nodal) == calls
 
@@ -253,18 +254,18 @@ class TestConservativeProduct:
     def test_equals_product_form_on_band_limited_states(self, n):
         """Under the 2/3 rule the tendency transforms u^2 and applies
         0.5 i k: the conservative form 0.5 (u^2)_x. On a state with no rows
-        above K = band_limit(N, "two_thirds") the filtered product is a
+        above K = band_limit(N, "two-thirds") the filtered product is a
         Galerkin projection, so it equals the filtered collocation product
         u u_x, the form "off" keeps, to rounding. Measured worst relative difference over these
         states: about 1e-15 at each N."""
         rng = np.random.default_rng(8000 + n)
-        k = band_limit(n, "two_thirds")
-        p = SimParams(dealias_rule="two_thirds")
+        k = band_limit(n, "two-thirds")
+        p = SimParams(dealias_rule="two-thirds")
         for _ in range(8):
             c = forward_dft(rng.standard_normal(n) * rng.uniform(0.1, 10.0))
             c[k + 1:] = 0.0
             u, ux = nodal_pair(c)
-            want = -dealias(forward_dft(u * ux), "two_thirds")
+            want = -dealias(forward_dft(u * ux), "two-thirds")
             want[0] = want[-1] = 0.0
             err = np.max(np.abs(_tendency(c, p) - want)) / np.max(np.abs(want))
             assert err <= 1e-14, err
@@ -277,10 +278,10 @@ class TestConservativeProduct:
         alias, and the worst relative error was 0.09 to 0.22. With
         K = (N - 1) // 3 it measured 9.3e-16 at worst over all six sizes."""
         rng = np.random.default_rng(9000 + n)
-        k = band_limit(n, "two_thirds")
+        k = band_limit(n, "two-thirds")
         assert 3 * k < n <= 3 * k + 3
         fine = 4 * n
-        p = SimParams(dealias_rule="two_thirds")
+        p = SimParams(dealias_rule="two-thirds")
         for _ in range(8):
             c = forward_dft(rng.standard_normal(n) * rng.uniform(0.1, 10.0))
             c[k + 1:] = 0.0
@@ -320,7 +321,7 @@ class TestGridArgumentGone:
 
 
 class TestBatchedStep:
-    @pytest.mark.parametrize("rule", ["off", "two_thirds"])
+    @pytest.mark.parametrize("rule", ["off", "two-thirds"], ids=["off", "two_thirds"])
     @pytest.mark.parametrize("n", [16, 256, 1024])
     def test_stack_equals_single_rows(self, n, rule):
         """A (8, N/2 + 1) stack is transformed, operated on and stepped row by
@@ -518,6 +519,59 @@ class TestStepInStabilityBox:
         assert CFL_ADVECTION == np.floor((1.0 - DISSIPATIVE_MARGIN) * lo)
         # Each axis alone would admit 2 i, but the corner -2 + 2i leaves the region.
         assert abs(stability_polynomial(-(-CFL_DISSIPATION + 2j))) > 1.2
+
+
+class TestKeptBandStep:
+    """Under the 2/3 rule only the kept band K = band_limit(N, "two-thirds")
+    advects, so stable_dt's advective term reads K, not N/2; its dissipative
+    term keeps N/2, since initial rows above K still decay."""
+
+    @pytest.mark.parametrize("n", [4, 6, 48, 64, 96, 256, 300, 16384])
+    def test_advective_term_reads_the_kept_band(self, n):
+        """Under "off" the bound is min(C_adv/(max|u| n/2 + eps),
+        C_diff/(gamma (n/2)^alpha + eps)) bit for bit; under "two-thirds" the
+        advective term has K in place of n/2 and the dissipative one is the
+        same. gamma = 0 and max|u| = 0 let each term bind alone."""
+        k = band_limit(n, "two-thirds")
+        for u_max, gamma, alpha in [(1.0, 0.0, 1.0), (0.0, 0.2, 1.5), (0.3, 0.05, 1.0),
+                                    (2.5, 0.5, 2.0), (1e-3, 1.0, 0.5)]:
+            dissipative = CFL_DISSIPATION / (gamma * (n / 2.0) ** alpha + DT_GUARD)
+            off = SimParams(gamma=gamma, alpha=alpha)
+            cut = dataclasses.replace(off, dealias_rule="two-thirds")
+            assert stable_dt(u_max, n, off) == min(
+                CFL_ADVECTION / (u_max * (n / 2.0) + DT_GUARD), dissipative)
+            assert stable_dt(u_max, n, cut) == min(
+                CFL_ADVECTION / (u_max * k + DT_GUARD), dissipative)
+
+    @pytest.mark.parametrize("n", [48, 64, 96])
+    def test_jacobian_radius_is_at_most_k_max_u(self, n):
+        """The dealiased quadratic term's Jacobian at u, v -> -i k P_K(u v),
+        formed densely from _plan's product multiplier (which holds 0.5 i k,
+        so it takes rfft(2 u v)): its spectral radius is at most K max|u|, and
+        it puts nothing in the rows above K."""
+        k = band_limit(n, "two-thirds")
+        product = _plan(n // 2 + 1, 1.0, "two-thirds")[1]
+        rng = np.random.default_rng(7000 + n)
+        for _ in range(4):
+            c = forward_dft(rng.standard_normal(n) * rng.uniform(0.1, 10.0))
+            c[k + 1:] = 0.0
+            u = inverse_dft(c)
+            columns = np.fft.rfft(2.0 * u * np.eye(n), norm="forward") * product
+            assert not columns[:, k + 1:].any()
+            radius = np.max(np.abs(np.linalg.eigvals(np.fft.irfft(columns, norm="forward"))))
+            assert 0.0 < radius <= k * np.max(np.abs(u)) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("gamma, alpha", [(0.1, 1.0), (0.2, 1.5)])
+    def test_dealiased_auto_runs_stay_damped(self, gamma, alpha, seed):
+        """Seeded dealiased runs at the kept-band step, which the advective
+        term sets here: L2 never rises and the mass is constant to the bit."""
+        res = run_simulation(parse_config([
+            "--n", "256", "--gamma", str(gamma), "--alpha", str(alpha), "--dealias", "two-thirds",
+            "--ic", f"random:8:{seed}", "--t-final", "0.5", "--output", "unused"]))
+        assert res.status == "completed"
+        assert np.max(np.diff([r.l2 for r in res.records])) <= 0.0
+        assert all(r.mass == res.records[0].mass for r in res.records)
 
 
 class TestConvergenceOrder:

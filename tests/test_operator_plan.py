@@ -6,7 +6,7 @@ rule, and can reuse a handed-over u and u_x in its first stage. The slow path
 here composes the public operators (inverse_dft, spectral_derivative,
 forward_dft, dealias, fractional_laplacian) call by call, as the stepper did
 before the multipliers were cached: -dealias(u u_x) under "off" and
--0.5 dealias(D(u^2)) under "two_thirds". The fast path must reproduce it
+-0.5 dealias(D(u^2)) under "two-thirds". The fast path must reproduce it
 exactly, not only to rounding: the run outputs are byte-identical across
 that change.
 """
@@ -36,7 +36,7 @@ def slow_tendency(c, p):
     hat = np.zeros_like(c)
     if not p.linear_only:
         u = inverse_dft(c)
-        if p.dealias_rule == "two_thirds":
+        if p.dealias_rule == "two-thirds":
             hat = -0.5 * dealias(spectral_derivative(forward_dft(u * u)), p.dealias_rule)
         else:
             ux = inverse_dft(spectral_derivative(c))
@@ -64,7 +64,7 @@ def random_states(n, seed, count=3):
 
 
 @pytest.mark.parametrize("case", CASES)
-@pytest.mark.parametrize("rule", ["off", "two_thirds"])
+@pytest.mark.parametrize("rule", ["off", "two-thirds"], ids=["off", "two_thirds"])
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_tendency_and_step_equal_public_operators(n, rule, case):
     states = random_states(n, seed=4000 + n)
@@ -87,14 +87,14 @@ def test_plan_multipliers_equal_public_operators():
     for _ in range(12):
         n = 2 * int(rng.integers(2, 300))
         alpha = 2.0 - rng.uniform(0.0, 2.0)
-        rule = str(rng.choice(["off", "two_thirds"]))
+        rule = str(rng.choice(["off", "two-thirds"]))
         (c,) = random_states(n, seed=int(rng.integers(1 << 30)), count=1)
         derivative, product, laplacian = _plan(len(c), alpha, rule)
         assert np.array_equal(c * derivative, spectral_derivative(c))
         assert np.array_equal(c * laplacian, fractional_laplacian(c, alpha))
         want = -dealias(c, rule)
         want[0] = want[-1] = 0.0
-        if rule == "two_thirds":  # the tendency transforms u^2: 0.5 (u^2)_x
+        if rule == "two-thirds":  # the tendency transforms u^2: 0.5 (u^2)_x
             want = 0.5 * spectral_derivative(want)
         assert np.array_equal(c * product, want)
         assert not any(a.flags.writeable for a in (derivative, product, laplacian))
@@ -105,7 +105,7 @@ def test_two_sizes_alternate_through_one_params(case):
     """The plan cache is keyed by the row count as well as alpha and the
     rule: states of two sizes stepped alternately through one SimParams each
     get the multipliers of their own N."""
-    p = SimParams(alpha=1.3, dealias_rule="two_thirds", **CASES[case])
+    p = SimParams(alpha=1.3, dealias_rule="two-thirds", **CASES[case])
     small, large = random_states(16, seed=7016), random_states(24, seed=7024)
     for s in (small[0], large[0], small[1], large[1], small[2], large[2]):
         assert np.array_equal(rk4_step(s, p, 1e-3), slow_rk4_step(s, p, 1e-3))
@@ -115,7 +115,7 @@ def test_params_differing_in_gamma_share_one_plan():
     """The plan holds only what alpha and the rule decide, so SimParams that
     differ in gamma or linear_only share it: each step, through either,
     still equals the slow path bit for bit."""
-    base = dict(alpha=0.7, dealias_rule="two_thirds")
+    base = dict(alpha=0.7, dealias_rule="two-thirds")
     pairs = [(SimParams(gamma=0.0, **base), SimParams(gamma=0.9, **base)),
              (SimParams(gamma=0.3, **base), SimParams(gamma=0.3, linear_only=True, **base))]
     (start,) = random_states(32, seed=7032, count=1)

@@ -331,7 +331,7 @@ class TestDealias:
         cos 3x = -cos 3(x + pi)."""
         xs = nodes(12)
         u = np.cos(3.0 * xs) + np.cos(4.0 * xs) + np.cos(5.0 * xs)
-        out = dealias(forward_dft(u), "two_thirds")
+        out = dealias(forward_dft(u), "two-thirds")
         assert abs(out[5]) == 0.0
         assert abs(out[6]) == 0.0
         assert abs(out[4]) == 0.0

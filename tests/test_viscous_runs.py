@@ -6,13 +6,14 @@ are the acceptance suite's criterion 3 and criterion 8 runs and the stiff
 benchmark run, all bound by the dissipative step. Every snapshot is graded.
 Each tolerance is about three times the worst error measured with
 CFL_DISSIPATION = 2, or 1e-14 where that error is rounding; the error of the
-gamma = 0.1 and 0.05 runs is RK4's time error.
+gamma = 0.1 and 0.05 runs is RK4's time error. The runs come from conftest's
+session cache, so the acceptance suite's criteria 3 and 8 share them.
 """
 
 import numpy as np
 import pytest
 
-from fracburgers.cli import parse_config, run_simulation
+from fracburgers.cli import parse_config
 from fracburgers.oracles import cole_hopf_solution
 from fracburgers.spectral import nodes
 
@@ -29,9 +30,9 @@ from fracburgers.spectral import nodes
      1e-14),
 ], ids=["criterion-3", "criterion-8-gamma-0.2", "criterion-8-gamma-0.1",
         "criterion-8-gamma-0.05", "stiff-256"])
-def test_auto_step_run_matches_cole_hopf(args, tol):
+def test_auto_step_run_matches_cole_hopf(args, tol, timed_run):
     cfg = parse_config([*args, "--output", "unused"])
-    res = run_simulation(cfg)
+    res, _ = timed_run(args)
     assert res.status == "completed" and res.snapshots[-1][0] == cfg.t_final
     errors = [float(np.max(np.abs(u - cole_hopf_solution(1.0, cfg.params.gamma,
                                                          nodes(cfg.n), t))))
