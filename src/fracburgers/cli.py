@@ -37,7 +37,7 @@ from . import dynamics
 from .dynamics import InstabilityError, SimParams, rk4_step, stable_dt
 from ._writer import _fmt, format_column, write_csv
 from .oracles import InitialCondition
-from .spectral import DEALIAS_RULES, as_float, forward_dft, nodal_pair, nodes, validate_n
+from .spectral import DEALIAS_RULES, as_float, dealias, forward_dft, nodal_pair, nodes, validate_n
 
 EXIT_CODES = {"completed": 0, "blowup_detected": 2, "resolution_lost": 3,
               "numeric_failure": 4}
@@ -278,25 +278,34 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     step. Each state's nodal u and u_x are formed once: its record, its
     snapshot, its slope norm ||u_x||_inf and the first stage of the next
     step share them. The loop sums the BKM integral from the slope norms
-    of consecutive states (trapezoid rule) and hands it to observe. The t=0
-    snapshot is the sampled profile itself.
+    of consecutive states (trapezoid rule) and hands it to observe. The run
+    starts from the sampled profile's spectrum projected by the dealias rule,
+    so under "two-thirds" the rows above K = band_limit(n, rule) are zero at
+    every stage, and the t=0 record, snapshot and maximum-principle warning
+    read that projected state. Under "off" the projection keeps every row,
+    and the t=0 snapshot and warning read the sampled profile itself.
     """
     p = cfg.params
     u0 = cfg.ic(nodes(cfg.n))
 
-    warnings: list[str] = []
-    max0, min0 = extrema(u0)
-    if not (max0 >= 0.0 and min0 <= 0.0):
-        warnings.append(
-            "maximum-principle hypotheses do not hold at t=0 "
-            f"(need max u >= 0 >= min u, got max={max0:.6g}, min={min0:.6g}); "
-            "the extrema bounds are monitored but not guaranteed"
-        )
-
     # Finiteness is checked explicitly: observe on each record, rk4_step on its result.
     with np.errstate(over="ignore", invalid="ignore"):
-        c = forward_dft(u0)
+        c = dealias(forward_dft(u0), p.dealias_rule)
         nodal = nodal_pair(c)
+        # u0 is the t=0 state at the nodes. Under "off" it stays the sampled
+        # profile, which irfft(rfft(u0)) reproduces only to rounding.
+        if p.dealias_rule != "off":
+            u0 = nodal[0]
+
+        warnings: list[str] = []
+        max0, min0 = extrema(u0)
+        if not (max0 >= 0.0 and min0 <= 0.0):
+            warnings.append(
+                "maximum-principle hypotheses do not hold at t=0 "
+                f"(need max u >= 0 >= min u, got max={max0:.6g}, min={min0:.6g}); "
+                "the extrema bounds are monitored but not guaranteed"
+            )
+
         norm = float(np.abs(nodal[1]).max())
         t = 0.0
         rec = observe(c, t, nodal=nodal, rule=p.dealias_rule)

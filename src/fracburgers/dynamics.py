@@ -19,8 +19,9 @@ term is formed at the nodes. Its form follows the dealias rule:
   N/2 onto |k| >= N - 2K > K, where the filter removes them. So the
   filtered product is the Galerkin projection of u u_x (Orszag's rule),
   and the two forms give the same tendency to rounding. The conservative
-  one needs u alone. On a state with rows above K (initial data, which the
-  run never filters) the two are different schemes.
+  one needs u alone. A run starts from the projected spectrum (cli's
+  run_simulation), and both the product and the laplacian keep zeros above
+  K, so its state has no rows above K at any stage.
 
 The product's unpaired Nyquist mode is dropped, as the derivative drops it,
 so the state's c_{N/2} only decays under gamma, and its zero mode is never
@@ -52,12 +53,11 @@ limit less DISSIPATIVE_MARGIN = 28% rounded down. R(-2) is 1/3, so every
 mode is damped, and none changes sign. With that real extent the box stays
 in the region up to the half-height RK4_BOX_LIMIT = 1.856, where its corners
 -2 +- 1.856i reach |R| = 1 (|R(-2 + 2i)| = 1.20). The advective step keeps
-the same margin: CFL_ADVECTION = floor(0.72 * 1.856) = 1. The advective
-bound spans the kept band K = spectral.band_limit(N, rule): under
+the same margin: CFL_ADVECTION = floor(0.72 * 1.856) = 1. Both bounds span
+the kept band K = spectral.band_limit(N, rule), N/2 under "off": under
 "two-thirds" the quadratic term's Jacobian v -> -i k P_K(u v) has norm at
-most K max|u| (P_K has norm 1), and rows above K do not advect. The
-dissipative bound spans N/2 under both rules: initial rows above K are never
-filtered, and -gamma |k|^alpha damps them.
+most K max|u| (P_K has norm 1), and a state with no rows above K has no
+mode faster than gamma K^alpha to damp.
 """
 
 from __future__ import annotations
@@ -203,11 +203,11 @@ def rk4_step(c: np.ndarray, p: SimParams, dt: float, *,
 def stable_dt(u_max: float, n: int, p: SimParams) -> float:
     """CFL-style step bound from u_max = max|u|, recomputed each "auto" step.
 
-    min( C_adv/(max|u|*K + eps), C_diff/(gamma*k_max^alpha + eps) ) with
-    C_adv = CFL_ADVECTION = 1.0, C_diff = CFL_DISSIPATION = 2.0, K =
-    band_limit(n, p.dealias_rule), since the quadratic term's Jacobian has
-    spectral radius at most K max|u|, and k_max = n/2, since initial rows
-    above K still decay; the module docstring derives each. Degenerate
+    min( C_adv/(max|u|*K + eps), C_diff/(gamma*K^alpha + eps) ) with
+    C_adv = CFL_ADVECTION = 1.0, C_diff = CFL_DISSIPATION = 2.0 and K =
+    band_limit(n, p.dealias_rule); the module docstring derives each. The
+    bound holds for states with no rows above K, which run_simulation
+    guarantees by starting from the projected spectrum. Degenerate
     inputs (zero field, gamma 0) give a huge value that the run loop caps at
     the distance to the next stop time. A non-finite u_max, a diverged
     state, raises InstabilityError; a negative u_max, or an n that
@@ -220,6 +220,7 @@ def stable_dt(u_max: float, n: int, p: SimParams) -> float:
     if u_max < 0.0:
         raise ValueError(f"u_max: must be >= 0, got {u_max!r}")
     n = validate_n(n)
-    advective = CFL_ADVECTION / (u_max * band_limit(n, p.dealias_rule) + DT_GUARD)
-    dissipative = CFL_DISSIPATION / (p.gamma * (n / 2.0)**p.alpha + DT_GUARD)
+    k = band_limit(n, p.dealias_rule)
+    advective = CFL_ADVECTION / (u_max * k + DT_GUARD)
+    dissipative = CFL_DISSIPATION / (p.gamma * k**p.alpha + DT_GUARD)
     return min(advective, dissipative)

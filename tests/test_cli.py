@@ -517,6 +517,16 @@ class TestRunSimulation:
         res = run_simulation(config("--ic", "gaussian:1.0", "--n", "32", "--t-final", "0.2"))
         assert res.warnings and "maximum-principle" in res.warnings[0]
 
+    def test_dealiased_warning_reads_the_projected_state(self):
+        """gaussian:0.2 is positive at every node, but its projection onto
+        the kept band of 32 nodes dips below 0, so only the run with
+        dealiasing off warns."""
+        args = ("--ic", "gaussian:0.2", "--n", "32", "--t-final", "0.01",
+                "--snapshot-every", "0.01")
+        assert run_simulation(config(*args)).warnings
+        res = run_simulation(config(*args, "--dealias", "two-thirds"))
+        assert res.records[0].min_u < 0.0 and res.warnings == ()
+
     def test_linear_run_matches_decay_oracle(self):
         """End to end against the exact semigroup, not just one step."""
         cfg = config("--gamma", "1", "--alpha", "2", "--n", "64",

@@ -403,7 +403,7 @@ class TestStableDt:
         assert abs(dt - CFL_ADVECTION / 32.0) <= 1e-12
 
     def test_dissipative_bound_example(self):
-        """gamma = 1, alpha = 2 on N = 64: gamma k_max^alpha is 32**2 = 1024."""
+        """gamma = 1, alpha = 2 on N = 64: gamma K^alpha is 32**2 = 1024."""
         dt = stable_dt(1e-3, 64, SimParams(gamma=1.0, alpha=2.0))
         assert abs(dt - CFL_DISSIPATION / 1024.0) <= 1e-12
 
@@ -522,26 +522,27 @@ class TestStepInStabilityBox:
 
 
 class TestKeptBandStep:
-    """Under the 2/3 rule only the kept band K = band_limit(N, "two-thirds")
-    advects, so stable_dt's advective term reads K, not N/2; its dissipative
-    term keeps N/2, since initial rows above K still decay."""
+    """Under the 2/3 rule a run's state lives on the kept band
+    K = band_limit(N, "two-thirds"): only it advects and only it decays, so
+    both of stable_dt's terms read K, not N/2."""
 
     @pytest.mark.parametrize("n", [4, 6, 48, 64, 96, 256, 300, 16384])
     def test_advective_term_reads_the_kept_band(self, n):
         """Under "off" the bound is min(C_adv/(max|u| n/2 + eps),
-        C_diff/(gamma (n/2)^alpha + eps)) bit for bit; under "two-thirds" the
-        advective term has K in place of n/2 and the dissipative one is the
-        same. gamma = 0 and max|u| = 0 let each term bind alone."""
+        C_diff/(gamma (n/2)^alpha + eps)) bit for bit; under "two-thirds"
+        both terms have K in place of n/2. gamma = 0 and max|u| = 0 let each
+        term bind alone."""
         k = band_limit(n, "two-thirds")
         for u_max, gamma, alpha in [(1.0, 0.0, 1.0), (0.0, 0.2, 1.5), (0.3, 0.05, 1.0),
                                     (2.5, 0.5, 2.0), (1e-3, 1.0, 0.5)]:
-            dissipative = CFL_DISSIPATION / (gamma * (n / 2.0) ** alpha + DT_GUARD)
             off = SimParams(gamma=gamma, alpha=alpha)
             cut = dataclasses.replace(off, dealias_rule="two-thirds")
             assert stable_dt(u_max, n, off) == min(
-                CFL_ADVECTION / (u_max * (n / 2.0) + DT_GUARD), dissipative)
+                CFL_ADVECTION / (u_max * (n / 2.0) + DT_GUARD),
+                CFL_DISSIPATION / (gamma * (n / 2.0) ** alpha + DT_GUARD))
             assert stable_dt(u_max, n, cut) == min(
-                CFL_ADVECTION / (u_max * k + DT_GUARD), dissipative)
+                CFL_ADVECTION / (u_max * k + DT_GUARD),
+                CFL_DISSIPATION / (gamma * float(k) ** alpha + DT_GUARD))
 
     @pytest.mark.parametrize("n", [48, 64, 96])
     def test_jacobian_radius_is_at_most_k_max_u(self, n):
@@ -561,6 +562,36 @@ class TestKeptBandStep:
             radius = np.max(np.abs(np.linalg.eigvals(np.fft.irfft(columns, norm="forward"))))
             assert 0.0 < radius <= k * np.max(np.abs(u)) * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("ic", ["random:100:0", "gaussian:0.05"])
+    def test_run_starts_from_the_projected_spectrum(self, ic):
+        """A dealiased run's t = 0 record and snapshot are those of the
+        sampled profile's spectrum with the rows above K zeroed, bit for bit.
+        Both profiles hold rows above K = 85 on 256 nodes."""
+        cfg = parse_config(["--n", "256", "--ic", ic, "--dealias", "two-thirds", "--dt", "0.001",
+                            "--t-final", "0.002", "--snapshot-every", "0.001",
+                            "--output", "unused"])
+        sampled = forward_dft(cfg.ic(nodes(cfg.n)))
+        assert sampled[band_limit(cfg.n, "two-thirds") + 1:].any()
+        c = dealias(sampled, "two-thirds")
+        res = run_simulation(cfg)
+        assert res.records[0] == observe(c, 0.0, rule="two-thirds")
+        assert res.snapshots[0][0] == 0.0
+        assert np.array_equal(res.snapshots[0][1], inverse_dft(c))
+
+    @pytest.mark.parametrize("ic", ["random:100:0", "gaussian:0.05"])
+    @pytest.mark.parametrize("gamma, linear_only", [(0.0, False), (0.1, False), (0.1, True)],
+                             ids=["inviscid", "damped", "linear-only"])
+    def test_steps_keep_the_rows_above_k_zero(self, ic, gamma, linear_only):
+        """From a projected spectrum, neither the product nor the laplacian
+        puts anything above K, so the rows stay exactly zero step after step."""
+        n = 256
+        k = band_limit(n, "two-thirds")
+        p = SimParams(gamma=gamma, alpha=1.5, dealias_rule="two-thirds", linear_only=linear_only)
+        c = dealias(forward_dft(InitialCondition.parse(ic)(nodes(n))), "two-thirds")
+        for _ in range(40):
+            c = rk4_step(c, p, stable_dt(float(np.max(np.abs(inverse_dft(c)))), n, p))
+            assert not c[k + 1:].any()
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("gamma, alpha", [(0.1, 1.0), (0.2, 1.5)])
     def test_dealiased_auto_runs_stay_damped(self, gamma, alpha, seed):
@@ -572,6 +603,35 @@ class TestKeptBandStep:
         assert res.status == "completed"
         assert np.max(np.diff([r.l2 for r in res.records])) <= 0.0
         assert all(r.mass == res.records[0].mass for r in res.records)
+
+
+class TestH1EnergyBound:
+    """The energy method gives ||u_x(t)||_2 <= ||u_x(0)||_2 exp(B(t)/2) while
+    the solution is smooth, with B the BKM integral of ||u_x||_inf that the
+    record carries. Under the 2/3 rule the filtered product is the Galerkin
+    projection of u u_x onto the kept band, where the state lives, so the
+    semi-discrete scheme obeys the bound exactly. The worst ratio over
+    random:8:{0..3}, alpha in {0.5, 1, 1.5, 2}, gamma in {0.05, 0.2} (N = 256,
+    t <= 1) was 0.967, at the first case below."""
+
+    @staticmethod
+    def slope_norm(u):
+        return float(np.sqrt(np.mean(inverse_dft(spectral_derivative(forward_dft(u))) ** 2)))
+
+    @pytest.mark.parametrize("seed, alpha, gamma", [
+        (1, 0.5, 0.05), (1, 1.0, 0.05), (1, 1.5, 0.05), (1, 2.0, 0.05),
+        (0, 0.5, 0.2), (0, 1.0, 0.05), (2, 1.5, 0.2), (3, 2.0, 0.05),
+    ])
+    def test_slope_norm_within_its_bkm_bound(self, seed, alpha, gamma):
+        res = run_simulation(parse_config([
+            "--n", "256", "--gamma", str(gamma), "--alpha", str(alpha), "--dealias", "two-thirds",
+            "--ic", f"random:8:{seed}", "--t-final", "1", "--snapshot-every", "0.02",
+            "--detect-blowup", "false", "--output", "unused"]))
+        assert res.status == "completed" and len(res.snapshots) == 51
+        bkm = {r.t: r.bkm_integral for r in res.records}
+        initial = self.slope_norm(res.snapshots[0][1])
+        ratios = [self.slope_norm(u) / (initial * np.exp(bkm[t] / 2.0)) for t, u in res.snapshots]
+        assert max(ratios) <= 1.0, ratios
 
 
 class TestConvergenceOrder:
