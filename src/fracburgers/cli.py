@@ -87,7 +87,8 @@ class RunConfig:
     dt is a positive step or "auto", in which case the run loop calls
     stable_dt before every step. The run ends at t_final, stores snapshots
     at multiples of snapshot_every, and stops early when check_blowup fires
-    under thresholds; None turns detection off.
+    under thresholds; None turns off the slope and tail rules, while a
+    non-finite record still ends the run.
 
     Every run rule is checked here, ranges first, then the budgets and the
     cross-field rules, worded "<key>: <reason>", so a config built by hand
@@ -316,7 +317,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         eps = 1e-12 * cfg.t_final
         snap_idx = 1
         while True:
-            cause = None if cfg.thresholds is None else check_blowup(rec, cfg.thresholds)
+            cause = check_blowup(rec, cfg.thresholds)
             if cause is not None:
                 status = _CAUSE_TO_STATUS[cause]
                 break

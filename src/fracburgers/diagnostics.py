@@ -18,19 +18,22 @@ factor. The spectrum is stored as the half c_0 .. c_{N/2}, so each row
 0 < k < N/2 counts twice, for itself and its conjugate c_{-k}, while c_0 and
 c_{N/2} count once.
 
-Mass, the norms and the tail are read from one half-spectrum, a 1-D
-coefficient array of length N/2 + 1 that is its own record of N (nothing
-here takes a grid), and cost no transform; extrema takes nodal values.
-They refuse a stack of states (any other ndim) with ValueError rather than
-fold its rows into one number. observe assembles a run's record from the
-half-spectrum state: u and u_x (nodal_pair, two inverse transforms, or the
-pair the run loop hands in) for the extrema and the slope, the spectral
-observables for the rest, and the BKM integral as the run loop hands it
-in: the loop sums it with bkm_accumulate from the slope norms of
-consecutive states. The norms and the tail are each defined once, on the
-paired power |c_k|^2 + |c_{-k}|^2, which observe computes once per record;
-the Sobolev weights are built once per (rows, order).
-check_blowup returns the detection cause one record fires, or None.
+Every observable reads the last axis, as the spectral operators do: mass,
+the norms and the tail take a half-spectrum of shape (..., N/2 + 1), whose
+last axis is its own record of N (nothing here takes a grid), and cost no
+transform; extrema takes nodal values of shape (..., N). Each returns one
+value per state, a numpy.float64 for one state and an array of the leading
+shape for a stack, and checks its spectrum with spectral.validate_spectrum,
+so a non-real c_0 or c_{N/2} raises SymmetryError. observe assembles a
+record from the half-spectrum state, checked once: u and u_x (nodal_pair,
+two inverse transforms for the whole stack, or the pair the run loop hands
+in) for the extrema and the slope, the spectral observables for the rest,
+and the BKM integral as the run loop hands it in: the loop sums it with
+bkm_accumulate from the slope norms of consecutive states. The norms and
+the tail are each defined once, on the paired power |c_k|^2 + |c_{-k}|^2,
+which observe computes once per record; the Sobolev weights are built once
+per (rows, order).
+check_blowup returns the detection cause one state's record fires, or None.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectral import as_float, band_limit, nodal_pair
+from .spectral import as_float, band_limit, nodal_pair, validate_spectrum
 
 TAIL_GUARD = 1e-300  # keeps the tail ratio defined for the zero field
 
@@ -52,8 +55,13 @@ class SingularTimeError(ValueError):
 
 
 class DiagnosticsRecord(NamedTuple):
-    """Scalar observables of one time point, in diagnostics.csv's column
-    order: a record is its CSV row, and _fields is the header."""
+    """The observables of one time point, in diagnostics.csv's column
+    order: a record is its CSV row, and _fields is the header.
+
+    Each field is a float (numpy.float64) for one state and a (B,) array
+    for a (B, N/2 + 1) stack, row b being the record of state b.
+    check_blowup reads one state's record.
+    """
 
     t: float
     mass: float
@@ -81,29 +89,33 @@ class DetectionThresholds:
         object.__setattr__(self, "tail_limit", tail_limit)
 
 
-def mass(c: np.ndarray) -> float:
+def mass(c: np.ndarray) -> float | np.ndarray:
     """Integral of u over the interval: 2*pi times the zero coefficient.
 
     On a uniform periodic grid this is identical to the trapezoid rule.
     """
-    return 2.0 * np.pi * float(_one_spectrum(c)[0].real)
+    validate_spectrum(c)
+    return _mass_of(c)
 
 
-def l2_norm(c: np.ndarray) -> float:
+def l2_norm(c: np.ndarray) -> float | np.ndarray:
+    validate_spectrum(c)
     return _l2_of(_paired_power(c))
 
 
-def sobolev_norm(c: np.ndarray, order: float) -> float:
+def sobolev_norm(c: np.ndarray, order: float) -> float | np.ndarray:
     """sqrt(2*pi * sum (1 + k^2)^order |c_k|^2); order 0 reduces to l2_norm."""
     order = float(order)
     if not 0.0 <= order < math.inf:
         raise ValueError(f"sobolev order must be >= 0 and finite, got {order!r}")
+    validate_spectrum(c)
     return _sobolev_of(_paired_power(c), order)
 
 
-def extrema(u: np.ndarray) -> tuple[float, float]:
-    """Nodal (max, min)."""
-    return float(np.max(u)), float(np.min(u))
+def extrema(u: np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Nodal (max, min) over the last axis."""
+    u = np.asarray(u)
+    return u.max(axis=-1), u.min(axis=-1)
 
 
 def predicted_blowup_time(m0: float) -> float | None:
@@ -134,7 +146,7 @@ def bkm_accumulate(prev_integral: float, prev_norm: float, new_norm: float,
     return prev_integral + dt * (prev_norm + new_norm) / 2.0
 
 
-def tail_fraction(c: np.ndarray, *, rule: str = "off") -> float:
+def tail_fraction(c: np.ndarray, *, rule: str = "off") -> float | np.ndarray:
     """Share of (non-mean) spectral energy in the top third of the kept band.
 
     The band rule keeps is 0 .. K, K = band_limit(N, rule), and its top
@@ -142,19 +154,24 @@ def tail_fraction(c: np.ndarray, *, rule: str = "off") -> float:
     2N/9 <= |k| < N/3 with "two-thirds". Approaching 1 means that top
     third carries the field: the grid has stopped resolving the solution.
     """
-    return _tail_of(_paired_power(c), rule)
+    validate_spectrum(c)
+    with np.errstate(invalid="ignore"):  # an infinite tail gives NaN (inf / inf), unwarned
+        return _tail_of(_paired_power(c), rule)
 
 
 def check_blowup(rec: DiagnosticsRecord,
-                 thresholds: DetectionThresholds) -> str | None:
-    """Detection policy for one record: the cause that fires, or None.
+                 thresholds: DetectionThresholds | None) -> str | None:
+    """Detection policy for one state's record: the cause that fires, or None.
 
     "non_finite" (any field NaN/Inf) outranks "slope_threshold"
     (|min_slope| > slope_limit), which outranks "resolution_loss"
-    (tail_fraction > tail_limit).
+    (tail_fraction > tail_limit). With thresholds None only the
+    non-finite rule applies.
     """
     if not all(math.isfinite(v) for v in rec):
         return "non_finite"
+    if thresholds is None:
+        return None
     if abs(rec.min_slope) > thresholds.slope_limit:
         return "slope_threshold"
     if rec.tail_fraction > thresholds.tail_limit:
@@ -167,57 +184,62 @@ def observe(c: np.ndarray, t: float, *, bkm: float = 0.0,
             rule: str = "off") -> DiagnosticsRecord:
     """Assemble the full record for the half-spectrum c at time t.
 
-    bkm is the integral of ||u_x||_inf up to t, which the caller sums
-    (bkm_accumulate) and the record carries as it is. rule is the run's
-    dealias rule: tail_fraction reads the top third of the band it keeps.
+    For a (B, N/2 + 1) stack each field is a (B,) array, row b equal to
+    the record of c[b]; t, and bkm if it is one number, are repeated in
+    every row. bkm is the integral of ||u_x||_inf up to t, which the caller
+    sums (bkm_accumulate). rule is the run's dealias rule: tail_fraction
+    reads the top third of the band it keeps.
 
-    Two inverse transforms (u and u_x), none if nodal, the nodal_pair(c)
-    the caller already holds, is handed in.
+    Two inverse transforms (u and u_x) for the whole stack, none if nodal,
+    the nodal_pair(c) the caller already holds, is handed in.
     """
+    validate_spectrum(c)
+    states = c.shape[:-1]
     with np.errstate(over="ignore", invalid="ignore"):
         u, slope = nodal_pair(c) if nodal is None else nodal
         max_u, min_u = extrema(u)
         power = _paired_power(c)
         return DiagnosticsRecord(
-            t=float(t),
-            mass=mass(c),
+            t=np.full(states, t, dtype=float)[()],
+            mass=_mass_of(c),
             l2=_l2_of(power),
             max_u=max_u,
             min_u=min_u,
-            min_slope=float(slope.min()),
-            bkm_integral=bkm,
+            min_slope=slope.min(axis=-1),
+            bkm_integral=np.full(states, bkm, dtype=float)[()],
             h3=_sobolev_of(power, 3.0),
             tail_fraction=_tail_of(power, rule),
         )
 
 
-def _one_spectrum(c: np.ndarray) -> np.ndarray:
-    """c itself, after checking that it is one half-spectrum, not a stack."""
-    if c.ndim != 1 or len(c) < 3:
-        raise ValueError(f"coefficient array must be 1-D with length >= 3, got shape {c.shape}")
-    return c
+def _mass_of(c: np.ndarray) -> float | np.ndarray:
+    return 2.0 * np.pi * c[..., 0].real
 
 
 def _paired_power(c: np.ndarray) -> np.ndarray:
-    """|c_k|^2 + |c_{-k}|^2 per stored row; c_0 and c_{N/2} have no partner."""
-    power = 2.0 * np.abs(_one_spectrum(c)) ** 2
-    power[0] *= 0.5
-    power[-1] *= 0.5
+    """|c_k|^2 + |c_{-k}|^2 per stored row; c_0 and c_{N/2} have no partner.
+
+    The power is laid out in C order whatever the layout of c, so each
+    state's sums run over contiguous rows, in the order of a single state's.
+    """
+    power = 2.0 * np.abs(c, order="C") ** 2
+    power[..., ::power.shape[-1] - 1] *= 0.5
     return power
 
 
-def _l2_of(power: np.ndarray) -> float:
-    return math.sqrt(2.0 * np.pi * float(np.sum(power)))
+def _l2_of(power: np.ndarray) -> float | np.ndarray:
+    return np.sqrt(2.0 * np.pi * power.sum(axis=-1))
 
 
-def _sobolev_of(power: np.ndarray, order: float) -> float:
-    return math.sqrt(2.0 * np.pi * float(np.sum(_sobolev_weights(len(power), order) * power)))
+def _sobolev_of(power: np.ndarray, order: float) -> float | np.ndarray:
+    weights = _sobolev_weights(power.shape[-1], order)
+    return np.sqrt(2.0 * np.pi * (weights * power).sum(axis=-1))
 
 
-def _tail_of(power: np.ndarray, rule: str) -> float:
-    k = band_limit(2 * (len(power) - 1), rule)
-    tail = float(np.sum(power[k - k // 3:k + 1]))  # rows ceil(2K/3) .. K
-    total = float(np.sum(power[1:]))
+def _tail_of(power: np.ndarray, rule: str) -> float | np.ndarray:
+    k = band_limit(2 * (power.shape[-1] - 1), rule)
+    tail = power[..., k - k // 3:k + 1].sum(axis=-1)  # rows ceil(2K/3) .. K
+    total = power[..., 1:].sum(axis=-1)
     return tail / (total + TAIL_GUARD)
 
 

@@ -146,8 +146,10 @@ def nodal_pair(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A run forms this pair once per state and shares it between the state's
     record, its snapshot and the first stage of the step that leaves it.
+    c is checked once, by inverse_dft: the derivative of a valid
+    half-spectrum has c_0 = c_{N/2} = 0.
     """
-    return inverse_dft(c), inverse_dft(spectral_derivative(c))
+    return inverse_dft(c), np.fft.irfft(spectral_derivative(c), norm="forward")
 
 
 def spectral_derivative(c: np.ndarray) -> np.ndarray:

@@ -875,6 +875,18 @@ class TestMain:
         code = main([*NUMERIC_FAILURE_ARGS, "--output", str(tmp_path / "o")])
         assert code == EXIT_CODES["numeric_failure"] == 4
 
+    def test_non_finite_record_ends_a_run_without_detection(self, tmp_path):
+        """--detect-blowup false turns off the slope and tail rules only: a
+        profile whose h3 overflows still ends the run at t = 0."""
+        out = tmp_path / "o"
+        code = main(["--n", "64", "--gamma", "0", "--ic", "scaled-neg-sine:3e153",
+                     "--dt", "1e-300", "--t-final", "1e-298", "--snapshot-every", "1e-298",
+                     "--detect-blowup", "false", "--output", str(out)])
+        assert code == EXIT_CODES["numeric_failure"] == 4
+        rows = (out / "diagnostics.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == 1 and rows[0].startswith("0,")
+        assert "detection_cause: non_finite\n" in (out / "report.txt").read_text(encoding="utf-8")
+
     def test_unwritable_output_exits_one(self, tmp_path, capsys):
         blocker = tmp_path / "taken"
         blocker.write_text("in the way", encoding="utf-8")

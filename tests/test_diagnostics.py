@@ -1,6 +1,7 @@
-"""Scalar diagnostics, the blow-up monitors, and detection policy."""
+"""The diagnostics, the blow-up monitors, and detection policy."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,12 @@ class TestExtrema:
     def test_constant(self):
         assert extrema(np.full(8, 3.5)) == (3.5, 3.5)
 
+    def test_reduces_each_row(self):
+        """The rows cos x and 2 cos x get one (max, min) each, not one pair."""
+        x = nodes(8)
+        max_u, min_u = extrema(np.multiply.outer([1.0, 2.0], np.cos(x)))
+        assert np.array_equal(max_u, [1.0, 2.0]) and np.array_equal(min_u, [-1.0, -2.0])
+
 
 def initial_slope(u):
     """The min_slope column of the record observe makes for nodal values u."""
@@ -198,6 +205,13 @@ class TestTailFraction:
 
     def test_zero_spectrum(self):
         assert tail_fraction(np.zeros(9, complex)) == 0.0
+
+    def test_infinite_tail_is_nan_without_warning(self):
+        c = np.zeros(9, complex)
+        c[7] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(tail_fraction(c))
 
     def test_mean_mode_excluded_from_denominator(self):
         c = np.zeros(64 // 2 + 1, complex)
@@ -295,6 +309,10 @@ class TestCheckBlowup:
     def test_slope_outranks_tail(self):
         cause = check_blowup(record(min_slope=-150.0, tail_fraction=0.2), DetectionThresholds())
         assert cause == "slope_threshold"
+
+    def test_without_thresholds_only_non_finite_fires(self):
+        assert check_blowup(record(min_slope=-150.0, tail_fraction=0.2), None) is None
+        assert check_blowup(record(h3=float("inf")), None) == "non_finite"
 
 
 class TestObserve:
