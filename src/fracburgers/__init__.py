@@ -12,7 +12,6 @@ from .diagnostics import (
     DetectionThresholds,
     DiagnosticsRecord,
     SingularTimeError,
-    bkm_accumulate,
     check_blowup,
     extrema,
     l2_norm,
@@ -59,7 +58,7 @@ __all__ = [
     "ConvergenceError", "DetectionThresholds", "DiagnosticsRecord",
     "InitialCondition", "InstabilityError", "RunConfig", "RunResult", "SimParams",
     "SingularTimeError", "SymmetryError", "UsageError",
-    "band_limit", "bkm_accumulate", "characteristics_solution", "check_blowup",
+    "band_limit", "characteristics_solution", "check_blowup",
     "cole_hopf_solution", "dealias", "extrema", "forward_dft",
     "fractional_laplacian", "inverse_dft", "l2_norm", "linear_decay_solution",
     "main", "mass", "nodal_pair", "nodes", "observe", "parse_config",

@@ -27,7 +27,6 @@ import numpy as np
 from .diagnostics import (
     DetectionThresholds,
     DiagnosticsRecord,
-    bkm_accumulate,
     check_blowup,
     extrema,
     observe,
@@ -43,7 +42,7 @@ EXIT_CODES = {"completed": 0, "blowup_detected": 2, "resolution_lost": 3,
               "numeric_failure": 4}
 
 # Run budgets, which RunConfig checks before a run starts. A run may take at
-# most 10**6 steps (a record is about 380 B): a fixed dt by its count, dt auto
+# most 10**6 steps (a record is about 440 B): a fixed dt by its count, dt auto
 # by the count its step bound at max|u| = 0 already forces. The held
 # snapshots, (floor(t_final / snapshot_every) + 1) * n values, may fill at
 # most 1 GiB; that also keeps consecutive snapshot times at least t_final *
@@ -277,9 +276,8 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     occur. One DiagnosticsRecord is appended per step, plus the initial
     record at t=0, and the detection policy meets each one before the next
     step. Each state's nodal u and u_x are formed once: its record, its
-    snapshot, its slope norm ||u_x||_inf and the first stage of the next
-    step share them. The loop sums the BKM integral from the slope norms
-    of consecutive states (trapezoid rule) and hands it to observe. The run
+    snapshot and the first stage of the next step share them. observe sums
+    the BKM integral from the previous record, handed in as prev. The run
     starts from the sampled profile's spectrum projected by the dealias rule,
     so under "two-thirds" the rows above K = band_limit(n, rule) are zero at
     every stage, and the t=0 record, snapshot and maximum-principle warning
@@ -307,7 +305,6 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                 "the extrema bounds are monitored but not guaranteed"
             )
 
-        norm = float(np.abs(nodal[1]).max())
         t = 0.0
         rec = observe(c, t, nodal=nodal, rule=p.dealias_rule)
         records = [rec]
@@ -339,9 +336,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                 break
             t = target if landed else t + dt_step
             nodal = nodal_pair(c)
-            prev_norm, norm = norm, float(np.abs(nodal[1]).max())
-            bkm = bkm_accumulate(rec.bkm_integral, prev_norm, norm, dt_step)
-            rec = observe(c, t, bkm=bkm, nodal=nodal, rule=p.dealias_rule)
+            rec = observe(c, t, prev=rec, nodal=nodal, rule=p.dealias_rule)
             records.append(rec)
             if landed and abs(snap_t - t) <= eps:
                 snapshots.append((t, nodal[0]))

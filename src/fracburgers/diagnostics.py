@@ -2,8 +2,8 @@
 
 Everything the run loop watches lives here: conserved mass, the L2 norm
 (constant without dissipation before the shock, non-increasing with it),
-nodal extrema (maximum principle), the minimum slope and its closed-form
-evolution m(t) = m0/(1 + t*m0), the accumulated integral of ||u_x||_inf
+nodal extrema (maximum principle), the slope extrema and the minimum's
+closed-form law m(t) = m0/(1 + t*m0), the accumulated integral of ||u_x||_inf
 (the continuation monitor: the solution persists while it stays finite),
 a discrete H^3 norm (recorded qualitatively; the a-priori bound's constant
 is not available), and the spectral tail fraction used as a resolution
@@ -19,20 +19,19 @@ factor. The spectrum is stored as the half c_0 .. c_{N/2}, so each row
 c_{N/2} count once.
 
 Every observable reads the last axis, as the spectral operators do: mass,
-the norms and the tail take a half-spectrum of shape (..., N/2 + 1), whose
-last axis is its own record of N (nothing here takes a grid), and cost no
-transform; extrema takes nodal values of shape (..., N). Each returns one
-value per state, a numpy.float64 for one state and an array of the leading
-shape for a stack, and checks its spectrum with spectral.validate_spectrum,
-so a non-real c_0 or c_{N/2} raises SymmetryError. observe assembles a
-record from the half-spectrum state, checked once: u and u_x (nodal_pair,
-two inverse transforms for the whole stack, or the pair the run loop hands
-in) for the extrema and the slope, the spectral observables for the rest,
-and the BKM integral as the run loop hands it in: the loop sums it with
-bkm_accumulate from the slope norms of consecutive states. The norms and
-the tail are each defined once, on the paired power |c_k|^2 + |c_{-k}|^2,
-which observe computes once per record; the Sobolev weights are built once
-per (rows, order).
+the norms and the tail take a half-spectrum of shape (..., N/2 + 1), its
+last axis their only record of N, and cost no transform; extrema takes
+nodal values of shape (..., N). Each returns one value per state, a
+numpy.float64 for one state and an array of the leading shape for a stack,
+and checks its spectrum with spectral.validate_spectrum, so a non-real c_0
+or c_{N/2} raises SymmetryError; like observe, they give inf or NaN
+unwarned where the arithmetic overflows. observe assembles a record from
+the half-spectrum state, checked once: u and u_x (nodal_pair, or the pair
+the run loop hands in) for their extrema, the spectral observables for the
+rest, and the BKM integral, which it sums from the previous record. The
+norms and the tail are each defined once, on the paired power
+|c_k|^2 + |c_{-k}|^2, which observe computes once per record; the Sobolev
+weights are built once per (rows, order).
 check_blowup returns the detection cause one state's record fires, or None.
 """
 
@@ -69,6 +68,7 @@ class DiagnosticsRecord(NamedTuple):
     max_u: float
     min_u: float
     min_slope: float
+    max_slope: float
     bkm_integral: float
     h3: float
     tail_fraction: float
@@ -95,12 +95,14 @@ def mass(c: np.ndarray) -> float | np.ndarray:
     On a uniform periodic grid this is identical to the trapezoid rule.
     """
     validate_spectrum(c)
-    return _mass_of(c)
+    with np.errstate(over="ignore"):
+        return _mass_of(c)
 
 
 def l2_norm(c: np.ndarray) -> float | np.ndarray:
     validate_spectrum(c)
-    return _l2_of(_paired_power(c))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _l2_of(_paired_power(c))
 
 
 def sobolev_norm(c: np.ndarray, order: float) -> float | np.ndarray:
@@ -109,7 +111,8 @@ def sobolev_norm(c: np.ndarray, order: float) -> float | np.ndarray:
     if not 0.0 <= order < math.inf:
         raise ValueError(f"sobolev order must be >= 0 and finite, got {order!r}")
     validate_spectrum(c)
-    return _sobolev_of(_paired_power(c), order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _sobolev_of(_paired_power(c), order)
 
 
 def extrema(u: np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
@@ -140,12 +143,6 @@ def slope_closed_form(m0: float, t: float) -> float:
     return m0 / denom
 
 
-def bkm_accumulate(prev_integral: float, prev_norm: float, new_norm: float,
-                   dt: float) -> float:
-    """One trapezoid increment of the integral of ||u_x||_inf over time."""
-    return prev_integral + dt * (prev_norm + new_norm) / 2.0
-
-
 def tail_fraction(c: np.ndarray, *, rule: str = "off") -> float | np.ndarray:
     """Share of (non-mean) spectral energy in the top third of the kept band.
 
@@ -155,7 +152,7 @@ def tail_fraction(c: np.ndarray, *, rule: str = "off") -> float | np.ndarray:
     third carries the field: the grid has stopped resolving the solution.
     """
     validate_spectrum(c)
-    with np.errstate(invalid="ignore"):  # an infinite tail gives NaN (inf / inf), unwarned
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite tail gives NaN (inf / inf)
         return _tail_of(_paired_power(c), rule)
 
 
@@ -179,16 +176,17 @@ def check_blowup(rec: DiagnosticsRecord,
     return None
 
 
-def observe(c: np.ndarray, t: float, *, bkm: float = 0.0,
+def observe(c: np.ndarray, t: float, *, prev: DiagnosticsRecord | None = None,
             nodal: tuple[np.ndarray, np.ndarray] | None = None,
             rule: str = "off") -> DiagnosticsRecord:
     """Assemble the full record for the half-spectrum c at time t.
 
     For a (B, N/2 + 1) stack each field is a (B,) array, row b equal to
-    the record of c[b]; t, and bkm if it is one number, are repeated in
-    every row. bkm is the integral of ||u_x||_inf up to t, which the caller
-    sums (bkm_accumulate). rule is the run's dealias rule: tail_fraction
-    reads the top third of the band it keeps.
+    the record of c[b]; t is repeated in every row. prev is the record one
+    step earlier: bkm_integral, the integral of ||u_x||_inf up to t, adds to
+    prev.bkm_integral the trapezoid panel of max(max_slope, -min_slope) over
+    t - prev.t, row by row, and is 0.0 without prev. rule is the run's
+    dealias rule: tail_fraction reads the top third of the band it keeps.
 
     Two inverse transforms (u and u_x) for the whole stack, none if nodal,
     the nodal_pair(c) the caller already holds, is handed in.
@@ -198,6 +196,12 @@ def observe(c: np.ndarray, t: float, *, bkm: float = 0.0,
     with np.errstate(over="ignore", invalid="ignore"):
         u, slope = nodal_pair(c) if nodal is None else nodal
         max_u, min_u = extrema(u)
+        max_slope, min_slope = extrema(slope)
+        if prev is None:
+            bkm = np.zeros(states)[()]
+        else:
+            norms = np.maximum(prev.max_slope, -prev.min_slope) + np.maximum(max_slope, -min_slope)
+            bkm = prev.bkm_integral + (t - prev.t) * norms / 2.0
         power = _paired_power(c)
         return DiagnosticsRecord(
             t=np.full(states, t, dtype=float)[()],
@@ -205,8 +209,9 @@ def observe(c: np.ndarray, t: float, *, bkm: float = 0.0,
             l2=_l2_of(power),
             max_u=max_u,
             min_u=min_u,
-            min_slope=slope.min(axis=-1),
-            bkm_integral=np.full(states, bkm, dtype=float)[()],
+            min_slope=min_slope,
+            max_slope=max_slope,
+            bkm_integral=bkm,
             h3=_sobolev_of(power, 3.0),
             tail_fraction=_tail_of(power, rule),
         )

@@ -463,6 +463,29 @@ class TestRunSimulation:
         assert column[0] == 0.0
         assert np.allclose(column, trapezoid, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("args, status", [
+        (["--n", "256", "--gamma", "0.1", "--t-final", "0.5"], "completed"),
+        (["--n", "1024", "--dt", "0.001", "--t-final", "0.3", "--ic", "random:6:3"],
+         "blowup_detected"),
+        (["--n", "256", "--gamma", "0.05", "--alpha", "0.5", "--t-final", "0.5",
+          "--dealias", "two-thirds"], "completed"),
+        (["--n", "128", "--t-final", "1.2", "--snapshot-every", "0.25"], "completed"),
+    ], ids=["auto-dt", "fixed-dt-1024", "two-thirds", "inviscid-auto-dt"])
+    def test_bkm_column_is_the_trapezoid_of_its_own_slope_columns(self, tmp_path, args, status):
+        """diagnostics.csv alone reproduces its bkm_integral column, bit for
+        bit: the cumulative trapezoid of S = max(max_slope, -min_slope) over
+        the file's own t, clipped steps and early stops included."""
+        cfg = config(*args, out=tmp_path)
+        res = run_simulation(cfg)
+        write_outputs(res, cfg)
+        assert res.status == status
+        table = np.loadtxt(tmp_path / "diagnostics.csv", delimiter=",", skiprows=1)
+        col = dict(zip(DiagnosticsRecord._fields, table.T))
+        t, s = col["t"], np.maximum(col["max_slope"], -col["min_slope"])
+        trapezoid = np.concatenate([[0.0], np.cumsum(np.diff(t) * (s[:-1] + s[1:]) / 2)])
+        assert len(t) > 40
+        assert np.array_equal(col["bkm_integral"], trapezoid)
+
     def test_record_times_are_increasing_and_bounded(self):
         res = run_simulation(config("--n", "64", "--t-final", "0.5"))
         ts = [r.t for r in res.records]
@@ -570,7 +593,8 @@ class TestWriteOutputs:
             "snapshot_0.csv", "snapshot_0.1.csv", "snapshot_0.2.csv", "snapshot_0.3.csv",
         }
         lines = (tmp_path / "diagnostics.csv").read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "t,mass,l2,max_u,min_u,min_slope,bkm_integral,h3,tail_fraction"
+        assert lines[0] == ("t,mass,l2,max_u,min_u,min_slope,max_slope,bkm_integral,h3,"
+                            "tail_fraction")
 
     def test_diagnostics_rows_match_records(self, tmp_path):
         cfg = config("--n", "16", "--t-final", "0.2", out=tmp_path)
@@ -587,7 +611,7 @@ class TestWriteOutputs:
         write_outputs(run_simulation(cfg), cfg)
         lines = (tmp_path / "diagnostics.csv").read_text(encoding="utf-8").splitlines()
         for line in lines[1:]:
-            assert line.split(",")[1:] == ["0"] * 8
+            assert line.split(",")[1:] == ["0"] * (len(DiagnosticsRecord._fields) - 1)
 
     def test_snapshot_columns(self, tmp_path):
         cfg = config("--n", "16", "--t-final", "0.2", out=tmp_path)
@@ -642,7 +666,7 @@ class TestWriteOutputs:
         assert predicted == -1.0 / float(first["min_slope"])
 
     def test_result_needs_a_known_status_and_a_record(self):
-        rec = DiagnosticsRecord(0.0, 0.0, 1.0, 1.0, -1.0, -1.0, 0.0, 1.0, 0.0)
+        rec = DiagnosticsRecord(0.0, 0.0, 1.0, 1.0, -1.0, -1.0, 1.0, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError, match="unknown status"):
             RunResult(records=(rec,), snapshots=(), status="exploded")
         with pytest.raises(ValueError, match="t = 0 record"):
@@ -765,7 +789,9 @@ class TestWriterReference:
         cfg = config("--n", str(n), "--gamma", "0.5", out=tmp_path)
         rng = np.random.default_rng(20240917)
         cells = SPECIAL_VALUES * 2 + rng.standard_normal(25).tolist()
-        records = [DiagnosticsRecord(*cells[i:i + 9]) for i in range(0, len(cells) - 8, 9)]
+        width = len(DiagnosticsRecord._fields)
+        records = [DiagnosticsRecord(*cells[i:i + width])
+                   for i in range(0, len(cells) - width + 1, width)]
         # report.txt reads predicted_t_star from row 0 and detected_t from the last row.
         records[0] = records[0]._replace(min_slope=-1 / (0.1 + 0.2))
         records[-1] = records[-1]._replace(t=-0.0)
@@ -813,8 +839,9 @@ class TestWriterReference:
             _random_bits(rng, 6000, exponents=range(-21, 55)),
         ])
         fields = np.resize(values, (-(-values.size // n), n))
-        cells = rng.permutation(np.resize(values, 4100 * 9))
-        records = [DiagnosticsRecord(*row) for row in cells.reshape(4100, 9).tolist()]
+        width = len(DiagnosticsRecord._fields)
+        cells = rng.permutation(np.resize(values, 4100 * width))
+        records = [DiagnosticsRecord(*row) for row in cells.reshape(4100, width).tolist()]
         records[0] = records[0]._replace(min_slope=-1.0)
         result = RunResult(records=tuple(records),
                            snapshots=tuple((0.1 * i, f) for i, f in enumerate(fields)),

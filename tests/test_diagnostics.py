@@ -10,7 +10,6 @@ from fracburgers.diagnostics import (
     DetectionThresholds,
     DiagnosticsRecord,
     SingularTimeError,
-    bkm_accumulate,
     check_blowup,
     extrema,
     l2_norm,
@@ -35,7 +34,8 @@ from fracburgers.spectral import (
 def record(**overrides):
     """A healthy record to perturb in detection tests."""
     base = dict(t=0.5, mass=0.0, l2=1.0, max_u=1.0, min_u=-1.0,
-                min_slope=-1.0, bkm_integral=0.5, h3=2.0, tail_fraction=1e-6)
+                min_slope=-1.0, max_slope=1.0, bkm_integral=0.5, h3=2.0,
+                tail_fraction=1e-6)
     base.update(overrides)
     return DiagnosticsRecord(**base)
 
@@ -168,15 +168,57 @@ class TestSlopeClosedForm:
         assert slope_closed_form(-2.0, 0.7) == pytest.approx(5.0, rel=1e-12)
 
 
-class TestBkmAccumulate:
-    def test_trapezoid_panel(self):
-        assert bkm_accumulate(0.0, 2.0, 4.0, 0.5) == pytest.approx(1.5, rel=1e-15)
+class TestBkmIntegral:
+    """observe sums the integral of ||u_x||_inf from prev, the record of the
+    state one step earlier: one trapezoid panel over t - prev.t."""
 
-    def test_zero_norms_add_nothing(self):
-        assert bkm_accumulate(5.0, 0.0, 0.0, 1.0) == 5.0
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["max-slope-wins", "min-slope-wins"])
+    def test_trapezoid_panel(self, sign):
+        """The panel is (t - prev.t)(S_prev + S)/2 with S = max(max_slope,
+        -min_slope), which is ||u_x||_inf at the nodes whichever extremum is
+        the larger in magnitude (1.6 against about 0.81 here)."""
+        x = nodes(64)
+        a = forward_dft(sign * (np.sin(x) + 0.3 * np.sin(2.0 * x)))
+        b = forward_dft(sign * 0.5 * np.sin(x))
+        prev = observe(a, 0.25)._replace(bkm_integral=1.5)
+        rec = observe(b, 0.75, prev=prev)
+        norms = [max(r.max_slope, -r.min_slope) for r in (prev, rec)]
+        assert norms == [np.abs(nodal_pair(c)[1]).max() for c in (a, b)]
+        assert norms[0] == pytest.approx(1.6, rel=1e-14)
+        assert rec.bkm_integral == 1.5 + (0.75 - 0.25) * (norms[0] + norms[1]) / 2.0
 
-    def test_accumulates_on_previous_total(self):
-        assert bkm_accumulate(1.0, 1.0, 3.0, 0.5) == pytest.approx(2.0, rel=1e-15)
+    def test_flat_states_add_nothing(self):
+        flat = forward_dft(np.full(16, 3.0))
+        prev = observe(flat, 0.0)._replace(bkm_integral=5.0)
+        assert observe(flat, 1.0, prev=prev).bkm_integral == 5.0
+
+    def test_stack_sums_one_integral_per_row(self):
+        """On a stack stepped like the run loop steps one state, max_slope is
+        each row's nodal maximum of u_x, and observe(stack, t, prev=record)
+        gives every field, bkm_integral included, bit for bit as the row's
+        own run does."""
+        n, dt = 256, 1e-3
+        p = SimParams(gamma=0.1)
+        x = nodes(n)
+        stack = forward_dft(np.array([-a * np.sin(x) + b * np.cos(2.0 * x)
+                                      for a, b in ((0.5, 0.2), (1.0, 0.0), (2.0, -0.3))]))
+
+        def run(c):
+            nodal, t = nodal_pair(c), 0.0
+            records = [observe(c, t, nodal=nodal)]
+            for _ in range(200):
+                c, t = rk4_step(c, p, dt, nodal=nodal), t + dt
+                nodal = nodal_pair(c)
+                records.append(observe(c, t, prev=records[-1], nodal=nodal))
+                assert np.array_equal(records[-1].max_slope, nodal[1].max(axis=-1))
+            return records
+
+        stacked = run(stack)
+        assert np.all(stacked[-1].bkm_integral > 0.0)
+        for b, row in enumerate(stack):
+            for got, want in zip(stacked, run(row), strict=True):
+                assert all(type(v) is np.float64 for v in want)
+                assert np.array_equal(np.array(got)[:, b], want)
 
 
 class TestTailFraction:
@@ -212,6 +254,26 @@ class TestTailFraction:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert math.isnan(tail_fraction(c))
+
+    def test_standalone_observables_overflow_without_warning(self):
+        """mass, l2_norm, sobolev_norm and tail_fraction give what observe
+        records for a spectrum whose arithmetic overflows, inf or NaN, and
+        warn no more than observe does."""
+        big = np.zeros(9, complex)
+        big[2] = 1e200
+        top = np.zeros(9, complex)
+        top[7] = 1e200
+        huge_mean = np.zeros(9, complex)
+        huge_mean[0] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c in (big, top, huge_mean):
+                rec = observe(c, 0.0)
+                got = (mass(c), l2_norm(c), sobolev_norm(c, 3.0), tail_fraction(c))
+                want = (rec.mass, rec.l2, rec.h3, rec.tail_fraction)
+                assert np.array_equal(got, want, equal_nan=True)
+        assert l2_norm(big) == sobolev_norm(big, 3.0) == math.inf and tail_fraction(big) == 0.0
+        assert math.isnan(tail_fraction(top)) and mass(huge_mean) == math.inf
 
     def test_mean_mode_excluded_from_denominator(self):
         c = np.zeros(64 // 2 + 1, complex)
@@ -331,10 +393,11 @@ class TestObserve:
         assert observe(s, 0.25, nodal=nodal_pair(s)) == rec
 
     def test_bkm_carried_as_given(self):
-        """The run loop sums the integral; observe records it unchanged."""
+        """Over an empty panel, t = prev.t, prev's integral is carried unchanged."""
         s = forward_dft(-np.sin(nodes(64)))
         for bkm in (0.0, 0.1 + 0.2, 1e300, math.inf):
-            assert observe(s, 0.1, bkm=bkm).bkm_integral == bkm
+            prev = observe(s, 0.1)._replace(bkm_integral=bkm)
+            assert observe(s, 0.1, prev=prev).bkm_integral == bkm
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_field_is_flagged_not_raised(self, bad):
@@ -347,9 +410,9 @@ class TestObserve:
     def test_record_field_order_matches_csv_header(self):
         assert DiagnosticsRecord._fields == (
             "t", "mass", "l2", "max_u", "min_u",
-            "min_slope", "bkm_integral", "h3", "tail_fraction",
+            "min_slope", "max_slope", "bkm_integral", "h3", "tail_fraction",
         )
-        assert tuple(record()) == (0.5, 0.0, 1.0, 1.0, -1.0, -1.0, 0.5, 2.0, 1e-6)
+        assert tuple(record()) == (0.5, 0.0, 1.0, 1.0, -1.0, -1.0, 1.0, 0.5, 2.0, 1e-6)
 
 
 class TestSobolevTrends:

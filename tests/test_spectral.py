@@ -108,7 +108,7 @@ class TestFieldTypes:
                 calls = (*OBSERVABLES,
                          lambda c: tail_fraction(c, rule=rule),
                          lambda c: extrema(inverse_dft(c)),
-                         lambda c: observe(c, 0.5, bkm=0.25, rule=rule))
+                         lambda c: observe(c, 0.5, prev=observe(c, 0.25), rule=rule))
                 for f in calls:
                     rows = [as_fields(f(row)) for row in stack]
                     for c in (stack, stack[None], np.asfortranarray(stack)):
