@@ -14,13 +14,9 @@ from .diagnostics import (
     SingularTimeError,
     check_blowup,
     extrema,
-    l2_norm,
-    mass,
     observe,
     predicted_blowup_time,
     slope_closed_form,
-    sobolev_norm,
-    tail_fraction,
 )
 from .dynamics import InstabilityError, SimParams, rk4_step, stable_dt
 from .oracles import (
@@ -60,9 +56,8 @@ __all__ = [
     "SingularTimeError", "SymmetryError", "UsageError",
     "band_limit", "characteristics_solution", "check_blowup",
     "cole_hopf_solution", "dealias", "extrema", "forward_dft",
-    "fractional_laplacian", "inverse_dft", "l2_norm", "linear_decay_solution",
-    "main", "mass", "nodal_pair", "nodes", "observe", "parse_config",
-    "predicted_blowup_time", "rk4_step", "run_simulation", "shock_time",
-    "slope_closed_form", "sobolev_norm", "spectral_derivative", "stable_dt",
-    "tail_fraction", "write_outputs",
+    "fractional_laplacian", "inverse_dft", "linear_decay_solution", "main",
+    "nodal_pair", "nodes", "observe", "parse_config", "predicted_blowup_time",
+    "rk4_step", "run_simulation", "shock_time", "slope_closed_form",
+    "spectral_derivative", "stable_dt", "write_outputs",
 ]

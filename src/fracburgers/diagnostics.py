@@ -12,26 +12,22 @@ rows ceil(2K/3) .. K with K = spectral.band_limit(N, rule): with the rule
 off, |k| >= N/3; under the 2/3 rule, about 2N/9 <= |k| < N/3, the rows the
 filter leaves the solution.
 
-Norm conventions: l2 = sqrt(2*pi * sum_{k=-N/2}^{N/2-1} |c_k|^2) (Parseval on
-the interpolant) and sobolev s uses (1 + k^2)^s weights under the same 2*pi
-factor. The spectrum is stored as the half c_0 .. c_{N/2}, so each row
-0 < k < N/2 counts twice, for itself and its conjugate c_{-k}, while c_0 and
-c_{N/2} count once.
+Conventions: mass = 2*pi * c_0 (on the uniform periodic grid, the trapezoid
+rule), l2 = sqrt(2*pi * sum_{k=-N/2}^{N/2-1} |c_k|^2) (Parseval on the
+interpolant), and h3 uses (1 + k^2)^3 weights under the same 2*pi factor.
+The spectrum is stored as the half c_0 .. c_{N/2}, so each row 0 < k < N/2
+counts twice, for itself and its conjugate c_{-k}, while c_0 and c_{N/2}
+count once.
 
-Every observable reads the last axis, as the spectral operators do: mass,
-the norms and the tail take a half-spectrum of shape (..., N/2 + 1), its
-last axis their only record of N, and cost no transform; extrema takes
-nodal values of shape (..., N). Each returns one value per state, a
-numpy.float64 for one state and an array of the leading shape for a stack,
-and checks its spectrum with spectral.validate_spectrum, so a non-real c_0
-or c_{N/2} raises SymmetryError; like observe, they give inf or NaN
-unwarned where the arithmetic overflows. observe assembles a record from
-the half-spectrum state, checked once: u and u_x (nodal_pair, or the pair
-the run loop hands in) for their extrema, the spectral observables for the
-rest, and the BKM integral, which it sums from the previous record. The
-norms and the tail are each defined once, on the paired power
-|c_k|^2 + |c_{-k}|^2, which observe computes once per record; the Sobolev
-weights are built once per (rows, order).
+observe is where each of these is defined. It checks the half-spectrum
+state once (spectral.validate_spectrum: a non-real c_0 or c_{N/2} raises
+SymmetryError), takes u and u_x (nodal_pair, or the pair the run loop hands
+in) for their extrema, computes the paired power |c_k|^2 + |c_{-k}|^2 once
+for the norms and the tail, and sums the BKM integral from the previous
+record. It reads the last axis, as the spectral operators do, so a stack of
+shape (..., N/2 + 1) gives one value per state in every field, and it gives
+inf or NaN unwarned where the arithmetic overflows. extrema, the nodal
+(max, min) over the last axis, is also used on its own.
 check_blowup returns the detection cause one state's record fires, or None.
 """
 
@@ -89,32 +85,6 @@ class DetectionThresholds:
         object.__setattr__(self, "tail_limit", tail_limit)
 
 
-def mass(c: np.ndarray) -> float | np.ndarray:
-    """Integral of u over the interval: 2*pi times the zero coefficient.
-
-    On a uniform periodic grid this is identical to the trapezoid rule.
-    """
-    validate_spectrum(c)
-    with np.errstate(over="ignore"):
-        return _mass_of(c)
-
-
-def l2_norm(c: np.ndarray) -> float | np.ndarray:
-    validate_spectrum(c)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _l2_of(_paired_power(c))
-
-
-def sobolev_norm(c: np.ndarray, order: float) -> float | np.ndarray:
-    """sqrt(2*pi * sum (1 + k^2)^order |c_k|^2); order 0 reduces to l2_norm."""
-    order = float(order)
-    if not 0.0 <= order < math.inf:
-        raise ValueError(f"sobolev order must be >= 0 and finite, got {order!r}")
-    validate_spectrum(c)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _sobolev_of(_paired_power(c), order)
-
-
 def extrema(u: np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Nodal (max, min) over the last axis."""
     u = np.asarray(u)
@@ -141,19 +111,6 @@ def slope_closed_form(m0: float, t: float) -> float:
     if denom == 0.0:
         raise SingularTimeError(f"slope law is singular at t = {t} for m0 = {m0}")
     return m0 / denom
-
-
-def tail_fraction(c: np.ndarray, *, rule: str = "off") -> float | np.ndarray:
-    """Share of (non-mean) spectral energy in the top third of the kept band.
-
-    The band rule keeps is 0 .. K, K = band_limit(N, rule), and its top
-    third the rows ceil(2K/3) .. K: |k| >= N/3 with rule "off", about
-    2N/9 <= |k| < N/3 with "two-thirds". Approaching 1 means that top
-    third carries the field: the grid has stopped resolving the solution.
-    """
-    validate_spectrum(c)
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite tail gives NaN (inf / inf)
-        return _tail_of(_paired_power(c), rule)
 
 
 def check_blowup(rec: DiagnosticsRecord,
@@ -193,7 +150,7 @@ def observe(c: np.ndarray, t: float, *, prev: DiagnosticsRecord | None = None,
     """
     validate_spectrum(c)
     states = c.shape[:-1]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or NaN, flagged later
         u, slope = nodal_pair(c) if nodal is None else nodal
         max_u, min_u = extrema(u)
         max_slope, min_slope = extrema(slope)
@@ -202,55 +159,31 @@ def observe(c: np.ndarray, t: float, *, prev: DiagnosticsRecord | None = None,
         else:
             norms = np.maximum(prev.max_slope, -prev.min_slope) + np.maximum(max_slope, -min_slope)
             bkm = prev.bkm_integral + (t - prev.t) * norms / 2.0
-        power = _paired_power(c)
+        # |c_k|^2 + |c_{-k}|^2 per stored row (c_0 and c_{N/2} have no
+        # partner), in C order whatever the layout of c, so each state's sums
+        # run over contiguous rows in the order of a single state's.
+        power = 2.0 * np.abs(c, order="C") ** 2
+        rows = power.shape[-1]
+        power[..., ::rows - 1] *= 0.5
+        k = band_limit(2 * (rows - 1), rule)
+        tail = power[..., k - k // 3:k + 1].sum(axis=-1)  # rows ceil(2K/3) .. K
         return DiagnosticsRecord(
             t=np.full(states, t, dtype=float)[()],
-            mass=_mass_of(c),
-            l2=_l2_of(power),
+            mass=2.0 * np.pi * c[..., 0].real,
+            l2=np.sqrt(2.0 * np.pi * power.sum(axis=-1)),
             max_u=max_u,
             min_u=min_u,
             min_slope=min_slope,
             max_slope=max_slope,
             bkm_integral=bkm,
-            h3=_sobolev_of(power, 3.0),
-            tail_fraction=_tail_of(power, rule),
+            h3=np.sqrt(2.0 * np.pi * (_h3_weights(rows) * power).sum(axis=-1)),
+            tail_fraction=tail / (power[..., 1:].sum(axis=-1) + TAIL_GUARD),
         )
 
 
-def _mass_of(c: np.ndarray) -> float | np.ndarray:
-    return 2.0 * np.pi * c[..., 0].real
-
-
-def _paired_power(c: np.ndarray) -> np.ndarray:
-    """|c_k|^2 + |c_{-k}|^2 per stored row; c_0 and c_{N/2} have no partner.
-
-    The power is laid out in C order whatever the layout of c, so each
-    state's sums run over contiguous rows, in the order of a single state's.
-    """
-    power = 2.0 * np.abs(c, order="C") ** 2
-    power[..., ::power.shape[-1] - 1] *= 0.5
-    return power
-
-
-def _l2_of(power: np.ndarray) -> float | np.ndarray:
-    return np.sqrt(2.0 * np.pi * power.sum(axis=-1))
-
-
-def _sobolev_of(power: np.ndarray, order: float) -> float | np.ndarray:
-    weights = _sobolev_weights(power.shape[-1], order)
-    return np.sqrt(2.0 * np.pi * (weights * power).sum(axis=-1))
-
-
-def _tail_of(power: np.ndarray, rule: str) -> float | np.ndarray:
-    k = band_limit(2 * (power.shape[-1] - 1), rule)
-    tail = power[..., k - k // 3:k + 1].sum(axis=-1)  # rows ceil(2K/3) .. K
-    total = power[..., 1:].sum(axis=-1)
-    return tail / (total + TAIL_GUARD)
-
-
 @lru_cache(maxsize=16)
-def _sobolev_weights(rows: int, order: float) -> np.ndarray:
-    """(1 + k^2)^order for k = 0 .. rows - 1, shared and read-only."""
-    w = (1.0 + np.arange(rows).astype(float) ** 2) ** order
+def _h3_weights(rows: int) -> np.ndarray:
+    """(1 + k^2)^3 for k = 0 .. rows - 1, shared and read-only."""
+    w = (1.0 + np.arange(rows).astype(float) ** 2) ** 3.0
     w.flags.writeable = False
     return w

@@ -28,8 +28,8 @@ label snapshots.
 
 Which rows a run keeps is decided once, by band_limit: K, the highest
 wavenumber a dealias rule keeps on N nodes. dealias zeroes the rows above K,
-and the resolution monitor (diagnostics.tail_fraction) reads the top third of
-the rows 0 .. K.
+and the resolution monitor (the tail_fraction that diagnostics.observe
+records) reads the top third of the rows 0 .. K.
 
 A run's state is such an array and carries no time; the run loop keeps the
 clock. Nodal values are float arrays of shape (..., N), formed where the

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from fracburgers.diagnostics import l2_norm, sobolev_norm, tail_fraction
+from fracburgers.diagnostics import observe
 from fracburgers.dynamics import SimParams, _tendency, rk4_step
 from fracburgers.spectral import forward_dft, inverse_dft
 
@@ -139,7 +139,7 @@ def test_norms_match_dense_reference(n, rule):
         kept = np.abs(k) <= (n / 3.0 if rule == "two-thirds" else n / 2.0)
         top = kept & (3 * np.abs(k) >= 2 * np.abs(k[kept]).max())
         tail = np.sum(power[top]) / np.sum(power[k != 0])
-        s = forward_dft(u)
-        assert l2_norm(s) == pytest.approx(l2, rel=RTOL, abs=0)
-        assert sobolev_norm(s, 3) == pytest.approx(h3, rel=RTOL, abs=0)
-        assert tail_fraction(s, rule=rule) == pytest.approx(tail, rel=RTOL, abs=0)
+        rec = observe(forward_dft(u), 0.0, rule=rule)
+        assert rec.l2 == pytest.approx(l2, rel=RTOL, abs=0)
+        assert rec.h3 == pytest.approx(h3, rel=RTOL, abs=0)
+        assert rec.tail_fraction == pytest.approx(tail, rel=RTOL, abs=0)

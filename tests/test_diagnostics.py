@@ -12,13 +12,9 @@ from fracburgers.diagnostics import (
     SingularTimeError,
     check_blowup,
     extrema,
-    l2_norm,
-    mass,
     observe,
     predicted_blowup_time,
     slope_closed_form,
-    sobolev_norm,
-    tail_fraction,
 )
 from fracburgers.dynamics import SimParams, rk4_step
 from fracburgers.spectral import (
@@ -40,65 +36,58 @@ def record(**overrides):
     return DiagnosticsRecord(**base)
 
 
+def spectral_fields(c):
+    """The fields observe reads from the spectrum alone, for the half-spectrum c."""
+    rec = observe(c, 0.0)
+    return rec.mass, rec.l2, rec.h3, rec.tail_fraction
+
+
+def observed_tail(c, rule="off"):
+    """The tail_fraction of observe's record for the half-spectrum c."""
+    return observe(c, 0.0, rule=rule).tail_fraction
+
+
 class TestMass:
     def test_neg_sine_is_massless(self):
         x = nodes(64)
-        assert abs(mass(forward_dft(-np.sin(x)))) <= 1e-15
+        assert abs(observe(forward_dft(-np.sin(x)), 0.0).mass) <= 1e-15
 
     def test_constant_three(self):
-        assert mass(forward_dft(np.full(16, 3.0))) == pytest.approx(6.0 * np.pi, rel=1e-15)
+        got = observe(forward_dft(np.full(16, 3.0)), 0.0).mass
+        assert got == pytest.approx(6.0 * np.pi, rel=1e-15)
 
     def test_shifted_cosine(self):
         x = nodes(32)
-        got = mass(forward_dft(1.0 + np.cos(x)))
+        got = observe(forward_dft(1.0 + np.cos(x)), 0.0).mass
         assert got == pytest.approx(2.0 * np.pi, rel=1e-14)
 
 
 class TestL2Norm:
     def test_neg_sine_example(self):
         x = nodes(64)
-        got = l2_norm(forward_dft(-np.sin(x)))
+        got = observe(forward_dft(-np.sin(x)), 0.0).l2
         assert got == pytest.approx(np.sqrt(np.pi), rel=1e-14)
 
     def test_constant(self):
-        got = l2_norm(forward_dft(np.full(16, 2.0)))
+        got = observe(forward_dft(np.full(16, 2.0)), 0.0).l2
         assert got == pytest.approx(2.0 * np.sqrt(2.0 * np.pi), rel=1e-14)
 
     def test_zero_field(self):
-        assert l2_norm(forward_dft(np.zeros(8))) == 0.0
+        assert observe(forward_dft(np.zeros(8)), 0.0).l2 == 0.0
 
 
 class TestSobolevNorm:
-    def test_order_zero_equals_l2(self):
-        rng = np.random.default_rng(31)
-        s = forward_dft(rng.standard_normal(32))
-        assert sobolev_norm(s, 0.0) == pytest.approx(l2_norm(s), rel=1e-14)
-
-    def test_sine_order_one(self):
-        """||sin||_{H^1}^2 = 2 pi (1 + 1) * (1/4 + 1/4)."""
+    def test_sine_h3(self):
+        """||sin||_{H^3}^2 = 2 pi (1 + 1)^3 * (1/4 + 1/4) = 8 pi."""
         x = nodes(64)
-        got = sobolev_norm(forward_dft(np.sin(x)), 1.0)
-        assert got == pytest.approx(np.sqrt(2.0 * np.pi), rel=1e-14)
+        got = observe(forward_dft(np.sin(x)), 0.0).h3
+        assert got == pytest.approx(np.sqrt(8.0 * np.pi), rel=1e-14)
 
     def test_higher_order_weights_high_modes(self):
         x = nodes(64)
         low = forward_dft(np.sin(x))
         high = forward_dft(np.sin(8.0 * x))
-        assert sobolev_norm(high, 3.0) > 100.0 * sobolev_norm(low, 3.0)
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError, match="order"):
-            sobolev_norm(forward_dft(np.zeros(8)), -1.0)
-
-    def test_nan_order_rejected(self):
-        x = nodes(8)
-        with pytest.raises(ValueError, match="order must be >= 0"):
-            sobolev_norm(forward_dft(np.cos(x)), np.nan)
-
-    def test_infinite_order_rejected(self):
-        x = nodes(8)
-        with pytest.raises(ValueError, match="order must be >= 0 and finite"):
-            sobolev_norm(forward_dft(np.cos(x)), np.inf)
+        assert observe(high, 0.0).h3 > 100.0 * observe(low, 0.0).h3
 
 
 class TestExtrema:
@@ -225,40 +214,39 @@ class TestTailFraction:
     def test_resolved_field_has_empty_tail(self):
         c = np.zeros(64 // 2 + 1, complex)
         c[1] = 0.5
-        assert tail_fraction(c) == 0.0
+        assert observed_tail(c) == 0.0
 
     def test_unresolved_field_is_all_tail(self):
         c = np.zeros(64 // 2 + 1, complex)
         c[30] = 0.5
-        assert tail_fraction(c) == pytest.approx(1.0, rel=1e-14)
+        assert observed_tail(c) == pytest.approx(1.0, rel=1e-14)
 
     def test_cut_is_inclusive_at_a_third(self):
         """|k| = N/3 itself counts as tail with the rule off: the top third
         of the band 0 .. N/2 starts at ceil(N/3)."""
         c = np.zeros(7, complex)
         c[4] = 0.5
-        assert tail_fraction(c) == pytest.approx(1.0, rel=1e-14)
+        assert observed_tail(c) == pytest.approx(1.0, rel=1e-14)
 
     def test_even_split(self):
         c = np.zeros(64 // 2 + 1, complex)
         for k in (1, 30):
             c[k] = 0.5
-        assert tail_fraction(c) == pytest.approx(0.5, rel=1e-14)
+        assert observed_tail(c) == pytest.approx(0.5, rel=1e-14)
 
     def test_zero_spectrum(self):
-        assert tail_fraction(np.zeros(9, complex)) == 0.0
+        assert observed_tail(np.zeros(9, complex)) == 0.0
 
     def test_infinite_tail_is_nan_without_warning(self):
         c = np.zeros(9, complex)
         c[7] = np.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert math.isnan(tail_fraction(c))
+            assert math.isnan(observed_tail(c))
 
     def test_standalone_observables_overflow_without_warning(self):
-        """mass, l2_norm, sobolev_norm and tail_fraction give what observe
-        records for a spectrum whose arithmetic overflows, inf or NaN, and
-        warn no more than observe does."""
+        """mass, l2, h3 and tail_fraction, each read from observe's record
+        of a spectrum whose arithmetic overflows, are inf or NaN, unwarned."""
         big = np.zeros(9, complex)
         big[2] = 1e200
         top = np.zeros(9, complex)
@@ -267,49 +255,45 @@ class TestTailFraction:
         huge_mean[0] = 1e308
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for c in (big, top, huge_mean):
-                rec = observe(c, 0.0)
-                got = (mass(c), l2_norm(c), sobolev_norm(c, 3.0), tail_fraction(c))
-                want = (rec.mass, rec.l2, rec.h3, rec.tail_fraction)
-                assert np.array_equal(got, want, equal_nan=True)
-        assert l2_norm(big) == sobolev_norm(big, 3.0) == math.inf and tail_fraction(big) == 0.0
-        assert math.isnan(tail_fraction(top)) and mass(huge_mean) == math.inf
+            got = {name: spectral_fields(c) for name, c in
+                   (("big", big), ("top", top), ("huge_mean", huge_mean))}
+        _, l2, h3, tail = got["big"]
+        assert l2 == h3 == math.inf and tail == 0.0
+        _, l2, h3, tail = got["top"]
+        assert l2 == h3 == math.inf and math.isnan(tail)
+        assert got["huge_mean"][0] == math.inf
 
     def test_mean_mode_excluded_from_denominator(self):
         c = np.zeros(64 // 2 + 1, complex)
         c[0] = 100.0
         c[30] = 0.5
-        assert tail_fraction(c) == pytest.approx(1.0, rel=1e-14)
+        assert observed_tail(c) == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize("rule", DEALIAS_RULES, ids=["off", "two_thirds"])
     def test_reads_only_rows_the_rule_keeps(self, rule):
         """On random even N, the rows the tail reads are among the rows
-        dealias keeps; with the rule off, they are every k >= N/3."""
+        dealias keeps; with the rule off, they are every k >= N/3. One
+        observe call reads the stack of unit spectra, row k - 1 holding c_k = 1."""
         rng = np.random.default_rng(18)
         for n in 2 * rng.integers(2, 400, size=25):
             rows = n // 2 + 1
             kept = set(np.flatnonzero(dealias(np.ones(rows, complex), rule)).tolist())
-            read = set()
-            for k in range(1, rows):
-                c = np.zeros(rows, complex)
-                c[k] = 1.0
-                if tail_fraction(c, rule=rule) == 1.0:
-                    read.add(k)
-                else:
-                    assert tail_fraction(c, rule=rule) == 0.0
+            units = np.eye(rows, dtype=complex)[1:]
+            tail = observe(units, 0.0, rule=rule).tail_fraction
+            assert np.all((tail == 1.0) | (tail == 0.0)), n
+            read = set((np.flatnonzero(tail == 1.0) + 1).tolist())
             assert read and read <= kept, n
             if rule == "off":
                 assert read == {k for k in range(rows) if 3 * k >= n}, n
-            assert observe(c, 0.0, rule=rule).tail_fraction == tail_fraction(c, rule=rule)
         with pytest.raises(TypeError):
-            tail_fraction(c, rule)  # rule is keyword-only
+            observe(units, 0.0, rule)  # rule is keyword-only
 
     def test_four_nodes_under_the_two_thirds_rule(self):
         """N = 4 keeps K = 1, so row 1 is the whole top third: any field with
         its non-mean power in row 1 is all tail."""
         c = np.array([0.0, -0.5j, 0.0])  # -sin x on 4 nodes
-        assert tail_fraction(c) == 0.0  # with the rule off, only row 2 is tail
-        assert tail_fraction(c, rule="two-thirds") == pytest.approx(1.0, rel=1e-14)
+        assert observed_tail(c) == 0.0  # with the rule off, only row 2 is tail
+        assert observed_tail(c, rule="two-thirds") == pytest.approx(1.0, rel=1e-14)
 
 
 class TestDetectionThresholds:
@@ -378,17 +362,15 @@ class TestCheckBlowup:
 
 
 class TestObserve:
-    def test_matches_standalone_diagnostics(self):
-        x = nodes(64)
-        s = forward_dft(-np.sin(x))
+    def test_record_of_one_state(self):
+        """The extrema are those of the nodal values, the integral starts at
+        0.0 without prev, and a nodal pair handed in gives the same record."""
+        s = forward_dft(-np.sin(nodes(64)))
         rec = observe(s, 0.25)
         assert isinstance(rec, DiagnosticsRecord)
         assert rec.t == 0.25
-        assert rec.mass == mass(s)
-        assert rec.l2 == l2_norm(s)
         assert (rec.max_u, rec.min_u) == extrema(inverse_dft(s))
         assert rec.min_slope == pytest.approx(-1.0, rel=1e-12)
-        assert rec.h3 == sobolev_norm(s, 3.0)
         assert rec.bkm_integral == 0.0
         assert observe(s, 0.25, nodal=nodal_pair(s)) == rec
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fracburgers.diagnostics import extrema, l2_norm, mass, observe, sobolev_norm, tail_fraction
+from fracburgers.diagnostics import extrema, observe
 from fracburgers.spectral import (
     DEALIAS_RULES,
     SymmetryError,
@@ -17,14 +17,6 @@ from fracburgers.spectral import (
     validate_alpha,
     validate_spectrum,
 )
-
-OBSERVABLES = (mass, l2_norm, tail_fraction, lambda c: sobolev_norm(c, 3.0))
-
-
-def as_fields(value):
-    """An observable's value as a tuple: extrema and observe give several."""
-    return value if isinstance(value, tuple) else (value,)
-
 
 def trig_polynomial(x, rng, degree):
     """Random real trig polynomial of the given degree at the nodes x, and its derivative."""
@@ -81,57 +73,53 @@ class TestFieldTypes:
     def test_spectrum_rows_must_match_grid(self):
         """A coefficient array's last axis holds N/2 + 1 rows, stacked or not,
         and is the only record of N: any count from the 3 rows of the
-        smallest grid up is a spectrum. The observables check it the same way."""
+        smallest grid up is a spectrum. observe checks it the same way."""
         for rows in (3, 4, 5, 6):
             validate_spectrum(np.zeros(rows, complex))
             validate_spectrum(np.zeros((2, 3, rows), complex))
         for shape in ((2,), (0,), (4, 2), ()):
             with pytest.raises(ValueError, match=r">= 3 rows, got shape"):
                 validate_spectrum(np.zeros(shape, complex))
-        for f in OBSERVABLES:
-            with pytest.raises(ValueError, match=r">= 3 rows, got shape"):
-                f(np.zeros(2, complex))
-            assert f(np.zeros(3, complex)) == 0.0
+        with pytest.raises(ValueError, match=r">= 3 rows, got shape"):
+            observe(np.zeros(2, complex), 0.0)
+        assert all(v == 0.0 for v in observe(np.zeros(3, complex), 0.0))
 
     def test_observables_read_each_row(self, monkeypatch):
-        """The observables and observe reduce over the last axis: on a stack,
-        2-D, with one more leading axis, or in Fortran order, each value is
-        its row's own, to the bit, and observe makes one nodal_pair call for
-        the whole stack. One state gives numpy.float64 values; a 0-d input
-        is refused."""
+        """observe and extrema reduce over the last axis: on a stack, 2-D,
+        with one more leading axis, or in Fortran order, each field is its
+        row's own, to the bit, and observe makes one nodal_pair call for the
+        whole stack. One state gives numpy.float64 values; a 0-d input is
+        refused."""
         pairs = []
         monkeypatch.setattr("fracburgers.diagnostics.nodal_pair",
                             lambda c: pairs.append(c.shape) or nodal_pair(c))
         for n in (16, 256, 1024):
             stack = forward_dft(np.random.default_rng(7100 + n).standard_normal((3, n)))
             for rule in DEALIAS_RULES:
-                calls = (*OBSERVABLES,
-                         lambda c: tail_fraction(c, rule=rule),
-                         lambda c: extrema(inverse_dft(c)),
+                calls = (lambda c: extrema(inverse_dft(c)),
                          lambda c: observe(c, 0.5, prev=observe(c, 0.25), rule=rule))
                 for f in calls:
-                    rows = [as_fields(f(row)) for row in stack]
+                    rows = [f(row) for row in stack]
                     for c in (stack, stack[None], np.asfortranarray(stack)):
-                        for got, want in zip(as_fields(f(c)), zip(*rows), strict=True):
+                        for got, want in zip(f(c), zip(*rows), strict=True):
                             assert all(type(v) is np.float64 for v in want)
                             assert np.array_equal(got, np.reshape(want, c.shape[:-1]))
         pairs.clear()
         observe(stack, 0.5)
         assert pairs == [stack.shape]
-        for f in (*OBSERVABLES, lambda c: observe(c, 0.0)):
-            with pytest.raises(ValueError, match=r">= 3 rows, got shape \(\)"):
-                f(stack[0, 0])
+        with pytest.raises(ValueError, match=r">= 3 rows, got shape \(\)"):
+            observe(stack[0, 0], 0.0)
 
     def test_symmetry_checked_in_every_row(self):
-        """validate_spectrum, and with it every observable, refuses a row
-        whose c_0 or c_{N/2} is not real; a diverged row passes."""
+        """validate_spectrum, and with it observe, refuses a row whose c_0
+        or c_{N/2} is not real; a diverged row passes."""
         stack = np.zeros((3, 5), complex)
         stack[1, -1] = complex(np.nan, np.nan)  # a diverged row still passes
         validate_spectrum(stack)
         for edge in (0, -1):
             bad = stack.copy()
             bad[2, edge] = 1e-300j
-            for check in (validate_spectrum, *OBSERVABLES, lambda c: observe(c, 0.0)):
+            for check in (validate_spectrum, lambda c: observe(c, 0.0)):
                 for c in (bad, bad[2]):
                     with pytest.raises(SymmetryError):
                         check(c)

@@ -11,7 +11,8 @@ Each tolerance is about three times the worst error measured with
 CFL_DISSIPATION = 2, or 1e-14 where that error is rounding; the error of the
 gamma = 0.1 and 0.05 runs is RK4's time error. The runs come from conftest's
 session cache, so the acceptance suite's criteria 3 and 8 share them, and
-criterion 1's conservation run is graded here on its slope floor alone.
+criterion 1's conservation run is graded here on its slope floor alone. A
+fractional run at two sizes shows a ceiling break that refinement removes.
 """
 
 import numpy as np
@@ -84,3 +85,25 @@ def test_conservation_run_keeps_the_slope_floor(timed_run):
     m0 = lo[0]
     before = 1.0 + t * m0 > 0.0
     assert np.all(lo[before] >= m0 / (1.0 + t[before] * m0))
+
+
+def test_refinement_removes_a_ceiling_break(timed_run):
+    """A break of the ceiling max u_x <= M0/(1 + t M0) that refinement
+    removes, so it is numerical: alpha = 1.5, gamma = 0.05, random:8:0,
+    dealiasing off, no slope limit. At N = 256 the break passes 1e-3
+    relative at t = 0.285 and peaks at +1.70 at t = 0.51; at N = 1024 the
+    ceiling holds at every record (closest approach past t = 0: 1.6e-3
+    relative). The floor min u_x >= m0/(1 + t m0) holds at both sizes while
+    1 + t m0 > 0 (closest 5.6e-3 and 1.6e-3)."""
+    worst = {}
+    for n in ("256", "1024"):
+        res, _ = timed_run(["--n", n, "--gamma", "0.05", "--alpha", "1.5", "--ic", "random:8:0",
+                            "--dt", "auto", "--t-final", "1", "--slope-limit", "1e300"])
+        assert res.status == "completed"
+        t, lo, hi = np.array([(r.t, r.min_slope, r.max_slope) for r in res.records]).T
+        m0, big_m0 = lo[0], hi[0]
+        ceiling = big_m0 / (1.0 + t * big_m0)
+        worst[n] = float(np.max((hi - ceiling) / ceiling))
+        before = 1.0 + t * m0 > 0.0
+        assert np.all(lo[before] >= m0 / (1.0 + t[before] * m0)), n
+    assert worst["256"] > 1.0 and worst["1024"] <= 0.0, worst
