@@ -30,12 +30,11 @@ from .diagnostics import (
     check_blowup,
     extrema,
     observe,
-    predicted_blowup_time,
 )
 from . import dynamics
 from .dynamics import InstabilityError, SimParams, rk4_step, stable_dt
 from ._writer import _fmt, format_column, write_csv
-from .oracles import InitialCondition
+from .oracles import InitialCondition, breaking_time
 from .spectral import DEALIAS_RULES, as_float, dealias, forward_dft, nodal_pair, nodes, validate_n
 
 EXIT_CODES = {"completed": 0, "blowup_detected": 2, "resolution_lost": 3,
@@ -377,7 +376,7 @@ def write_outputs(result: RunResult, cfg: RunConfig) -> list[Path]:
         write_csv(path, "x,u\n", np.asarray(field)[:, None], lead=x)
         written.append(path)
 
-    predicted = predicted_blowup_time(result.records[0].min_slope)
+    predicted = breaking_time(result.records[0].min_slope)
     label = " (inviscid prediction)" if cfg.params.gamma > 0.0 else ""
     detected = result.status != "completed"
     cause = next((c for c, s in _CAUSE_TO_STATUS.items() if s == result.status), "none")
@@ -386,7 +385,7 @@ def write_outputs(result: RunResult, cfg: RunConfig) -> list[Path]:
         f"ic: {cfg.ic.label()}",
         "rng: pcg64",
         f"seed: {'none' if cfg.ic.seed is None else cfg.ic.seed}",
-        ("predicted_t_star: none" if predicted is None
+        ("predicted_t_star: none" if math.isinf(predicted)
          else f"predicted_t_star: {_fmt(predicted)}{label}"),
         f"detected: {'true' if detected else 'false'}",
         f"detected_t: {_fmt(result.records[-1].t) if detected else 'none'}",

@@ -1,16 +1,15 @@
-"""Per-step observables, blow-up prediction, and detection policy.
+"""Per-step observables and detection policy.
 
 Everything the run loop watches lives here: conserved mass, the L2 norm
 (constant without dissipation before the shock, non-increasing with it),
-nodal extrema (maximum principle), the slope extrema and the minimum's
-closed-form law m(t) = m0/(1 + t*m0), the accumulated integral of ||u_x||_inf
-(the continuation monitor: the solution persists while it stays finite),
-a discrete H^3 norm (recorded qualitatively; the a-priori bound's constant
-is not available), and the spectral tail fraction used as a resolution
-monitor. The tail is the top third of the band the run's dealias rule keeps,
-rows ceil(2K/3) .. K with K = spectral.band_limit(N, rule): with the rule
-off, |k| >= N/3; under the 2/3 rule, about 2N/9 <= |k| < N/3, the rows the
-filter leaves the solution.
+nodal extrema (maximum principle), the slope extrema, the accumulated
+integral of ||u_x||_inf (the continuation monitor: the solution persists
+while it stays finite), a discrete H^3 norm (recorded qualitatively; the
+a-priori bound's constant is not available), and the spectral tail fraction
+used as a resolution monitor. The tail is the top third of the band the
+run's dealias rule keeps, rows ceil(2K/3) .. K with
+K = spectral.band_limit(N, rule): with the rule off, |k| >= N/3; under the
+2/3 rule, about 2N/9 <= |k| < N/3, the rows the filter leaves the solution.
 
 Conventions: mass = 2*pi * c_0 (on the uniform periodic grid, the trapezoid
 rule), l2 = sqrt(2*pi * sum_{k=-N/2}^{N/2-1} |c_k|^2) (Parseval on the
@@ -43,10 +42,6 @@ import numpy as np
 from .spectral import as_float, band_limit, nodal_pair, validate_spectrum
 
 TAIL_GUARD = 1e-300  # keeps the tail ratio defined for the zero field
-
-
-class SingularTimeError(ValueError):
-    """The closed-form slope was evaluated exactly at its blow-up time."""
 
 
 class DiagnosticsRecord(NamedTuple):
@@ -89,28 +84,6 @@ def extrema(u: np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Nodal (max, min) over the last axis."""
     u = np.asarray(u)
     return u.max(axis=-1), u.min(axis=-1)
-
-
-def predicted_blowup_time(m0: float) -> float | None:
-    """Closed-form shock time -1/m0 from the initial minimum slope m0.
-
-    Meaningful as a prediction only without dissipation; callers running
-    gamma > 0 label it an inviscid prediction. None when no slope is
-    negative (such data never steepens into a shock).
-    """
-    if m0 < 0.0:
-        return -1.0 / m0
-    return None
-
-
-def slope_closed_form(m0: float, t: float) -> float:
-    """Slope law m(t) = m0/(1 + t*m0) for the undissipated equation."""
-    m0 = float(m0)
-    t = float(t)
-    denom = 1.0 + t * m0
-    if denom == 0.0:
-        raise SingularTimeError(f"slope law is singular at t = {t} for m0 = {m0}")
-    return m0 / denom
 
 
 def check_blowup(rec: DiagnosticsRecord,

@@ -1,9 +1,12 @@
 """Analytic reference solutions, independent of the solver.
 
-Three oracles back the test suite and the acceptance criteria. For the
-undissipated equation, smooth data rides its characteristics: u(x, t) is the
-unique pre-shock root of the implicit equation u = f(x - u*t), solved here by
-damped fixed-point iteration with a bisection fallback. For the purely linear
+Five oracles back the test suite and the acceptance criteria. For the
+undissipated equation, data whose minimum slope m0 is negative breaks at
+t* = -1/m0 (breaking_time; shock_time reads m0 from a profile), and until
+then its minimum slope follows m(t) = m0/(1 + t*m0) (slope_closed_form).
+Before t*, smooth data rides its characteristics: u(x, t) is the unique
+root of the implicit equation u = f(x - u*t), solved here by damped
+fixed-point iteration with a bisection fallback. For the purely linear
 equation u_t = -gamma*Lambda^alpha u, every coefficient decays exactly by
 exp(-gamma*|k|^alpha * t). For alpha = 2 the equation is viscous Burgers,
 which the Cole-Hopf transform solves exactly; cole_hopf_solution evaluates
@@ -214,10 +217,31 @@ def _value_range(f: InitialCondition) -> tuple[float, float]:
     return float(np.min(vals)), float(np.max(vals))
 
 
+def breaking_time(m0: float) -> float:
+    """Shock time t* = -1/m0 of the undissipated equation from the minimum
+    initial slope m0; inf where that is not a finite time: m0 >= 0 (such
+    data never steepens into a shock), NaN, or a subnormal m0 whose
+    reciprocal overflows (Python float division, so unwarned)."""
+    m0 = float(m0)
+    return -1.0 / m0 if m0 < 0.0 else np.inf
+
+
 def shock_time(f: InitialCondition) -> float:
     """First time a characteristic crossing can occur, -1/min f'; inf if none."""
-    m0 = _slope_floor(f)
-    return -1.0 / m0 if m0 < 0.0 else np.inf
+    return breaking_time(_slope_floor(f))
+
+
+def slope_closed_form(m0, t):
+    """Slope law m(t) = m0/(1 + t*m0) of the undissipated equation,
+    elementwise over the broadcast of m0 and t; a float for scalars.
+    ValueError where a denominator is 0, at the pole t = -1/m0."""
+    m0 = np.asarray(m0, dtype=float)
+    t = np.asarray(t, dtype=float)
+    denom = 1.0 + t * m0
+    if (denom == 0.0).any():
+        raise ValueError(f"slope law is singular at t = {t} for m0 = {m0}")
+    out = m0 / denom
+    return out if out.ndim else float(out)
 
 
 def characteristics_solution(f: InitialCondition, x: float, t: float) -> float:

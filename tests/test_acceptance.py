@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from fracburgers.cli import parse_config, run_simulation, write_outputs
-from fracburgers.diagnostics import DetectionThresholds, check_blowup, slope_closed_form
+from fracburgers.diagnostics import DetectionThresholds, check_blowup
 from fracburgers.dynamics import SimParams, rk4_step
-from fracburgers.oracles import InitialCondition, characteristics_solution
+from fracburgers.oracles import InitialCondition, characteristics_solution, slope_closed_form
 from fracburgers.spectral import (
     forward_dft,
     fractional_laplacian,

@@ -33,10 +33,9 @@ from fracburgers.diagnostics import (
     DetectionThresholds,
     DiagnosticsRecord,
     check_blowup,
-    predicted_blowup_time,
 )
 from fracburgers.dynamics import CFL_ADVECTION, CFL_DISSIPATION, DT_GUARD, SimParams
-from fracburgers.oracles import InitialCondition, linear_decay_solution
+from fracburgers.oracles import InitialCondition, breaking_time, linear_decay_solution
 from fracburgers.spectral import (
     DEALIAS_RULES,
     forward_dft,
@@ -428,7 +427,7 @@ class TestRunSimulation:
         for r in res.records:
             assert r.mass == 0.0 and r.l2 == 0.0 and r.h3 == 0.0
         assert len(res.snapshots) == 11
-        assert predicted_blowup_time(res.records[0].min_slope) is None
+        assert breaking_time(res.records[0].min_slope) == np.inf
 
     def test_snapshots_land_on_exact_multiples(self):
         res = run_simulation(config("--n", "64", "--gamma", "0.1", "--t-final", "0.5"))
@@ -494,7 +493,7 @@ class TestRunSimulation:
 
     def test_neg_sine_prediction_recorded(self):
         res = run_simulation(config("--n", "64", "--t-final", "0.2"))
-        assert predicted_blowup_time(res.records[0].min_slope) == pytest.approx(1.0, rel=1e-9)
+        assert breaking_time(res.records[0].min_slope) == pytest.approx(1.0, rel=1e-9)
 
     def test_blowup_detected_by_slope_threshold(self):
         cfg = config("--n", "64", "--t-final", "1.2", "--slope-limit", "10")
@@ -645,10 +644,18 @@ class TestWriteOutputs:
          "blowup_detected", "slope_threshold"),
         (RESOLUTION_LOSS_ARGS, "resolution_lost", "resolution_loss"),
         (NUMERIC_FAILURE_ARGS, "numeric_failure", "non_finite"),
+        # predicted_t_star: none, for the zero field, the flat profile and a
+        # subnormal slope whose reciprocal overflows.
+        (["--ic", "random:0:1", "--n", "16", "--t-final", "0.1"], "completed", "none"),
+        (["--ic", "scaled-neg-sine:0", "--n", "16", "--t-final", "0.1"], "completed", "none"),
+        (["--ic", "scaled-neg-sine:1e-320", "--n", "16", "--t-final", "0.1"],
+         "completed", "none"),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_report_derived_from_status_and_records(self, tmp_path, args, status, cause):
         """detected_t is the last row's t, the cause pairs with the status,
-        and predicted_t_star is -1/min_slope of row 0."""
+        and predicted_t_star is -1/min_slope of row 0, or none where that is
+        not a finite time. No warning is raised on the way."""
         cfg = config(*args, out=tmp_path)
         write_outputs(run_simulation(cfg), cfg)
         lines = (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines()
@@ -662,8 +669,12 @@ class TestWriteOutputs:
         detected = status != "completed"
         assert report["detected"] == ("true" if detected else "false")
         assert report["detected_t"] == (last["t"] if detected else "none")
-        predicted = float(report["predicted_t_star"].split(" ")[0])
-        assert predicted == -1.0 / float(first["min_slope"])
+        m0 = float(first["min_slope"])
+        predicted = report["predicted_t_star"].split(" ")[0]
+        if m0 < 0.0 and -1.0 / m0 < math.inf:
+            assert float(predicted) == -1.0 / m0
+        else:
+            assert predicted == "none"
 
     def test_result_needs_a_known_status_and_a_record(self):
         rec = DiagnosticsRecord(0.0, 0.0, 1.0, 1.0, -1.0, -1.0, 1.0, 0.0, 1.0, 0.0)

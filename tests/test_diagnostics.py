@@ -9,14 +9,12 @@ import pytest
 from fracburgers.diagnostics import (
     DetectionThresholds,
     DiagnosticsRecord,
-    SingularTimeError,
     check_blowup,
     extrema,
     observe,
-    predicted_blowup_time,
-    slope_closed_form,
 )
 from fracburgers.dynamics import SimParams, rk4_step
+from fracburgers.oracles import breaking_time
 from fracburgers.spectral import (
     DEALIAS_RULES,
     dealias,
@@ -124,37 +122,19 @@ class TestMinSlope:
 
 
 class TestPredictedBlowupTime:
+    """report.txt's predicted_t_star: breaking_time of the t = 0 record's
+    nodal min_slope, inf (printed none) where the data never breaks."""
+
     def test_neg_sine_breaks_at_one(self):
-        got = predicted_blowup_time(initial_slope(-np.sin(nodes(64))))
+        got = breaking_time(initial_slope(-np.sin(nodes(64))))
         assert got == pytest.approx(1.0, rel=1e-12)
 
     def test_amplitude_scales_inversely(self):
-        got = predicted_blowup_time(initial_slope(-2.0 * np.sin(nodes(64))))
+        got = breaking_time(initial_slope(-2.0 * np.sin(nodes(64))))
         assert got == pytest.approx(0.5, rel=1e-12)
 
     def test_constant_never_breaks(self):
-        assert predicted_blowup_time(initial_slope(np.full(16, 2.0))) is None
-
-
-class TestSlopeClosedForm:
-    def test_halfway_to_breaking(self):
-        assert slope_closed_form(-1.0, 0.5) == pytest.approx(-2.0, rel=1e-15)
-
-    def test_late_steepening(self):
-        assert slope_closed_form(-1.0, 0.8) == pytest.approx(-5.0, rel=1e-14)
-
-    def test_flat_data_stays_flat(self):
-        assert slope_closed_form(0.0, 7.0) == 0.0
-
-    def test_positive_slope_relaxes(self):
-        assert slope_closed_form(2.0, 0.3) == pytest.approx(1.25, rel=1e-15)
-
-    def test_singular_time_raises(self):
-        with pytest.raises(SingularTimeError, match="singular"):
-            slope_closed_form(-2.0, 0.5)
-
-    def test_continuation_branch_past_the_pole(self):
-        assert slope_closed_form(-2.0, 0.7) == pytest.approx(5.0, rel=1e-12)
+        assert breaking_time(initial_slope(np.full(16, 2.0))) == np.inf
 
 
 class TestBkmIntegral:

@@ -9,13 +9,14 @@ from fracburgers import oracles
 from fracburgers.oracles import (
     ConvergenceError,
     InitialCondition,
+    breaking_time,
     characteristics_solution,
     cole_hopf_solution,
     linear_decay_solution,
     shock_time,
+    slope_closed_form,
 )
 from fracburgers.oracles import _band_coeffs
-from fracburgers.diagnostics import slope_closed_form
 from fracburgers.spectral import forward_dft, inverse_dft, nodes
 
 CATALOGUE = (
@@ -196,18 +197,60 @@ class TestInitialCondition:
 
 
 class TestShockTime:
+    """breaking_time(m0) is t* = -1/m0, or inf; shock_time(f) applies it to
+    the profile's dense slope floor."""
+
     def test_neg_sine_breaks_at_one(self):
+        assert breaking_time(-1.0) == 1.0
         assert shock_time(InitialCondition.neg_sine()) == pytest.approx(1.0, abs=1e-9)
 
     def test_amplitude_scales_inversely(self):
+        assert breaking_time(-2.0) == 0.5
         assert shock_time(InitialCondition.scaled_neg_sine(2.0)) == pytest.approx(0.5, abs=1e-9)
 
     def test_flat_profile_never_breaks(self):
+        for m0 in (0.0, -0.0, 2.0):
+            assert breaking_time(m0) == np.inf, m0
         assert shock_time(InitialCondition.scaled_neg_sine(0.0)) == np.inf
 
     def test_gaussian_breaks_eventually(self):
         t = shock_time(InitialCondition.gaussian_bump(1.0))
         assert np.isfinite(t) and t > 1.0
+
+
+class TestSlopeClosedForm:
+    def test_halfway_to_breaking(self):
+        assert slope_closed_form(-1.0, 0.5) == pytest.approx(-2.0, rel=1e-15)
+
+    def test_late_steepening(self):
+        assert slope_closed_form(-1.0, 0.8) == pytest.approx(-5.0, rel=1e-14)
+
+    def test_flat_data_stays_flat(self):
+        assert slope_closed_form(0.0, 7.0) == 0.0
+
+    def test_positive_slope_relaxes(self):
+        assert slope_closed_form(2.0, 0.3) == pytest.approx(1.25, rel=1e-15)
+
+    def test_singular_time_raises(self):
+        with pytest.raises(ValueError, match="singular at t = 0.5 for m0 = -2.0"):
+            slope_closed_form(-2.0, 0.5)
+        with pytest.raises(ValueError, match="singular"):
+            slope_closed_form(-2.0, np.array([0.25, 0.5, 0.75]))
+
+    def test_continuation_branch_past_the_pole(self):
+        assert slope_closed_form(-2.0, 0.7) == pytest.approx(5.0, rel=1e-12)
+
+    def test_array_is_bit_equal_to_scalar_calls(self):
+        """On arrays, broadcast, each element is the scalar call's float."""
+        m0 = np.array([-1.0, -2.0, 0.0, 2.0, -0.3, -1.0])
+        t = np.array([0.25, 0.7, 7.0, 0.3, 1.1, 0.8])
+        got = slope_closed_form(m0, t)
+        assert got.shape == (6,)
+        assert got.tobytes() == np.array([slope_closed_form(a, b) for a, b in zip(m0, t)]).tobytes()
+        grid = slope_closed_form(m0[:, None], t)
+        assert grid.shape == (6, 6)
+        assert all(grid[i, j] == slope_closed_form(m0[i], t[j])
+                   for i in range(6) for j in range(6))
 
 
 class TestCharacteristicsSolution:

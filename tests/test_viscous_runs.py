@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from fracburgers.cli import parse_config
-from fracburgers.oracles import cole_hopf_solution
+from fracburgers.oracles import cole_hopf_solution, slope_closed_form
 from fracburgers.spectral import nodes
 
 RUNS = [
@@ -67,9 +67,9 @@ def test_slope_extrema_within_the_comparison_bounds(args, timed_run):
     res, _ = timed_run(args)
     t, lo, hi = np.array([(r.t, r.min_slope, r.max_slope) for r in res.records]).T
     m0, big_m0 = lo[0], hi[0]
-    assert np.all(hi <= big_m0 / (1.0 + t * big_m0))
+    assert np.all(hi <= slope_closed_form(big_m0, t))
     before = 1.0 + t * m0 > 0.0
-    assert np.all(lo[before] >= m0 / (1.0 + t[before] * m0))
+    assert np.all(lo[before] >= slope_closed_form(m0, t[before]))
 
 
 def test_conservation_run_keeps_the_slope_floor(timed_run):
@@ -84,7 +84,7 @@ def test_conservation_run_keeps_the_slope_floor(timed_run):
     t, lo = np.array([(r.t, r.min_slope) for r in res.records]).T
     m0 = lo[0]
     before = 1.0 + t * m0 > 0.0
-    assert np.all(lo[before] >= m0 / (1.0 + t[before] * m0))
+    assert np.all(lo[before] >= slope_closed_form(m0, t[before]))
 
 
 def test_refinement_removes_a_ceiling_break(timed_run):
@@ -102,8 +102,8 @@ def test_refinement_removes_a_ceiling_break(timed_run):
         assert res.status == "completed"
         t, lo, hi = np.array([(r.t, r.min_slope, r.max_slope) for r in res.records]).T
         m0, big_m0 = lo[0], hi[0]
-        ceiling = big_m0 / (1.0 + t * big_m0)
+        ceiling = slope_closed_form(big_m0, t)
         worst[n] = float(np.max((hi - ceiling) / ceiling))
         before = 1.0 + t * m0 > 0.0
-        assert np.all(lo[before] >= m0 / (1.0 + t[before] * m0)), n
+        assert np.all(lo[before] >= slope_closed_form(m0, t[before])), n
     assert worst["256"] > 1.0 and worst["1024"] <= 0.0, worst
