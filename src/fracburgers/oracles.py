@@ -5,8 +5,11 @@ undissipated equation, data whose minimum slope m0 is negative breaks at
 t* = -1/m0 (breaking_time; shock_time reads m0 from a profile), and until
 then its minimum slope follows m(t) = m0/(1 + t*m0) (slope_closed_form).
 Before t*, smooth data rides its characteristics: u(x, t) is the unique
-root of the implicit equation u = f(x - u*t), solved here by damped
-fixed-point iteration with a bisection fallback. For the purely linear
+root of the implicit equation u = f(x - u*t). characteristics_solution
+solves it at every x of an array at once, by one safeguarded Newton
+iteration: each element keeps a bracket on its root, first the range of f
+(sampled, then padded by the sampling bound), and bisects it wherever a
+Newton step would leave it. For the purely linear
 equation u_t = -gamma*Lambda^alpha u, every coefficient decays exactly by
 exp(-gamma*|k|^alpha * t). For alpha = 2 the equation is viscous Burgers,
 which the Cole-Hopf transform solves exactly; cole_hopf_solution evaluates
@@ -36,9 +39,8 @@ import numpy as np
 from .spectral import as_float, validate_alpha
 
 RESIDUAL_TOL = 1e-12
-_MAX_FIXED_POINT = 500
-_MAX_BISECTION = 200
-_DENSE_SAMPLES = 8192  # for the shock-time guard and the bisection bracket
+_MAX_ITERATIONS = 100  # bisection alone halves the bracket to rounding in ~60
+_DENSE_SAMPLES = 8192  # for the slope floor and the characteristics bracket
 _BLOCK = 2**20  # (x, k) or (x, s) pairs that one block of a sum over x holds
 # Narrowest gaussian_bump: below it w**2 is subnormal, and (cos x - 1)/w**2
 # can overflow to -inf (and 0/0 gives NaN at x = 0).
@@ -204,17 +206,19 @@ def _blockwise(block, x: np.ndarray, width: int) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-@lru_cache(maxsize=None)
-def _slope_floor(f: InitialCondition) -> float:
+# Three floats per entry; a shock_time call and a characteristics grading
+# each read one profile, so one entry serves every node of a grading.
+@lru_cache(maxsize=1)
+def _dense_sampling(f: InitialCondition) -> tuple[float, float, float]:
+    """min f' over _DENSE_SAMPLES nodes, and the sampled range of f padded
+    by h*max|f'| (h the node spacing) so it holds the true range: a true
+    extremum lies within h/2 of a node, and the factor 2 allows for the
+    sampled max|f'| falling short of the true one."""
     xs = np.linspace(-np.pi, np.pi, _DENSE_SAMPLES, endpoint=False)
-    return float(np.min(f.derivative(xs)))
-
-
-@lru_cache(maxsize=None)
-def _value_range(f: InitialCondition) -> tuple[float, float]:
-    xs = np.linspace(-np.pi, np.pi, _DENSE_SAMPLES, endpoint=False)
+    slopes = f.derivative(xs)
     vals = f(xs)
-    return float(np.min(vals)), float(np.max(vals))
+    pad = 2.0 * np.pi / _DENSE_SAMPLES * float(np.max(np.abs(slopes)))
+    return float(np.min(slopes)), float(np.min(vals)) - pad, float(np.max(vals)) + pad
 
 
 def breaking_time(m0: float) -> float:
@@ -228,7 +232,7 @@ def breaking_time(m0: float) -> float:
 
 def shock_time(f: InitialCondition) -> float:
     """First time a characteristic crossing can occur, -1/min f'; inf if none."""
-    return breaking_time(_slope_floor(f))
+    return breaking_time(_dense_sampling(f)[0])
 
 
 def slope_closed_form(m0, t):
@@ -244,24 +248,28 @@ def slope_closed_form(m0, t):
     return out if out.ndim else float(out)
 
 
-def characteristics_solution(f: InitialCondition, x: float, t: float) -> float:
-    """Solve u = f(x - u*t) for t before the shock time.
+def characteristics_solution(f: InitialCondition, x, t: float):
+    """Solve u = f(x - u*t) at each x for t before the shock time.
 
-    Seeded at f(x), iterated as u <- u + (f(x - u*t) - u)/2; the damping
-    keeps the map contractive wherever t*f' lies in (-1, 3) around the root,
-    which holds pre-shock for every profile in the catalogue. If the
-    iteration stalls, bisection on [min f, max f] takes over (the root lies
-    in that interval because u equals a value of f). Converged when
-    |u - f(x - u*t)| <= 1e-12.
+    g(u) = u - f(x - u*t) increases strictly before the shock time (g' =
+    1 + t*f' > 0), so the root is unique, and it lies in the range of f,
+    since u is a value of f. Every element starts from u = f(x) with that
+    range as its bracket [a, b], g(a) <= 0 <= g(b): the range sampled at
+    8192 nodes, padded by the sampling bound h*max|f'| (h = 2*pi/8192) so it
+    holds the true range. Each then takes Newton steps, bisecting its
+    bracket instead wherever a step would leave it, and stops once
+    |g(u)| <= 1e-12, so it does not depend on the other elements. x may
+    have any shape; a scalar x returns a float. ConvergenceError where the
+    bracket does not straddle the root or the residual is not met.
     """
-    x = float(x)
     t = float(t)
-    if not np.isfinite(x):
+    xv = np.asarray(x, dtype=float)
+    if not np.isfinite(xv).all():
         raise ValueError(f"x must be finite, got {x!r}")
     if t < 0.0 or not np.isfinite(t):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     if t == 0.0:
-        return float(f(x))
+        return f(xv)
     t_star = shock_time(f)
     if t >= t_star:
         raise ValueError(
@@ -269,39 +277,27 @@ def characteristics_solution(f: InitialCondition, x: float, t: float) -> float:
             "characteristics cross and the implicit equation loses uniqueness"
         )
 
-    u = float(f(x))
-    for _ in range(_MAX_FIXED_POINT):
-        r = float(f(x - u * t)) - u
-        if abs(r) <= RESIDUAL_TOL:
-            return u
-        u += 0.5 * r
-
-    # Fixed point stalled; fall back to bisection. The root is bracketed by
-    # the range of f, padded a hair because the range itself was sampled.
-    lo, hi = _value_range(f)
-    pad = 1e-9 * max(1.0, abs(lo), abs(hi))
-    a, b = lo - pad, hi + pad
-    ga = a - float(f(x - a * t))
-    gb = b - float(f(x - b * t))
-    if ga > 0.0 or gb < 0.0:
-        raise ConvergenceError(
-            f"bisection bracket [{a:g}, {b:g}] does not straddle the root at x={x:g}, t={t:g}"
-        )
-    for _ in range(_MAX_BISECTION):
-        mid = 0.5 * (a + b)
-        r = mid - float(f(x - mid * t))
-        if abs(r) <= RESIDUAL_TOL:
-            return mid
-        if r <= 0.0:
-            a = mid
-        else:
-            b = mid
-        if b - a <= 1e-16 * max(1.0, abs(a), abs(b)):
-            break
-    u = 0.5 * (a + b)
-    if abs(u - float(f(x - u * t))) <= RESIDUAL_TOL:
-        return u
-    raise ConvergenceError(f"no root to residual {RESIDUAL_TOL:g} at x={x:g}, t={t:g}")
+    _, lo, hi = _dense_sampling(f)
+    # One evaluation gives the start u = f(x) and g at both ends of the bracket.
+    u, f_lo, f_hi = f(np.stack([xv, xv - lo * t, xv - hi * t]))
+    straddles = (lo <= f_lo) & (f_hi <= hi)
+    if not straddles.all():
+        raise ConvergenceError(f"bracket [{lo:g}, {hi:g}] does not straddle the root at "
+                               f"x={xv[~straddles][0]:g}, t={t:g}")
+    a, b = lo, hi
+    with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite step bisects
+        for _ in range(_MAX_ITERATIONS):
+            y = xv - u * t
+            r = u - f(y)
+            live = ~(np.abs(r) <= RESIDUAL_TOL)  # converged elements stay as they are
+            if not live.any():
+                return u if u.ndim else float(u)
+            below = r < 0.0
+            a, b = np.where(below, u, a), np.where(below, b, u)
+            step = u - r / (1.0 + t * f.derivative(y))
+            step = np.where((a < step) & (step < b), step, 0.5 * (a + b))
+            u = np.where(live, step, u)
+    raise ConvergenceError(f"no root to residual {RESIDUAL_TOL:g} at x={xv[live][0]:g}, t={t:g}")
 
 
 def linear_decay_solution(c0: np.ndarray, t: float, gamma: float,
@@ -319,8 +315,7 @@ def linear_decay_solution(c0: np.ndarray, t: float, gamma: float,
     return c0 * decay
 
 
-def cole_hopf_solution(a: float, gamma: float, x, t: float, *,
-                       h: float | None = None):
+def cole_hopf_solution(a: float, gamma: float, x, t: float):
     """Exact solution of u_t + u u_x = gamma u_xx from u0 = -a sin x.
 
     The Cole-Hopf transform (Hopf 1950, Cole 1951) gives
@@ -331,8 +326,8 @@ def cole_hopf_solution(a: float, gamma: float, x, t: float, *,
     Since (x - y)/t = u0(y) - dG/dy and W vanishes at both ends, the same
     ratio is int u0(y) W dy / int W dy, the W-weighted mean of u0: that form
     keeps its rounding at the size of u0 even as t -> 0, where (x - y)/t
-    does not. Both integrals use the trapezoid rule in s = x - y with step h
-    (default: 1/8 of sqrt(2 gamma / (1/t + |a|)), the narrowest width of W),
+    does not. Both integrals use the trapezoid rule in s = x - y with step h,
+    1/8 of sqrt(2 gamma / (1/t + |a|)), the narrowest width of W,
     over |s| <= sqrt(2t (2|a| + 120 gamma)), beyond which W < exp(-60)
     of its peak, with G - min G in the exponent. No heat-equation series is
     used: its terms cancel as a/gamma grows. x may have any shape; t = 0
@@ -351,11 +346,7 @@ def cole_hopf_solution(a: float, gamma: float, x, t: float, *,
     if t == 0.0:
         out = -a * np.sin(xv)
         return out if out.ndim else float(out)
-    if h is None:
-        h = np.sqrt(2.0 * gamma / (1.0 / t + abs(a))) / _COLE_HOPF_PER_WIDTH
-    elif not 0.0 < as_float(h) < np.inf:
-        raise ValueError(f"h must be finite and > 0, got {h!r}")
-    h = float(h)
+    h = np.sqrt(2.0 * gamma / (1.0 / t + abs(a))) / _COLE_HOPF_PER_WIDTH
     reach = np.sqrt(2.0 * t * (2.0 * abs(a) + 2.0 * gamma * _COLE_HOPF_CUT))
     if not reach / h <= _COLE_HOPF_MAX_HALF:  # also catches an overflow to inf
         raise ValueError(f"h = {h:g} over |s| <= {reach:g} takes more than "
