@@ -12,7 +12,6 @@ from .diagnostics import (
     DetectionThresholds,
     DiagnosticsRecord,
     check_blowup,
-    extrema,
     observe,
 )
 from .dynamics import InstabilityError, SimParams, rk4_step, stable_dt
@@ -54,7 +53,7 @@ __all__ = [
     "InitialCondition", "InstabilityError", "RunConfig", "RunResult", "SimParams",
     "SymmetryError", "UsageError",
     "band_limit", "breaking_time", "characteristics_solution", "check_blowup",
-    "cole_hopf_solution", "dealias", "extrema", "forward_dft",
+    "cole_hopf_solution", "dealias", "forward_dft",
     "fractional_laplacian", "inverse_dft", "linear_decay_solution", "main",
     "nodal_pair", "nodes", "observe", "parse_config",
     "rk4_step", "run_simulation", "shock_time", "slope_closed_form",

@@ -28,7 +28,6 @@ from .diagnostics import (
     DetectionThresholds,
     DiagnosticsRecord,
     check_blowup,
-    extrema,
     observe,
 )
 from . import dynamics
@@ -56,21 +55,23 @@ _CAUSE_TO_STATUS = {"slope_threshold": "blowup_detected",
                     "resolution_loss": "resolution_lost",
                     "non_finite": "numeric_failure"}
 
-# Config key -> (default, help). The flag is the key with "-" for "_".
+# Config key -> (default, help). The flag is the key with "-" for "_". The
+# equation's and the detection limits' defaults are SimParams' and
+# DetectionThresholds' own, as text that parses back to the same value.
 _OPTIONS = {
     "n": ("256", "grid size (even, >= 4)"),
-    "gamma": ("0", "dissipation strength, >= 0"),
-    "alpha": ("1", "fractional order in (0, 2]"),
+    "gamma": (repr(SimParams.gamma), "dissipation strength, >= 0"),
+    "alpha": (repr(SimParams.alpha), "fractional order in (0, 2]"),
     "dt": ("auto", 'time step, a number or "auto"'),
     "t_final": ("1", "end time, > 0"),
     "ic": ("neg-sine", " | ".join(InitialCondition.SELECTORS)),
-    "dealias": ("off", " | ".join(DEALIAS_RULES)),
+    "dealias": (SimParams.dealias_rule, " | ".join(DEALIAS_RULES)),
     "snapshot_every": ("0.1", "time between stored snapshots"),
     "output": ("out", "output directory"),
     "detect_blowup": ("true", "true | false"),
-    "slope_limit": ("100", "detection threshold on |min slope|"),
-    "tail_limit": ("0.1", "detection threshold on tail fraction"),
-    "linear_only": ("false", "drop the nonlinear term (test mode)"),
+    "slope_limit": (repr(DetectionThresholds.slope_limit), "detection threshold on |min slope|"),
+    "tail_limit": (repr(DetectionThresholds.tail_limit), "detection threshold on tail fraction"),
+    "linear_only": (str(SimParams.linear_only).lower(), "drop the nonlinear term (test mode)"),
 }
 
 
@@ -296,7 +297,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
             u0 = nodal[0]
 
         warnings: list[str] = []
-        max0, min0 = extrema(u0)
+        max0, min0 = np.max(u0), np.min(u0)
         if not (max0 >= 0.0 and min0 <= 0.0):
             warnings.append(
                 "maximum-principle hypotheses do not hold at t=0 "

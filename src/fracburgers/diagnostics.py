@@ -25,8 +25,7 @@ in) for their extrema, computes the paired power |c_k|^2 + |c_{-k}|^2 once
 for the norms and the tail, and sums the BKM integral from the previous
 record. It reads the last axis, as the spectral operators do, so a stack of
 shape (..., N/2 + 1) gives one value per state in every field, and it gives
-inf or NaN unwarned where the arithmetic overflows. extrema, the nodal
-(max, min) over the last axis, is also used on its own.
+inf or NaN unwarned where the arithmetic overflows.
 check_blowup returns the detection cause one state's record fires, or None.
 """
 
@@ -80,12 +79,6 @@ class DetectionThresholds:
         object.__setattr__(self, "tail_limit", tail_limit)
 
 
-def extrema(u: np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """Nodal (max, min) over the last axis."""
-    u = np.asarray(u)
-    return u.max(axis=-1), u.min(axis=-1)
-
-
 def check_blowup(rec: DiagnosticsRecord,
                  thresholds: DetectionThresholds | None) -> str | None:
     """Detection policy for one state's record: the cause that fires, or None.
@@ -125,8 +118,8 @@ def observe(c: np.ndarray, t: float, *, prev: DiagnosticsRecord | None = None,
     states = c.shape[:-1]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or NaN, flagged later
         u, slope = nodal_pair(c) if nodal is None else nodal
-        max_u, min_u = extrema(u)
-        max_slope, min_slope = extrema(slope)
+        max_u, min_u = np.max(u, axis=-1), np.min(u, axis=-1)
+        max_slope, min_slope = np.max(slope, axis=-1), np.min(slope, axis=-1)
         if prev is None:
             bkm = np.zeros(states)[()]
         else:

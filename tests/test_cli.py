@@ -59,7 +59,10 @@ def config(*extra, out="unused"):
 
 class TestParseConfig:
     def test_defaults(self):
+        """With no flag and no file, SimParams and DetectionThresholds get
+        their own defaults; the values are README's."""
         cfg = parse_config([])
+        assert cfg.params == SimParams() and cfg.thresholds == DetectionThresholds()
         assert cfg.n == 256
         assert cfg.params.gamma == 0.0 and cfg.params.alpha == 1.0
         assert cfg.dt == "auto" and cfg.t_final == 1.0

@@ -10,7 +10,6 @@ from fracburgers.diagnostics import (
     DetectionThresholds,
     DiagnosticsRecord,
     check_blowup,
-    extrema,
     observe,
 )
 from fracburgers.dynamics import SimParams, rk4_step
@@ -89,18 +88,37 @@ class TestSobolevNorm:
 
 
 class TestExtrema:
-    def test_neg_sine_hits_unit_bounds(self):
-        x = nodes(64)
-        assert extrema(-np.sin(x)) == (1.0, -1.0)
+    """max_u and min_u are numpy's max and min of inverse_dft(c), and the
+    slope fields those of nodal_pair(c)[1], to the bit. They are compared
+    with these reductions, not with the profile's bounds: irfft(rfft(u))
+    is u only to rounding."""
+
+    @staticmethod
+    def assert_nodal_extrema(c):
+        rec = observe(c, 0.0)
+        u, slope = inverse_dft(c), nodal_pair(c)[1]
+        for got, want in ((rec.max_u, np.max(u, axis=-1)), (rec.min_u, np.min(u, axis=-1)),
+                          (rec.max_slope, np.max(slope, axis=-1)),
+                          (rec.min_slope, np.min(slope, axis=-1))):
+            assert np.shape(got) == c.shape[:-1]
+            assert np.asarray(got).tobytes() == want.tobytes()
+        return rec
+
+    def test_neg_sine(self):
+        self.assert_nodal_extrema(forward_dft(-np.sin(nodes(64))))
 
     def test_constant(self):
-        assert extrema(np.full(8, 3.5)) == (3.5, 3.5)
+        self.assert_nodal_extrema(forward_dft(np.full(8, 3.5)))
 
     def test_reduces_each_row(self):
-        """The rows cos x and 2 cos x get one (max, min) each, not one pair."""
-        x = nodes(8)
-        max_u, min_u = extrema(np.multiply.outer([1.0, 2.0], np.cos(x)))
-        assert np.array_equal(max_u, [1.0, 2.0]) and np.array_equal(min_u, [-1.0, -2.0])
+        """The rows cos x and 2 cos x get one value each in every field,
+        bit-equal to the record of the row alone."""
+        stack = forward_dft(np.multiply.outer([1.0, 2.0], np.cos(nodes(8))))
+        rec = self.assert_nodal_extrema(stack)
+        for b, row in enumerate(stack):
+            alone = observe(row, 0.0)
+            for field in ("max_u", "min_u", "max_slope", "min_slope"):
+                assert getattr(rec, field)[b].tobytes() == getattr(alone, field).tobytes()
 
 
 def initial_slope(u):
@@ -349,7 +367,8 @@ class TestObserve:
         rec = observe(s, 0.25)
         assert isinstance(rec, DiagnosticsRecord)
         assert rec.t == 0.25
-        assert (rec.max_u, rec.min_u) == extrema(inverse_dft(s))
+        u = inverse_dft(s)
+        assert (rec.max_u, rec.min_u) == (np.max(u), np.min(u))
         assert rec.min_slope == pytest.approx(-1.0, rel=1e-12)
         assert rec.bkm_integral == 0.0
         assert observe(s, 0.25, nodal=nodal_pair(s)) == rec

@@ -10,7 +10,7 @@ def test_all_lists_every_public_attribute():
     hold, is caught here; a stale entry would break `from fracburgers import *`."""
     public = {name for name, value in vars(fracburgers).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(set(fracburgers.__all__)) == len(fracburgers.__all__)
+    assert len(set(fracburgers.__all__)) == len(fracburgers.__all__) == 32
     assert set(fracburgers.__all__) == public
 
 

@@ -1,5 +1,6 @@
-"""The README against the package in src/: its library example runs, and
-its diagnostics.csv header is the one written."""
+"""The README against the package in src/: its library example runs, its
+diagnostics.csv header is the one written, and its flag table gives the
+command line's defaults."""
 
 import os
 import re
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fracburgers.cli import _OPTIONS, _build_parser, parse_config
 from fracburgers.diagnostics import DiagnosticsRecord
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,3 +38,32 @@ def test_outputs_header_is_the_record_fields():
     match = re.search(r"`diagnostics\.csv`: one row per time step with header\s+`([^`]+)`", text)
     assert match, "README 'Outputs' names no diagnostics.csv header"
     assert match.group(1) == ",".join(DiagnosticsRecord._fields)
+
+
+def flag_table() -> dict[str, str]:
+    """README's command-line table, flag -> default as written."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("| flag | default | meaning |", 1)[1].split("\n\n", 1)[0]
+    return dict(re.findall(r"^\| `(--[a-z-]+)` \| ([^|]*?) \|", table, re.MULTILINE))
+
+
+def test_flag_table_defaults_are_the_parsed_ones():
+    """Each default in the table is the value parse_config([]) resolves:
+    numbers compared as floats, --linear-only off as False, --detect-blowup
+    true as thresholds that are not None, --config none as no file."""
+    table = flag_table()
+    assert set(table) == {"--" + key.replace("_", "-") for key in _OPTIONS} | {"--config"}
+    cfg = parse_config([])
+    p, th = cfg.params, cfg.thresholds
+    numbers = {"--n": cfg.n, "--gamma": p.gamma, "--alpha": p.alpha,
+               "--t-final": cfg.t_final, "--snapshot-every": cfg.snapshot_every,
+               "--slope-limit": th.slope_limit, "--tail-limit": th.tail_limit}
+    for flag, value in numbers.items():
+        assert float(table[flag]) == float(value), flag
+    assert table["--dt"] == cfg.dt
+    assert table["--ic"] == cfg.ic.label()
+    assert table["--dealias"] == p.dealias_rule
+    assert Path(table["--output"]) == cfg.output_dir
+    assert {"off": False, "on": True}[table["--linear-only"]] is p.linear_only
+    assert {"true": True, "false": False}[table["--detect-blowup"]] is (th is not None)
+    assert table["--config"] == "none" and _build_parser().parse_args([]).config is None

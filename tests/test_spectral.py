@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fracburgers.diagnostics import extrema, observe
+from fracburgers.diagnostics import observe
 from fracburgers.spectral import (
     DEALIAS_RULES,
     SymmetryError,
@@ -85,25 +85,23 @@ class TestFieldTypes:
         assert all(v == 0.0 for v in observe(np.zeros(3, complex), 0.0))
 
     def test_observables_read_each_row(self, monkeypatch):
-        """observe and extrema reduce over the last axis: on a stack, 2-D,
-        with one more leading axis, or in Fortran order, each field is its
-        row's own, to the bit, and observe makes one nodal_pair call for the
-        whole stack. One state gives numpy.float64 values; a 0-d input is
-        refused."""
+        """observe reduces over the last axis: on a stack, 2-D, with one more
+        leading axis, or in Fortran order, each field is its row's own, to
+        the bit, and observe makes one nodal_pair call for the whole stack.
+        One state gives numpy.float64 values; a 0-d input is refused."""
         pairs = []
         monkeypatch.setattr("fracburgers.diagnostics.nodal_pair",
                             lambda c: pairs.append(c.shape) or nodal_pair(c))
         for n in (16, 256, 1024):
             stack = forward_dft(np.random.default_rng(7100 + n).standard_normal((3, n)))
             for rule in DEALIAS_RULES:
-                calls = (lambda c: extrema(inverse_dft(c)),
-                         lambda c: observe(c, 0.5, prev=observe(c, 0.25), rule=rule))
-                for f in calls:
-                    rows = [f(row) for row in stack]
-                    for c in (stack, stack[None], np.asfortranarray(stack)):
-                        for got, want in zip(f(c), zip(*rows), strict=True):
-                            assert all(type(v) is np.float64 for v in want)
-                            assert np.array_equal(got, np.reshape(want, c.shape[:-1]))
+                def f(c):
+                    return observe(c, 0.5, prev=observe(c, 0.25), rule=rule)
+                rows = [f(row) for row in stack]
+                for c in (stack, stack[None], np.asfortranarray(stack)):
+                    for got, want in zip(f(c), zip(*rows), strict=True):
+                        assert all(type(v) is np.float64 for v in want)
+                        assert np.array_equal(got, np.reshape(want, c.shape[:-1]))
         pairs.clear()
         observe(stack, 0.5)
         assert pairs == [stack.shape]
