@@ -269,81 +269,70 @@ def parse_config(argv: list[str]) -> RunConfig:
 def run_simulation(cfg: RunConfig) -> RunResult:
     """Advance the configured run to t_final or to the first halting signal.
 
-    The state is the half-spectrum c and the loop owns the clock t. Steps
-    are clipped to land exactly on snapshot multiples and on t_final; on
-    landing, t is assigned the target value, so snapshot times are exact
-    float multiples of snapshot_every and no drift-induced micro-steps
-    occur. One DiagnosticsRecord is appended per step, plus the initial
-    record at t=0, and the detection policy meets each one before the next
-    step. Each state's nodal u and u_x are formed once: its record, its
-    snapshot and the first stage of the next step share them. observe sums
-    the BKM integral from the previous record, handed in as prev. The run
-    starts from the sampled profile's spectrum projected by the dealias rule,
-    so under "two-thirds" the rows above K = band_limit(n, rule) are zero at
-    every stage, and the t=0 record, snapshot and maximum-principle warning
-    read that projected state. Under "off" the projection keeps every row,
-    and the t=0 snapshot and warning read the sampled profile itself.
+    The state is the half-spectrum c and the loop owns the clock t. Every
+    state, t=0 included, takes one path: its nodal u and u_x are formed
+    once (nodal_pair) and shared by its record, its snapshot and the first
+    stage of the next step; observe sums the BKM integral from the previous
+    record, handed in as prev; the record is appended; the state is stored
+    as a snapshot when t lies within eps of k * snapshot_every, k the count
+    stored so far; and the detection policy meets the record before the
+    next step. Steps are clipped to land exactly on the next snapshot
+    multiple and on t_final; on landing, t is assigned the target value, so
+    snapshot times are exact float multiples of snapshot_every and no
+    drift-induced micro-steps occur. A step that does not land ends more
+    than eps short of its target, so it stores no snapshot. A non-finite
+    step (rk4_step's InstabilityError) ends the run with cause "non_finite",
+    as a non-finite record does, and the status is read from the cause.
+
+    The run starts from the sampled profile's spectrum projected by the
+    dealias rule, so under "two-thirds" the rows above K = band_limit(n,
+    rule) are zero at every stage, and the t=0 record and snapshot read that
+    projected state. Under "off" the projection keeps every row, and the
+    t=0 snapshot is the sampled profile itself. The maximum-principle
+    warning reads the t=0 snapshot.
     """
     p = cfg.params
+    eps = 1e-12 * cfg.t_final
     u0 = cfg.ic(nodes(cfg.n))
+    t, rec, cause = 0.0, None, None
+    records: list[DiagnosticsRecord] = []
+    snapshots: list[tuple[float, np.ndarray]] = []
 
     # Finiteness is checked explicitly: observe on each record, rk4_step on its result.
     with np.errstate(over="ignore", invalid="ignore"):
         c = dealias(forward_dft(u0), p.dealias_rule)
-        nodal = nodal_pair(c)
-        # u0 is the t=0 state at the nodes. Under "off" it stays the sampled
-        # profile, which irfft(rfft(u0)) reproduces only to rounding.
-        if p.dealias_rule != "off":
-            u0 = nodal[0]
-
-        warnings: list[str] = []
-        max0, min0 = np.max(u0), np.min(u0)
-        if not (max0 >= 0.0 and min0 <= 0.0):
-            warnings.append(
-                "maximum-principle hypotheses do not hold at t=0 "
-                f"(need max u >= 0 >= min u, got max={max0:.6g}, min={min0:.6g}); "
-                "the extrema bounds are monitored but not guaranteed"
-            )
-
-        t = 0.0
-        rec = observe(c, t, nodal=nodal, rule=p.dealias_rule)
-        records = [rec]
-        snapshots = [(t, u0)]
-        status = "completed"
-
-        eps = 1e-12 * cfg.t_final
-        snap_idx = 1
         while True:
-            cause = check_blowup(rec, cfg.thresholds)
-            if cause is not None:
-                status = _CAUSE_TO_STATUS[cause]
-                break
-            if t >= cfg.t_final - eps:
-                break
-            snap_t = snap_idx * cfg.snapshot_every
-            target = min(snap_t, cfg.t_final)
-            try:
-                cap = cfg.dt if cfg.dt != "auto" else stable_dt(max(rec.max_u, -rec.min_u), cfg.n, p)
-                remaining = target - t
-                if cap >= remaining - eps:
-                    dt_step, landed = remaining, True
-                else:
-                    dt_step, landed = cap, False
-                c = rk4_step(c, p, dt_step, nodal=nodal)
-            except InstabilityError:
-                # Step blew up; the last appended record is the last valid state.
-                status = "numeric_failure"
-                break
-            t = target if landed else t + dt_step
             nodal = nodal_pair(c)
             rec = observe(c, t, prev=rec, nodal=nodal, rule=p.dealias_rule)
             records.append(rec)
-            if landed and abs(snap_t - t) <= eps:
-                snapshots.append((t, nodal[0]))
-                snap_idx += 1
+            if abs(len(snapshots) * cfg.snapshot_every - t) <= eps:
+                # Under "off" the t=0 snapshot stays the sampled profile, which
+                # irfft(rfft(u0)) reproduces only to rounding.
+                sampled = not snapshots and p.dealias_rule == "off"
+                snapshots.append((t, u0 if sampled else nodal[0]))
+            cause = check_blowup(rec, cfg.thresholds)
+            if cause is not None or t >= cfg.t_final - eps:
+                break
+            target = min(len(snapshots) * cfg.snapshot_every, cfg.t_final)
+            # check_blowup has ruled out a non-finite max|u|, so stable_dt returns.
+            cap = cfg.dt if cfg.dt != "auto" else stable_dt(max(rec.max_u, -rec.min_u), cfg.n, p)
+            landed = cap >= target - t - eps
+            dt_step = target - t if landed else cap
+            try:
+                c = rk4_step(c, p, dt_step, nodal=nodal)
+            except InstabilityError:  # the last appended record is the last valid state
+                cause = "non_finite"
+                break
+            t = target if landed else t + dt_step
+        max0, min0 = np.max(snapshots[0][1]), np.min(snapshots[0][1])
 
+    warnings = () if max0 >= 0.0 >= min0 else (
+        "maximum-principle hypotheses do not hold at t=0 "
+        f"(need max u >= 0 >= min u, got max={max0:.6g}, min={min0:.6g}); "
+        "the extrema bounds are monitored but not guaranteed",
+    )
     return RunResult(records=tuple(records), snapshots=tuple(snapshots),
-                     status=status, warnings=tuple(warnings))
+                     status=_CAUSE_TO_STATUS.get(cause, "completed"), warnings=warnings)
 
 
 def _snapshot_name(t: float) -> str:

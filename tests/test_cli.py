@@ -2,6 +2,7 @@
 
 import _pyio
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracburgers import _writer
+from fracburgers import _writer, cli
 from fracburgers.cli import (
     _OPTIONS,
     EXIT_CODES,
@@ -34,7 +35,13 @@ from fracburgers.diagnostics import (
     DiagnosticsRecord,
     check_blowup,
 )
-from fracburgers.dynamics import CFL_ADVECTION, CFL_DISSIPATION, DT_GUARD, SimParams
+from fracburgers.dynamics import (
+    CFL_ADVECTION,
+    CFL_DISSIPATION,
+    DT_GUARD,
+    InstabilityError,
+    SimParams,
+)
 from fracburgers.oracles import InitialCondition, breaking_time, linear_decay_solution
 from fracburgers.spectral import (
     DEALIAS_RULES,
@@ -529,6 +536,71 @@ class TestRunSimulation:
         for _, field in res.snapshots:
             assert np.all(np.isfinite(field))
 
+    def test_non_finite_step_ends_the_run(self, monkeypatch):
+        """A step whose result is non-finite (rk4_step raises) ends the run
+        as numeric_failure at the last finite record; the snapshots taken so
+        far are states of that record list."""
+        real_step, calls = cli.rk4_step, []
+
+        def failing_third_step(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise InstabilityError("non-finite RK4 step")
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "rk4_step", failing_third_step)
+        res = run_simulation(config("--n", "16", "--dt", "0.05", "--t-final", "0.3"))
+        assert res.status == "numeric_failure"
+        assert [r.t for r in res.records] == [0.0, 0.05, 0.1]
+        assert [t for t, _ in res.snapshots] == [0.0, 0.1]  # both are record times
+
+    def test_snapshots_follow_the_landing_rule(self):
+        """Seeded random runs: n in {8, 16, 32}, a fixed or auto step, and
+        t_final and snapshot_every of 1 to 16 significant digits, some a
+        hair off a divisor of t_final. Every snapshot time is exactly
+        k * snapshot_every, or t_final where k * snapshot_every lies within
+        eps = 1e-12 * t_final of it, and is a record time. On completed runs
+        the clock advances at every record, the last record reaches t_final
+        - eps, and the snapshots are the k with k * snapshot_every <= t_final
+        + eps. Clock advance is asserted on completed runs only: a step below
+        the clock's resolution leaves t where it is, and such a run ends by
+        detection or as numeric_failure (the stalled clock on ROADMAP item
+        11)."""
+        rng = np.random.default_rng(20261020)
+        outcomes = set()
+        for _ in range(600):
+            n = int(rng.choice([8, 16, 32]))
+            t_final = float(f"{10.0 ** rng.uniform(-4, 0.3):.{rng.integers(1, 17)}g}")
+            m = int(rng.integers(1, 21))
+            every = t_final / m
+            match rng.integers(4):
+                case 0:  # a hair off the divisor, across the landing tolerance
+                    every *= 1.0 + float(rng.choice([-1, 1])) * 10.0 ** rng.uniform(-16, -11)
+                case 1:
+                    every = float(f"{every:.{rng.integers(1, 17)}g}")
+                case 2:
+                    every = t_final / rng.uniform(1, 20)
+            every = min(every, t_final)
+            dt = "auto" if rng.integers(2) else repr(t_final / rng.uniform(1, 40))
+            ic = "neg-sine" if rng.integers(2) else f"random:3:{rng.integers(100)}"
+            cfg = config("--n", str(n), "--dt", dt, "--ic", ic, "--gamma",
+                         str(rng.choice([0.0, 0.1])), "--t-final", repr(t_final),
+                         "--snapshot-every", repr(every))
+            res = run_simulation(cfg)
+            outcomes.add(res.status)
+            eps = 1e-12 * cfg.t_final
+            record_times = [r.t for r in res.records]
+            for k, (t, _) in enumerate(res.snapshots):
+                assert t == k * every or (t == t_final and abs(k * every - t_final) <= eps), cfg
+                assert t in record_times, cfg
+            if res.status != "completed":
+                continue
+            assert all(b > a for a, b in zip(record_times, record_times[1:])), cfg
+            assert record_times[-1] >= cfg.t_final - eps, cfg
+            expected = next(k for k in itertools.count() if k * every > t_final + eps)
+            assert len(res.snapshots) == expected, cfg
+        assert "completed" in outcomes
+
     def test_tiny_t_final_takes_a_step(self):
         """The landing tolerance scales with t_final, so a run to 1e-13 steps."""
         res = run_simulation(config("--n", "16", "--t-final", "1e-13",
@@ -653,6 +725,10 @@ class TestWriteOutputs:
         (["--ic", "scaled-neg-sine:0", "--n", "16", "--t-final", "0.1"], "completed", "none"),
         (["--ic", "scaled-neg-sine:1e-320", "--n", "16", "--t-final", "0.1"],
          "completed", "none"),
+        # The first step's result is non-finite (rk4_step raises), so the run
+        # ends at its t = 0 record.
+        (["--n", "16", "--dt", "1e80", "--t-final", "1e80", "--snapshot-every", "1e80"],
+         "numeric_failure", "non_finite"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_report_derived_from_status_and_records(self, tmp_path, args, status, cause):
@@ -663,11 +739,11 @@ class TestWriteOutputs:
         write_outputs(run_simulation(cfg), cfg)
         lines = (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines()
         report = dict(line.split(": ", 1) for line in lines)
-        header, first, *_, last = [
+        header, *rows = [
             line.split(",")
             for line in (tmp_path / "diagnostics.csv").read_text(encoding="utf-8").splitlines()
         ]
-        first, last = dict(zip(header, first)), dict(zip(header, last))
+        first, last = dict(zip(header, rows[0])), dict(zip(header, rows[-1]))
         assert report["status"] == status and report["detection_cause"] == cause
         detected = status != "completed"
         assert report["detected"] == ("true" if detected else "false")
