@@ -3,15 +3,13 @@
 A run samples the chosen initial profile on the grid, advances it with RK4
 (fixed or automatic step), records every diagnostic at every step, stores
 nodal snapshots at exact multiples of snapshot_every, and stops early when
-the detection policy fires or a step goes non-finite. Outputs are plain CSV
-plus a small report.txt, written so that identical configs produce
-byte-identical files.
+the detection policy fires, a step goes non-finite or the clock stalls.
+Outputs are plain CSV plus a small report.txt, written so that identical
+configs produce byte-identical files.
 
-A run's outcome is its status and its records; report.txt derives its
-prediction and detection lines from them.
-
-Exit codes: 0 completed, 2 blow-up detected, 3 resolution lost,
-4 numeric failure, 64 usage error.
+A run's outcome is its detection cause and its records. The status, the
+exit code and report.txt's detection lines are read from the cause's row of
+_OUTCOMES; exit code 64 is a usage error and 1 an output I/O error.
 """
 
 from __future__ import annotations
@@ -24,20 +22,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import (
-    DetectionThresholds,
-    DiagnosticsRecord,
-    check_blowup,
-    observe,
-)
+from .diagnostics import DetectionThresholds, DiagnosticsRecord, check_blowup, observe
 from . import dynamics
 from .dynamics import InstabilityError, SimParams, rk4_step, stable_dt
 from ._writer import _fmt, format_column, write_csv
 from .oracles import InitialCondition, breaking_time
 from .spectral import DEALIAS_RULES, as_float, dealias, forward_dft, nodal_pair, nodes, validate_n
 
-EXIT_CODES = {"completed": 0, "blowup_detected": 2, "resolution_lost": 3,
-              "numeric_failure": 4}
+# Detection cause -> (status, exit code); None is a run that reached t_final.
+_OUTCOMES = {None: ("completed", 0),
+             "slope_threshold": ("blowup_detected", 2),
+             "resolution_loss": ("resolution_lost", 3),
+             "non_finite": ("numeric_failure", 4),
+             "stalled_clock": ("numeric_failure", 4)}
+EXIT_CODES = dict(_OUTCOMES.values())
 
 # Run budgets, which RunConfig checks before a run starts. A run may take at
 # most 10**6 steps (a record is about 440 B): a fixed dt by its count, dt auto
@@ -49,11 +47,6 @@ EXIT_CODES = {"completed": 0, "blowup_detected": 2, "resolution_lost": 3,
 # nodal u, u_x and product), which get the same 1 GiB: n is at most 2**23.
 MAX_FIXED_STEPS = 10**6
 MAX_SNAPSHOT_VALUES = 2**27
-
-# The status a detection cause ends a run with; "completed" pairs with "none".
-_CAUSE_TO_STATUS = {"slope_threshold": "blowup_detected",
-                    "resolution_loss": "resolution_lost",
-                    "non_finite": "numeric_failure"}
 
 # Config key -> (default, help). The flag is the key with "-" for "_". The
 # equation's and the detection limits' defaults are SimParams' and
@@ -158,16 +151,24 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunResult:
+    """A run's records (one per state, from t = 0), its (t, u) snapshots, the
+    detection cause that ended it (None if it reached t_final) and its
+    warnings. The status is the cause's row of _OUTCOMES."""
+
     records: tuple[DiagnosticsRecord, ...]
     snapshots: tuple[tuple[float, np.ndarray], ...]
-    status: str
+    cause: str | None
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.status not in EXIT_CODES:
-            raise ValueError(f"unknown status {self.status!r}")
+        if self.cause not in _OUTCOMES:
+            raise ValueError(f"unknown cause {self.cause!r}")
         if not self.records:  # report.txt reads the first and the last record
             raise ValueError("a run has at least its t = 0 record")
+
+    @property
+    def status(self) -> str:
+        return _OUTCOMES[self.cause][0]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -188,13 +189,6 @@ def _build_parser() -> _Parser:
             p.add_argument(flag, help=text)
     p.add_argument("--config", help="key=value file; flags override it")
     return p
-
-
-def _as_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"invalid value for {key}: {raw!r} is not an integer") from None
 
 
 def _as_bool(key: str, raw: str) -> bool:
@@ -243,7 +237,10 @@ def parse_config(argv: list[str]) -> RunConfig:
         if given is not None:
             merged[key] = given
 
-    n = _as_int("n", merged["n"])
+    try:
+        n = int(merged["n"])
+    except ValueError:
+        raise UsageError(f"invalid value for n: {merged['n']!r} is not an integer") from None
     linear_only = _as_bool("linear_only", merged["linear_only"])
     detect_blowup = _as_bool("detect_blowup", merged["detect_blowup"])
     try:
@@ -282,7 +279,9 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     drift-induced micro-steps occur. A step that does not land ends more
     than eps short of its target, so it stores no snapshot. A non-finite
     step (rk4_step's InstabilityError) ends the run with cause "non_finite",
-    as a non-finite record does, and the status is read from the cause.
+    as a non-finite record does. A step too short to move the clock
+    (t + dt == t; only dt auto can take one) is not taken, and ends the run
+    with cause "stalled_clock". The result carries the cause.
 
     The run starts from the sampled profile's spectrum projected by the
     dealias rule, so under "two-thirds" the rows above K = band_limit(n,
@@ -318,6 +317,9 @@ def run_simulation(cfg: RunConfig) -> RunResult:
             cap = cfg.dt if cfg.dt != "auto" else stable_dt(max(rec.max_u, -rec.min_u), cfg.n, p)
             landed = cap >= target - t - eps
             dt_step = target - t if landed else cap
+            if not landed and t + dt_step == t:  # the step is below the clock's resolution
+                cause = "stalled_clock"
+                break
             try:
                 c = rk4_step(c, p, dt_step, nodal=nodal)
             except InstabilityError:  # the last appended record is the last valid state
@@ -332,7 +334,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         "the extrema bounds are monitored but not guaranteed",
     )
     return RunResult(records=tuple(records), snapshots=tuple(snapshots),
-                     status=_CAUSE_TO_STATUS.get(cause, "completed"), warnings=warnings)
+                     cause=cause, warnings=warnings)
 
 
 def _snapshot_name(t: float) -> str:
@@ -368,8 +370,7 @@ def write_outputs(result: RunResult, cfg: RunConfig) -> list[Path]:
 
     predicted = breaking_time(result.records[0].min_slope)
     label = " (inviscid prediction)" if cfg.params.gamma > 0.0 else ""
-    detected = result.status != "completed"
-    cause = next((c for c, s in _CAUSE_TO_STATUS.items() if s == result.status), "none")
+    detected = result.cause is not None
     report_lines = [
         f"status: {result.status}",
         f"ic: {cfg.ic.label()}",
@@ -379,7 +380,7 @@ def write_outputs(result: RunResult, cfg: RunConfig) -> list[Path]:
          else f"predicted_t_star: {_fmt(predicted)}{label}"),
         f"detected: {'true' if detected else 'false'}",
         f"detected_t: {_fmt(result.records[-1].t) if detected else 'none'}",
-        f"detection_cause: {cause}",
+        f"detection_cause: {result.cause or 'none'}",
     ]
     report_lines += [f"warning: {w}" for w in result.warnings]
     path = out / "report.txt"
@@ -410,4 +411,4 @@ def main(argv: list[str] | None = None) -> int:
     steps = len(result.records) - 1
     print(f"{result.status} after {steps} steps (t = {result.records[-1].t:.6g}); "
           f"{len(written)} files in {cfg.output_dir}")
-    return EXIT_CODES[result.status]
+    return _OUTCOMES[result.cause][1]

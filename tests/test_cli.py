@@ -58,6 +58,31 @@ NUMERIC_FAILURE_ARGS = [
 RESOLUTION_LOSS_ARGS = [
     "--n", "32", "--t-final", "2", "--tail-limit", "0.01", "--slope-limit", "10000",
 ]
+# With detection off, stable_dt's step falls below the clock's resolution at
+# t = 0.4656566709323747, while max|u| grows without bound.
+STALLED_CLOCK_ARGS = [
+    "--n", "16", "--gamma", "0.3", "--alpha", "1.5", "--t-final", "0.6029",
+    "--snapshot-every", "0.08612857", "--ic", "random:4:6", "--detect-blowup", "false",
+]
+# (args, status, cause) of report.txt; every row of the outcome table is one.
+REPORT_CASES = [
+    (["--n", "16", "--t-final", "0.3"], "completed", "none"),
+    (["--n", "64", "--t-final", "1.2", "--slope-limit", "10"],
+     "blowup_detected", "slope_threshold"),
+    (RESOLUTION_LOSS_ARGS, "resolution_lost", "resolution_loss"),
+    (NUMERIC_FAILURE_ARGS, "numeric_failure", "non_finite"),
+    # predicted_t_star: none, for the zero field, the flat profile and a
+    # subnormal slope whose reciprocal overflows.
+    (["--ic", "random:0:1", "--n", "16", "--t-final", "0.1"], "completed", "none"),
+    (["--ic", "scaled-neg-sine:0", "--n", "16", "--t-final", "0.1"], "completed", "none"),
+    (["--ic", "scaled-neg-sine:1e-320", "--n", "16", "--t-final", "0.1"],
+     "completed", "none"),
+    # The first step's result is non-finite (rk4_step raises), so the run
+    # ends at its t = 0 record.
+    (["--n", "16", "--dt", "1e80", "--t-final", "1e80", "--snapshot-every", "1e80"],
+     "numeric_failure", "non_finite"),
+    (STALLED_CLOCK_ARGS, "numeric_failure", "stalled_clock"),
+]
 
 
 def config(*extra, out="unused"):
@@ -554,6 +579,21 @@ class TestRunSimulation:
         assert [r.t for r in res.records] == [0.0, 0.05, 0.1]
         assert [t for t, _ in res.snapshots] == [0.0, 0.1]  # both are record times
 
+    def test_a_step_that_cannot_move_the_clock_ends_the_run(self):
+        """The run stops before a step with t + dt == t, as stalled_clock,
+        so every record has its own t. Default detection stops the same
+        profile earlier, on its tail."""
+        cfg = config(*STALLED_CLOCK_ARGS)
+        res = run_simulation(cfg)
+        ts = [r.t for r in res.records]
+        assert (res.cause, res.status) == ("stalled_clock", "numeric_failure")
+        assert len(ts) == 104 and ts[-1] == 0.4656566709323747
+        assert all(b > a for a, b in zip(ts, ts[1:]))
+        last = res.records[-1]
+        assert ts[-1] + cli.stable_dt(max(last.max_u, -last.min_u), cfg.n, cfg.params) == ts[-1]
+        res = run_simulation(config(*STALLED_CLOCK_ARGS, "--detect-blowup", "true"))
+        assert res.status == "resolution_lost" and len(res.records) == 6
+
     def test_snapshots_follow_the_landing_rule(self):
         """Seeded random runs: n in {8, 16, 32}, a fixed or auto step, and
         t_final and snapshot_every of 1 to 16 significant digits, some a
@@ -713,28 +753,14 @@ class TestWriteOutputs:
         text = (tmp_path / "report.txt").read_text(encoding="utf-8")
         assert "(inviscid prediction)" in text
 
-    @pytest.mark.parametrize("args,status,cause", [
-        (["--n", "16", "--t-final", "0.3"], "completed", "none"),
-        (["--n", "64", "--t-final", "1.2", "--slope-limit", "10"],
-         "blowup_detected", "slope_threshold"),
-        (RESOLUTION_LOSS_ARGS, "resolution_lost", "resolution_loss"),
-        (NUMERIC_FAILURE_ARGS, "numeric_failure", "non_finite"),
-        # predicted_t_star: none, for the zero field, the flat profile and a
-        # subnormal slope whose reciprocal overflows.
-        (["--ic", "random:0:1", "--n", "16", "--t-final", "0.1"], "completed", "none"),
-        (["--ic", "scaled-neg-sine:0", "--n", "16", "--t-final", "0.1"], "completed", "none"),
-        (["--ic", "scaled-neg-sine:1e-320", "--n", "16", "--t-final", "0.1"],
-         "completed", "none"),
-        # The first step's result is non-finite (rk4_step raises), so the run
-        # ends at its t = 0 record.
-        (["--n", "16", "--dt", "1e80", "--t-final", "1e80", "--snapshot-every", "1e80"],
-         "numeric_failure", "non_finite"),
-    ])
+    @pytest.mark.parametrize("args,status,cause", REPORT_CASES)
     @pytest.mark.filterwarnings("error")
     def test_report_derived_from_status_and_records(self, tmp_path, args, status, cause):
-        """detected_t is the last row's t, the cause pairs with the status,
-        and predicted_t_star is -1/min_slope of row 0, or none where that is
-        not a finite time. No warning is raised on the way."""
+        """detected_t is the last row's t, the status is the cause's row of
+        the outcome table, and predicted_t_star is -1/min_slope of row 0, or
+        none where that is not a finite time. No warning is raised on the
+        way."""
+        assert cli._OUTCOMES[None if cause == "none" else cause][0] == status
         cfg = config(*args, out=tmp_path)
         write_outputs(run_simulation(cfg), cfg)
         lines = (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines()
@@ -745,7 +771,7 @@ class TestWriteOutputs:
         ]
         first, last = dict(zip(header, rows[0])), dict(zip(header, rows[-1]))
         assert report["status"] == status and report["detection_cause"] == cause
-        detected = status != "completed"
+        detected = cause != "none"
         assert report["detected"] == ("true" if detected else "false")
         assert report["detected_t"] == (last["t"] if detected else "none")
         m0 = float(first["min_slope"])
@@ -755,12 +781,32 @@ class TestWriteOutputs:
         else:
             assert predicted == "none"
 
-    def test_result_needs_a_known_status_and_a_record(self):
+    def test_report_cases_cover_every_row(self):
+        assert {cause for _, _, cause in REPORT_CASES} == {c or "none" for c in cli._OUTCOMES}
+
+    def test_every_cause_is_a_row_of_the_outcome_table(self):
+        """The causes check_blowup returns, one record per rule, and the run
+        loop's stalled_clock are the table's keys. The loop's own
+        "non_finite" and "stalled_clock" pass RunResult in the report cases."""
         rec = DiagnosticsRecord(0.0, 0.0, 1.0, 1.0, -1.0, -1.0, 1.0, 0.0, 1.0, 0.0)
-        with pytest.raises(ValueError, match="unknown status"):
-            RunResult(records=(rec,), snapshots=(), status="exploded")
+        fired = {check_blowup(rec._replace(**change), DetectionThresholds()) for change in (
+            {}, {"h3": math.inf}, {"min_slope": -1e3}, {"tail_fraction": 0.5})}
+        assert fired == {None, "non_finite", "slope_threshold", "resolution_loss"}
+        assert set(cli._OUTCOMES) == fired | {"stalled_clock"}
+        assert EXIT_CODES == {status: code for status, code in cli._OUTCOMES.values()}
+
+    def test_result_needs_a_known_cause_and_a_record(self):
+        rec = DiagnosticsRecord(0.0, 0.0, 1.0, 1.0, -1.0, -1.0, 1.0, 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="unknown cause"):
+            RunResult(records=(rec,), snapshots=(), cause="exploded")
+        with pytest.raises(ValueError, match="unknown cause"):
+            RunResult(records=(rec,), snapshots=(), cause="numeric_failure")  # a status
         with pytest.raises(ValueError, match="t = 0 record"):
-            RunResult(records=(), snapshots=(), status="completed")
+            RunResult(records=(), snapshots=(), cause=None)
+        result = RunResult(records=(rec,), snapshots=(), cause="stalled_clock")
+        assert result.status == "numeric_failure"
+        with pytest.raises(AttributeError):
+            result.status = "completed"
 
     def test_warnings_echoed_into_report(self, tmp_path):
         cfg = config("--ic", "gaussian:1.0", "--n", "16", "--t-final", "0.2", out=tmp_path)
@@ -893,7 +939,7 @@ class TestWriterReference:
             (0.5, rng.integers(-1000, 1000, n)),
         )
         result = RunResult(records=tuple(records), snapshots=snapshots,
-                           status="numeric_failure", warnings=("a warning",))
+                           cause="non_finite", warnings=("a warning",))
 
         written = write_outputs(result, cfg)
 
@@ -935,7 +981,7 @@ class TestWriterReference:
         records[0] = records[0]._replace(min_slope=-1.0)
         result = RunResult(records=tuple(records),
                            snapshots=tuple((0.1 * i, f) for i, f in enumerate(fields)),
-                           status="completed")
+                           cause=None)
 
         write_outputs(result, cfg)
 

@@ -1,6 +1,7 @@
 """The README against the package in src/: its library example runs, its
-diagnostics.csv header is the one written, and its flag table gives the
-command line's defaults."""
+diagnostics.csv header is the one written, its flag table gives the
+command line's defaults, and its causes pair with the statuses of the
+outcome table."""
 
 import os
 import re
@@ -8,7 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from fracburgers.cli import _OPTIONS, _build_parser, parse_config
+from fracburgers.cli import _OPTIONS, _OUTCOMES, _build_parser, parse_config
 from fracburgers.diagnostics import DiagnosticsRecord
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,3 +68,13 @@ def test_flag_table_defaults_are_the_parsed_ones():
     assert {"off": False, "on": True}[table["--linear-only"]] is p.linear_only
     assert {"true": True, "false": False}[table["--detect-blowup"]] is (th is not None)
     assert table["--config"] == "none" and _build_parser().parse_args([]).config is None
+
+
+def test_report_causes_are_the_outcome_table():
+    """README's report.txt paragraph lists each cause with its status, as
+    "- `cause`: `status`", and those pairs are the table's rows."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("- `report.txt`:", 1)[1].split("\n\n", 1)[0]
+    pairs = re.findall(r"^  - `([a-z_]+)`: `([a-z_]+)`", section, re.MULTILINE)
+    assert dict(pairs) == {cause or "none": status for cause, (status, _) in _OUTCOMES.items()}
+    assert len(pairs) == len(_OUTCOMES)
