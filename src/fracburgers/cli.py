@@ -3,9 +3,9 @@
 A run samples the chosen initial profile on the grid, advances it with RK4
 (fixed or automatic step), records every diagnostic at every step, stores
 nodal snapshots at exact multiples of snapshot_every, and stops early when
-the detection policy fires, a step goes non-finite or the clock stalls.
-Outputs are plain CSV plus a small report.txt, written so that identical
-configs produce byte-identical files.
+the detection policy fires, a step goes non-finite, the clock stalls or the
+step budget runs out. Outputs are plain CSV plus a small report.txt, written
+so that identical configs produce byte-identical files.
 
 A run's outcome is its detection cause and its records. The status, the
 exit code and report.txt's detection lines are read from the cause's row of
@@ -34,18 +34,17 @@ _OUTCOMES = {None: ("completed", 0),
              "slope_threshold": ("blowup_detected", 2),
              "resolution_loss": ("resolution_lost", 3),
              "non_finite": ("numeric_failure", 4),
-             "stalled_clock": ("numeric_failure", 4)}
+             "stalled_clock": ("numeric_failure", 4),
+             "step_budget": ("budget_exceeded", 5)}
 EXIT_CODES = dict(_OUTCOMES.values())
 
-# Run budgets, which RunConfig checks before a run starts. A run may take at
-# most 10**6 steps (a record is about 440 B): a fixed dt by its count, dt auto
-# by the count its step bound at max|u| = 0 already forces. The held
-# snapshots, (floor(t_final / snapshot_every) + 1) * n values, may fill at
-# most 1 GiB; that also keeps consecutive snapshot times at least t_final *
-# 2**-25 apart, far wider than the 10 significant digits of the file names. A
+# Run budgets. A run takes at most 10**6 steps (a record is about 400 B):
+# RunConfig refuses a run certain to need more, and run_simulation ends one
+# that reaches them with cause "step_budget". The held snapshots,
+# (floor(t_final / snapshot_every) + 1) * n values, may fill at most 1 GiB. A
 # step holds about 16 arrays of n float64 values (state, stages, temporaries,
 # nodal u, u_x and product), which get the same 1 GiB: n is at most 2**23.
-MAX_FIXED_STEPS = 10**6
+MAX_STEPS = 10**6
 MAX_SNAPSHOT_VALUES = 2**27
 
 # Config key -> (default, help). The flag is the key with "-" for "_". The
@@ -111,34 +110,26 @@ class RunConfig:
         every = as_float(self.snapshot_every)
         if not 0.0 < every < np.inf:
             raise ValueError(f"snapshot_every: must be finite and > 0, got {self.snapshot_every!r}")
-        ratio = t_final / every  # may overflow to inf, which the first test catches
-        if ratio >= MAX_SNAPSHOT_VALUES or (math.floor(ratio) + 1) * n > MAX_SNAPSHOT_VALUES:
-            raise ValueError(
-                f"snapshot_every: {every:g} holds more than 2**27 snapshot values (1 GiB) "
-                f"at n {n} and t_final {t_final:g}"
-            )
+        # Two lower bounds on the step count: one step per snapshot interval
+        # (first, as it refuses a ratio that overflows to inf) and t_final over
+        # the longest step, which under auto is stable_dt at max|u| = 0. That
+        # is read through the module, so the run loop makes cli's first call.
+        ratio = t_final / every
+        if ratio >= MAX_STEPS + 1:
+            raise ValueError(f"snapshot_every: {every:g} leaves {ratio:.6g} intervals to t_final "
+                             f"{t_final:g}, each at least one step: more than 10**6")
+        longest = dynamics.stable_dt(0.0, n, self.params) if dt == "auto" else dt
+        if t_final > MAX_STEPS * longest:
+            raise ValueError(f"dt: {dt} steps are at most {longest:.6g} long, so t_final "
+                             f"{t_final:g} takes more than 10**6")
+        if (math.floor(ratio) + 1) * n > MAX_SNAPSHOT_VALUES:
+            raise ValueError(f"snapshot_every: {every:g} holds more than 2**27 snapshot values "
+                             f"(1 GiB) at n {n} and t_final {t_final:g}")
         if 16 * n > MAX_SNAPSHOT_VALUES:
-            raise ValueError(
-                f"n: a step at n {n} holds about 16 * n float64 values, more than 2**27 "
-                "(1 GiB); n may be at most 2**23"
-            )
+            raise ValueError(f"n: a step at n {n} holds about 16 * n float64 values, more than "
+                             "2**27 (1 GiB); n may be at most 2**23")
         if every > t_final:
             raise ValueError(f"snapshot_every: {every:g} exceeds t_final {t_final:g}")
-        if dt != "auto" and t_final / dt > MAX_FIXED_STEPS:
-            raise ValueError(
-                f"dt: {dt:g} needs {t_final / dt:.6g} steps to t_final {t_final:g}, "
-                "more than 10**6"
-            )
-        # stable_dt falls as max|u| grows, so at max|u| = 0 it bounds every auto
-        # step. It is read through the module so that the first call of cli's own
-        # stable_dt stays the run loop's first step.
-        longest = dynamics.stable_dt(0.0, n, self.params) if dt == "auto" else math.inf
-        if t_final > MAX_FIXED_STEPS * longest:
-            raise ValueError(
-                f"dt: auto steps are at most {longest:.6g} at gamma {self.params.gamma:g}, "
-                f"alpha {self.params.alpha:g} and n {n}, so t_final {t_final:g} takes "
-                "more than 10**6"
-            )
         ic = self.ic  # a hand-built run may sample any callable
         if isinstance(ic, InitialCondition) and ic.kind == "random" and ic.params[0] >= n // 2:
             # Mode n/2 and above alias onto lower modes on an n-node grid.
@@ -281,7 +272,10 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     step (rk4_step's InstabilityError) ends the run with cause "non_finite",
     as a non-finite record does. A step too short to move the clock
     (t + dt == t; only dt auto can take one) is not taken, and ends the run
-    with cause "stalled_clock". The result carries the cause.
+    with cause "stalled_clock". A run that has taken MAX_STEPS steps short of
+    t_final ends with cause "step_budget": steps clipped to land on the
+    snapshots, or auto steps that shrink as max|u| grows, can reach it past
+    RunConfig's check. The result carries the cause.
 
     The run starts from the sampled profile's spectrum projected by the
     dealias rule, so under "two-thirds" the rows above K = band_limit(n,
@@ -311,6 +305,9 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                 snapshots.append((t, u0 if sampled else nodal[0]))
             cause = check_blowup(rec, cfg.thresholds)
             if cause is not None or t >= cfg.t_final - eps:
+                break
+            if len(records) > MAX_STEPS:  # MAX_STEPS steps taken, t_final not reached
+                cause = "step_budget"
                 break
             target = min(len(snapshots) * cfg.snapshot_every, cfg.t_final)
             # check_blowup has ruled out a non-finite max|u|, so stable_dt returns.

@@ -20,7 +20,7 @@ from fracburgers import _writer, cli
 from fracburgers.cli import (
     _OPTIONS,
     EXIT_CODES,
-    MAX_FIXED_STEPS,
+    MAX_STEPS,
     RunConfig,
     RunResult,
     UsageError,
@@ -64,6 +64,13 @@ STALLED_CLOCK_ARGS = [
     "--n", "16", "--gamma", "0.3", "--alpha", "1.5", "--t-final", "0.6029",
     "--snapshot-every", "0.08612857", "--ic", "random:4:6", "--detect-blowup", "false",
 ]
+# With gamma = 0 under linear_only, max|u| stays 1, so every auto step is
+# 0.125 and t_final takes about 8e12 of them, while the up-front rule counts
+# steps of at most stable_dt(0.0, ...) = 1e12. Tests run it with MAX_STEPS
+# lowered to 1000.
+STEP_BUDGET_ARGS = [
+    "--n", "16", "--linear-only", "--t-final", "1e12", "--snapshot-every", "1e11",
+]
 # (args, status, cause) of report.txt; every row of the outcome table is one.
 REPORT_CASES = [
     (["--n", "16", "--t-final", "0.3"], "completed", "none"),
@@ -82,6 +89,7 @@ REPORT_CASES = [
     (["--n", "16", "--dt", "1e80", "--t-final", "1e80", "--snapshot-every", "1e80"],
      "numeric_failure", "non_finite"),
     (STALLED_CLOCK_ARGS, "numeric_failure", "stalled_clock"),
+    (STEP_BUDGET_ARGS, "budget_exceeded", "step_budget"),
 ]
 
 
@@ -347,9 +355,11 @@ class TestRunConfig:
         (["--gamma", "1e6", "--alpha", "2"], dict(params=SimParams(gamma=1e6, alpha=2.0))),
         (["--snapshot-every", "1e-9", "--t-final", "1e3"],
          dict(snapshot_every=1e-9, t_final=1e3)),
+        (["--n", "16384", "--snapshot-every", repr(2.0**-13)],
+         dict(n=16384, snapshot_every=2.0**-13)),
         (["--n", str(2**23 + 2), "--snapshot-every", "1"], dict(n=2**23 + 2, snapshot_every=1.0)),
     ], ids=["random-kmax", "snapshot-after-t-final", "fixed-steps", "auto-steps",
-            "snapshot-values", "working-set"])
+            "snapshot-intervals", "snapshot-values", "working-set"])
     def test_replaced_config_follows_the_command_line(self, argv, changes):
         """Each run rule the command line refuses, a replaced config refuses
         with the same "<key>: <reason>"."""
@@ -363,7 +373,8 @@ class TestRunConfig:
 
 
 class TestRunBudgets:
-    """Runs that would take too many steps or hold too many snapshots are refused."""
+    """Runs certain to take too many steps or to hold too many snapshots are
+    refused, and a run that reaches the step budget all the same stops there."""
 
     # dt = 2**-20 makes t_final / dt exact: 10**6 steps pass, 10**6 + 1 do not.
     def test_fixed_step_budget(self):
@@ -373,8 +384,54 @@ class TestRunBudgets:
         with pytest.raises(UsageError, match=r"^invalid value for dt: .*10\*\*6"):
             config("--dt", repr(dt), "--t-final", repr((10**6 + 1) * dt))
 
-    def test_auto_step_is_not_bounded_up_front(self):
+    def test_auto_steps_are_counted_at_their_longest(self):
         assert config("--t-final", repr((10**6 + 1) * 2.0**-20)).dt == "auto"
+
+    def test_snapshot_interval_budget(self):
+        """Each of the floor(t_final / snapshot_every) intervals takes a step,
+        so there may be 10**6 of them, not 10**6 + 1. At n = 4 this binds long
+        before the 2**27 snapshot values."""
+        every = 2.0**-20
+        inside = config("--n", "4", "--snapshot-every", repr(every),
+                        "--t-final", repr(10**6 * every))
+        assert inside.t_final / inside.snapshot_every == 10**6
+        with pytest.raises(UsageError, match=r"^invalid value for snapshot_every: .*10\*\*6"):
+            config("--n", "4", "--snapshot-every", repr(every),
+                   "--t-final", repr((10**6 + 1) * every))
+
+    def test_one_step_per_interval_refused_before_any_file(self, tmp_path, capsys):
+        """A fixed dt of 1 counts one step to t_final, but 3e-8 leaves about
+        3.3e7 intervals of a step each; the snapshots alone would pass."""
+        out = tmp_path / "o"
+        assert main(["--n", "4", "--dt", "1", "--t-final", "1", "--snapshot-every", "3e-8",
+                     "--output", str(out)]) == 64
+        assert capsys.readouterr().err.startswith("error: invalid value for snapshot_every: ")
+        assert not out.exists()
+
+    def test_run_stops_at_the_step_budget(self, tmp_path, capsys, monkeypatch):
+        """A run the up-front rule accepts ends after exactly MAX_STEPS steps,
+        short of t_final, with its own cause and exit code."""
+        monkeypatch.setattr(cli, "MAX_STEPS", 1000)
+        res = run_simulation(config(*STEP_BUDGET_ARGS))
+        assert (res.cause, res.status) == ("step_budget", "budget_exceeded")
+        assert len(res.records) == 1001 and res.records[-1].t < 1e12
+        code = main([*STEP_BUDGET_ARGS, "--output", str(tmp_path / "o")])
+        assert code == EXIT_CODES["budget_exceeded"] == cli._OUTCOMES["step_budget"][1]
+        assert capsys.readouterr().out.startswith("budget_exceeded after 1000 steps ")
+
+    def test_clipped_steps_can_reach_the_step_budget(self, monkeypatch):
+        """dt = 0.001 counts 1000 steps to t_final 1 and 666 intervals of
+        0.0015, so the run passes the up-front rule. But each interval takes
+        a step of dt and one clipped to land on its snapshot."""
+        args = ("--n", "4", "--linear-only", "--dt", "0.001", "--t-final", "1",
+                "--snapshot-every", "0.0015")
+        monkeypatch.setattr(cli, "MAX_STEPS", 1000)
+        res = run_simulation(config(*args))
+        assert res.cause == "step_budget" and len(res.records) == 1001
+        assert res.records[-1].t < 1.0 and len(res.snapshots) == 501
+        monkeypatch.undo()
+        res = run_simulation(config(*args))
+        assert res.cause is None and len(res.records) > 1001
 
     def test_auto_dissipative_step_budget(self):
         """An auto step is at most stable_dt at max|u| = 0. At n = 256 and
@@ -382,7 +439,7 @@ class TestRunBudgets:
         = 1 takes at least 16384 gamma / CFL_DISSIPATION steps: 10**6 at the
         edge gamma = 10**6 CFL_DISSIPATION / 16384. A gamma a relative 1e-9
         below it passes; one 1e-9 above it is refused."""
-        edge = MAX_FIXED_STEPS * CFL_DISSIPATION / 16384
+        edge = MAX_STEPS * CFL_DISSIPATION / 16384
         below, above = repr(edge * (1 - 1e-9)), repr(edge * (1 + 1e-9))
         assert config("--gamma", below, "--alpha", "2").params.gamma == float(below)
         with pytest.raises(UsageError, match=r"^invalid value for dt: auto .*10\*\*6"):
@@ -391,7 +448,7 @@ class TestRunBudgets:
             config("--gamma", "1e6", "--alpha", "2", "--n", "1024")
         # With gamma = 0 the advective bound CFL_ADVECTION / 1e-12 is the
         # smaller, so t_final may reach 10**6 times it, not 2% beyond.
-        edge = MAX_FIXED_STEPS * (CFL_ADVECTION / DT_GUARD)
+        edge = MAX_STEPS * (CFL_ADVECTION / DT_GUARD)
         assert config("--t-final", repr(edge), "--snapshot-every", repr(edge)).dt == "auto"
         with pytest.raises(UsageError, match=r"^invalid value for dt: auto "):
             config("--t-final", repr(1.02 * edge), "--snapshot-every", repr(1.02 * edge))
@@ -412,7 +469,7 @@ class TestRunBudgets:
         monkeypatch.setattr("fracburgers.cli.stable_dt", first_step)
         assert config("--gamma", "0.5", "--alpha", "2").dt == "auto"
 
-    @pytest.mark.parametrize("n,log2_every", [(4, 25), (256, 19), (16384, 13)])
+    @pytest.mark.parametrize("n,log2_every", [(256, 19), (16384, 13)])
     def test_snapshot_budget(self, n, log2_every):
         """(floor(t_final / snapshot_every) + 1) * n may reach 2**27, not pass it."""
         every = 2.0**-log2_every
@@ -444,11 +501,12 @@ class TestRunBudgets:
 
     @pytest.mark.parametrize("t_final", [1.0 - 2.0**-25, 7.3, 1e-3])
     def test_snapshot_names_distinct_at_the_budget(self, t_final):
-        """The last 1000 snapshot times at the n = 4 limit get 1000 file names."""
-        every = t_final / (2**25 - 1)
+        """The last 1000 snapshot times at the 10**6-interval limit get 1000
+        file names."""
+        every = t_final / 10**6
         cfg = config("--n", "4", "--snapshot-every", repr(every), "--t-final", repr(t_final))
         last = math.floor(cfg.t_final / cfg.snapshot_every)
-        assert 2**25 - 2 <= last + 1 <= 2**25  # within rounding of the 2**27-value limit
+        assert 10**6 - 1 <= last <= 10**6  # within rounding of the 10**6-interval limit
         names = {_snapshot_name(i * cfg.snapshot_every) for i in range(last - 999, last + 1)}
         assert len(names) == 1000
 
@@ -755,12 +813,14 @@ class TestWriteOutputs:
 
     @pytest.mark.parametrize("args,status,cause", REPORT_CASES)
     @pytest.mark.filterwarnings("error")
-    def test_report_derived_from_status_and_records(self, tmp_path, args, status, cause):
+    def test_report_derived_from_status_and_records(self, tmp_path, monkeypatch,
+                                                    args, status, cause):
         """detected_t is the last row's t, the status is the cause's row of
         the outcome table, and predicted_t_star is -1/min_slope of row 0, or
         none where that is not a finite time. No warning is raised on the
-        way."""
+        way. Only the step_budget case takes 1000 steps."""
         assert cli._OUTCOMES[None if cause == "none" else cause][0] == status
+        monkeypatch.setattr(cli, "MAX_STEPS", 1000)
         cfg = config(*args, out=tmp_path)
         write_outputs(run_simulation(cfg), cfg)
         lines = (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines()
@@ -786,13 +846,14 @@ class TestWriteOutputs:
 
     def test_every_cause_is_a_row_of_the_outcome_table(self):
         """The causes check_blowup returns, one record per rule, and the run
-        loop's stalled_clock are the table's keys. The loop's own
-        "non_finite" and "stalled_clock" pass RunResult in the report cases."""
+        loop's stalled_clock and step_budget are the table's keys. The loop's
+        own "non_finite", "stalled_clock" and "step_budget" pass RunResult in
+        the report cases."""
         rec = DiagnosticsRecord(0.0, 0.0, 1.0, 1.0, -1.0, -1.0, 1.0, 0.0, 1.0, 0.0)
         fired = {check_blowup(rec._replace(**change), DetectionThresholds()) for change in (
             {}, {"h3": math.inf}, {"min_slope": -1e3}, {"tail_fraction": 0.5})}
         assert fired == {None, "non_finite", "slope_threshold", "resolution_loss"}
-        assert set(cli._OUTCOMES) == fired | {"stalled_clock"}
+        assert set(cli._OUTCOMES) == fired | {"stalled_clock", "step_budget"}
         assert EXIT_CODES == {status: code for status, code in cli._OUTCOMES.values()}
 
     def test_result_needs_a_known_cause_and_a_record(self):

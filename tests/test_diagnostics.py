@@ -139,7 +139,7 @@ class TestMinSlope:
         assert abs(initial_slope(np.full(32, 1.0))) <= 1e-14
 
 
-class TestPredictedBlowupTime:
+class TestBreakingTimeOfTheInitialSlope:
     """report.txt's predicted_t_star: breaking_time of the t = 0 record's
     nodal min_slope, inf (printed none) where the data never breaks."""
 

@@ -31,7 +31,6 @@ from fracburgers.spectral import (
     nodal_pair,
     nodes,
     spectral_derivative,
-    validate_spectrum,
 )
 
 
@@ -107,7 +106,7 @@ class TestSimParams:
             assert type(p.linear_only) is bool and p.linear_only == bool(value)
 
 
-class TestRhs:
+class TestTendency:
     def test_constant_field_is_steady(self):
         out = rhs(np.full(16, 3.0), SimParams(gamma=0.7, alpha=1.3))
         assert np.max(np.abs(out)) <= 1e-13
@@ -294,32 +293,6 @@ class TestConservativeProduct:
             assert err <= 1e-14, err
 
 
-class TestGridArgumentGone:
-    def test_old_call_shapes_raise_type_error(self):
-        """The arrays carry N; a call that still passes a grid (here its nodes,
-        the grid's only data) fails loudly. stable_dt takes a node count, so
-        validate_n refuses the grid there."""
-        g = nodes(8)
-        u = np.cos(g)
-        c = forward_dft(u)
-        p = SimParams()
-        old_calls = (
-            lambda: forward_dft(u, g),
-            lambda: inverse_dft(c, g),
-            lambda: validate_spectrum(c, g),
-            lambda: nodal_pair(c, g),
-            lambda: rk4_step(c, g, p, 1e-3),
-            lambda: rk4_step(c, g, p, 1e-3, nodal=nodal_pair(c)),
-            lambda: rk4_step(c, p, 1e-3, nodal_pair(c)),  # nodal is keyword-only
-            lambda: observe(c, g, 0.0),
-        )
-        for call in old_calls:
-            with pytest.raises(TypeError):
-                call()
-        with pytest.raises(ValueError, match=r"^n: must be an integer, got array\("):
-            stable_dt(1.0, g, p)
-
-
 class TestBatchedStep:
     @pytest.mark.parametrize("rule", ["off", "two-thirds"], ids=["off", "two_thirds"])
     @pytest.mark.parametrize("n", [16, 256, 1024])
@@ -436,7 +409,8 @@ class TestStableDt:
         (4.5, "must be an integer, got 4.5"),
         ("256", "must be an integer, got '256'"),
         (float("inf"), "must be an integer, got inf"),
-    ], ids=["-4", "0", "2", "5", "4.5", "256", "inf"])
+        (nodes(8), f"must be an integer, got {nodes(8)!r}"),  # a grid's nodes, not its count
+    ], ids=["-4", "0", "2", "5", "4.5", "256", "inf", "nodes"])
     def test_bad_node_count_rejected(self, n, message):
         """stable_dt checks n through spectral.validate_n, with its wording."""
         with pytest.raises(ValueError) as refused:

@@ -1,6 +1,6 @@
 """The README against the package in src/: its library example runs, its
 diagnostics.csv header is the one written, its flag table gives the
-command line's defaults, and its causes pair with the statuses of the
+command line's defaults, and its causes and exit codes are those of the
 outcome table."""
 
 import os
@@ -78,3 +78,12 @@ def test_report_causes_are_the_outcome_table():
     pairs = re.findall(r"^  - `([a-z_]+)`: `([a-z_]+)`", section, re.MULTILINE)
     assert dict(pairs) == {cause or "none": status for cause, (status, _) in _OUTCOMES.items()}
     assert len(pairs) == len(_OUTCOMES)
+
+
+def test_exit_codes_are_the_outcome_table():
+    """README's exit-code paragraph names every code of the table, and the
+    usage and I/O codes, each once."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("Exit codes: ", 1)[1].split(". ", 1)[0]
+    codes = [int(code) for code in re.findall(r"`(\d+)`", section)]
+    assert sorted(codes) == sorted({code for _, code in _OUTCOMES.values()} | {64, 1})

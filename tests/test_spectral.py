@@ -29,7 +29,7 @@ def trig_polynomial(x, rng, degree):
     return u, du
 
 
-class TestMakeGrid:
+class TestNodes:
     def test_four_node_example(self):
         x = nodes(4)
         assert np.array_equal(x, [-np.pi, -np.pi / 2, 0.0, np.pi / 2])
