@@ -40,12 +40,16 @@ EXIT_CODES = dict(_OUTCOMES.values())
 
 # Run budgets. A run takes at most 10**6 steps (a record is about 400 B):
 # RunConfig refuses a run certain to need more, and run_simulation ends one
-# that reaches them with cause "step_budget". The held snapshots,
-# (floor(t_final / snapshot_every) + 1) * n values, may fill at most 1 GiB. A
-# step holds about 16 arrays of n float64 values (state, stages, temporaries,
-# nodal u, u_x and product), which get the same 1 GiB: n is at most 2**23.
+# that reaches them with cause "step_budget". The held snapshots, n values
+# for each multiple of snapshot_every up to t_final (or up to _EPS * t_final
+# past it), may fill at most 1 GiB. A step holds about 16 arrays of n float64
+# values (state, stages, temporaries, nodal u, u_x and product), which get
+# the same 1 GiB: n is at most 2**23.
 MAX_STEPS = 10**6
 MAX_SNAPSHOT_VALUES = 2**27
+# The run loop's clock tolerance, relative to t_final: a state within it of a
+# snapshot multiple is stored, and one within it of t_final ends the run.
+_EPS = 1e-12
 
 # Config key -> (default, help). The flag is the key with "-" for "_". The
 # equation's and the detection limits' defaults are SimParams' and
@@ -122,7 +126,11 @@ class RunConfig:
         if t_final > MAX_STEPS * longest:
             raise ValueError(f"dt: {dt} steps are at most {longest:.6g} long, so t_final "
                              f"{t_final:g} takes more than 10**6")
-        if (math.floor(ratio) + 1) * n > MAX_SNAPSHOT_VALUES:
+        # The run stores the multiples 0..k of every, k = floor(ratio), and
+        # k + 1 as well when it lies at most its tolerance past t_final.
+        k = math.floor(ratio)
+        stored = k + 2 if (k + 1) * every - t_final <= _EPS * t_final else k + 1
+        if stored * n > MAX_SNAPSHOT_VALUES:
             raise ValueError(f"snapshot_every: {every:g} holds more than 2**27 snapshot values "
                              f"(1 GiB) at n {n} and t_final {t_final:g}")
         if 16 * n > MAX_SNAPSHOT_VALUES:
@@ -285,7 +293,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     warning reads the t=0 snapshot.
     """
     p = cfg.params
-    eps = 1e-12 * cfg.t_final
+    eps = _EPS * cfg.t_final
     u0 = cfg.ic(nodes(cfg.n))
     t, rec, cause = 0.0, None, None
     records: list[DiagnosticsRecord] = []

@@ -26,6 +26,9 @@ Initial-condition catalogue by --ic selector and factory (all exactly
 random draws a_k, b_k from numpy's PCG64 generator seeded with `seed`:
 standard normal pairs in increasing-k order, each scaled by 1/k. The same
 seed always reproduces the same field; max_mode = 0 gives the zero field.
+
+A profile is checked however it is built: InitialCondition's constructor
+owns the catalogue's rules, and the factories and parse build through it.
 """
 
 from __future__ import annotations
@@ -60,15 +63,53 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class InitialCondition:
     """A 2*pi-periodic initial profile, evaluable at any real x. kind is its
-    --ic selector name: label() writes the selector, parse() reads it back."""
+    --ic selector name: label() writes the selector, parse() reads it back.
+    However it is built, it refuses a kind, a number of params or a value
+    outside the catalogue with ValueError, and stores the params
+    normalised: floats, or ints for random."""
 
     # The --ic grammar, one selector per kind with its parameters: the CLI's
-    # help text and parse()'s refusal both name these.
+    # help text and the refusal of an unknown kind or arity both name these.
     SELECTORS: ClassVar[tuple[str, ...]] = (
         "neg-sine", "scaled-neg-sine:a", "gaussian:w", "random:kmax:seed")
 
     kind: str
     params: tuple = ()
+
+    def __post_init__(self) -> None:
+        kind, params = self.kind, self.params
+        if not isinstance(params, tuple):
+            raise TypeError(f"params must be a tuple, got {params!r}")
+        arity = {sel.split(":")[0]: sel.count(":") for sel in self.SELECTORS}
+        if arity.get(kind) != len(params):
+            *others, last = self.SELECTORS
+            text = ":".join(map(str, (kind, *params)))
+            raise ValueError(f"{text!r} (expected {', '.join(others)}, or {last})")
+        if kind == "scaled-neg-sine":
+            a = as_float(params[0])
+            if not np.isfinite(a):
+                raise ValueError(f"amplitude must be finite, got {params[0]!r}")
+            params = (a,)
+        elif kind == "gaussian":
+            w = as_float(params[0])
+            if not _MIN_WIDTH <= w < np.inf:
+                raise ValueError(f"width must be finite and >= {_MIN_WIDTH:.6g}, "
+                                 f"got {params[0]!r}")
+            params = (w,)
+        elif kind == "random":
+            # int() would raise OverflowError on inf, and alone would turn 2.5
+            # into 2; an int beyond float range is whole although as_float gives NaN.
+            whole = all(isinstance(v, int) or as_float(v).is_integer() for v in params)
+            m, s = map(int, params) if whole else (None, None)
+            if (m, s) != params:
+                raise ValueError("max_mode and seed must be integers, got "
+                                 f"{params[0]!r}, {params[1]!r}")
+            if m < 0:
+                raise ValueError(f"max_mode must be >= 0, got {params[0]!r}")
+            if s < 0:  # numpy's seed sequence takes non-negative integers only
+                raise ValueError(f"seed must be >= 0, got {params[1]!r}")
+            params = (m, s)
+        object.__setattr__(self, "params", params)
 
     @classmethod
     def neg_sine(cls) -> "InitialCondition":
@@ -76,50 +117,27 @@ class InitialCondition:
 
     @classmethod
     def scaled_neg_sine(cls, amplitude: float) -> "InitialCondition":
-        a = as_float(amplitude)
-        if not np.isfinite(a):
-            raise ValueError(f"amplitude must be finite, got {amplitude!r}")
-        return cls("scaled-neg-sine", (a,))
+        return cls("scaled-neg-sine", (amplitude,))
 
     @classmethod
     def gaussian_bump(cls, width: float) -> "InitialCondition":
-        w = as_float(width)
-        if not _MIN_WIDTH <= w < np.inf:
-            raise ValueError(f"width must be finite and >= {_MIN_WIDTH:.6g}, got {width!r}")
-        return cls("gaussian", (w,))
+        return cls("gaussian", (width,))
 
     @classmethod
     def random_band(cls, max_mode: int, seed: int) -> "InitialCondition":
-        # int() would raise OverflowError on inf, and alone would turn 2.5 into 2;
-        # an int beyond float range is whole although as_float gives NaN.
-        whole = all(isinstance(v, int) or as_float(v).is_integer() for v in (max_mode, seed))
-        m, s = (int(max_mode), int(seed)) if whole else (None, None)
-        if m != max_mode or s != seed:
-            raise ValueError(f"max_mode and seed must be integers, got {max_mode!r}, {seed!r}")
-        if m < 0:
-            raise ValueError(f"max_mode must be >= 0, got {max_mode!r}")
-        if s < 0:  # numpy's seed sequence takes non-negative integers only
-            raise ValueError(f"seed must be >= 0, got {seed!r}")
-        return cls("random", (m, s))
+        return cls("random", (max_mode, seed))
 
     @classmethod
     def parse(cls, text: str) -> "InitialCondition":
         """The profile an --ic selector names, the inverse of label(); each
-        refusal is a ValueError worded "ic: <reason>"."""
+        refusal is the constructor's, worded "ic: <reason>"."""
         kind, *args = text.split(":")
         try:
-            if kind == "neg-sine" and not args:
-                return cls.neg_sine()
-            if kind == "scaled-neg-sine" and len(args) == 1:
-                return cls.scaled_neg_sine(*args)
-            if kind == "gaussian" and len(args) == 1:
-                return cls.gaussian_bump(*args)
             if kind == "random" and len(args) == 2:
-                return cls.random_band(*map(_as_int, args))
+                args = map(_as_int, args)
+            return cls(kind, tuple(args))
         except ValueError as err:
             raise ValueError(f"ic: {err}") from None
-        *others, last = cls.SELECTORS
-        raise ValueError(f"ic: {text!r} (expected {', '.join(others)}, or {last})")
 
     @property
     def seed(self) -> int | None:

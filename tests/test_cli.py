@@ -469,16 +469,36 @@ class TestRunBudgets:
         monkeypatch.setattr("fracburgers.cli.stable_dt", first_step)
         assert config("--gamma", "0.5", "--alpha", "2").dt == "auto"
 
-    @pytest.mark.parametrize("n,log2_every", [(256, 19), (16384, 13)])
-    def test_snapshot_budget(self, n, log2_every):
-        """(floor(t_final / snapshot_every) + 1) * n may reach 2**27, not pass it."""
-        every = 2.0**-log2_every
+    @pytest.mark.parametrize("n, every, t_inside, t_refused", [
+        pytest.param(256, 2.0**-19, 1.0 - 2.0**-19, 1.0, id="256-19"),
+        pytest.param(16384, 2.0**-13, 1.0 - 2.0**-13, 1.0, id="16384-13"),
+        # 0.27999999999999997 / 0.0175 rounds to 15.999999999999996, yet
+        # 16 * 0.0175 lies within 1e-12 * t_final of t_final: 17 snapshots.
+        pytest.param(2**23, 0.0175, 15 * 0.0175, 0.27999999999999997, id="8388608-ratio-below-16"),
+    ])
+    def test_snapshot_budget(self, n, every, t_inside, t_refused):
+        """The stored snapshots, n values each, may reach 2**27 values, not
+        pass it. Snapshot k is stored while k * snapshot_every is at most
+        1e-12 * t_final past t_final, the run loop's rule."""
         inside = config("--n", str(n), "--snapshot-every", repr(every),
-                        "--t-final", repr(1.0 - every))
-        count = math.floor(inside.t_final / inside.snapshot_every) + 1
+                        "--t-final", repr(t_inside))
+        t = inside.t_final
+        count = next(k for k in itertools.count(math.floor(t / every))
+                     if k * every - t > 1e-12 * t)
         assert count * n == 2**27
         with pytest.raises(UsageError, match=r"^invalid value for snapshot_every: .*2\*\*27"):
-            config("--n", str(n), "--snapshot-every", repr(every), "--t-final", "1")
+            config("--n", str(n), "--snapshot-every", repr(every), "--t-final", repr(t_refused))
+
+    @pytest.mark.parametrize("t_final, stored", [("0.27999999999999997", 17), ("0.27", 16)])
+    def test_snapshot_budget_counts_the_stored_snapshots(self, monkeypatch, t_final, stored):
+        """0.27999999999999997 / 0.0175 rounds to 15.999999999999996, yet the
+        run stores 16 * 0.0175 at t_final: the budget counts the same 17."""
+        args = ("--n", "16", "--dt", "0.005", "--t-final", t_final, "--snapshot-every", "0.0175")
+        monkeypatch.setattr("fracburgers.cli.MAX_SNAPSHOT_VALUES", stored * 16)
+        assert len(run_simulation(config(*args)).snapshots) == stored
+        monkeypatch.setattr("fracburgers.cli.MAX_SNAPSHOT_VALUES", stored * 16 - 1)
+        with pytest.raises(UsageError, match=r"^invalid value for snapshot_every: "):
+            config(*args)
 
     def test_oversized_grid_refused_before_allocation(self):
         """The snapshot budget refuses 2**62 nodes before any run forms them."""

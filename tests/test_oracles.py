@@ -168,18 +168,23 @@ class TestInitialCondition:
         assert InitialCondition.neg_sine().seed is None
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError, match="width"):
-            InitialCondition.gaussian_bump(0.0)
-        with pytest.raises(ValueError, match="amplitude"):
-            InitialCondition.scaled_neg_sine(float("nan"))
-        with pytest.raises(ValueError, match="max_mode"):
-            InitialCondition.random_band(-1, 5)
+        for factory, kind, params, match in (
+                (InitialCondition.gaussian_bump, "gaussian", (0.0,), "width"),
+                (InitialCondition.scaled_neg_sine, "scaled-neg-sine", (float("nan"),),
+                 "amplitude"),
+                (InitialCondition.random_band, "random", (-1, 5), "max_mode")):
+            with pytest.raises(ValueError, match=match):
+                factory(*params)
+            with pytest.raises(ValueError, match=match):
+                InitialCondition(kind, params)
 
     def test_negative_seed_rejected(self):
         """numpy's seed sequence takes non-negative integers only."""
         assert InitialCondition.random_band(3, 0).seed == 0
-        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
-            InitialCondition.random_band(3, -1)
+        for build in (lambda: InitialCondition.random_band(3, -1),
+                      lambda: InitialCondition("random", (3, -1))):
+            with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+                build()
 
     @pytest.mark.parametrize("max_mode, seed", [(2.5, 1), (2, 1.9), (float("nan"), 1),
                                                 (float("inf"), 1), (1, float("inf"))])
@@ -187,7 +192,51 @@ class TestInitialCondition:
         """int() would truncate them: random_band(2.5, 1) would be random:2:1."""
         with pytest.raises(ValueError, match="integer"):
             InitialCondition.random_band(max_mode, seed)
+        with pytest.raises(ValueError, match="integer"):
+            InitialCondition("random", (max_mode, seed))
         assert InitialCondition.random_band(2.0, 1.0).params == (2, 1)
+        assert InitialCondition("random", (2.0, 1.0)).params == (2, 1)
+
+    @pytest.mark.parametrize("kind, params, reason", [
+        ("bogus", (), "'bogus' (expected neg-sine, scaled-neg-sine:a, gaussian:w, "
+                      "or random:kmax:seed)"),
+        ("neg-sine", (3.0,), "'neg-sine:3.0' (expected neg-sine, scaled-neg-sine:a, "
+                             "gaussian:w, or random:kmax:seed)"),
+        ("gaussian", (1e-300,), "width must be finite and >= 1.49167e-154, got 1e-300"),
+        ("scaled-neg-sine", (float("inf"),), "amplitude must be finite, got inf"),
+        ("random", (8,), "'random:8' (expected neg-sine, scaled-neg-sine:a, gaussian:w, "
+                         "or random:kmax:seed)"),
+        ("random", (2.5, 1), "max_mode and seed must be integers, got 2.5, 1"),
+    ])
+    def test_hand_built_profiles_are_checked(self, kind, params, reason):
+        """The constructor owns the catalogue's rules: a profile built by hand
+        is refused as the factories and parse refuse it, without "ic: "."""
+        with pytest.raises(ValueError) as refused:
+            InitialCondition(kind, params)
+        assert str(refused.value) == reason
+
+    def test_params_must_be_a_tuple(self):
+        with pytest.raises(TypeError, match="params must be a tuple"):
+            InitialCondition("scaled-neg-sine", 2.0)
+
+    def test_every_path_builds_the_same_profile(self):
+        """For valid parameters the constructor, the factory and
+        parse(label()) give equal profiles, with the same normalised params."""
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            a = float(rng.normal() * 10.0 ** rng.integers(-5, 6))
+            w = float(rng.uniform(0.01, 10.0))
+            m, seed = (int(v) for v in rng.integers(0, 1000, size=2))
+            for kind, params, factory in (
+                    ("neg-sine", (), InitialCondition.neg_sine),
+                    ("scaled-neg-sine", (a,), InitialCondition.scaled_neg_sine),
+                    ("gaussian", (w,), InitialCondition.gaussian_bump),
+                    ("random", (m, seed), InitialCondition.random_band),
+                    ("random", (float(m), float(seed)), InitialCondition.random_band)):
+                built = InitialCondition(kind, params)
+                assert built == factory(*params) == InitialCondition.parse(built.label())
+                assert [type(v) for v in built.params] == (
+                    [int, int] if kind == "random" else [float] * len(params))
 
     def test_random_parameters_beyond_float_range_are_integers(self):
         """float() of 10**400 overflows, yet it is a whole number: numpy's seed
