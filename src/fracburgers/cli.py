@@ -27,7 +27,8 @@ from . import dynamics
 from .dynamics import InstabilityError, SimParams, rk4_step, stable_dt
 from ._writer import _fmt, format_column, write_csv
 from .oracles import InitialCondition, breaking_time
-from .spectral import DEALIAS_RULES, as_float, dealias, forward_dft, nodal_pair, nodes, validate_n
+from .spectral import (DEALIAS_RULES, as_float, dealias, forward_dft, nodal_pair, nodes, real,
+                       validate_n)
 
 # Detection cause -> (status, exit code); None is a run that reached t_final.
 _OUTCOMES = {None: ("completed", 0),
@@ -107,13 +108,9 @@ class RunConfig:
             dt = as_float(self.dt)
             if not 0.0 < dt < np.inf:
                 raise ValueError(f'dt: must be finite and > 0 or "auto", got {self.dt!r}')
-        t_final = as_float(self.t_final)  # a NaN t_final would never end the run loop
-        if not 0.0 < t_final < np.inf:
-            raise ValueError(f"t_final: must be finite and > 0, got {self.t_final!r}")
+        t_final = real("t_final", self.t_final, 0.0)  # a NaN t_final would never end the run loop
         # 0 would clip every step to length 0; NaN would store no snapshot after t = 0.
-        every = as_float(self.snapshot_every)
-        if not 0.0 < every < np.inf:
-            raise ValueError(f"snapshot_every: must be finite and > 0, got {self.snapshot_every!r}")
+        every = real("snapshot_every", self.snapshot_every, 0.0)
         # Two lower bounds on the step count: one step per snapshot interval
         # (first, as it refuses a ratio that overflows to inf) and t_final over
         # the longest step, which under auto is stable_dt at max|u| = 0. That

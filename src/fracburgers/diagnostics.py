@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectral import as_float, band_limit, nodal_pair, validate_spectrum
+from .spectral import band_limit, nodal_pair, real, validate_spectrum
 
 TAIL_GUARD = 1e-300  # keeps the tail ratio defined for the zero field
 
@@ -70,13 +70,8 @@ class DetectionThresholds:
     tail_limit: float = 0.1
 
     def __post_init__(self) -> None:
-        slope_limit, tail_limit = as_float(self.slope_limit), as_float(self.tail_limit)
-        if not 0.0 < slope_limit < np.inf:
-            raise ValueError(f"slope_limit: must be finite and > 0, got {self.slope_limit!r}")
-        if not 0.0 < tail_limit < 1.0:
-            raise ValueError(f"tail_limit: must lie in (0, 1), got {self.tail_limit!r}")
-        object.__setattr__(self, "slope_limit", slope_limit)
-        object.__setattr__(self, "tail_limit", tail_limit)
+        object.__setattr__(self, "slope_limit", real("slope_limit", self.slope_limit, 0.0))
+        object.__setattr__(self, "tail_limit", real("tail_limit", self.tail_limit, 0.0, 1.0))
 
 
 def check_blowup(rec: DiagnosticsRecord,

@@ -73,6 +73,7 @@ from .spectral import (
     band_limit,
     dealias,
     fractional_laplacian,
+    real,
     spectral_derivative,
     validate_alpha,
     validate_n,
@@ -113,10 +114,7 @@ class SimParams:
     linear_only: bool = False
 
     def __post_init__(self) -> None:
-        gamma = as_float(self.gamma)
-        if not 0.0 <= gamma < np.inf:
-            raise ValueError(f"gamma: must be finite and >= 0, got {self.gamma!r}")
-        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "gamma", real("gamma", self.gamma, 0.0, ends="[)"))
         object.__setattr__(self, "alpha", validate_alpha(self.alpha))
         validate_rule(self.dealias_rule)
         if not isinstance(self.linear_only, (bool, np.bool_)):  # "no" would be truthy
@@ -179,13 +177,11 @@ def rk4_step(c: np.ndarray, p: SimParams, dt: float, *,
     "two-thirds", 8 per step; none with linear_only. nodal, if given, must
     be nodal_pair(c): stage 1 then reuses u (and u_x under "off"), and the
     step costs 10 or 7. The product's unpaired Nyquist mode is dropped.
-    Finiteness is checked once, on the result: a non-finite result, in any
-    row of a stack, raises InstabilityError, so a returned array is always
-    finite.
+    dt is refused unless finite and > 0 (spectral.real). Finiteness is
+    checked once, on the result: a non-finite result, in any row of a
+    stack, raises InstabilityError, so a returned array is always finite.
     """
-    dt = float(dt)
-    if dt <= 0.0 or not np.isfinite(dt):
-        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    dt = real("dt", dt, 0.0)
     validate_spectrum(c)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -209,16 +205,14 @@ def stable_dt(u_max: float, n: int, p: SimParams) -> float:
     bound holds for states with no rows above K, which run_simulation
     guarantees by starting from the projected spectrum. Degenerate
     inputs (zero field, gamma 0) give a huge value that the run loop caps at
-    the distance to the next stop time. A non-finite u_max, a diverged
-    state, raises InstabilityError; a negative u_max, or an n that
-    spectral.validate_n refuses, raises ValueError, so the bound is never
-    negative.
+    the distance to the next stop time. A u_max that is not a finite number
+    (NaN or inf from a diverged state, or no number at all) raises
+    InstabilityError; a negative u_max, or an n that spectral.validate_n
+    refuses, raises ValueError, so the bound is never negative.
     """
-    u_max = float(u_max)
-    if not abs(u_max) < np.inf:
+    if not abs(as_float(u_max)) < np.inf:
         raise InstabilityError(f"non-finite max|u| handed to stable_dt: {u_max!r}")
-    if u_max < 0.0:
-        raise ValueError(f"u_max: must be >= 0, got {u_max!r}")
+    u_max = real("u_max", u_max, 0.0, ends="[)")
     n = validate_n(n)
     k = band_limit(n, p.dealias_rule)
     advective = CFL_ADVECTION / (u_max * k + DT_GUARD)

@@ -39,7 +39,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .spectral import as_float, validate_alpha
+from .spectral import as_float, real, validate_alpha
 
 RESIDUAL_TOL = 1e-12
 _MAX_ITERATIONS = 100  # bisection alone halves the bracket to rounding in ~60
@@ -86,16 +86,9 @@ class InitialCondition:
             text = ":".join(map(str, (kind, *params)))
             raise ValueError(f"{text!r} (expected {', '.join(others)}, or {last})")
         if kind == "scaled-neg-sine":
-            a = as_float(params[0])
-            if not np.isfinite(a):
-                raise ValueError(f"amplitude must be finite, got {params[0]!r}")
-            params = (a,)
+            params = (real("amplitude", params[0]),)
         elif kind == "gaussian":
-            w = as_float(params[0])
-            if not _MIN_WIDTH <= w < np.inf:
-                raise ValueError(f"width must be finite and >= {_MIN_WIDTH:.6g}, "
-                                 f"got {params[0]!r}")
-            params = (w,)
+            params = (real("width", params[0], _MIN_WIDTH, ends="[)"),)
         elif kind == "random":
             # int() would raise OverflowError on inf, and alone would turn 2.5
             # into 2; an int beyond float range is whole although as_float gives NaN.
@@ -280,12 +273,10 @@ def characteristics_solution(f: InitialCondition, x, t: float):
     have any shape; a scalar x returns a float. ConvergenceError where the
     bracket does not straddle the root or the residual is not met.
     """
-    t = float(t)
     xv = np.asarray(x, dtype=float)
     if not np.isfinite(xv).all():
-        raise ValueError(f"x must be finite, got {x!r}")
-    if t < 0.0 or not np.isfinite(t):
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+        raise ValueError(f"x: must be finite, got {x!r}")
+    t = real("t", t, 0.0, ends="[)")
     if t == 0.0:
         return f(xv)
     t_star = shock_time(f)
@@ -322,13 +313,9 @@ def linear_decay_solution(c0: np.ndarray, t: float, gamma: float,
                           alpha: float) -> np.ndarray:
     """Exact solution of u_t = -gamma*Lambda^alpha u from the half-spectra
     c0, shape (..., N/2 + 1): modewise decay."""
-    t = float(t)
-    gamma = float(gamma)
     a = validate_alpha(alpha)
-    if t < 0.0 or not np.isfinite(t):
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    if gamma < 0.0 or not np.isfinite(gamma):
-        raise ValueError(f"gamma: must be finite and >= 0, got {gamma!r}")
+    t = real("t", t, 0.0, ends="[)")
+    gamma = real("gamma", gamma, 0.0, ends="[)")
     decay = np.exp(-gamma * np.arange(c0.shape[-1]) ** a * t)
     return c0 * decay
 
@@ -351,16 +338,10 @@ def cole_hopf_solution(a: float, gamma: float, x, t: float):
     used: its terms cancel as a/gamma grows. x may have any shape; t = 0
     returns u0.
     """
-    a, gamma, t = as_float(a), as_float(gamma), as_float(t)
-    if not np.isfinite(a):
-        raise ValueError(f"a must be finite, got {a!r}")
-    if not 0.0 < gamma < np.inf:
-        raise ValueError(f"gamma: must be finite and > 0, got {gamma!r}")
-    if not 0.0 <= t < np.inf:
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    a, gamma, t = real("a", a), real("gamma", gamma, 0.0), real("t", t, 0.0, ends="[)")
     xv = np.asarray(x, dtype=float)
     if not np.isfinite(xv).all():
-        raise ValueError("x must be finite")
+        raise ValueError(f"x: must be finite, got {x!r}")
     if t == 0.0:
         out = -a * np.sin(xv)
         return out if out.ndim else float(out)

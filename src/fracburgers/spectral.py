@@ -35,10 +35,16 @@ A run's state is such an array and carries no time; the run loop keeps the
 clock. Nodal values are float arrays of shape (..., N), formed where the
 nodes are needed: the product in the tendency, the extrema and slope of a
 record, and snapshots.
+
+Every real-valued scalar that a caller hands the package, a parameter of
+the equation, the run, a profile or an oracle, is converted and
+range-checked by real(), which refuses it as "<key>: <rule>, got <input>".
+A run's dt alone keeps its own check, as it may also be "auto".
 """
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,8 +59,9 @@ class SymmetryError(ValueError):
 def as_float(value: object) -> float:
     """float(value), or NaN if value is not a number.
 
-    Every range rule rejects NaN, so a string such as "fast" is reported
-    like any other value outside the range.
+    Every range rule of real() rejects NaN, so a string such as "fast", None
+    or an int beyond float range is reported like any other value outside
+    the range.
     """
     try:
         return float(value)
@@ -62,12 +69,32 @@ def as_float(value: object) -> float:
         return float("nan")
 
 
+def real(key: str, value: object, low: float = -math.inf, high: float = math.inf,
+         ends: str = "()") -> float:
+    """as_float(value) after checking it lies between low and high.
+
+    ends marks the closed ends as an interval does: "()" open, "[)" closed
+    at low, "(]" closed at high. An infinite end is always given open, so
+    the value returned is finite. Any other value raises ValueError
+    "<key>: <rule>, got <value!r>", naming the value as the caller passed
+    it, with the rule worded from the interval: "must be finite",
+    "must be finite and >= 0" for [0, inf), "must lie in (0, 2]" for (0, 2].
+    """
+    v = as_float(value)
+    if (low <= v if ends[0] == "[" else low < v) and (v <= high if ends[1] == "]" else v < high):
+        return v
+    if high < math.inf:
+        rule = f"must lie in {ends[0]}{low:g}, {high:g}{ends[1]}"
+    elif low > -math.inf:
+        rule = f"must be finite and {'>=' if ends[0] == '[' else '>'} {low:g}"
+    else:
+        rule = "must be finite"
+    raise ValueError(f"{key}: {rule}, got {value!r}")
+
+
 def validate_alpha(alpha: float) -> float:
     """Return alpha as float after checking 0 < alpha <= 2."""
-    a = as_float(alpha)
-    if not 0.0 < a <= 2.0:
-        raise ValueError(f"alpha: must lie in (0, 2], got {alpha!r}")
-    return a
+    return real("alpha", alpha, 0.0, 2.0, ends="(]")
 
 
 def validate_n(n: int) -> int:

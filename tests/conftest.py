@@ -1,10 +1,18 @@
 """Fixtures shared by the test modules."""
 
+import math
 import time
 
 import pytest
 
 from fracburgers.cli import parse_config, run_simulation
+
+
+@pytest.fixture
+def bad_reals():
+    """Values every real-valued input refuses, each named back as given: no
+    number, text, an int beyond float range, NaN and an infinity."""
+    return (None, "fast", 10**400, math.nan, -math.inf)
 
 
 @pytest.fixture(scope="session")

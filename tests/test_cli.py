@@ -291,9 +291,10 @@ class TestRunConfig:
         ("t_final", "must be finite and > 0"),
         ("snapshot_every", "must be finite and > 0"),
     ])
-    def test_non_number_worded_as_range_rule(self, key, rule):
-        with pytest.raises(ValueError, match=f"^{key}: {rule}, got 'fast'$"):
-            dataclasses.replace(parse_config([]), **{key: "fast"})
+    def test_non_number_worded_as_range_rule(self, key, rule, bad_reals):
+        for bad in bad_reals:
+            with pytest.raises(ValueError, match=f"^{key}: {rule}, got {re.escape(repr(bad))}$"):
+                dataclasses.replace(parse_config([]), **{key: bad})
 
     @pytest.mark.parametrize("key, build", [
         ("gamma", lambda big: SimParams(gamma=big)),
@@ -303,7 +304,7 @@ class TestRunConfig:
     ])
     def test_int_beyond_float_range_refused_by_its_owner(self, key, build):
         """float(10**400) overflows; the owner still names the value."""
-        with pytest.raises(ValueError, match=f"^{key}:? must be finite"):
+        with pytest.raises(ValueError, match=f"^{key}: must be finite"):
             build(10**400)
 
     def test_nonpositive_t_final_rejected(self):

@@ -1,6 +1,7 @@
 """The diagnostics, the blow-up monitors, and detection policy."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -315,9 +316,10 @@ class TestDetectionThresholds:
 
     @pytest.mark.parametrize("key, rule", [
         ("slope_limit", "must be finite and > 0"), ("tail_limit", r"must lie in \(0, 1\)")])
-    def test_non_number_worded_as_range_rule(self, key, rule):
-        with pytest.raises(ValueError, match=f"^{key}: {rule}, got 'fast'$"):
-            DetectionThresholds(**{key: "fast"})
+    def test_non_number_worded_as_range_rule(self, key, rule, bad_reals):
+        for bad in bad_reals:
+            with pytest.raises(ValueError, match=f"^{key}: {rule}, got {re.escape(repr(bad))}$"):
+                DetectionThresholds(**{key: bad})
 
     def test_limits_stored_as_floats(self):
         """As in SimParams, anything float() takes is stored as a float."""

@@ -148,9 +148,9 @@ class TestInitialCondition:
         ("random:x:1", "'x' is not an integer"),
         ("random:1.5:2", "'1.5' is not an integer"),
         ("random:8:-1", "seed must be >= 0, got -1"),
-        ("gaussian:wide", "width must be finite and >= 1.49167e-154, got 'wide'"),
-        ("scaled-neg-sine:inf", "amplitude must be finite, got 'inf'"),
-        ("scaled-neg-sine:", "amplitude must be finite, got ''"),
+        ("gaussian:wide", "width: must be finite and >= 1.49167e-154, got 'wide'"),
+        ("scaled-neg-sine:inf", "amplitude: must be finite, got 'inf'"),
+        ("scaled-neg-sine:", "amplitude: must be finite, got ''"),
     ])
     def test_parse_refusals_are_worded_for_the_ic_key(self, text, reason):
         with pytest.raises(ValueError) as refused:
@@ -202,8 +202,8 @@ class TestInitialCondition:
                       "or random:kmax:seed)"),
         ("neg-sine", (3.0,), "'neg-sine:3.0' (expected neg-sine, scaled-neg-sine:a, "
                              "gaussian:w, or random:kmax:seed)"),
-        ("gaussian", (1e-300,), "width must be finite and >= 1.49167e-154, got 1e-300"),
-        ("scaled-neg-sine", (float("inf"),), "amplitude must be finite, got inf"),
+        ("gaussian", (1e-300,), "width: must be finite and >= 1.49167e-154, got 1e-300"),
+        ("scaled-neg-sine", (float("inf"),), "amplitude: must be finite, got inf"),
         ("random", (8,), "'random:8' (expected neg-sine, scaled-neg-sine:a, gaussian:w, "
                          "or random:kmax:seed)"),
         ("random", (2.5, 1), "max_mode and seed must be integers, got 2.5, 1"),
@@ -415,7 +415,7 @@ class TestCharacteristicsSolution:
         f = InitialCondition.neg_sine()
         calls = []
         monkeypatch.setattr(InitialCondition, "__call__", lambda self, x: calls.append(x))
-        with pytest.raises(ValueError, match=r"^x must be finite"):
+        with pytest.raises(ValueError, match=rf"^x: must be finite, got {x!r}$"):
             characteristics_solution(f, x, 0.5)
         assert calls == []
 
@@ -470,7 +470,7 @@ class TestLinearDecaySolution:
         xs = nodes(8)
         s0 = forward_dft(np.cos(xs))
         args = {"t": 1.0, "gamma": 1.0, arg: bad}
-        with pytest.raises(ValueError, match=f"^{arg}:? must be finite and >= 0"):
+        with pytest.raises(ValueError, match=rf"^{arg}: must be finite and >= 0, got {bad!r}$"):
             linear_decay_solution(s0, args["t"], args["gamma"], 1.0)
 
 
@@ -545,8 +545,8 @@ class TestColeHopfSolution:
 
     @pytest.mark.parametrize("kwargs, match", [
         (dict(gamma=0.0), "gamma"), (dict(gamma=np.nan), "gamma"),
-        (dict(t=-1.0), "t must"), (dict(t=np.inf), "t must"),
-        (dict(a=np.nan), "a must"), (dict(x=np.nan), "x must"),
+        (dict(t=-1.0), "t: must"), (dict(t=np.inf), "t: must"),
+        (dict(a=np.nan), "a: must"), (dict(x=np.nan), "x: must"),
         (dict(t=1e308), "quadrature points"),
     ])
     def test_validation(self, kwargs, match):

@@ -1,9 +1,19 @@
-"""The grid nodes, the transform pair, and the multiplier operators."""
+"""The grid nodes, the transform pair, the multiplier operators, and the
+one range rule for real-valued inputs."""
+
+import math
 
 import numpy as np
 import pytest
 
 from fracburgers.diagnostics import observe
+from fracburgers.dynamics import SimParams, rk4_step
+from fracburgers.oracles import (
+    InitialCondition,
+    characteristics_solution,
+    cole_hopf_solution,
+    linear_decay_solution,
+)
 from fracburgers.spectral import (
     DEALIAS_RULES,
     SymmetryError,
@@ -13,6 +23,7 @@ from fracburgers.spectral import (
     inverse_dft,
     nodal_pair,
     nodes,
+    real,
     spectral_derivative,
     validate_alpha,
     validate_spectrum,
@@ -330,6 +341,58 @@ class TestValidateAlpha:
     def test_rejects_zero(self):
         with pytest.raises(ValueError, match="alpha"):
             validate_alpha(0.0)
+
+
+_SINE = forward_dft(np.sin(nodes(8)))  # a state for the steppers and solvers that take one
+
+
+class TestReal:
+    """spectral.real is the one range rule for a real scalar: it words the
+    rule from the interval and names the value as the caller gave it."""
+
+    @pytest.mark.parametrize("low, high, ends, rule", [
+        (-math.inf, math.inf, "()", "must be finite"),
+        (0.0, math.inf, "[)", "must be finite and >= 0"),
+        (0.0, math.inf, "()", "must be finite and > 0"),
+        (0.0, 2.0, "(]", "must lie in (0, 2]"),
+        (0.0, 1.0, "()", "must lie in (0, 1)"),
+        (math.sqrt(np.finfo(float).tiny), math.inf, "[)", "must be finite and >= 1.49167e-154"),
+    ])
+    def test_rule_worded_from_the_interval(self, low, high, ends, rule):
+        with pytest.raises(ValueError) as refused:
+            real("key", "fast", low, high, ends=ends)
+        assert str(refused.value) == f"key: {rule}, got 'fast'"
+
+    # Every entry point that takes a real scalar, with its key and its rule.
+    # SimParams, DetectionThresholds and RunConfig are graded by their own
+    # modules' test_non_number_worded_as_range_rule.
+    ENTRY_POINTS = {
+        "alpha": ("must lie in (0, 2]", validate_alpha),
+        "amplitude": ("must be finite", InitialCondition.scaled_neg_sine),
+        "width": ("must be finite and >= 1.49167e-154", InitialCondition.gaussian_bump),
+        "rk4_step dt": ("must be finite and > 0", lambda v: rk4_step(_SINE, SimParams(), v)),
+        "linear_decay t": ("must be finite and >= 0",
+                           lambda v: linear_decay_solution(_SINE, v, 1.0, 1.0)),
+        "linear_decay gamma": ("must be finite and >= 0",
+                               lambda v: linear_decay_solution(_SINE, 1.0, v, 1.0)),
+        "characteristics t": ("must be finite and >= 0",
+                              lambda v: characteristics_solution(InitialCondition.neg_sine(),
+                                                                 0.1, v)),
+        "cole_hopf a": ("must be finite", lambda v: cole_hopf_solution(v, 0.1, 0.1, 0.1)),
+        "cole_hopf gamma": ("must be finite and > 0",
+                            lambda v: cole_hopf_solution(1.0, v, 0.1, 0.1)),
+        "cole_hopf t": ("must be finite and >= 0",
+                        lambda v: cole_hopf_solution(1.0, 0.1, 0.1, v)),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_every_real_input_refused_in_one_form(self, entry, bad_reals):
+        rule, call = self.ENTRY_POINTS[entry]
+        key = entry.split()[-1]
+        for bad in bad_reals:
+            with pytest.raises(ValueError) as refused:
+                call(bad)
+            assert str(refused.value) == f"{key}: {rule}, got {bad!r}"
 
 
 class TestDealias:
