@@ -27,8 +27,8 @@ from . import dynamics
 from .dynamics import InstabilityError, SimParams, rk4_step, stable_dt
 from ._writer import _fmt, format_column, write_csv
 from .oracles import InitialCondition, breaking_time
-from .spectral import (DEALIAS_RULES, as_float, dealias, forward_dft, nodal_pair, nodes, real,
-                       validate_n)
+from .spectral import (DEALIAS_RULES, as_float, dealias, flag, forward_dft, nodal_pair, nodes,
+                       real, validate_n)
 
 # Detection cause -> (status, exit code); None is a run that reached t_final.
 _OUTCOMES = {None: ("completed", 0),
@@ -178,21 +178,13 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="fracburgers",
                 description="Pseudo-spectral fractional-Burgers simulator")
     for key, (_, text) in _OPTIONS.items():
-        flag = "--" + key.replace("_", "-")
+        option = "--" + key.replace("_", "-")
         if key == "linear_only":
-            p.add_argument(flag, action="store_const", const="true", help=text)
+            p.add_argument(option, action="store_const", const="true", help=text)
         else:
-            p.add_argument(flag, help=text)
+            p.add_argument(option, help=text)
     p.add_argument("--config", help="key=value file; flags override it")
     return p
-
-
-def _as_bool(key: str, raw: str) -> bool:
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise UsageError(f"invalid value for {key}: expected true or false, got {raw!r}")
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -218,11 +210,11 @@ def _read_config_file(path: str) -> dict[str, str]:
 def parse_config(argv: list[str]) -> RunConfig:
     """Resolve defaults, config file, and flags (in rising precedence).
 
-    This only reads text: n as an integer and the two bools. The --ic text,
-    the --dealias rule and the other numbers reach their owners
-    (InitialCondition.parse, SimParams, DetectionThresholds, RunConfig);
-    every grammar, range, budget and cross-field rule is theirs, and their
-    "<key>: <reason>" is reported as "invalid value for <key>: <reason>".
+    This reads only the --config file and detect_blowup (spectral.flag).
+    Every other value reaches its owner as text (InitialCondition.parse,
+    SimParams, DetectionThresholds, RunConfig); every grammar, range, budget
+    and cross-field rule is theirs, a value's worded by spectral's rule for
+    its type, and "<key>: <reason>" is reported as "invalid value for <key>: <reason>".
     """
     ns = _build_parser().parse_args(argv)
     merged = {key: default for key, (default, _) in _OPTIONS.items()}
@@ -234,20 +226,15 @@ def parse_config(argv: list[str]) -> RunConfig:
             merged[key] = given
 
     try:
-        n = int(merged["n"])
-    except ValueError:
-        raise UsageError(f"invalid value for n: {merged['n']!r} is not an integer") from None
-    linear_only = _as_bool("linear_only", merged["linear_only"])
-    detect_blowup = _as_bool("detect_blowup", merged["detect_blowup"])
-    try:
+        detect_blowup = flag("detect_blowup", merged["detect_blowup"])
         ic = InitialCondition.parse(merged["ic"])
         # Both limits are checked even when detection is off.
         thresholds = DetectionThresholds(slope_limit=merged["slope_limit"],
                                          tail_limit=merged["tail_limit"])
         return RunConfig(
-            n=n,
+            n=merged["n"],
             params=SimParams(gamma=merged["gamma"], alpha=merged["alpha"],
-                             dealias_rule=merged["dealias"], linear_only=linear_only),
+                             dealias_rule=merged["dealias"], linear_only=merged["linear_only"]),
             ic=ic,
             dt=merged["dt"],
             t_final=merged["t_final"],

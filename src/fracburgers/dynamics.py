@@ -72,6 +72,7 @@ from .spectral import (
     as_float,
     band_limit,
     dealias,
+    flag,
     fractional_laplacian,
     real,
     spectral_derivative,
@@ -117,9 +118,7 @@ class SimParams:
         object.__setattr__(self, "gamma", real("gamma", self.gamma, 0.0, ends="[)"))
         object.__setattr__(self, "alpha", validate_alpha(self.alpha))
         validate_rule(self.dealias_rule)
-        if not isinstance(self.linear_only, (bool, np.bool_)):  # "no" would be truthy
-            raise ValueError(f"linear_only: must be a bool, got {self.linear_only!r}")
-        object.__setattr__(self, "linear_only", bool(self.linear_only))
+        object.__setattr__(self, "linear_only", flag("linear_only", self.linear_only))
 
 
 @lru_cache(maxsize=16)

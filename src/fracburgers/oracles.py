@@ -39,7 +39,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .spectral import as_float, real, validate_alpha
+from .spectral import real, validate_alpha, whole
 
 RESIDUAL_TOL = 1e-12
 _MAX_ITERATIONS = 100  # bisection alone halves the bracket to rounding in ~60
@@ -89,19 +89,8 @@ class InitialCondition:
             params = (real("amplitude", params[0]),)
         elif kind == "gaussian":
             params = (real("width", params[0], _MIN_WIDTH, ends="[)"),)
-        elif kind == "random":
-            # int() would raise OverflowError on inf, and alone would turn 2.5
-            # into 2; an int beyond float range is whole although as_float gives NaN.
-            whole = all(isinstance(v, int) or as_float(v).is_integer() for v in params)
-            m, s = map(int, params) if whole else (None, None)
-            if (m, s) != params:
-                raise ValueError("max_mode and seed must be integers, got "
-                                 f"{params[0]!r}, {params[1]!r}")
-            if m < 0:
-                raise ValueError(f"max_mode must be >= 0, got {params[0]!r}")
-            if s < 0:  # numpy's seed sequence takes non-negative integers only
-                raise ValueError(f"seed must be >= 0, got {params[1]!r}")
-            params = (m, s)
+        elif kind == "random":  # numpy's seed sequence takes non-negative integers only
+            params = (whole("max_mode", params[0], 0), whole("seed", params[1], 0))
         object.__setattr__(self, "params", params)
 
     @classmethod
@@ -126,8 +115,6 @@ class InitialCondition:
         refusal is the constructor's, worded "ic: <reason>"."""
         kind, *args = text.split(":")
         try:
-            if kind == "random" and len(args) == 2:
-                args = map(_as_int, args)
             return cls(kind, tuple(args))
         except ValueError as err:
             raise ValueError(f"ic: {err}") from None
@@ -159,13 +146,6 @@ class InitialCondition:
             a = self.params[0] if self.params else 1.0
             out = -a * (np.cos(xv) if derivative else np.sin(xv))
         return out if out.ndim else float(out)
-
-
-def _as_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{text!r} is not an integer") from None
 
 
 def _round_trip(v: float | int) -> str:
@@ -232,12 +212,25 @@ def _dense_sampling(f: InitialCondition) -> tuple[float, float, float]:
     return float(np.min(slopes)), float(np.min(vals)) - pad, float(np.max(vals)) + pad
 
 
+def _floats(key: str, value, finite: bool = False) -> np.ndarray:
+    """value as a float array. None, text and other non-numbers raise
+    ValueError "<key>: must be a number, got <value!r>"; with finite, they
+    and NaN and inf raise "<key>: must be finite, got <value!r>"."""
+    v = np.asarray(value)
+    if v.dtype.kind in "biuf":
+        v = v.astype(float, copy=False)
+        if not finite or np.isfinite(v).all():
+            return v
+    raise ValueError(f"{key}: must be {'finite' if finite else 'a number'}, got {value!r}")
+
+
 def breaking_time(m0: float) -> float:
     """Shock time t* = -1/m0 of the undissipated equation from the minimum
     initial slope m0; inf where that is not a finite time: m0 >= 0 (such
     data never steepens into a shock), NaN, or a subnormal m0 whose
-    reciprocal overflows (Python float division, so unwarned)."""
-    m0 = float(m0)
+    reciprocal overflows (Python float division, so unwarned); None or text
+    is refused."""
+    m0 = float(_floats("m0", m0))
     return -1.0 / m0 if m0 < 0.0 else np.inf
 
 
@@ -249,9 +242,9 @@ def shock_time(f: InitialCondition) -> float:
 def slope_closed_form(m0, t):
     """Slope law m(t) = m0/(1 + t*m0) of the undissipated equation,
     elementwise over the broadcast of m0 and t; a float for scalars.
-    ValueError where a denominator is 0, at the pole t = -1/m0."""
-    m0 = np.asarray(m0, dtype=float)
-    t = np.asarray(t, dtype=float)
+    ValueError where a denominator is 0, at the pole t = -1/m0, and where
+    m0 or t is not a number (None or text); NaN and inf are numbers."""
+    m0, t = _floats("m0", m0), _floats("t", t)
     denom = 1.0 + t * m0
     if (denom == 0.0).any():
         raise ValueError(f"slope law is singular at t = {t} for m0 = {m0}")
@@ -273,9 +266,7 @@ def characteristics_solution(f: InitialCondition, x, t: float):
     have any shape; a scalar x returns a float. ConvergenceError where the
     bracket does not straddle the root or the residual is not met.
     """
-    xv = np.asarray(x, dtype=float)
-    if not np.isfinite(xv).all():
-        raise ValueError(f"x: must be finite, got {x!r}")
+    xv = _floats("x", x, finite=True)
     t = real("t", t, 0.0, ends="[)")
     if t == 0.0:
         return f(xv)
@@ -312,10 +303,11 @@ def characteristics_solution(f: InitialCondition, x, t: float):
 def linear_decay_solution(c0: np.ndarray, t: float, gamma: float,
                           alpha: float) -> np.ndarray:
     """Exact solution of u_t = -gamma*Lambda^alpha u from the half-spectra
-    c0, shape (..., N/2 + 1): modewise decay."""
+    c0 (np.asarray of it), shape (..., N/2 + 1): modewise decay."""
     a = validate_alpha(alpha)
     t = real("t", t, 0.0, ends="[)")
     gamma = real("gamma", gamma, 0.0, ends="[)")
+    c0 = np.asarray(c0)
     decay = np.exp(-gamma * np.arange(c0.shape[-1]) ** a * t)
     return c0 * decay
 
@@ -339,9 +331,7 @@ def cole_hopf_solution(a: float, gamma: float, x, t: float):
     returns u0.
     """
     a, gamma, t = real("a", a), real("gamma", gamma, 0.0), real("t", t, 0.0, ends="[)")
-    xv = np.asarray(x, dtype=float)
-    if not np.isfinite(xv).all():
-        raise ValueError(f"x: must be finite, got {x!r}")
+    xv = _floats("x", x, finite=True)
     if t == 0.0:
         out = -a * np.sin(xv)
         return out if out.ndim else float(out)

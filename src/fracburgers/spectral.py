@@ -36,10 +36,10 @@ clock. Nodal values are float arrays of shape (..., N), formed where the
 nodes are needed: the product in the tendency, the extrema and slope of a
 record, and snapshots.
 
-Every real-valued scalar that a caller hands the package, a parameter of
-the equation, the run, a profile or an oracle, is converted and
-range-checked by real(), which refuses it as "<key>: <rule>, got <input>".
-A run's dt alone keeps its own check, as it may also be "auto".
+Every scalar a caller hands the package is converted and checked by the
+rule for its type, real(), whole() or flag(), which reads text as well and
+refuses a value as "<key>: <rule>, got <input>", naming it as given. A
+run's dt alone keeps its own check, as it may also be "auto".
 """
 
 from __future__ import annotations
@@ -92,6 +92,33 @@ def real(key: str, value: object, low: float = -math.inf, high: float = math.inf
     raise ValueError(f"{key}: {rule}, got {value!r}")
 
 
+def whole(key: str, value: object, low: int, even: bool = False) -> int:
+    """value as an int >= low (and even, if asked): an int however large, a
+    number without a fraction, or text as int() reads it (" 8" and "1_0",
+    not "4.0"). Anything else raises ValueError
+    "<key>: must be an [even ]integer >= <low>, got <value!r>"."""
+    exact = isinstance(value, (str, int, np.integer)) or as_float(value).is_integer()
+    try:
+        v = int(value) if exact else None
+    except (TypeError, ValueError):  # text int() does not read, or a float-only object
+        v = None
+    if v is None or v < low or (even and v % 2):
+        raise ValueError(f"{key}: must be an {'even ' if even else ''}integer >= {low}, "
+                         f"got {value!r}")
+    return v
+
+
+def flag(key: str, value: object) -> bool:
+    """value as a bool: a bool, a numpy bool, "true" or "false". Any other
+    value, "no" or 0 among them, raises ValueError
+    "<key>: must be true or false, got <value!r>"."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, str) and value in ("true", "false"):
+        return value == "true"
+    raise ValueError(f"{key}: must be true or false, got {value!r}")
+
+
 def validate_alpha(alpha: float) -> float:
     """Return alpha as float after checking 0 < alpha <= 2."""
     return real("alpha", alpha, 0.0, 2.0, ends="(]")
@@ -99,13 +126,7 @@ def validate_alpha(alpha: float) -> float:
 
 def validate_n(n: int) -> int:
     """Return n as int after checking it is an even integer >= 4."""
-    # A huge int has no float (as_float gives NaN), so an int is taken as it is.
-    if not (isinstance(n, int) or as_float(n).is_integer()) or n != int(n):
-        raise ValueError(f"n: must be an integer, got {n!r}")
-    n = int(n)
-    if n % 2 or n < 4:
-        raise ValueError(f"n: must be even and >= 4, got {n}")
-    return n
+    return whole("n", n, 4, even=True)
 
 
 def nodes(n: int) -> np.ndarray:

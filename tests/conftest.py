@@ -15,6 +15,21 @@ def bad_reals():
     return (None, "fast", 10**400, math.nan, -math.inf)
 
 
+@pytest.fixture
+def bad_wholes():
+    """Values every integer input refuses, each named back as given: no
+    number, text that int() does not read, a fraction, NaN, an infinity
+    and a negative int."""
+    return (None, "x", "1.5", 2.5, math.nan, math.inf, -1)
+
+
+@pytest.fixture
+def bad_flags():
+    """Values every true/false input refuses, each named back as given:
+    other words for true and false, ints and no value."""
+    return ("no", "True", 0, 1, None)
+
+
 @pytest.fixture(scope="session")
 def timed_run():
     """run(args) -> (result, seconds): run_simulation of the CLI arguments

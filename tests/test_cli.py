@@ -207,6 +207,38 @@ class TestParseConfig:
         with pytest.raises(UsageError, match=rf"^invalid value for {key}: "):
             parse_config([flag, value])
 
+    def test_whole_values_refused_in_one_form(self, bad_wholes):
+        """n and the random profile's parameters reach their owners as text,
+        and come back refused by spectral.whole's rule, naming the text."""
+        for bad in map(str, bad_wholes):
+            for argv, reason in (
+                    (["--n", bad], f"n: must be an even integer >= 4, got {bad!r}"),
+                    (["--ic", f"random:{bad}:1"],
+                     f"ic: max_mode: must be an integer >= 0, got {bad!r}"),
+                    (["--ic", f"random:8:{bad}"],
+                     f"ic: seed: must be an integer >= 0, got {bad!r}")):
+                with pytest.raises(UsageError) as refused:
+                    parse_config(argv)
+                assert str(refused.value) == f"invalid value for {reason}"
+
+    def test_flags_refused_in_one_form(self, bad_flags, tmp_path):
+        """--detect-blowup is read by spectral.flag; linear_only, which only a
+        config file can set to a value, reaches SimParams as text."""
+        cfgfile = tmp_path / "run.cfg"
+        for bad in map(str, bad_flags):
+            with pytest.raises(UsageError) as refused:
+                parse_config(["--detect-blowup", bad])
+            assert str(refused.value) == (
+                f"invalid value for detect_blowup: must be true or false, got {bad!r}")
+            cfgfile.write_text(f"linear_only = {bad}\n", encoding="utf-8")
+            with pytest.raises(UsageError) as refused:
+                parse_config(["--config", str(cfgfile)])
+            assert str(refused.value) == (
+                f"invalid value for linear_only: must be true or false, got {bad!r}")
+        cfgfile.write_text("linear_only = true\ndetect_blowup = false\n", encoding="utf-8")
+        cfg = parse_config(["--config", str(cfgfile)])
+        assert cfg.params.linear_only is True and cfg.thresholds is None
+
     def test_aliased_random_profile_rejected(self):
         """Modes at or above n/2 alias onto lower ones on an n-node grid."""
         for kmax in ("8", "9"):
@@ -338,6 +370,16 @@ class TestRunConfig:
         written = write_outputs(run_simulation(cfg), cfg)
         assert (tmp_path / "out" / "report.txt") in written
         assert all(path.is_file() for path in written)
+
+    def test_n_read_as_whole(self, bad_wholes):
+        """RunConfig reads n as parse_config hands it over, as text."""
+        cfg = parse_config([])
+        assert dataclasses.replace(cfg, n="256") == cfg and cfg.n == 256
+        assert RunConfig(**{**vars(cfg), "n": " 64"}).n == 64
+        for bad in bad_wholes:
+            with pytest.raises(ValueError) as refused:
+                dataclasses.replace(cfg, n=bad)
+            assert str(refused.value) == f"n: must be an even integer >= 4, got {bad!r}"
 
     def test_grid_derived_from_n(self):
         """n is the config's only record of the grid: the run samples the
@@ -1192,7 +1234,7 @@ class TestMain:
         code = main(["--ic", "random:3:-1", "--output", str(tmp_path / "o")])
         assert code == 64
         assert capsys.readouterr().err == (
-            "error: invalid value for ic: seed must be >= 0, got -1\n")
+            "error: invalid value for ic: seed: must be an integer >= 0, got '-1'\n")
 
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(

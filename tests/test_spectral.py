@@ -23,10 +23,12 @@ from fracburgers.spectral import (
     inverse_dft,
     nodal_pair,
     nodes,
+    flag,
     real,
     spectral_derivative,
     validate_alpha,
     validate_spectrum,
+    whole,
 )
 
 def trig_polynomial(x, rng, degree):
@@ -62,22 +64,36 @@ class TestNodes:
         assert np.allclose(np.diff(x), np.pi / 5, rtol=0, atol=1e-15)
 
     def test_odd_count_rejected(self):
-        with pytest.raises(ValueError, match="even"):
+        with pytest.raises(ValueError) as refused:
             nodes(7)
+        assert str(refused.value) == "n: must be an even integer >= 4, got 7"
 
     def test_count_below_four_rejected(self):
-        with pytest.raises(ValueError, match="even and >= 4"):
+        with pytest.raises(ValueError) as refused:
             nodes(2)
+        assert str(refused.value) == "n: must be an even integer >= 4, got 2"
 
     def test_fractional_count_rejected(self):
-        with pytest.raises(ValueError, match="integer"):
+        with pytest.raises(ValueError) as refused:
             nodes(4.5)
+        assert str(refused.value) == "n: must be an even integer >= 4, got 4.5"
 
-    @pytest.mark.parametrize("n", [float("inf"), float("nan"), "256"])
+    @pytest.mark.parametrize("n", [float("inf"), float("nan"), "256.0"])
     def test_non_finite_or_non_number_count_rejected(self, n):
         """int(inf) raises OverflowError, which a ValueError handler misses."""
-        with pytest.raises(ValueError, match=r"^n: must be an integer, got "):
+        with pytest.raises(ValueError) as refused:
             nodes(n)
+        assert str(refused.value) == f"n: must be an even integer >= 4, got {n!r}"
+
+    def test_whole_counts_in_any_form(self, bad_wholes):
+        """A count is read as whole() reads it: an int, a number without a
+        fraction, or text that int() reads."""
+        for n in ("16", " 16", "1_6", 16.0, np.int64(16), np.float64(16.0)):
+            assert np.array_equal(nodes(n), nodes(16))
+        for bad in bad_wholes:
+            with pytest.raises(ValueError) as refused:
+                nodes(bad)
+            assert str(refused.value) == f"n: must be an even integer >= 4, got {bad!r}"
 
 
 class TestFieldTypes:
@@ -393,6 +409,55 @@ class TestReal:
             with pytest.raises(ValueError) as refused:
                 call(bad)
             assert str(refused.value) == f"{key}: {rule}, got {bad!r}"
+
+
+class TestWhole:
+    """spectral.whole is the one rule for an integer: it reads what int()
+    reads of text and any number without a fraction, and names the value as
+    the caller gave it."""
+
+    @pytest.mark.parametrize("value, expected", [
+        (8, 8), ("8", 8), (" 8", 8), ("1_0", 10), (8.0, 8), (np.int64(8), 8),
+        (np.float32(8.0), 8), (True, 1), (10**400, 10**400), ("0", 0),
+    ])
+    def test_accepted(self, value, expected):
+        got = whole("key", value, 0)
+        assert got == expected and type(got) is int
+
+    @pytest.mark.parametrize("value", ["4.0", "", "8 8", 8.5, np.float64(0.5), [8], 1j, "-1"])
+    def test_refused(self, value):
+        with pytest.raises(ValueError) as refused:
+            whole("key", value, 0)
+        assert str(refused.value) == f"key: must be an integer >= 0, got {value!r}"
+
+    def test_refused_in_one_form(self, bad_wholes):
+        for bad in bad_wholes:
+            with pytest.raises(ValueError) as refused:
+                whole("key", bad, 0)
+            assert str(refused.value) == f"key: must be an integer >= 0, got {bad!r}"
+
+    def test_even_rule(self):
+        assert whole("n", "6", 4, even=True) == 6
+        for bad in (5, "7", 2):
+            with pytest.raises(ValueError) as refused:
+                whole("n", bad, 4, even=True)
+            assert str(refused.value) == f"n: must be an even integer >= 4, got {bad!r}"
+
+
+class TestFlag:
+    """spectral.flag is the one rule for true or false."""
+
+    def test_accepted(self):
+        for value, expected in ((True, True), (False, False), (np.True_, True),
+                                (np.False_, False), ("true", True), ("false", False)):
+            got = flag("key", value)
+            assert got is expected
+
+    def test_refused_in_one_form(self, bad_flags):
+        for bad in (*bad_flags, "", " true", np.array([True])):
+            with pytest.raises(ValueError) as refused:
+                flag("key", bad)
+            assert str(refused.value) == f"key: must be true or false, got {bad!r}"
 
 
 class TestDealias:
