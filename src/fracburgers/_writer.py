@@ -21,11 +21,19 @@ exactly:
 
 Zero (and -0.0) gets the cell of "0"; non-finite values and every other
 value outside the range are formatted with _FLOAT, one % for all of them.
+
+OutputFiles writes a run's CSVs through write_csv as the run makes them:
+it is the sink the command line hands cli.run_simulation.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
+
+from .diagnostics import DiagnosticsRecord
+from .spectral import nodes
 
 # The one spelling of the output float format: 17 significant digits
 # round-trip every float64. Every value gets + 0.0 first, so -0.0 prints "0".
@@ -157,12 +165,14 @@ def format_column(values) -> np.ndarray:
     return cells
 
 
-def write_csv(path, header: str, rows, lead: np.ndarray | None = None) -> None:
+def write_csv(path, header: str, rows, lead: np.ndarray | None = None,
+              append: bool = False) -> None:
     """Write header, then one line per row of the 2-D float sequence rows:
     the cell of lead (from format_column) if given, then the row's values,
-    comma-separated. The file is streamed as bytes, CHUNK values at a time."""
+    comma-separated. The file is streamed as bytes, CHUNK values at a time;
+    with append, the lines are added to the end of the file."""
     step = CHUNK // len(rows[0])
-    with open(path, "wb") as f:
+    with open(path, "ab" if append else "wb") as f:
         f.write(header.encode("ascii"))
         for start in range(0, len(rows), step):
             block = np.asarray(rows[start:start + step], dtype=np.float64)
@@ -173,3 +183,36 @@ def write_csv(path, header: str, rows, lead: np.ndarray | None = None) -> None:
             line[:, :, _SEPARATOR] = ord(",")
             line[:, -1, _SEPARATOR] = ord("\n")
             f.write(line.tobytes().translate(None, b"\0"))
+
+
+def _snapshot_name(t: float) -> str:
+    return f"snapshot_{format(t, '.10g')}.csv"
+
+
+class OutputFiles:
+    """A run's CSVs in directory, written as the run makes them.
+
+    Made before the run, it creates directory and diagnostics.csv with its
+    header. add_records appends a batch of records to diagnostics.csv, and
+    add_snapshot writes snapshot_<t>.csv at once, with the node column of
+    the n-node grid formatted once, here. written lists the files in the
+    order they were made; cli.write_outputs adds report.txt last, so a run
+    that is killed leaves every snapshot it reached, the rows up to its
+    last batch and no report.txt.
+    """
+
+    def __init__(self, directory: Path, n: int) -> None:
+        directory.mkdir(parents=True, exist_ok=True)
+        self.directory = directory
+        self.diagnostics = directory / "diagnostics.csv"
+        self.diagnostics.write_bytes((",".join(DiagnosticsRecord._fields) + "\n").encode("ascii"))
+        self.written = [self.diagnostics]
+        self._x = format_column(nodes(n))
+
+    def add_records(self, batch) -> None:
+        write_csv(self.diagnostics, "", batch, append=True)
+
+    def add_snapshot(self, t: float, u) -> None:
+        path = self.directory / _snapshot_name(t)
+        write_csv(path, "x,u\n", np.asarray(u)[:, None], lead=self._x)
+        self.written.append(path)

@@ -5,7 +5,8 @@ A run samples the chosen initial profile on the grid, advances it with RK4
 nodal snapshots at exact multiples of snapshot_every, and stops early when
 the detection policy fires, a step goes non-finite, the clock stalls or the
 step budget runs out. Outputs are plain CSV plus a small report.txt, written
-so that identical configs produce byte-identical files.
+so that identical configs produce byte-identical files, each as the run
+makes it (run_simulation's sink).
 
 A run's outcome is its detection cause and its records. The status, the
 exit code and report.txt's detection lines are read from the cause's row of
@@ -25,7 +26,7 @@ import numpy as np
 from .diagnostics import DetectionThresholds, DiagnosticsRecord, check_blowup, observe
 from . import dynamics
 from .dynamics import InstabilityError, SimParams, rk4_step, stable_dt
-from ._writer import _fmt, format_column, write_csv
+from ._writer import CHUNK, OutputFiles, _fmt
 from .oracles import InitialCondition, breaking_time
 from .spectral import (DEALIAS_RULES, as_float, dealias, flag, forward_dft, nodal_pair, nodes,
                        real, validate_n)
@@ -39,15 +40,15 @@ _OUTCOMES = {None: ("completed", 0),
              "step_budget": ("budget_exceeded", 5)}
 EXIT_CODES = dict(_OUTCOMES.values())
 
-# Run budgets. A run takes at most 10**6 steps (a record is about 400 B):
-# RunConfig refuses a run certain to need more, and run_simulation ends one
-# that reaches them with cause "step_budget". The held snapshots, n values
-# for each multiple of snapshot_every up to t_final (or up to _EPS * t_final
-# past it), may fill at most 1 GiB. A step holds about 16 arrays of n float64
-# values (state, stages, temporaries, nodal u, u_x and product), which get
-# the same 1 GiB: n is at most 2**23.
+# Run budgets. A run takes at most 10**6 steps: RunConfig refuses a run
+# certain to need more, and run_simulation ends one that reaches them with
+# cause "step_budget". The stored snapshots, n values for each multiple of
+# snapshot_every up to t_final (or up to _EPS * t_final past it), may hold at
+# most 2**27 values, about 5 GB of CSV.
 MAX_STEPS = 10**6
 MAX_SNAPSHOT_VALUES = 2**27
+# Records handed to the sink at a time, at most: one chunk of write_csv.
+_RECORD_BATCH = CHUNK // len(DiagnosticsRecord._fields)
 # The run loop's clock tolerance, relative to t_final: a state within it of a
 # snapshot multiple is stored, and one within it of t_final ends the run.
 _EPS = 1e-12
@@ -128,11 +129,8 @@ class RunConfig:
         k = math.floor(ratio)
         stored = k + 2 if (k + 1) * every - t_final <= _EPS * t_final else k + 1
         if stored * n > MAX_SNAPSHOT_VALUES:
-            raise ValueError(f"snapshot_every: {every:g} holds more than 2**27 snapshot values "
-                             f"(1 GiB) at n {n} and t_final {t_final:g}")
-        if 16 * n > MAX_SNAPSHOT_VALUES:
-            raise ValueError(f"n: a step at n {n} holds about 16 * n float64 values, more than "
-                             "2**27 (1 GiB); n may be at most 2**23")
+            raise ValueError(f"snapshot_every: {every:g} stores more than 2**27 snapshot values "
+                             f"(about 5 GB of CSV) at n {n} and t_final {t_final:g}")
         if every > t_final:
             raise ValueError(f"snapshot_every: {every:g} exceeds t_final {t_final:g}")
         ic = self.ic  # a hand-built run may sample any callable
@@ -148,19 +146,24 @@ class RunConfig:
 @dataclass(frozen=True)
 class RunResult:
     """A run's records (one per state, from t = 0), its (t, u) snapshots, the
-    detection cause that ended it (None if it reached t_final) and its
-    warnings. The status is the cause's row of _OUTCOMES."""
+    detection cause that ended it (None if it reached t_final), its warnings
+    and its steps, len(records) - 1 unless given. The status is the cause's
+    row of _OUTCOMES. A run handed to a sink keeps its first and last
+    records alone, and no snapshot."""
 
     records: tuple[DiagnosticsRecord, ...]
     snapshots: tuple[tuple[float, np.ndarray], ...]
     cause: str | None
     warnings: tuple[str, ...] = ()
+    steps: int | None = None
 
     def __post_init__(self) -> None:
         if self.cause not in _OUTCOMES:
             raise ValueError(f"unknown cause {self.cause!r}")
         if not self.records:  # report.txt reads the first and the last record
             raise ValueError("a run has at least its t = 0 record")
+        if self.steps is None:
+            object.__setattr__(self, "steps", len(self.records) - 1)
 
     @property
     def status(self) -> str:
@@ -246,17 +249,30 @@ def parse_config(argv: list[str]) -> RunConfig:
         raise UsageError(f"invalid value for {err}") from None
 
 
-def run_simulation(cfg: RunConfig) -> RunResult:
+class _Collected:
+    """The default sink: keeps everything for the RunResult."""
+
+    def __init__(self) -> None:
+        self.records, self.snapshots = [], []
+
+    def add_records(self, batch) -> None:
+        self.records += batch
+
+    def add_snapshot(self, t: float, u) -> None:
+        self.snapshots.append((t, u))
+
+
+def run_simulation(cfg: RunConfig, sink=None) -> RunResult:
     """Advance the configured run to t_final or to the first halting signal.
 
     The state is the half-spectrum c and the loop owns the clock t. Every
     state, t=0 included, takes one path: its nodal u and u_x are formed
     once (nodal_pair) and shared by its record, its snapshot and the first
     stage of the next step; observe sums the BKM integral from the previous
-    record, handed in as prev; the record is appended; the state is stored
-    as a snapshot when t lies within eps of k * snapshot_every, k the count
-    stored so far; and the detection policy meets the record before the
-    next step. Steps are clipped to land exactly on the next snapshot
+    record, handed in as prev; the record joins the batch; the state is
+    stored as a snapshot when t lies within eps of k * snapshot_every, k the
+    count stored so far; and the detection policy meets the record before
+    the next step. Steps are clipped to land exactly on the next snapshot
     multiple and on t_final; on landing, t is assigned the target value, so
     snapshot times are exact float multiples of snapshot_every and no
     drift-induced micro-steps occur. A step that does not land ends more
@@ -269,6 +285,12 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     snapshots, or auto steps that shrink as max|u| grows, can reach it past
     RunConfig's check. The result carries the cause.
 
+    The loop hands its output to sink as it goes: sink.add_records(batch),
+    a list of records, before each snapshot, every _RECORD_BATCH records and
+    at the end, and sink.add_snapshot(t, u) with each snapshot's nodal
+    values, which the sink may keep. Without a sink they are collected into
+    the result; with one, the loop holds one batch and no snapshot.
+
     The run starts from the sampled profile's spectrum projected by the
     dealias rule, so under "two-thirds" the rows above K = band_limit(n,
     rule) are zero at every stage, and the t=0 record and snapshot read that
@@ -278,30 +300,46 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     """
     p = cfg.params
     eps = _EPS * cfg.t_final
-    u0 = cfg.ic(nodes(cfg.n))
+    collected = sink is None
+    if collected:
+        sink = _Collected()
+    sampled = cfg.ic(nodes(cfg.n))
     t, rec, cause = 0.0, None, None
-    records: list[DiagnosticsRecord] = []
-    snapshots: list[tuple[float, np.ndarray]] = []
+    batch: list[DiagnosticsRecord] = []
+    states = stored = 0
 
     # Finiteness is checked explicitly: observe on each record, rk4_step on its result.
     with np.errstate(over="ignore", invalid="ignore"):
-        c = dealias(forward_dft(u0), p.dealias_rule)
+        c = dealias(forward_dft(sampled), p.dealias_rule)
         while True:
             nodal = nodal_pair(c)
             rec = observe(c, t, prev=rec, nodal=nodal, rule=p.dealias_rule)
-            records.append(rec)
-            if abs(len(snapshots) * cfg.snapshot_every - t) <= eps:
-                # Under "off" the t=0 snapshot stays the sampled profile, which
-                # irfft(rfft(u0)) reproduces only to rounding.
-                sampled = not snapshots and p.dealias_rule == "off"
-                snapshots.append((t, u0 if sampled else nodal[0]))
+            batch.append(rec)
+            states += 1
+            if abs(stored * cfg.snapshot_every - t) <= eps:
+                sink.add_records(batch)
+                batch = []
+                u = nodal[0]
+                if not stored:
+                    first = rec
+                    # Under "off" the t=0 snapshot stays the sampled profile, which
+                    # irfft(rfft(sampled)) reproduces only to rounding.
+                    u = sampled if p.dealias_rule == "off" else u
+                    max0, min0 = np.max(u), np.min(u)
+                    sampled = None
+                sink.add_snapshot(t, u)
+                stored += 1
+                del u  # held by the sink, if at all
+            elif len(batch) == _RECORD_BATCH:
+                sink.add_records(batch)
+                batch = []
             cause = check_blowup(rec, cfg.thresholds)
             if cause is not None or t >= cfg.t_final - eps:
                 break
-            if len(records) > MAX_STEPS:  # MAX_STEPS steps taken, t_final not reached
+            if states > MAX_STEPS:  # MAX_STEPS steps taken, t_final not reached
                 cause = "step_budget"
                 break
-            target = min(len(snapshots) * cfg.snapshot_every, cfg.t_final)
+            target = min(stored * cfg.snapshot_every, cfg.t_final)
             # check_blowup has ruled out a non-finite max|u|, so stable_dt returns.
             cap = cfg.dt if cfg.dt != "auto" else stable_dt(max(rec.max_u, -rec.min_u), cfg.n, p)
             landed = cap >= target - t - eps
@@ -311,51 +349,47 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                 break
             try:
                 c = rk4_step(c, p, dt_step, nodal=nodal)
-            except InstabilityError:  # the last appended record is the last valid state
+            except InstabilityError:  # the last record made is the last valid state
                 cause = "non_finite"
                 break
             t = target if landed else t + dt_step
-        max0, min0 = np.max(snapshots[0][1]), np.min(snapshots[0][1])
+    if batch:
+        sink.add_records(batch)
 
     warnings = () if max0 >= 0.0 >= min0 else (
         "maximum-principle hypotheses do not hold at t=0 "
         f"(need max u >= 0 >= min u, got max={max0:.6g}, min={min0:.6g}); "
         "the extrema bounds are monitored but not guaranteed",
     )
-    return RunResult(records=tuple(records), snapshots=tuple(snapshots),
-                     cause=cause, warnings=warnings)
+    if collected:
+        return RunResult(records=tuple(sink.records), snapshots=tuple(sink.snapshots),
+                         cause=cause, warnings=warnings)
+    return RunResult(records=(first,) if rec is first else (first, rec), snapshots=(),
+                     cause=cause, warnings=warnings, steps=states - 1)
 
 
-def _snapshot_name(t: float) -> str:
-    return f"snapshot_{format(t, '.10g')}.csv"
+def write_outputs(result: RunResult, cfg: RunConfig,
+                  files: OutputFiles | None = None) -> list[Path]:
+    """Write report.txt, after the CSVs of a collected result; return every
+    file written.
 
-
-def write_outputs(result: RunResult, cfg: RunConfig) -> list[Path]:
-    """Write diagnostics.csv, one snapshot_<t>.csv per snapshot, report.txt.
-
-    Every float is written as _fmt writes it, ``"%.17g" % (v + 0.0)``, and
-    every line ends with LF on every platform. The CSVs are streamed as bytes
-    by _writer.write_csv, which formats each column with numpy array
-    operations, exactly for 1e-6 < |v| < 1e16 and with the same % for every
-    other value; the node column is formatted once per call. report.txt
-    names the profile by its --ic selector, so a profile that is not an
-    InitialCondition is refused (TypeError) before any file is made.
+    files is the OutputFiles the run was handed, which holds its CSVs.
+    Without it, a new one replays the collected result: the same files in
+    the same order, byte for byte. A result handed to a sink keeps no
+    snapshot and cannot be replayed (ValueError). report.txt names the
+    profile by its --ic selector, so a profile that is not an
+    InitialCondition is refused (TypeError) before anything is written.
     """
     if not isinstance(cfg.ic, InitialCondition):
         raise TypeError(f"report.txt names the profile by its --ic selector; {cfg.ic!r} has none")
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    path = out / "diagnostics.csv"
-    write_csv(path, ",".join(DiagnosticsRecord._fields) + "\n", result.records)
-    written.append(path)
-
-    x = format_column(nodes(cfg.n))
-    for t, field in result.snapshots:
-        path = out / _snapshot_name(t)
-        write_csv(path, "x,u\n", np.asarray(field)[:, None], lead=x)
-        written.append(path)
+    if files is None:
+        if not result.snapshots or len(result.records) != result.steps + 1:
+            raise ValueError("write_outputs replays a collected result; this one's records "
+                             "and snapshots went to a sink")
+        files = OutputFiles(cfg.output_dir, cfg.n)
+        files.add_records(result.records)
+        for t, u in result.snapshots:
+            files.add_snapshot(t, u)
 
     predicted = breaking_time(result.records[0].min_slope)
     label = " (inviscid prediction)" if cfg.params.gamma > 0.0 else ""
@@ -372,10 +406,9 @@ def write_outputs(result: RunResult, cfg: RunConfig) -> list[Path]:
         f"detection_cause: {result.cause or 'none'}",
     ]
     report_lines += [f"warning: {w}" for w in result.warnings]
-    path = out / "report.txt"
+    path = cfg.output_dir / "report.txt"
     path.write_text("\n".join(report_lines) + "\n", encoding="utf-8", newline="\n")
-    written.append(path)
-    return written
+    return [*files.written, path]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -385,19 +418,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 64
     try:  # an unusable output directory fails before the run, not after it
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    result = run_simulation(cfg)
-    try:
-        written = write_outputs(result, cfg)
+        files = OutputFiles(cfg.output_dir, cfg.n)
+        result = run_simulation(cfg, files)
+        written = write_outputs(result, cfg, files)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    steps = len(result.records) - 1
-    print(f"{result.status} after {steps} steps (t = {result.records[-1].t:.6g}); "
+    print(f"{result.status} after {result.steps} steps (t = {result.records[-1].t:.6g}); "
           f"{len(written)} files in {cfg.output_dir}")
     return _OUTCOMES[result.cause][1]

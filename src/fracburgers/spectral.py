@@ -50,6 +50,10 @@ from types import SimpleNamespace
 import numpy as np
 
 DEALIAS_RULES = ("off", "two-thirds")
+# A step holds about 16 arrays of n float64 values (state, stages,
+# temporaries, nodal u, u_x and their product): 2**27 values, 1 GiB, at
+# n = 2**23, the largest n validate_n accepts.
+MAX_N = 2**23
 
 
 class SymmetryError(ValueError):
@@ -125,8 +129,14 @@ def validate_alpha(alpha: float) -> float:
 
 
 def validate_n(n: int) -> int:
-    """Return n as int after checking it is an even integer >= 4."""
-    return whole("n", n, 4, even=True)
+    """Return n as int after checking it is an even integer, 4 <= n <= MAX_N,
+    before any array is formed. Above MAX_N the ValueError names n as read,
+    so text and an int get the same words."""
+    v = whole("n", n, 4, even=True)
+    if v > MAX_N:
+        raise ValueError("n: must be at most 2**23 (a step holds about 16 * n float64 values, "
+                         f"1 GiB at 2**23), got {v}")
+    return v
 
 
 def nodes(n: int) -> np.ndarray:

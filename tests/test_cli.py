@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from fracburgers import _writer, cli
+from fracburgers._writer import _snapshot_name
 from fracburgers.cli import (
     _OPTIONS,
     EXIT_CODES,
@@ -24,7 +26,6 @@ from fracburgers.cli import (
     RunConfig,
     RunResult,
     UsageError,
-    _snapshot_name,
     main,
     parse_config,
     run_simulation,
@@ -41,6 +42,7 @@ from fracburgers.dynamics import (
     DT_GUARD,
     InstabilityError,
     SimParams,
+    rk4_step,
 )
 from fracburgers.oracles import InitialCondition, breaking_time, linear_decay_solution
 from fracburgers.spectral import (
@@ -544,8 +546,9 @@ class TestRunBudgets:
             config(*args)
 
     def test_oversized_grid_refused_before_allocation(self):
-        """The snapshot budget refuses 2**62 nodes before any run forms them."""
-        with pytest.raises(UsageError, match="invalid value for snapshot_every"):
+        """n's own ceiling refuses 2**62 nodes before any run forms them, and
+        before the snapshot budget reads n."""
+        with pytest.raises(UsageError, match=r"^invalid value for n: must be at most 2\*\*23 "):
             config("--n", str(2**62))
 
     def test_working_set_budget(self, monkeypatch, capsys):
@@ -970,6 +973,151 @@ class TestWriteOutputs:
         cfg = config("--n", "16", "--t-final", "0.2", out=blocker)
         with pytest.raises(OSError):
             write_outputs(run_simulation(cfg), cfg)
+
+
+# 450 steps between snapshots, more than one batch of records, and a
+# snapshot interval that does not divide t_final.
+STREAMED_ARGS = ["--n", "16", "--gamma", "0.1", "--dt", "0.001", "--t-final", "1",
+                 "--snapshot-every", "0.45"]
+# fine-16k's configuration at seed 1: 21 snapshots, or 2 with --snapshot-every 0.00344.
+FINE_ARGS = ["--n", "16384", "--gamma", "0.05", "--alpha", "1", "--dt", "auto",
+             "--dealias", "two-thirds", "--t-final", "0.00344", "--ic", "random:8:1"]
+
+
+class _Recorder:
+    """A sink that logs every call it is handed."""
+
+    def __init__(self):
+        self.calls = []
+
+    def add_records(self, batch):
+        self.calls.append(("records", list(batch)))
+
+    def add_snapshot(self, t, u):
+        self.calls.append(("snapshot", (t, u)))
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def _peak_bytes(argv, out):
+    """tracemalloc's peak over main(argv). Run main at the same n once
+    before, so that the caches a first run fills (transform plans,
+    multipliers) are not counted."""
+    tracemalloc.start()
+    try:
+        main([*argv, "--output", str(out)])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedOutputs:
+    """The run loop hands its output to a sink as it goes; the command line's
+    writes the files at once, with the bytes write_outputs writes."""
+
+    def test_streamed_files_match_the_replayed_result(self, tmp_path, capsys):
+        assert main([*STREAMED_ARGS, "--output", str(tmp_path / "streamed")]) == 0
+        assert capsys.readouterr().out.startswith("completed after 1000 steps (t = 1); 5 files")
+        cfg = config(*STREAMED_ARGS, out=tmp_path / "replayed")
+        written = write_outputs(run_simulation(cfg), cfg)
+        assert [p.name for p in written] == [
+            "diagnostics.csv", "snapshot_0.csv", "snapshot_0.45.csv", "snapshot_0.9.csv",
+            "report.txt"]
+        assert _files(tmp_path / "streamed") == _files(tmp_path / "replayed")
+
+    def test_sink_gets_batches_before_each_snapshot(self):
+        """Batches hold at most _RECORD_BATCH records, each snapshot follows
+        the batch that ends with its own record, and the calls replay the
+        collected run. The streamed result carries the first and last record."""
+        cfg = config(*STREAMED_ARGS)
+        collected = run_simulation(cfg)
+        sink = _Recorder()
+        streamed = run_simulation(cfg, sink)
+        records = [rec for kind, batch in sink.calls if kind == "records" for rec in batch]
+        snapshots = [item for kind, item in sink.calls if kind == "snapshot"]
+        assert records == list(collected.records)
+        assert [t for t, _ in snapshots] == [t for t, _ in collected.snapshots]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(snapshots, collected.snapshots))
+        assert max(len(batch) for kind, batch in sink.calls if kind == "records") \
+            == cli._RECORD_BATCH == _writer.CHUNK // len(DiagnosticsRecord._fields)
+        for before, (kind, item) in zip(sink.calls, sink.calls[1:]):
+            if kind == "snapshot":
+                assert before[0] == "records" and before[1][-1].t == item[0]
+        assert streamed.records == (collected.records[0], collected.records[-1])
+        assert streamed.snapshots == () and streamed.steps == collected.steps == 1000
+        assert (streamed.cause, streamed.warnings) == (collected.cause, collected.warnings)
+
+    def test_run_without_a_step_streams_one_record(self):
+        cfg = config("--n", "16", "--dt", "1e80", "--t-final", "1e80", "--snapshot-every", "1e80")
+        result = run_simulation(cfg, _Recorder())
+        assert result.cause == "non_finite" and result.steps == 0 and len(result.records) == 1
+
+    @pytest.mark.parametrize("args", [
+        ["--t-final", "0.2"],
+        ["--dt", "1e80", "--t-final", "1e80", "--snapshot-every", "1e80"],  # no step: 1 record
+    ], ids=["steps", "no-step"])
+    def test_streamed_result_is_not_replayed(self, tmp_path, args):
+        cfg = config("--n", "16", *args, out=tmp_path / "o")
+        result = run_simulation(cfg, _Recorder())
+        with pytest.raises(ValueError, match="records and snapshots went to a sink"):
+            write_outputs(result, cfg)
+        assert not (tmp_path / "o").exists()
+
+    def test_interrupted_run_keeps_what_it_wrote(self, tmp_path, monkeypatch):
+        """A run interrupted at its 880th step leaves the snapshots it
+        reached, byte for byte, a prefix of diagnostics.csv and no report."""
+        full, cut = tmp_path / "full", tmp_path / "cut"
+        assert main([*STREAMED_ARGS, "--output", str(full)]) == 0
+        steps = itertools.count(1)
+
+        def interrupted(c, p, dt, **kwargs):
+            if next(steps) == 880:
+                raise KeyboardInterrupt
+            return rk4_step(c, p, dt, **kwargs)
+
+        monkeypatch.setattr(cli, "rk4_step", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main([*STREAMED_ARGS, "--output", str(cut)])
+        kept = _files(cut)
+        assert set(kept) == {"diagnostics.csv", "snapshot_0.csv", "snapshot_0.45.csv"}
+        for name in ("snapshot_0.csv", "snapshot_0.45.csv"):
+            assert kept[name] == (full / name).read_bytes(), name
+        lines = kept["diagnostics.csv"].splitlines(keepends=True)
+        assert lines == (full / "diagnostics.csv").read_bytes().splitlines(keepends=True)[:len(lines)]
+        # The header, the 451 rows through the t = 0.45 snapshot, and one full batch.
+        assert len(lines) == 1 + 451 + cli._RECORD_BATCH
+
+    def test_output_error_while_streaming_exits_one(self, tmp_path, capsys):
+        """A snapshot that cannot be written ends the run with exit code 1."""
+        (tmp_path / "snapshot_0.1.csv").mkdir()
+        code = main(["--n", "16", "--t-final", "0.3", "--output", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert (tmp_path / "snapshot_0.csv").is_file() and not (tmp_path / "report.txt").exists()
+
+    def test_held_memory_does_not_grow_with_the_snapshots(self, tmp_path):
+        """fine-16k's configuration peaks within one snapshot, 8 * n bytes,
+        with 21 snapshots as with 2: none is held after it is written. The
+        two peaks differ by about 200 B (2 MiB when every one was held)."""
+        two_args = [*FINE_ARGS, "--snapshot-every", "0.00344"]
+        main([*two_args, "--output", str(tmp_path / "warm")])
+        many = _peak_bytes([*FINE_ARGS, "--snapshot-every", "0.000172"], tmp_path / "21")
+        two = _peak_bytes(two_args, tmp_path / "2")
+        assert len(list((tmp_path / "21").glob("snapshot_*.csv"))) == 21
+        assert abs(many - two) < 8 * 16384
+
+    def test_held_memory_does_not_grow_with_the_records(self, tmp_path):
+        """Ten times the steps, 500 and 5000 records, move the peak by about
+        3 kB (1.6 MB when every record was held): at most one batch of
+        records is held, in both runs."""
+        args = ["--n", "16", "--linear-only", "--dt", "0.002", "--t-final", "1",
+                "--snapshot-every", "1"]
+        main([*args, "--output", str(tmp_path / "warm")])
+        short = _peak_bytes(args, tmp_path / "1")
+        long = _peak_bytes([*args, "--t-final", "10", "--snapshot-every", "10"], tmp_path / "10")
+        assert abs(long - short) < 64 * 1024
 
 
 def _nan_with_payload(bits):

@@ -419,6 +419,11 @@ class TestStableDt:
             stable_dt(1.0, n, SimParams())
         assert str(refused.value) == f"n: must be an even integer >= 4, got {n!r}"
 
+    def test_node_count_above_the_ceiling_rejected(self):
+        """spectral.validate_n's ceiling, not an OverflowError at u_max * K."""
+        with pytest.raises(ValueError, match=r"^n: must be at most 2\*\*23 "):
+            stable_dt(1.0, 10**400, SimParams())
+
     def test_node_count_given_as_text(self, bad_wholes):
         assert stable_dt(1.0, "256", SimParams()) == stable_dt(1.0, 256, SimParams())
         for bad in bad_wholes:

@@ -16,6 +16,7 @@ from fracburgers.oracles import (
 )
 from fracburgers.spectral import (
     DEALIAS_RULES,
+    MAX_N,
     SymmetryError,
     dealias,
     forward_dft,
@@ -27,6 +28,7 @@ from fracburgers.spectral import (
     real,
     spectral_derivative,
     validate_alpha,
+    validate_n,
     validate_spectrum,
     whole,
 )
@@ -84,6 +86,17 @@ class TestNodes:
         with pytest.raises(ValueError) as refused:
             nodes(n)
         assert str(refused.value) == f"n: must be an even integer >= 4, got {n!r}"
+
+    @pytest.mark.parametrize("n", [2**23 + 2, 2**62, 10**400, 1e300, str(2**40)])
+    def test_count_above_the_ceiling_rejected(self, n):
+        """Above MAX_N = 2**23 the count is refused in the n: form before any
+        array is formed, however large, where numpy would refuse the size."""
+        with pytest.raises(ValueError) as refused:
+            nodes(n)
+        assert str(refused.value) == (
+            "n: must be at most 2**23 (a step holds about 16 * n float64 values, "
+            f"1 GiB at 2**23), got {int(n)}")
+        assert validate_n(2**23) == MAX_N == 2**23
 
     def test_whole_counts_in_any_form(self, bad_wholes):
         """A count is read as whole() reads it: an int, a number without a
