@@ -8,9 +8,10 @@ step budget runs out. Outputs are plain CSV plus a small report.txt, written
 so that identical configs produce byte-identical files, each as the run
 makes it (run_simulation's sink).
 
-A run's outcome is its detection cause and its records. The status, the
-exit code and report.txt's detection lines are read from the cause's row of
-_OUTCOMES; exit code 64 is a usage error and 1 an output I/O error.
+A run's outcome is its RunResult: the detection cause, the step count and
+the first and last records. The status, the exit code and report.txt's
+detection lines are read from the cause's row of _OUTCOMES; exit code 64 is
+a usage error and 1 an output I/O error.
 """
 
 from __future__ import annotations
@@ -145,25 +146,20 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """A run's records (one per state, from t = 0), its (t, u) snapshots, the
-    detection cause that ended it (None if it reached t_final), its warnings
-    and its steps, len(records) - 1 unless given. The status is the cause's
-    row of _OUTCOMES. A run handed to a sink keeps its first and last
-    records alone, and no snapshot."""
+    """A run's summary: its t = 0 record and its last record (the same one
+    for a run that took no step), the detection cause that ended it (None
+    if it reached t_final), its steps and its warnings. The status is the
+    cause's row of _OUTCOMES."""
 
-    records: tuple[DiagnosticsRecord, ...]
-    snapshots: tuple[tuple[float, np.ndarray], ...]
+    first: DiagnosticsRecord
+    last: DiagnosticsRecord
     cause: str | None
+    steps: int
     warnings: tuple[str, ...] = ()
-    steps: int | None = None
 
     def __post_init__(self) -> None:
         if self.cause not in _OUTCOMES:
             raise ValueError(f"unknown cause {self.cause!r}")
-        if not self.records:  # report.txt reads the first and the last record
-            raise ValueError("a run has at least its t = 0 record")
-        if self.steps is None:
-            object.__setattr__(self, "steps", len(self.records) - 1)
 
     @property
     def status(self) -> str:
@@ -249,20 +245,7 @@ def parse_config(argv: list[str]) -> RunConfig:
         raise UsageError(f"invalid value for {err}") from None
 
 
-class _Collected:
-    """The default sink: keeps everything for the RunResult."""
-
-    def __init__(self) -> None:
-        self.records, self.snapshots = [], []
-
-    def add_records(self, batch) -> None:
-        self.records += batch
-
-    def add_snapshot(self, t: float, u) -> None:
-        self.snapshots.append((t, u))
-
-
-def run_simulation(cfg: RunConfig, sink=None) -> RunResult:
+def run_simulation(cfg: RunConfig, sink) -> RunResult:
     """Advance the configured run to t_final or to the first halting signal.
 
     The state is the half-spectrum c and the loop owns the clock t. Every
@@ -283,13 +266,14 @@ def run_simulation(cfg: RunConfig, sink=None) -> RunResult:
     with cause "stalled_clock". A run that has taken MAX_STEPS steps short of
     t_final ends with cause "step_budget": steps clipped to land on the
     snapshots, or auto steps that shrink as max|u| grows, can reach it past
-    RunConfig's check. The result carries the cause.
+    RunConfig's check.
 
     The loop hands its output to sink as it goes: sink.add_records(batch),
     a list of records, before each snapshot, every _RECORD_BATCH records and
     at the end, and sink.add_snapshot(t, u) with each snapshot's nodal
-    values, which the sink may keep. Without a sink they are collected into
-    the result; with one, the loop holds one batch and no snapshot.
+    values. The sink may keep both; the loop holds one batch and no
+    snapshot. The result is the run's summary: its first and last records,
+    its cause, its steps and its warnings.
 
     The run starts from the sampled profile's spectrum projected by the
     dealias rule, so under "two-thirds" the rows above K = band_limit(n,
@@ -300,9 +284,6 @@ def run_simulation(cfg: RunConfig, sink=None) -> RunResult:
     """
     p = cfg.params
     eps = _EPS * cfg.t_final
-    collected = sink is None
-    if collected:
-        sink = _Collected()
     sampled = cfg.ic(nodes(cfg.n))
     t, rec, cause = 0.0, None, None
     batch: list[DiagnosticsRecord] = []
@@ -361,37 +342,20 @@ def run_simulation(cfg: RunConfig, sink=None) -> RunResult:
         f"(need max u >= 0 >= min u, got max={max0:.6g}, min={min0:.6g}); "
         "the extrema bounds are monitored but not guaranteed",
     )
-    if collected:
-        return RunResult(records=tuple(sink.records), snapshots=tuple(sink.snapshots),
-                         cause=cause, warnings=warnings)
-    return RunResult(records=(first,) if rec is first else (first, rec), snapshots=(),
-                     cause=cause, warnings=warnings, steps=states - 1)
+    return RunResult(first, rec, cause, states - 1, warnings)
 
 
-def write_outputs(result: RunResult, cfg: RunConfig,
-                  files: OutputFiles | None = None) -> list[Path]:
-    """Write report.txt, after the CSVs of a collected result; return every
-    file written.
+def write_outputs(result: RunResult, cfg: RunConfig, files: OutputFiles) -> list[Path]:
+    """Write report.txt from the summary of a run handed to files, the
+    OutputFiles that holds its CSVs; return every file written, report.txt
+    last.
 
-    files is the OutputFiles the run was handed, which holds its CSVs.
-    Without it, a new one replays the collected result: the same files in
-    the same order, byte for byte. A result handed to a sink keeps no
-    snapshot and cannot be replayed (ValueError). report.txt names the
-    profile by its --ic selector, so a profile that is not an
-    InitialCondition is refused (TypeError) before anything is written.
+    report.txt names the profile by its --ic selector, so a profile that is
+    not an InitialCondition is refused (TypeError) before it is written.
     """
     if not isinstance(cfg.ic, InitialCondition):
         raise TypeError(f"report.txt names the profile by its --ic selector; {cfg.ic!r} has none")
-    if files is None:
-        if not result.snapshots or len(result.records) != result.steps + 1:
-            raise ValueError("write_outputs replays a collected result; this one's records "
-                             "and snapshots went to a sink")
-        files = OutputFiles(cfg.output_dir, cfg.n)
-        files.add_records(result.records)
-        for t, u in result.snapshots:
-            files.add_snapshot(t, u)
-
-    predicted = breaking_time(result.records[0].min_slope)
+    predicted = breaking_time(result.first.min_slope)
     label = " (inviscid prediction)" if cfg.params.gamma > 0.0 else ""
     detected = result.cause is not None
     report_lines = [
@@ -402,7 +366,7 @@ def write_outputs(result: RunResult, cfg: RunConfig,
         ("predicted_t_star: none" if math.isinf(predicted)
          else f"predicted_t_star: {_fmt(predicted)}{label}"),
         f"detected: {'true' if detected else 'false'}",
-        f"detected_t: {_fmt(result.records[-1].t) if detected else 'none'}",
+        f"detected_t: {_fmt(result.last.t) if detected else 'none'}",
         f"detection_cause: {result.cause or 'none'}",
     ]
     report_lines += [f"warning: {w}" for w in result.warnings]
@@ -426,6 +390,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    print(f"{result.status} after {result.steps} steps (t = {result.records[-1].t:.6g}); "
+    print(f"{result.status} after {result.steps} steps (t = {result.last.t:.6g}); "
           f"{len(written)} files in {cfg.output_dir}")
     return _OUTCOMES[result.cause][1]

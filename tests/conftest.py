@@ -5,7 +5,39 @@ import time
 
 import pytest
 
-from fracburgers.cli import parse_config, run_simulation
+from fracburgers._writer import OutputFiles
+from fracburgers.cli import parse_config, run_simulation, write_outputs
+
+
+class Collected:
+    """A sink that keeps what a run hands it: records, every record in
+    order; snapshots, the (t, u) pairs; and calls, the ordered log of its
+    calls, ("records", batch) and ("snapshot", (t, u))."""
+
+    def __init__(self):
+        self.records, self.snapshots, self.calls = [], [], []
+
+    def add_records(self, batch):
+        self.calls.append(("records", list(batch)))
+        self.records += batch
+
+    def add_snapshot(self, t, u):
+        self.calls.append(("snapshot", (t, u)))
+        self.snapshots.append((t, u))
+
+
+def collect(cfg):
+    """(result, sink): run_simulation of cfg into a new Collected sink."""
+    sink = Collected()
+    return run_simulation(cfg, sink), sink
+
+
+def write_run(cfg):
+    """(result, written): cfg run as the command line runs it, into the
+    OutputFiles of cfg.output_dir, and its report written."""
+    files = OutputFiles(cfg.output_dir, cfg.n)
+    result = run_simulation(cfg, files)
+    return result, write_outputs(result, cfg, files)
 
 
 @pytest.fixture
@@ -32,12 +64,12 @@ def bad_flags():
 
 @pytest.fixture(scope="session")
 def timed_run():
-    """run(args) -> (result, seconds): run_simulation of the CLI arguments
-    args and its wall time.
+    """run(args) -> (result, sink, seconds): run_simulation of the CLI
+    arguments args into a Collected sink, and its wall time.
 
     Each argument list runs once per session, so the acceptance criteria and
     tests/test_viscous_runs.py share the runs they both grade; seconds is the
-    time of that one run. Callers must not modify a result.
+    time of that one run. Callers must not modify a result or a sink.
     """
     cache = {}
 
@@ -46,8 +78,8 @@ def timed_run():
         if key not in cache:
             cfg = parse_config([*args, "--output", "unused"])
             t0 = time.perf_counter()
-            res = run_simulation(cfg)
-            cache[key] = (res, time.perf_counter() - t0)
+            res, sink = collect(cfg)
+            cache[key] = (res, sink, time.perf_counter() - t0)
         return cache[key]
 
     return run

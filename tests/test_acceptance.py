@@ -9,7 +9,8 @@ grades) are computed once and shared by the tests that grade them.
 import numpy as np
 import pytest
 
-from fracburgers.cli import parse_config, run_simulation, write_outputs
+from conftest import write_run
+from fracburgers.cli import parse_config
 from fracburgers.diagnostics import DetectionThresholds, check_blowup
 from fracburgers.dynamics import SimParams, rk4_step
 from fracburgers.oracles import InitialCondition, characteristics_solution, slope_closed_form
@@ -51,19 +52,19 @@ def announce(capsys):
 
 
 def test_criterion_01_mass_conservation(conservation_run, announce):
-    res, elapsed = conservation_run
-    worst = max(abs(r.mass) for r in res.records)
+    res, sink, elapsed = conservation_run
+    worst = max(abs(r.mass) for r in sink.records)
     ok = res.status == "completed" and worst <= 1e-10 and elapsed < 10.0
     announce(1, "mass conserved to 1e-10",
              ok, f"max |mass| = {worst:.2e}, {elapsed:.2f} s")
 
 
 def test_criterion_02_l2_principle(conservation_run, timed_run, announce):
-    res, _ = conservation_run
-    l2 = np.array([r.l2 for r in res.records])
+    _, sink, _ = conservation_run
+    l2 = np.array([r.l2 for r in sink.records])
     worst_rise = float(np.max(np.diff(l2)))
 
-    inviscid, _ = timed_run(["--gamma", "0", "--n", "256", "--t-final", "0.5"])
+    _, inviscid, _ = timed_run(["--gamma", "0", "--n", "256", "--t-final", "0.5"])
     li = np.array([r.l2 for r in inviscid.records])
     drift = float(np.max(np.abs(li - li[0])) / li[0])
 
@@ -73,32 +74,32 @@ def test_criterion_02_l2_principle(conservation_run, timed_run, announce):
 
 
 def test_criterion_03_linf_principle(timed_run, announce):
-    res, elapsed = timed_run(["--gamma", "0.5", "--alpha", "2", "--t-final", "2"])
-    hi = max(r.max_u for r in res.records)
-    lo = min(r.min_u for r in res.records)
+    res, sink, elapsed = timed_run(["--gamma", "0.5", "--alpha", "2", "--t-final", "2"])
+    hi = max(r.max_u for r in sink.records)
+    lo = min(r.min_u for r in sink.records)
     ok = res.status == "completed" and hi <= 1.0 + 1e-6 and lo >= -1.0 - 1e-6
     announce(3, "extrema bounded by the initial range",
              ok, f"max = {hi:.9f}, min = {lo:.9f}, {elapsed:.1f} s")
 
 
 def test_criterion_04_blowup_law(shock_run, announce):
-    res, elapsed = shock_run
-    at_08 = min(res.records, key=lambda r: abs(r.t - 0.8))
+    res, sink, elapsed = shock_run
+    at_08 = min(sink.records, key=lambda r: abs(r.t - 0.8))
     target = slope_closed_form(-1.0, 0.8)  # -5
     rel_dev = abs(at_08.min_slope - target) / abs(target)
     window = (res.status == "blowup_detected"
-              and check_blowup(res.records[-1], DetectionThresholds()) == "slope_threshold"
-              and 0.9 <= res.records[-1].t <= 1.05)
+              and check_blowup(res.last, DetectionThresholds()) == "slope_threshold"
+              and 0.9 <= res.last.t <= 1.05)
     ok = abs(at_08.t - 0.8) <= 1e-9 and rel_dev <= 0.02 and window and elapsed < 60.0
     announce(4, "slope follows the breaking law and detection fires near t*",
              ok, f"slope(0.8) = {at_08.min_slope:.4f}, detected_t = "
-                 f"{res.records[-1].t:.4f}, {elapsed:.1f} s")
+                 f"{res.last.t:.4f}, {elapsed:.1f} s")
 
 
 def test_criterion_05_characteristics_equivalence(timed_run, announce):
-    res, _ = timed_run(["--gamma", "0", "--n", "512", "--dt", "0.0001",
-                        "--t-final", "0.5"])
-    t_end, final = res.snapshots[-1]
+    _, sink, _ = timed_run(["--gamma", "0", "--n", "512", "--dt", "0.0001",
+                            "--t-final", "0.5"])
+    t_end, final = sink.snapshots[-1]
     xs = nodes(512)
     f = InitialCondition.neg_sine()
     exact = characteristics_solution(f, xs, t_end)
@@ -142,10 +143,10 @@ def test_criterion_07_bkm_monitor(shock_run, announce):
     4x the spatial-resolution error at t = 0.95 (1.3e-4) and below the
     9.5e-4 a left-endpoint quadrature would miss by.
     """
-    res, _ = shock_run
-    bkm = np.array([r.bkm_integral for r in res.records])
+    _, sink, _ = shock_run
+    bkm = np.array([r.bkm_integral for r in sink.records])
     monotone = bool(np.all(np.diff(bkm) >= 0.0))
-    t = np.array([r.t for r in res.records])
+    t = np.array([r.t for r in sink.records])
     upto = t <= 0.95 + 1e-9
     m0 = -1.0
     dev = np.abs(bkm[upto] - (-np.log1p(m0 * t[upto])))
@@ -160,8 +161,8 @@ def test_criterion_07_bkm_monitor(shock_run, announce):
 def test_criterion_08_vanishing_viscosity(timed_run, announce):
     finals = []
     for gamma in ("0.2", "0.1", "0.05"):
-        res, _ = timed_run(["--gamma", gamma, "--alpha", "2", "--t-final", "1.2"])
-        finals.append(res.snapshots[-1][1])
+        _, sink, _ = timed_run(["--gamma", gamma, "--alpha", "2", "--t-final", "1.2"])
+        finals.append(sink.snapshots[-1][1])
     d1 = float(np.max(np.abs(finals[0] - finals[1])))
     d2 = float(np.max(np.abs(finals[1] - finals[2])))
     ok = d1 > d2
@@ -211,8 +212,7 @@ def test_criterion_09_operator_exactness(announce):
 def test_criterion_10_determinism(tmp_path, announce):
     dirs = (tmp_path / "first", tmp_path / "second")
     for d in dirs:
-        cfg = parse_config([*CONSERVATION_ARGS, "--output", str(d)])
-        write_outputs(run_simulation(cfg), cfg)
+        write_run(parse_config([*CONSERVATION_ARGS, "--output", str(d)]))
     first = (dirs[0] / "diagnostics.csv").read_bytes()
     second = (dirs[1] / "diagnostics.csv").read_bytes()
     ok = first == second and len(first) > 0

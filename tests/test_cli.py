@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import collect, write_run
 from fracburgers import _writer, cli
-from fracburgers._writer import _snapshot_name
+from fracburgers._writer import OutputFiles, _snapshot_name
 from fracburgers.cli import (
     _OPTIONS,
     EXIT_CODES,
@@ -365,11 +366,11 @@ class TestRunConfig:
                 RunConfig(**{**fields, key: value})
 
     def test_str_output_dir_written(self, tmp_path):
-        """A str directory is stored as a Path, so write_outputs can make it."""
+        """A str directory is stored as a Path, so OutputFiles can make it."""
         cfg = dataclasses.replace(config("--n", "16", "--t-final", "0.2"),
                                   output_dir=str(tmp_path / "out"))
         assert isinstance(cfg.output_dir, Path)
-        written = write_outputs(run_simulation(cfg), cfg)
+        _, written = write_run(cfg)
         assert (tmp_path / "out" / "report.txt") in written
         assert all(path.is_file() for path in written)
 
@@ -391,7 +392,7 @@ class TestRunConfig:
         assert "grid" not in {f.name for f in dataclasses.fields(RunConfig)}
         with pytest.raises(TypeError, match="grid"):
             dataclasses.replace(cfg, grid=nodes(64))
-        assert np.array_equal(run_simulation(cfg).snapshots[0][1], -np.sin(nodes(32)))
+        assert np.array_equal(collect(cfg)[1].snapshots[0][1], -np.sin(nodes(32)))
 
     @pytest.mark.parametrize("argv, changes", [
         (["--n", "16", "--ic", "random:8:1"], dict(n=16, ic=InitialCondition.random_band(8, 1))),
@@ -457,9 +458,9 @@ class TestRunBudgets:
         """A run the up-front rule accepts ends after exactly MAX_STEPS steps,
         short of t_final, with its own cause and exit code."""
         monkeypatch.setattr(cli, "MAX_STEPS", 1000)
-        res = run_simulation(config(*STEP_BUDGET_ARGS))
+        res, sink = collect(config(*STEP_BUDGET_ARGS))
         assert (res.cause, res.status) == ("step_budget", "budget_exceeded")
-        assert len(res.records) == 1001 and res.records[-1].t < 1e12
+        assert len(sink.records) == 1001 and sink.records[-1].t < 1e12
         code = main([*STEP_BUDGET_ARGS, "--output", str(tmp_path / "o")])
         assert code == EXIT_CODES["budget_exceeded"] == cli._OUTCOMES["step_budget"][1]
         assert capsys.readouterr().out.startswith("budget_exceeded after 1000 steps ")
@@ -471,12 +472,12 @@ class TestRunBudgets:
         args = ("--n", "4", "--linear-only", "--dt", "0.001", "--t-final", "1",
                 "--snapshot-every", "0.0015")
         monkeypatch.setattr(cli, "MAX_STEPS", 1000)
-        res = run_simulation(config(*args))
-        assert res.cause == "step_budget" and len(res.records) == 1001
-        assert res.records[-1].t < 1.0 and len(res.snapshots) == 501
+        res, sink = collect(config(*args))
+        assert res.cause == "step_budget" and len(sink.records) == 1001
+        assert sink.records[-1].t < 1.0 and len(sink.snapshots) == 501
         monkeypatch.undo()
-        res = run_simulation(config(*args))
-        assert res.cause is None and len(res.records) > 1001
+        res, sink = collect(config(*args))
+        assert res.cause is None and len(sink.records) > 1001
 
     def test_auto_dissipative_step_budget(self):
         """An auto step is at most stable_dt at max|u| = 0. At n = 256 and
@@ -540,7 +541,7 @@ class TestRunBudgets:
         run stores 16 * 0.0175 at t_final: the budget counts the same 17."""
         args = ("--n", "16", "--dt", "0.005", "--t-final", t_final, "--snapshot-every", "0.0175")
         monkeypatch.setattr("fracburgers.cli.MAX_SNAPSHOT_VALUES", stored * 16)
-        assert len(run_simulation(config(*args)).snapshots) == stored
+        assert len(collect(config(*args))[1].snapshots) == stored
         monkeypatch.setattr("fracburgers.cli.MAX_SNAPSHOT_VALUES", stored * 16 - 1)
         with pytest.raises(UsageError, match=r"^invalid value for snapshot_every: "):
             config(*args)
@@ -579,21 +580,21 @@ class TestRunBudgets:
 
 class TestRunSimulation:
     def test_zero_profile_stays_zero(self):
-        res = run_simulation(config("--ic", "random:0:1"))
+        res, sink = collect(config("--ic", "random:0:1"))
         assert res.status == "completed"
-        assert len(res.records) == 11  # stable_dt is huge, so steps land on snapshots
-        assert [r.t for r in res.records] == pytest.approx(np.arange(11) * 0.1, abs=1e-12)
-        for r in res.records:
+        assert len(sink.records) == 11  # stable_dt is huge, so steps land on snapshots
+        assert [r.t for r in sink.records] == pytest.approx(np.arange(11) * 0.1, abs=1e-12)
+        for r in sink.records:
             assert r.mass == 0.0 and r.l2 == 0.0 and r.h3 == 0.0
-        assert len(res.snapshots) == 11
-        assert breaking_time(res.records[0].min_slope) == np.inf
+        assert len(sink.snapshots) == 11
+        assert breaking_time(sink.records[0].min_slope) == np.inf
 
     def test_snapshots_land_on_exact_multiples(self):
-        res = run_simulation(config("--n", "64", "--gamma", "0.1", "--t-final", "0.5"))
-        times = [t for t, _ in res.snapshots]
+        _, sink = collect(config("--n", "64", "--gamma", "0.1", "--t-final", "0.5"))
+        times = [t for t, _ in sink.snapshots]
         assert times == [0.0, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5]
         assert all(t == i * 0.1 for i, t in enumerate(times))
-        assert np.array_equal(res.snapshots[0][1], -np.sin(nodes(64)))
+        assert np.array_equal(sink.snapshots[0][1], -np.sin(nodes(64)))
 
     @pytest.mark.parametrize("args", [
         ["--n", "64", "--gamma", "0.1", "--dt", "0.01", "--t-final", "0.5"],
@@ -608,15 +609,15 @@ class TestRunSimulation:
         measured, against a 1e-14 tolerance."""
         dt = args[args.index("--dt") + 1]
         cfg = config(*args, "--snapshot-every", dt, out=tmp_path)
-        res = run_simulation(cfg)
-        write_outputs(res, cfg)
+        _, sink = collect(cfg)
+        _write_at_once(cfg, sink.records, sink.snapshots)
         column = np.loadtxt(tmp_path / "diagnostics.csv", delimiter=",", skiprows=1,
                             usecols=DiagnosticsRecord._fields.index("bkm_integral"))
-        t = np.array([t for t, _ in res.snapshots])
-        assert len(res.snapshots) == len(res.records) > 40
-        assert np.array_equal(t, [r.t for r in res.records])
+        t = np.array([t for t, _ in sink.snapshots])
+        assert len(sink.snapshots) == len(sink.records) > 40
+        assert np.array_equal(t, [r.t for r in sink.records])
         norms = np.array([np.abs(inverse_dft(spectral_derivative(forward_dft(u)))).max()
-                          for _, u in res.snapshots])
+                          for _, u in sink.snapshots])
         trapezoid = np.concatenate([[0.0], np.cumsum(np.diff(t) * (norms[:-1] + norms[1:]) / 2)])
         assert column[0] == 0.0
         assert np.allclose(column, trapezoid, rtol=1e-14, atol=0.0)
@@ -634,8 +635,7 @@ class TestRunSimulation:
         bit: the cumulative trapezoid of S = max(max_slope, -min_slope) over
         the file's own t, clipped steps and early stops included."""
         cfg = config(*args, out=tmp_path)
-        res = run_simulation(cfg)
-        write_outputs(res, cfg)
+        res, _ = write_run(cfg)
         assert res.status == status
         table = np.loadtxt(tmp_path / "diagnostics.csv", delimiter=",", skiprows=1)
         col = dict(zip(DiagnosticsRecord._fields, table.T))
@@ -645,29 +645,29 @@ class TestRunSimulation:
         assert np.array_equal(col["bkm_integral"], trapezoid)
 
     def test_record_times_are_increasing_and_bounded(self):
-        res = run_simulation(config("--n", "64", "--t-final", "0.5"))
-        ts = [r.t for r in res.records]
+        _, sink = collect(config("--n", "64", "--t-final", "0.5"))
+        ts = [r.t for r in sink.records]
         assert ts[0] == 0.0 and ts[-1] == 0.5
         assert all(b > a for a, b in zip(ts, ts[1:]))
 
     def test_neg_sine_prediction_recorded(self):
-        res = run_simulation(config("--n", "64", "--t-final", "0.2"))
-        assert breaking_time(res.records[0].min_slope) == pytest.approx(1.0, rel=1e-9)
+        _, sink = collect(config("--n", "64", "--t-final", "0.2"))
+        assert breaking_time(sink.records[0].min_slope) == pytest.approx(1.0, rel=1e-9)
 
     def test_blowup_detected_by_slope_threshold(self):
         cfg = config("--n", "64", "--t-final", "1.2", "--slope-limit", "10")
-        res = run_simulation(cfg)
+        res, sink = collect(cfg)
         assert res.status == "blowup_detected"
-        assert check_blowup(res.records[-1], cfg.thresholds) == "slope_threshold"
+        assert check_blowup(sink.records[-1], cfg.thresholds) == "slope_threshold"
         # slope law: |m| crosses 10 at t = 1 - 1/10
-        assert 0.85 <= res.records[-1].t <= 1.0
+        assert 0.85 <= sink.records[-1].t <= 1.0
 
     def test_resolution_loss_detected(self):
         cfg = config(*RESOLUTION_LOSS_ARGS)
-        res = run_simulation(cfg)
+        res, sink = collect(cfg)
         assert res.status == "resolution_lost"
-        assert check_blowup(res.records[-1], cfg.thresholds) == "resolution_loss"
-        assert res.records[-1].tail_fraction > 0.01
+        assert check_blowup(sink.records[-1], cfg.thresholds) == "resolution_loss"
+        assert sink.records[-1].tail_fraction > 0.01
 
     def test_resolution_loss_detected_under_the_two_thirds_rule(self, tmp_path):
         """The tail reads rows the 2/3 rule keeps, so it can fire on a
@@ -675,14 +675,14 @@ class TestRunSimulation:
         args = ["--n", "256", "--alpha", "0.5", "--gamma", "0.05", "--ic", "random:8:0",
                 "--t-final", "1", "--dealias", "two-thirds"]
         assert main([*args, "--output", str(tmp_path)]) == EXIT_CODES["resolution_lost"] == 3
-        res = run_simulation(config(*args))
+        res, sink = collect(config(*args))
         assert res.status == "resolution_lost"
-        assert res.records[-1].tail_fraction > 0.1 >= res.records[-2].tail_fraction
+        assert sink.records[-1].tail_fraction > 0.1 >= sink.records[-2].tail_fraction
 
     def test_numeric_failure_keeps_finite_snapshots(self):
-        res = run_simulation(config(*NUMERIC_FAILURE_ARGS))
+        res, sink = collect(config(*NUMERIC_FAILURE_ARGS))
         assert res.status == "numeric_failure"
-        for _, field in res.snapshots:
+        for _, field in sink.snapshots:
             assert np.all(np.isfinite(field))
 
     def test_non_finite_step_ends_the_run(self, monkeypatch):
@@ -698,25 +698,25 @@ class TestRunSimulation:
             return real_step(*args, **kwargs)
 
         monkeypatch.setattr(cli, "rk4_step", failing_third_step)
-        res = run_simulation(config("--n", "16", "--dt", "0.05", "--t-final", "0.3"))
+        res, sink = collect(config("--n", "16", "--dt", "0.05", "--t-final", "0.3"))
         assert res.status == "numeric_failure"
-        assert [r.t for r in res.records] == [0.0, 0.05, 0.1]
-        assert [t for t, _ in res.snapshots] == [0.0, 0.1]  # both are record times
+        assert [r.t for r in sink.records] == [0.0, 0.05, 0.1]
+        assert [t for t, _ in sink.snapshots] == [0.0, 0.1]  # both are record times
 
     def test_a_step_that_cannot_move_the_clock_ends_the_run(self):
         """The run stops before a step with t + dt == t, as stalled_clock,
         so every record has its own t. Default detection stops the same
         profile earlier, on its tail."""
         cfg = config(*STALLED_CLOCK_ARGS)
-        res = run_simulation(cfg)
-        ts = [r.t for r in res.records]
+        res, sink = collect(cfg)
+        ts = [r.t for r in sink.records]
         assert (res.cause, res.status) == ("stalled_clock", "numeric_failure")
         assert len(ts) == 104 and ts[-1] == 0.4656566709323747
         assert all(b > a for a, b in zip(ts, ts[1:]))
-        last = res.records[-1]
+        last = sink.records[-1]
         assert ts[-1] + cli.stable_dt(max(last.max_u, -last.min_u), cfg.n, cfg.params) == ts[-1]
-        res = run_simulation(config(*STALLED_CLOCK_ARGS, "--detect-blowup", "true"))
-        assert res.status == "resolution_lost" and len(res.records) == 6
+        res, sink = collect(config(*STALLED_CLOCK_ARGS, "--detect-blowup", "true"))
+        assert res.status == "resolution_lost" and len(sink.records) == 6
 
     def test_snapshots_follow_the_landing_rule(self):
         """Seeded random runs: n in {8, 16, 32}, a fixed or auto step, and
@@ -750,11 +750,11 @@ class TestRunSimulation:
             cfg = config("--n", str(n), "--dt", dt, "--ic", ic, "--gamma",
                          str(rng.choice([0.0, 0.1])), "--t-final", repr(t_final),
                          "--snapshot-every", repr(every))
-            res = run_simulation(cfg)
+            res, sink = collect(cfg)
             outcomes.add(res.status)
             eps = 1e-12 * cfg.t_final
-            record_times = [r.t for r in res.records]
-            for k, (t, _) in enumerate(res.snapshots):
+            record_times = [r.t for r in sink.records]
+            for k, (t, _) in enumerate(sink.snapshots):
                 assert t == k * every or (t == t_final and abs(k * every - t_final) <= eps), cfg
                 assert t in record_times, cfg
             if res.status != "completed":
@@ -762,20 +762,20 @@ class TestRunSimulation:
             assert all(b > a for a, b in zip(record_times, record_times[1:])), cfg
             assert record_times[-1] >= cfg.t_final - eps, cfg
             expected = next(k for k in itertools.count() if k * every > t_final + eps)
-            assert len(res.snapshots) == expected, cfg
+            assert len(sink.snapshots) == expected, cfg
         assert "completed" in outcomes
 
     def test_tiny_t_final_takes_a_step(self):
         """The landing tolerance scales with t_final, so a run to 1e-13 steps."""
-        res = run_simulation(config("--n", "16", "--t-final", "1e-13",
-                                    "--snapshot-every", "1e-13"))
+        res, sink = collect(config("--n", "16", "--t-final", "1e-13",
+                                   "--snapshot-every", "1e-13"))
         assert res.status == "completed"
-        assert [r.t for r in res.records] == [0.0, 1e-13]
-        assert [_snapshot_name(t) for t, _ in res.snapshots] == [
+        assert [r.t for r in sink.records] == [0.0, 1e-13]
+        assert [_snapshot_name(t) for t, _ in sink.snapshots] == [
             "snapshot_0.csv", "snapshot_1e-13.csv"]
 
     def test_positive_profile_warns_about_extrema_hypotheses(self):
-        res = run_simulation(config("--ic", "gaussian:1.0", "--n", "32", "--t-final", "0.2"))
+        res, _ = collect(config("--ic", "gaussian:1.0", "--n", "32", "--t-final", "0.2"))
         assert res.warnings and "maximum-principle" in res.warnings[0]
 
     def test_dealiased_warning_reads_the_projected_state(self):
@@ -784,18 +784,18 @@ class TestRunSimulation:
         dealiasing off warns."""
         args = ("--ic", "gaussian:0.2", "--n", "32", "--t-final", "0.01",
                 "--snapshot-every", "0.01")
-        assert run_simulation(config(*args)).warnings
-        res = run_simulation(config(*args, "--dealias", "two-thirds"))
-        assert res.records[0].min_u < 0.0 and res.warnings == ()
+        assert collect(config(*args))[0].warnings
+        res, sink = collect(config(*args, "--dealias", "two-thirds"))
+        assert sink.records[0].min_u < 0.0 and res.warnings == ()
 
     def test_linear_run_matches_decay_oracle(self):
         """End to end against the exact semigroup, not just one step."""
         cfg = config("--gamma", "1", "--alpha", "2", "--n", "64",
                      "--t-final", "0.5", "--linear-only")
-        res = run_simulation(cfg)
+        _, sink = collect(cfg)
         s0 = forward_dft(-np.sin(nodes(64)))
         exact = inverse_dft(linear_decay_solution(s0, 0.5, 1.0, 2.0))
-        final = res.snapshots[-1][1]
+        final = sink.snapshots[-1][1]
         assert np.max(np.abs(final - exact)) <= 1e-8
 
     @pytest.mark.parametrize("args, status, cause", [
@@ -809,23 +809,23 @@ class TestRunSimulation:
     def test_detection_applies_to_the_t0_record(self, args, status, cause):
         """A profile that already fires the policy takes no step."""
         cfg = config(*args)
-        res = run_simulation(cfg)
+        res, sink = collect(cfg)
         assert res.status == status
-        assert [r.t for r in res.records] == [0.0]
-        assert check_blowup(res.records[0], cfg.thresholds) == cause
-        assert len(res.snapshots) == 1
+        assert [r.t for r in sink.records] == [0.0]
+        assert check_blowup(sink.records[0], cfg.thresholds) == cause
+        assert len(sink.snapshots) == 1
 
     def test_detection_can_be_disabled(self):
         args = ["--n", "64", "--t-final", "1.2", "--slope-limit", "10",
                 "--detect-blowup", "false"]
-        res = run_simulation(config(*args))
+        res, _ = collect(config(*args))
         assert res.status == "completed"
 
 
 class TestWriteOutputs:
     def test_file_set_and_header(self, tmp_path):
         cfg = config("--n", "16", "--t-final", "0.3", out=tmp_path)
-        paths = write_outputs(run_simulation(cfg), cfg)
+        _, paths = write_run(cfg)
         assert {p.name for p in paths} == {
             "diagnostics.csv", "report.txt",
             "snapshot_0.csv", "snapshot_0.1.csv", "snapshot_0.2.csv", "snapshot_0.3.csv",
@@ -836,24 +836,24 @@ class TestWriteOutputs:
 
     def test_diagnostics_rows_match_records(self, tmp_path):
         cfg = config("--n", "16", "--t-final", "0.2", out=tmp_path)
-        res = run_simulation(cfg)
-        write_outputs(res, cfg)
+        _, sink = collect(cfg)
+        _write_at_once(cfg, sink.records, sink.snapshots)
         lines = (tmp_path / "diagnostics.csv").read_text(encoding="utf-8").splitlines()
-        assert len(lines) == len(res.records) + 1
+        assert len(lines) == len(sink.records) + 1
         first = [float(cell) for cell in lines[1].split(",")]
-        assert first == list(res.records[0])
+        assert first == list(sink.records[0])
 
     def test_zero_run_serializes_plain_zeros(self, tmp_path):
         """-0.0 is normalized, so a quiescent run is all literal "0" cells."""
         cfg = config("--ic", "random:0:1", "--n", "16", out=tmp_path)
-        write_outputs(run_simulation(cfg), cfg)
+        write_run(cfg)
         lines = (tmp_path / "diagnostics.csv").read_text(encoding="utf-8").splitlines()
         for line in lines[1:]:
             assert line.split(",")[1:] == ["0"] * (len(DiagnosticsRecord._fields) - 1)
 
     def test_snapshot_columns(self, tmp_path):
         cfg = config("--n", "16", "--t-final", "0.2", out=tmp_path)
-        write_outputs(run_simulation(cfg), cfg)
+        write_run(cfg)
         lines = (tmp_path / "snapshot_0.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "x,u"
         xs = np.array([float(l.split(",")[0]) for l in lines[1:]])
@@ -863,7 +863,7 @@ class TestWriteOutputs:
 
     def test_report_for_seeded_profile(self, tmp_path):
         cfg = config("--ic", "random:4:42", "--n", "32", "--t-final", "0.2", out=tmp_path)
-        write_outputs(run_simulation(cfg), cfg)
+        write_run(cfg)
         text = (tmp_path / "report.txt").read_text(encoding="utf-8")
         assert "status: completed" in text
         assert "ic: random:4:42" in text
@@ -873,7 +873,7 @@ class TestWriteOutputs:
 
     def test_report_marks_viscous_prediction_as_inviscid_estimate(self, tmp_path):
         cfg = config("--gamma", "0.5", "--n", "16", "--t-final", "0.2", out=tmp_path)
-        write_outputs(run_simulation(cfg), cfg)
+        write_run(cfg)
         text = (tmp_path / "report.txt").read_text(encoding="utf-8")
         assert "(inviscid prediction)" in text
 
@@ -888,7 +888,7 @@ class TestWriteOutputs:
         assert cli._OUTCOMES[None if cause == "none" else cause][0] == status
         monkeypatch.setattr(cli, "MAX_STEPS", 1000)
         cfg = config(*args, out=tmp_path)
-        write_outputs(run_simulation(cfg), cfg)
+        write_run(cfg)
         lines = (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines()
         report = dict(line.split(": ", 1) for line in lines)
         header, *rows = [
@@ -925,54 +925,55 @@ class TestWriteOutputs:
     def test_result_needs_a_known_cause_and_a_record(self):
         rec = DiagnosticsRecord(0.0, 0.0, 1.0, 1.0, -1.0, -1.0, 1.0, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError, match="unknown cause"):
-            RunResult(records=(rec,), snapshots=(), cause="exploded")
+            RunResult(rec, rec, "exploded", 0)
         with pytest.raises(ValueError, match="unknown cause"):
-            RunResult(records=(rec,), snapshots=(), cause="numeric_failure")  # a status
-        with pytest.raises(ValueError, match="t = 0 record"):
-            RunResult(records=(), snapshots=(), cause=None)
-        result = RunResult(records=(rec,), snapshots=(), cause="stalled_clock")
+            RunResult(rec, rec, "numeric_failure", 0)  # a status
+        with pytest.raises(TypeError, match="first"):
+            RunResult(cause=None, steps=0)
+        result = RunResult(rec, rec, "stalled_clock", 0)
         assert result.status == "numeric_failure"
         with pytest.raises(AttributeError):
             result.status = "completed"
 
     def test_warnings_echoed_into_report(self, tmp_path):
         cfg = config("--ic", "gaussian:1.0", "--n", "16", "--t-final", "0.2", out=tmp_path)
-        write_outputs(run_simulation(cfg), cfg)
+        write_run(cfg)
         text = (tmp_path / "report.txt").read_text(encoding="utf-8")
         assert "warning: maximum-principle" in text
 
     def test_reruns_are_byte_identical(self, tmp_path):
         args = ("--ic", "random:6:9", "--n", "64", "--gamma", "0.1", "--t-final", "0.4")
         a, b = tmp_path / "a", tmp_path / "b"
-        write_outputs(run_simulation(config(*args, out=a)), config(*args, out=a))
-        write_outputs(run_simulation(config(*args, out=b)), config(*args, out=b))
+        write_run(config(*args, out=a))
+        write_run(config(*args, out=b))
         for name in ("diagnostics.csv", "report.txt", "snapshot_0.2.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_nested_output_directory_created(self, tmp_path):
         target = tmp_path / "deep" / "er" / "out"
         cfg = config("--n", "16", "--t-final", "0.2", out=target)
-        write_outputs(run_simulation(cfg), cfg)
+        write_run(cfg)
         assert (target / "diagnostics.csv").exists()
 
     def test_plain_callable_profile_refused_before_any_file(self, tmp_path):
         """A hand-built config may sample any callable, but report.txt names
         the profile by its --ic selector: write_outputs refuses such a
-        config before it makes the directory or any file."""
-        cfg = dataclasses.replace(config("--n", "16", "--t-final", "0.2", out=tmp_path / "o"),
+        config before it writes report.txt."""
+        cfg = dataclasses.replace(config("--n", "16", "--t-final", "0.2", out=tmp_path),
                                   ic=lambda x: -np.sin(x))
-        result = run_simulation(cfg)
+        files = OutputFiles(cfg.output_dir, cfg.n)
+        result = run_simulation(cfg, files)
         assert result.status == "completed"
         with pytest.raises(TypeError, match=r"report\.txt names the profile by its --ic selector"):
-            write_outputs(result, cfg)
-        assert list(tmp_path.iterdir()) == []
+            write_outputs(result, cfg, files)
+        assert not (tmp_path / "report.txt").exists()
 
     def test_output_path_collision_raises_oserror(self, tmp_path):
         blocker = tmp_path / "taken"
         blocker.write_text("file, not a directory", encoding="utf-8")
         cfg = config("--n", "16", "--t-final", "0.2", out=blocker)
         with pytest.raises(OSError):
-            write_outputs(run_simulation(cfg), cfg)
+            write_run(cfg)
 
 
 # 450 steps between snapshots, more than one batch of records, and a
@@ -984,17 +985,14 @@ FINE_ARGS = ["--n", "16384", "--gamma", "0.05", "--alpha", "1", "--dt", "auto",
              "--dealias", "two-thirds", "--t-final", "0.00344", "--ic", "random:8:1"]
 
 
-class _Recorder:
-    """A sink that logs every call it is handed."""
-
-    def __init__(self):
-        self.calls = []
-
-    def add_records(self, batch):
-        self.calls.append(("records", list(batch)))
-
-    def add_snapshot(self, t, u):
-        self.calls.append(("snapshot", (t, u)))
+def _write_at_once(cfg, records, snapshots):
+    """The OutputFiles of cfg handed every record in one batch, then each
+    snapshot: a run's CSVs written after it, not as it goes."""
+    files = OutputFiles(cfg.output_dir, cfg.n)
+    files.add_records(records)
+    for t, u in snapshots:
+        files.add_snapshot(t, u)
+    return files
 
 
 def _files(directory):
@@ -1015,55 +1013,58 @@ def _peak_bytes(argv, out):
 
 class TestStreamedOutputs:
     """The run loop hands its output to a sink as it goes; the command line's
-    writes the files at once, with the bytes write_outputs writes."""
+    writes each file as the run makes it, with the bytes of the same files
+    written at once after the run."""
 
     def test_streamed_files_match_the_replayed_result(self, tmp_path, capsys):
         assert main([*STREAMED_ARGS, "--output", str(tmp_path / "streamed")]) == 0
         assert capsys.readouterr().out.startswith("completed after 1000 steps (t = 1); 5 files")
         cfg = config(*STREAMED_ARGS, out=tmp_path / "replayed")
-        written = write_outputs(run_simulation(cfg), cfg)
+        result, sink = collect(cfg)
+        written = write_outputs(result, cfg, _write_at_once(cfg, sink.records, sink.snapshots))
         assert [p.name for p in written] == [
             "diagnostics.csv", "snapshot_0.csv", "snapshot_0.45.csv", "snapshot_0.9.csv",
             "report.txt"]
         assert _files(tmp_path / "streamed") == _files(tmp_path / "replayed")
 
     def test_sink_gets_batches_before_each_snapshot(self):
-        """Batches hold at most _RECORD_BATCH records, each snapshot follows
-        the batch that ends with its own record, and the calls replay the
-        collected run. The streamed result carries the first and last record."""
-        cfg = config(*STREAMED_ARGS)
-        collected = run_simulation(cfg)
-        sink = _Recorder()
-        streamed = run_simulation(cfg, sink)
-        records = [rec for kind, batch in sink.calls if kind == "records" for rec in batch]
-        snapshots = [item for kind, item in sink.calls if kind == "snapshot"]
-        assert records == list(collected.records)
-        assert [t for t, _ in snapshots] == [t for t, _ in collected.snapshots]
-        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(snapshots, collected.snapshots))
+        """Batches hold at most _RECORD_BATCH records, and each snapshot
+        follows the batch that ends with its own record."""
+        result, sink = collect(config(*STREAMED_ARGS))
         assert max(len(batch) for kind, batch in sink.calls if kind == "records") \
             == cli._RECORD_BATCH == _writer.CHUNK // len(DiagnosticsRecord._fields)
         for before, (kind, item) in zip(sink.calls, sink.calls[1:]):
             if kind == "snapshot":
                 assert before[0] == "records" and before[1][-1].t == item[0]
-        assert streamed.records == (collected.records[0], collected.records[-1])
-        assert streamed.snapshots == () and streamed.steps == collected.steps == 1000
-        assert (streamed.cause, streamed.warnings) == (collected.cause, collected.warnings)
+        assert result.steps == len(sink.records) - 1 == 1000
 
     def test_run_without_a_step_streams_one_record(self):
         cfg = config("--n", "16", "--dt", "1e80", "--t-final", "1e80", "--snapshot-every", "1e80")
-        result = run_simulation(cfg, _Recorder())
-        assert result.cause == "non_finite" and result.steps == 0 and len(result.records) == 1
+        result, sink = collect(cfg)
+        assert result.cause == "non_finite" and result.steps == 0 and len(sink.records) == 1
 
-    @pytest.mark.parametrize("args", [
-        ["--t-final", "0.2"],
-        ["--dt", "1e80", "--t-final", "1e80", "--snapshot-every", "1e80"],  # no step: 1 record
-    ], ids=["steps", "no-step"])
-    def test_streamed_result_is_not_replayed(self, tmp_path, args):
-        cfg = config("--n", "16", *args, out=tmp_path / "o")
-        result = run_simulation(cfg, _Recorder())
-        with pytest.raises(ValueError, match="records and snapshots went to a sink"):
-            write_outputs(result, cfg)
-        assert not (tmp_path / "o").exists()
+    @pytest.mark.parametrize("args, cause", [
+        (["--n", "16", "--t-final", "0.3"], None),
+        (["--n", "64", "--t-final", "1.2", "--slope-limit", "10"], "slope_threshold"),
+        (STEP_BUDGET_ARGS, "step_budget"),
+        (["--n", "16", "--dt", "1e80", "--t-final", "1e80", "--snapshot-every", "1e80"],
+         "non_finite"),
+    ], ids=["completed", "slope", "step-budget", "no-step"])
+    def test_summary_does_not_depend_on_the_sink(self, tmp_path, monkeypatch, args, cause):
+        """Collected and written to files, a run returns the same RunResult:
+        first and last are the first and last records the sink got, and
+        steps counts the records after the first. The run that takes no step
+        has one record, its first and its last. Only the step_budget run
+        takes 1000 steps."""
+        monkeypatch.setattr(cli, "MAX_STEPS", 1000)
+        cfg = config(*args, out=tmp_path)
+        collected, sink = collect(cfg)
+        assert run_simulation(cfg, OutputFiles(cfg.output_dir, cfg.n)) == collected
+        assert collected.cause == cause
+        assert (collected.first, collected.last) == (sink.records[0], sink.records[-1])
+        assert collected.steps == len(sink.records) - 1
+        no_step = cause == "non_finite"  # the dt = 1e80 run ends at its t = 0 record
+        assert (collected.steps == 0) == (collected.first == collected.last) == no_step
 
     def test_interrupted_run_keeps_what_it_wrote(self, tmp_path, monkeypatch):
         """A run interrupted at its 880th step leaves the snapshots it
@@ -1173,16 +1174,16 @@ CARRIES = [v for k in range(-320, 309) for v in [float(f"1e{k}")]
            if Fraction(v) < Fraction(10) ** k and format(v, ".17g").startswith("1e")]
 
 
-def reference_outputs(result, cfg):
+def reference_outputs(records, snapshots, n):
     """The per-value writer: one format() call per float, one f-string per row."""
     def fmt(v):
         return format(float(v) + 0.0, ".17g")
 
     lines = [",".join(DiagnosticsRecord._fields)]
-    lines += [",".join(fmt(v) for v in rec) for rec in result.records]
+    lines += [",".join(fmt(v) for v in rec) for rec in records]
     files = {"diagnostics.csv": "\n".join(lines) + "\n"}
-    xs = [fmt(x) for x in nodes(cfg.n)]
-    for t, field in result.snapshots:
+    xs = [fmt(x) for x in nodes(n)]
+    for t, field in snapshots:
         rows = ["x,u"]
         rows += [f"{x},{fmt(v)}" for x, v in zip(xs, field)]
         files[f"snapshot_{format(t, '.10g')}.csv"] = "\n".join(rows) + "\n"
@@ -1190,7 +1191,7 @@ def reference_outputs(result, cfg):
 
 
 class TestWriterReference:
-    """write_outputs is byte-identical to the per-value reference writer."""
+    """OutputFiles is byte-identical to the per-value reference writer."""
 
     def test_matches_per_value_writer(self, tmp_path):
         n = 16384
@@ -1210,12 +1211,11 @@ class TestWriterReference:
             (0.1 + 0.2, scaled),
             (0.5, rng.integers(-1000, 1000, n)),
         )
-        result = RunResult(records=tuple(records), snapshots=snapshots,
-                           cause="non_finite", warnings=("a warning",))
+        files = _write_at_once(cfg, records, snapshots)
+        result = RunResult(records[0], records[-1], "non_finite", len(records) - 1, ("a warning",))
+        written = write_outputs(result, cfg, files)
 
-        written = write_outputs(result, cfg)
-
-        expected = reference_outputs(result, cfg)
+        expected = reference_outputs(records, snapshots, n)
         assert {p.name for p in written} == {*expected, "report.txt"}
         for name, text in expected.items():
             assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
@@ -1251,13 +1251,11 @@ class TestWriterReference:
         cells = rng.permutation(np.resize(values, 4100 * width))
         records = [DiagnosticsRecord(*row) for row in cells.reshape(4100, width).tolist()]
         records[0] = records[0]._replace(min_slope=-1.0)
-        result = RunResult(records=tuple(records),
-                           snapshots=tuple((0.1 * i, f) for i, f in enumerate(fields)),
-                           cause=None)
+        snapshots = tuple((0.1 * i, f) for i, f in enumerate(fields))
+        files = _write_at_once(cfg, records, snapshots)
+        write_outputs(RunResult(records[0], records[-1], None, len(records) - 1), cfg, files)
 
-        write_outputs(result, cfg)
-
-        for name, text in reference_outputs(result, cfg).items():
+        for name, text in reference_outputs(records, snapshots, n).items():
             assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
 
     def test_carries_lie_outside_the_exact_range(self):
@@ -1277,7 +1275,7 @@ class TestWriterReference:
         probe.write_text("a\n", encoding="utf-8")
         assert probe.read_bytes() == b"a\r\n"  # text mode now writes CRLF
         cfg = config("--n", "16", "--t-final", "0.2", "--ic", "gaussian:1.0", out=tmp_path / "o")
-        written = write_outputs(run_simulation(cfg), cfg)
+        _, written = write_run(cfg)
         assert {p.name for p in written} >= {"diagnostics.csv", "report.txt", "snapshot_0.2.csv"}
         for path in written:
             assert b"\r" not in path.read_bytes(), path.name
@@ -1330,7 +1328,7 @@ class TestMain:
         assert "error:" in capsys.readouterr().err
 
     def test_unusable_output_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
-        def run_simulation(cfg):
+        def run_simulation(cfg, sink):
             raise AssertionError("the run started")
 
         monkeypatch.setattr("fracburgers.cli.run_simulation", run_simulation)

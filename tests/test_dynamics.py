@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from fracburgers.cli import parse_config, run_simulation
+from conftest import collect
+from fracburgers.cli import parse_config
 from fracburgers.diagnostics import observe
 from fracburgers.dynamics import (
     CFL_ADVECTION,
@@ -333,8 +334,8 @@ class TestGridScaleStability:
                             "--dt", "auto", "--t-final", "2", "--output", "unused"])
         for seed in range(4):
             noise = 1e-13 * np.random.Generator(np.random.PCG64(seed)).standard_normal(256)
-            res = run_simulation(dataclasses.replace(cfg, ic=lambda x, e=noise: -np.sin(x) + e))
-            worst_rise = float(np.max(np.diff([r.l2 for r in res.records])))
+            res, sink = collect(dataclasses.replace(cfg, ic=lambda x, e=noise: -np.sin(x) + e))
+            worst_rise = float(np.max(np.diff([r.l2 for r in sink.records])))
             assert res.status == "completed" and worst_rise <= 1e-10, (seed, worst_rise)
 
 
@@ -345,8 +346,8 @@ class TestSpectralRunLoop:
         cfg = parse_config(["--n", "32", "--gamma", "0.1", "--dt", "0.01", "--t-final", "0.2",
                             "--snapshot-every", "0.05", *flags, "--output", "unused"])
         count = count_transforms(monkeypatch)
-        res = run_simulation(cfg)
-        steps, snapshots = len(res.records) - 1, len(res.snapshots) - 1
+        res, sink = collect(cfg)
+        steps, snapshots = len(sink.records) - 1, len(sink.snapshots) - 1
         assert res.status == "completed" and (steps, snapshots) == (20, 4)
         return steps, len(count)
 
@@ -372,9 +373,9 @@ class TestSpectralRunLoop:
     ])
     def test_mass_is_bit_constant(self, args):
         """The tendency never touches c_0, so the state's mass never moves."""
-        res = run_simulation(parse_config([*args, "--output", "unused"]))
-        assert len(res.records) > 100
-        assert all(r.mass == res.records[0].mass for r in res.records)
+        _, sink = collect(parse_config([*args, "--output", "unused"]))
+        assert len(sink.records) > 100
+        assert all(r.mass == sink.records[0].mass for r in sink.records)
 
 
 class TestStableDt:
@@ -561,10 +562,10 @@ class TestKeptBandStep:
         sampled = forward_dft(cfg.ic(nodes(cfg.n)))
         assert sampled[band_limit(cfg.n, "two-thirds") + 1:].any()
         c = dealias(sampled, "two-thirds")
-        res = run_simulation(cfg)
-        assert res.records[0] == observe(c, 0.0, rule="two-thirds")
-        assert res.snapshots[0][0] == 0.0
-        assert np.array_equal(res.snapshots[0][1], inverse_dft(c))
+        _, sink = collect(cfg)
+        assert sink.records[0] == observe(c, 0.0, rule="two-thirds")
+        assert sink.snapshots[0][0] == 0.0
+        assert np.array_equal(sink.snapshots[0][1], inverse_dft(c))
 
     @pytest.mark.parametrize("ic", ["random:100:0", "gaussian:0.05"])
     @pytest.mark.parametrize("gamma, linear_only", [(0.0, False), (0.1, False), (0.1, True)],
@@ -585,12 +586,12 @@ class TestKeptBandStep:
     def test_dealiased_auto_runs_stay_damped(self, gamma, alpha, seed):
         """Seeded dealiased runs at the kept-band step, which the advective
         term sets here: L2 never rises and the mass is constant to the bit."""
-        res = run_simulation(parse_config([
+        res, sink = collect(parse_config([
             "--n", "256", "--gamma", str(gamma), "--alpha", str(alpha), "--dealias", "two-thirds",
             "--ic", f"random:8:{seed}", "--t-final", "0.5", "--output", "unused"]))
         assert res.status == "completed"
-        assert np.max(np.diff([r.l2 for r in res.records])) <= 0.0
-        assert all(r.mass == res.records[0].mass for r in res.records)
+        assert np.max(np.diff([r.l2 for r in sink.records])) <= 0.0
+        assert all(r.mass == sink.records[0].mass for r in sink.records)
 
 
 class TestH1EnergyBound:
@@ -611,14 +612,14 @@ class TestH1EnergyBound:
         (0, 0.5, 0.2), (0, 1.0, 0.05), (2, 1.5, 0.2), (3, 2.0, 0.05),
     ])
     def test_slope_norm_within_its_bkm_bound(self, seed, alpha, gamma):
-        res = run_simulation(parse_config([
+        res, sink = collect(parse_config([
             "--n", "256", "--gamma", str(gamma), "--alpha", str(alpha), "--dealias", "two-thirds",
             "--ic", f"random:8:{seed}", "--t-final", "1", "--snapshot-every", "0.02",
             "--detect-blowup", "false", "--output", "unused"]))
-        assert res.status == "completed" and len(res.snapshots) == 51
-        bkm = {r.t: r.bkm_integral for r in res.records}
-        initial = self.slope_norm(res.snapshots[0][1])
-        ratios = [self.slope_norm(u) / (initial * np.exp(bkm[t] / 2.0)) for t, u in res.snapshots]
+        assert res.status == "completed" and len(sink.snapshots) == 51
+        bkm = {r.t: r.bkm_integral for r in sink.records}
+        initial = self.slope_norm(sink.snapshots[0][1])
+        ratios = [self.slope_norm(u) / (initial * np.exp(bkm[t] / 2.0)) for t, u in sink.snapshots]
         assert max(ratios) <= 1.0, ratios
 
 

@@ -48,13 +48,13 @@ RUN_IDS = ["criterion-3", "criterion-8-gamma-0.2", "criterion-8-gamma-0.1",
 @pytest.mark.parametrize("args, steps, tol", RUNS, ids=RUN_IDS)
 def test_auto_step_run_matches_cole_hopf(args, steps, tol, timed_run):
     cfg = parse_config([*args, "--output", "unused"])
-    res, _ = timed_run(args)
-    assert res.status == "completed" and res.snapshots[-1][0] == cfg.t_final
-    assert len(res.records) - 1 == steps
+    res, sink, _ = timed_run(args)
+    assert res.status == "completed" and sink.snapshots[-1][0] == cfg.t_final
+    assert len(sink.records) - 1 == steps
     errors = [float(np.max(np.abs(u - cole_hopf_solution(1.0, cfg.params.gamma,
                                                          nodes(cfg.n), t))))
-              for t, u in res.snapshots]
-    assert max(errors) <= tol, (len(res.records) - 1, errors)
+              for t, u in sink.snapshots]
+    assert max(errors) <= tol, (len(sink.records) - 1, errors)
 
 
 @pytest.mark.parametrize("args", [args for args, _, _ in RUNS], ids=RUN_IDS)
@@ -64,8 +64,8 @@ def test_slope_extrema_within_the_comparison_bounds(args, timed_run):
     1 + t m0 > 0, min u_x >= m0/(1 + t m0), M0 and m0 read from the t = 0
     record. Past t = 0 the closest approach measured is 1.2e-4 relative, or
     2.8e-4 under the 2/3 rule, so no tolerance is allowed."""
-    res, _ = timed_run(args)
-    t, lo, hi = np.array([(r.t, r.min_slope, r.max_slope) for r in res.records]).T
+    _, sink, _ = timed_run(args)
+    t, lo, hi = np.array([(r.t, r.min_slope, r.max_slope) for r in sink.records]).T
     m0, big_m0 = lo[0], hi[0]
     assert np.all(hi <= slope_closed_form(big_m0, t))
     before = 1.0 + t * m0 > 0.0
@@ -79,9 +79,9 @@ def test_conservation_run_keeps_the_slope_floor(timed_run):
     breaks it by up to 2.37 relative from t = 1.1 on, a numerical break
     (ringing at the steep front). The same configuration at N = 1024 and
     4096 breaks it by at most 0.52 and 0 before its slope threshold stops it."""
-    res, _ = timed_run(["--gamma", "0.1", "--alpha", "1", "--n", "256",
-                        "--dt", "auto", "--t-final", "2"])
-    t, lo = np.array([(r.t, r.min_slope) for r in res.records]).T
+    _, sink, _ = timed_run(["--gamma", "0.1", "--alpha", "1", "--n", "256",
+                            "--dt", "auto", "--t-final", "2"])
+    t, lo = np.array([(r.t, r.min_slope) for r in sink.records]).T
     m0 = lo[0]
     before = 1.0 + t * m0 > 0.0
     assert np.all(lo[before] >= slope_closed_form(m0, t[before]))
@@ -97,10 +97,11 @@ def test_refinement_removes_a_ceiling_break(timed_run):
     1 + t m0 > 0 (closest 5.6e-3 and 1.6e-3)."""
     worst = {}
     for n in ("256", "1024"):
-        res, _ = timed_run(["--n", n, "--gamma", "0.05", "--alpha", "1.5", "--ic", "random:8:0",
-                            "--dt", "auto", "--t-final", "1", "--slope-limit", "1e300"])
+        res, sink, _ = timed_run(["--n", n, "--gamma", "0.05", "--alpha", "1.5", "--ic",
+                                  "random:8:0", "--dt", "auto", "--t-final", "1",
+                                  "--slope-limit", "1e300"])
         assert res.status == "completed"
-        t, lo, hi = np.array([(r.t, r.min_slope, r.max_slope) for r in res.records]).T
+        t, lo, hi = np.array([(r.t, r.min_slope, r.max_slope) for r in sink.records]).T
         m0, big_m0 = lo[0], hi[0]
         ceiling = slope_closed_form(big_m0, t)
         worst[n] = float(np.max((hi - ceiling) / ceiling))
