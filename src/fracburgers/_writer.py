@@ -1,8 +1,10 @@
-"""CSV writer: every float as _fmt writes it, a column at a time.
+"""CSV writer: every float as _fmt writes it.
 
-A value becomes a cell of CELL bytes: its text at fixed places, NUL
-everywhere else. write_csv lays out the cells of a chunk of rows, at most
-CHUNK values, and drops the NULs with one bytes.translate. For
+A diagnostics.csv row is one record, formatted by one % of _FLOAT. A
+snapshot is formatted a column at a time: a value becomes a cell of CELL
+bytes, its text at fixed places and NUL everywhere else, and
+OutputFiles.add_snapshot lays out the cells of CHUNK rows at a time and
+drops the NULs with one bytes.translate. For
 1e-6 < |v| < 1e16 the cells are computed with numpy array operations, and
 exactly:
 
@@ -21,9 +23,6 @@ exactly:
 
 Zero (and -0.0) gets the cell of "0"; non-finite values and every other
 value outside the range are formatted with _FLOAT, one % for all of them.
-
-OutputFiles writes a run's CSVs through write_csv as the run makes them:
-it is the sink the command line hands cli.run_simulation.
 """
 
 from __future__ import annotations
@@ -43,6 +42,9 @@ _FLOAT = "%.17g"
 def _fmt(v: float) -> str:
     return _FLOAT % (float(v) + 0.0)  # -0.0 + 0.0 is +0.0
 
+
+# A diagnostics.csv row: one record, formatted by one %.
+_ROW = (",".join([_FLOAT] * len(DiagnosticsRecord._fields)) + "\n").encode("ascii")
 
 CHUNK = 4096  # values formatted and written at a time
 # A cell, by byte: 0 the sign, 1-5 the "0.000" of 0.000ddd, then the digits
@@ -156,63 +158,58 @@ def _cells(values: np.ndarray, out: np.ndarray) -> None:
         out[slow] = texts.view(np.uint8).reshape(-1, CELL)
 
 
-def format_column(values) -> np.ndarray:
-    """The cells of a 1-D float array, formatted CHUNK values at a time."""
-    v = np.asarray(values, dtype=np.float64)
-    cells = np.empty((v.size, CELL), dtype=np.uint8)
-    for i in range(0, v.size, CHUNK):
-        _cells(v[i:i + CHUNK], cells[i:i + CHUNK])
-    return cells
-
-
-def write_csv(path, header: str, rows, lead: np.ndarray | None = None,
-              append: bool = False) -> None:
-    """Write header, then one line per row of the 2-D float sequence rows:
-    the cell of lead (from format_column) if given, then the row's values,
-    comma-separated. The file is streamed as bytes, CHUNK values at a time;
-    with append, the lines are added to the end of the file."""
-    step = CHUNK // len(rows[0])
-    with open(path, "ab" if append else "wb") as f:
-        f.write(header.encode("ascii"))
-        for start in range(0, len(rows), step):
-            block = np.asarray(rows[start:start + step], dtype=np.float64)
-            line = np.empty((*block.shape, CELL), dtype=np.uint8)
-            _cells(block.ravel(), line.reshape(-1, CELL))
-            if lead is not None:
-                line = np.concatenate([lead[start:start + len(block), None], line], axis=1)
-            line[:, :, _SEPARATOR] = ord(",")
-            line[:, -1, _SEPARATOR] = ord("\n")
-            f.write(line.tobytes().translate(None, b"\0"))
-
-
 def _snapshot_name(t: float) -> str:
     return f"snapshot_{format(t, '.10g')}.csv"
 
 
 class OutputFiles:
-    """A run's CSVs in directory, written as the run makes them.
+    """A run's CSVs in directory, written as the run makes them: the sink
+    the command line hands cli.run_simulation.
 
-    Made before the run, it creates directory and diagnostics.csv with its
-    header. add_records appends a batch of records to diagnostics.csv, and
-    add_snapshot writes snapshot_<t>.csv at once, with the node column of
-    the n-node grid formatted once, here. written lists the files in the
-    order they were made; cli.write_outputs adds report.txt last, so a run
-    that is killed leaves every snapshot it reached, the rows up to its
-    last batch and no report.txt.
+    Made before the run, it creates directory and opens diagnostics.csv,
+    writing its header; enter it with `with`, which closes that file.
+    add_record writes a record as one row, one % of _FLOAT. add_snapshot
+    first flushes diagnostics.csv, so every row through t is on disk, then
+    writes snapshot_<t>.csv at once, CHUNK rows at a time, with the node
+    column of the n-node grid formatted once, here. written lists the files
+    in the order they were made; cli.write_outputs adds report.txt last, so
+    an interrupted run leaves every snapshot it reached, every row it made
+    (closing the file writes the rest) and no report.txt.
     """
 
     def __init__(self, directory: Path, n: int) -> None:
         directory.mkdir(parents=True, exist_ok=True)
         self.directory = directory
-        self.diagnostics = directory / "diagnostics.csv"
-        self.diagnostics.write_bytes((",".join(DiagnosticsRecord._fields) + "\n").encode("ascii"))
-        self.written = [self.diagnostics]
-        self._x = format_column(nodes(n))
+        x = nodes(n)
+        self._x = np.empty((n, CELL), dtype=np.uint8)  # the node column, each cell ending ","
+        for start in range(0, n, CHUNK):
+            _cells(x[start:start + CHUNK], self._x[start:start + CHUNK])
+        self._x[:, _SEPARATOR] = ord(",")
+        path = directory / "diagnostics.csv"
+        self._rows = path.open("wb")
+        self._rows.write((",".join(DiagnosticsRecord._fields) + "\n").encode("ascii"))
+        self.written = [path]
 
-    def add_records(self, batch) -> None:
-        write_csv(self.diagnostics, "", batch, append=True)
+    def __enter__(self) -> OutputFiles:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._rows.close()
+
+    def add_record(self, rec) -> None:
+        self._rows.write(_ROW % tuple([float(v) + 0.0 for v in rec]))  # -0.0 prints "0"
 
     def add_snapshot(self, t: float, u) -> None:
+        self._rows.flush()  # no snapshot on disk ahead of the rows through its t
         path = self.directory / _snapshot_name(t)
-        write_csv(path, "x,u\n", np.asarray(u)[:, None], lead=self._x)
+        u = np.asarray(u, dtype=np.float64)
+        with path.open("wb") as f:
+            f.write(b"x,u\n")
+            for start in range(0, u.size, CHUNK):
+                block = u[start:start + CHUNK]
+                line = np.empty((block.size, 2, CELL), dtype=np.uint8)
+                line[:, 0] = self._x[start:start + CHUNK]
+                _cells(block, line[:, 1])
+                line[:, 1, _SEPARATOR] = ord("\n")
+                f.write(line.tobytes().translate(None, b"\0"))
         self.written.append(path)

@@ -5,8 +5,9 @@ A run samples the chosen initial profile on the grid, advances it with RK4
 nodal snapshots at exact multiples of snapshot_every, and stops early when
 the detection policy fires, a step goes non-finite, the clock stalls or the
 step budget runs out. Outputs are plain CSV plus a small report.txt, written
-so that identical configs produce byte-identical files, each as the run
-makes it (run_simulation's sink).
+so that identical configs produce byte-identical files: run_simulation hands
+each record and each snapshot to its sink as it makes them, and the command
+line's sink, OutputFiles, writes each one as it comes.
 
 A run's outcome is its RunResult: the detection cause, the step count and
 the first and last records. The status, the exit code and report.txt's
@@ -27,7 +28,7 @@ import numpy as np
 from .diagnostics import DetectionThresholds, DiagnosticsRecord, check_blowup, observe
 from . import dynamics
 from .dynamics import InstabilityError, SimParams, rk4_step, stable_dt
-from ._writer import CHUNK, OutputFiles, _fmt
+from ._writer import OutputFiles, _fmt
 from .oracles import InitialCondition, breaking_time
 from .spectral import (DEALIAS_RULES, as_float, dealias, flag, forward_dft, nodal_pair, nodes,
                        real, validate_n)
@@ -48,8 +49,6 @@ EXIT_CODES = dict(_OUTCOMES.values())
 # most 2**27 values, about 5 GB of CSV.
 MAX_STEPS = 10**6
 MAX_SNAPSHOT_VALUES = 2**27
-# Records handed to the sink at a time, at most: one chunk of write_csv.
-_RECORD_BATCH = CHUNK // len(DiagnosticsRecord._fields)
 # The run loop's clock tolerance, relative to t_final: a state within it of a
 # snapshot multiple is stored, and one within it of t_final ends the run.
 _EPS = 1e-12
@@ -252,7 +251,7 @@ def run_simulation(cfg: RunConfig, sink) -> RunResult:
     state, t=0 included, takes one path: its nodal u and u_x are formed
     once (nodal_pair) and shared by its record, its snapshot and the first
     stage of the next step; observe sums the BKM integral from the previous
-    record, handed in as prev; the record joins the batch; the state is
+    record, handed in as prev; the record goes to the sink; the state is
     stored as a snapshot when t lies within eps of k * snapshot_every, k the
     count stored so far; and the detection policy meets the record before
     the next step. Steps are clipped to land exactly on the next snapshot
@@ -268,12 +267,11 @@ def run_simulation(cfg: RunConfig, sink) -> RunResult:
     snapshots, or auto steps that shrink as max|u| grows, can reach it past
     RunConfig's check.
 
-    The loop hands its output to sink as it goes: sink.add_records(batch),
-    a list of records, before each snapshot, every _RECORD_BATCH records and
-    at the end, and sink.add_snapshot(t, u) with each snapshot's nodal
-    values. The sink may keep both; the loop holds one batch and no
-    snapshot. The result is the run's summary: its first and last records,
-    its cause, its steps and its warnings.
+    The loop hands its output to sink as it goes: sink.add_record(rec) with
+    each state's record, and then, for a snapshot, sink.add_snapshot(t, u)
+    with its nodal values. The sink may keep both; the loop holds neither.
+    The result is the run's summary: its first and last records, its cause,
+    its steps and its warnings.
 
     The run starts from the sampled profile's spectrum projected by the
     dealias rule, so under "two-thirds" the rows above K = band_limit(n,
@@ -286,7 +284,6 @@ def run_simulation(cfg: RunConfig, sink) -> RunResult:
     eps = _EPS * cfg.t_final
     sampled = cfg.ic(nodes(cfg.n))
     t, rec, cause = 0.0, None, None
-    batch: list[DiagnosticsRecord] = []
     states = stored = 0
 
     # Finiteness is checked explicitly: observe on each record, rk4_step on its result.
@@ -295,11 +292,9 @@ def run_simulation(cfg: RunConfig, sink) -> RunResult:
         while True:
             nodal = nodal_pair(c)
             rec = observe(c, t, prev=rec, nodal=nodal, rule=p.dealias_rule)
-            batch.append(rec)
+            sink.add_record(rec)
             states += 1
             if abs(stored * cfg.snapshot_every - t) <= eps:
-                sink.add_records(batch)
-                batch = []
                 u = nodal[0]
                 if not stored:
                     first = rec
@@ -311,9 +306,6 @@ def run_simulation(cfg: RunConfig, sink) -> RunResult:
                 sink.add_snapshot(t, u)
                 stored += 1
                 del u  # held by the sink, if at all
-            elif len(batch) == _RECORD_BATCH:
-                sink.add_records(batch)
-                batch = []
             cause = check_blowup(rec, cfg.thresholds)
             if cause is not None or t >= cfg.t_final - eps:
                 break
@@ -334,8 +326,6 @@ def run_simulation(cfg: RunConfig, sink) -> RunResult:
                 cause = "non_finite"
                 break
             t = target if landed else t + dt_step
-    if batch:
-        sink.add_records(batch)
 
     warnings = () if max0 >= 0.0 >= min0 else (
         "maximum-principle hypotheses do not hold at t=0 "
@@ -382,8 +372,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 64
     try:  # an unusable output directory fails before the run, not after it
-        files = OutputFiles(cfg.output_dir, cfg.n)
-        result = run_simulation(cfg, files)
+        with OutputFiles(cfg.output_dir, cfg.n) as files:
+            result = run_simulation(cfg, files)
         written = write_outputs(result, cfg, files)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -12,14 +12,14 @@ from fracburgers.cli import parse_config, run_simulation, write_outputs
 class Collected:
     """A sink that keeps what a run hands it: records, every record in
     order; snapshots, the (t, u) pairs; and calls, the ordered log of its
-    calls, ("records", batch) and ("snapshot", (t, u))."""
+    calls, ("record", rec) and ("snapshot", (t, u))."""
 
     def __init__(self):
         self.records, self.snapshots, self.calls = [], [], []
 
-    def add_records(self, batch):
-        self.calls.append(("records", list(batch)))
-        self.records += batch
+    def add_record(self, rec):
+        self.calls.append(("record", rec))
+        self.records.append(rec)
 
     def add_snapshot(self, t, u):
         self.calls.append(("snapshot", (t, u)))
@@ -35,8 +35,8 @@ def collect(cfg):
 def write_run(cfg):
     """(result, written): cfg run as the command line runs it, into the
     OutputFiles of cfg.output_dir, and its report written."""
-    files = OutputFiles(cfg.output_dir, cfg.n)
-    result = run_simulation(cfg, files)
+    with OutputFiles(cfg.output_dir, cfg.n) as files:
+        result = run_simulation(cfg, files)
     return result, write_outputs(result, cfg, files)
 
 

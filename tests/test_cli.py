@@ -955,18 +955,20 @@ class TestWriteOutputs:
         write_run(cfg)
         assert (target / "diagnostics.csv").exists()
 
-    def test_plain_callable_profile_refused_before_any_file(self, tmp_path):
+    def test_plain_callable_profile_writes_csvs_but_no_report(self, tmp_path):
         """A hand-built config may sample any callable, but report.txt names
         the profile by its --ic selector: write_outputs refuses such a
-        config before it writes report.txt."""
+        config before it writes report.txt, after the run has written its
+        CSVs."""
         cfg = dataclasses.replace(config("--n", "16", "--t-final", "0.2", out=tmp_path),
                                   ic=lambda x: -np.sin(x))
-        files = OutputFiles(cfg.output_dir, cfg.n)
-        result = run_simulation(cfg, files)
+        with OutputFiles(cfg.output_dir, cfg.n) as files:
+            result = run_simulation(cfg, files)
         assert result.status == "completed"
         with pytest.raises(TypeError, match=r"report\.txt names the profile by its --ic selector"):
             write_outputs(result, cfg, files)
-        assert not (tmp_path / "report.txt").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "diagnostics.csv", "snapshot_0.1.csv", "snapshot_0.2.csv", "snapshot_0.csv"]
 
     def test_output_path_collision_raises_oserror(self, tmp_path):
         blocker = tmp_path / "taken"
@@ -976,8 +978,8 @@ class TestWriteOutputs:
             write_run(cfg)
 
 
-# 450 steps between snapshots, more than one batch of records, and a
-# snapshot interval that does not divide t_final.
+# 450 steps between snapshots, and a snapshot interval that does not divide
+# t_final.
 STREAMED_ARGS = ["--n", "16", "--gamma", "0.1", "--dt", "0.001", "--t-final", "1",
                  "--snapshot-every", "0.45"]
 # fine-16k's configuration at seed 1: 21 snapshots, or 2 with --snapshot-every 0.00344.
@@ -986,12 +988,13 @@ FINE_ARGS = ["--n", "16384", "--gamma", "0.05", "--alpha", "1", "--dt", "auto",
 
 
 def _write_at_once(cfg, records, snapshots):
-    """The OutputFiles of cfg handed every record in one batch, then each
-    snapshot: a run's CSVs written after it, not as it goes."""
-    files = OutputFiles(cfg.output_dir, cfg.n)
-    files.add_records(records)
-    for t, u in snapshots:
-        files.add_snapshot(t, u)
+    """The OutputFiles of cfg handed every record, then each snapshot, and
+    closed: a run's CSVs written after it, not as it goes."""
+    with OutputFiles(cfg.output_dir, cfg.n) as files:
+        for rec in records:
+            files.add_record(rec)
+        for t, u in snapshots:
+            files.add_snapshot(t, u)
     return files
 
 
@@ -1027,16 +1030,17 @@ class TestStreamedOutputs:
             "report.txt"]
         assert _files(tmp_path / "streamed") == _files(tmp_path / "replayed")
 
-    def test_sink_gets_batches_before_each_snapshot(self):
-        """Batches hold at most _RECORD_BATCH records, and each snapshot
-        follows the batch that ends with its own record."""
+    def test_sink_gets_one_record_per_state_before_its_snapshot(self):
+        """The sink gets one add_record call per state, in order of t, and
+        each add_snapshot comes right after the record of its own t."""
         result, sink = collect(config(*STREAMED_ARGS))
-        assert max(len(batch) for kind, batch in sink.calls if kind == "records") \
-            == cli._RECORD_BATCH == _writer.CHUNK // len(DiagnosticsRecord._fields)
+        kinds = [kind for kind, _ in sink.calls]
+        assert kinds.count("record") == len(sink.records) == result.steps + 1 == 1001
+        assert all(a.t < b.t for a, b in zip(sink.records, sink.records[1:]))
+        assert kinds[0] == "record" and [t for t, _ in sink.snapshots] == [0.0, 0.45, 0.9]
         for before, (kind, item) in zip(sink.calls, sink.calls[1:]):
             if kind == "snapshot":
-                assert before[0] == "records" and before[1][-1].t == item[0]
-        assert result.steps == len(sink.records) - 1 == 1000
+                assert before[0] == "record" and before[1].t == item[0]
 
     def test_run_without_a_step_streams_one_record(self):
         cfg = config("--n", "16", "--dt", "1e80", "--t-final", "1e80", "--snapshot-every", "1e80")
@@ -1059,7 +1063,8 @@ class TestStreamedOutputs:
         monkeypatch.setattr(cli, "MAX_STEPS", 1000)
         cfg = config(*args, out=tmp_path)
         collected, sink = collect(cfg)
-        assert run_simulation(cfg, OutputFiles(cfg.output_dir, cfg.n)) == collected
+        with OutputFiles(cfg.output_dir, cfg.n) as files:
+            assert run_simulation(cfg, files) == collected
         assert collected.cause == cause
         assert (collected.first, collected.last) == (sink.records[0], sink.records[-1])
         assert collected.steps == len(sink.records) - 1
@@ -1068,7 +1073,8 @@ class TestStreamedOutputs:
 
     def test_interrupted_run_keeps_what_it_wrote(self, tmp_path, monkeypatch):
         """A run interrupted at its 880th step leaves the snapshots it
-        reached, byte for byte, a prefix of diagnostics.csv and no report."""
+        reached, byte for byte, the rows of the 880 states it made and no
+        report."""
         full, cut = tmp_path / "full", tmp_path / "cut"
         assert main([*STREAMED_ARGS, "--output", str(full)]) == 0
         steps = itertools.count(1)
@@ -1085,10 +1091,30 @@ class TestStreamedOutputs:
         assert set(kept) == {"diagnostics.csv", "snapshot_0.csv", "snapshot_0.45.csv"}
         for name in ("snapshot_0.csv", "snapshot_0.45.csv"):
             assert kept[name] == (full / name).read_bytes(), name
-        lines = kept["diagnostics.csv"].splitlines(keepends=True)
-        assert lines == (full / "diagnostics.csv").read_bytes().splitlines(keepends=True)[:len(lines)]
-        # The header, the 451 rows through the t = 0.45 snapshot, and one full batch.
-        assert len(lines) == 1 + 451 + cli._RECORD_BATCH
+        # The header and the rows of t = 0 and of the 879 steps taken.
+        full_lines = (full / "diagnostics.csv").read_bytes().splitlines(keepends=True)
+        assert kept["diagnostics.csv"] == b"".join(full_lines[:1 + 880])
+
+    def test_rows_through_t_are_on_disk_before_its_snapshot(self, tmp_path, monkeypatch):
+        """As each snapshot_<t>.csv is opened, diagnostics.csv on disk holds
+        the header and every row through t, so no snapshot is ahead of the
+        rows a stopped run leaves."""
+        seen = {}
+        path_open = Path.open
+
+        def spying_open(self, *args, **kwargs):
+            if self.name.startswith("snapshot_"):
+                with open(self.parent / "diagnostics.csv", "rb") as f:
+                    seen[self.name] = f.read()
+            return path_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", spying_open)
+        assert main([*STREAMED_ARGS, "--output", str(tmp_path)]) == 0
+        lines = (tmp_path / "diagnostics.csv").read_bytes().splitlines(keepends=True)
+        times = [float(line.split(b",")[0]) for line in lines[1:]]
+        assert list(seen) == ["snapshot_0.csv", "snapshot_0.45.csv", "snapshot_0.9.csv"]
+        for name, t in zip(seen, (0.0, 0.45, 0.9)):
+            assert seen[name] == b"".join(lines[:2 + times.index(t)]), name
 
     def test_output_error_while_streaming_exits_one(self, tmp_path, capsys):
         """A snapshot that cannot be written ends the run with exit code 1."""
@@ -1101,7 +1127,7 @@ class TestStreamedOutputs:
     def test_held_memory_does_not_grow_with_the_snapshots(self, tmp_path):
         """fine-16k's configuration peaks within one snapshot, 8 * n bytes,
         with 21 snapshots as with 2: none is held after it is written. The
-        two peaks differ by about 200 B (2 MiB when every one was held)."""
+        two peaks differ by under 1 kB (2 MiB when every one was held)."""
         two_args = [*FINE_ARGS, "--snapshot-every", "0.00344"]
         main([*two_args, "--output", str(tmp_path / "warm")])
         many = _peak_bytes([*FINE_ARGS, "--snapshot-every", "0.000172"], tmp_path / "21")
@@ -1111,8 +1137,8 @@ class TestStreamedOutputs:
 
     def test_held_memory_does_not_grow_with_the_records(self, tmp_path):
         """Ten times the steps, 500 and 5000 records, move the peak by about
-        3 kB (1.6 MB when every record was held): at most one batch of
-        records is held, in both runs."""
+        1 kB (1.6 MB when every record was held): no record is held after
+        its row is written, in either run."""
         args = ["--n", "16", "--linear-only", "--dt", "0.002", "--t-final", "1",
                 "--snapshot-every", "1"]
         main([*args, "--output", str(tmp_path / "warm")])
