@@ -169,22 +169,18 @@ class OutputFiles:
     Made before the run, it creates directory and opens diagnostics.csv,
     writing its header; enter it with `with`, which closes that file.
     add_record writes a record as one row, one % of _FLOAT. add_snapshot
-    first flushes diagnostics.csv, so every row through t is on disk, then
-    writes snapshot_<t>.csv at once, CHUNK rows at a time, with the node
-    column of the n-node grid formatted once, here. written lists the files
-    in the order they were made; cli.write_outputs adds report.txt last, so
-    an interrupted run leaves every snapshot it reached, every row it made
-    (closing the file writes the rest) and no report.txt.
+    formats the node column of nodes(u.size) when it first meets that grid,
+    then flushes diagnostics.csv, so every row through t is on disk, and
+    writes snapshot_<t>.csv at once, CHUNK rows at a time. written lists the
+    files in the order they were made; cli.write_outputs adds report.txt to
+    directory last, so an interrupted run leaves every snapshot it reached,
+    every row it made (closing the file writes the rest) and no report.txt.
     """
 
-    def __init__(self, directory: Path, n: int) -> None:
+    def __init__(self, directory: Path) -> None:
         directory.mkdir(parents=True, exist_ok=True)
         self.directory = directory
-        x = nodes(n)
-        self._x = np.empty((n, CELL), dtype=np.uint8)  # the node column, each cell ending ","
-        for start in range(0, n, CHUNK):
-            _cells(x[start:start + CHUNK], self._x[start:start + CHUNK])
-        self._x[:, _SEPARATOR] = ord(",")
+        self._x = None  # the node column of the last grid, each cell ending ","
         path = directory / "diagnostics.csv"
         self._rows = path.open("wb")
         self._rows.write((",".join(DiagnosticsRecord._fields) + "\n").encode("ascii"))
@@ -200,9 +196,15 @@ class OutputFiles:
         self._rows.write(_ROW % tuple([float(v) + 0.0 for v in rec]))  # -0.0 prints "0"
 
     def add_snapshot(self, t: float, u) -> None:
+        u = np.asarray(u, dtype=np.float64)
+        if self._x is None or len(self._x) != u.size:
+            x = nodes(u.size)
+            self._x = np.empty((u.size, CELL), dtype=np.uint8)
+            for start in range(0, u.size, CHUNK):
+                _cells(x[start:start + CHUNK], self._x[start:start + CHUNK])
+            self._x[:, _SEPARATOR] = ord(",")
         self._rows.flush()  # no snapshot on disk ahead of the rows through its t
         path = self.directory / _snapshot_name(t)
-        u = np.asarray(u, dtype=np.float64)
         with path.open("wb") as f:
             f.write(b"x,u\n")
             for start in range(0, u.size, CHUNK):

@@ -12,7 +12,7 @@ line's sink, OutputFiles, writes each one as it comes.
 A run's outcome is its RunResult: the detection cause, the step count and
 the first and last records. The status, the exit code and report.txt's
 detection lines are read from the cause's row of _OUTCOMES; exit code 64 is
-a usage error and 1 an output I/O error.
+a usage error, 1 an output I/O error and 130 an interrupted run.
 """
 
 from __future__ import annotations
@@ -336,8 +336,8 @@ def run_simulation(cfg: RunConfig, sink) -> RunResult:
 
 
 def write_outputs(result: RunResult, cfg: RunConfig, files: OutputFiles) -> list[Path]:
-    """Write report.txt from the summary of a run handed to files, the
-    OutputFiles that holds its CSVs; return every file written, report.txt
+    """Write report.txt, from the summary of a run handed to files, into
+    files.directory beside its CSVs; return every file written, report.txt
     last.
 
     report.txt names the profile by its --ic selector, so a profile that is
@@ -360,7 +360,7 @@ def write_outputs(result: RunResult, cfg: RunConfig, files: OutputFiles) -> list
         f"detection_cause: {result.cause or 'none'}",
     ]
     report_lines += [f"warning: {w}" for w in result.warnings]
-    path = cfg.output_dir / "report.txt"
+    path = files.directory / "report.txt"
     path.write_text("\n".join(report_lines) + "\n", encoding="utf-8", newline="\n")
     return [*files.written, path]
 
@@ -372,12 +372,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 64
     try:  # an unusable output directory fails before the run, not after it
-        with OutputFiles(cfg.output_dir, cfg.n) as files:
+        with OutputFiles(cfg.output_dir) as files:
             result = run_simulation(cfg, files)
         written = write_outputs(result, cfg, files)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # the with block has closed diagnostics.csv
+        print("error: interrupted", file=sys.stderr)
+        return 130
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"{result.status} after {result.steps} steps (t = {result.last.t:.6g}); "

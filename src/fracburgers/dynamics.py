@@ -57,7 +57,8 @@ the same margin: CFL_ADVECTION = floor(0.72 * 1.856) = 1. Both bounds span
 the kept band K = spectral.band_limit(N, rule), N/2 under "off": under
 "two-thirds" the quadratic term's Jacobian v -> -i k P_K(u v) has norm at
 most K max|u| (P_K has norm 1), and a state with no rows above K has no
-mode faster than gamma K^alpha to damp.
+mode faster than gamma K^alpha to damp. linear_only has no advection, so
+its advective bound is taken at max|u| = 0, as RunConfig's budget takes it.
 """
 
 from __future__ import annotations
@@ -200,11 +201,11 @@ def stable_dt(u_max: float, n: int, p: SimParams) -> float:
 
     min( C_adv/(max|u|*K + eps), C_diff/(gamma*K^alpha + eps) ) with
     C_adv = CFL_ADVECTION = 1.0, C_diff = CFL_DISSIPATION = 2.0 and K =
-    band_limit(n, p.dealias_rule); the module docstring derives each. The
-    bound holds for states with no rows above K, which run_simulation
-    guarantees by starting from the projected spectrum. Degenerate
-    inputs (zero field, gamma 0) give a huge value that the run loop caps at
-    the distance to the next stop time. A u_max that is not a finite number
+    band_limit(n, p.dealias_rule); the module docstring derives each. Under
+    p.linear_only max|u| is taken as 0: no advection. The bound holds for
+    states with no rows above K, as run_simulation's are. Degenerate inputs
+    (zero field, gamma 0) give a huge value that the run loop caps at the
+    distance to the next stop time. A u_max that is not a finite number
     (NaN or inf from a diverged state, or no number at all) raises
     InstabilityError; a negative u_max, or an n that spectral.validate_n
     refuses, raises ValueError, so the bound is never negative.
@@ -214,6 +215,6 @@ def stable_dt(u_max: float, n: int, p: SimParams) -> float:
     u_max = real("u_max", u_max, 0.0, ends="[)")
     n = validate_n(n)
     k = band_limit(n, p.dealias_rule)
-    advective = CFL_ADVECTION / (u_max * k + DT_GUARD)
+    advective = CFL_ADVECTION / ((0.0 if p.linear_only else u_max) * k + DT_GUARD)
     dissipative = CFL_DISSIPATION / (p.gamma * k**p.alpha + DT_GUARD)
     return min(advective, dissipative)

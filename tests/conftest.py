@@ -34,8 +34,8 @@ def collect(cfg):
 
 def write_run(cfg):
     """(result, written): cfg run as the command line runs it, into the
-    OutputFiles of cfg.output_dir, and its report written."""
-    with OutputFiles(cfg.output_dir, cfg.n) as files:
+    OutputFiles of cfg.output_dir, and its report written there."""
+    with OutputFiles(cfg.output_dir) as files:
         result = run_simulation(cfg, files)
     return result, write_outputs(result, cfg, files)
 

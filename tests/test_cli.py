@@ -67,12 +67,12 @@ STALLED_CLOCK_ARGS = [
     "--n", "16", "--gamma", "0.3", "--alpha", "1.5", "--t-final", "0.6029",
     "--snapshot-every", "0.08612857", "--ic", "random:4:6", "--detect-blowup", "false",
 ]
-# With gamma = 0 under linear_only, max|u| stays 1, so every auto step is
-# 0.125 and t_final takes about 8e12 of them, while the up-front rule counts
-# steps of at most stable_dt(0.0, ...) = 1e12. Tests run it with MAX_STEPS
-# lowered to 1000.
+# dt = 0.001 counts 1000 steps to t_final and 666 snapshot intervals of
+# 0.0015, so the up-front rule accepts the run at MAX_STEPS lowered to 1000,
+# as tests run it. But each interval takes a step of dt and one clipped to
+# land on its snapshot, so the run reaches the budget at t < 1.
 STEP_BUDGET_ARGS = [
-    "--n", "16", "--linear-only", "--t-final", "1e12", "--snapshot-every", "1e11",
+    "--n", "4", "--linear-only", "--dt", "0.001", "--t-final", "1", "--snapshot-every", "0.0015",
 ]
 # (args, status, cause) of report.txt; every row of the outcome table is one.
 REPORT_CASES = [
@@ -460,24 +460,34 @@ class TestRunBudgets:
         monkeypatch.setattr(cli, "MAX_STEPS", 1000)
         res, sink = collect(config(*STEP_BUDGET_ARGS))
         assert (res.cause, res.status) == ("step_budget", "budget_exceeded")
-        assert len(sink.records) == 1001 and sink.records[-1].t < 1e12
+        assert len(sink.records) == 1001 and sink.records[-1].t < 1.0
         code = main([*STEP_BUDGET_ARGS, "--output", str(tmp_path / "o")])
         assert code == EXIT_CODES["budget_exceeded"] == cli._OUTCOMES["step_budget"][1]
         assert capsys.readouterr().out.startswith("budget_exceeded after 1000 steps ")
 
     def test_clipped_steps_can_reach_the_step_budget(self, monkeypatch):
-        """dt = 0.001 counts 1000 steps to t_final 1 and 666 intervals of
-        0.0015, so the run passes the up-front rule. But each interval takes
-        a step of dt and one clipped to land on its snapshot."""
-        args = ("--n", "4", "--linear-only", "--dt", "0.001", "--t-final", "1",
-                "--snapshot-every", "0.0015")
+        """STEP_BUDGET_ARGS passes the up-front rule at MAX_STEPS = 1000, but
+        its clipped steps reach the budget after 500 of its 666 intervals;
+        at the real budget it completes."""
         monkeypatch.setattr(cli, "MAX_STEPS", 1000)
-        res, sink = collect(config(*args))
+        res, sink = collect(config(*STEP_BUDGET_ARGS))
         assert res.cause == "step_budget" and len(sink.records) == 1001
         assert sink.records[-1].t < 1.0 and len(sink.snapshots) == 501
         monkeypatch.undo()
-        res, sink = collect(config(*args))
+        res, sink = collect(config(*STEP_BUDGET_ARGS))
         assert res.cause is None and len(sink.records) > 1001
+
+    @pytest.mark.parametrize("args, steps", [
+        (["--n", "16", "--linear-only", "--t-final", "1e12", "--snapshot-every", "1e11"], 10),
+        (["--linear-only", "--gamma", "0.1", "--alpha", "1", "--n", "256", "--t-final", "1"], 10),
+    ])
+    def test_linear_only_auto_steps_have_no_advective_bound(self, args, steps):
+        """Under linear_only an auto step is stable_dt at max|u| = 0, the
+        step the up-front rule counts, so each of these runs takes one step
+        per snapshot interval, though its max|u| is 1."""
+        res, sink = collect(config(*args))
+        assert res.cause is None and res.steps == steps
+        assert len(sink.snapshots) == steps + 1
 
     def test_auto_dissipative_step_budget(self):
         """An auto step is at most stable_dt at max|u| = 0. At n = 256 and
@@ -949,6 +959,17 @@ class TestWriteOutputs:
         for name in ("diagnostics.csv", "report.txt", "snapshot_0.2.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_report_goes_to_the_sink_directory(self, tmp_path):
+        """report.txt joins the CSVs in the sink's directory; the config's
+        own output_dir is not read, so it is never made."""
+        cfg = config("--n", "16", "--t-final", "0.2", out=tmp_path / "configured")
+        with OutputFiles(tmp_path / "sink") as files:
+            result = run_simulation(cfg, files)
+        written = write_outputs(result, cfg, files)
+        assert written[-1] == tmp_path / "sink" / "report.txt" and written[-1].is_file()
+        assert {p.parent for p in written} == {tmp_path / "sink"}
+        assert not cfg.output_dir.exists()
+
     def test_nested_output_directory_created(self, tmp_path):
         target = tmp_path / "deep" / "er" / "out"
         cfg = config("--n", "16", "--t-final", "0.2", out=target)
@@ -962,7 +983,7 @@ class TestWriteOutputs:
         CSVs."""
         cfg = dataclasses.replace(config("--n", "16", "--t-final", "0.2", out=tmp_path),
                                   ic=lambda x: -np.sin(x))
-        with OutputFiles(cfg.output_dir, cfg.n) as files:
+        with OutputFiles(cfg.output_dir) as files:
             result = run_simulation(cfg, files)
         assert result.status == "completed"
         with pytest.raises(TypeError, match=r"report\.txt names the profile by its --ic selector"):
@@ -990,7 +1011,7 @@ FINE_ARGS = ["--n", "16384", "--gamma", "0.05", "--alpha", "1", "--dt", "auto",
 def _write_at_once(cfg, records, snapshots):
     """The OutputFiles of cfg handed every record, then each snapshot, and
     closed: a run's CSVs written after it, not as it goes."""
-    with OutputFiles(cfg.output_dir, cfg.n) as files:
+    with OutputFiles(cfg.output_dir) as files:
         for rec in records:
             files.add_record(rec)
         for t, u in snapshots:
@@ -1063,7 +1084,7 @@ class TestStreamedOutputs:
         monkeypatch.setattr(cli, "MAX_STEPS", 1000)
         cfg = config(*args, out=tmp_path)
         collected, sink = collect(cfg)
-        with OutputFiles(cfg.output_dir, cfg.n) as files:
+        with OutputFiles(cfg.output_dir) as files:
             assert run_simulation(cfg, files) == collected
         assert collected.cause == cause
         assert (collected.first, collected.last) == (sink.records[0], sink.records[-1])
@@ -1071,10 +1092,10 @@ class TestStreamedOutputs:
         no_step = cause == "non_finite"  # the dt = 1e80 run ends at its t = 0 record
         assert (collected.steps == 0) == (collected.first == collected.last) == no_step
 
-    def test_interrupted_run_keeps_what_it_wrote(self, tmp_path, monkeypatch):
-        """A run interrupted at its 880th step leaves the snapshots it
-        reached, byte for byte, the rows of the 880 states it made and no
-        report."""
+    def test_interrupted_run_keeps_what_it_wrote(self, tmp_path, monkeypatch, capsys):
+        """A run interrupted at its 880th step exits 130 with one line on
+        stderr, and leaves the snapshots it reached, byte for byte, the rows
+        of the 880 states it made and no report."""
         full, cut = tmp_path / "full", tmp_path / "cut"
         assert main([*STREAMED_ARGS, "--output", str(full)]) == 0
         steps = itertools.count(1)
@@ -1085,8 +1106,9 @@ class TestStreamedOutputs:
             return rk4_step(c, p, dt, **kwargs)
 
         monkeypatch.setattr(cli, "rk4_step", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            main([*STREAMED_ARGS, "--output", str(cut)])
+        capsys.readouterr()
+        assert main([*STREAMED_ARGS, "--output", str(cut)]) == 130
+        assert capsys.readouterr() == ("", "error: interrupted\n")
         kept = _files(cut)
         assert set(kept) == {"diagnostics.csv", "snapshot_0.csv", "snapshot_0.45.csv"}
         for name in ("snapshot_0.csv", "snapshot_0.45.csv"):
@@ -1123,6 +1145,57 @@ class TestStreamedOutputs:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert (tmp_path / "snapshot_0.csv").is_file() and not (tmp_path / "report.txt").exists()
+
+    def test_one_sink_writes_each_grid_it_is_handed(self, tmp_path):
+        """A sink reads the grid from each snapshot: handed 16, then 32, then
+        16 values, it writes each file as a fresh sink writes it for that
+        grid, with the nodes of that grid in its x column."""
+        rng = np.random.default_rng(43)
+        snapshots = [(0.0, rng.standard_normal(16)), (0.1, rng.standard_normal(32)),
+                     (0.2, rng.standard_normal(16))]
+        with OutputFiles(tmp_path / "one") as one:
+            for t, u in snapshots:
+                one.add_snapshot(t, u)
+        for i, (t, u) in enumerate(snapshots):
+            with OutputFiles(tmp_path / str(i)) as fresh:
+                fresh.add_snapshot(t, u)
+            name = _snapshot_name(t)
+            text = (tmp_path / str(i) / name).read_bytes()
+            assert (tmp_path / "one" / name).read_bytes() == text, name
+            rows = [line.split(b",") for line in text.splitlines()[1:]]
+            assert [float(x) for x, _ in rows] == nodes(u.size).tolist()
+            assert [float(v) for _, v in rows] == u.tolist()
+
+    def test_node_column_is_formatted_once_per_run(self, tmp_path, monkeypatch):
+        """Over fine-16k's configuration, 21 snapshots of 16384 values, the
+        sink forms the nodes once, at the t = 0 snapshot, not when it is made."""
+        calls = []
+
+        def counted(n):
+            calls.append((n, [p.name for p in files.written]))
+            return nodes(n)
+
+        monkeypatch.setattr(_writer, "nodes", counted)
+        cfg = config(*FINE_ARGS, "--snapshot-every", "0.000172", out=tmp_path)
+        with OutputFiles(cfg.output_dir) as files:
+            assert calls == []
+            run_simulation(cfg, files)
+        assert calls == [(16384, ["diagnostics.csv"])] and len(files.written) == 22
+
+    def test_snapshot_off_every_grid_is_refused_before_its_file(self, tmp_path):
+        """A snapshot of 15 values is refused by nodes' own rule before its
+        file is opened; the rows and the snapshot already written stay."""
+        rec = DiagnosticsRecord(0.0, 0.0, 1.0, 1.0, -1.0, -1.0, 1.0, 0.0, 1.0, 0.0)
+        with OutputFiles(tmp_path) as files:
+            files.add_record(rec)
+            files.add_snapshot(0.0, np.ones(16))
+            files.add_record(rec._replace(t=0.1))
+            with pytest.raises(ValueError, match=r"^n: must be an even integer >= 4, got 15$"):
+                files.add_snapshot(0.1, np.ones(15))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["diagnostics.csv", "snapshot_0.csv"]
+        assert [p.name for p in files.written] == ["diagnostics.csv", "snapshot_0.csv"]
+        assert (tmp_path / "diagnostics.csv").read_bytes().splitlines()[1:] == [
+            b"0,0,1,1,-1,-1,1,0,1,0", b"0.10000000000000001,0,1,1,-1,-1,1,0,1,0"]
 
     def test_held_memory_does_not_grow_with_the_snapshots(self, tmp_path):
         """fine-16k's configuration peaks within one snapshot, 8 * n bytes,

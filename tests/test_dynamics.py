@@ -393,6 +393,21 @@ class TestStableDt:
         dt = stable_dt(0.0, 64, SimParams(gamma=0.0))
         assert dt > 1e10
 
+    @pytest.mark.parametrize("rule", ["off", "two-thirds"])
+    def test_linear_only_has_no_advective_bound(self, rule):
+        """Under linear_only the bound is the one at max|u| = 0, whatever
+        max|u| is, and a max|u| that is no valid input is still refused."""
+        for gamma in (0.0, 0.1):
+            p = SimParams(gamma=gamma, dealias_rule=rule, linear_only=True)
+            for u_max in (0.5, 1.0, 1e6):
+                assert stable_dt(u_max, 256, p) == stable_dt(0.0, 256, p)
+            assert stable_dt(1.0, 256, p) > stable_dt(1.0, 256, dataclasses.replace(
+                p, linear_only=False))
+            with pytest.raises(ValueError):
+                stable_dt(-1.0, 256, p)
+            with pytest.raises(InstabilityError):
+                stable_dt(np.inf, 256, p)
+
     def test_stronger_dissipation_shrinks_the_bound(self):
         mild = stable_dt(0.1, 64, SimParams(gamma=1.0, alpha=1.0))
         harsh = stable_dt(0.1, 64, SimParams(gamma=1.0, alpha=2.0))

@@ -82,8 +82,8 @@ def test_report_causes_are_the_outcome_table():
 
 def test_exit_codes_are_the_outcome_table():
     """README's exit-code paragraph names every code of the table, and the
-    usage and I/O codes, each once."""
+    usage, I/O and interrupt codes, each once."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("Exit codes: ", 1)[1].split(". ", 1)[0]
     codes = [int(code) for code in re.findall(r"`(\d+)`", section)]
-    assert sorted(codes) == sorted({code for _, code in _OUTCOMES.values()} | {64, 1})
+    assert sorted(codes) == sorted({code for _, code in _OUTCOMES.values()} | {64, 1, 130})
