@@ -163,7 +163,7 @@ def _snapshot_name(t: float) -> str:
 
 
 class OutputFiles:
-    """A run's CSVs in directory, written as the run makes them: the sink
+    """A run's files in directory, written as the run makes them: the sink
     the command line hands cli.run_simulation.
 
     Made before the run, it creates directory and opens diagnostics.csv,
@@ -171,10 +171,10 @@ class OutputFiles:
     add_record writes a record as one row, one % of _FLOAT. add_snapshot
     formats the node column of nodes(u.size) when it first meets that grid,
     then flushes diagnostics.csv, so every row through t is on disk, and
-    writes snapshot_<t>.csv at once, CHUNK rows at a time. written lists the
-    files in the order they were made; cli.write_outputs adds report.txt to
-    directory last, so an interrupted run leaves every snapshot it reached,
-    every row it made (closing the file writes the rest) and no report.txt.
+    writes snapshot_<t>.csv at once, CHUNK rows at a time; add_report writes
+    report.txt last. written lists the files in the order they were made,
+    so an interrupted run leaves every snapshot it reached, every row it
+    made (closing the file writes the rest) and no report.txt.
     """
 
     def __init__(self, directory: Path) -> None:
@@ -197,6 +197,8 @@ class OutputFiles:
 
     def add_snapshot(self, t: float, u) -> None:
         u = np.asarray(u, dtype=np.float64)
+        if u.ndim != 1:
+            raise ValueError(f"u: must be one row of nodal values, got shape {u.shape}")
         if self._x is None or len(self._x) != u.size:
             x = nodes(u.size)
             self._x = np.empty((u.size, CELL), dtype=np.uint8)
@@ -215,3 +217,10 @@ class OutputFiles:
                 line[:, 1, _SEPARATOR] = ord("\n")
                 f.write(line.tobytes().translate(None, b"\0"))
         self.written.append(path)
+
+    def add_report(self, lines: list[str]) -> list[Path]:
+        """Write lines to report.txt, UTF-8 with LF line ends; return written."""
+        path = self.directory / "report.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        self.written.append(path)
+        return self.written

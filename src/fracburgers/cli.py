@@ -5,9 +5,9 @@ A run samples the chosen initial profile on the grid, advances it with RK4
 nodal snapshots at exact multiples of snapshot_every, and stops early when
 the detection policy fires, a step goes non-finite, the clock stalls or the
 step budget runs out. Outputs are plain CSV plus a small report.txt, written
-so that identical configs produce byte-identical files: run_simulation hands
-each record and each snapshot to its sink as it makes them, and the command
-line's sink, OutputFiles, writes each one as it comes.
+so that identical configs produce byte-identical files by the command line's
+sink, OutputFiles: run_simulation hands it each record and snapshot as it
+makes them, and write_outputs hands it the report's lines after the run.
 
 A run's outcome is its RunResult: the detection cause, the step count and
 the first and last records. The status, the exit code and report.txt's
@@ -283,8 +283,7 @@ def run_simulation(cfg: RunConfig, sink) -> RunResult:
     p = cfg.params
     eps = _EPS * cfg.t_final
     sampled = cfg.ic(nodes(cfg.n))
-    t, rec, cause = 0.0, None, None
-    states = stored = 0
+    t, rec, cause, steps, stored = 0.0, None, None, 0, 0
 
     # Finiteness is checked explicitly: observe on each record, rk4_step on its result.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -293,7 +292,6 @@ def run_simulation(cfg: RunConfig, sink) -> RunResult:
             nodal = nodal_pair(c)
             rec = observe(c, t, prev=rec, nodal=nodal, rule=p.dealias_rule)
             sink.add_record(rec)
-            states += 1
             if abs(stored * cfg.snapshot_every - t) <= eps:
                 u = nodal[0]
                 if not stored:
@@ -309,7 +307,7 @@ def run_simulation(cfg: RunConfig, sink) -> RunResult:
             cause = check_blowup(rec, cfg.thresholds)
             if cause is not None or t >= cfg.t_final - eps:
                 break
-            if states > MAX_STEPS:  # MAX_STEPS steps taken, t_final not reached
+            if steps == MAX_STEPS:
                 cause = "step_budget"
                 break
             target = min(stored * cfg.snapshot_every, cfg.t_final)
@@ -325,6 +323,7 @@ def run_simulation(cfg: RunConfig, sink) -> RunResult:
             except InstabilityError:  # the last record made is the last valid state
                 cause = "non_finite"
                 break
+            steps += 1
             t = target if landed else t + dt_step
 
     warnings = () if max0 >= 0.0 >= min0 else (
@@ -332,13 +331,12 @@ def run_simulation(cfg: RunConfig, sink) -> RunResult:
         f"(need max u >= 0 >= min u, got max={max0:.6g}, min={min0:.6g}); "
         "the extrema bounds are monitored but not guaranteed",
     )
-    return RunResult(first, rec, cause, states - 1, warnings)
+    return RunResult(first, rec, cause, steps, warnings)
 
 
 def write_outputs(result: RunResult, cfg: RunConfig, files: OutputFiles) -> list[Path]:
-    """Write report.txt, from the summary of a run handed to files, into
-    files.directory beside its CSVs; return every file written, report.txt
-    last.
+    """Word report.txt from the summary of a run handed to files, which writes
+    it beside its CSVs (add_report); return every file written, report.txt last.
 
     report.txt names the profile by its --ic selector, so a profile that is
     not an InitialCondition is refused (TypeError) before it is written.
@@ -358,11 +356,9 @@ def write_outputs(result: RunResult, cfg: RunConfig, files: OutputFiles) -> list
         f"detected: {'true' if detected else 'false'}",
         f"detected_t: {_fmt(result.last.t) if detected else 'none'}",
         f"detection_cause: {result.cause or 'none'}",
+        *[f"warning: {w}" for w in result.warnings],
     ]
-    report_lines += [f"warning: {w}" for w in result.warnings]
-    path = files.directory / "report.txt"
-    path.write_text("\n".join(report_lines) + "\n", encoding="utf-8", newline="\n")
-    return [*files.written, path]
+    return files.add_report(report_lines)
 
 
 def main(argv: list[str] | None = None) -> int:

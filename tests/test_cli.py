@@ -970,6 +970,35 @@ class TestWriteOutputs:
         assert {p.parent for p in written} == {tmp_path / "sink"}
         assert not cfg.output_dir.exists()
 
+    def test_report_is_written_by_the_sink(self, tmp_path):
+        """add_report writes report.txt as UTF-8 with LF line ends and adds it
+        last to written, the list it returns."""
+        with OutputFiles(tmp_path) as files:
+            files.add_snapshot(0.0, np.ones(16))
+        written = files.add_report(["status: completed", "warning: max u \u2265 0"])
+        assert written is files.written
+        assert [p.name for p in written] == ["diagnostics.csv", "snapshot_0.csv", "report.txt"]
+        data = (tmp_path / "report.txt").read_bytes()
+        assert data == "status: completed\nwarning: max u \u2265 0\n".encode("utf-8")
+        assert b"\r" not in data
+
+    def test_write_outputs_hands_its_lines_to_the_sink(self, tmp_path, monkeypatch):
+        """write_outputs words the report and hands its lines to add_report
+        once; the sink writes them as they are."""
+        calls = []
+        add_report = OutputFiles.add_report
+
+        def spying_add_report(self, lines):
+            calls.append(list(lines))
+            return add_report(self, lines)
+
+        monkeypatch.setattr(OutputFiles, "add_report", spying_add_report)
+        result, _ = write_run(config("--ic", "gaussian:1.0", "--n", "16", "--t-final", "0.2",
+                                     out=tmp_path))
+        assert len(calls) == 1 and calls[0][0] == f"status: {result.status}"
+        assert calls[0][-1].startswith("warning: maximum-principle")
+        assert (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines() == calls[0]
+
     def test_nested_output_directory_created(self, tmp_path):
         target = tmp_path / "deep" / "er" / "out"
         cfg = config("--n", "16", "--t-final", "0.2", out=target)
@@ -988,6 +1017,7 @@ class TestWriteOutputs:
         assert result.status == "completed"
         with pytest.raises(TypeError, match=r"report\.txt names the profile by its --ic selector"):
             write_outputs(result, cfg, files)
+        assert "report.txt" not in {p.name for p in files.written}
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "diagnostics.csv", "snapshot_0.1.csv", "snapshot_0.2.csv", "snapshot_0.csv"]
 
@@ -1196,6 +1226,26 @@ class TestStreamedOutputs:
         assert [p.name for p in files.written] == ["diagnostics.csv", "snapshot_0.csv"]
         assert (tmp_path / "diagnostics.csv").read_bytes().splitlines()[1:] == [
             b"0,0,1,1,-1,-1,1,0,1,0", b"0.10000000000000001,0,1,1,-1,-1,1,0,1,0"]
+
+    @pytest.mark.parametrize("shape", [(2, 16), (1, 16)])
+    def test_snapshot_not_one_row_is_refused_before_its_file(self, tmp_path, monkeypatch, shape):
+        """A snapshot that is not one row of nodal values is refused before
+        the node column is formed or its file is opened; the rows and the
+        snapshot already written stay."""
+        calls = []
+        monkeypatch.setattr(_writer, "nodes", lambda n: calls.append(n) or nodes(n))
+        rec = DiagnosticsRecord(0.0, 0.0, 1.0, 1.0, -1.0, -1.0, 1.0, 0.0, 1.0, 0.0)
+        with OutputFiles(tmp_path) as files:
+            files.add_record(rec)
+            files.add_snapshot(0.0, np.ones(16))
+            files.add_record(rec._replace(t=0.1))
+            with pytest.raises(ValueError, match=rf"^u: must be one row of nodal values, "
+                                                 rf"got shape \({shape[0]}, 16\)$"):
+                files.add_snapshot(0.1, np.ones(shape))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["diagnostics.csv", "snapshot_0.csv"]
+        assert [p.name for p in files.written] == ["diagnostics.csv", "snapshot_0.csv"]
+        assert len((tmp_path / "diagnostics.csv").read_bytes().splitlines()) == 3
+        assert calls == [16]
 
     def test_held_memory_does_not_grow_with_the_snapshots(self, tmp_path):
         """fine-16k's configuration peaks within one snapshot, 8 * n bytes,
